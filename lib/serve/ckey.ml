@@ -6,9 +6,16 @@ type t = int64
 
 let opt_int = function None -> "-" | Some v -> string_of_int v
 
+(* Bumped whenever a job's payload changes for the same inputs, so an
+   existing cache directory never serves a reply computed by older
+   code.  2: Execute replies compare against the scalar reference's
+   arrays, so layouts that add replica arrays report [correct]. *)
+let version = "2"
+
 let of_program ~op ~(spec : Proto.spec) prog =
   Fnv.hash_fields
     [
+      version;
       Proto.jobop_name op;
       Slp_ir.Program.to_source prog;
       Proto.scheme_to_string spec.Proto.scheme;

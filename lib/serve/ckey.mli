@@ -8,7 +8,10 @@
     SIMD width), unroll, budgets, cores and data seed are framed
     fields of the digest; the wall-clock [timeout] is deliberately
     excluded — a deadline changes whether a job finishes, never what
-    it computes.  Job names are labels, not inputs. *)
+    it computes.  Job names are labels, not inputs.  A constant
+    version field leads the digest; it changes whenever the payload
+    computed for the same inputs does, so replies cached by older code
+    miss. *)
 
 type t = int64
 

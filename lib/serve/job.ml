@@ -2,6 +2,7 @@ module E = Slp_util.Slp_error
 module Fnv = Slp_util.Fnv
 module P = Slp_pipeline.Pipeline
 module Json = Slp_obs.Json
+module Obs = Slp_obs.Obs
 module Env = Slp_ir.Env
 module Memory = Slp_vm.Memory
 module Scalar_exec = Slp_vm.Scalar_exec
@@ -50,28 +51,30 @@ let compile_payload ~(spec : Proto.spec) (c : P.compiled) =
 
 (* Execute by hand rather than through [Pipeline.execute] so the final
    memory image is available for the digest; the correctness check is
-   the same [Memory.same_contents] comparison [execute ~check] runs. *)
-let execute_payload ~(spec : Proto.spec) (c : P.compiled) =
+   the same [Memory.same_contents] comparison [execute ~check] runs, and
+   the VM runs sit in the same ["execute"] span. *)
+let execute_payload ~obs ~(spec : Proto.spec) (c : P.compiled) =
   let seed = spec.Proto.seed and cores = spec.Proto.cores in
   let machine = c.P.machine in
-  let scalar = Scalar_exec.run ~cores ~seed ~machine c.P.reference in
   let counters, final_memory, correct, env =
-    match c.P.vector with
-    | None ->
-        ( scalar.Scalar_exec.counters,
-          scalar.Scalar_exec.memory,
-          true,
-          c.P.reference.Slp_ir.Program.env )
-    | Some v ->
-        let memory =
-          Memory.create ~scalar_layout:c.P.scalar_offsets ~env:v.Slp_vm.Visa.env ()
-        in
-        Memory.init_arrays memory ~seed;
-        let r = Vector_exec.run ~cores ~seed ~memory ~machine v in
-        ( r.Vector_exec.counters,
-          r.Vector_exec.memory,
-          Memory.same_contents r.Vector_exec.memory scalar.Scalar_exec.memory,
-          v.Slp_vm.Visa.env )
+    Obs.span obs "execute" (fun () ->
+        let scalar = Scalar_exec.run ~cores ~seed ~machine c.P.reference in
+        match c.P.vector with
+        | None ->
+            ( scalar.Scalar_exec.counters,
+              scalar.Scalar_exec.memory,
+              true,
+              c.P.reference.Slp_ir.Program.env )
+        | Some v ->
+            let memory =
+              Memory.create ~scalar_layout:c.P.scalar_offsets ~env:v.Slp_vm.Visa.env ()
+            in
+            Memory.init_arrays memory ~seed;
+            let r = Vector_exec.run ~cores ~seed ~memory ~machine v in
+            ( r.Vector_exec.counters,
+              r.Vector_exec.memory,
+              Memory.same_contents scalar.Scalar_exec.memory r.Vector_exec.memory,
+              v.Slp_vm.Visa.env ))
   in
   Json.Obj
     [
@@ -90,23 +93,23 @@ let execute_payload ~(spec : Proto.spec) (c : P.compiled) =
       ("correct", Json.Bool correct);
     ]
 
-let payload ~op ~spec c =
+let payload ~obs ~op ~spec c =
   match (op : Proto.jobop) with
   | Proto.Compile -> compile_payload ~spec c
-  | Proto.Execute -> execute_payload ~spec c
+  | Proto.Execute -> execute_payload ~obs ~spec c
 
 let deadline_of ?(clock = Fault.now) (spec : Proto.spec) =
   Option.map (fun seconds -> E.Deadline.create ~clock ~seconds) spec.Proto.timeout
 
-let run ?clock ?obs ~op ~(spec : Proto.spec) prog =
+let run ?clock ?(obs = Obs.none) ~op ~(spec : Proto.spec) prog =
   let deadline = deadline_of ?clock spec in
   match
     P.compile ?unroll:spec.Proto.unroll ?max_steps:spec.Proto.max_steps
-      ?solver_steps:spec.Proto.solver_steps ?deadline ?obs
+      ?solver_steps:spec.Proto.solver_steps ?deadline ~obs
       ~on_stage:Fault.stage_hook ~scheme:spec.Proto.scheme
       ~machine:spec.Proto.machine prog
   with
-  | c -> ( try Result.Ok (payload ~op ~spec c) with
+  | c -> ( try Result.Ok (payload ~obs ~op ~spec c) with
       | Fault.Worker_killed -> raise Fault.Worker_killed
       | exn -> Result.Error (P.error_of_exn exn))
   | exception Fault.Worker_killed -> raise Fault.Worker_killed
@@ -119,7 +122,7 @@ let run_degraded ~op ~(spec : Proto.spec) prog =
       ~machine:spec.Proto.machine prog
   in
   let errors = List.map (fun b -> b.P.error) r.P.bailouts in
-  match payload ~op ~spec r.P.result with
+  match payload ~obs:Obs.none ~op ~spec r.P.result with
   | p -> (p, errors)
   | exception exn ->
       (* Even the scalar fallback failed to run; ship the errors alone. *)

@@ -42,16 +42,11 @@ let weight ~vp ~conflict ~elimination ~decided_packs ~cand =
   if Pack.Set.is_empty pack_types then 0.0
   else begin
     let survivors = auxiliary_survivors ~vp ~conflict ~elimination ~pack_types ~cand in
-    let count_type t =
-      let in_survivors =
-        List.length
-          (List.filter (fun (n : Packgraph.node) -> Pack.equal n.Packgraph.pack t) survivors)
-      in
-      let in_packs = List.length (List.filter (Pack.equal t) all_packs) in
-      in_survivors + in_packs
-    in
-    let total_reuse =
-      Pack.Set.fold (fun t acc -> acc + (count_type t - 1)) pack_types 0
-    in
-    float_of_int total_reuse /. float_of_int (Pack.Set.cardinal pack_types)
+    (* The reuse of type t is N_t - 1, where N_t counts t among the
+       survivors and among [all_packs].  Every survivor's pack and every
+       pack of [all_packs] is one of [pack_types], so the sum over the
+       types is a sum of lengths. *)
+    let types = Pack.Set.cardinal pack_types in
+    let total_reuse = List.length survivors + List.length all_packs - types in
+    float_of_int total_reuse /. float_of_int types
   end

@@ -86,6 +86,10 @@ val spill_load_into : t -> slot:int -> dst:floatarray -> pos:int -> int
     anything). *)
 
 val same_contents : t -> t -> bool
-(** Array-by-array equality within 1e-9 (identical NaNs/infinities
-    count as equal) — used to check that vectorized execution computes
-    exactly what scalar execution does. *)
+(** [same_contents reference candidate]: every array of [reference]
+    exists in [candidate] with equal length and equal values within
+    1e-9 (identical NaNs/infinities count as equal) — used to check
+    that vectorized execution computes exactly what scalar execution
+    does.  Only [reference]'s arrays are compared: arrays that exist
+    only in [candidate], such as the replicas a data layout adds, are
+    ignored.  Pass the scalar run's memory first. *)

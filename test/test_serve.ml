@@ -311,6 +311,43 @@ let test_pool_health () =
         h.Pool.queue_limit;
       Alcotest.(check bool) "not stopping" false h.Pool.stopping)
 
+(* Global+Layout on mg adds replica arrays to the vector program's
+   memory; the reply's scalar-reference check must still pass, as
+   [Pipeline.execute]'s does for the same compile. *)
+let test_execute_layout_replicas_correct () =
+  let mg = Suite.find "mg" in
+  let spec =
+    { (Proto.default_spec ~kernel:mg.Suite.source ~name:"mg") with
+      Proto.scheme = P.Global_layout }
+  in
+  let c =
+    P.compile ~scheme:spec.Proto.scheme ~machine:spec.Proto.machine (Suite.program mg)
+  in
+  Alcotest.(check bool) "layout adds replicas" true (c.P.replica_count > 0);
+  Alcotest.(check bool) "pipeline check passes" true
+    (P.execute ~seed:spec.Proto.seed c).P.correct;
+  with_pool (fun pool ->
+      let reply = Pool.run_sync pool ~id:1 ~op:Proto.Execute ~spec () in
+      Alcotest.(check string) "ok" "ok" (Proto.status_name reply.Proto.status);
+      Alcotest.(check bool) "reply says correct" true
+        (Json.member "correct" reply.Proto.payload = Some (Json.Bool true)))
+
+(* A traced Execute job puts its VM runs in an "execute" span on the
+   job's trace, next to the compile stages. *)
+let test_execute_span () =
+  let obs = Slp_obs.Obs.create ~trace:true () in
+  let spec = small_spec () in
+  let prog = Slp_frontend.Parser.parse ~name:"k" spec.Proto.kernel in
+  (match Job.run ~obs ~op:Proto.Execute ~spec prog with
+  | Result.Ok _ -> ()
+  | Result.Error e -> Alcotest.fail (E.to_string e));
+  let names =
+    List.map (fun (name, _, _, _) -> name)
+      (Slp_obs.Trace.events (Option.get obs.Slp_obs.Obs.trace))
+  in
+  Alcotest.(check bool) "compile stages traced" true (List.mem "plan" names);
+  Alcotest.(check bool) "execute span traced" true (List.mem "execute" names)
+
 (* -- end-to-end over the socket -------------------------------------- *)
 
 let test_server_end_to_end () =
@@ -474,6 +511,9 @@ let () =
           Alcotest.test_case "poison job quarantined" `Quick test_pool_quarantines_poison;
           Alcotest.test_case "bounded queue sheds" `Quick test_pool_sheds_when_full;
           Alcotest.test_case "health snapshot" `Quick test_pool_health;
+          Alcotest.test_case "layout replicas execute correct" `Quick
+            test_execute_layout_replicas_correct;
+          Alcotest.test_case "execute span traced" `Quick test_execute_span;
         ] );
       ( "daemon",
         [

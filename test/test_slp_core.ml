@@ -118,6 +118,115 @@ let test_packgraph_updates () =
   Alcotest.(check bool) "independent candidate survives" true
     (Packgraph.alive vp c45.Candidate.cid)
 
+(* The first-round VP graph of every block of a suite kernel at 512
+   bits, prepared and dependence-analysed as the Global scheme does. *)
+let first_round_graphs name =
+  let kernel = Slp_benchmarks.Suite.find name in
+  let factor = kernel.Slp_benchmarks.Suite.unroll * 512 / 128 in
+  let prog =
+    Slp_benchmarks.Suite.program kernel
+    |> Slp_transform.Simplify.fold_program
+    |> Slp_transform.Unroll.program ~factor
+  in
+  let env = prog.Program.env in
+  let config = Config.make ~datapath_bits:512 () in
+  List.map
+    (fun (block, box) ->
+      let dep_pairs = Slp_depend.Depend.block_dep_pairs ~box block in
+      let units = List.map (Units.of_stmt ~env) block.Block.stmts in
+      let deps = Units.Deps.build ~dep_pairs block units in
+      let cands = Candidate.find ~env ~config ~units ~deps in
+      let tbl = Hashtbl.create 64 in
+      List.iter (fun (c : Candidate.t) -> Hashtbl.replace tbl c.Candidate.cid c) cands;
+      let conflict a b =
+        a <> b && Candidate.conflicts ~deps (Hashtbl.find tbl a) (Hashtbl.find tbl b)
+      in
+      (cands, conflict, Packgraph.build ~candidates:cands ~conflict))
+    (Slp_depend.Depend.blocks_with_box prog)
+
+(* The indexed [matching] must select exactly what a full scan of the
+   live nodes selects, for every candidate's pack-type set (joined with
+   the packs decided so far), before and after graph updates.  The
+   implied edges and the removals are checked against [conflict] too. *)
+let test_packgraph_matching_differential () =
+  let nids = List.map (fun (n : Packgraph.node) -> n.Packgraph.nid) in
+  let norm l = List.sort compare (List.map (fun (a, b) -> (min a b, max a b)) l) in
+  let agree ~what ~conflict ~decided vp cands =
+    let live = Packgraph.nodes vp in
+    List.iter
+      (fun (c : Candidate.t) ->
+        let cid = c.Candidate.cid in
+        let what = Printf.sprintf "%s C%d" what cid in
+        let pack_types = Pack.Set.of_list (decided @ c.Candidate.packs) in
+        let compatible owner = not (conflict owner cid) in
+        let full_scan =
+          List.filter
+            (fun (n : Packgraph.node) ->
+              n.Packgraph.owner <> cid
+              && Pack.Set.mem n.Packgraph.pack pack_types
+              && compatible n.Packgraph.owner)
+            live
+        in
+        let selected = Packgraph.matching vp ~pack_types ~exclude_owner:cid ~compatible in
+        Alcotest.(check (list int)) what (nids full_scan) (nids selected);
+        let all_pairs =
+          List.concat_map
+            (fun (a : Packgraph.node) ->
+              List.filter_map
+                (fun (b : Packgraph.node) ->
+                  if a.Packgraph.nid < b.Packgraph.nid && conflict a.Packgraph.owner b.Packgraph.owner
+                  then Some (a.Packgraph.nid, b.Packgraph.nid)
+                  else None)
+                selected)
+            selected
+        in
+        Alcotest.(check (list (pair int int)))
+          (what ^ " edges") (norm all_pairs)
+          (norm (Packgraph.edges_among vp selected)))
+      cands
+  in
+  let graphs = List.concat_map first_round_graphs [ "lbm"; "povray"; "ft" ] in
+  Alcotest.(check bool) "some graph has nodes" true
+    (List.exists (fun (_, _, vp) -> Packgraph.node_count vp > 0) graphs);
+  List.iter
+    (fun (cands, conflict, vp) ->
+      agree ~what:"fresh" ~conflict ~decided:[] vp cands;
+      (* Decide every fifth live candidate, discard every seventh other
+         one, and compare again after each update. *)
+      let decided = ref [] in
+      let owners () =
+        List.filter_map
+          (fun (o : Candidate.t) ->
+            if Packgraph.alive vp o.Candidate.cid then Some o.Candidate.cid else None)
+          cands
+      in
+      List.iteri
+        (fun i (c : Candidate.t) ->
+          let cid = c.Candidate.cid in
+          if Packgraph.alive vp cid && (i mod 5 = 0 || i mod 7 = 3) then begin
+            let before = List.filter (( <> ) cid) (owners ()) in
+            let expected =
+              if i mod 5 = 0 then begin
+                Packgraph.remove_decided vp cid;
+                decided := !decided @ c.Candidate.packs;
+                (* Paper step 4: every node connected to the decided
+                   candidate's nodes goes too. *)
+                List.filter (fun o -> not (conflict cid o)) before
+              end
+              else begin
+                Packgraph.remove_owner vp cid;
+                before
+              end
+            in
+            let step = Printf.sprintf "after step %d" i in
+            Alcotest.(check (list int)) (step ^ " live owners") expected (owners ());
+            (* Weights are only asked of candidates that are still alive. *)
+            agree ~what:step ~conflict ~decided:!decided vp
+              (List.filter (fun (o : Candidate.t) -> Packgraph.alive vp o.Candidate.cid) cands)
+          end)
+        cands)
+    graphs
+
 (* -- units ------------------------------------------------------------------ *)
 
 let test_units_merge () =
@@ -409,7 +518,11 @@ let () =
           Alcotest.test_case "grouping decision" `Quick test_fig2_grouping;
         ] );
       ( "packgraph",
-        [ Alcotest.test_case "decided-node removal" `Quick test_packgraph_updates ] );
+        [
+          Alcotest.test_case "decided-node removal" `Quick test_packgraph_updates;
+          Alcotest.test_case "pack index vs full scan" `Quick
+            test_packgraph_matching_differential;
+        ] );
       ( "units",
         [
           Alcotest.test_case "merge" `Quick test_units_merge;
