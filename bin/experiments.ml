@@ -17,7 +17,10 @@
                                  (optimal vs every heuristic, suite +
                                  fuzz corpus)
      experiments --gap-fuzz N    fuzz-corpus sample size for the gap
-                                 report (default 1000) *)
+                                 report (default 1000)
+     experiments --plan-digests FILE
+                                 write one MD5 line per distinct compile
+                                 job of the two benchmark workloads *)
 
 module E = Slp_harness.Experiments
 module Runner = Slp_harness.Runner
@@ -47,6 +50,7 @@ let () =
   let metrics_path = ref None in
   let gap_path = ref None in
   let gap_fuzz = ref None in
+  let digests_path = ref None in
   let steps = ref None in
   let rec scan acc = function
     | [] -> List.rev acc
@@ -70,6 +74,12 @@ let () =
         scan acc rest
     | "--gap-report" :: [] ->
         prerr_endline "--gap-report requires a FILE argument";
+        exit 2
+    | "--plan-digests" :: path :: rest ->
+        digests_path := Some path;
+        scan acc rest
+    | "--plan-digests" :: [] ->
+        prerr_endline "--plan-digests requires a FILE argument";
         exit 2
     | "--gap-fuzz" :: n :: rest -> begin
         match int_of_string_opt n with
@@ -113,11 +123,12 @@ let () =
       | None -> Runner.set_resilient true);
       Runner.clear_bailouts ()
     end;
-    (* [--metrics]/[--gap-report] with no report ids write just their
-       files; naming reports (or naming none without either flag)
-       renders them as before. *)
+    (* [--metrics]/[--gap-report]/[--plan-digests] with no report ids
+       write just their files; naming reports (or naming none without
+       any of these flags) renders them as before. *)
     let run_reports =
-      args <> [] || (!metrics_path = None && !gap_path = None)
+      args <> []
+      || (!metrics_path = None && !gap_path = None && !digests_path = None)
     in
     if run_reports then
       List.iter
@@ -146,6 +157,18 @@ let () =
            written to %s\n"
           fuzz.Gap.f_cases fuzz.Gap.f_bailed fuzz.Gap.f_violations path;
         if fuzz.Gap.f_violations > 0 then exit 4
+    | None -> ());
+    (match !digests_path with
+    | Some path ->
+        let lines = Slp_harness.Plan_digest.lines () in
+        let oc = open_out path in
+        List.iter
+          (fun l ->
+            output_string oc l;
+            output_char oc '\n')
+          lines;
+        close_out oc;
+        Printf.printf "plan digests: %d job(s) written to %s\n" (List.length lines) path
     | None -> ());
     let bailouts = if !resilient then Runner.bailouts () else [] in
     (match !report_path with

@@ -103,7 +103,9 @@ let scalar_stmt_cost params (s : Stmt.t) =
   in
   ops +. loads +. store
 
-let estimate ?(params = default_params) ~query (block : Block.t) (sched : Schedule.t) =
+let estimate_facts ?(params = default_params) ~query facts (sched : Schedule.t) =
+  let module F = Schedule.Facts in
+  let block = F.block facts in
   let scalar_cost =
     List.fold_left (fun acc s -> acc +. scalar_stmt_cost params s) 0.0 block.Block.stmts
   in
@@ -120,7 +122,7 @@ let estimate ?(params = default_params) ~query (block : Block.t) (sched : Schedu
             (function
               | Operand.Scalar v -> Hashtbl.replace scalar_used_by_single_after v idx
               | Operand.Const _ | Operand.Elem _ -> ())
-            (Stmt.uses (Block.find block sid))
+            (Stmt.uses (F.stmt facts sid))
       | Schedule.Superword _ -> ())
     items;
   let live = Live.create ~capacity:64 in
@@ -140,29 +142,7 @@ let estimate ?(params = default_params) ~query (block : Block.t) (sched : Schedu
       incr permutes;
       charge params.permute
     end
-    else if
-      (* Coverable by a two-source shuffle over live superwords. *)
-      (let entries = Live.entries live in
-       let covers o1 o2 =
-         let pool = ref (o1 @ o2) in
-         List.for_all
-           (fun want ->
-             let rec take acc = function
-               | [] -> false
-               | x :: rest ->
-                   if Operand.equal x want then begin
-                     pool := List.rev_append acc rest;
-                     true
-                   end
-                   else take (x :: acc) rest
-             in
-             take [] !pool)
-           ordered
-       in
-       List.exists
-         (fun o1 -> List.exists (fun o2 -> (not (o1 == o2)) && covers o1 o2) entries)
-         entries)
-    then begin
+    else if Live.coverable_by_two live pack then begin
       incr permutes;
       charge params.permute
     end
@@ -276,24 +256,23 @@ let estimate ?(params = default_params) ~query (block : Block.t) (sched : Schedu
     (fun idx item ->
       match item with
       | Schedule.Single sid ->
-          let s = Block.find block sid in
+          let s = F.stmt facts sid in
           charge (scalar_stmt_cost params s);
           Live.invalidate live ~defs:[ Stmt.def s ]
       | Schedule.Superword order ->
-          let stmts = List.map (Block.find block) order in
-          let first = List.hd stmts in
+          let first = F.stmt facts (List.hd order) in
           vector_ops := !vector_ops + Stmt.op_count first;
           charge (weighted_ops params ~base:params.vector_op first.Stmt.rhs);
-          let npos = Stmt.position_count first in
+          let ordered = Array.init (F.position_count facts first.Stmt.id) (F.ordered facts order) in
+          let npos = Array.length ordered in
           for pos = 1 to npos - 1 do
-            pack_source (List.map (fun s -> List.nth (Stmt.positions s) pos) stmts)
+            pack_source ordered.(pos)
           done;
-          pack_dest idx (List.map Stmt.def stmts);
-          Live.invalidate live ~defs:(List.map Stmt.def stmts);
+          pack_dest idx ordered.(0);
+          Live.invalidate live ~defs:ordered.(0);
           for pos = npos - 1 downto 0 do
-            let ordered = List.map (fun s -> List.nth (Stmt.positions s) pos) stmts in
-            if not (Pack.all_constant (Pack.of_operands ordered)) then
-              Live.insert live ordered
+            if not (Pack.all_constant (Pack.of_operands ordered.(pos))) then
+              Live.insert live ordered.(pos)
           done)
     items;
   {
@@ -306,6 +285,10 @@ let estimate ?(params = default_params) ~query (block : Block.t) (sched : Schedu
     extracts = !extracts;
     permutes = !permutes;
   }
+
+let estimate ?params ~query block sched =
+  (* Pricing never consults dependences. *)
+  estimate_facts ?params ~query (Schedule.Facts.make ~deps:[] block) sched
 
 let profitable ?params ~query block sched =
   let e = estimate ?params ~query block sched in

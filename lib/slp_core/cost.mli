@@ -57,6 +57,11 @@ type estimate = {
 
 val estimate :
   ?params:params -> query:query -> Block.t -> Schedule.t -> estimate
+(** Builds the block's {!Schedule.Facts} and runs {!estimate_facts}. *)
+
+val estimate_facts :
+  ?params:params -> query:query -> Schedule.Facts.t -> Schedule.t -> estimate
+(** {!estimate} on facts the caller already holds. *)
 
 val weighted_ops : params -> base:float -> Expr.t -> float
 (** Sum of per-operator weights of an expression, with [base] for the

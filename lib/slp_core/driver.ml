@@ -41,15 +41,16 @@ let attempt ?(obs = Obs.none) ~options ~schedule_options ?grouping_fuel
   if grouping.Grouping.groups = [] then
     { block; nest; deps; grouping; schedule = None; estimate = None }
   else begin
+    let facts = Schedule.Facts.make ~deps block in
     let schedule =
       Obs.span obs
         ~args:[ ("block", label) ]
         ("schedule:" ^ label)
         (fun () ->
-          Schedule.run ~options:schedule_options ?fuel:schedule_fuel ~obs
-            ~dep_pairs:deps ~env ~config block grouping)
+          Schedule.run_facts ~options:schedule_options ?fuel:schedule_fuel ~obs
+            ~config facts grouping)
     in
-    if not (Schedule.is_valid ~dep_pairs:deps block schedule) then
+    if not (Schedule.is_valid_facts facts schedule) then
       Slp_util.Slp_error.fail ~pass:Slp_util.Slp_error.Scheduling
         Slp_util.Slp_error.Schedule_failed
         "Driver.optimize_block: invalid schedule for %s" label;
@@ -57,7 +58,7 @@ let attempt ?(obs = Obs.none) ~options ~schedule_options ?grouping_fuel
       Obs.span obs
         ~args:[ ("block", label) ]
         ("estimate:" ^ label)
-        (fun () -> Cost.estimate ?params ~query block schedule)
+        (fun () -> Cost.estimate_facts ?params ~query facts schedule)
     in
     if estimate.Cost.vector_cost < estimate.Cost.scalar_cost then begin
       cost_remark obs ~block ~id:"COST-VECTORIZE"

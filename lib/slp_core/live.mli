@@ -5,7 +5,8 @@
     ordering), the cost model (§4.3's profitability gate), and code
     generation (realising reuses as register moves).  Entries are
     ordered operand lists; capacity models the vector register file
-    with least-recently-inserted eviction. *)
+    with least-recently-inserted eviction.  Each entry keeps its
+    multiset key, computed once on insertion. *)
 
 open Slp_ir
 
@@ -19,8 +20,13 @@ val size : t -> int
 val mem_exact : t -> Operand.t list -> bool
 val mem_multiset : t -> Pack.t -> bool
 
-val find_multiset : t -> Pack.t -> Operand.t list option
-(** Most recent live superword carrying exactly this multiset. *)
+val iter_multiset : t -> Pack.t -> (Operand.t list -> unit) -> unit
+(** Apply to every live superword carrying exactly this multiset, most
+    recent first. *)
+
+val coverable_by_two : t -> Pack.t -> bool
+(** Two distinct live superwords together hold every operand of the
+    pack (with multiplicity): one two-source shuffle rebuilds it. *)
 
 val invalidate : t -> defs:Operand.t list -> unit
 (** Drop every superword containing an operand that may alias one of
@@ -29,5 +35,3 @@ val invalidate : t -> defs:Operand.t list -> unit
 val insert : t -> Operand.t list -> unit
 (** Insert an ordered superword, replacing any entry with the same
     multiset; evicts the oldest entry beyond capacity. *)
-
-val copy : t -> t

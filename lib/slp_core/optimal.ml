@@ -82,15 +82,21 @@ let grouping_of_schedule (sched : Schedule.t) =
    brute-force test oracle and the heuristics: schedule the partition,
    then price the schedule.  [None] = the partition admits no
    dependence-respecting schedule. *)
-let evaluate ?params ~query ~deps ~env ~config block grouping =
-  match
-    Schedule.run ~options:Schedule.default_options ~dep_pairs:deps ~env ~config
-      block grouping
-  with
+let evaluate_facts ?params ~query ~config facts grouping =
+  match Schedule.run_facts ~config facts grouping with
   | exception E.Error { E.code = E.Schedule_failed; _ } -> None
   | sched ->
-      if not (Schedule.is_valid ~dep_pairs:deps block sched) then None
-      else Some { a_grouping = grouping; a_schedule = sched; a_estimate = Cost.estimate ?params ~query block sched }
+      if not (Schedule.is_valid_facts facts sched) then None
+      else
+        Some
+          {
+            a_grouping = grouping;
+            a_schedule = sched;
+            a_estimate = Cost.estimate_facts ?params ~query facts sched;
+          }
+
+let evaluate ?params ~query ~deps ~env:_ ~config block grouping =
+  evaluate_facts ?params ~query ~config (Schedule.Facts.make ~deps block) grouping
 
 (* Scheme-fair modeled cost of a whole plan: committed blocks at their
    estimated vector cost, everything else at the exact scalar cost of
@@ -172,15 +178,15 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
       Obs.remark obs (Remark.make ~id ~pass:"optimal" ~block:label message)
   in
   let stmts = Array.of_list block.Block.stmts in
-  let by_id = Hashtbl.create 16 in
-  Array.iter (fun s -> Hashtbl.replace by_id s.Stmt.id s) stmts;
-  let stmt id = Hashtbl.find by_id id in
+  (* One set of block facts serves every leaf, seed and re-evaluation. *)
+  let facts = Schedule.Facts.make ~deps block in
+  let stmt id = Schedule.Facts.stmt facts id in
   let scalar_cost =
     Array.fold_left
       (fun acc s -> acc +. Cost.scalar_stmt_cost cost_params s)
       0.0 stmts
   in
-  let evaluate_grouping g = evaluate ?params ~query ~deps ~env ~config block g in
+  let evaluate_grouping g = evaluate_facts ?params ~query ~config facts g in
   (* Heuristic baseline: the holistic driver on the same facts.  Its
      committed schedule (when any) is both the fallback on bail and the
      initial incumbent, so the exact scheme can never end up worse. *)
@@ -194,13 +200,13 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
         let ids = List.sort compare (Schedule.scheduled_stmt_ids sched) in
         if
           ids = List.sort compare (Block.stmt_ids block)
-          && Schedule.is_valid ~dep_pairs:deps block sched
+          && Schedule.is_valid_facts facts sched
         then
           Some
             {
               a_grouping = grouping_of_schedule sched;
               a_schedule = sched;
-              a_estimate = Cost.estimate ?params ~query block sched;
+              a_estimate = Cost.estimate_facts ?params ~query facts sched;
             }
         else None)
       seeds
@@ -308,14 +314,18 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
       | Some a -> Some a.a_estimate.Cost.vector_cost
       | None -> None
   in
+  (* The counters are ours, so they survive a search cut short by the
+     fuel. *)
+  let counts = Bnb.new_stats () in
   let solve () =
     Bnb.solve
       ~universe:(Block.stmt_ids block)
-      ~choices ~single ~relax ~feasible ~leaf ~incumbent:incumbent_cost ~tick ()
+      ~choices ~single ~relax ~feasible ~leaf ~incumbent:incumbent_cost ~tick
+      ~stats:counts ()
   in
-  let outcome, bailed =
+  let solved, bailed =
     match solve () with
-    | outcome -> (Some outcome, None)
+    | best -> (best, None)
     | exception E.Error ({ E.code = E.Fuel_exhausted; _ } as cause) ->
         let error =
           E.make ~pass:E.Grouping E.Optimal_bailed
@@ -326,24 +336,19 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
         (None, Some { label; budget; error })
   in
   let solved_attempt =
-    match outcome with
-    | Some { Bnb.best = Some (parts, _); _ } ->
-        evaluate_grouping (grouping_of_parts parts)
-    | _ -> None
+    match solved with
+    | Some (parts, _) -> evaluate_grouping (grouping_of_parts parts)
+    | None -> None
   in
   let stats =
-    match outcome with
-    | Some { Bnb.stats = s; _ } ->
-        {
-          nodes = s.Bnb.nodes;
-          leaves = s.Bnb.leaves;
-          memo_hits = s.Bnb.memo_hits;
-          pruned = s.Bnb.pruned;
-          proven = true;
-          bailed = false;
-        }
-    | None ->
-        { nodes = 0; leaves = 0; memo_hits = 0; pruned = 0; proven = false; bailed = true }
+    {
+      nodes = counts.Bnb.nodes;
+      leaves = counts.Bnb.leaves;
+      memo_hits = counts.Bnb.memo_hits;
+      pruned = counts.Bnb.pruned;
+      proven = Option.is_none bailed;
+      bailed = Option.is_some bailed;
+    }
   in
   let candidates =
     match solved_attempt with Some a -> a :: incumbents | None -> incumbents
@@ -360,7 +365,10 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
   (match (stats.bailed, best) with
   | true, _ ->
       remark "OPT-BAIL"
-        (Printf.sprintf "solver budget %d exhausted; using best incumbent" budget)
+        (Printf.sprintf
+           "solver budget %d exhausted after %d nodes, %d leaves; using best \
+            incumbent"
+           budget stats.nodes stats.leaves)
   | false, Some a ->
       let h =
         match heuristic_attempt with

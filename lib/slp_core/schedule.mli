@@ -46,6 +46,32 @@ type stats = {
 
 type t = { items : item list; stats : stats }
 
+(** The facts of one block that scheduling, validation and pricing
+    consult, resolved once: each statement with its operand positions,
+    the dependence pairs with their lookup set, and, per SIMD group
+    (memoised by sorted member list), its non-constant packs, its defs
+    and the memory lane orders of its packs.  The value belongs to its
+    caller; sharing one across many schedules of the same block (the
+    exact solver's leaves) saves the work, never changes a result. *)
+module Facts : sig
+  type t
+
+  val make : deps:(int * int) list -> Block.t -> t
+  (** [deps] are the statement dependence pairs the group DAG and the
+      validity check are built from; pricing never reads them. *)
+
+  val block : t -> Block.t
+
+  val stmt : t -> int -> Stmt.t
+  (** By id; raises [Not_found]. *)
+
+  val ordered : t -> int list -> int -> Operand.t list
+  (** [ordered t lanes pos]: the operands at position [pos] of the
+      statements [lanes], in lane order. *)
+
+  val position_count : t -> int -> int
+end
+
 val run :
   ?options:options ->
   ?fuel:Slp_util.Slp_error.Fuel.t ->
@@ -65,7 +91,18 @@ val run :
     (live, permutation needed), or [SCHED-PACK] (packed from
     scratch).  [dep_pairs] overrides the statement dependence pairs
     the group DAG is built from (default: the syntactic
-    [Block.dep_pairs]). *)
+    [Block.dep_pairs]).  Builds the block's {!Facts} and runs
+    {!run_facts}. *)
+
+val run_facts :
+  ?options:options ->
+  ?fuel:Slp_util.Slp_error.Fuel.t ->
+  ?obs:Slp_obs.Obs.t ->
+  config:Config.t ->
+  Facts.t ->
+  Grouping.result ->
+  t
+(** {!run} on facts the caller already holds. *)
 
 val analyze : config:Config.t -> Block.t -> item list -> t
 (** Replay a fixed item sequence against a fresh live superword set and
@@ -84,5 +121,8 @@ val is_valid : ?dep_pairs:(int * int) list -> Block.t -> t -> bool
     the emitted sequence of items.  [dep_pairs] must be the same pairs
     the schedule was built from (default: the syntactic
     [Block.dep_pairs]). *)
+
+val is_valid_facts : Facts.t -> t -> bool
+(** {!is_valid} against the facts' dependence pairs. *)
 
 val pp : Format.formatter -> t -> unit

@@ -58,66 +58,94 @@ let pp ppf u =
     u.positions
 
 module Deps = struct
+  (* The uid-level dependence DAG over dense indices, numbered in
+     ascending uid order: [succs.(i)] holds the successors' indices,
+     ascending and without repeats. *)
   type unit_graph = {
-    graph : unit Graph.Directed.t;  (** uid-level dependence DAG *)
+    index : (int, int) Hashtbl.t;  (** uid -> index *)
+    succs : int array array;
   }
 
   let build ?dep_pairs (block : Block.t) units =
     let pairs =
       match dep_pairs with Some p -> p | None -> Block.dep_pairs block
     in
+    let index = Hashtbl.create 32 in
+    List.iteri
+      (fun i uid -> Hashtbl.replace index uid i)
+      (List.sort_uniq compare (List.map (fun u -> u.uid) units));
     let owner = Hashtbl.create 32 in
     List.iter
-      (fun u -> List.iter (fun sid -> Hashtbl.replace owner sid u.uid) u.members)
+      (fun u ->
+        let i = Hashtbl.find index u.uid in
+        List.iter (fun sid -> Hashtbl.replace owner sid i) u.members)
       units;
-    let g = Graph.Directed.create () in
-    List.iter (fun u -> Graph.Directed.add_node g u.uid ()) units;
+    let out = Array.make (Hashtbl.length index) [] in
     List.iter
       (fun (p, q) ->
         match (Hashtbl.find_opt owner p, Hashtbl.find_opt owner q) with
-        | Some up, Some uq when up <> uq ->
-            if not (Graph.Directed.mem_edge g up uq) then
-              Graph.Directed.add_edge g up uq
+        | Some ip, Some iq when ip <> iq -> out.(ip) <- iq :: out.(ip)
         | _ -> ())
       pairs;
-    { graph = g }
+    { index; succs = Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) out }
 
-  let depends t u v = Graph.Directed.mem_edge t.graph u v
+  let index_of t uid =
+    match Hashtbl.find_opt t.index uid with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Units.Deps: unknown unit %d" uid)
+
+  let depends t u v =
+    match (Hashtbl.find_opt t.index u, Hashtbl.find_opt t.index v) with
+    | Some iu, Some iv -> Array.mem iv t.succs.(iu)
+    | _ -> false
+
+  let reachable t iu iv =
+    let visited = Array.make (Array.length t.succs) false in
+    let rec dfs x =
+      x = iv
+      || (not visited.(x))
+         && begin
+              visited.(x) <- true;
+              Array.exists dfs t.succs.(x)
+            end
+    in
+    dfs iu
 
   let mergeable t u v =
     u <> v
-    && (not (Graph.Directed.reachable t.graph u v))
-    && not (Graph.Directed.reachable t.graph v u)
+    &&
+    match (Hashtbl.find_opt t.index u, Hashtbl.find_opt t.index v) with
+    | Some iu, Some iv -> (not (reachable t iu iv)) && not (reachable t iv iu)
+    | _ -> true
 
   let merged_acyclic t pairs =
-    (* Contract each pair into its smaller uid and test for cycles. *)
-    let repr = Hashtbl.create 8 in
+    (* Contract each pair with an array union-find, then check the
+       graph of class representatives. *)
+    let n = Array.length t.succs in
+    let parent = Array.init n Fun.id in
     let rec find x =
-      match Hashtbl.find_opt repr x with
-      | None -> x
-      | Some p ->
-          let r = find p in
-          if r <> p then Hashtbl.replace repr x r;
-          r
+      let p = parent.(x) in
+      if p = x then x
+      else begin
+        let r = find p in
+        parent.(x) <- r;
+        r
+      end
     in
     List.iter
       (fun (a, b) ->
-        let ra = find a and rb = find b in
-        if ra <> rb then
-          if ra < rb then Hashtbl.replace repr rb ra else Hashtbl.replace repr ra rb)
+        let ra = find (index_of t a) and rb = find (index_of t b) in
+        if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb)
       pairs;
-    let g = Graph.Directed.create () in
-    List.iter
-      (fun id -> Graph.Directed.add_node g (find id) ())
-      (Graph.Directed.nodes t.graph);
-    List.iter
-      (fun u ->
-        List.iter
-          (fun v ->
-            let ru = find u and rv = find v in
-            if ru <> rv && not (Graph.Directed.mem_edge g ru rv) then
-              Graph.Directed.add_edge g ru rv)
-          (Graph.Directed.succs t.graph u))
-      (Graph.Directed.nodes t.graph);
-    not (Graph.Directed.has_cycle g)
+    let out = Array.make n [] in
+    Array.iteri
+      (fun x ys ->
+        let rx = find x in
+        Array.iter
+          (fun y ->
+            let ry = find y in
+            if rx <> ry then out.(rx) <- ry :: out.(rx))
+          ys)
+      t.succs;
+    Graph.acyclic out
 end

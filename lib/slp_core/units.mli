@@ -59,5 +59,7 @@ module Deps : sig
 
   val merged_acyclic : unit_graph -> (int * int) list -> bool
   (** Would the graph stay acyclic if each listed uid pair were
-      contracted into one node? *)
+      contracted into one node?  A dependence between the two units of
+      a pair is not a cycle ({!mergeable} rules those out).  Raises
+      [Invalid_argument] on a uid that is not a node of the graph. *)
 end

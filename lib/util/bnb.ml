@@ -30,14 +30,7 @@ type stats = {
   mutable pruned : int;  (** subtrees cut by the bound *)
 }
 
-type 'a outcome = {
-  best : ('a list * float) option;
-      (** best complete partition found that beats the incumbent, with
-          its exact objective; [None] when the incumbent was already
-          optimal (or no feasible partition exists below it) *)
-  stats : stats;
-}
-
+let new_stats () = { nodes = 0; leaves = 0; memo_hits = 0; pruned = 0 }
 let epsilon = 1e-9
 
 (* [solve] minimises over all partitions of [universe] into parts.
@@ -50,10 +43,14 @@ let epsilon = 1e-9
    incrementally each time a multi-element part is added.  [leaf] maps
    a complete choice list to its exact objective ([None] =
    infeasible).  [tick] is called once per node so the caller can
-   meter fuel; letting it raise aborts the search. *)
+   meter fuel; letting it raise aborts the search.  The search counts
+   into [stats], which the caller owns: the counts of an aborted search
+   stay readable.  The result is the best complete partition found that
+   beats the incumbent, with its exact objective; [None] when the
+   incumbent was already optimal (or no feasible partition exists below
+   it). *)
 let solve ~universe ~choices ~single ~relax ~feasible ~leaf
-    ?(incumbent = Float.infinity) ?(tick = fun () -> ()) () =
-  let stats = { nodes = 0; leaves = 0; memo_hits = 0; pruned = 0 } in
+    ?(incumbent = Float.infinity) ?(tick = fun () -> ()) ~stats () =
   let max_id = List.fold_left (fun acc e -> max acc e) 0 universe in
   let avail = Array.make (max_id + 1) false in
   List.iter (fun e -> avail.(e) <- true) universe;
@@ -127,9 +124,6 @@ let solve ~universe ~choices ~single ~relax ~feasible ~leaf
         end
   in
   descend [] 0.0 sorted;
-  let best =
-    match !best_parts with
-    | Some parts -> Some (List.map (fun c -> c.part) parts, !best_cost)
-    | None -> None
-  in
-  { best; stats }
+  match !best_parts with
+  | Some parts -> Some (List.map (fun c -> c.part) parts, !best_cost)
+  | None -> None

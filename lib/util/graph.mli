@@ -93,3 +93,8 @@ module Directed : sig
 
   val copy : 'a t -> 'a t
 end
+
+val acyclic : int list array -> bool
+(** Kahn's algorithm on a dense directed graph given as the successor
+    lists of nodes [0 .. n-1] (repeated edges allowed): true when the
+    graph has no cycle. *)

@@ -9,8 +9,11 @@
      compiled output is memory-identical to the scalar reference;
    - bounded failure: a combinatorial blowup kernel exhausts the
      solver budget, bails to the holistic heuristic under the
-     advisory BAIL15 — without degrading the compile — and still
-     dominates the heuristic it fell back to. *)
+     advisory BAIL15 — without degrading the compile — still
+     dominates the heuristic it fell back to, and reports the nodes
+     its search visited;
+   - pinned results: the fuel-bound kernels at 256 bits keep the plans
+     their bailed searches reached. *)
 
 open Slp_ir
 module E = Slp_util.Slp_error
@@ -201,7 +204,37 @@ let test_blowup_bails () =
         "bailed result still dominates the heuristic" true
         (Optimal.modeled_cost ~params po
         <= Optimal.modeled_cost ~params pg +. 1e-6)
-  | _ -> Alcotest.fail "plans missing")
+  | _ -> Alcotest.fail "plans missing");
+  (* A bailed block still reports the search it did, in its stats and
+     in its OPT-BAIL remark. *)
+  let _, bails, stats =
+    Optimal.optimize_program ~solver_steps:100
+      ~config:(Config.make ~datapath_bits:128 ())
+      prog
+  in
+  Alcotest.(check bool) "raw kernel bails too" true (bails <> []);
+  List.iter
+    (fun (st : Optimal.stats) ->
+      if st.Optimal.bailed then begin
+        Alcotest.(check bool) "bailed block counts its nodes" true (st.Optimal.nodes > 0);
+        Alcotest.(check bool) "not proven" false st.Optimal.proven
+      end)
+    stats;
+  let obs = Slp_obs.Obs.create ~remarks:true () in
+  ignore
+    (Pipeline.compile ~obs ~solver_steps:100 ~scheme:Pipeline.Optimal ~machine:intel
+       prog);
+  let bail_nodes =
+    List.filter_map
+      (fun (r : Slp_obs.Remark.t) ->
+        if r.Slp_obs.Remark.id = "OPT-BAIL" then
+          Scanf.sscanf_opt r.Slp_obs.Remark.message
+            "solver budget %_d exhausted after %d nodes, %_d leaves" Fun.id
+        else None)
+      (Slp_obs.Obs.remarks obs)
+  in
+  Alcotest.(check bool) "OPT-BAIL remark names nodes > 0" true
+    (bail_nodes <> [] && List.for_all (fun n -> n > 0) bail_nodes)
 
 let test_blowup_resilient_not_degraded () =
   let prog = blowup_program () in
@@ -231,6 +264,60 @@ let test_small_budget_scales () =
   let x = Pipeline.execute c in
   Alcotest.(check bool) "memory identical" true x.Pipeline.correct
 
+(* -- fuel-bound results, pinned ------------------------------------ *)
+
+(* The eight kernels whose exact search runs out of its default fuel on
+   Figure 18's widened Intel model at 256 bits, compiled as the
+   compile_wide benchmark compiles them (unroll scaled by width/128).
+   A bailed search keeps whatever its fuel reached, so any change to
+   the order or number of nodes the search visits shows up here as a
+   different plan.  Values recorded from the solver before its leaves
+   moved onto per-block facts: modeled cost, superword statements,
+   BAIL15 records, Visa instructions. *)
+let fuel_bound_pins =
+  [
+    ("cactusADM", 120.0, 0, 1, 26);
+    ("lbm", 64.0, 5, 1, 30);
+    ("povray", 29.0, 3, 1, 16);
+    ("gromacs", 120.0, 3, 1, 17);
+    ("calculix", 184.0, 0, 1, 8);
+    ("namd", 253.0, 6, 1, 34);
+    ("ua", 121.0, 2, 1, 14);
+    ("ft", 98.0, 6, 1, 20);
+  ]
+
+let test_fuel_bound_pinned () =
+  let machine = Machine.with_simd_bits intel 256 in
+  let params = Pipeline.params_of_machine machine in
+  List.iter
+    (fun (name, cost, superwords, bails, instrs) ->
+      let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
+      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let c =
+        Pipeline.compile ~unroll ~scheme:Pipeline.Optimal ~machine (Suite.program b)
+      in
+      let plan =
+        match c.Pipeline.plan with
+        | Some p -> p
+        | None -> Alcotest.failf "%s: Optimal produced no plan" name
+      in
+      let check what = Printf.sprintf "%s: %s" name what in
+      Alcotest.(check (float 1e-9))
+        (check "modeled cost") cost
+        (Optimal.modeled_cost ~params plan);
+      Alcotest.(check int)
+        (check "superword statements") superwords
+        (Driver.superword_statement_count plan);
+      Alcotest.(check int)
+        (check "BAIL15 records") bails
+        (List.length c.Pipeline.solver_bails);
+      Alcotest.(check int)
+        (check "Visa instructions") instrs
+        (match c.Pipeline.vector with
+        | Some v -> Slp_vm.Visa.instr_count v
+        | None -> 0))
+    fuel_bound_pins
+
 let () =
   Alcotest.run "optimal"
     [
@@ -246,5 +333,7 @@ let () =
             test_blowup_resilient_not_degraded;
           Alcotest.test_case "default budget still compiles and verifies"
             `Quick test_small_budget_scales;
+          Alcotest.test_case "fuel-bound results at 256 bits pinned" `Slow
+            test_fuel_bound_pinned;
         ] );
     ]

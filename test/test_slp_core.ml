@@ -346,6 +346,232 @@ let test_live_set () =
   Alcotest.(check bool) "invalidated" false
     (Live.mem_multiset live (Pack.of_operands [ Operand.Scalar "e"; Operand.Scalar "f" ]))
 
+(* The live set against a test-local copy of the list-based set it
+   replaced, which re-sorts every entry on every multiset query and
+   tries every pair of entries for the two-source shuffle.  Random
+   insert/invalidate sequences over a six-operand alphabet (so packs
+   collide, repeat and overlap), checked after every step. *)
+module Ref_live = struct
+  type t = { mutable entries : Operand.t list list; capacity : int }
+
+  let create ~capacity = { entries = []; capacity }
+  let mem_exact t ordered = List.exists (List.equal Operand.equal ordered) t.entries
+
+  let matching t pack =
+    List.filter (fun l -> Pack.equal (Pack.of_operands l) pack) t.entries
+
+  let mem_multiset t pack = matching t pack <> []
+
+  let invalidate t ~defs =
+    t.entries <-
+      List.filter
+        (fun l -> not (List.exists (fun d -> List.exists (Operand.may_alias d) l) defs))
+        t.entries
+
+  let insert t ordered =
+    let pack = Pack.of_operands ordered in
+    t.entries <-
+      ordered
+      :: List.filter (fun l -> not (Pack.equal (Pack.of_operands l) pack)) t.entries;
+    if List.length t.entries > t.capacity then
+      t.entries <- List.filteri (fun i _ -> i < t.capacity) t.entries
+
+  let coverable_by_two t ordered =
+    let entries = t.entries in
+    let covers o1 o2 =
+      let pool = ref (o1 @ o2) in
+      List.for_all
+        (fun want ->
+          let rec take acc = function
+            | [] -> false
+            | x :: rest ->
+                if Operand.equal x want then begin
+                  pool := List.rev_append acc rest;
+                  true
+                end
+                else take (x :: acc) rest
+          in
+          take [] !pool)
+        ordered
+    in
+    List.exists
+      (fun o1 -> List.exists (fun o2 -> (not (o1 == o2)) && covers o1 o2) entries)
+      entries
+end
+
+let live_alphabet =
+  [|
+    Operand.Scalar "a";
+    Operand.Scalar "b";
+    Operand.Scalar "c";
+    Operand.Elem ("A", [ Affine.const 0 ]);
+    Operand.Elem ("A", [ Affine.const 1 ]);
+    Operand.Elem ("A", [ Affine.var "i" ]);
+  |]
+
+let test_live_vs_reference () =
+  let st = Seeded.rand () in
+  let operand () = live_alphabet.(Random.State.int st (Array.length live_alphabet)) in
+  let superword () = List.init (1 + Random.State.int st 4) (fun _ -> operand ()) in
+  let ops = Alcotest.(list (of_pp (Fmt.of_to_string Operand.to_string))) in
+  for case = 0 to 299 do
+    let capacity = 1 + Random.State.int st 5 in
+    let live = Live.create ~capacity and reference = Ref_live.create ~capacity in
+    for step = 0 to 24 do
+      let name what = Printf.sprintf "case %d step %d: %s" case step what in
+      if Random.State.int st 4 = 0 then begin
+        let defs = List.init (1 + Random.State.int st 2) (fun _ -> operand ()) in
+        Live.invalidate live ~defs;
+        Ref_live.invalidate reference ~defs
+      end
+      else begin
+        let sw = superword () in
+        Live.insert live sw;
+        Ref_live.insert reference sw
+      end;
+      Alcotest.(check (list ops)) (name "entries") reference.Ref_live.entries
+        (Live.entries live);
+      (* Queries: every live entry, a shuffle of it, and fresh draws. *)
+      let queries =
+        List.concat_map (fun l -> [ l; List.rev l ]) reference.Ref_live.entries
+        @ List.init 6 (fun _ -> superword ())
+      in
+      List.iter
+        (fun q ->
+          let pack = Pack.of_operands q in
+          let what = Printf.sprintf "%s on %s" in
+          let shown = Pack.to_string pack in
+          Alcotest.(check bool) (name (what "mem_exact" shown))
+            (Ref_live.mem_exact reference q) (Live.mem_exact live q);
+          Alcotest.(check bool) (name (what "mem_multiset" shown))
+            (Ref_live.mem_multiset reference pack) (Live.mem_multiset live pack);
+          let seen = ref [] in
+          Live.iter_multiset live pack (fun l -> seen := l :: !seen);
+          Alcotest.(check (list ops)) (name (what "iter_multiset" shown))
+            (Ref_live.matching reference pack) (List.rev !seen);
+          Alcotest.(check bool) (name (what "coverable_by_two" shown))
+            (Ref_live.coverable_by_two reference q)
+            (Live.coverable_by_two live pack))
+        queries
+    done
+  done
+
+(* [Units.Deps] against a test-local copy of the Hashtbl-graph version
+   it replaced: build the uid graph, contract each pair into its
+   smaller uid, then [has_cycle].  Units get sparse uids in an order
+   unrelated to their statements, and statements are dealt to units at
+   random, so dependences run both ways between units and can close
+   unit-level cycles. *)
+let ref_unit_graph units dep_pairs =
+  let module G = Slp_util.Graph.Directed in
+  let owner = Hashtbl.create 32 in
+  List.iter
+    (fun (u : Units.t) -> List.iter (fun sid -> Hashtbl.replace owner sid u.Units.uid) u.Units.members)
+    units;
+  let g = G.create () in
+  List.iter (fun (u : Units.t) -> G.add_node g u.Units.uid ()) units;
+  List.iter
+    (fun (p, q) ->
+      match (Hashtbl.find_opt owner p, Hashtbl.find_opt owner q) with
+      | Some up, Some uq when up <> uq -> if not (G.mem_edge g up uq) then G.add_edge g up uq
+      | _ -> ())
+    dep_pairs;
+  g
+
+let ref_merged_acyclic g pairs =
+  let module G = Slp_util.Graph.Directed in
+  let repr = Hashtbl.create 8 in
+  let rec find x =
+    match Hashtbl.find_opt repr x with
+    | None -> x
+    | Some p ->
+        let r = find p in
+        if r <> p then Hashtbl.replace repr x r;
+        r
+  in
+  List.iter
+    (fun (a, b) ->
+      let ra = find a and rb = find b in
+      if ra <> rb then
+        if ra < rb then Hashtbl.replace repr rb ra else Hashtbl.replace repr ra rb)
+    pairs;
+  let c = G.create () in
+  List.iter (fun id -> G.add_node c (find id) ()) (G.nodes g);
+  List.iter
+    (fun u ->
+      List.iter
+        (fun v ->
+          let ru = find u and rv = find v in
+          if ru <> rv && not (G.mem_edge c ru rv) then G.add_edge c ru rv)
+        (G.succs g u))
+    (G.nodes g);
+  not (G.has_cycle c)
+
+let test_merged_acyclic_vs_reference () =
+  let st = Seeded.rand () in
+  let block = Block.make ~label:"synthetic" [] in
+  let acyclic = ref 0 and cyclic = ref 0 in
+  let permutation n =
+    let a = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  for case = 0 to 499 do
+    let n = 2 + Random.State.int st 9 in
+    (* Statements 1..n go one to each unit, the rest to any unit. *)
+    let sids = n + Random.State.int st n in
+    let first = permutation n and rank = permutation n in
+    let owner = Array.init sids (fun i -> if i < n then first.(i) else Random.State.int st n) in
+    let units =
+      List.init n (fun k ->
+          {
+            Units.uid = (3 * rank.(k)) + 1 + Random.State.int st 3;
+            members = List.filter (fun sid -> owner.(sid - 1) = k) (List.init sids (fun i -> i + 1));
+            shape = Expr.Leaf (Operand.Const 0.0);
+            positions = [||];
+            elem_ty = Types.F64;
+            mem_dest = false;
+          })
+    in
+    let dep_pairs =
+      List.init (Random.State.int st (2 * sids)) (fun _ ->
+          let p = 1 + Random.State.int st sids and q = 1 + Random.State.int st sids in
+          (min p q, max p q))
+      |> List.filter (fun (p, q) -> p <> q)
+    in
+    let deps = Units.Deps.build ~dep_pairs block units in
+    let g = ref_unit_graph units dep_pairs in
+    let uids = List.map (fun (u : Units.t) -> u.Units.uid) units in
+    let uid () = List.nth uids (Random.State.int st n) in
+    let name what = Printf.sprintf "case %d: %s" case what in
+    List.iter
+      (fun u ->
+        List.iter
+          (fun v ->
+            Alcotest.(check bool) (name (Printf.sprintf "depends %d %d" u v))
+              (Slp_util.Graph.Directed.mem_edge g u v) (Units.Deps.depends deps u v);
+            Alcotest.(check bool) (name (Printf.sprintf "mergeable %d %d" u v))
+              (u <> v
+              && (not (Slp_util.Graph.Directed.reachable g u v))
+              && not (Slp_util.Graph.Directed.reachable g v u))
+              (Units.Deps.mergeable deps u v))
+          uids)
+      uids;
+    for _ = 1 to 8 do
+      let pairs = List.init (Random.State.int st 5) (fun _ -> (uid (), uid ())) in
+      let expected = ref_merged_acyclic g pairs in
+      incr (if expected then acyclic else cyclic);
+      Alcotest.(check bool) (name "merged_acyclic") expected
+        (Units.Deps.merged_acyclic deps pairs)
+    done
+  done;
+  Alcotest.(check bool) "both verdicts exercised" true (!acyclic > 0 && !cyclic > 0)
+
 (* -- schedule validity ----------------------------------------------------------- *)
 
 let test_schedule_analyze_matches_run () =
@@ -527,6 +753,8 @@ let () =
         [
           Alcotest.test_case "merge" `Quick test_units_merge;
           Alcotest.test_case "dependence safety" `Quick test_units_deps_acyclicity;
+          Alcotest.test_case "array graph vs Hashtbl graph" `Quick
+            test_merged_acyclic_vs_reference;
         ] );
       ( "grouping",
         [
@@ -534,7 +762,12 @@ let () =
           Alcotest.test_case "datapath bound" `Quick test_grouping_respects_datapath;
           Alcotest.test_case "dependence safety" `Quick test_grouping_dependence_safety;
         ] );
-      ("live", [ Alcotest.test_case "live superword set" `Quick test_live_set ]);
+      ( "live",
+        [
+          Alcotest.test_case "live superword set" `Quick test_live_set;
+          Alcotest.test_case "keyed entries vs re-sorting reference" `Quick
+            test_live_vs_reference;
+        ] );
       ( "schedule",
         [
           Alcotest.test_case "analyze matches run" `Quick test_schedule_analyze_matches_run;

@@ -102,7 +102,12 @@ let test_directed_cycle () =
   Alcotest.(check bool) "cycle detected" true (G.Directed.has_cycle g);
   Alcotest.(check (option (list int))) "no topo order" None (G.Directed.topological_order g);
   G.Directed.remove_node g 3;
-  Alcotest.(check bool) "cycle broken by removal" false (G.Directed.has_cycle g)
+  Alcotest.(check bool) "cycle broken by removal" false (G.Directed.has_cycle g);
+  (* The dense successor-list form. *)
+  Alcotest.(check bool) "dense: empty" true (G.acyclic [||]);
+  Alcotest.(check bool) "dense: repeated edges" true (G.acyclic [| [ 1; 1 ]; [ 2 ]; [] |]);
+  Alcotest.(check bool) "dense: three-cycle" false (G.acyclic [| [ 1 ]; [ 2 ]; [ 0 ] |]);
+  Alcotest.(check bool) "dense: self loop" false (G.acyclic [| []; [ 1 ] |])
 
 let test_directed_degrees () =
   let g = G.Directed.create () in
