@@ -4,8 +4,6 @@ module M = Slp_machine.Machine
 module P = Slp_pipeline.Pipeline
 module Trap = Slp_vm.Trap
 module Memory = Slp_vm.Memory
-module Scalar_exec = Slp_vm.Scalar_exec
-module Vector_exec = Slp_vm.Vector_exec
 
 type point =
   | Stage of string
@@ -75,25 +73,15 @@ type outcome = {
   ok : bool;
 }
 
-(* Mirror of [Pipeline.execute] that keeps the final memory for the
-   differential check. *)
-let exec_with_memory ~seed (c : P.compiled) =
-  match c.P.vector with
-  | None ->
-      (Scalar_exec.run ~seed ~machine:c.P.machine c.P.reference).Scalar_exec.memory
-  | Some v ->
-      let memory =
-        Memory.create ~scalar_layout:c.P.scalar_offsets ~env:v.Slp_vm.Visa.env ()
-      in
-      Memory.init_arrays memory ~seed;
-      ignore (Vector_exec.run ~seed ~memory ~machine:c.P.machine v);
-      memory
+(* The final memory of one unchecked run: with no reference run beside
+   it, an armed one-shot VM fault counts only this run's accesses. *)
+let final_memory ~seed c = snd (P.execute_with_memory ~seed ~check:false c)
 
 let run_case ?(scheme = P.Global_layout) ~machine ~point (prog : Program.t) =
   let seed = 42 in
   (* Independent scalar oracle over the original program — computed
      before any fault is armed. *)
-  let oracle = (Scalar_exec.run ~seed ~machine prog).Scalar_exec.memory in
+  let oracle = final_memory ~seed (P.identity_compiled ~machine prog) in
   let r =
     match point with
     | Stage target ->
@@ -120,17 +108,17 @@ let run_case ?(scheme = P.Global_layout) ~machine ~point (prog : Program.t) =
     | Vm_cache n -> Trap.with_fault ~fault:Trap.Cache_fault ~after:n f
     | Stage _ | Fuel | Solver_fuel -> f ()
   in
-  let final_memory =
-    match armed (fun () -> exec_with_memory ~seed r.P.result) with
+  let memory =
+    match armed (fun () -> final_memory ~seed r.P.result) with
     | m -> m
     | exception exn ->
         fired := true;
         exec_errors := P.error_of_exn exn :: !exec_errors;
         (* The injected fault is one-shot and has disarmed itself:
            the scalar re-run of the reference is clean. *)
-        (Scalar_exec.run ~seed ~machine r.P.result.P.reference).Scalar_exec.memory
+        final_memory ~seed { r.P.result with P.scheme = P.Scalar; vector = None }
   in
-  let scalar_identical = Memory.same_contents oracle final_memory in
+  let scalar_identical = Memory.same_contents oracle memory in
   let errors =
     List.map (fun (b : P.bailout) -> b.P.error) r.P.bailouts
     @ r.P.result.P.solver_bails @ List.rev !exec_errors

@@ -3,7 +3,7 @@ module E = Slp_util.Slp_error
 module M = Slp_machine.Machine
 module P = Slp_pipeline.Pipeline
 module Json = Slp_obs.Json
-module Metrics = Slp_obs.Metrics
+module Metric = Slp_obs.Metric
 module Proto = Slp_serve.Proto
 module Job = Slp_serve.Job
 module Fault = Slp_serve.Fault
@@ -112,7 +112,7 @@ let run_case ?(scheme = P.Global_layout) ~dir ~machine ~point prog =
              (reply.Proto.status = Proto.Ok
              && reply.Proto.attempts = 2
              && List.mem expected codes
-             && Metrics.get (Pool.metrics pool) "worker_restarts_total" >= 1.0)
+             && Metric.get (Pool.metrics pool) "worker_restarts_total" >= 1.0)
            ~identical:(payload_string reply = oracle)
            ~no_lost_jobs:true)
   | Clock_skip ->
@@ -171,7 +171,7 @@ let run_case ?(scheme = P.Global_layout) ~dir ~machine ~point prog =
       Pool.submit pool ~id:1 ~op ~spec ~reply:(fun _ -> ());
       Pool.drain pool;
       let dropped =
-        Metrics.get ~where:[ ("outcome", "dropped") ] (Pool.metrics pool)
+        Metric.get ~where:[ ("outcome", "dropped") ] (Pool.metrics pool)
           "replies_total"
       in
       let replay = run ~id:2 () in
@@ -184,7 +184,7 @@ let run_case ?(scheme = P.Global_layout) ~dir ~machine ~point prog =
            ~code_seen:(dropped >= 1.0 && replay.Proto.cached)
            ~identical:(payload_string replay = oracle)
            ~no_lost_jobs:
-             (Metrics.get ~where:[ ("outcome", "ok") ] (Pool.metrics pool)
+             (Metric.get ~where:[ ("outcome", "ok") ] (Pool.metrics pool)
                 "jobs_total"
              = 1.0))
 

@@ -332,6 +332,22 @@ let snapshot t =
             })
     names
 
+let get ?(where = []) t name =
+  let matches s =
+    List.for_all (fun (k, v) -> List.assoc_opt k s.labels = Some v) where
+  in
+  match List.find_opt (fun fs -> fs.name = name) (snapshot t) with
+  | None -> 0.0
+  | Some fs ->
+      List.fold_left
+        (fun acc s ->
+          if not (matches s) then acc
+          else
+            match s.value with
+            | Vcounter v | Vgauge v -> acc +. v
+            | Vhist h -> acc +. float_of_int (hcount h))
+        0.0 fs.samples
+
 let hist_json h =
   let buckets =
     List.init

@@ -117,6 +117,12 @@ val snapshot : t -> family_snap list
 (** Families in registration order, series sorted by label values;
     collect hooks run first. *)
 
+val get : ?where:(string * string) list -> t -> string -> float
+(** Sum every series of family [name] whose labels include all
+    [where] pairs (default: every series); histograms contribute their
+    observation count.  0 for unknown families.  Reads a fresh
+    {!snapshot}, so collect hooks run first. *)
+
 val to_json : t -> Json.t
 (** Full structured snapshot: every family with kind, help, and series
     (histograms include count/sum/p50/p90/p99/buckets). *)

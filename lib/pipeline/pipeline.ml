@@ -90,7 +90,15 @@ let query_for ?(layout_aware = false) ~config (prog : Program.t) =
       scalar_live_out = Slp_analysis.Liveness.demanded liveness block;
     }
 
-let plan_with f ~config ~params (prog : Program.t) =
+let plan_with
+    (f :
+      ?params:Cost.params ->
+      env:Env.t ->
+      config:Config.t ->
+      query:Cost.query ->
+      nest:string list ->
+      Block.t ->
+      Driver.block_plan) ~config ~params (prog : Program.t) =
   let query_of = query_for ~config prog in
   let env = prog.Program.env in
   let plans =
@@ -100,6 +108,40 @@ let plan_with f ~config ~params (prog : Program.t) =
       (Driver.blocks_with_nest prog)
   in
   { Driver.program = prog; plans }
+
+type exec_result = { counters : Slp_vm.Counters.t; correct : bool }
+
+(* The one run of a compiled kernel in the library.  The measured run
+   is the vector program on a fresh memory with the scalar layout, or
+   the reference itself when there is no vector program.  Under
+   [check] the scalar reference runs at the same core count and its
+   final memory must match the measured run's.  Only the measured run
+   gets the profiler and the domain pool, so attributed cycles describe
+   exactly the run whose counters are returned. *)
+let run_kernel ?profile ?origins ?pool ~cores ~seed ~check ~machine
+    ~scalar_offsets (reference : Program.t) vector =
+  match vector with
+  | None ->
+      let r = Slp_vm.Scalar_exec.run ~cores ~seed ?profile ?pool ~machine reference in
+      ( { counters = r.Slp_vm.Scalar_exec.counters; correct = true },
+        r.Slp_vm.Scalar_exec.memory )
+  | Some vprog ->
+      let memory =
+        Slp_vm.Memory.create ~scalar_layout:scalar_offsets
+          ~env:vprog.Slp_vm.Visa.env ()
+      in
+      Slp_vm.Memory.init_arrays memory ~seed;
+      let r =
+        Slp_vm.Vector_exec.run ~cores ~seed ~memory ?profile ?origins ?pool
+          ~machine vprog
+      in
+      let correct =
+        (not check)
+        || Slp_vm.Memory.same_contents
+             (Slp_vm.Scalar_exec.run ~cores ~seed ~machine reference).Slp_vm.Scalar_exec.memory
+             memory
+      in
+      ({ counters = r.Slp_vm.Vector_exec.counters; correct }, memory)
 
 (* Stage hook points, in pipeline order.  [compile ~on_stage] calls
    the hook with each name just before the stage runs — the seeded
@@ -148,100 +190,61 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
      succeeds (the affected blocks carry the heuristic's plan), but the
      BAIL15 records surface on the result for reporting. *)
   let solver_bails = ref [] in
+  (* The tail every scheme but [Global_layout] shares: plan under the
+     "plan" hook and span, then lower under the "lower" ones. *)
+  let plan_then_lower make_plan =
+    stage "plan";
+    let plan = Obs.span obs "plan" make_plan in
+    stage "lower";
+    let vec, origins =
+      Obs.span obs "lower" (fun () -> lower_o ~reuse:register_reuse plan)
+    in
+    (Some vec, Some plan, [], 0, origins)
+  in
   let vector, plan, scalar_offsets, replica_count, origins =
     match scheme with
     | Scalar -> (None, None, [], 0, [])
     | Native ->
-        stage "plan";
-        let plan =
-          Obs.span obs "plan" (fun () ->
-              plan_with
-                (fun ~params ~env ~config ~query ~nest b ->
-                  Slp_baseline.Native.plan_block ~params ~env ~config ~query ~nest b)
-                ~config ~params prepared)
-        in
-        stage "lower";
-        let vec, origins =
-          Obs.span obs "lower" (fun () -> lower_o ~reuse:register_reuse plan)
-        in
-        (Some vec, Some plan, [], 0, origins)
+        plan_then_lower (fun () ->
+            plan_with Slp_baseline.Native.plan_block ~config ~params prepared)
     | Slp ->
-        stage "plan";
-        let plan =
-          Obs.span obs "plan" (fun () ->
-              plan_with
-                (fun ~params ~env ~config ~query ~nest b ->
-                  Slp_baseline.Larsen.plan_block ~params ~env ~config ~query ~nest b)
-                ~config ~params prepared)
-        in
-        stage "lower";
-        let vec, origins =
-          Obs.span obs "lower" (fun () -> lower_o ~reuse:register_reuse plan)
-        in
-        (Some vec, Some plan, [], 0, origins)
+        plan_then_lower (fun () ->
+            plan_with Slp_baseline.Larsen.plan_block ~config ~params prepared)
     | Global ->
-        let query_of = query_for ~config prepared in
-        stage "plan";
-        let plan =
-          Obs.span obs "plan" (fun () ->
-              Driver.optimize_program ~obs ?options:grouping_options
-                ?schedule_options ?grouping_fuel ?schedule_fuel ~params
-                ~query_of:(fun ~nest block -> query_of ~nest block)
-                ~config prepared)
-        in
-        stage "lower";
-        let vec, origins =
-          Obs.span obs "lower" (fun () -> lower_o ~reuse:register_reuse plan)
-        in
-        (Some vec, Some plan, [], 0, origins)
+        plan_then_lower (fun () ->
+            Driver.optimize_program ~obs ?options:grouping_options
+              ?schedule_options ?grouping_fuel ?schedule_fuel ~params
+              ~query_of:(query_for ~config prepared) ~config prepared)
     | Optimal ->
-        let query_of = query_for ~config prepared in
-        stage "plan";
-        let plan =
-          Obs.span obs "plan" (fun () ->
-              (* Committed schedules of the baseline heuristics ride
-                 along as incumbents, so the exact scheme can never end
-                 up worse than either on the modeled cost — even when a
-                 block's search bails on fuel. *)
-              let seed_plan f =
-                match plan_with f ~config ~params prepared with
-                | p -> Some p
-                | exception _ -> None
-              in
-              let native =
-                seed_plan (fun ~params ~env ~config ~query ~nest b ->
-                    Slp_baseline.Native.plan_block ~params ~env ~config ~query
-                      ~nest b)
-              in
-              let larsen =
-                seed_plan (fun ~params ~env ~config ~query ~nest b ->
-                    Slp_baseline.Larsen.plan_block ~params ~env ~config ~query
-                      ~nest b)
-              in
-              let seeds_of i =
-                List.filter_map
-                  (fun plan ->
-                    Option.bind plan (fun (p : Driver.program_plan) ->
-                        Option.bind
-                          (List.nth_opt p.Driver.plans i)
-                          (fun bp -> bp.Driver.schedule)))
-                  [ native; larsen ]
-              in
-              let plan, bails, _stats =
-                Slp_core.Optimal.optimize_program ~obs ~params ~seeds_of
-                  ?solver_steps ?grouping_fuel ?schedule_fuel
-                  ~query_of:(fun ~nest block -> query_of ~nest block)
-                  ~config prepared
-              in
-              solver_bails :=
-                List.map (fun (b : Slp_core.Optimal.bail) -> b.Slp_core.Optimal.error) bails;
-              plan)
-        in
-        stage "lower";
-        let vec, origins =
-          Obs.span obs "lower" (fun () -> lower_o ~reuse:register_reuse plan)
-        in
-        (Some vec, Some plan, [], 0, origins)
+        plan_then_lower (fun () ->
+            (* Committed schedules of the baseline heuristics ride
+               along as incumbents, so the exact scheme can never end
+               up worse than either on the modeled cost — even when a
+               block's search bails on fuel. *)
+            let seed_plan f =
+              match plan_with f ~config ~params prepared with
+              | p -> Some p
+              | exception _ -> None
+            in
+            let native = seed_plan Slp_baseline.Native.plan_block in
+            let larsen = seed_plan Slp_baseline.Larsen.plan_block in
+            let seeds_of i =
+              List.filter_map
+                (fun plan ->
+                  Option.bind plan (fun (p : Driver.program_plan) ->
+                      Option.bind
+                        (List.nth_opt p.Driver.plans i)
+                        (fun bp -> bp.Driver.schedule)))
+                [ native; larsen ]
+            in
+            let plan, bails, _stats =
+              Slp_core.Optimal.optimize_program ~obs ~params ~seeds_of
+                ?solver_steps ?grouping_fuel ?schedule_fuel
+                ~query_of:(query_for ~config prepared) ~config prepared
+            in
+            solver_bails :=
+              List.map (fun (b : Slp_core.Optimal.bail) -> b.Slp_core.Optimal.error) bails;
+            plan)
     | Global_layout ->
         (* Stage 1 planned under a layout-aware cost gate, then stage 2
            applied; the analytic amortisation rule cannot see cache
@@ -253,21 +256,18 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
            Remarks and per-pass spans follow the layout-aware plan (the
            scheme's primary artifact); the plain variant is planned and
            lowered silently for the arbitration baseline. *)
-        let plain_query = query_for ~config prepared in
         stage "plan";
         let plain_plan, plan =
           Obs.span obs "plan" (fun () ->
               let plain_plan =
                 Driver.optimize_program ?options:grouping_options
                   ?schedule_options ?grouping_fuel ?schedule_fuel ~params
-                  ~query_of:(fun ~nest block -> plain_query ~nest block)
-                  ~config prepared
+                  ~query_of:(query_for ~config prepared) ~config prepared
               in
-              let query_of = query_for ~layout_aware:true ~config prepared in
               let plan =
                 Driver.optimize_program ~obs ?options:grouping_options
                   ?schedule_options ?grouping_fuel ?schedule_fuel ~params
-                  ~query_of:(fun ~nest block -> query_of ~nest block)
+                  ~query_of:(query_for ~layout_aware:true ~config prepared)
                   ~config prepared
               in
               (plain_plan, plan))
@@ -292,13 +292,12 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
                 ~setup:arr.Slp_layout.Array_layout.setup
                 arr.Slp_layout.Array_layout.plan)
         in
-        let probe vec offsets =
-          let memory =
-            Slp_vm.Memory.create ~scalar_layout:offsets ~env:vec.Slp_vm.Visa.env ()
+        let probe vec scalar_offsets =
+          let r, _ =
+            run_kernel ~cores:1 ~seed:42 ~check:false ~machine ~scalar_offsets
+              prepared (Some vec)
           in
-          Slp_vm.Memory.init_arrays memory ~seed:42;
-          let r = Slp_vm.Vector_exec.run ~memory ~machine vec in
-          Slp_vm.Counters.total_cycles r.Slp_vm.Vector_exec.counters
+          Slp_vm.Counters.total_cycles r.counters
         in
         let offsets = placement.Slp_layout.Scalar_layout.offsets in
         let trivial =
@@ -404,44 +403,15 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
     solver_bails = !solver_bails;
   }
 
-type exec_result = { counters : Slp_vm.Counters.t; correct : bool }
-
-(* The profiler attaches only to the measured run: the correctness
-   reference run below stays unprofiled, so attributed cycles describe
-   exactly the execution whose counters are returned. *)
-let execute ?(cores = 1) ?(seed = 42) ?(check = true) ?(obs = Obs.none) ?pool
-    (c : compiled) =
+let execute_with_memory ?(cores = 1) ?(seed = 42) ?(check = true)
+    ?(obs = Obs.none) ?pool (c : compiled) =
   Obs.span obs "execute" (fun () ->
-      let profile = obs.Obs.profile in
-      match c.vector with
-      | None ->
-          let r =
-            Slp_vm.Scalar_exec.run ~cores ~seed ?profile ?pool ~machine:c.machine
-              c.reference
-          in
-          { counters = r.Slp_vm.Scalar_exec.counters; correct = true }
-      | Some vprog ->
-          let memory =
-            Slp_vm.Memory.create ~scalar_layout:c.scalar_offsets
-              ~env:vprog.Slp_vm.Visa.env ()
-          in
-          Slp_vm.Memory.init_arrays memory ~seed;
-          let r =
-            Slp_vm.Vector_exec.run ~cores ~seed ~memory ?profile
-              ~origins:c.origins ?pool ~machine:c.machine vprog
-          in
-          let correct =
-            if not check then true
-            else begin
-              let ref_run =
-                Slp_vm.Scalar_exec.run ~cores:1 ~seed ~machine:c.machine
-                  c.reference
-              in
-              Slp_vm.Memory.same_contents ref_run.Slp_vm.Scalar_exec.memory
-                r.Slp_vm.Vector_exec.memory
-            end
-          in
-          { counters = r.Slp_vm.Vector_exec.counters; correct })
+      run_kernel ?profile:obs.Obs.profile ~origins:c.origins ?pool ~cores ~seed
+        ~check ~machine:c.machine ~scalar_offsets:c.scalar_offsets c.reference
+        c.vector)
+
+let execute ?cores ?seed ?check ?obs ?pool c =
+  fst (execute_with_memory ?cores ?seed ?check ?obs ?pool c)
 
 let cycles_of ?(cores = 1) ?(seed = 42) ?pool (c : compiled) =
   let r = execute ~cores ~seed ~check:false ?pool c in
@@ -452,9 +422,6 @@ let speedup_over_scalar ?(cores = 1) ?(seed = 42) ?pool (c : compiled) =
   let s = cycles_of ~cores ~seed ?pool scalar in
   let v = cycles_of ~cores ~seed ?pool c in
   s /. v
-
-let reduction_over_scalar ?cores ?seed ?pool c =
-  1.0 -. (1.0 /. speedup_over_scalar ?cores ?seed ?pool c)
 
 (* -- fault-tolerant compilation ------------------------------------- *)
 

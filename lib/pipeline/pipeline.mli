@@ -131,6 +131,10 @@ type exec_result = {
       (** Vectorized memory state matches scalar execution (always
           true for [Scalar]). *)
 }
+(** Deliberately without the final memory: callers that keep many
+    results (a benchmark's whole timed window) would otherwise hold
+    every kernel's arrays.  {!execute_with_memory} returns it beside
+    the result instead. *)
 
 val execute :
   ?cores:int ->
@@ -140,8 +144,14 @@ val execute :
   ?pool:Slp_vm.Dpool.t ->
   compiled ->
   exec_result
-(** [check] (default true) runs the scalar reference and compares
-    array contents; disable inside benchmark loops.
+(** The library's one execute path.  Without a vector program the
+    measured run is the scalar reference itself; otherwise the vector
+    program runs on a fresh memory with [compiled.scalar_offsets] and
+    arrays initialised from [seed] (default 42).
+
+    [check] (default true) also runs the scalar reference, at the same
+    [cores] (default 1), and compares final memories with
+    {!Slp_vm.Memory.same_contents}; disable inside benchmark loops.
 
     [pool]: with [cores > 1], simulate the cores on real OCaml domains
     (see {!Slp_vm.Engine.run_vector}); counters are bit-identical to
@@ -153,14 +163,21 @@ val execute :
     via [compiled.origins].  The correctness reference run is never
     profiled. *)
 
+val execute_with_memory :
+  ?cores:int ->
+  ?seed:int ->
+  ?check:bool ->
+  ?obs:Slp_obs.Obs.t ->
+  ?pool:Slp_vm.Dpool.t ->
+  compiled ->
+  exec_result * Slp_vm.Memory.t
+(** {!execute}, plus the measured run's final memory (the service
+    digests it; the fault harness compares it with an independent
+    oracle). *)
+
 val speedup_over_scalar :
   ?cores:int -> ?seed:int -> ?pool:Slp_vm.Dpool.t -> compiled -> float
 (** [scalar_cycles / scheme_cycles] on the same input. *)
-
-val reduction_over_scalar :
-  ?cores:int -> ?seed:int -> ?pool:Slp_vm.Dpool.t -> compiled -> float
-(** Execution-time reduction [1 - scheme/scalar] — the paper's
-    y-axis. *)
 
 (** {1 Fault-tolerant compilation}
 
@@ -194,6 +211,11 @@ type resilient = {
   degraded : bool;  (** The requested scheme failed; [result] is scalar. *)
   bailouts : bailout list;  (** Empty iff [degraded] is false. *)
 }
+
+val identity_compiled : machine:Slp_machine.Machine.t -> Program.t -> compiled
+(** The unprocessed program as a [Scalar] result with no vector code:
+    {!compile_resilient}'s last resort, and an independent scalar
+    oracle when passed to {!execute_with_memory}. *)
 
 val compile_resilient :
   ?unroll:int ->

@@ -5,32 +5,30 @@ module Json = Slp_obs.Json
 module Obs = Slp_obs.Obs
 module Env = Slp_ir.Env
 module Memory = Slp_vm.Memory
-module Scalar_exec = Slp_vm.Scalar_exec
-module Vector_exec = Slp_vm.Vector_exec
 
 (* Fold the final memory image into one digest.  Values go in as the
    raw bit patterns of sorted arrays then sorted scalars, so two runs
    agree iff their memories are bit-identical — the same criterion
-   [Memory.same_contents] applies, compressed to 64 bits for the wire. *)
+   [Memory.same_contents] applies, compressed to 64 bits for the wire.
+   The bytes stream straight into the hash; nothing buffers the image. *)
 let memory_digest mem ~(env : Env.t) =
-  let buf = Buffer.create 1024 in
-  let add_value v =
-    Buffer.add_string buf (Printf.sprintf "%Lx;" (Int64.bits_of_float v))
-  in
+  let h = ref (Fnv.hash64 "") in
+  let add s = h := Fnv.string_into !h s in
+  let add_value v = add (Printf.sprintf "%Lx;" (Int64.bits_of_float v)) in
   let names_of l = List.sort String.compare (List.map fst l) in
   List.iter
     (fun name ->
-      Buffer.add_string buf name;
-      Buffer.add_char buf ':';
+      add name;
+      add ":";
       Float.Array.iter add_value (Memory.array_values mem name))
     (names_of (Env.arrays env));
   List.iter
     (fun name ->
-      Buffer.add_string buf name;
-      Buffer.add_char buf '=';
+      add name;
+      add "=";
       add_value (Memory.scalar mem name))
     (names_of (Env.scalars env));
-  Fnv.to_hex (Fnv.hash64 (Buffer.contents buf))
+  Fnv.to_hex !h
 
 let vector_digest = function
   | None -> "scalar"
@@ -49,33 +47,16 @@ let compile_payload ~(spec : Proto.spec) (c : P.compiled) =
       ("solver_bails", Json.Num (float_of_int (List.length c.P.solver_bails)));
     ]
 
-(* Execute by hand rather than through [Pipeline.execute] so the final
-   memory image is available for the digest; the correctness check is
-   the same [Memory.same_contents] comparison [execute ~check] runs, and
-   the VM runs sit in the same ["execute"] span. *)
 let execute_payload ~obs ~(spec : Proto.spec) (c : P.compiled) =
-  let seed = spec.Proto.seed and cores = spec.Proto.cores in
-  let machine = c.P.machine in
-  let counters, final_memory, correct, env =
-    Obs.span obs "execute" (fun () ->
-        let scalar = Scalar_exec.run ~cores ~seed ~machine c.P.reference in
-        match c.P.vector with
-        | None ->
-            ( scalar.Scalar_exec.counters,
-              scalar.Scalar_exec.memory,
-              true,
-              c.P.reference.Slp_ir.Program.env )
-        | Some v ->
-            let memory =
-              Memory.create ~scalar_layout:c.P.scalar_offsets ~env:v.Slp_vm.Visa.env ()
-            in
-            Memory.init_arrays memory ~seed;
-            let r = Vector_exec.run ~cores ~seed ~memory ~machine v in
-            ( r.Vector_exec.counters,
-              r.Vector_exec.memory,
-              Memory.same_contents scalar.Scalar_exec.memory r.Vector_exec.memory,
-              v.Slp_vm.Visa.env ))
+  let r, final_memory =
+    P.execute_with_memory ~cores:spec.Proto.cores ~seed:spec.Proto.seed ~obs c
   in
+  let env =
+    match c.P.vector with
+    | None -> c.P.reference.Slp_ir.Program.env
+    | Some v -> v.Slp_vm.Visa.env
+  in
+  let digest = Obs.span obs "digest" (fun () -> memory_digest final_memory ~env) in
   Json.Obj
     [
       ("op", Json.Str "execute");
@@ -83,14 +64,14 @@ let execute_payload ~obs ~(spec : Proto.spec) (c : P.compiled) =
       ("scheme", Json.Str (Proto.scheme_to_string c.P.scheme));
       ("machine", Json.Str (Proto.machine_to_string c.P.machine));
       ("unroll", Json.Num (float_of_int c.P.unroll_factor));
-      ("memory", Json.Str (memory_digest final_memory ~env));
+      ("memory", Json.Str digest);
       ( "cycles",
         Json.Str
           (Printf.sprintf "%Lx"
-             (Int64.bits_of_float (Slp_vm.Counters.total_cycles counters))) );
+             (Int64.bits_of_float (Slp_vm.Counters.total_cycles r.P.counters))) );
       ( "instructions",
-        Json.Num (float_of_int (Slp_vm.Counters.total_instructions counters)) );
-      ("correct", Json.Bool correct);
+        Json.Num (float_of_int (Slp_vm.Counters.total_instructions r.P.counters)) );
+      ("correct", Json.Bool r.P.correct);
     ]
 
 let payload ~obs ~op ~spec c =

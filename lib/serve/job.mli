@@ -20,8 +20,9 @@ val run :
 (** One attempt.  [clock] (default {!Fault.now}, which folds injected
     skew in) seeds the deadline when [spec.timeout] is set; [obs]
     (default off) carries the worker's trace row so pipeline stage
-    spans, and an Execute job's ["execute"] span around its VM runs,
-    land on the job's timeline.  Pipeline and deadline failures
+    spans, and an Execute job's ["execute"] span around its VM runs
+    ({!Slp_pipeline.Pipeline.execute_with_memory}) and ["digest"] span
+    around its memory digest, land on the job's timeline.  Pipeline and deadline failures
     come back as structured errors; {!Fault.Worker_killed} is
     re-raised so the supervisor can tell a dead worker from a failed
     job. *)

@@ -87,6 +87,6 @@ val health : t -> health
 (** Readiness inputs: the server reports ready iff workers are live,
     the queue is below the shed threshold, and nothing is stopping. *)
 
-val metrics : t -> Slp_obs.Metrics.t
+val metrics : t -> Slp_obs.Metric.t
 val telemetry : t -> Telemetry.t
 val cache : t -> Cache.t

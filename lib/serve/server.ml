@@ -1,5 +1,4 @@
 module Json = Slp_obs.Json
-module Metrics = Slp_obs.Metrics
 module Metric = Slp_obs.Metric
 module Log = Slp_obs.Log
 module Clock = Slp_obs.Clock
@@ -8,9 +7,9 @@ type config = { socket_path : string; accept_backlog : int }
 
 let default_config ~socket_path = { socket_path; accept_backlog = 16 }
 
-(* The full snapshot: flat legacy view under "pool", the typed
-   registry under "metrics", plus queue/worker/cache/log summaries.
-   Quarantine keys ride along so operators can clear them by hand. *)
+(* The full snapshot: the typed registry under "metrics", plus
+   queue/worker/cache/log summaries.  Quarantine keys ride along so
+   operators can clear them by hand. *)
 let stats_json pool =
   let telem = Pool.telemetry pool in
   let h = Pool.health pool in
@@ -29,7 +28,6 @@ let stats_json pool =
           ] );
       ( "workers",
         Json.Obj [ ("live", Json.Num (float_of_int h.Pool.live_workers)) ] );
-      ("pool", Metrics.to_json (Pool.metrics pool));
       ("metrics", Metric.to_json (Telemetry.registry telem));
       ( "cache",
         Json.Obj

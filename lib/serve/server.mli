@@ -22,9 +22,8 @@ val default_config : socket_path:string -> config
 
 val stats_json : Pool.t -> Slp_obs.Json.t
 (** The [stats] op's payload, also printed by [slpd] on exit: uptime,
-    queue and worker state, the flat legacy metric view ("pool"), the
-    full typed registry ("metrics"), cache stats with hit rate, log
-    counts, and quarantined keys. *)
+    queue and worker state, the full typed registry ("metrics"), cache
+    stats with hit rate, log counts, and quarantined keys. *)
 
 val metrics_text : Pool.t -> string
 (** The [metrics] op's payload: Prometheus text exposition of the

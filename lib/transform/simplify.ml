@@ -62,6 +62,3 @@ let dce_block ~live_out (b : Block.t) =
     |> List.filter_map Fun.id
   in
   { b with Block.stmts = keep }
-
-let dce_program ?(live_out = fun _ -> true) prog =
-  Program.map_blocks prog ~f:(dce_block ~live_out)

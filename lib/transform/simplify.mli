@@ -19,6 +19,3 @@ val dce_block : live_out:(string -> bool) -> Block.t -> Block.t
 (** Remove statements that define a scalar that is neither read later
     in the block (before being overwritten) nor [live_out].  Array
     stores are never removed. *)
-
-val dce_program : ?live_out:(string -> bool) -> Program.t -> Program.t
-(** Default [live_out]: every scalar is live (identity unless narrowed). *)

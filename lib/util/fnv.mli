@@ -16,6 +16,11 @@ val hash64 : string -> int64
 (** FNV-1a over the bytes of the string, standard offset basis and
     prime. *)
 
+val string_into : int64 -> string -> int64
+(** Continue a running FNV-1a hash with the string's bytes, unframed:
+    [string_into (hash64 a) b = hash64 (a ^ b)], so a long input can be
+    hashed piece by piece without building it. *)
+
 val combine : int64 -> string -> int64
 (** Continue a running hash with a length prefix followed by the
     field's bytes.  The length framing keeps field boundaries

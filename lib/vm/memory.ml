@@ -202,12 +202,6 @@ let ensure_spill t ~slot ~lanes =
 let reserve_spills t ~slots ~max_lanes =
   if slots > 0 then ensure_spill t ~slot:(slots - 1) ~lanes:(max 1 max_lanes)
 
-let spill_store_from t ~slot ~src ~pos ~lanes =
-  if slot >= Array.length t.spill_lanes || lanes > t.spill_stride then
-    ensure_spill t ~slot ~lanes;
-  FA.blit src pos t.spill_data (slot * t.spill_stride) lanes;
-  t.spill_lanes.(slot) <- lanes
-
 let spill_lanes_of t ~slot =
   if slot < 0 || slot >= Array.length t.spill_lanes then -1
   else Array.unsafe_get t.spill_lanes slot

@@ -76,10 +76,6 @@ val spill_store : t -> slot:int -> float array -> unit
 val spill_load : t -> slot:int -> float array
 (** Raises {!Trap.Trap} when the slot was never stored. *)
 
-val spill_store_from : t -> slot:int -> src:floatarray -> pos:int -> lanes:int -> unit
-(** Allocation-free spill used by the compiled engine: blit [lanes]
-    values from [src] at [pos] into the slot's arena row. *)
-
 val spill_load_into : t -> slot:int -> dst:floatarray -> pos:int -> int
 (** Blit the slot's value into [dst] at [pos]; returns its lane count.
     Raises {!Trap.Trap} when the slot was never stored (before writing

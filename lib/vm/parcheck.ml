@@ -241,9 +241,3 @@ let analyze_vector (prog : Visa.program) =
       | exception Unsafe reason -> Serial reason
     end
   | _ -> Serial "par-shape"
-
-(* -- boolean entry points (legacy) ---------------------------------- *)
-
-let parallel = function Parallel _ -> true | Serial _ -> false
-let scalar_parallel_safe prog = parallel (analyze_scalar prog)
-let vector_parallel_safe prog = parallel (analyze_vector prog)

@@ -30,8 +30,3 @@ val analyze_vector : Visa.program -> verdict
     always runs before the parallel leg).  Reductions are recognised
     only from scalar [Sstmt] update chains; any other instruction
     touching the scalar disqualifies it. *)
-
-val scalar_parallel_safe : Program.t -> bool
-(** [analyze_scalar p <> Serial _]. *)
-
-val vector_parallel_safe : Visa.program -> bool

@@ -14,7 +14,7 @@
 
 open Slp_ir
 
-type result = { counters : Counters.t; memory : Memory.t }
+type result = Engine.result = { counters : Counters.t; memory : Memory.t }
 
 val run :
   ?cores:int ->

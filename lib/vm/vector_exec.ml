@@ -1,7 +1,7 @@
 open Slp_ir
 module M = Slp_machine.Machine
 
-type result = { counters : Counters.t; memory : Memory.t }
+type result = Engine.result = { counters : Counters.t; memory : Memory.t }
 
 type state = {
   memory : Memory.t;
@@ -351,8 +351,4 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
 (* The compiled engine is the production path; the interpreter above
    stays as the reference oracle (the fuzz suite runs both and asserts
    identical results). *)
-let run ?cores ?seed ?memory ?profile ?origins ?pool ~machine prog =
-  let r =
-    Engine.run_vector ?cores ?seed ?memory ?profile ?origins ?pool ~machine prog
-  in
-  { counters = r.Engine.counters; memory = r.Engine.memory }
+let run = Engine.run_vector

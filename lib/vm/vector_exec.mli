@@ -8,7 +8,7 @@
     charged to [setup_cycles].  Multicore semantics mirror
     {!Scalar_exec.run}. *)
 
-type result = { counters : Counters.t; memory : Memory.t }
+type result = Engine.result = { counters : Counters.t; memory : Memory.t }
 
 val run :
   ?cores:int ->

@@ -10,7 +10,7 @@ module Fnv = Slp_util.Fnv
 module Backoff = Slp_util.Backoff
 module Prng = Slp_util.Prng
 module Json = Slp_obs.Json
-module Metrics = Slp_obs.Metrics
+module Metric = Slp_obs.Metric
 module P = Slp_pipeline.Pipeline
 module M = Slp_machine.Machine
 module Proto = Slp_serve.Proto
@@ -262,7 +262,7 @@ let test_pool_retries_worker_death () =
         (Proto.status_name reply.Proto.status);
       Alcotest.(check int) "two attempts" 2 reply.Proto.attempts;
       Alcotest.(check (float 1e-9)) "restart counted" 1.0
-        (Metrics.get (Pool.metrics pool) "worker_restarts_total"))
+        (Metric.get (Pool.metrics pool) "worker_restarts_total"))
 
 let test_pool_quarantines_poison () =
   with_pool (fun pool ->
@@ -332,8 +332,9 @@ let test_execute_layout_replicas_correct () =
       Alcotest.(check bool) "reply says correct" true
         (Json.member "correct" reply.Proto.payload = Some (Json.Bool true)))
 
-(* A traced Execute job puts its VM runs in an "execute" span on the
-   job's trace, next to the compile stages. *)
+(* A traced Execute job puts its VM runs in an "execute" span and its
+   memory digest in a "digest" span on the job's trace, next to the
+   compile stages. *)
 let test_execute_span () =
   let obs = Slp_obs.Obs.create ~trace:true () in
   let spec = small_spec () in
@@ -346,7 +347,58 @@ let test_execute_span () =
       (Slp_obs.Trace.events (Option.get obs.Slp_obs.Obs.trace))
   in
   Alcotest.(check bool) "compile stages traced" true (List.mem "plan" names);
-  Alcotest.(check bool) "execute span traced" true (List.mem "execute" names)
+  Alcotest.(check bool) "execute span traced" true (List.mem "execute" names);
+  Alcotest.(check bool) "digest span traced" true (List.mem "digest" names)
+
+(* Every Execute payload of the suite under each scheme and machine,
+   plus Global+Layout on Intel at two cores, folded into one FNV-64 per
+   group.  A payload carries the final memory digest, the cycles' bit
+   pattern, the instruction count and the correct bit, so these pin
+   the execute path's observable behaviour bit for bit. *)
+let execute_payloads_digest ~scheme ~machine ~cores =
+  Fault.disarm ();
+  Fnv.to_hex
+    (Fnv.hash_fields
+       (List.map
+          (fun (bench : Suite.t) ->
+            let spec =
+              { (Proto.default_spec ~kernel:bench.Suite.source ~name:bench.Suite.name)
+                with Proto.scheme; machine; cores }
+            in
+            match Job.run ~op:Proto.Execute ~spec (Suite.program bench) with
+            | Result.Ok payload -> Json.to_string payload
+            | Result.Error e -> Alcotest.fail (E.to_string e))
+          Suite.all))
+
+let pinned_payloads =
+  [
+    ("Scalar", "intel", 1, "dda8e83111fd7eaf");
+    ("Scalar", "amd", 1, "75c9a9a9e2235bcd");
+    ("Native", "intel", 1, "fa51315e49fab827");
+    ("Native", "amd", 1, "3be91eb0e500177f");
+    ("SLP", "intel", 1, "ebc1deca05314c44");
+    ("SLP", "amd", 1, "22267fc4cb80038f");
+    ("Global", "intel", 1, "7e4fd9f78326c8a9");
+    ("Global", "amd", 1, "44f6b96417c25786");
+    ("Global+Layout", "intel", 1, "d390ef9a97ce31ac");
+    ("Global+Layout", "amd", 1, "988bd3d14eb57519");
+    ("Optimal", "intel", 1, "d629896055101cf0");
+    ("Optimal", "amd", 1, "c77618ce0610abd0");
+    ("Global+Layout", "intel", 2, "92880a2ee2c62a80");
+  ]
+
+let test_execute_payloads_pinned () =
+  List.iter
+    (fun (scheme_name, machine_name, cores, expected) ->
+      let scheme =
+        List.find (fun s -> P.scheme_name s = scheme_name) P.all_schemes
+      in
+      let machine = Option.get (Proto.machine_of_string machine_name) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s x%d" scheme_name machine_name cores)
+        expected
+        (execute_payloads_digest ~scheme ~machine ~cores))
+    pinned_payloads
 
 (* -- end-to-end over the socket -------------------------------------- *)
 
@@ -412,7 +464,7 @@ let test_server_observability () =
   Client.send ghost { Proto.id = 1; op = Proto.Job (Proto.Execute, small_spec ()) };
   Client.close ghost;
   let unroutable () =
-    Metrics.get ~where:[ ("outcome", "unroutable") ] (Pool.metrics pool)
+    Metric.get ~where:[ ("outcome", "unroutable") ] (Pool.metrics pool)
       "replies_total"
   in
   let rec await tries =
@@ -514,6 +566,8 @@ let () =
           Alcotest.test_case "layout replicas execute correct" `Quick
             test_execute_layout_replicas_correct;
           Alcotest.test_case "execute span traced" `Quick test_execute_span;
+          Alcotest.test_case "Execute payloads pinned" `Slow
+            test_execute_payloads_pinned;
         ] );
       ( "daemon",
         [

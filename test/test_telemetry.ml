@@ -2,11 +2,10 @@
    mergeable histograms (quantile error bound, merge associativity,
    bit-identical merge-order determinism), the Prometheus exposition
    renderer and its validator, the structured log ring, the
-   cross-domain trace hub, and the legacy Metrics shim. *)
+   cross-domain trace hub. *)
 
 module Json = Slp_obs.Json
 module Metric = Slp_obs.Metric
-module Metrics = Slp_obs.Metrics
 module Log = Slp_obs.Log
 module Trace = Slp_obs.Trace
 module Tracehub = Slp_obs.Tracehub
@@ -110,6 +109,31 @@ let test_merge_layout_mismatch () =
   | exception Invalid_argument _ -> ()
 
 (* -- instruments and labels ------------------------------------------ *)
+
+(* [get] reads one family as a number: every series summed, or only
+   the series whose labels match; histograms count observations. *)
+let test_get () =
+  let m = Metric.create () in
+  let restarts = Metric.Counter.plain m "worker_restarts_total" in
+  Metric.Counter.incr restarts;
+  Metric.Counter.incr ~by:2 restarts;
+  Metric.Gauge.set (Metric.Gauge.plain m "depth") 5.0;
+  Alcotest.(check (float 0.0)) "counter" 3.0 (Metric.get m "worker_restarts_total");
+  Alcotest.(check (float 0.0)) "gauge" 5.0 (Metric.get m "depth");
+  Alcotest.(check (float 0.0)) "unknown is zero" 0.0 (Metric.get m "nope");
+  let jobs = Metric.Counter.family m ~labels:[ "scheme"; "outcome" ] "jobs_total" in
+  Metric.Counter.incr ~by:3 (Metric.Counter.handle jobs [ "slp"; "ok" ]);
+  Metric.Counter.incr (Metric.Counter.handle jobs [ "global"; "ok" ]);
+  Metric.Counter.incr (Metric.Counter.handle jobs [ "slp"; "shed" ]);
+  Alcotest.(check (float 0.0)) "sum across labels" 5.0 (Metric.get m "jobs_total");
+  Alcotest.(check (float 0.0)) "filtered by outcome" 4.0
+    (Metric.get ~where:[ ("outcome", "ok") ] m "jobs_total");
+  Alcotest.(check (float 0.0)) "filtered by both" 3.0
+    (Metric.get ~where:[ ("scheme", "slp"); ("outcome", "ok") ] m "jobs_total");
+  let latency = Metric.Histogram.plain m "job_seconds" in
+  Metric.Histogram.observe latency 0.5;
+  Metric.Histogram.observe latency 2.0;
+  Alcotest.(check (float 0.0)) "histogram counts" 2.0 (Metric.get m "job_seconds")
 
 let test_instruments () =
   let reg = Metric.create () in
@@ -303,38 +327,6 @@ let test_tracehub_merge () =
           Alcotest.(check int) "four tids" 4 (List.length tids)
       | _ -> Alcotest.fail "no traceEvents")
 
-(* -- legacy shim ------------------------------------------------------ *)
-
-let test_metrics_shim () =
-  let m = Metrics.create () in
-  Metrics.incr m "worker_restarts_total";
-  Metrics.incr ~by:2 m "worker_restarts_total";
-  Metrics.set m "depth" 5.0;
-  Alcotest.(check (float 0.0)) "counter via shim" 3.0 (Metrics.get m "worker_restarts_total");
-  Alcotest.(check (float 0.0)) "gauge via shim" 5.0 (Metrics.get m "depth");
-  Alcotest.(check (float 0.0)) "unknown is zero" 0.0 (Metrics.get m "nope");
-  (* Labeled families registered through the typed core are readable
-     through the shim, filtered or summed. *)
-  let jobs = Metric.Counter.family m ~labels:[ "scheme"; "outcome" ] "jobs_total" in
-  Metric.Counter.incr ~by:3 (Metric.Counter.handle jobs [ "slp"; "ok" ]);
-  Metric.Counter.incr (Metric.Counter.handle jobs [ "global"; "ok" ]);
-  Metric.Counter.incr (Metric.Counter.handle jobs [ "slp"; "shed" ]);
-  Alcotest.(check (float 0.0)) "sum across labels" 5.0 (Metrics.get m "jobs_total");
-  Alcotest.(check (float 0.0)) "filtered by outcome" 4.0
-    (Metrics.get ~where:[ ("outcome", "ok") ] m "jobs_total");
-  Alcotest.(check (float 0.0)) "filtered by both" 3.0
-    (Metrics.get ~where:[ ("scheme", "slp"); ("outcome", "ok") ] m "jobs_total");
-  let snap = Metrics.snapshot m in
-  let keys = List.map fst snap in
-  Alcotest.(check bool) "snapshot sorted" true (keys = List.sort compare keys);
-  Alcotest.(check bool) "labels flattened" true
-    (List.mem_assoc "jobs_total{scheme=\"slp\",outcome=\"ok\"}" snap);
-  match Metrics.to_json m with
-  | Json.Obj fields ->
-      Alcotest.(check int) "json mirrors snapshot" (List.length snap)
-        (List.length fields)
-  | _ -> Alcotest.fail "to_json not an object"
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -346,7 +338,10 @@ let () =
           Alcotest.test_case "layout mismatch" `Quick test_merge_layout_mismatch;
         ] );
       ( "instruments",
-        [ Alcotest.test_case "counters, gauges, labels" `Quick test_instruments ] );
+        [
+          Alcotest.test_case "counters, gauges, labels" `Quick test_instruments;
+          Alcotest.test_case "get sums and filters series" `Quick test_get;
+        ] );
       ( "exposition",
         [
           Alcotest.test_case "render and validate" `Quick test_exposition_round_trip;
@@ -359,6 +354,4 @@ let () =
         ] );
       ( "tracehub",
         [ Alcotest.test_case "multi-domain merge" `Quick test_tracehub_merge ] );
-      ( "shim",
-        [ Alcotest.test_case "legacy metrics view" `Quick test_metrics_shim ] );
     ]
