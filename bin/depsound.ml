@@ -18,7 +18,9 @@ module Dtrace = Slp_depend.Dtrace
 module Json = Slp_obs.Json
 
 let machines =
-  [ ("intel", Machine.intel_dunnington); ("amd", Machine.amd_phenom_ii) ]
+  List.map
+    (fun m -> (Machine.to_string m, m))
+    [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
 
 let out_dir = ref "_deps"
 let fuzz_count = ref 0

@@ -8,27 +8,17 @@ open Cmdliner
 module Pipeline = Slp_pipeline.Pipeline
 module Machine = Slp_machine.Machine
 
+let conv of_string to_string ~error =
+  let parse s = Option.to_result ~none:(`Msg (error s)) (of_string s) in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (to_string v))
+
 let scheme_conv =
-  let parse = function
-    | "scalar" -> Ok Pipeline.Scalar
-    | "native" -> Ok Pipeline.Native
-    | "slp" -> Ok Pipeline.Slp
-    | "global" -> Ok Pipeline.Global
-    | "global-layout" | "layout" -> Ok Pipeline.Global_layout
-    | "optimal" -> Ok Pipeline.Optimal
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-  in
-  let print ppf s = Format.pp_print_string ppf (Pipeline.scheme_name s) in
-  Arg.conv (parse, print)
+  conv Pipeline.scheme_of_string Pipeline.scheme_to_string
+    ~error:(Printf.sprintf "unknown scheme %S")
 
 let machine_conv =
-  let parse = function
-    | "intel" | "dunnington" -> Ok Machine.intel_dunnington
-    | "amd" | "phenom" -> Ok Machine.amd_phenom_ii
-    | s -> Error (`Msg (Printf.sprintf "unknown machine %S (intel|amd)" s))
-  in
-  let print ppf (m : Machine.t) = Format.pp_print_string ppf m.Machine.name in
-  Arg.conv (parse, print)
+  conv Machine.of_string Machine.to_string
+    ~error:(Printf.sprintf "unknown machine %S (intel|amd)")
 
 let file =
   Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE" ~doc:"Kernel source file.")

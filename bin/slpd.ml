@@ -90,16 +90,22 @@ let serve socket cache_dir workers queue_depth max_attempts timeout faults
   in
   Printf.printf "slpd: serving on %s (%d workers, cache %s)\n%!" socket workers
     cache_dir;
-  Server.run ~pool ~socket ();
-  print_endline (Json.to_string (Server.stats_json pool));
-  (match (trace_file, hub) with
-  | Some path, Some hub ->
-      Tracehub.write_file hub path;
-      Printf.printf "slpd: wrote campaign trace (%d domain rows) to %s\n"
-        (Tracehub.domains hub) path
-  | _ -> ());
-  Log.close log;
-  0
+  match Server.run ~pool ~socket () with
+  | exception Server.Socket_in_use path ->
+      Pool.shutdown pool;
+      Log.close log;
+      Printf.eprintf "slpd: a live daemon already serves %s; not starting\n" path;
+      2
+  | () ->
+      print_endline (Json.to_string (Server.stats_json pool));
+      (match (trace_file, hub) with
+      | Some path, Some hub ->
+          Tracehub.write_file hub path;
+          Printf.printf "slpd: wrote campaign trace (%d domain rows) to %s\n"
+            (Tracehub.domains hub) path
+      | _ -> ());
+      Log.close log;
+      0
 
 let serve_cmd =
   let cache_dir =
@@ -164,28 +170,27 @@ let serve_cmd =
              Chrome trace (one row per domain) to FILE on exit.")
   in
   Cmd.v
-    (Cmd.info "serve" ~doc:"run the compile-service daemon")
+    (Cmd.info "serve" ~doc:"run the compile-service daemon"
+       ~exits:
+         (Cmd.Exit.info 2 ~doc:"a live daemon already serves the socket."
+         :: Cmd.Exit.defaults))
     Term.(
       const serve $ socket_arg $ cache_dir $ workers $ queue_depth
       $ max_attempts $ timeout $ faults $ log_file $ log_level $ trace_file)
 
 (* -- shared client helpers ------------------------------------------- *)
 
+let conv of_string to_string ~error =
+  let parse s = Option.to_result ~none:(`Msg (error s)) (of_string s) in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (to_string v))
+
 let scheme_conv =
-  let parse s =
-    match Proto.scheme_of_string s with
-    | Some sc -> Ok sc
-    | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-  in
-  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Proto.scheme_to_string s))
+  conv Proto.scheme_of_string Proto.scheme_to_string
+    ~error:(Printf.sprintf "unknown scheme %S")
 
 let machine_conv =
-  let parse s =
-    match Proto.machine_of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown machine %S (intel|amd)" s))
-  in
-  Arg.conv (parse, fun ppf (m : M.t) -> Format.pp_print_string ppf m.M.name)
+  conv Proto.machine_of_string Proto.machine_to_string
+    ~error:(Printf.sprintf "unknown machine %S (intel|amd)")
 
 let connect socket =
   match Client.connect ~socket with

@@ -13,28 +13,12 @@ module Machine = Slp_machine.Machine
 module Fuzz = Slp_fuzz
 
 let scheme_conv =
-  let parse = function
-    | "scalar" -> Ok Pipeline.Scalar
-    | "native" -> Ok Pipeline.Native
-    | "slp" -> Ok Pipeline.Slp
-    | "global" -> Ok Pipeline.Global
-    | "global-layout" | "layout" -> Ok Pipeline.Global_layout
-    | "optimal" -> Ok Pipeline.Optimal
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
+  let parse s =
+    Option.to_result
+      ~none:(`Msg (Printf.sprintf "unknown scheme %S" s))
+      (Pipeline.scheme_of_string s)
   in
-  let print ppf s = Format.pp_print_string ppf (Pipeline.scheme_name s) in
-  Arg.conv (parse, print)
-
-(* The command-line token for a scheme — what reproducer headers must
-   echo so that replaying preserves the restriction (notably
-   [--scheme optimal], whose solver is part of the tested surface). *)
-let scheme_arg = function
-  | Pipeline.Scalar -> "scalar"
-  | Pipeline.Native -> "native"
-  | Pipeline.Slp -> "slp"
-  | Pipeline.Global -> "global"
-  | Pipeline.Global_layout -> "global-layout"
-  | Pipeline.Optimal -> "optimal"
+  Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Pipeline.scheme_to_string s))
 
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed.")
@@ -107,7 +91,7 @@ let write_repro ?scheme path (r : Fuzz.Harness.failure_report) =
   Printf.fprintf oc "# slpfuzz reproducer: --seed %d --index %d%s\n"
     r.Fuzz.Harness.seed r.Fuzz.Harness.case_index
     (match scheme with
-    | Some s -> " --scheme " ^ scheme_arg s
+    | Some s -> " --scheme " ^ Pipeline.scheme_to_string s
     | None -> "");
   List.iter
     (fun f -> Printf.fprintf oc "# %s\n" (Format.asprintf "%a" Fuzz.Oracle.pp_failure f))

@@ -31,11 +31,6 @@ let of_operand ~nest op =
 let rank t = Array.length t.q
 let depth t = List.length t.nest
 
-let to_mat t =
-  if rank t = 0 || depth t = 0 then
-    E.fail ~pass:E.Analysis E.Internal "Access.to_mat: empty matrix";
-  Slp_util.Mat.of_int_array t.q
-
 let strides dims =
   let n = List.length dims in
   let arr = Array.of_list dims in

@@ -25,10 +25,6 @@ val rank : t -> int
 val depth : t -> int
 (** Loop nest depth n. *)
 
-val to_mat : t -> Slp_util.Mat.t
-(** Q as a rational matrix (m×n); raises [Invalid_argument] when m or
-    n is zero. *)
-
 val linearise : dims:int list -> t -> int array * int
 (** Row-major linearisation: coefficients per nest variable plus the
     constant offset, in elements.  Raises [Invalid_argument] when the

@@ -30,13 +30,6 @@ let contiguous_pack ~env ops =
   | Operand.Elem _ :: _ -> consecutive ops
   | (Operand.Const _ | Operand.Scalar _) :: _ -> false
 
-let pack_verdict ~env ~nest ~lanes ops =
-  if not (contiguous_pack ~env ops) then None
-  else
-    match ops with
-    | first :: _ -> of_operand ~env ~nest ~lanes first
-    | [] -> None
-
 let pp_verdict ppf = function
   | Aligned -> Format.pp_print_string ppf "aligned"
   | Misaligned k -> Format.fprintf ppf "misaligned+%d" k

@@ -28,9 +28,4 @@ val contiguous_pack :
     consecutive row-major locations, first to last — one vector
     load/store can fetch the whole pack. *)
 
-val pack_verdict :
-  env:Env.t -> nest:string list -> lanes:int -> Operand.t list -> verdict option
-(** Alignment of the pack's first element when the pack is contiguous;
-    [None] otherwise. *)
-
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -14,5 +14,4 @@ type t
 val compute : Program.t -> t
 
 val demanded : t -> Block.t -> string -> bool
-val read_in_other_block : t -> Block.t -> string -> bool
 val upward_exposed : t -> Block.t -> string -> bool

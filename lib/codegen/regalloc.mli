@@ -17,7 +17,6 @@ type stats = {
 }
 
 val zero_stats : stats
-val add_stats : stats -> stats -> stats
 
 val instr_uses : Slp_vm.Visa.instr -> Slp_vm.Visa.vreg list
 val instr_def : Slp_vm.Visa.instr -> Slp_vm.Visa.vreg option

@@ -181,6 +181,9 @@ let same_instance_eqn_raw ~box f g =
 
 let same_instance_eqn ~box f g = solve (same_instance_eqn_raw ~box f g)
 
+(* Same base, at least one write, and every subscript dimension
+   simultaneously solvable — the precise replacement for
+   [Operand.may_alias] inside a block. *)
 let same_instance_conflict ~box a b =
   String.equal a.base b.base
   && (a.write || b.write)

@@ -51,11 +51,6 @@ val same_instance_eqn : box:Box.t -> Affine.t -> Affine.t -> sol
     (possibly different) variable assignments inside [box]?  All
     variables are shared between the two sides. *)
 
-val same_instance_conflict : box:Box.t -> access -> access -> bool
-(** Same base, at least one write, and every subscript dimension
-    simultaneously solvable — the precise replacement for
-    [Operand.may_alias] inside a block. *)
-
 val cross_instance_conflict : pvar:string -> access -> access -> bool
 (** Can the two accesses touch the same element from {e different}
     iterations of [pvar] (in either order)?  Loops other than [pvar]

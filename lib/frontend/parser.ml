@@ -190,9 +190,6 @@ let parse_stmt st ~next_id =
 
 type diagnostic = { message : string; line : int; col : int }
 
-let pp_diagnostic ppf d =
-  Format.fprintf ppf "%d:%d: %s" d.line d.col d.message
-
 (* Raised internally once [max_errors] diagnostics have been
    collected; never escapes [parse_all]. *)
 exception Stop

@@ -21,9 +21,6 @@ exception Error of string * int * int
 type diagnostic = { message : string; line : int; col : int }
 (** One parse/validation problem, with its 1-based source position. *)
 
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-(** Renders as ["line:col: message"]. *)
-
 val parse_all :
   ?max_errors:int ->
   name:string ->

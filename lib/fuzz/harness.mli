@@ -46,10 +46,6 @@ val case_program : config -> int -> Program.t
 (** The program of case [index] under this config — replay without
     running the campaign. *)
 
-val agreement : Oracle.drift -> bool option
-(** [None] when fewer than two schemes have both predictions and
-    measurements. *)
-
 val run : ?on_case:(int -> Program.t -> unit) -> config -> stats
 (** Runs the campaign; failures are shrunk with the oracle itself as
     the predicate (same schemes/machines). *)

@@ -33,6 +33,9 @@ let gc_env (prog : Program.t) =
     (Env.arrays prog.Program.env);
   { prog with Program.env }
 
+(* Merge adjacent statement blocks, renumber statement ids 1..n per
+   block, drop empty blocks and empty loops, and remove declarations
+   no statement references. *)
 let normalize (prog : Program.t) =
   let rec go items =
     let items =

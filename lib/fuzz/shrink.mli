@@ -16,11 +16,6 @@
 
 open Slp_ir
 
-val normalize : Program.t -> Program.t
-(** Merge adjacent statement blocks, renumber statement ids 1..n per
-    block, drop empty blocks and empty loops, and remove declarations
-    no statement references. *)
-
 val run :
   ?max_checks:int -> still_fails:(Program.t -> bool) -> Program.t -> Program.t
 (** [run ~still_fails p] requires [still_fails p = true] and returns a

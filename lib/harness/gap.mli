@@ -36,12 +36,6 @@ val heuristics : Slp_pipeline.Pipeline.scheme list
 
 val default_machines : Slp_machine.Machine.t list
 
-val suite_entry :
-  ?solver_steps:int ->
-  machine:Slp_machine.Machine.t ->
-  Slp_benchmarks.Suite.t ->
-  entry
-
 val suite_report :
   ?solver_steps:int ->
   ?machines:Slp_machine.Machine.t list ->
@@ -67,9 +61,6 @@ type fuzz_summary = {
           always 0 unless the dominance guarantee is broken. *)
   f_stats : fuzz_scheme_stat list;
 }
-
-val default_fuzz_cases : int
-val default_fuzz_solver_steps : int
 
 val fuzz_sample :
   ?cases:int -> ?seed:int -> ?solver_steps:int -> unit -> fuzz_summary

@@ -23,13 +23,10 @@ type job = {
   machine : Machine.t;
 }
 
-let machine_tag (m : Machine.t) =
-  if m.Machine.name = Machine.amd_phenom_ii.Machine.name then "amd" else "intel"
-
 let job_name j =
   Printf.sprintf "%s/%s/%s/%d" j.kernel.Suite.name
     (Pipeline.scheme_name j.scheme)
-    (machine_tag j.machine) j.machine.Machine.simd_bits
+    (Machine.to_string j.machine) j.machine.Machine.simd_bits
 
 let unroll j = max 1 (j.kernel.Suite.unroll * j.machine.Machine.simd_bits / 128)
 

@@ -26,7 +26,6 @@ val const_part : t -> int
 val coeff : t -> string -> int
 (** 0 when the variable does not occur. *)
 
-val is_const : t -> bool
 val to_const : t -> int option
 val vars : t -> string list
 val equal : t -> t -> bool

@@ -82,8 +82,6 @@ let scalar_defs b =
     b.stmts
   |> dedup_sorted
 
-let live_out_candidates = scalar_defs
-
 let pp ppf b =
   Format.fprintf ppf "@[<v>%s:@," b.label;
   List.iter (fun s -> Format.fprintf ppf "  %a@," Stmt.pp s) b.stmts;

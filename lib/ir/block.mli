@@ -39,8 +39,5 @@ val scalar_uses : t -> string list
 
 val scalar_defs : t -> string list
 
-val live_out_candidates : t -> string list
-(** Scalars defined in the block (conservatively assumed live-out). *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -116,9 +116,6 @@ module Infix = struct
   let ( / ) a b = Bin (Types.Div, a, b)
   let neg a = Un (Types.Neg, a)
   let sqrt_ a = Un (Types.Sqrt, a)
-  let abs_ a = Un (Types.Abs, a)
-  let min_ a b = Bin (Types.Min, a, b)
-  let max_ a b = Bin (Types.Max, a, b)
   let i v = Affine.var v
   let ( @+ ) a c = Affine.add a (Affine.const c)
   let ( @* ) k a = Affine.scale k a

@@ -49,9 +49,6 @@ module Infix : sig
   val ( / ) : t -> t -> t
   val neg : t -> t
   val sqrt_ : t -> t
-  val abs_ : t -> t
-  val min_ : t -> t -> t
-  val max_ : t -> t -> t
   val i : string -> Affine.t
   (** Loop-index variable as an affine subscript. *)
 

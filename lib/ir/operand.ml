@@ -38,14 +38,6 @@ let may_alias a b =
                    | None -> false)
                  ix iy))
 
-let must_equal_storage a b =
-  match (a, b) with
-  | Scalar x, Scalar y -> String.equal x y
-  | Elem _, Elem _ -> equal a b
-  | (Const _ | Scalar _ | Elem _), _ -> false
-
-let is_memory = function Elem _ -> true | Const _ | Scalar _ -> false
-
 (* Row-major linearised offset difference of [b] relative to [a], when
    it is a compile-time constant. *)
 let linear_diff ~row_size a b =
@@ -77,19 +69,10 @@ let linear_diff ~row_size a b =
 let adjacent_in_memory ~row_size a b =
   match linear_diff ~row_size a b with Some 1 -> true | Some _ | None -> false
 
-let defined_vars = function
-  | Scalar v -> [ v ]
-  | Const _ | Elem _ -> []
-
 let used_vars = function
   | Const _ -> []
   | Scalar v -> [ v ]
   | Elem (_, idxs) -> List.concat_map Affine.vars idxs
-
-let rename_base op ~old_base ~new_base ~subst =
-  match op with
-  | Elem (b, idxs) when String.equal b old_base -> Elem (new_base, subst idxs)
-  | Const _ | Scalar _ | Elem _ -> op
 
 let subst_index op v by =
   match op with

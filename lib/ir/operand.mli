@@ -23,32 +23,15 @@ val may_alias : t -> t -> bool
     differ or some subscript dimension provably differs by a non-zero
     constant; constants never alias. *)
 
-val must_equal_storage : t -> t -> bool
-(** True only when both operands definitely denote the same storage
-    location (same scalar, or same base with syntactically equal
-    subscripts). *)
-
-val is_memory : t -> bool
-(** Array elements reside in memory; scalars model register-resident
-    values (after standard register promotion) and constants are
-    immediate. *)
-
 val adjacent_in_memory : row_size:(string -> int list) -> t -> t -> bool
 (** [adjacent_in_memory ~row_size a b] is true when [b] is the element
     immediately after [a] in row-major order — the seed condition of
     the Larsen-Amarasinghe baseline.  [row_size] gives an array's
     dimension sizes. *)
 
-val defined_vars : t -> string list
-(** Scalar variable defined if this operand is a store target. *)
-
 val used_vars : t -> string list
 (** Index variables and scalar variables read when this operand is
     evaluated (subscript variables count as uses). *)
-
-val rename_base : t -> old_base:string -> new_base:string -> subst:(Affine.t list -> Affine.t list) -> t
-(** Rewrite an array reference onto a new array with transformed
-    subscripts; scalars and constants are returned unchanged. *)
 
 val subst_index : t -> string -> Affine.t -> t
 (** Substitute a loop-index variable inside subscripts (unrolling). *)

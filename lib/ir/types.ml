@@ -50,7 +50,3 @@ let eval_binop op a b =
 
 let eval_unop op a =
   match op with Neg -> -.a | Abs -> Float.abs a | Sqrt -> Float.sqrt a
-
-let all_binops = [ Add; Sub; Mul; Div; Min; Max ]
-let all_unops = [ Neg; Abs; Sqrt ]
-let all_scalar_tys = [ I8; I16; I32; I64; F32; F64 ]

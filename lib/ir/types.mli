@@ -19,8 +19,6 @@ type binop = Add | Sub | Mul | Div | Min | Max
 
 type unop = Neg | Abs | Sqrt
 
-val binop_to_string : binop -> string
-val unop_to_string : unop -> string
 val pp_binop : Format.formatter -> binop -> unit
 val pp_unop : Format.formatter -> unop -> unit
 
@@ -30,7 +28,3 @@ val eval_binop : binop -> float -> float -> float
     IEEE infinity, matching hardware float lanes. *)
 
 val eval_unop : unop -> float -> float
-
-val all_binops : binop list
-val all_unops : unop list
-val all_scalar_tys : scalar_ty list

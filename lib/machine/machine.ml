@@ -86,6 +86,13 @@ let amd_phenom_ii =
     contention_per_core = 0.08;
   }
 
+let to_string m = if String.equal m.name amd_phenom_ii.name then "amd" else "intel"
+
+let of_string = function
+  | "intel" | "dunnington" -> Some intel_dunnington
+  | "amd" | "phenom" -> Some amd_phenom_ii
+  | _ -> None
+
 let with_simd_bits m bits =
   if bits <= 0 || bits mod 64 <> 0 then
     invalid_arg "Machine.with_simd_bits: bits must be a positive multiple of 64";

@@ -53,6 +53,13 @@ val amd_phenom_ii : t
     L2 512KB/16-way per core, L3 6MB/48-way; costlier
     packing/unpacking than the Intel machine (paper §7.2). *)
 
+val to_string : t -> string
+(** Command-line and wire token of the base model: ["amd"] for
+    {!amd_phenom_ii}, ["intel"] otherwise. *)
+
+val of_string : string -> t option
+(** ["intel"] or ["dunnington"], ["amd"] or ["phenom"]. *)
+
 val with_simd_bits : t -> int -> t
 (** Hypothetical wider-datapath variant (Figure 18), same core. *)
 

@@ -12,7 +12,6 @@ type t
 type level = Debug | Info | Warn | Error | Off
 (** [Off] is a threshold only — events cannot be logged at [Off]. *)
 
-val level_name : level -> string
 val level_of_string : string -> level option
 
 val create :

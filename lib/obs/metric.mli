@@ -42,7 +42,6 @@ type hsnap = {
 }
 
 val hcount : hsnap -> int
-val hsum : hsnap -> float
 
 val hmerge : hsnap -> hsnap -> hsnap
 (** Merge two snapshots of the same layout.  Integer adds throughout,
@@ -100,8 +99,6 @@ end
 (** {1 Scraping} *)
 
 type kind = Counter_k | Gauge_k | Histogram_k
-
-val kind_name : kind -> string
 
 type value = Vcounter of float | Vgauge of float | Vhist of hsnap
 type sample = { labels : (string * string) list; value : value }

@@ -28,7 +28,6 @@ type stat = {
 type t
 
 val create : unit -> t
-val key_name : key -> string
 
 val stat : t -> key -> stat
 (** Find or create the stat for [key].  The engine hoists this lookup

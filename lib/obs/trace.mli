@@ -21,10 +21,9 @@ val span : t -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     on the error path. *)
 
 val begin_span : t -> ?args:(string * string) list -> string -> unit
-
-val end_span : t -> string -> unit
-(** Unstructured span edges for callers whose open/close points sit in
-    different scopes.  [end_span] must name the innermost open span. *)
+(** Emit a lone begin event.  Nothing outside {!span} closes it, so a
+    trace built this way is unbalanced — what the validator tests
+    need. *)
 
 val balanced : t -> bool
 (** True iff every begun span has ended, in properly nested order. *)

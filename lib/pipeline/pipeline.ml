@@ -22,6 +22,18 @@ let scheme_name = function
 
 let all_schemes = [ Scalar; Native; Slp; Global; Global_layout; Optimal ]
 
+let scheme_to_string = function
+  | Scalar -> "scalar"
+  | Native -> "native"
+  | Slp -> "slp"
+  | Global -> "global"
+  | Global_layout -> "global-layout"
+  | Optimal -> "optimal"
+
+let scheme_of_string = function
+  | "layout" -> Some Global_layout
+  | s -> List.find_opt (fun sc -> String.equal (scheme_to_string sc) s) all_schemes
+
 type compiled = {
   scheme : scheme;
   machine : M.t;

@@ -22,7 +22,16 @@ open Slp_ir
 type scheme = Scalar | Native | Slp | Global | Global_layout | Optimal
 
 val scheme_name : scheme -> string
+(** Display name: ["Global+Layout"]. *)
+
 val all_schemes : scheme list
+
+val scheme_to_string : scheme -> string
+(** Command-line and wire token: ["global-layout"]. *)
+
+val scheme_of_string : string -> scheme option
+(** Inverse of {!scheme_to_string}; also accepts ["layout"] for
+    [Global_layout]. *)
 
 type compiled = {
   scheme : scheme;
@@ -62,9 +71,6 @@ val params_of_machine : Slp_machine.Machine.t -> Slp_core.Cost.params
 (** The cost-model parameters the compile derives from a machine model
     (memory operations priced at an L1 hit).  Exposed so reports and
     tests can price plans exactly as the pipeline's gate does. *)
-
-val config_of_machine : Slp_machine.Machine.t -> Slp_core.Config.t
-(** Datapath width and register count of a machine model. *)
 
 val stage_hook_points : string list
 (** The names passed to [compile ~on_stage], in pipeline order:
@@ -199,8 +205,6 @@ type bailout = {
   machine : string;
   error : Slp_util.Slp_error.t;
 }
-
-val bailout_to_json : bailout -> string
 
 val bailout_report_json : bailout list -> string
 (** The machine-readable bailout report written by

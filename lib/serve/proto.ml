@@ -78,30 +78,10 @@ let error_reply ?(errors = []) ?message ~id status =
 
 (* -- scheme / machine wire names ------------------------------------ *)
 
-let scheme_of_string = function
-  | "scalar" -> Some Pipeline.Scalar
-  | "native" -> Some Pipeline.Native
-  | "slp" -> Some Pipeline.Slp
-  | "global" -> Some Pipeline.Global
-  | "global-layout" | "layout" -> Some Pipeline.Global_layout
-  | "optimal" -> Some Pipeline.Optimal
-  | _ -> None
-
-let scheme_to_string = function
-  | Pipeline.Scalar -> "scalar"
-  | Pipeline.Native -> "native"
-  | Pipeline.Slp -> "slp"
-  | Pipeline.Global -> "global"
-  | Pipeline.Global_layout -> "global-layout"
-  | Pipeline.Optimal -> "optimal"
-
-let machine_of_string = function
-  | "intel" | "dunnington" -> Some M.intel_dunnington
-  | "amd" | "phenom" -> Some M.amd_phenom_ii
-  | _ -> None
-
-let machine_to_string (m : M.t) =
-  if m.M.name = M.amd_phenom_ii.M.name then "amd" else "intel"
+let scheme_of_string = Pipeline.scheme_of_string
+let scheme_to_string = Pipeline.scheme_to_string
+let machine_of_string = M.of_string
+let machine_to_string = M.to_string
 
 (* -- encoding -------------------------------------------------------- *)
 

@@ -69,7 +69,11 @@ val scheme_of_string : string -> Slp_pipeline.Pipeline.scheme option
 val scheme_to_string : Slp_pipeline.Pipeline.scheme -> string
 val machine_of_string : string -> Slp_machine.Machine.t option
 val machine_to_string : Slp_machine.Machine.t -> string
-(** Short wire names ["intel"] and ["amd"]. *)
+(** {!Slp_pipeline.Pipeline.scheme_of_string},
+    {!Slp_pipeline.Pipeline.scheme_to_string},
+    {!Slp_machine.Machine.of_string} and
+    {!Slp_machine.Machine.to_string}: the wire names are the
+    command-line names. *)
 
 val request_to_line : request -> string
 (** One line, no trailing newline. *)
@@ -80,5 +84,3 @@ val request_of_line : string -> (request, int * string) result
 
 val reply_to_line : reply -> string
 val reply_of_line : string -> (reply, string) result
-
-val error_to_json : Slp_util.Slp_error.t -> Slp_obs.Json.t

@@ -7,6 +7,8 @@ type config = { socket_path : string; accept_backlog : int }
 
 let default_config ~socket_path = { socket_path; accept_backlog = 16 }
 
+exception Socket_in_use of string
+
 (* The full snapshot: the typed registry under "metrics", plus
    queue/worker/cache/log summaries.  Quarantine keys ride along so
    operators can clear them by hand. *)
@@ -52,9 +54,15 @@ let stats_json pool =
              (Pool.quarantined pool)) );
     ]
 
+(* The [metrics] op's payload: Prometheus text exposition of the
+   pool's registry, with collect hooks (queue/worker/cache gauges) run
+   first. *)
 let metrics_text pool =
   Metric.to_prometheus (Telemetry.registry (Pool.telemetry pool))
 
+(* The [health] op's payload.  [live] is always true from a running
+   reactor; [ready] requires live workers, a queue below the shed
+   threshold, and no drain in progress. *)
 let health_json ?(draining = false) pool =
   let h = Pool.health pool in
   let ready =
@@ -289,10 +297,30 @@ let pending_output t =
   locked t (fun () ->
       Hashtbl.fold (fun _ c acc -> acc || not (Queue.is_empty c.out)) t.clients false)
 
+(* An existing socket file is either a live daemon's (a connect
+   succeeds: refuse to start rather than take the path over, which
+   would also let the live daemon's shutdown unlink ours) or stale,
+   left by a daemon that died without unlinking it (the connect is
+   refused: replace it). *)
+let claim_socket path =
+  if Sys.file_exists path then begin
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          match Unix.connect fd (Unix.ADDR_UNIX path) with
+          | () -> true
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false)
+    in
+    if live then raise (Socket_in_use path);
+    Unix.unlink path
+  end
+
 let run ?config ~pool ~socket () =
   let config = Option.value config ~default:(default_config ~socket_path:socket) in
   let path = config.socket_path in
-  if Sys.file_exists path then Unix.unlink path;
+  claim_socket path;
   (let dir = Filename.dirname path in
    if not (Sys.file_exists dir) then
      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());

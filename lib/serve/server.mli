@@ -25,16 +25,15 @@ val stats_json : Pool.t -> Slp_obs.Json.t
     queue and worker state, the full typed registry ("metrics"), cache
     stats with hit rate, log counts, and quarantined keys. *)
 
-val metrics_text : Pool.t -> string
-(** The [metrics] op's payload: Prometheus text exposition of the
-    pool's registry, with collect hooks (queue/worker/cache gauges)
-    run first. *)
-
-val health_json : ?draining:bool -> Pool.t -> Slp_obs.Json.t
-(** The [health] op's payload.  [live] is always true from a running
-    reactor; [ready] requires live workers, a queue below the shed
-    threshold, and no drain in progress. *)
+exception Socket_in_use of string
+(** The socket path on which a live daemon already answers. *)
 
 val run : ?config:config -> pool:Pool.t -> socket:string -> unit -> unit
 (** Serve until a shutdown trigger, then drain and return.  Installs
-    SIGTERM/SIGINT handlers for the duration and ignores SIGPIPE. *)
+    SIGTERM/SIGINT handlers for the duration and ignores SIGPIPE.
+
+    An existing socket file is probed with a connect first.  If a live
+    daemon answers, [run] raises {!Socket_in_use} before touching the
+    socket or the pool (the caller still owns the pool and shuts it
+    down).  If the connect is refused, the file is stale and is
+    replaced. *)

@@ -132,9 +132,6 @@ let optimize_program ?obs ?options ?schedule_options ?grouping_fuel
   in
   { program = prog; plans }
 
-let vectorized_block_count plan =
-  List.length (List.filter (fun p -> p.schedule <> None) plan.plans)
-
 let superword_statement_count plan =
   List.fold_left
     (fun acc p ->

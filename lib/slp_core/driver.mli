@@ -64,5 +64,4 @@ val optimize_program :
 (** Default [query_of] is {!Cost.default_query} with f64 lane count
     derived from the datapath (conservative for narrower types). *)
 
-val vectorized_block_count : program_plan -> int
 val superword_statement_count : program_plan -> int

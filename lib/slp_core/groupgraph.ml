@@ -4,6 +4,10 @@ type elimination = Max_degree | Arbitrary
 
 let pack_types_of packs = Pack.Set.of_list packs
 
+(* The auxiliary graph for [cand] after conflict elimination: VP nodes
+   matching [pack_types], excluding the candidate's own nodes and nodes
+   of conflicting candidates, with a maximal conflict-free subset
+   retained. *)
 let auxiliary_survivors ~vp ~conflict ~elimination ~pack_types ~cand =
   let cid = cand.Candidate.cid in
   let selected =

@@ -14,18 +14,6 @@ type elimination = Max_degree | Arbitrary
     is the paper's greedy rule; [Arbitrary] (insertion order) exists
     for the ablation bench. *)
 
-val auxiliary_survivors :
-  vp:Packgraph.t ->
-  conflict:(int -> int -> bool) ->
-  elimination:elimination ->
-  pack_types:Pack.Set.t ->
-  cand:Candidate.t ->
-  Packgraph.node list
-(** The auxiliary graph for [cand] after conflict elimination: VP
-    nodes matching [pack_types], excluding the candidate's own nodes
-    and nodes of conflicting candidates, with a maximal conflict-free
-    subset retained. *)
-
 val weight :
   vp:Packgraph.t ->
   conflict:(int -> int -> bool) ->

@@ -246,6 +246,3 @@ let run ?(options = default_options) ?fuel ?(obs = Obs.none) ?dep_pairs ~env
   in
   let groups = List.sort (fun a b -> compare (List.hd a) (List.hd b)) groups in
   { groups; singles; rounds; decisions }
-
-let group_count r = List.length r.groups
-let grouped_stmt_count r = List.fold_left (fun acc g -> acc + List.length g) 0 r.groups

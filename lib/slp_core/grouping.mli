@@ -58,6 +58,3 @@ val run :
     [dep_pairs] overrides the statement dependence pairs the unit DAG
     is built from (default: the syntactic [Block.dep_pairs]); fewer
     pairs mean more statements qualify as mergeable. *)
-
-val group_count : result -> int
-val grouped_stmt_count : result -> int

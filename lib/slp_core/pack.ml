@@ -15,7 +15,6 @@ let all_constant t =
     t
 
 let mem op t = List.exists (Operand.equal op) t
-let overlaps_storage t op = List.exists (Operand.may_alias op) t
 
 let pp ppf t =
   Format.fprintf ppf "{%s}" (String.concat ", " (List.map Operand.to_string t))

@@ -27,9 +27,6 @@ val all_constant : t -> bool
     rebuild, so they never count as reuses. *)
 
 val mem : Operand.t -> t -> bool
-val overlaps_storage : t -> Operand.t -> bool
-(** Some pack member may alias the given operand — used to invalidate
-    live superwords when a statement overwrites their data. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -12,7 +12,6 @@ val fold_expr : Expr.t -> Expr.t
 (** Bottom-up constant folding ([1*x -> x], [x+0 -> x], const·const
     evaluated).  Folding never changes evaluation results. *)
 
-val fold_block : Block.t -> Block.t
 val fold_program : Program.t -> Program.t
 
 val dce_block : live_out:(string -> bool) -> Block.t -> Block.t

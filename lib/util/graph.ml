@@ -20,8 +20,6 @@ module Undirected = struct
     | Some n -> n.label <- label
     | None -> Hashtbl.replace g.nodes id { label; adj = Hashtbl.create 4 }
 
-  let mem_node g id = Hashtbl.mem g.nodes id
-
   let add_edge ?(weight = 0.0) g u v =
     if u = v then invalid_arg "Graph.Undirected.add_edge: self loop";
     let nu = find_node g u and nv = find_node g v in
@@ -116,9 +114,6 @@ module Undirected = struct
       (fun u n -> Hashtbl.iter (fun v w -> if u < v then add_edge ~weight:w g' u v) n.adj)
       g.nodes;
     g'
-
-  let fold_nodes g ~init ~f =
-    List.fold_left (fun acc id -> f acc id (label g id)) init (nodes g)
 end
 
 module Directed = struct

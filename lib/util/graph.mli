@@ -30,7 +30,6 @@ module Undirected : sig
 
   val remove_edge : 'a t -> int -> int -> unit
 
-  val mem_node : 'a t -> int -> bool
   val mem_edge : 'a t -> int -> int -> bool
   val label : 'a t -> int -> 'a
   val set_weight : 'a t -> int -> int -> float -> unit
@@ -55,7 +54,6 @@ module Undirected : sig
       pair.  [None] if there are no edges. *)
 
   val copy : 'a t -> 'a t
-  val fold_nodes : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
 end
 
 module Directed : sig
@@ -68,7 +66,6 @@ module Directed : sig
   (** [add_edge g u v] adds the arc [u -> v].  Self loops rejected. *)
 
   val remove_node : 'a t -> int -> unit
-  val mem_node : 'a t -> int -> bool
   val mem_edge : 'a t -> int -> int -> bool
   val label : 'a t -> int -> 'a
   val succs : 'a t -> int -> int list

@@ -17,7 +17,6 @@ let rows t = Array.length t.m
 let cols t = Array.length t.m.(0)
 let get t i j = t.m.(i).(j)
 let identity n = make n n (fun i j -> if i = j then Rat.one else Rat.zero)
-let transpose t = make (cols t) (rows t) (fun i j -> get t j i)
 
 let mul a b =
   if cols a <> rows b then invalid_arg "Mat.mul: dimension mismatch";

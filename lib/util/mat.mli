@@ -16,10 +16,8 @@ val of_int_array : int array array -> t
     otherwise. *)
 
 val rows : t -> int
-val cols : t -> int
 val get : t -> int -> int -> Rat.t
 val identity : int -> t
-val transpose : t -> t
 val mul : t -> t -> t
 (** Raises [Invalid_argument] on dimension mismatch. *)
 

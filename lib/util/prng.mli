@@ -10,7 +10,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator; equal seeds yield equal streams. *)
 
-val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound > 0]. *)
 

@@ -47,9 +47,6 @@ type code =
 val code_id : code -> string
 (** ["BAIL05"]. *)
 
-val code_mnemonic : code -> string
-(** ["group"]. *)
-
 val code_name : code -> string
 (** ["BAIL05-group"]. *)
 

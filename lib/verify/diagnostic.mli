@@ -15,8 +15,6 @@ type stage =
   | Lowering  (** Visa bytecode before register allocation. *)
   | Regalloc  (** Visa bytecode after register allocation. *)
 
-val stage_name : stage -> string
-
 type t = {
   rule : string;  (** Stable id, e.g. ["VISA03-selector"]. *)
   severity : severity;

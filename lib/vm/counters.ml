@@ -69,8 +69,8 @@ let merge_into ~into t =
   into.cycles <- into.cycles +. t.cycles;
   into.setup_cycles <- into.setup_cycles +. t.setup_cycles
 
-let approx_equal a b =
-  let close x y = Float.equal x y || Float.abs (x -. y) <= 1e-9 in
+let equal a b =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
   a.scalar_ops = b.scalar_ops && a.vector_ops = b.vector_ops
   && a.scalar_loads = b.scalar_loads
   && a.scalar_stores = b.scalar_stores
@@ -80,8 +80,8 @@ let approx_equal a b =
   && a.pack_stores = b.pack_stores
   && a.inserts = b.inserts && a.extracts = b.extracts && a.permutes = b.permutes
   && a.broadcasts = b.broadcasts
-  && close a.cycles b.cycles
-  && close a.setup_cycles b.setup_cycles
+  && same a.cycles b.cycles
+  && same a.setup_cycles b.setup_cycles
 
 let dynamic_instructions t =
   t.scalar_ops + t.vector_ops + t.scalar_loads + t.scalar_stores + t.vector_loads
@@ -91,9 +91,6 @@ let packing_instructions t =
   t.inserts + t.extracts + t.permutes + t.broadcasts + t.pack_loads + t.pack_stores
 
 let total_instructions t = dynamic_instructions t + packing_instructions t
-let memory_operations t =
-  t.scalar_loads + t.scalar_stores + t.vector_loads + t.vector_stores + t.pack_loads
-  + t.pack_stores
 
 let total_cycles t = t.cycles +. t.setup_cycles
 

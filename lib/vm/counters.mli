@@ -33,10 +33,11 @@ val add : t -> t -> t
 val merge_into : into:t -> t -> unit
 (** Accumulate instruction counts and cycles into [into]. *)
 
-val approx_equal : t -> t -> bool
-(** All instruction counts equal; [cycles] and [setup_cycles] within
-    1e-9 — the differential check between the compiled engine and the
-    reference interpreters. *)
+val equal : t -> t -> bool
+(** All instruction counts equal and [cycles] and [setup_cycles]
+    bit-identical (compared by [Int64.bits_of_float]) — the
+    differential check between the compiled engine and the reference
+    interpreters. *)
 
 val dynamic_instructions : t -> int
 (** All executed instructions except packing/unpacking. *)
@@ -45,6 +46,5 @@ val packing_instructions : t -> int
 (** Inserts + extracts + permutes + broadcasts + pack memory ops. *)
 
 val total_instructions : t -> int
-val memory_operations : t -> int
 val total_cycles : t -> float
 val pp : Format.formatter -> t -> unit

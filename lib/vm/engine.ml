@@ -13,6 +13,15 @@
    [base + sum coeff*frame.(d)] multiply-adds, and per-instruction
    cost constants hoisted out of the loop.
 
+   There is one item compiler ([compile_items], over [Visa] items) and
+   one driver ([run]).  A scalar program runs as the Visa program
+   [Visa.of_program] makes of it: no setup, and every statement an
+   [Sstmt], which [compile_instr] compiles with the same
+   [compile_stmt] as the unplanned blocks of lowered code.  The two
+   entry points differ only in the chunk-independence verdict they
+   hand the driver ({!Parcheck.analyze_scalar} or
+   {!Parcheck.analyze_vector}).
+
    All hot-path storage is unboxed and preallocated: the register
    file is a single [floatarray] of [nvregs * stride] cells (register
    [r]'s lanes live at [r*stride ..]), lane counts live in a side
@@ -34,9 +43,9 @@
    The engine is observationally identical to the interpreters: every
    cache access happens at the same address in the same order, every
    counter increments at the same point, and cycles accumulate in the
-   same floating-point order, so results are bit-identical (the
-   differential fuzz suite asserts this).  The interpreters remain as
-   the reference oracle. *)
+   same floating-point order, so memory, counters and cycles are
+   bit-identical (the differential fuzz suite asserts this).  The
+   interpreters remain as the reference oracle. *)
 
 open Slp_ir
 module M = Slp_machine.Machine
@@ -487,41 +496,6 @@ let run_block fs st =
   for k = 0 to Array.length fs - 1 do
     (Array.unsafe_get fs k) st
   done
-
-let rec compile_scalar_items ?prof ctx ~depths ~depth items =
-  List.map
-    (function
-      | Program.Stmts b ->
-          let fs =
-            Array.of_list
-              (List.map
-                 (fun s ->
-                   wrap_profile prof (Profile.Stmt s.Stmt.id)
-                     (compile_stmt ctx ~depths s))
-                 b.Block.stmts)
-          in
-          Cblock (run_block fs)
-      | Program.Loop l ->
-          let c_lo = compile_bound ~depths l.Program.lo in
-          let c_hi = compile_bound ~depths l.Program.hi in
-          let body =
-            compile_scalar_items ?prof ctx
-              ~depths:((l.Program.index, depth) :: depths)
-              ~depth:(depth + 1) l.Program.body
-          in
-          Cloop
-            {
-              c_depth = depth;
-              c_step = l.Program.step;
-              c_lo;
-              c_hi;
-              c_const_bounds =
-                (match (Affine.to_const l.Program.lo, Affine.to_const l.Program.hi) with
-                | Some lo, Some hi -> Some (lo, hi)
-                | _, _ -> None);
-              c_body = seq_items body;
-            })
-    items
 
 (* -- vector instructions ------------------------------------------- *)
 
@@ -985,7 +959,7 @@ let compile_instr ctx ~depths instr =
    array per [Visa.Block] from [q] in pre-order (the order [Lower]
    records them), falling back to opcode keys when the queue runs dry
    or an origin array is short. *)
-let rec compile_vector_items ?prof ?(keys = `Origins (ref [])) ctx ~depths
+let rec compile_items ?prof ?(keys = `Origins (ref [])) ctx ~depths
     ~depth items =
   List.map
     (function
@@ -1021,7 +995,7 @@ let rec compile_vector_items ?prof ?(keys = `Origins (ref [])) ctx ~depths
           let c_lo = compile_bound ~depths l.Visa.lo in
           let c_hi = compile_bound ~depths l.Visa.hi in
           let body =
-            compile_vector_items ?prof ~keys ctx
+            compile_items ?prof ~keys ctx
               ~depths:((l.Visa.index, depth) :: depths)
               ~depth:(depth + 1) l.Visa.body
           in
@@ -1041,20 +1015,12 @@ let rec compile_vector_items ?prof ?(keys = `Origins (ref [])) ctx ~depths
 
 (* -- program geometry ---------------------------------------------- *)
 
-let rec scalar_prog_depth items =
-  List.fold_left
-    (fun acc item ->
-      match item with
-      | Program.Stmts _ -> acc
-      | Program.Loop l -> max acc (1 + scalar_prog_depth l.Program.body))
-    0 items
-
-let rec vector_prog_depth items =
+let rec prog_depth items =
   List.fold_left
     (fun acc item ->
       match item with
       | Visa.Block _ -> acc
-      | Visa.Loop l -> max acc (1 + vector_prog_depth l.Visa.body))
+      | Visa.Loop l -> max acc (1 + prog_depth l.Visa.body))
     0 items
 
 let rec fold_instrs f acc items =
@@ -1327,76 +1293,42 @@ let use_pool pool ~profile =
       Some p
   | _ -> None
 
-let run_scalar ?(cores = 1) ?(seed = 42) ?memory ?profile ?pool ~machine
-    (prog : Program.t) =
-  let memory =
-    match memory with
-    | Some m -> m
-    | None ->
-        let m = Memory.create ~env:prog.Program.env () in
-        Memory.init_arrays m ~seed;
-        m
-  in
-  (match profile with
-  | None -> ()
-  | Some p -> register_arrays p prog.Program.env memory);
-  let ctx =
-    make_ctx ~machine ~stride:1 memory (scalar_prog_names [] prog.Program.body)
-  in
-  let items =
-    compile_scalar_items ?prof:profile ctx ~depths:[] ~depth:0 prog.Program.body
-  in
-  assert (Memory.scalar_values memory == ctx.sdata);
-  let nframe = scalar_prog_depth prog.Program.body in
-  let fresh ?contention ~sdata () =
-    let st =
-      fresh_state ?contention ~machine ~nframe ~nvregs:0 ~stride:1 ~nslots:0
-        ~sdata ()
-    in
-    observe_cache profile st.cache;
-    st
-  in
-  let run_single () =
-    let st = fresh ~sdata:ctx.sdata () in
-    run_items st items;
-    st.counters.Counters.cycles <- st.cycles.(0);
-    { counters = st.counters; memory }
-  in
-  if cores <= 1 then run_single ()
+(* Setup (layout replication) runs once.  Replication loops are data
+   parallel, so under multicore execution each one is partitioned like
+   the main loop and its time is the slowest core's share.  Returns the
+   setup cycles and leaves [st]'s accumulator at zero. *)
+let run_setup st ~cores setup =
+  if cores <= 1 then begin
+    run_items st setup;
+    let c = st.cycles.(0) in
+    st.cycles.(0) <- 0.0;
+    c
+  end
   else begin
-    let contention = 1.0 +. (float_of_int (cores - 1) *. machine.M.contention_per_core) in
-    match first_cloop items with
-    | None -> run_single ()
-    | Some (main_idx, main_loop) ->
-        let lo, hi =
-          match main_loop.c_const_bounds with
-          | Some (lo, hi) -> (lo, hi)
-          | None -> raise Not_found
-        in
-        let ranges = chunk_ranges ~lo ~hi ~step:main_loop.c_step ~cores in
-        let verdict = Parcheck.analyze_scalar prog in
-        let privatize, reductions =
-          match verdict with
-          | Parcheck.Parallel { reductions } ->
-              (true, List.map (fun (v, op) -> (Memory.scalar_slot memory v, op)) reductions)
-          | Parcheck.Serial _ -> (false, [])
-        in
-        assert (Memory.scalar_values memory == ctx.sdata);
-        let pool =
-          match use_pool pool ~profile with
-          | Some p when privatize -> Some p
-          | _ -> None
-        in
-        let all = Counters.create () in
-        all.Counters.cycles <-
-          exec_cores ?pool ~privatize ~reductions
-            ~fresh:(fun ~sdata () -> fresh ~contention ~sdata ())
-            ~sdata:ctx.sdata ~items ~main_idx ~main_loop ~ranges ~into:all ();
-        { counters = all; memory }
+    let total = ref 0.0 in
+    List.iter
+      (fun item ->
+        match item with
+        | Cloop ({ c_const_bounds = Some (lo, hi); _ } as l) ->
+            let slowest = ref 0.0 in
+            List.iter
+              (fun (clo, chi) ->
+                let before = st.cycles.(0) in
+                run_loop st l ~lo:clo ~hi:chi;
+                slowest := Float.max !slowest (st.cycles.(0) -. before))
+              (chunk_ranges ~lo ~hi ~step:l.c_step ~cores);
+            total := !total +. !slowest
+        | Cloop _ | Cblock _ -> run_item st item)
+      setup;
+    st.cycles.(0) <- 0.0;
+    !total
   end
 
-let run_vector ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool
-    ~machine (prog : Visa.program) =
+(* The one driver.  [verdict] is the caller's chunk-independence
+   analysis of [prog], forced only when a multicore run partitions a
+   loop. *)
+let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
+    ~verdict (prog : Visa.program) =
   let memory =
     match memory with
     | Some m -> m
@@ -1414,18 +1346,16 @@ let run_vector ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool
   let stride = program_lane_stride prog in
   let ctx = make_ctx ~machine ~stride memory names in
   let setup =
-    compile_vector_items ?prof:profile ~keys:`Setup ctx ~depths:[] ~depth:0
+    compile_items ?prof:profile ~keys:`Setup ctx ~depths:[] ~depth:0
       prog.Visa.setup
   in
   let body =
-    compile_vector_items ?prof:profile
+    compile_items ?prof:profile
       ~keys:(`Origins (ref (Option.value origins ~default:[])))
       ctx ~depths:[] ~depth:0 prog.Visa.body
   in
   assert (Memory.scalar_values memory == ctx.sdata);
-  let nframe =
-    max (vector_prog_depth prog.Visa.setup) (vector_prog_depth prog.Visa.body)
-  in
+  let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
   let nvregs = program_vregs prog in
   let nslots = program_spill_slots prog in
   let fresh ?contention ~sdata () =
@@ -1435,71 +1365,42 @@ let run_vector ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool
     observe_cache profile st.cache;
     st
   in
-  let fresh_shared ?contention () = fresh ?contention ~sdata:ctx.sdata () in
-  let setup_state = fresh_shared () in
-  (* Setup (layout replication) runs once.  Replication loops are data
-     parallel, so under multicore execution each one is partitioned
-     like the main loop and its time is the slowest core's share. *)
-  let setup_cycles =
-    if cores <= 1 then begin
-      run_items setup_state setup;
-      let c = setup_state.cycles.(0) in
-      setup_state.cycles.(0) <- 0.0;
-      c
-    end
-    else begin
-      let total = ref 0.0 in
-      List.iter
-        (fun item ->
-          match item with
-          | Cloop l -> begin
-              match l.c_const_bounds with
-              | Some (lo, hi) ->
-                  let ranges = chunk_ranges ~lo ~hi ~step:l.c_step ~cores in
-                  let slowest = ref 0.0 in
-                  List.iter
-                    (fun (clo, chi) ->
-                      let before = setup_state.cycles.(0) in
-                      run_loop setup_state l ~lo:clo ~hi:chi;
-                      let spent = setup_state.cycles.(0) -. before in
-                      slowest := Float.max !slowest spent)
-                    ranges;
-                  total := !total +. !slowest
-              | None -> run_item setup_state item
-            end
-          | Cblock _ -> run_item setup_state item)
-        setup;
-      setup_state.cycles.(0) <- 0.0;
-      !total
-    end
-  in
-  setup_state.counters.Counters.setup_cycles <- setup_cycles;
-  if cores <= 1 then begin
-    run_items setup_state body;
-    setup_state.counters.Counters.cycles <- setup_state.cycles.(0);
-    { counters = setup_state.counters; memory }
-  end
-  else begin
-    let contention = 1.0 +. (float_of_int (cores - 1) *. machine.M.contention_per_core) in
-    match first_cloop body with
-    | None ->
+  let fresh_shared () = fresh ~sdata:ctx.sdata () in
+  (* A program without setup (every scalar program) allocates no setup
+     state: its cache alone is about 267k words. *)
+  let setup_state, setup_cycles =
+    match setup with
+    | [] -> (None, 0.0)
+    | setup ->
         let st = fresh_shared () in
-        run_items st body;
-        st.counters.Counters.cycles <- st.cycles.(0);
-        st.counters.Counters.setup_cycles <- setup_cycles;
-        { counters = st.counters; memory }
+        (Some st, run_setup st ~cores setup)
+  in
+  let single st =
+    run_items st body;
+    st.counters.Counters.cycles <- st.cycles.(0);
+    st.counters.Counters.setup_cycles <- setup_cycles;
+    { counters = st.counters; memory }
+  in
+  if cores <= 1 then
+    single (match setup_state with Some st -> st | None -> fresh_shared ())
+  else
+    match first_cloop body with
+    | None -> single (fresh_shared ())
     | Some (main_idx, main_loop) ->
+        let contention =
+          1.0 +. (float_of_int (cores - 1) *. machine.M.contention_per_core)
+        in
         let lo, hi =
           match main_loop.c_const_bounds with
           | Some (lo, hi) -> (lo, hi)
           | None -> raise Not_found
         in
         let ranges = chunk_ranges ~lo ~hi ~step:main_loop.c_step ~cores in
-        let verdict = Parcheck.analyze_vector prog in
         let privatize, reductions =
-          match verdict with
+          match verdict () with
           | Parcheck.Parallel { reductions } ->
-              (true, List.map (fun (v, op) -> (Memory.scalar_slot memory v, op)) reductions)
+              ( true,
+                List.map (fun (v, op) -> (Memory.scalar_slot memory v, op)) reductions )
           | Parcheck.Serial _ -> (false, [])
         in
         assert (Memory.scalar_values memory == ctx.sdata);
@@ -1508,10 +1409,23 @@ let run_vector ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool
           | Some p when privatize -> Some p
           | _ -> None
         in
-        let all = setup_state.counters in
+        let all =
+          match setup_state with Some st -> st.counters | None -> Counters.create ()
+        in
+        all.Counters.setup_cycles <- setup_cycles;
         all.Counters.cycles <-
           exec_cores ?pool ~privatize ~reductions
             ~fresh:(fun ~sdata () -> fresh ~contention ~sdata ())
             ~sdata:ctx.sdata ~items:body ~main_idx ~main_loop ~ranges ~into:all ();
         { counters = all; memory }
-  end
+
+let run_scalar ?cores ?seed ?memory ?profile ?pool ~machine (prog : Program.t) =
+  run ?cores ?seed ?memory ?profile ?pool ~machine
+    ~verdict:(fun () -> Parcheck.analyze_scalar prog)
+    (Visa.of_program prog)
+
+let run_vector ?cores ?seed ?memory ?profile ?origins ?pool ~machine
+    (prog : Visa.program) =
+  run ?cores ?seed ?memory ?profile ?origins ?pool ~machine
+    ~verdict:(fun () -> Parcheck.analyze_vector prog)
+    prog

@@ -4,10 +4,13 @@
     execution state — scalar names resolved to integer slots, vector
     registers to a preallocated array, loop indices to a depth-indexed
     frame, affine subscripts to specialised multiply-adds — and then
-    runs it.  Observationally identical to the reference interpreters
-    in {!Scalar_exec} and {!Vector_exec}: same memory contents, same
-    counters, bit-identical cycles (the differential fuzz suite in
-    [test/test_fuzz.ml] checks this), just several times faster. *)
+    runs it.  One item compiler and one driver serve both entry
+    points: a scalar program runs as its {!Visa.of_program} image.
+    Observationally identical to the reference interpreters in
+    {!Scalar_exec} and {!Vector_exec}: bit-identical memory, counters
+    and cycles (the differential fuzz suite in [test/test_fuzz.ml]
+    checks this with {!Memory.equal} and {!Counters.equal}), just
+    several times faster. *)
 
 open Slp_ir
 
@@ -18,7 +21,7 @@ val run_scalar :
   ?pool:Dpool.t -> machine:Slp_machine.Machine.t -> Program.t -> result
 (** Compile and run a scalar program; multicore semantics (first
     top-level loop partitioned, contention on the memory system,
-    cycles = slowest core) mirror {!Scalar_exec.run}.
+    cycles = slowest core) mirror {!Scalar_exec.run_interpreter}.
 
     With [?pool] (and [cores > 1]) the per-core legs execute on real
     OCaml domains and are merged deterministically in core order, so
@@ -39,7 +42,7 @@ val run_vector :
   ?origins:Slp_obs.Profile.key array list -> ?pool:Dpool.t ->
   machine:Slp_machine.Machine.t -> Visa.program -> result
 (** Compile and run a vector program; setup replication and multicore
-    semantics mirror {!Vector_exec.run} ([?pool] as in
+    semantics mirror {!Vector_exec.run_interpreter} ([?pool] as in
     {!run_scalar}).  [?origins] maps instructions
     back to source statements for [?profile]: one key array per
     [Visa.Block] of the body in pre-order (as produced by

@@ -162,10 +162,6 @@ let flat_index t name idxs =
       (acc * d) + i)
     0 idxs b.dims
 
-let addr_of_elem t name idxs =
-  let b = box t name in
-  b.base + (flat_index t name idxs * b.elem_bytes)
-
 let array_values t name = (box t name).data
 let dims t name = (box t name).dims
 
@@ -206,12 +202,6 @@ let spill_lanes_of t ~slot =
   if slot < 0 || slot >= Array.length t.spill_lanes then -1
   else Array.unsafe_get t.spill_lanes slot
 
-let spill_load_into t ~slot ~dst ~pos =
-  let lanes = spill_lanes_of t ~slot in
-  if lanes < 0 then Trap.unset_spill ~slot ();
-  FA.blit t.spill_data (slot * t.spill_stride) dst pos lanes;
-  lanes
-
 let spill_store t ~slot lanes =
   let n = Array.length lanes in
   if slot >= Array.length t.spill_lanes || n > t.spill_stride then
@@ -251,3 +241,24 @@ let same_contents a b =
           in
           scan 0)
     names
+
+let equal a b =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  Hashtbl.length a.arrays = Hashtbl.length b.arrays
+  && Hashtbl.fold
+       (fun name ba ok ->
+         ok
+         &&
+         match Hashtbl.find_opt b.arrays name with
+         | None -> false
+         | Some bb ->
+             let n = FA.length ba.data in
+             n = FA.length bb.data
+             &&
+             let rec scan i =
+               i >= n
+               || (same (FA.unsafe_get ba.data i) (FA.unsafe_get bb.data i)
+                  && scan (i + 1))
+             in
+             scan 0)
+       a.arrays true

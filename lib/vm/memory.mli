@@ -56,7 +56,6 @@ val flat_index : t -> string -> int list -> int
 (** Row-major flattening with per-dimension bounds checks; raises
     {!Trap.Trap} on a rank mismatch or an out-of-range index. *)
 
-val addr_of_elem : t -> string -> int list -> int
 val array_values : t -> string -> floatarray
 (** The live backing store (not a copy). *)
 
@@ -76,11 +75,6 @@ val spill_store : t -> slot:int -> float array -> unit
 val spill_load : t -> slot:int -> float array
 (** Raises {!Trap.Trap} when the slot was never stored. *)
 
-val spill_load_into : t -> slot:int -> dst:floatarray -> pos:int -> int
-(** Blit the slot's value into [dst] at [pos]; returns its lane count.
-    Raises {!Trap.Trap} when the slot was never stored (before writing
-    anything). *)
-
 val same_contents : t -> t -> bool
 (** [same_contents reference candidate]: every array of [reference]
     exists in [candidate] with equal length and equal values within
@@ -89,3 +83,9 @@ val same_contents : t -> t -> bool
     does.  Only [reference]'s arrays are compared: arrays that exist
     only in [candidate], such as the replicas a data layout adds, are
     ignored.  Pass the scalar run's memory first. *)
+
+val equal : t -> t -> bool
+(** The same arrays, bit for bit (floats compared by
+    [Int64.bits_of_float]) — the memory half of the
+    engine-vs-interpreter differential.  Scalar slots and spills are
+    not compared. *)

@@ -39,10 +39,8 @@ type fault = Memory_fault | Cache_fault
 
 val fault_enabled : bool ref
 (** Cheap guard read on the cache hot path; treat as read-only and use
-    {!arm_fault}/{!disarm_fault}. *)
+    {!with_fault}. *)
 
-val arm_fault : fault:fault -> after:int -> unit
-val disarm_fault : unit -> unit
 val fault_tick : unit -> unit
 val with_fault : fault:fault -> after:int -> (unit -> 'a) -> 'a
 (** Arm, run, always disarm (even on exception). *)

@@ -27,6 +27,24 @@ and item = Block of instr list | Loop of vloop
 
 type program = { name : string; env : Env.t; setup : item list; body : item list }
 
+let rec of_items items =
+  List.map
+    (function
+      | Program.Stmts b -> Block (List.map (fun s -> Sstmt s) b.Block.stmts)
+      | Program.Loop l ->
+          Loop
+            {
+              index = l.Program.index;
+              lo = l.Program.lo;
+              hi = l.Program.hi;
+              step = l.Program.step;
+              body = of_items l.Program.body;
+            })
+    items
+
+let of_program (p : Program.t) =
+  { name = p.Program.name; env = p.Program.env; setup = []; body = of_items p.Program.body }
+
 let rec items_instr_count items =
   List.fold_left
     (fun acc item ->

@@ -60,6 +60,11 @@ type program = {
   body : item list;
 }
 
+val of_program : Program.t -> program
+(** The scalar program as Visa: no setup, and every basic block one
+    [Block] of [Sstmt]s under the same loops — the shape
+    [Lower.lower_with_origins] emits for a block with no plan. *)
+
 val instr_count : program -> int
 (** Static instruction count of the body. *)
 

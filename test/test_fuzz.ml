@@ -106,10 +106,9 @@ let fuzz ?register_reuse ?machine scheme name =
 (* -- compiled engine vs reference interpreters --------------------------------
 
    The closure-compiled engine (Slp_vm.Engine) must be observationally
-   identical to the tree-walking interpreters: same memory contents,
-   same instruction counters, cycles within 1e-9 (in practice they are
-   bit-identical, since the engine replays the exact charge and cache
-   access order). *)
+   identical to the tree-walking interpreters: memory, counters and
+   cycles bit for bit ([Memory.equal], [Counters.equal]), since the
+   engine replays the exact charge and cache access order. *)
 
 module Vm = Slp_vm
 
@@ -128,8 +127,8 @@ let engine_scalar_agrees ?(cores = 1) p =
       let ri = Vm.Scalar_exec.run_interpreter ~cores ~machine p in
       let re = Vm.Engine.run_scalar ~cores ~machine p in
       let ci = ri.Vm.Scalar_exec.counters and ce = re.Vm.Engine.counters in
-      Vm.Memory.same_contents ri.Vm.Scalar_exec.memory re.Vm.Engine.memory
-      && Vm.Counters.approx_equal ci ce
+      Vm.Memory.equal ri.Vm.Scalar_exec.memory re.Vm.Engine.memory
+      && Vm.Counters.equal ci ce
       || report_divergence "scalar interpreter" p ci ce
 
 let engine_vector_agrees ?(cores = 1) ?(machine = Machine.intel_dunnington) scheme p
@@ -156,8 +155,8 @@ let engine_vector_agrees ?(cores = 1) ?(machine = Machine.intel_dunnington) sche
               in
               let re = Vm.Engine.run_vector ~cores ~memory:(mk ()) ~machine vprog in
               let ci = ri.Vm.Vector_exec.counters and ce = re.Vm.Engine.counters in
-              Vm.Memory.same_contents ri.Vm.Vector_exec.memory re.Vm.Engine.memory
-              && Vm.Counters.approx_equal ci ce
+              Vm.Memory.equal ri.Vm.Vector_exec.memory re.Vm.Engine.memory
+              && Vm.Counters.equal ci ce
               || report_divergence "vector interpreter" p ci ce
         end
     end
@@ -167,7 +166,7 @@ let engine_fuzz name check = QCheck.Test.make ~name ~count:40 arb_program check
 (* Every Suite.all kernel, scalar and vectorized, single- and multicore:
    engine and interpreter must agree exactly. *)
 let counters_testable =
-  Alcotest.testable Vm.Counters.pp Vm.Counters.approx_equal
+  Alcotest.testable Vm.Counters.pp Vm.Counters.equal
 
 let test_engine_on_suite () =
   let machine = Machine.intel_dunnington in
@@ -183,7 +182,7 @@ let test_engine_on_suite () =
           let re = Vm.Engine.run_scalar ~cores ~machine prog in
           Alcotest.(check bool)
             (tag ^ " memory") true
-            (Vm.Memory.same_contents ri.Vm.Scalar_exec.memory re.Vm.Engine.memory);
+            (Vm.Memory.equal ri.Vm.Scalar_exec.memory re.Vm.Engine.memory);
           Alcotest.check counters_testable (tag ^ " counters")
             ri.Vm.Scalar_exec.counters re.Vm.Engine.counters)
         [ 1; 4 ];
@@ -213,7 +212,7 @@ let test_engine_on_suite () =
                   in
                   Alcotest.(check bool)
                     (tag ^ " memory") true
-                    (Vm.Memory.same_contents ri.Vm.Vector_exec.memory
+                    (Vm.Memory.equal ri.Vm.Vector_exec.memory
                        re.Vm.Engine.memory);
                   Alcotest.check counters_testable (tag ^ " counters")
                     ri.Vm.Vector_exec.counters re.Vm.Engine.counters)

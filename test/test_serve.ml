@@ -402,20 +402,26 @@ let test_execute_payloads_pinned () =
 
 (* -- end-to-end over the socket -------------------------------------- *)
 
+let rec connect ~socket tries =
+  match Client.connect ~socket with
+  | c -> c
+  | exception Unix.Unix_error _ when tries > 0 ->
+      Unix.sleepf 0.05;
+      connect ~socket (tries - 1)
+
+let ping_ok client id =
+  Proto.status_name (Client.call client { Proto.id; op = Proto.Ping }).Proto.status
+  = "ok"
+
+let shut_down client id = ignore (Client.call client { Proto.id; op = Proto.Shutdown })
+
 let test_server_end_to_end () =
   Fault.disarm ();
   let dir = fresh_dir () in
   let socket = Filename.concat dir "slpd.sock" in
   let pool = Pool.create ~config:quick_config ~cache:(Cache.create ~dir) () in
   let daemon = Domain.spawn (fun () -> Server.run ~pool ~socket ()) in
-  let rec connect tries =
-    match Client.connect ~socket with
-    | c -> c
-    | exception Unix.Unix_error _ when tries > 0 ->
-        Unix.sleepf 0.05;
-        connect (tries - 1)
-  in
-  let client = connect 100 in
+  let client = connect ~socket 100 in
   let ping = Client.call client { Proto.id = 1; op = Proto.Ping } in
   Alcotest.(check string) "pong" "ok" (Proto.status_name ping.Proto.status);
   let spec = small_spec () in
@@ -451,16 +457,9 @@ let test_server_observability () =
   let socket = Filename.concat dir "slpd.sock" in
   let pool = Pool.create ~config:quick_config ~cache:(Cache.create ~dir) () in
   let daemon = Domain.spawn (fun () -> Server.run ~pool ~socket ()) in
-  let rec connect tries =
-    match Client.connect ~socket with
-    | c -> c
-    | exception Unix.Unix_error _ when tries > 0 ->
-        Unix.sleepf 0.05;
-        connect (tries - 1)
-  in
   (* A client that vanishes before its reply lands: the reactor must
      count the undeliverable reply, not lose it. *)
-  let ghost = connect 100 in
+  let ghost = connect ~socket 100 in
   Client.send ghost { Proto.id = 1; op = Proto.Job (Proto.Execute, small_spec ()) };
   Client.close ghost;
   let unroutable () =
@@ -476,7 +475,7 @@ let test_server_observability () =
     end
   in
   await 400;
-  let client = connect 100 in
+  let client = connect ~socket 100 in
   let health = Client.call client { Proto.id = 2; op = Proto.Health } in
   Alcotest.(check string) "health ok" "ok" (Proto.status_name health.Proto.status);
   (match Json.member "ready" health.Proto.payload with
@@ -497,6 +496,74 @@ let test_server_observability () =
   Alcotest.(check string) "shutdown acknowledged" "ok"
     (Proto.status_name bye.Proto.status);
   Domain.join daemon;
+  Client.close client
+
+(* A second daemon on a live daemon's socket must refuse to start and
+   leave the socket alone; a socket file nobody listens on is stale and
+   is replaced.  Each daemon runs on its own domain, so a second daemon
+   that wrongly takes the socket over fails this test instead of
+   hanging it. *)
+let test_server_socket_ownership () =
+  Fault.disarm ();
+  let dir = fresh_dir () in
+  let socket = Filename.concat dir "slpd.sock" in
+  let serve () =
+    let pool = Pool.create ~config:quick_config ~cache:(Cache.create ~dir) () in
+    let finished = Atomic.make false in
+    let daemon =
+      Domain.spawn (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Atomic.set finished true)
+            (fun () ->
+              match Server.run ~pool ~socket () with
+              | () -> None
+              | exception Server.Socket_in_use path ->
+                  Pool.shutdown pool;
+                  Some path))
+    in
+    (daemon, finished)
+  in
+  let a, _ = serve () in
+  let client = connect ~socket 100 in
+  Alcotest.(check bool) "first daemon answers" true (ping_ok client 1);
+  let b, b_finished = serve () in
+  let rec settled tries =
+    Atomic.get b_finished
+    || tries > 0
+       && begin
+            Unix.sleepf 0.05;
+            settled (tries - 1)
+          end
+  in
+  if not (settled 100) then begin
+    (* The second daemon took the path: stop it through the path, and
+       the first through its open connection. *)
+    let thief = Client.connect ~socket in
+    shut_down thief 1;
+    ignore (Domain.join b);
+    Client.close thief;
+    shut_down client 2;
+    ignore (Domain.join a);
+    Alcotest.fail "a second daemon took over a live daemon's socket"
+  end;
+  Alcotest.(check (option string))
+    "second daemon refused, naming the path" (Some socket) (Domain.join b);
+  Alcotest.(check bool) "first daemon still answers" true (ping_ok client 2);
+  let again = Client.connect ~socket in
+  Alcotest.(check bool) "the path still reaches it" true (ping_ok again 3);
+  Client.close again;
+  shut_down client 4;
+  Alcotest.(check (option string)) "first daemon served" None (Domain.join a);
+  Client.close client;
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX socket);
+  Unix.close stale;
+  Alcotest.(check bool) "stale socket file present" true (Sys.file_exists socket);
+  let c, _ = serve () in
+  let client = connect ~socket 100 in
+  Alcotest.(check bool) "stale socket replaced" true (ping_ok client 1);
+  shut_down client 2;
+  Alcotest.(check (option string)) "replacement served" None (Domain.join c);
   Client.close client
 
 (* -- service fault matrix (subset) ----------------------------------- *)
@@ -574,6 +641,8 @@ let () =
           Alcotest.test_case "socket end-to-end" `Quick test_server_end_to_end;
           Alcotest.test_case "health, metrics, unroutable" `Quick
             test_server_observability;
+          Alcotest.test_case "live socket refused, stale replaced" `Quick
+            test_server_socket_ownership;
         ] );
       ( "fault matrix",
         [

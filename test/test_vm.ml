@@ -64,6 +64,16 @@ let test_memory_values () =
   Memory.init_arrays mem ~seed:9;
   Memory.init_arrays mem2 ~seed:9;
   Alcotest.(check bool) "same seed same contents" true (Memory.same_contents mem mem2);
+  Alcotest.(check bool) "same seed same bits" true (Memory.equal mem mem2);
+  (* [same_contents] forgives 1e-9; [equal] forgives nothing, not even
+     a zero's sign. *)
+  let a0 = Memory.load mem2 "A" 0 in
+  Memory.store mem2 "A" 0 (a0 +. 1e-12);
+  Alcotest.(check bool) "tolerance" true (Memory.same_contents mem mem2);
+  Alcotest.(check bool) "no tolerance" false (Memory.equal mem mem2);
+  Memory.store mem "A" 0 0.0;
+  Memory.store mem2 "A" 0 (-0.0);
+  Alcotest.(check bool) "signed zero" false (Memory.equal mem mem2);
   Memory.store mem2 "A" 0 99.0;
   Alcotest.(check bool) "difference detected" false (Memory.same_contents mem mem2)
 
@@ -295,43 +305,6 @@ let chunk_ranges_prop =
    the memory image bitwise.  The pool spawns three worker domains
    explicitly so the test exercises genuine cross-domain execution
    even on a single-processor host. *)
-let counters_biteq (a : Counters.t) (b : Counters.t) =
-  a.Counters.scalar_ops = b.Counters.scalar_ops
-  && a.Counters.vector_ops = b.Counters.vector_ops
-  && a.Counters.scalar_loads = b.Counters.scalar_loads
-  && a.Counters.scalar_stores = b.Counters.scalar_stores
-  && a.Counters.vector_loads = b.Counters.vector_loads
-  && a.Counters.vector_stores = b.Counters.vector_stores
-  && a.Counters.pack_loads = b.Counters.pack_loads
-  && a.Counters.pack_stores = b.Counters.pack_stores
-  && a.Counters.inserts = b.Counters.inserts
-  && a.Counters.extracts = b.Counters.extracts
-  && a.Counters.permutes = b.Counters.permutes
-  && a.Counters.broadcasts = b.Counters.broadcasts
-  && Int64.equal (Int64.bits_of_float a.Counters.cycles)
-       (Int64.bits_of_float b.Counters.cycles)
-  && Int64.equal (Int64.bits_of_float a.Counters.setup_cycles)
-       (Int64.bits_of_float b.Counters.setup_cycles)
-
-let memory_biteq env a b =
-  List.for_all
-    (fun (name, _) ->
-      let va = Memory.array_values a name and vb = Memory.array_values b name in
-      Float.Array.length va = Float.Array.length vb
-      && begin
-           let ok = ref true in
-           Float.Array.iteri
-             (fun i x ->
-               if
-                 not
-                   (Int64.equal (Int64.bits_of_float x)
-                      (Int64.bits_of_float (Float.Array.get vb i)))
-               then ok := false)
-             va;
-           !ok
-         end)
-    (Env.arrays env)
-
 let test_fig21_domains_bitidentical () =
   let module Pipeline = Slp_pipeline.Pipeline in
   let module Suite = Slp_benchmarks.Suite in
@@ -377,12 +350,11 @@ let test_fig21_domains_bitidentical () =
                   Alcotest.(check bool)
                     (ctx "vector counters bit-identical")
                     true
-                    (counters_biteq seq.Vector_exec.counters par.Vector_exec.counters);
+                    (Counters.equal seq.Vector_exec.counters par.Vector_exec.counters);
                   Alcotest.(check bool)
                     (ctx "vector memory bit-identical")
                     true
-                    (memory_biteq vprog.Visa.env seq.Vector_exec.memory
-                       par.Vector_exec.memory);
+                    (Memory.equal seq.Vector_exec.memory par.Vector_exec.memory);
                   (* Scalar reference program. *)
                   let sseq =
                     Scalar_exec.run ~cores ~seed:42 ~machine:mach
@@ -395,13 +367,12 @@ let test_fig21_domains_bitidentical () =
                   Alcotest.(check bool)
                     (ctx "scalar counters bit-identical")
                     true
-                    (counters_biteq sseq.Scalar_exec.counters
+                    (Counters.equal sseq.Scalar_exec.counters
                        spar.Scalar_exec.counters);
                   Alcotest.(check bool)
                     (ctx "scalar memory bit-identical")
                     true
-                    (memory_biteq c.Pipeline.reference.Program.env
-                       sseq.Scalar_exec.memory spar.Scalar_exec.memory))
+                    (Memory.equal sseq.Scalar_exec.memory spar.Scalar_exec.memory))
                 [ 1; 2; 4; 8 ])
             Suite.nas)
         [ Machine.intel_dunnington; Machine.amd_phenom_ii ])
