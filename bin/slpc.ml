@@ -335,7 +335,19 @@ let main file scheme machine simd unroll verify dump_ir dump_plan dump_vector
         if run then begin
           Format.printf "semantics vs scalar reference: %s@."
             (if r.Pipeline.correct then "match" else "MISMATCH");
-          let speedup = Pipeline.speedup_over_scalar ~cores ~seed compiled in
+          (* The measured run above supplies the scheme's cycles; one
+             timed scalar run supplies the baseline's. *)
+          let scalar =
+            match compiled.Pipeline.vector with
+            | None -> r
+            | Some _ ->
+                Pipeline.execute ~cores ~seed ~check:false
+                  { compiled with Pipeline.scheme = Pipeline.Scalar; vector = None }
+          in
+          let speedup =
+            Slp_vm.Counters.total_cycles scalar.Pipeline.counters
+            /. Slp_vm.Counters.total_cycles r.Pipeline.counters
+          in
           Format.printf "speedup over scalar: %.3fx (%.1f%% reduction)@." speedup
             (100.0 *. (1.0 -. (1.0 /. speedup)))
         end

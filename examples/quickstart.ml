@@ -49,5 +49,10 @@ let () =
   let r = Pipeline.execute compiled in
   Format.printf "-- execution --@.%a@." Slp_vm.Counters.pp r.Pipeline.counters;
   Format.printf "semantics preserved: %b@." r.Pipeline.correct;
+  let scalar =
+    Pipeline.execute ~check:false
+      { compiled with Pipeline.scheme = Pipeline.Scalar; vector = None }
+  in
   Format.printf "speedup over scalar: %.2fx@."
-    (Pipeline.speedup_over_scalar compiled)
+    (Slp_vm.Counters.total_cycles scalar.Pipeline.counters
+    /. Slp_vm.Counters.total_cycles r.Pipeline.counters)

@@ -79,9 +79,9 @@ let final_memory ~seed c = snd (P.execute_with_memory ~seed ~check:false c)
 
 let run_case ?(scheme = P.Global_layout) ~machine ~point (prog : Program.t) =
   let seed = 42 in
-  (* Independent scalar oracle over the original program — computed
-     before any fault is armed. *)
-  let oracle = final_memory ~seed (P.identity_compiled ~machine prog) in
+  (* Independent scalar oracle over the original program — a
+     values-only run, computed before any fault is armed. *)
+  let oracle = Slp_vm.Scalar_exec.final_memory ~seed ~machine prog in
   let r =
     match point with
     | Stage target ->

@@ -126,10 +126,10 @@ type exec_result = { counters : Slp_vm.Counters.t; correct : bool }
 (* The one run of a compiled kernel in the library.  The measured run
    is the vector program on a fresh memory with the scalar layout, or
    the reference itself when there is no vector program.  Under
-   [check] the scalar reference runs at the same core count and its
-   final memory must match the measured run's.  Only the measured run
-   gets the profiler and the domain pool, so attributed cycles describe
-   exactly the run whose counters are returned. *)
+   [check] the scalar reference runs at the same core count, values
+   only, and its final memory must match the measured run's.  Only the
+   measured run gets the profiler and the domain pool, so attributed
+   cycles describe exactly the run whose counters are returned. *)
 let run_kernel ?profile ?origins ?pool ~cores ~seed ~check ~machine
     ~scalar_offsets (reference : Program.t) vector =
   match vector with
@@ -150,7 +150,7 @@ let run_kernel ?profile ?origins ?pool ~cores ~seed ~check ~machine
       let correct =
         (not check)
         || Slp_vm.Memory.same_contents
-             (Slp_vm.Scalar_exec.run ~cores ~seed ~machine reference).Slp_vm.Scalar_exec.memory
+             (Slp_vm.Scalar_exec.final_memory ~cores ~seed ~machine reference)
              memory
       in
       ({ counters = r.Slp_vm.Vector_exec.counters; correct }, memory)
@@ -424,16 +424,6 @@ let execute_with_memory ?(cores = 1) ?(seed = 42) ?(check = true)
 
 let execute ?cores ?seed ?check ?obs ?pool c =
   fst (execute_with_memory ?cores ?seed ?check ?obs ?pool c)
-
-let cycles_of ?(cores = 1) ?(seed = 42) ?pool (c : compiled) =
-  let r = execute ~cores ~seed ~check:false ?pool c in
-  Slp_vm.Counters.total_cycles r.counters
-
-let speedup_over_scalar ?(cores = 1) ?(seed = 42) ?pool (c : compiled) =
-  let scalar = { c with scheme = Scalar; vector = None } in
-  let s = cycles_of ~cores ~seed ?pool scalar in
-  let v = cycles_of ~cores ~seed ?pool c in
-  s /. v
 
 (* -- fault-tolerant compilation ------------------------------------- *)
 

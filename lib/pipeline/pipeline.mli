@@ -157,7 +157,10 @@ val execute :
 
     [check] (default true) also runs the scalar reference, at the same
     [cores] (default 1), and compares final memories with
-    {!Slp_vm.Memory.same_contents}; disable inside benchmark loops.
+    {!Slp_vm.Memory.same_contents}.  The reference is a values-only
+    run ({!Slp_vm.Scalar_exec.final_memory}): no cache simulation,
+    counters or cycles, so it costs well under a timed run.  Disable
+    it inside benchmark loops.
 
     [pool]: with [cores > 1], simulate the cores on real OCaml domains
     (see {!Slp_vm.Engine.run_vector}); counters are bit-identical to
@@ -180,10 +183,6 @@ val execute_with_memory :
 (** {!execute}, plus the measured run's final memory (the service
     digests it; the fault harness compares it with an independent
     oracle). *)
-
-val speedup_over_scalar :
-  ?cores:int -> ?seed:int -> ?pool:Slp_vm.Dpool.t -> compiled -> float
-(** [scalar_cycles / scheme_cycles] on the same input. *)
 
 (** {1 Fault-tolerant compilation}
 
@@ -215,11 +214,6 @@ type resilient = {
   degraded : bool;  (** The requested scheme failed; [result] is scalar. *)
   bailouts : bailout list;  (** Empty iff [degraded] is false. *)
 }
-
-val identity_compiled : machine:Slp_machine.Machine.t -> Program.t -> compiled
-(** The unprocessed program as a [Scalar] result with no vector code:
-    {!compile_resilient}'s last resort, and an independent scalar
-    oracle when passed to {!execute_with_memory}. *)
 
 val compile_resilient :
   ?unroll:int ->

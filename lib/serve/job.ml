@@ -14,7 +14,7 @@ module Memory = Slp_vm.Memory
 let memory_digest mem ~(env : Env.t) =
   let h = ref (Fnv.hash64 "") in
   let add s = h := Fnv.string_into !h s in
-  let add_value v = add (Printf.sprintf "%Lx;" (Int64.bits_of_float v)) in
+  let add_value v = h := Fnv.hex_into !h (Int64.bits_of_float v) ';' in
   let names_of l = List.sort String.compare (List.map fst l) in
   List.iter
     (fun name ->

@@ -9,6 +9,21 @@ let string_into h s =
   String.iter (fun c -> h := byte !h c) s;
   !h
 
+let hex_digits = "0123456789abcdef"
+
+let hex_into h v c =
+  (* The most significant non-zero nibble, or nibble 0 for [v = 0]. *)
+  let top = ref 15 in
+  while !top > 0 && Int64.equal (Int64.shift_right_logical v (4 * !top)) 0L do
+    decr top
+  done;
+  let h = ref h in
+  for k = !top downto 0 do
+    let d = Int64.to_int (Int64.logand (Int64.shift_right_logical v (4 * k)) 0xfL) in
+    h := byte !h (String.unsafe_get hex_digits d)
+  done;
+  byte !h c
+
 let hash64 s = string_into offset_basis s
 
 (* Length framing: hash the decimal length, a ':' separator, then the

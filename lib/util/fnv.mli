@@ -21,6 +21,12 @@ val string_into : int64 -> string -> int64
     [string_into (hash64 a) b = hash64 (a ^ b)], so a long input can be
     hashed piece by piece without building it. *)
 
+val hex_into : int64 -> int64 -> char -> int64
+(** [hex_into h v c] continues a running hash with [v]'s lowercase hex
+    digits then the byte [c]: the same hash as
+    [string_into h (Printf.sprintf "%Lx%c" v c)], without building the
+    string. *)
+
 val combine : int64 -> string -> int64
 (** Continue a running hash with a length prefix followed by the
     field's bytes.  The length framing keeps field boundaries

@@ -143,10 +143,11 @@ let access_line t line =
   walk 0
 
 let access t ~addr ~bytes ~write:_ =
-  (* Single chokepoint for the fault-injection harness: every memory
-     access of the interpreters AND the compiled engine charges the
-     cache here, even where the engine bypasses [Memory.load/store].
-     One flag read when disarmed. *)
+  (* Fault-injection chokepoint of timed runs: every memory access of
+     the interpreters AND the compiled engine charges the cache here,
+     even where the engine bypasses [Memory.load/store].  (The
+     engine's values-only closures skip the cache and tick at the same
+     point themselves.)  One flag read when disarmed. *)
   if !Trap.fault_enabled then Trap.fault_tick ();
   let first, last =
     if t.line_shift >= 0 then

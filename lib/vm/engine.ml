@@ -22,6 +22,21 @@
    hand the driver ({!Parcheck.analyze_scalar} or
    {!Parcheck.analyze_vector}).
 
+   The compiler has two modes, fixed per run in the link context and
+   read only while closures are built.  A timed run (the two entry
+   points above) simulates the cache, counts events and charges
+   cycles.  A values-only run ([scalar_final_memory], the
+   scalar-reference check) compiles [compile_operand_read] and
+   [compile_stmt] to closures that only compute, bounds-check and
+   store: no [Cache.access], no cycle charging, no counter updates.
+   Its fault tick stands where the timed closure calls [Cache.access],
+   after the bounds check, so an armed fault lands on the same access.
+   Everything else — driver, chunking, privatization, reduction
+   merging, states (caches included) — is shared, so the final memory
+   is bit-identical to the timed run's.  Only scalar programs run
+   values-only; a vector instruction in that mode is an
+   [Invalid_argument].
+
    All hot-path storage is unboxed and preallocated: the register
    file is a single [floatarray] of [nvregs * stride] cells (register
    [r]'s lanes live at [r*stride ..]), lane counts live in a side
@@ -223,6 +238,10 @@ let chunk_ranges ~lo ~hi ~step ~cores =
 type linkctx = {
   mem : Memory.t;
   machine : M.t;
+  values_only : bool;
+      (* Compile closures that compute values and trap but do no cache
+         access, cycle charging or counter update.  Read while a
+         closure is built, never inside one. *)
   sdata : floatarray;
       (* The scalar backing store, captured after every name in the
          program has been registered (so it cannot be replaced by a
@@ -343,6 +362,14 @@ let compile_operand_read ?stmt ctx ~depths op =
   match op with
   | Operand.Const c -> fun _ -> c
   | Operand.Scalar v -> link_scalar_read ctx ~depths v
+  | Operand.Elem _ when ctx.values_only ->
+      (* The fault tick stands where the timed closure calls
+         [Cache.access], so an armed fault lands on the same access. *)
+      let { e_data; e_flat; _ } = link_elem ?stmt ctx ~depths op in
+      fun st ->
+        let fl = e_flat st.frame in
+        if !Trap.fault_enabled then Trap.fault_tick ();
+        FA.unsafe_get e_data fl
   | Operand.Elem (name, idxs) -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ?stmt ctx ~depths op in
       let issue = float_of_int ctx.machine.M.costs.M.load_issue in
@@ -445,6 +472,16 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
          (Expr.operators s.Stmt.rhs))
   in
   match s.Stmt.lhs with
+  | Operand.Scalar v when ctx.values_only ->
+      let slot = Memory.scalar_slot ctx.mem v in
+      fun (st : state) -> FA.unsafe_set st.sdata slot (rhs st)
+  | Operand.Elem _ as op when ctx.values_only ->
+      let { e_data; e_flat; _ } = link_elem ~stmt ctx ~depths op in
+      fun st ->
+        let value = rhs st in
+        let fl = e_flat st.frame in
+        if !Trap.fault_enabled then Trap.fault_tick ();
+        FA.unsafe_set e_data fl value
   | Operand.Scalar v ->
       let slot = Memory.scalar_slot ctx.mem v in
       fun st ->
@@ -547,6 +584,10 @@ let compile_instr ctx ~depths instr =
   let costs = ctx.machine.M.costs in
   let stride = ctx.stride in
   match instr with
+  | Visa.Sstmt s -> compile_stmt ctx ~depths s
+  | _ when ctx.values_only ->
+      invalid_arg
+        ("Engine: " ^ opcode_name instr ^ " in a values-only run (scalar programs only)")
   | Visa.Vload { dst; elems } -> (
       let n = List.length elems in
       let dst_off = dst * stride in
@@ -952,7 +993,6 @@ let compile_instr ctx ~depths instr =
         st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
         let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
         charge st (issue +. Cache.access st.cache ~addr ~bytes:(8 * n) ~write:true)
-  | Visa.Sstmt s -> compile_stmt ctx ~depths s
 
 (* [keys] selects profiling keys for vector instructions: [`Setup]
    charges everything to the setup key; [`Origins q] pops one origin
@@ -1120,9 +1160,9 @@ let instr_scalar_names acc = function
 
 let vector_prog_names acc items = fold_instrs instr_scalar_names acc items
 
-let make_ctx ~machine ~stride mem names =
+let make_ctx ~machine ~values_only ~stride mem names =
   List.iter (fun v -> ignore (Memory.scalar_slot mem v)) names;
-  { mem; machine; sdata = Memory.scalar_values mem; stride }
+  { mem; machine; values_only; sdata = Memory.scalar_values mem; stride }
 
 let fresh_state ?contention ~machine ~nframe ~nvregs ~stride ~nslots ~sdata () =
   {
@@ -1326,9 +1366,11 @@ let run_setup st ~cores setup =
 
 (* The one driver.  [verdict] is the caller's chunk-independence
    analysis of [prog], forced only when a multicore run partitions a
-   loop. *)
+   loop.  A [values_only] run builds and merges its states exactly as a
+   timed run does; its closures just never touch them for timing, so
+   its counters stay zero. *)
 let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
-    ~verdict (prog : Visa.program) =
+    ~values_only ~verdict (prog : Visa.program) =
   let memory =
     match memory with
     | Some m -> m
@@ -1344,7 +1386,7 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
     vector_prog_names (vector_prog_names [] prog.Visa.setup) prog.Visa.body
   in
   let stride = program_lane_stride prog in
-  let ctx = make_ctx ~machine ~stride memory names in
+  let ctx = make_ctx ~machine ~values_only ~stride memory names in
   let setup =
     compile_items ?prof:profile ~keys:`Setup ctx ~depths:[] ~depth:0
       prog.Visa.setup
@@ -1420,12 +1462,18 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
         { counters = all; memory }
 
 let run_scalar ?cores ?seed ?memory ?profile ?pool ~machine (prog : Program.t) =
-  run ?cores ?seed ?memory ?profile ?pool ~machine
+  run ?cores ?seed ?memory ?profile ?pool ~machine ~values_only:false
     ~verdict:(fun () -> Parcheck.analyze_scalar prog)
     (Visa.of_program prog)
 
+let scalar_final_memory ?cores ?seed ~machine (prog : Program.t) =
+  (run ?cores ?seed ~machine ~values_only:true
+     ~verdict:(fun () -> Parcheck.analyze_scalar prog)
+     (Visa.of_program prog))
+    .memory
+
 let run_vector ?cores ?seed ?memory ?profile ?origins ?pool ~machine
     (prog : Visa.program) =
-  run ?cores ?seed ?memory ?profile ?origins ?pool ~machine
+  run ?cores ?seed ?memory ?profile ?origins ?pool ~machine ~values_only:false
     ~verdict:(fun () -> Parcheck.analyze_vector prog)
     prog

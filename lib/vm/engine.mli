@@ -10,7 +10,16 @@
     {!Scalar_exec} and {!Vector_exec}: bit-identical memory, counters
     and cycles (the differential fuzz suite in [test/test_fuzz.ml]
     checks this with {!Memory.equal} and {!Counters.equal}), just
-    several times faster. *)
+    several times faster.
+
+    The compiler has two modes.  A {e timed} run ({!run_scalar},
+    {!run_vector}) simulates the cache, counts every event and charges
+    cycles.  A {e values-only} run ({!scalar_final_memory}) computes
+    the same values, raises the same traps, and chunks, privatizes and
+    merges reductions the same way, but does no cache access, cycle
+    charging or counter update.  The kernel language has no
+    data-dependent control flow, so values never depend on timing and
+    the two modes leave bit-identical memory. *)
 
 open Slp_ir
 
@@ -36,6 +45,17 @@ val run_scalar :
     they sum to the per-core total over all cores (reported cycles are
     the slowest core's).  Profiling does not perturb counters, cycles,
     or memory contents. *)
+
+val scalar_final_memory :
+  ?cores:int -> ?seed:int -> machine:Slp_machine.Machine.t -> Program.t -> Memory.t
+(** The final memory of {!run_scalar} on a fresh memory initialised
+    from [seed], computed by a values-only run: bit-identical arrays
+    and scalars ({!Memory.equal}), the same {!Trap.Trap} on a faulting
+    program, and an armed injected fault fires on the same access (the
+    values-only closure ticks where the timed one calls
+    {!Cache.access}).  Its states are built exactly like a timed run's,
+    cache included; it never runs on a domain pool.  For callers that
+    read only the final memory, such as the scalar-reference check. *)
 
 val run_vector :
   ?cores:int -> ?seed:int -> ?memory:Memory.t -> ?profile:Slp_obs.Profile.t ->

@@ -244,7 +244,14 @@ let same_contents a b =
 
 let equal a b =
   let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  Hashtbl.length a.arrays = Hashtbl.length b.arrays
+  (* A scalar set in only one memory reads 0 in the other. *)
+  let scalars_agree_over t =
+    Hashtbl.fold
+      (fun name _ ok -> ok && same (scalar a name) (scalar b name))
+      t.scalar_slots true
+  in
+  scalars_agree_over a && scalars_agree_over b
+  && Hashtbl.length a.arrays = Hashtbl.length b.arrays
   && Hashtbl.fold
        (fun name ba ok ->
          ok

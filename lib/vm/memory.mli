@@ -85,7 +85,8 @@ val same_contents : t -> t -> bool
     ignored.  Pass the scalar run's memory first. *)
 
 val equal : t -> t -> bool
-(** The same arrays, bit for bit (floats compared by
-    [Int64.bits_of_float]) — the memory half of the
-    engine-vs-interpreter differential.  Scalar slots and spills are
-    not compared. *)
+(** The same arrays and the same scalars, bit for bit (floats compared
+    by [Int64.bits_of_float]) — the memory half of the
+    engine-vs-interpreter differential.  Scalars compare by name, and
+    a scalar only one memory has reads 0 in the other (as {!scalar}
+    does).  Spills are not compared. *)

@@ -163,3 +163,4 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Progr
    stays as the reference oracle (the fuzz suite runs both and asserts
    identical results). *)
 let run = Engine.run_scalar
+let final_memory = Engine.scalar_final_memory

@@ -30,6 +30,12 @@ val run :
     compiled engine ({!Engine.run_scalar}); [?profile] attributes
     cycles and cache accesses per statement (see {!Engine.run_scalar}). *)
 
+val final_memory :
+  ?cores:int -> ?seed:int -> machine:Slp_machine.Machine.t -> Program.t -> Memory.t
+(** The final memory of {!run}, from a values-only run
+    ({!Engine.scalar_final_memory}): no cache simulation, counters or
+    cycles.  The scalar-reference check reads only this. *)
+
 val run_interpreter :
   ?cores:int ->
   ?seed:int ->

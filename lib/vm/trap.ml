@@ -56,9 +56,10 @@ let disarm_fault () =
   pending := None;
   fault_enabled := false
 
-(* Called from [Cache.access] (the single chokepoint every memory
-   access of both the interpreters and the compiled engine goes
-   through) when [fault_enabled].  Counts down [after] accesses, then
+(* Called when [fault_enabled] on every memory access: from
+   [Cache.access] in timed runs of the interpreters and the compiled
+   engine, and from the engine's values-only closures at the same
+   point of the same access.  Counts down [after] accesses, then
    fires exactly once and disarms itself, so the scalar fallback that
    follows a fault runs clean. *)
 let fault_tick () =

@@ -28,18 +28,19 @@ val unset_spill : ?stmt:int -> slot:int -> unit -> 'a
 
 (** {2 Seeded fault injection}
 
-    The harness arms a one-shot fault; the [after]-th subsequent cache
-    access (every memory access of every execution mode passes through
-    {!Cache.access}) raises and the fault disarms itself, so the
-    scalar fallback re-execution runs clean.  [Memory_fault] raises
+    The harness arms a one-shot fault; the [after]-th subsequent
+    memory access raises and the fault disarms itself, so the scalar
+    fallback re-execution runs clean.  Timed runs tick in
+    {!Cache.access}; values-only runs, which skip the cache, tick at
+    the same point of the same access.  [Memory_fault] raises
     {!Trap} with [Injected_fault]; [Cache_fault] raises
     {!Slp_util.Slp_error.Error} with code [Injected]. *)
 
 type fault = Memory_fault | Cache_fault
 
 val fault_enabled : bool ref
-(** Cheap guard read on the cache hot path; treat as read-only and use
-    {!with_fault}. *)
+(** Cheap guard read on every memory access before {!fault_tick};
+    treat as read-only and use {!with_fault}. *)
 
 val fault_tick : unit -> unit
 val with_fault : fault:fault -> after:int -> (unit -> 'a) -> 'a

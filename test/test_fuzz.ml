@@ -220,6 +220,57 @@ let test_engine_on_suite () =
         [ ("global", Pipeline.Global); ("layout", Pipeline.Global_layout) ])
     Suite.all
 
+(* -- values-only vs timed runs ------------------------------------------------
+
+   The scalar-reference check runs values only: no cache, counters or
+   cycles.  Its final memory, arrays and scalars, must equal the timed
+   run's bit for bit at every core count. *)
+
+let values_only_agrees ?(machine = Machine.intel_dunnington) ~cores p =
+  Vm.Memory.equal
+    (Vm.Scalar_exec.run ~cores ~machine p).Vm.Scalar_exec.memory
+    (Vm.Scalar_exec.final_memory ~cores ~machine p)
+
+let values_only_fuzz =
+  QCheck.Test.make ~name:"values-only memory matches the timed run on 1, 2, 4 cores"
+    ~count:40 arb_program (fun p ->
+      match Program.validate p with
+      | Error _ -> true
+      | Ok () ->
+          List.for_all
+            (fun cores ->
+              values_only_agrees ~cores p
+              || QCheck.Test.fail_reportf "values-only run diverges at %d cores:\n%s"
+                   cores (Program.to_string p))
+            [ 1; 2; 4 ])
+
+(* Every suite kernel, as written and as the pipeline prepares it
+   (folded and unrolled), on both machines at 1, 2 and 4 cores. *)
+let test_values_only_on_suite () =
+  let module Suite = Slp_benchmarks.Suite in
+  List.iter
+    (fun b ->
+      let prog = Suite.program b in
+      List.iter
+        (fun machine ->
+          let prepared =
+            (Pipeline.compile ~unroll:b.Suite.unroll ~scheme:Pipeline.Scalar ~machine prog)
+              .Pipeline.reference
+          in
+          List.iter
+            (fun (form, p) ->
+              List.iter
+                (fun cores ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s %s %s %dc" b.Suite.name (Machine.to_string machine)
+                       form cores)
+                    true
+                    (values_only_agrees ~machine ~cores p))
+                [ 1; 2; 4 ])
+            [ ("original", prog); ("prepared", prepared) ])
+        [ Machine.intel_dunnington; Machine.amd_phenom_ii ])
+    Suite.all
+
 (* Printing a program and re-parsing it must yield the same scalar
    semantics (the printer emits the input language). *)
 let roundtrip =
@@ -281,4 +332,10 @@ let () =
             Alcotest.test_case "engine matches interpreter on every suite kernel"
               `Slow test_engine_on_suite;
           ] );
+      ( "values-only vs timed",
+        [
+          Seeded.to_alcotest values_only_fuzz;
+          Alcotest.test_case "values-only memory matches on every suite kernel" `Slow
+            test_values_only_on_suite;
+        ] );
     ]

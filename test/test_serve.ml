@@ -152,6 +152,19 @@ let test_fnv_framing () =
   let h = Fnv.hash64 "slp" in
   Alcotest.(check (option int64)) "hex round-trip" (Some h) (Fnv.of_hex (Fnv.to_hex h))
 
+(* The memory digest hashes each value's bits through [Fnv.hex_into];
+   it must hash exactly what [Printf.sprintf "%Lx;"] would print. *)
+let test_fnv_hex_into () =
+  List.iter
+    (fun v ->
+      let printed = Printf.sprintf "%Lx;" v in
+      List.iter
+        (fun h ->
+          Alcotest.(check int64) printed (Fnv.string_into h printed) (Fnv.hex_into h v ';'))
+        [ Fnv.hash64 ""; Fnv.hash64 "A:" ])
+    (List.map Int64.bits_of_float [ 0.; -0.; 1.; Float.nan; Float.infinity ]
+    @ [ Int64.min_int; Int64.max_int ])
+
 (* -- protocol -------------------------------------------------------- *)
 
 let test_proto_roundtrip () =
@@ -615,6 +628,7 @@ let () =
         [
           Seeded.to_alcotest test_key_stability;
           Alcotest.test_case "fnv framing" `Quick test_fnv_framing;
+          Alcotest.test_case "fnv hex digits" `Quick test_fnv_hex_into;
           Alcotest.test_case "integrity eviction" `Quick test_cache_integrity;
           Alcotest.test_case "corrupt-store fault" `Quick test_cache_corrupt_store_fault;
         ] );

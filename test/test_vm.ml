@@ -64,6 +64,10 @@ let test_memory_values () =
   Memory.init_arrays mem ~seed:9;
   Memory.init_arrays mem2 ~seed:9;
   Alcotest.(check bool) "same seed same contents" true (Memory.same_contents mem mem2);
+  (* [x] is set only in [mem]: [equal] compares scalars too, and an
+     unset scalar reads 0. *)
+  Alcotest.(check bool) "differing scalar caught" false (Memory.equal mem mem2);
+  Memory.set_scalar mem2 "x" 2.5;
   Alcotest.(check bool) "same seed same bits" true (Memory.equal mem mem2);
   (* [same_contents] forgives 1e-9; [equal] forgives nothing, not even
      a zero's sign. *)
@@ -172,6 +176,51 @@ let test_scalar_exec_index_as_value () =
   in
   let r = Scalar_exec.run ~machine prog in
   Alcotest.(check (float 0.0)) "A[5] = 5" 5.0 (Memory.load r.Scalar_exec.memory "A" 5)
+
+(* A values-only run traps like a timed run: the same [Trap.info] from
+   a read, a store and a rank-2 subscript out of bounds, and an armed
+   one-shot fault fires on the same access (the 16th of 16 here, and
+   never past the last). *)
+let test_values_only_trap_parity () =
+  let parse src = Slp_frontend.Parser.parse ~name:"oob" src in
+  let trap_of f =
+    match f () with
+    | _ -> None
+    | exception Slp_vm.Trap.Trap info -> Some info
+  in
+  List.iter
+    (fun (what, src) ->
+      let prog = parse src in
+      List.iter
+        (fun cores ->
+          let timed = trap_of (fun () -> Scalar_exec.run ~cores ~machine prog) in
+          let values = trap_of (fun () -> Scalar_exec.final_memory ~cores ~machine prog) in
+          let tag = Printf.sprintf "%s, %d core(s)" what cores in
+          Alcotest.(check bool) (tag ^ " traps") true (Option.is_some timed);
+          Alcotest.(check bool) (tag ^ " same trap") true (timed = values))
+        [ 1; 2 ])
+    [
+      ("read", "f64 A[8];\nf64 B[8];\nfor i = 0 to 8 {\n  B[i] = A[i + 1] * 2.0;\n}");
+      ("store", "f64 A[8];\nf64 B[8];\nfor i = 0 to 8 {\n  B[i + 2] = A[i];\n}");
+      ("rank 2", "f64 M[3][4];\nfor i = 0 to 4 {\n  M[i][1] = M[i][0] + 1.0;\n}");
+    ];
+  let prog = parse "f64 A[8];\nf64 B[8];\nfor i = 0 to 8 {\n  B[i] = A[i] * 2.0;\n}" in
+  List.iter
+    (fun (after, fires) ->
+      let fired f =
+        match Slp_vm.Trap.with_fault ~fault:Slp_vm.Trap.Memory_fault ~after f with
+        | _ -> false
+        | exception Slp_vm.Trap.Trap _ -> true
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "timed fault after %d" after)
+        fires
+        (fired (fun () -> ignore (Scalar_exec.run ~machine prog)));
+      Alcotest.(check bool)
+        (Printf.sprintf "values-only fault after %d" after)
+        fires
+        (fired (fun () -> ignore (Scalar_exec.final_memory ~machine prog))))
+    [ (15, true); (16, false) ]
 
 (* -- vector executor --------------------------------------------------------- *)
 
@@ -463,6 +512,7 @@ let () =
         [
           Alcotest.test_case "values and counts" `Quick test_scalar_exec_values;
           Alcotest.test_case "index as value" `Quick test_scalar_exec_index_as_value;
+          Alcotest.test_case "values-only trap parity" `Quick test_values_only_trap_parity;
         ] );
       ( "vector_exec",
         [
