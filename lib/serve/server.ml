@@ -99,6 +99,10 @@ type t = {
   mutable next_token : int;
   mutable draining : bool;
   stop : bool Atomic.t;
+  chunk : Bytes.t;
+      (** The one read buffer: only the reactor reads, and every read
+          is copied out before the next.  At 64 KiB a per-event buffer
+          would be a major-heap allocation on every read. *)
 }
 
 let locked t f =
@@ -198,7 +202,7 @@ let handle_line t (c : client) line =
                     enqueue_reply t token (Proto.reply_to_line reply))))
 
 let handle_readable t (c : client) =
-  let chunk = Bytes.create 65536 in
+  let chunk = t.chunk in
   match Unix.read c.fd chunk 0 (Bytes.length chunk) with
   | 0 -> drop_client t c
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
@@ -341,6 +345,7 @@ let run ?config ~pool ~socket () =
       next_token = 1;
       draining = false;
       stop = Atomic.make false;
+      chunk = Bytes.create 65536;
     }
   in
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in

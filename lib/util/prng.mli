@@ -16,6 +16,10 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
+val fill_floats : t -> float -> floatarray -> unit
+(** [fill_floats t bound a] sets [a.(i)] to [float t bound] for each
+    [i] in order (the same values and final state) without allocating. *)
+
 val bool : t -> bool
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

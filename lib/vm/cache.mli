@@ -2,30 +2,51 @@
 
     Each access walks L1 → L2 → L3 → memory, charging the latency of
     the level that hits and filling all levels above it (inclusive,
-    LRU replacement, write-allocate).  A contention factor inflates
-    the memory latency when several cores are active (paper Figure 21:
-    the scalar code suffers more from contention because it issues
-    more memory operations). *)
+    LRU replacement, write-allocate: reads and writes are charged
+    alike).  A contention factor inflates the memory latency when
+    several cores are active (paper Figure 21: the scalar code suffers
+    more from contention because it issues more memory operations).
+
+    Simulation allocates nothing.  Each level keeps its tags in one
+    flat, set-major [int array] with a per-set fill count, the walk
+    is loops, and {!charge} adds the cycles into the caller's
+    accumulator instead of returning a (boxed) float.  A run hands its
+    caches back with {!release}; the next {!create} on the same domain
+    with the same geometry resets a released hierarchy instead of
+    allocating one (about 250k words on the Intel model).  Each domain
+    keeps at most 8 released hierarchies.  Hit counts, the observer
+    and the contention-derived latencies belong to the value [create]
+    returns, so nothing observable carries over from a reused one. *)
 
 type t
 
 val create : ?contention:float -> Slp_machine.Machine.t -> t
-(** [contention] (default 1.0 — single core) multiplies the DRAM
-    latency and adds a shared-bus queueing surcharge of
-    [(contention - 1) x 8] cycles to every line access, hits
-    included. *)
+(** An empty hierarchy.  [contention] (default 1.0 — single core)
+    multiplies the DRAM latency and adds a shared-bus queueing
+    surcharge of [(contention - 1) x 8] cycles to every line access,
+    hits included. *)
 
-val access : t -> addr:int -> bytes:int -> write:bool -> float
-(** Cycles for the access.  Accesses spanning multiple lines charge
-    each line. *)
+val release : t -> unit
+(** Hand [t]'s tag stores to this domain's reuse list.  [t] must not
+    be used afterwards; releasing twice is a no-op. *)
+
+val charge : t -> float array -> issue:float -> addr:int -> bytes:int -> unit
+(** [charge t acc ~issue ~addr ~bytes] simulates the access and adds
+    [issue +. cycles] to [acc.(0)], where [cycles] is the access's
+    cost; an access spanning several lines charges each line.  The
+    additions happen in that order, so the result is bit-identical to
+    [acc.(0) +. (issue +. access t ~addr ~bytes)]. *)
+
+val access : t -> addr:int -> bytes:int -> float
+(** Cycles for the access: {!charge} into a fresh cell with no issue
+    cost. *)
 
 val set_observer : t -> (int -> int -> unit) option -> unit
 (** Install (or remove) a per-line-access hook for the profiler:
     called with the line's base address and the level that resolved
-    the access (0-based cache level; one past the last level means
-    memory).  Costs one option match per line when absent. *)
+    the access (0-based cache level; [max_int] means memory).  Costs
+    one option match per line when absent. *)
 
-val reset : t -> unit
 val hits : t -> int * int * int
 (** L1, L2, L3 hit counts. *)
 

@@ -28,8 +28,8 @@
    cycles.  A values-only run ([scalar_final_memory], the
    scalar-reference check) compiles [compile_operand_read] and
    [compile_stmt] to closures that only compute, bounds-check and
-   store: no [Cache.access], no cycle charging, no counter updates.
-   Its fault tick stands where the timed closure calls [Cache.access],
+   store: no [Cache.charge], no cycle charging, no counter updates.
+   Its fault tick stands where the timed closure calls [Cache.charge],
    after the bounds check, so an armed fault lands on the same access.
    Everything else — driver, chunking, privatization, reduction
    merging, states (caches included) — is shared, so the final memory
@@ -48,12 +48,21 @@
    be run by many states — including states owned by different
    domains.
 
-   Execution is not allocation-free.  Every float-returning expression
-   or lane closure returns a boxed float, as does [Cache.access], and
-   each run's [Cache.create] allocates one small array per cache set
-   (about 267k words for the Intel model).  Over the suite at 128 bits
-   that comes to about 17 minor words per simulated memory access in
-   scalar runs and about 20 in vector runs.
+   Execution allocates nothing per simulated access.  The build passes
+   [-opaque] and this toolchain has no flambda, so a float returned
+   from a closure or from another module is always boxed; no closure
+   here returns one.  Expression nodes write their value into the
+   state's [tmp] slots (a binary node's right operand at its own slot
+   [dst], its left at [dst + 1], so an expression needs
+   [1 + Expr.depth] slots), lane sources write straight into their
+   register lane, and {!Cache.charge} adds an access's cycles into the
+   state's accumulator cell.  Subscripts are loops over unboxed
+   coefficient arrays, not [Array.iter] closures.  A run takes its
+   caches from {!Cache}'s per-domain reuse list and releases them when
+   it finishes (a trapped run does not), so a run allocates only what
+   compiling its closures needs.  [test/test_vm.ml]'s allocation
+   budget holds timed and values-only runs under 0.1 minor words per
+   simulated memory access.
 
    The engine is observationally identical to the interpreters: every
    cache access happens at the same address in the same order, every
@@ -86,6 +95,10 @@ type state = {
           happen in the same order as the interpreters', so the result
           is bit-identical. *)
   frame : int array;  (** Loop index value per nesting depth. *)
+  tmp : floatarray;
+      (** Expression temporaries: a compiled expression writes its
+          value into the slot its compiler assigned (slot 0 for a
+          statement's right-hand side). *)
   vregs : floatarray;
       (** Flat register file: register [r]'s lanes at [r*stride ..]
           (the stride is the program's widest lane count, baked into
@@ -200,7 +213,11 @@ let run_item st = function
   | Cblock f -> f st
   | Cloop l -> run_loop st l ~lo:(l.c_lo st) ~hi:(l.c_hi st)
 
-let run_items st items = List.iter (run_item st) items
+let rec run_items st = function
+  | [] -> ()
+  | item :: rest ->
+      run_item st item;
+      run_items st rest
 
 (* A loop body is almost always one straight-line block; running it
    directly saves a list traversal and an item dispatch per
@@ -263,17 +280,26 @@ let resolve_terms ~depths a =
       | None -> raise Not_found)
     (Affine.terms a)
 
+(* [const + sum_j ks.(j) * frame.(ds.(j))], as a loop: an [Array.iter]
+   closure would be allocated on every evaluation. *)
+let affine_sum const ds ks (frame : int array) =
+  let acc = ref const in
+  for j = 0 to Array.length ds - 1 do
+    acc := !acc + (Array.unsafe_get ks j * Array.unsafe_get frame (Array.unsafe_get ds j))
+  done;
+  !acc
+
+let split_terms terms =
+  (Array.of_list (List.map fst terms), Array.of_list (List.map snd terms))
+
 let compile_affine ~depths a =
   let const = Affine.const_part a in
   match resolve_terms ~depths a with
   | [] -> fun _ -> const
   | [ (d, k) ] -> fun (frame : int array) -> const + (k * Array.unsafe_get frame d)
   | terms ->
-      let terms = Array.of_list terms in
-      fun frame ->
-        let acc = ref const in
-        Array.iter (fun (d, k) -> acc := !acc + (k * Array.unsafe_get frame d)) terms;
-        !acc
+      let ds, ks = split_terms terms in
+      fun frame -> affine_sum const ds ks frame
 
 let compile_bound ~depths a =
   let f = compile_affine ~depths a in
@@ -307,13 +333,9 @@ let compile_flat ?stmt ~depths ctx name idxs =
             if i < 0 || i >= d0 then oob i;
             i
       | terms ->
-          let terms = Array.of_list terms in
+          let ds, ks = split_terms terms in
           fun frame ->
-            let acc = ref const in
-            Array.iter
-              (fun (d, k) -> acc := !acc + (k * Array.unsafe_get frame d))
-              terms;
-            let i = !acc in
+            let i = affine_sum const ds ks frame in
             if i < 0 || i >= d0 then oob i;
             i)
   | dims, idxs when List.length dims = List.length idxs ->
@@ -321,13 +343,12 @@ let compile_flat ?stmt ~depths ctx name idxs =
       let ds = Array.of_list dims in
       fun frame ->
         let acc = ref 0 in
-        Array.iteri
-          (fun k f ->
-            let i = f frame in
-            let d = ds.(k) in
-            if i < 0 || i >= d then Trap.oob ?stmt ~array:name ~index:i ~bound:d ();
-            acc := (!acc * d) + i)
-          fs;
+        for k = 0 to Array.length fs - 1 do
+          let i = (Array.unsafe_get fs k) frame in
+          let d = Array.unsafe_get ds k in
+          if i < 0 || i >= d then Trap.oob ?stmt ~array:name ~index:i ~bound:d ();
+          acc := (!acc * d) + i
+        done;
         !acc
   | _ -> fun _ -> Trap.rank_mismatch ?stmt ~array:name ()
 
@@ -346,40 +367,43 @@ let link_elem ?stmt ctx ~depths op =
 (* A scalar name used as a value: a loop index reads the induction
    variable (innermost binding first, as the interpreters' assoc-list
    lookup), otherwise the flat scalar slot. *)
+type scalar_src = Frame of int | Slot of int
+
 let link_scalar_read ctx ~depths v =
   match List.assoc_opt v depths with
-  | Some d -> fun st -> float_of_int (Array.unsafe_get st.frame d)
-  | None ->
-      let slot = Memory.scalar_slot ctx.mem v in
-      fun st -> FA.unsafe_get st.sdata slot
+  | Some d -> Frame d
+  | None -> Slot (Memory.scalar_slot ctx.mem v)
 
 (* -- scalar statements --------------------------------------------- *)
 
 (* Mirrors [Scalar_exec.exec_stmt]: loads charge as the expression
    evaluates (right operand before left, as pinned by [Expr.eval]),
-   then ALU cycles, then the store. *)
-let compile_operand_read ?stmt ctx ~depths op =
+   then ALU cycles, then the store.  A compiled operand or expression
+   writes its value into [st.tmp] at [dst]. *)
+let compile_operand_read ?stmt ctx ~depths ~dst op =
   match op with
-  | Operand.Const c -> fun _ -> c
-  | Operand.Scalar v -> link_scalar_read ctx ~depths v
+  | Operand.Const c -> fun st -> FA.unsafe_set st.tmp dst c
+  | Operand.Scalar v -> (
+      match link_scalar_read ctx ~depths v with
+      | Frame d ->
+          fun st -> FA.unsafe_set st.tmp dst (float_of_int (Array.unsafe_get st.frame d))
+      | Slot slot -> fun st -> FA.unsafe_set st.tmp dst (FA.unsafe_get st.sdata slot))
   | Operand.Elem _ when ctx.values_only ->
-      (* The fault tick stands where the timed closure calls
-         [Cache.access], so an armed fault lands on the same access. *)
+      (* The fault tick stands where the timed closure charges the
+         cache, so an armed fault lands on the same access. *)
       let { e_data; e_flat; _ } = link_elem ?stmt ctx ~depths op in
       fun st ->
         let fl = e_flat st.frame in
         if !Trap.fault_enabled then Trap.fault_tick ();
-        FA.unsafe_get e_data fl
+        FA.unsafe_set st.tmp dst (FA.unsafe_get e_data fl)
   | Operand.Elem (name, idxs) -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ?stmt ctx ~depths op in
       let issue = float_of_int ctx.machine.M.costs.M.load_issue in
       let generic st =
         let fl = e_flat st.frame in
         st.counters.Counters.scalar_loads <- st.counters.Counters.scalar_loads + 1;
-        charge st
-          (issue
-          +. Cache.access st.cache ~addr:(e_base + (fl * bytes)) ~bytes ~write:false);
-        FA.unsafe_get e_data fl
+        Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes;
+        FA.unsafe_set st.tmp dst (FA.unsafe_get e_data fl)
       in
       (* The dominant shape — 1-D array, single-variable subscript —
          fuses the index multiply-add and its bounds check straight
@@ -395,67 +419,80 @@ let compile_operand_read ?stmt ctx ~depths op =
                 if i < 0 || i >= d0 then oob i;
                 st.counters.Counters.scalar_loads <-
                   st.counters.Counters.scalar_loads + 1;
-                charge st
-                  (issue
-                  +. Cache.access st.cache ~addr:(e_base + (i * bytes)) ~bytes
-                       ~write:false);
-                FA.unsafe_get e_data i
+                Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes;
+                FA.unsafe_set st.tmp dst (FA.unsafe_get e_data i)
           | _ -> generic)
       | _ -> generic)
 
 (* Binary nodes dispatch on the operator at compile time so the hot
    closure applies the float primitive directly instead of calling
-   through a generic [float -> float -> float] closure (the right
-   operand still evaluates before the left, as pinned by
-   [Expr.eval]). *)
-let rec compile_expr ?stmt ctx ~depths e =
+   through a generic [float -> float -> float] closure.  The right
+   operand evaluates first (as pinned by [Expr.eval]) into [dst], then
+   the left into [dst + 1], which leaves the right's value alone. *)
+let rec compile_expr ?stmt ctx ~depths ~dst e =
   match e with
-  | Expr.Leaf op -> compile_operand_read ?stmt ctx ~depths op
+  | Expr.Leaf op -> compile_operand_read ?stmt ctx ~depths ~dst op
   | Expr.Un (u, inner) -> (
-      let f = compile_expr ?stmt ctx ~depths inner in
+      let f = compile_expr ?stmt ctx ~depths ~dst inner in
       match u with
-      | Types.Neg -> fun st -> -.(f st)
-      | Types.Abs -> fun st -> Float.abs (f st)
-      | Types.Sqrt -> fun st -> Float.sqrt (f st))
+      | Types.Neg ->
+          fun st ->
+            f st;
+            FA.unsafe_set st.tmp dst (-.FA.unsafe_get st.tmp dst)
+      | Types.Abs ->
+          fun st ->
+            f st;
+            FA.unsafe_set st.tmp dst (Float.abs (FA.unsafe_get st.tmp dst))
+      | Types.Sqrt ->
+          fun st ->
+            f st;
+            FA.unsafe_set st.tmp dst (Float.sqrt (FA.unsafe_get st.tmp dst)))
   | Expr.Bin (b, l, r) -> (
-      let fl = compile_expr ?stmt ctx ~depths l in
-      let fr = compile_expr ?stmt ctx ~depths r in
+      let left = dst + 1 in
+      let fl = compile_expr ?stmt ctx ~depths ~dst:left l in
+      let fr = compile_expr ?stmt ctx ~depths ~dst r in
       match b with
       | Types.Add ->
           fun st ->
-            let vr = fr st in
-            let vl = fl st in
-            vl +. vr
+            fr st;
+            fl st;
+            let t = st.tmp in
+            FA.unsafe_set t dst (FA.unsafe_get t left +. FA.unsafe_get t dst)
       | Types.Sub ->
           fun st ->
-            let vr = fr st in
-            let vl = fl st in
-            vl -. vr
+            fr st;
+            fl st;
+            let t = st.tmp in
+            FA.unsafe_set t dst (FA.unsafe_get t left -. FA.unsafe_get t dst)
       | Types.Mul ->
           fun st ->
-            let vr = fr st in
-            let vl = fl st in
-            vl *. vr
+            fr st;
+            fl st;
+            let t = st.tmp in
+            FA.unsafe_set t dst (FA.unsafe_get t left *. FA.unsafe_get t dst)
       | Types.Div ->
           fun st ->
-            let vr = fr st in
-            let vl = fl st in
-            vl /. vr
+            fr st;
+            fl st;
+            let t = st.tmp in
+            FA.unsafe_set t dst (FA.unsafe_get t left /. FA.unsafe_get t dst)
       | Types.Min ->
           fun st ->
-            let vr = fr st in
-            let vl = fl st in
-            Float.min vl vr
+            fr st;
+            fl st;
+            let t = st.tmp in
+            FA.unsafe_set t dst (Float.min (FA.unsafe_get t left) (FA.unsafe_get t dst))
       | Types.Max ->
           fun st ->
-            let vr = fr st in
-            let vl = fl st in
-            Float.max vl vr)
+            fr st;
+            fl st;
+            let t = st.tmp in
+            FA.unsafe_set t dst (Float.max (FA.unsafe_get t left) (FA.unsafe_get t dst)))
 
 let compile_stmt ctx ~depths (s : Stmt.t) =
   let costs = ctx.machine.M.costs in
   let stmt = s.Stmt.id in
-  let rhs = compile_expr ~stmt ctx ~depths s.Stmt.rhs in
+  let rhs = compile_expr ~stmt ctx ~depths ~dst:0 s.Stmt.rhs in
   let nops = Stmt.op_count s in
   let op_cycles =
     float_of_int
@@ -474,33 +511,35 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
   match s.Stmt.lhs with
   | Operand.Scalar v when ctx.values_only ->
       let slot = Memory.scalar_slot ctx.mem v in
-      fun (st : state) -> FA.unsafe_set st.sdata slot (rhs st)
+      fun (st : state) ->
+        rhs st;
+        FA.unsafe_set st.sdata slot (FA.unsafe_get st.tmp 0)
   | Operand.Elem _ as op when ctx.values_only ->
       let { e_data; e_flat; _ } = link_elem ~stmt ctx ~depths op in
       fun st ->
-        let value = rhs st in
+        rhs st;
+        let value = FA.unsafe_get st.tmp 0 in
         let fl = e_flat st.frame in
         if !Trap.fault_enabled then Trap.fault_tick ();
         FA.unsafe_set e_data fl value
   | Operand.Scalar v ->
       let slot = Memory.scalar_slot ctx.mem v in
       fun st ->
-        let value = rhs st in
+        rhs st;
         st.counters.Counters.scalar_ops <- st.counters.Counters.scalar_ops + nops;
         charge st op_cycles;
-        FA.unsafe_set st.sdata slot value
+        FA.unsafe_set st.sdata slot (FA.unsafe_get st.tmp 0)
   | Operand.Elem (name, idxs) as op -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ~stmt ctx ~depths op in
       let issue = float_of_int costs.M.store_issue in
       let generic st =
-        let value = rhs st in
+        rhs st;
+        let value = FA.unsafe_get st.tmp 0 in
         st.counters.Counters.scalar_ops <- st.counters.Counters.scalar_ops + nops;
         charge st op_cycles;
         let fl = e_flat st.frame in
         st.counters.Counters.scalar_stores <- st.counters.Counters.scalar_stores + 1;
-        charge st
-          (issue
-          +. Cache.access st.cache ~addr:(e_base + (fl * bytes)) ~bytes ~write:true);
+        Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes;
         FA.unsafe_set e_data fl value
       in
       (* Same fusion as [compile_operand_read]: 1-D single-variable
@@ -512,7 +551,8 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
               let const = Affine.const_part ix in
               let oob i = Trap.oob ~stmt ~array:name ~index:i ~bound:d0 () in
               fun st ->
-                let value = rhs st in
+                rhs st;
+                let value = FA.unsafe_get st.tmp 0 in
                 st.counters.Counters.scalar_ops <-
                   st.counters.Counters.scalar_ops + nops;
                 charge st op_cycles;
@@ -520,10 +560,7 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
                 if i < 0 || i >= d0 then oob i;
                 st.counters.Counters.scalar_stores <-
                   st.counters.Counters.scalar_stores + 1;
-                charge st
-                  (issue
-                  +. Cache.access st.cache ~addr:(e_base + (i * bytes)) ~bytes
-                       ~write:true);
+                Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes;
                 FA.unsafe_set e_data i value
           | _ -> generic)
       | _ -> generic)
@@ -536,24 +573,24 @@ let run_block fs st =
 
 (* -- vector instructions ------------------------------------------- *)
 
-let link_lane_src ctx ~depths ~count (src : Visa.lane_src) =
+(* A lane source writes its value straight into register lane [off]
+   of [st.vregs]; a memory source counts as a pack load. *)
+let link_lane_src ctx ~depths ~off (src : Visa.lane_src) =
   match src with
-  | Visa.Imm f -> fun _ -> f
-  | Visa.Reg v -> link_scalar_read ctx ~depths v
+  | Visa.Imm f -> fun st -> FA.unsafe_set st.vregs off f
+  | Visa.Reg v -> (
+      match link_scalar_read ctx ~depths v with
+      | Frame d ->
+          fun st -> FA.unsafe_set st.vregs off (float_of_int (Array.unsafe_get st.frame d))
+      | Slot slot -> fun st -> FA.unsafe_set st.vregs off (FA.unsafe_get st.sdata slot))
   | Visa.Mem op ->
       let { e_data; e_base; e_bytes; e_flat } = link_elem ctx ~depths op in
       let issue = float_of_int ctx.machine.M.costs.M.load_issue in
       fun st ->
         let fl = e_flat st.frame in
-        count st.counters;
-        charge st
-          (issue
-          +. Cache.access st.cache
-               ~addr:(e_base + (fl * e_bytes))
-               ~bytes:e_bytes ~write:false);
-        FA.unsafe_get e_data fl
-
-let pack_load c = c.Counters.pack_loads <- c.Counters.pack_loads + 1
+        st.counters.Counters.pack_loads <- st.counters.Counters.pack_loads + 1;
+        Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * e_bytes)) ~bytes:e_bytes;
+        FA.unsafe_set st.vregs off (FA.unsafe_get e_data fl)
 
 (* The lowering pass packs memory lanes that are provably adjacent, so
    the overwhelmingly common vload/vstore shape is "same 1-D array,
@@ -614,10 +651,8 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst n;
             st.counters.Counters.vector_loads <-
               st.counters.Counters.vector_loads + 1;
-            charge st
-              (issue
-              +. Cache.access st.cache ~addr:(base + (i0 * bytes)) ~bytes:bytes_total
-                   ~write:false)
+            Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
+              ~bytes:bytes_total
       | None ->
           let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
           let e0 = es.(0) in
@@ -637,11 +672,9 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst n;
             st.counters.Counters.vector_loads <-
               st.counters.Counters.vector_loads + 1;
-            charge st
-              (issue
-              +. Cache.access st.cache
-                   ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
-                   ~bytes:bytes_total ~write:false))
+            Cache.charge st.cache st.cycles ~issue
+              ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
+              ~bytes:bytes_total)
   | Visa.Vstore { src; elems } -> (
       let n = List.length elems in
       let src_off = src * stride in
@@ -667,10 +700,8 @@ let compile_instr ctx ~depths instr =
             done;
             st.counters.Counters.vector_stores <-
               st.counters.Counters.vector_stores + 1;
-            charge st
-              (issue
-              +. Cache.access st.cache ~addr:(base + (i0 * bytes)) ~bytes:bytes_total
-                   ~write:true)
+            Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
+              ~bytes:bytes_total
       | None ->
           let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
           let e0 = es.(0) in
@@ -692,24 +723,22 @@ let compile_instr ctx ~depths instr =
             done;
             st.counters.Counters.vector_stores <-
               st.counters.Counters.vector_stores + 1;
-            charge st
-              (issue
-              +. Cache.access st.cache
-                   ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
-                   ~bytes:bytes_total ~write:true))
+            Cache.charge st.cache st.cycles ~issue
+              ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
+              ~bytes:bytes_total)
   | Visa.Vgather { dst; srcs } ->
+      let dst_off = dst * stride in
+      (* Lane sources read memory and scalars, never registers, so
+         filling [dst] as they evaluate cannot alias an operand. *)
       let fns =
-        Array.of_list (List.map (link_lane_src ctx ~depths ~count:pack_load) srcs)
+        Array.of_list
+          (List.mapi (fun k src -> link_lane_src ctx ~depths ~off:(dst_off + k) src) srcs)
       in
       let n = Array.length fns in
       let insert_c = float_of_int (n * costs.M.insert) in
-      let dst_off = dst * stride in
       fun st ->
-        let vregs = st.vregs in
         for k = 0 to n - 1 do
-          (* Lane sources read memory and scalars, never registers, so
-             filling [dst] as they evaluate cannot alias an operand. *)
-          FA.unsafe_set vregs (dst_off + k) ((Array.unsafe_get fns k) st)
+          (Array.unsafe_get fns k) st
         done;
         st.counters.Counters.inserts <- st.counters.Counters.inserts + n;
         charge st insert_c;
@@ -740,11 +769,9 @@ let compile_instr ctx ~depths instr =
                     let fl = e_flat st.frame in
                     st.counters.Counters.pack_stores <-
                       st.counters.Counters.pack_stores + 1;
-                    charge st
-                      (issue
-                      +. Cache.access st.cache
-                           ~addr:(e_base + (fl * e_bytes))
-                           ~bytes:e_bytes ~write:true);
+                    Cache.charge st.cache st.cycles ~issue
+                      ~addr:(e_base + (fl * e_bytes))
+                      ~bytes:e_bytes;
                     if i >= n then invalid_arg "index out of bounds";
                     FA.unsafe_set e_data fl (FA.unsafe_get st.vregs (src_off + i))))
           dsts
@@ -756,15 +783,17 @@ let compile_instr ctx ~depths instr =
           (Array.unsafe_get fns k) st n
         done
   | Visa.Vbroadcast { dst; src; lanes } ->
-      let value = link_lane_src ctx ~depths ~count:pack_load src in
-      let broadcast_c = float_of_int costs.M.broadcast in
       let dst_off = dst * stride in
+      (* The source fills lane 0, which the loop then copies. *)
+      let value = link_lane_src ctx ~depths ~off:dst_off src in
+      let broadcast_c = float_of_int costs.M.broadcast in
       fun st ->
-        let v = value st in
+        value st;
         st.counters.Counters.broadcasts <- st.counters.Counters.broadcasts + 1;
         charge st broadcast_c;
         let vregs = st.vregs in
-        for k = 0 to lanes - 1 do
+        let v = FA.unsafe_get vregs dst_off in
+        for k = 1 to lanes - 1 do
           FA.unsafe_set vregs (dst_off + k) v
         done;
         Array.unsafe_set st.vlanes dst lanes
@@ -942,7 +971,7 @@ let compile_instr ctx ~depths instr =
         FA.blit st.vregs src_off st.spills slot_off n;
         Array.unsafe_set st.spill_ln slot n;
         st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
-        charge st (issue +. Cache.access st.cache ~addr ~bytes:(8 * n) ~write:true)
+        Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n)
   | Visa.Vreload { dst; slot } ->
       let addr = Memory.spill_addr ctx.mem ~slot in
       let issue = float_of_int costs.M.load_issue in
@@ -952,11 +981,12 @@ let compile_instr ctx ~depths instr =
         if n < 0 then Trap.unset_spill ~slot ();
         FA.blit st.spills slot_off st.vregs dst_off n;
         st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
-        charge st (issue +. Cache.access st.cache ~addr ~bytes:(8 * n) ~write:false);
+        Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n);
         Array.unsafe_set st.vlanes dst n
   | Visa.Vload_scalars { dst; sources } ->
       let slots = Array.of_list (List.map (Memory.scalar_slot ctx.mem) sources) in
       let n = Array.length slots in
+      let bytes = 8 * n in
       let issue = float_of_int costs.M.load_issue in
       let dst_off = dst * stride in
       let addr0 =
@@ -971,11 +1001,12 @@ let compile_instr ctx ~depths instr =
         done;
         st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
         let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
-        charge st (issue +. Cache.access st.cache ~addr ~bytes:(8 * n) ~write:false);
+        Cache.charge st.cache st.cycles ~issue ~addr ~bytes;
         Array.unsafe_set st.vlanes dst n
   | Visa.Vstore_scalars { src; targets } ->
       let slots = Array.of_list (List.map (Memory.scalar_slot ctx.mem) targets) in
       let n = Array.length slots in
+      let bytes = 8 * n in
       let issue = float_of_int costs.M.store_issue in
       let src_off = src * stride in
       let addr0 =
@@ -992,7 +1023,7 @@ let compile_instr ctx ~depths instr =
         done;
         st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
         let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
-        charge st (issue +. Cache.access st.cache ~addr ~bytes:(8 * n) ~write:true)
+        Cache.charge st.cache st.cycles ~issue ~addr ~bytes
 
 (* [keys] selects profiling keys for vector instructions: [`Setup]
    charges everything to the setup key; [`Origins q] pops one origin
@@ -1114,6 +1145,15 @@ let program_vregs (p : Visa.program) =
 let program_lane_stride (p : Visa.program) =
   max 1 (fold_instrs max_lanes_instr (fold_instrs max_lanes_instr 1 p.Visa.setup) p.Visa.body)
 
+let max_expr_depth_instr acc = function
+  | Visa.Sstmt s -> max acc (Expr.depth s.Stmt.rhs)
+  | _ -> acc
+
+(* Expression temporaries a state needs: [compile_expr] puts a
+   statement's value at slot 0 and uses one more slot per level. *)
+let program_tmp_slots (p : Visa.program) =
+  1 + fold_instrs max_expr_depth_instr (fold_instrs max_expr_depth_instr 0 p.Visa.setup) p.Visa.body
+
 let program_spill_slots (p : Visa.program) =
   1 + fold_instrs max_slot_instr (fold_instrs max_slot_instr (-1) p.Visa.setup) p.Visa.body
 
@@ -1164,12 +1204,13 @@ let make_ctx ~machine ~values_only ~stride mem names =
   List.iter (fun v -> ignore (Memory.scalar_slot mem v)) names;
   { mem; machine; values_only; sdata = Memory.scalar_values mem; stride }
 
-let fresh_state ?contention ~machine ~nframe ~nvregs ~stride ~nslots ~sdata () =
+let fresh_state ?contention ~machine ~nframe ~ntmp ~nvregs ~stride ~nslots ~sdata () =
   {
     cache = Cache.create ?contention machine;
     counters = Counters.create ();
     cycles = [| 0.0 |];
     frame = Array.make (max 1 nframe) 0;
+    tmp = FA.make ntmp 0.0;
     vregs = FA.make (max 1 (nvregs * stride)) 0.0;
     vlanes = Array.make (max 1 nvregs) (-1);
     fscratch = FA.make (max 1 stride) 0.0;
@@ -1259,7 +1300,8 @@ let exec_cores ?pool ~privatize ~reductions ~fresh ~sdata ~items ~main_idx
   Array.iter
     (fun st ->
       max_cycles := Float.max !max_cycles st.cycles.(0);
-      Counters.merge_into ~into st.counters)
+      Counters.merge_into ~into st.counters;
+      Cache.release st.cache)
     sts;
   !max_cycles
 
@@ -1398,11 +1440,12 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   in
   assert (Memory.scalar_values memory == ctx.sdata);
   let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
+  let ntmp = program_tmp_slots prog in
   let nvregs = program_vregs prog in
   let nslots = program_spill_slots prog in
   let fresh ?contention ~sdata () =
     let st =
-      fresh_state ?contention ~machine ~nframe ~nvregs ~stride ~nslots ~sdata ()
+      fresh_state ?contention ~machine ~nframe ~ntmp ~nvregs ~stride ~nslots ~sdata ()
     in
     observe_cache profile st.cache;
     st
@@ -1421,11 +1464,15 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
     run_items st body;
     st.counters.Counters.cycles <- st.cycles.(0);
     st.counters.Counters.setup_cycles <- setup_cycles;
+    Cache.release st.cache;
     { counters = st.counters; memory }
   in
   if cores <= 1 then
     single (match setup_state with Some st -> st | None -> fresh_shared ())
-  else
+  else begin
+    (* Past setup, a multicore run's setup state keeps only its
+       counters. *)
+    Option.iter (fun st -> Cache.release st.cache) setup_state;
     match first_cloop body with
     | None -> single (fresh_shared ())
     | Some (main_idx, main_loop) ->
@@ -1460,6 +1507,7 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
             ~fresh:(fun ~sdata () -> fresh ~contention ~sdata ())
             ~sdata:ctx.sdata ~items:body ~main_idx ~main_loop ~ranges ~into:all ();
         { counters = all; memory }
+  end
 
 let run_scalar ?cores ?seed ?memory ?profile ?pool ~machine (prog : Program.t) =
   run ?cores ?seed ?memory ?profile ?pool ~machine ~values_only:false

@@ -19,7 +19,12 @@
     merges reductions the same way, but does no cache access, cycle
     charging or counter update.  The kernel language has no
     data-dependent control flow, so values never depend on timing and
-    the two modes leave bit-identical memory. *)
+    the two modes leave bit-identical memory.
+
+    A run allocates nothing per simulated access, only what compiling
+    its closures takes.  Its caches come from {!Cache.create}'s
+    per-domain reuse list and go back with {!Cache.release} when the
+    run finishes; a run that raises releases nothing. *)
 
 open Slp_ir
 
@@ -53,7 +58,7 @@ val scalar_final_memory :
     and scalars ({!Memory.equal}), the same {!Trap.Trap} on a faulting
     program, and an armed injected fault fires on the same access (the
     values-only closure ticks where the timed one calls
-    {!Cache.access}).  Its states are built exactly like a timed run's,
+    {!Cache.charge}).  Its states are built exactly like a timed run's,
     cache included; it never runs on a domain pool.  For callers that
     read only the final memory, such as the scalar-reference check. *)
 

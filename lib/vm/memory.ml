@@ -105,9 +105,7 @@ let init_arrays t ~seed =
     (fun name ->
       let b = box t name in
       let rng = Slp_util.Prng.create (seed lxor Hashtbl.hash name) in
-      for i = 0 to FA.length b.data - 1 do
-        FA.unsafe_set b.data i (Slp_util.Prng.float rng 1.0)
-      done)
+      Slp_util.Prng.fill_floats rng 1.0 b.data)
     names
 
 let load t name idx =

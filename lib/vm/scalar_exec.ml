@@ -24,7 +24,7 @@ let exec_stmt ~memory ~cache ~counters ~machine ~index_env (s : Stmt.t) =
           (float_of_int costs.M.load_issue
           +. Cache.access cache
                ~addr:(Memory.array_base memory b + (flat * Memory.elem_bytes memory b))
-               ~bytes:(Memory.elem_bytes memory b) ~write:false);
+               ~bytes:(Memory.elem_bytes memory b));
         Memory.load memory b flat
   in
   let value = Expr.eval s.Stmt.rhs read_operand in
@@ -52,7 +52,7 @@ let exec_stmt ~memory ~cache ~counters ~machine ~index_env (s : Stmt.t) =
         (float_of_int costs.M.store_issue
         +. Cache.access cache
              ~addr:(Memory.array_base memory b + (flat * Memory.elem_bytes memory b))
-             ~bytes:(Memory.elem_bytes memory b) ~write:true);
+             ~bytes:(Memory.elem_bytes memory b));
       Memory.store memory b flat value
   | Operand.Const _ -> assert false
 

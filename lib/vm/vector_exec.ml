@@ -50,8 +50,7 @@ let exec_instr st ~index_env instr =
       st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
       charge st
         (float_of_int costs.M.load_issue
-        +. Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems)
-             ~write:false);
+        +. Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems));
       st.vregs.(dst) <- values
   | Visa.Vstore { src; elems } ->
       let lanes = vreg st src in
@@ -63,8 +62,7 @@ let exec_instr st ~index_env instr =
       st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
       charge st
         (float_of_int costs.M.store_issue
-        +. Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems)
-             ~write:true)
+        +. Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems))
   | Visa.Vgather { dst; srcs } ->
       let values =
         Array.of_list
@@ -79,7 +77,7 @@ let exec_instr st ~index_env instr =
                      st.counters.Counters.pack_loads + 1;
                    charge st
                      (float_of_int costs.M.load_issue
-                     +. Cache.access st.cache ~addr ~bytes ~write:false);
+                     +. Cache.access st.cache ~addr ~bytes);
                    Memory.load st.memory b flat)
              srcs)
       in
@@ -103,7 +101,7 @@ let exec_instr st ~index_env instr =
                     st.counters.Counters.pack_stores + 1;
                   charge st
                     (float_of_int costs.M.store_issue
-                    +. Cache.access st.cache ~addr ~bytes ~write:true);
+                    +. Cache.access st.cache ~addr ~bytes);
                   Memory.store st.memory b flat lanes.(i)
             end)
         dsts
@@ -117,7 +115,7 @@ let exec_instr st ~index_env instr =
             st.counters.Counters.pack_loads <- st.counters.Counters.pack_loads + 1;
             charge st
               (float_of_int costs.M.load_issue
-              +. Cache.access st.cache ~addr ~bytes ~write:false);
+              +. Cache.access st.cache ~addr ~bytes);
             Memory.load st.memory b flat
       in
       st.counters.Counters.broadcasts <- st.counters.Counters.broadcasts + 1;
@@ -159,7 +157,7 @@ let exec_instr st ~index_env instr =
         (float_of_int costs.M.store_issue
         +. Cache.access st.cache
              ~addr:(Memory.spill_addr st.memory ~slot)
-             ~bytes:(8 * Array.length lanes) ~write:true)
+             ~bytes:(8 * Array.length lanes))
   | Visa.Vreload { dst; slot } ->
       let lanes = Memory.spill_load st.memory ~slot in
       st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
@@ -167,7 +165,7 @@ let exec_instr st ~index_env instr =
         (float_of_int costs.M.load_issue
         +. Cache.access st.cache
              ~addr:(Memory.spill_addr st.memory ~slot)
-             ~bytes:(8 * Array.length lanes) ~write:false);
+             ~bytes:(8 * Array.length lanes));
       st.vregs.(dst) <- lanes
   | Visa.Vload_scalars { dst; sources } ->
       let values =
@@ -178,7 +176,7 @@ let exec_instr st ~index_env instr =
         (float_of_int costs.M.load_issue
         +. Cache.access st.cache
              ~addr:(Memory.scalar_addr st.memory (List.hd sources))
-             ~bytes:(8 * List.length sources) ~write:false);
+             ~bytes:(8 * List.length sources));
       st.vregs.(dst) <- values
   | Visa.Vstore_scalars { src; targets } ->
       let lanes = vreg st src in
@@ -188,7 +186,7 @@ let exec_instr st ~index_env instr =
         (float_of_int costs.M.store_issue
         +. Cache.access st.cache
              ~addr:(Memory.scalar_addr st.memory (List.hd targets))
-             ~bytes:(8 * List.length targets) ~write:true)
+             ~bytes:(8 * List.length targets))
   | Visa.Sstmt s ->
       Scalar_exec.exec_stmt ~memory:st.memory ~cache:st.cache ~counters:st.counters
         ~machine:st.machine ~index_env s

@@ -224,6 +224,24 @@ let test_prng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* [fill_floats] draws what as many [float] calls would, bit for bit,
+   leaves the generator where they would, and allocates nothing. *)
+let test_prng_fill_floats () =
+  let n = 10_000 in
+  let a = Prng.create 5 and b = Prng.create 5 in
+  let expected = Array.init n (fun _ -> Prng.float a 3.0) in
+  let filled = Float.Array.make n 0.0 in
+  let before = Gc.minor_words () in
+  Prng.fill_floats b 3.0 filled;
+  let words = Gc.minor_words () -. before in
+  Array.iteri
+    (fun i x ->
+      if Int64.bits_of_float x <> Int64.bits_of_float (Float.Array.get filled i) then
+        Alcotest.failf "draw %d differs" i)
+    expected;
+  Alcotest.(check int) "same state afterwards" (Prng.int a 1_000_000) (Prng.int b 1_000_000);
+  Alcotest.(check bool) "no allocation per draw" true (words < 100.0)
+
 (* -- tabulate ------------------------------------------------------------ *)
 
 let test_tabulate_alignment () =
@@ -271,6 +289,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutes;
+          Alcotest.test_case "fill floats" `Quick test_prng_fill_floats;
         ] );
       ( "tabulate", [ Alcotest.test_case "alignment" `Quick test_tabulate_alignment ] );
     ]

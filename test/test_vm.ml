@@ -85,8 +85,8 @@ let test_memory_values () =
 
 let test_cache_hit_miss () =
   let cache = Cache.create machine in
-  let miss = Cache.access cache ~addr:0 ~bytes:8 ~write:false in
-  let hit = Cache.access cache ~addr:8 ~bytes:8 ~write:false in
+  let miss = Cache.access cache ~addr:0 ~bytes:8 in
+  let hit = Cache.access cache ~addr:8 ~bytes:8 in
   Alcotest.(check bool) "first access misses to memory" true (miss > 100.0);
   Alcotest.(check (float 0.0)) "same line hits L1" 3.0 hit;
   Alcotest.(check int) "one miss recorded" 1 (Cache.misses cache);
@@ -100,9 +100,9 @@ let test_cache_associativity_eviction () =
      from L1 (but served by L2 afterwards). *)
   let stride = 64 * 64 in
   for k = 0 to 8 do
-    ignore (Cache.access cache ~addr:(k * stride) ~bytes:8 ~write:false)
+    ignore (Cache.access cache ~addr:(k * stride) ~bytes:8)
   done;
-  let again = Cache.access cache ~addr:0 ~bytes:8 ~write:false in
+  let again = Cache.access cache ~addr:0 ~bytes:8 in
   Alcotest.(check bool) "evicted from L1, hits L2" true
     (again > 3.0 && again < float_of_int machine.Machine.memory_latency)
 
@@ -110,19 +110,59 @@ let test_cache_straddling () =
   let cache = Cache.create machine in
   (* A 16-byte access starting 8 bytes before a line boundary touches
      two lines. *)
-  let cycles = Cache.access cache ~addr:56 ~bytes:16 ~write:false in
+  let cycles = Cache.access cache ~addr:56 ~bytes:16 in
   Alcotest.(check int) "two accesses" 2 (Cache.accesses cache);
   Alcotest.(check bool) "two line fills" true (cycles > 200.0)
 
 let test_cache_contention () =
   let c1 = Cache.create machine in
   let c2 = Cache.create ~contention:1.5 machine in
-  let a = Cache.access c1 ~addr:0 ~bytes:8 ~write:false in
-  let b = Cache.access c2 ~addr:0 ~bytes:8 ~write:false in
+  let a = Cache.access c1 ~addr:0 ~bytes:8 in
+  let b = Cache.access c2 ~addr:0 ~bytes:8 in
   Alcotest.(check bool) "contention slows misses" true (b > a);
-  let a_hit = Cache.access c1 ~addr:0 ~bytes:8 ~write:false in
-  let b_hit = Cache.access c2 ~addr:0 ~bytes:8 ~write:false in
+  let a_hit = Cache.access c1 ~addr:0 ~bytes:8 in
+  let b_hit = Cache.access c2 ~addr:0 ~bytes:8 in
   Alcotest.(check bool) "contention also taxes hits (bus)" true (b_hit > a_hit)
+
+(* A released hierarchy comes back empty: the next [create] of the same
+   geometry resets it instead of allocating a tag store, starts its
+   counts at zero and charges its own contention's latencies. *)
+let test_cache_reuse () =
+  let major_words () = (Gc.quick_stat ()).Gc.major_words in
+  let lines = [ 0; 64; 64 * 64; 1 lsl 20 ] in
+  let c = Cache.create machine in
+  List.iter (fun addr -> ignore (Cache.access c ~addr ~bytes:8)) lines;
+  List.iter (fun addr -> ignore (Cache.access c ~addr ~bytes:8)) lines;
+  Cache.release c;
+  let before = major_words () in
+  let c = Cache.create ~contention:1.5 machine in
+  Alcotest.(check bool)
+    "levels reused, no tag store allocated" true
+    (major_words () -. before < 1000.0);
+  Alcotest.(check (triple int int int)) "hits start at zero" (0, 0, 0) (Cache.hits c);
+  Alcotest.(check int) "misses start at zero" 0 (Cache.misses c);
+  Alcotest.(check int) "accesses start at zero" 0 (Cache.accesses c);
+  let bus = 0.5 *. 8.0 in
+  List.iter
+    (fun addr ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "line %d misses to memory at the new latency" addr)
+        ((float_of_int machine.Machine.memory_latency *. 1.5) +. bus)
+        (Cache.access c ~addr ~bytes:8))
+    lines;
+  Alcotest.(check (float 0.0))
+    "L1 hit pays the new bus penalty" (3.0 +. bus)
+    (Cache.access c ~addr:0 ~bytes:8);
+  Alcotest.(check int) "misses counted afresh" (List.length lines) (Cache.misses c);
+  (* Releasing [c] again after its tag store went to [a] must not hand
+     that store out a second time. *)
+  Cache.release c;
+  let a = Cache.create machine in
+  Cache.release c;
+  let b = Cache.create machine in
+  ignore (Cache.access a ~addr:0 ~bytes:8);
+  ignore (Cache.access b ~addr:0 ~bytes:8);
+  Alcotest.(check int) "a second release is a no-op" 1 (Cache.misses b)
 
 (* -- counters ------------------------------------------------------------ *)
 
@@ -441,6 +481,116 @@ let test_multicore_work_conservation () =
   Alcotest.(check bool) "results identical" true
     (Memory.same_contents r1.Scalar_exec.memory r4.Scalar_exec.memory)
 
+(* -- allocation and cache reuse ----------------------------------------------- *)
+
+let global_compile name =
+  let module Pipeline = Slp_pipeline.Pipeline in
+  let module Suite = Slp_benchmarks.Suite in
+  let b = Suite.find name in
+  let c =
+    Pipeline.compile ~unroll:b.Suite.unroll ~verify:false ~scheme:Pipeline.Global
+      ~machine (Suite.program b)
+  in
+  match c.Pipeline.vector with
+  | Some v -> (c.Pipeline.reference, c.Pipeline.scalar_offsets, v)
+  | None -> Alcotest.failf "%s: no vector program" name
+
+let initialized ?(scalar_layout = []) env =
+  let m = Memory.create ~scalar_layout ~env () in
+  Memory.init_arrays m ~seed:42;
+  m
+
+let memory_accesses (k : Counters.t) =
+  k.Counters.scalar_loads + k.Counters.scalar_stores + k.Counters.vector_loads
+  + k.Counters.vector_stores + k.Counters.pack_loads + k.Counters.pack_stores
+
+(* Minor words of one engine run per simulated memory access, its
+   memory built and initialized beforehand (a values-only run builds
+   its own).  Compiling the closures allocates in proportion to the
+   program, which the budget covers; nothing may be allocated per
+   access.  Every run is made once before it is measured, so a cache
+   geometry this process has not created yet does not count. *)
+let test_allocation_budget () =
+  List.iter
+    (fun name ->
+      let reference, scalar_layout, vprog = global_compile name in
+      let scalar_memory () = initialized reference.Program.env in
+      let vector_memory () = initialized ~scalar_layout vprog.Visa.env in
+      let scalar memory = Scalar_exec.run ~memory ~machine reference in
+      let vector memory = Vector_exec.run ~memory ~machine vprog in
+      let values () = Scalar_exec.final_memory ~machine reference in
+      let scalar_accesses =
+        memory_accesses (scalar (scalar_memory ())).Scalar_exec.counters
+      in
+      let vector_accesses =
+        memory_accesses (vector (vector_memory ())).Vector_exec.counters
+      in
+      ignore (values ());
+      let budget what ~accesses run =
+        let before = Gc.minor_words () in
+        ignore (run ());
+        let words = Gc.minor_words () -. before in
+        let per_access = words /. float_of_int accesses in
+        if not (per_access < 0.1) then
+          Alcotest.failf "%s, %s: %.0f minor words over %d accesses (%.3f per access)"
+            name what words accesses per_access
+      in
+      let memory = scalar_memory () in
+      budget "timed scalar run" ~accesses:scalar_accesses (fun () -> scalar memory);
+      let memory = vector_memory () in
+      budget "timed Global vector run" ~accesses:vector_accesses (fun () -> vector memory);
+      budget "values-only reference" ~accesses:scalar_accesses values)
+    [ "cactusADM"; "bt" ]
+
+(* Runs hand their caches on: kernel K, then L, then K again gives K's
+   results bit for bit, at 1 and 2 cores.  A profiled run's observer
+   stays with that run, and a run that traps partway (its caches are
+   not released) leaves the next run alone. *)
+let test_engine_cache_reuse () =
+  let k = global_compile "bt" and l = global_compile "mg" in
+  let vector ?profile ~cores (_, scalar_layout, vprog) =
+    Vector_exec.run ~cores ?profile
+      ~memory:(initialized ~scalar_layout vprog.Visa.env)
+      ~machine vprog
+  in
+  let scalar ~cores (reference, _, _) = Scalar_exec.run ~cores ~machine reference in
+  let same what (a : Scalar_exec.result) (b : Scalar_exec.result) =
+    Alcotest.(check bool) (what ^ ": counters") true
+      (Counters.equal a.Scalar_exec.counters b.Scalar_exec.counters);
+    Alcotest.(check bool) (what ^ ": memory") true
+      (Memory.equal a.Scalar_exec.memory b.Scalar_exec.memory)
+  in
+  let trap =
+    Slp_frontend.Parser.parse ~name:"oob"
+      "f64 A[4096];\nf64 B[4096];\nfor i = 0 to 4096 {\n  B[i] = A[i + 1] * 2.0;\n}"
+  in
+  List.iter
+    (fun cores ->
+      let tag what = Printf.sprintf "%s, %d core(s)" what cores in
+      let kv = vector ~cores k and ks = scalar ~cores k in
+      ignore (vector ~cores l);
+      ignore (scalar ~cores l);
+      same (tag "vector K after L") kv (vector ~cores k);
+      same (tag "scalar K after L") ks (scalar ~cores k);
+      (match Scalar_exec.run ~cores ~machine trap with
+      | _ -> Alcotest.fail (tag "expected a trap")
+      | exception Slp_vm.Trap.Trap _ -> ());
+      same (tag "vector K after a trapped run") kv (vector ~cores k))
+    [ 1; 2 ];
+  let module Profile = Slp_obs.Profile in
+  let p = Profile.create () in
+  let profiled = vector ~profile:p ~cores:1 k in
+  let observed () =
+    List.fold_left
+      (fun acc (_, (s : Profile.stat)) ->
+        acc + s.Profile.memory_accesses + Array.fold_left ( + ) 0 s.Profile.level_hits)
+      0 (Profile.arrays p)
+  in
+  let seen = observed () in
+  Alcotest.(check bool) "profiled run observed" true (seen > 0);
+  same "unprofiled after profiled" profiled (vector ~cores:1 k);
+  Alcotest.(check int) "old observer not called" seen (observed ())
+
 (* -- parcheck verdicts -------------------------------------------------------- *)
 
 let parse_mc = Slp_frontend.Parser.parse
@@ -506,8 +656,14 @@ let () =
           Alcotest.test_case "associativity eviction" `Quick test_cache_associativity_eviction;
           Alcotest.test_case "line straddling" `Quick test_cache_straddling;
           Alcotest.test_case "contention" `Quick test_cache_contention;
+          Alcotest.test_case "released hierarchy reused empty" `Quick test_cache_reuse;
         ] );
       ("counters", [ Alcotest.test_case "categories" `Quick test_counters ]);
+      ( "engine runs",
+        [
+          Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+          Alcotest.test_case "caches reused across runs" `Quick test_engine_cache_reuse;
+        ] );
       ( "scalar_exec",
         [
           Alcotest.test_case "values and counts" `Quick test_scalar_exec_values;
