@@ -63,3 +63,16 @@ let read_in_other_block t (b : Block.t) v =
         bs
 
 let demanded t b v = upward_exposed t b v || read_in_other_block t b v
+
+(* A scalar's final slot value is architecturally defined only when
+   every block that writes it must materialise it.  Scalars no block
+   writes keep their initial value and count too. *)
+let observable_scalars (prog : Program.t) =
+  let t = compute prog in
+  let blocks = Program.blocks prog in
+  List.filter
+    (fun name ->
+      List.for_all
+        (fun b -> (not (List.mem name (Block.scalar_defs b))) || demanded t b name)
+        blocks)
+    (List.map fst (Env.scalars prog.Program.env))

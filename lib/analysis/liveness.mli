@@ -15,3 +15,11 @@ val compute : Program.t -> t
 
 val demanded : t -> Block.t -> string -> bool
 val upward_exposed : t -> Block.t -> string -> bool
+
+val observable_scalars : Program.t -> string list
+(** The declared scalars whose final value a correct compilation must
+    reproduce: those every defining block must materialise ([demanded]
+    there), plus those no block writes.  A scalar a vector register
+    carries to its last use may leave its slot unspecified, so the
+    scalar-reference checks (the fuzz oracle and
+    [Pipeline.execute ~check]) compare only these. *)

@@ -75,21 +75,6 @@ let memory_diff ~env ref_mem vec_mem =
         scan 0)
     (Env.arrays env)
 
-(* A scalar's final slot value is architecturally defined only when
-   every block that writes it must materialise it (liveness contract:
-   values are unpacked from vector registers only when demanded).
-   Scalars never written compare trivially (both sides zero). *)
-let observable_scalars prog =
-  let liveness = Slp_analysis.Liveness.compute prog in
-  let blocks = Program.blocks prog in
-  List.filter
-    (fun name ->
-      let defining =
-        List.filter (fun b -> List.mem name (Block.scalar_defs b)) blocks
-      in
-      List.for_all (fun b -> Slp_analysis.Liveness.demanded liveness b name) defining)
-    (List.map fst (Env.scalars prog.Program.env))
-
 let scalar_diff ~names ref_mem vec_mem =
   List.find_map
     (fun name ->
@@ -125,7 +110,7 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
       }
   | Ok () ->
       let failures = ref [] and drifts = ref [] in
-      let scalar_names = observable_scalars prog in
+      let scalar_names = Slp_analysis.Liveness.observable_scalars prog in
       let fail ~scheme ~machine ~stage message =
         failures := { scheme; machine; stage; message } :: !failures
       in

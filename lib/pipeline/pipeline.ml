@@ -127,9 +127,10 @@ type exec_result = { counters : Slp_vm.Counters.t; correct : bool }
    is the vector program on a fresh memory with the scalar layout, or
    the reference itself when there is no vector program.  Under
    [check] the scalar reference runs at the same core count, values
-   only, and its final memory must match the measured run's.  Only the
-   measured run gets the profiler and the domain pool, so attributed
-   cycles describe exactly the run whose counters are returned. *)
+   only, and its final arrays and observable scalars must match the
+   measured run's.  Only the measured run gets the profiler and the
+   domain pool, so attributed cycles describe exactly the run whose
+   counters are returned. *)
 let run_kernel ?profile ?origins ?pool ~cores ~seed ~check ~machine
     ~scalar_offsets (reference : Program.t) vector =
   match vector with
@@ -149,9 +150,12 @@ let run_kernel ?profile ?origins ?pool ~cores ~seed ~check ~machine
       in
       let correct =
         (not check)
-        || Slp_vm.Memory.same_contents
-             (Slp_vm.Scalar_exec.final_memory ~cores ~seed ~machine reference)
-             memory
+        ||
+        let expected = Slp_vm.Scalar_exec.final_memory ~cores ~seed ~machine reference in
+        Slp_vm.Memory.same_contents expected memory
+        && Slp_vm.Memory.same_scalars
+             ~names:(Slp_analysis.Liveness.observable_scalars reference)
+             expected memory
       in
       ({ counters = r.Slp_vm.Vector_exec.counters; correct }, memory)
 

@@ -156,8 +156,10 @@ val execute :
     arrays initialised from [seed] (default 42).
 
     [check] (default true) also runs the scalar reference, at the same
-    [cores] (default 1), and compares final memories with
-    {!Slp_vm.Memory.same_contents}.  The reference is a values-only
+    [cores] (default 1), and compares final memories: the reference's
+    arrays ({!Slp_vm.Memory.same_contents}) and its observable scalars
+    ({!Slp_analysis.Liveness.observable_scalars}, such as a reduction's
+    live-out sum), both within 1e-9.  The reference is a values-only
     run ({!Slp_vm.Scalar_exec.final_memory}): no cache simulation,
     counters or cycles, so it costs well under a timed run.  Disable
     it inside benchmark loops.

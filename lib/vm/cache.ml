@@ -22,6 +22,7 @@ type level = {
 
 type t = {
   levels : level array;
+  l1 : level;  (** [levels.(0)], read directly by the MRU hit path. *)
   line_shift : int;
       (** log2 of the L1 line size when it is a power of two, for
           shift-based line splitting; [-1] otherwise. *)
@@ -31,6 +32,9 @@ type t = {
   bus_penalty : float;
       (** Extra cycles per line access from shared-bus/coherence
           contention when several cores are active. *)
+  l1_hit : float;
+      (** [latency.(0) +. bus_penalty], the cycles of an L1 hit: the
+          same float the walk's path adds, computed once. *)
   level_hits : int array;
   mutable memory_accesses : int;
   mutable total : int;
@@ -94,15 +98,18 @@ let create ?(contention = 1.0) (m : M.t) =
   in
   let latency = FA.make (Array.length specs + 1) (float_of_int m.M.memory_latency *. contention) in
   Array.iteri (fun i (c : M.cache_level) -> FA.set latency i (float_of_int c.M.latency)) specs;
+  (* Every access occupies the shared memory subsystem briefly; under
+     contention that occupancy turns into queueing delay even on cache
+     hits (this is what makes the scalar code scale worse than the
+     vectorized code in Figure 21). *)
+  let bus_penalty = (contention -. 1.0) *. 8.0 in
   {
     levels;
+    l1 = levels.(0);
     line_shift = log2_pow2 levels.(0).line_bytes;
     latency;
-    (* Every access occupies the shared memory subsystem briefly; under
-       contention that occupancy turns into queueing delay even on
-       cache hits (this is what makes the scalar code scale worse than
-       the vectorized code in Figure 21). *)
-    bus_penalty = (contention -. 1.0) *. 8.0;
+    bus_penalty;
+    l1_hit = FA.get latency 0 +. bus_penalty;
     level_hits = Array.make (Array.length specs) 0;
     memory_accesses = 0;
     total = 0;
@@ -119,16 +126,16 @@ let release t =
 
 let set_observer t f = t.observer <- f
 
-let set_of level line =
+let[@inline] set_of level line =
   if level.set_mask >= 0 then line land level.set_mask else line mod level.set_count
 
-let line_of t addr =
+let[@inline] line_of t addr =
   if t.line_shift >= 0 then addr asr t.line_shift else addr / t.levels.(0).line_bytes
 
 let line_addr t line =
   if t.line_shift >= 0 then line lsl t.line_shift else line * t.levels.(0).line_bytes
 
-let notify t line level =
+let[@inline] notify t line level =
   match t.observer with
   | None -> ()
   | Some f -> f (line_addr t line) level
@@ -153,7 +160,7 @@ let touch level line =
   let last =
     if hit then !idx
     else begin
-      let n' = min (n + 1) level.ways in
+      let n' = Int.min (n + 1) level.ways in
       Array.unsafe_set level.fill set n';
       n' - 1
     end
@@ -196,23 +203,20 @@ let charge t acc ~issue ~addr ~bytes =
      engine's values-only closures skip the cache and tick at the same
      point themselves.)  One flag read when disarmed. *)
   if !Trap.fault_enabled then Trap.fault_tick ();
-  let first = line_of t addr and last = line_of t (addr + max 1 bytes - 1) in
+  let first = line_of t addr and last = line_of t (addr + Int.max 1 bytes - 1) in
   if first = last then begin
     (* Fast path for the dominant case: a single line that is the MRU
        entry of its L1 set.  The walk would find it at position 0 and
        the LRU rotation would be a no-op, so the state and the charged
        cycles are identical. *)
-    let l1 = Array.unsafe_get t.levels 0 in
-    let level =
-      if Array.unsafe_get l1.tags (set_of l1 first * l1.ways) = first then begin
-        t.total <- t.total + 1;
-        t.level_hits.(0) <- t.level_hits.(0) + 1;
-        notify t first 0;
-        0
-      end
-      else access_line t first
-    in
-    acc.(0) <- acc.(0) +. (issue +. (FA.get t.latency level +. t.bus_penalty))
+    let l1 = t.l1 in
+    if Array.unsafe_get l1.tags (set_of l1 first * l1.ways) = first then begin
+      t.total <- t.total + 1;
+      t.level_hits.(0) <- t.level_hits.(0) + 1;
+      notify t first 0;
+      acc.(0) <- acc.(0) +. (issue +. t.l1_hit)
+    end
+    else acc.(0) <- acc.(0) +. (issue +. (FA.get t.latency (access_line t first) +. t.bus_penalty))
   end
   else begin
     let cycles = ref 0.0 in

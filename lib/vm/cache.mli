@@ -16,7 +16,14 @@
     allocating one (about 250k words on the Intel model).  Each domain
     keeps at most 8 released hierarchies.  Hit counts, the observer
     and the contention-derived latencies belong to the value [create]
-    returns, so nothing observable carries over from a reused one. *)
+    returns, so nothing observable carries over from a reused one.
+
+    The hit path: a single-line access whose line is the most recently
+    used tag of its L1 set reads the L1 level directly, skips the walk
+    (whose LRU rotation would be a no-op) and adds the L1 hit cost
+    [latency(L1) + bus surcharge], computed once by [create], so its
+    cycles are bit-identical to the walk's.  No access calls a
+    polymorphic comparison. *)
 
 type t
 

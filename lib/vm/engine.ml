@@ -40,13 +40,24 @@
    All hot-path storage is unboxed and preallocated: the register
    file is a single [floatarray] of [nvregs * stride] cells (register
    [r]'s lanes live at [r*stride ..]), lane counts live in a side
-   [int array], shuffle scratch and spill slots are state-owned flat
-   arenas, and loads/stores on 1-D arrays with unit-stride lanes (the
-   case the lowering pass guarantees for adjacent packs) compile to a
-   single range check plus a flat blit-style loop.  Compiled closures
-   carry no mutable compile-time scratch, so one compiled program can
-   be run by many states — including states owned by different
-   domains.
+   [int array], and shuffle scratch and spill slots are state-owned
+   flat arenas.  Compiled closures carry no mutable compile-time
+   scratch, so one compiled program can be run by many states —
+   including states owned by different domains.
+
+   Array addressing ([compile_flat]).  A 1-D subscript, and a rank-2
+   subscript with at most one loop term per dimension (the NAS
+   kernels' [X[p][i]], every suite kernel's shape), link into one
+   closure that computes the index, bounds-checks it dimension by
+   dimension and flattens it inline.  Other shapes loop over their
+   linked per-dimension constants and term arrays; no shape calls a
+   closure per dimension.  A vload or vstore whose pack is contiguous
+   along the last dimension of a rank-1 or rank-2 array — the same
+   leading subscripts in every lane, and lane k's last subscript lane
+   0's plus k, the packs the lowering pass emits for adjacent lanes —
+   compiles to one range check over all lanes plus a flat copy
+   ([contig]).  When that check fails it replays the per-lane checks,
+   so the trap names the same lane and dimension as the interpreter's.
 
    Execution allocates nothing per simulated access.  The build passes
    [-opaque] and this toolchain has no flambda, so a float returned
@@ -289,21 +300,31 @@ let affine_sum const ds ks (frame : int array) =
   done;
   !acc
 
-let split_terms terms =
-  (Array.of_list (List.map fst terms), Array.of_list (List.map snd terms))
+(* A subscript linked against the loop frame:
+   [const + sum_j ks.(j) * frame.(ds.(j))]. *)
+type sub = { const : int; ds : int array; ks : int array }
 
-let compile_affine ~depths a =
-  let const = Affine.const_part a in
-  match resolve_terms ~depths a with
-  | [] -> fun _ -> const
-  | [ (d, k) ] -> fun (frame : int array) -> const + (k * Array.unsafe_get frame d)
-  | terms ->
-      let ds, ks = split_terms terms in
-      fun frame -> affine_sum const ds ks frame
+let link_sub ~depths a =
+  let terms = resolve_terms ~depths a in
+  {
+    const = Affine.const_part a;
+    ds = Array.of_list (List.map fst terms);
+    ks = Array.of_list (List.map snd terms);
+  }
+
+let eval_sub s frame = affine_sum s.const s.ds s.ks frame
+
+(* A subscript with at most one loop term, as [(depth, coeff)].  No
+   term reads as coefficient 0 at depth 0, which every frame has. *)
+let single_term s =
+  match Array.length s.ds with
+  | 0 -> Some (0, 0)
+  | 1 -> Some (s.ds.(0), s.ks.(0))
+  | _ -> None
 
 let compile_bound ~depths a =
-  let f = compile_affine ~depths a in
-  fun st -> f st.frame
+  let s = link_sub ~depths a in
+  fun st -> eval_sub s st.frame
 
 (* A linked array element: backing store, geometry, and a specialised
    bounds-checked flat-index function (same checks and error messages
@@ -315,41 +336,52 @@ type elem_ref = {
   e_flat : int array -> int;
 }
 
+(* The originating statement id is baked into the trap closure at
+   compile time — zero cost on the in-bounds path.  The 1-D case and
+   the rank-2 case with at most one loop term per dimension (every
+   suite kernel's shape) compute, check and flatten inline in one
+   closure; other shapes loop over the linked subscripts.  Checks go
+   dimension by dimension, as in [Memory.flat_index]. *)
 let compile_flat ?stmt ~depths ctx name idxs =
-  let dims = Memory.dims ctx.mem name in
-  match (dims, idxs) with
-  | [ d0 ], [ ix ] ->
-      (* The common 1-D case folds the bounds check into the affine
-         closure itself (no inner closure call on the hot path).  The
-         originating statement id is baked into the trap closure at
-         compile time — zero cost on the in-bounds path. *)
-      let oob i = Trap.oob ?stmt ~array:name ~index:i ~bound:d0 () in
-      let const = Affine.const_part ix in
-      (match resolve_terms ~depths ix with
-      | [] -> if const < 0 || const >= d0 then fun _ -> oob const else fun _ -> const
-      | [ (d, k) ] ->
+  let oob bound i = Trap.oob ?stmt ~array:name ~index:i ~bound () in
+  let rank_n dims subs =
+    let dims = Array.of_list dims and subs = Array.of_list subs in
+    fun frame ->
+      let acc = ref 0 in
+      for j = 0 to Array.length subs - 1 do
+        let i = eval_sub (Array.unsafe_get subs j) frame in
+        let d = Array.unsafe_get dims j in
+        if i < 0 || i >= d then oob d i;
+        acc := (!acc * d) + i
+      done;
+      !acc
+  in
+  match (Memory.dims ctx.mem name, idxs) with
+  | [ d0 ], [ ix ] -> (
+      let s = link_sub ~depths ix in
+      let c = s.const in
+      match (s.ds, s.ks) with
+      | [||], _ -> if c < 0 || c >= d0 then fun _ -> oob d0 c else fun _ -> c
+      | [| d |], [| k |] ->
           fun (frame : int array) ->
-            let i = const + (k * Array.unsafe_get frame d) in
-            if i < 0 || i >= d0 then oob i;
+            let i = c + (k * Array.unsafe_get frame d) in
+            if i < 0 || i >= d0 then oob d0 i;
             i
-      | terms ->
-          let ds, ks = split_terms terms in
+      | _ -> rank_n [ d0 ] [ s ])
+  | [ d0; d1 ], [ ix0; ix1 ] -> (
+      let s0 = link_sub ~depths ix0 and s1 = link_sub ~depths ix1 in
+      match (single_term s0, single_term s1) with
+      | Some (f0, k0), Some (f1, k1) ->
+          let c0 = s0.const and c1 = s1.const in
           fun frame ->
-            let i = affine_sum const ds ks frame in
-            if i < 0 || i >= d0 then oob i;
-            i)
-  | dims, idxs when List.length dims = List.length idxs ->
-      let fs = Array.of_list (List.map (compile_affine ~depths) idxs) in
-      let ds = Array.of_list dims in
-      fun frame ->
-        let acc = ref 0 in
-        for k = 0 to Array.length fs - 1 do
-          let i = (Array.unsafe_get fs k) frame in
-          let d = Array.unsafe_get ds k in
-          if i < 0 || i >= d then Trap.oob ?stmt ~array:name ~index:i ~bound:d ();
-          acc := (!acc * d) + i
-        done;
-        !acc
+            let i0 = c0 + (k0 * Array.unsafe_get frame f0) in
+            if i0 < 0 || i0 >= d0 then oob d0 i0;
+            let i1 = c1 + (k1 * Array.unsafe_get frame f1) in
+            if i1 < 0 || i1 >= d1 then oob d1 i1;
+            (i0 * d1) + i1
+      | _ -> rank_n [ d0; d1 ] [ s0; s1 ])
+  | dims, idxs when List.compare_lengths dims idxs = 0 ->
+      rank_n dims (List.map (link_sub ~depths) idxs)
   | _ -> fun _ -> Trap.rank_mismatch ?stmt ~array:name ()
 
 let link_elem ?stmt ctx ~depths op =
@@ -592,29 +624,78 @@ let link_lane_src ctx ~depths ~off (src : Visa.lane_src) =
         Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * e_bytes)) ~bytes:e_bytes;
         FA.unsafe_set st.vregs off (FA.unsafe_get e_data fl)
 
+(* Lane 0's flat index of an [n]-lane pack contiguous along the last
+   dimension, [row * cols + col], after one range check covering every
+   lane.  A failing check replays the generic path's per-lane,
+   per-dimension checks, so the trap names the same lane and
+   dimension.  A rank-1 array is one row: [row] is [None]. *)
+let contig_index ~name ~n ~rows ~cols row col =
+  let replay r c =
+    for k = 0 to n - 1 do
+      if r < 0 || r >= rows then Trap.oob ~array:name ~index:r ~bound:rows ();
+      let i = c + k in
+      if i < 0 || i >= cols then Trap.oob ~array:name ~index:i ~bound:cols ()
+    done
+  in
+  let generic frame =
+    let r = match row with Some s -> eval_sub s frame | None -> 0 in
+    let c = eval_sub col frame in
+    if r < 0 || r >= rows || c < 0 || c + n > cols then replay r c;
+    (r * cols) + c
+  in
+  match (row, single_term col) with
+  | None, Some (fc, kc) ->
+      let cc = col.const in
+      fun (frame : int array) ->
+        let c = cc + (kc * Array.unsafe_get frame fc) in
+        if c < 0 || c + n > cols then replay 0 c;
+        c
+  | Some s, Some (fc, kc) -> (
+      match single_term s with
+      | Some (fr, kr) ->
+          let cr = s.const and cc = col.const in
+          fun frame ->
+            let r = cr + (kr * Array.unsafe_get frame fr) in
+            let c = cc + (kc * Array.unsafe_get frame fc) in
+            if r < 0 || r >= rows || c < 0 || c + n > cols then replay r c;
+            (r * cols) + c
+      | None -> generic)
+  | _, None -> generic
+
 (* The lowering pass packs memory lanes that are provably adjacent, so
-   the overwhelmingly common vload/vstore shape is "same 1-D array,
-   lane k's subscript = lane 0's + k".  When the subscripts prove that
-   at compile time ([Affine.diff_const]), the whole superword accesses
-   collapse to one affine evaluation, one range check, and a flat copy
-   — no per-lane closure calls.  Returns the shared array geometry and
-   lane 0's *unchecked* affine index function. *)
-let contig_1d ctx ~depths elems =
+   the overwhelmingly common vload/vstore shape is a pack contiguous
+   along the last dimension of a rank-1 or rank-2 array: every lane
+   names the same array with the same leading subscripts, and lane k's
+   last subscript is lane 0's plus k.  When the subscripts prove that
+   at compile time ([Affine.diff_const]), the whole superword access
+   collapses to one index evaluation, one range check and a flat copy
+   — no per-lane closure calls.  Returns the array name and
+   [contig_index]'s function. *)
+let contig ctx ~depths elems =
   match elems with
-  | Operand.Elem (name, [ ix0 ]) :: rest -> (
-      match Memory.dims ctx.mem name with
-      | [ d0 ] ->
-          let ok, _ =
-            List.fold_left
-              (fun (ok, k) op ->
-                match op with
-                | Operand.Elem (name', [ ix ]) when ok && String.equal name' name ->
-                    (Affine.diff_const ix ix0 = Some k, k + 1)
-                | _ -> (false, k + 1))
-              (true, 1) rest
-          in
-          if ok then Some (name, d0, compile_affine ~depths ix0) else None
-      | _ -> None)
+  | Operand.Elem (name, idxs0) :: _ -> (
+      let rec shifted k idxs idxs0 =
+        match (idxs, idxs0) with
+        | [ ix ], [ ix0 ] -> Affine.diff_const ix ix0 = Some k
+        | ix :: idxs, ix0 :: idxs0 -> Affine.diff_const ix ix0 = Some 0 && shifted k idxs idxs0
+        | _ -> false
+      in
+      let rec lanes k = function
+        | [] -> true
+        | Operand.Elem (name', idxs) :: rest ->
+            String.equal name' name && shifted k idxs idxs0 && lanes (k + 1) rest
+        | (Operand.Const _ | Operand.Scalar _) :: _ -> false
+      in
+      let n = List.length elems in
+      if not (lanes 0 elems) then None
+      else
+        match (Memory.dims ctx.mem name, idxs0) with
+        | [ cols ], [ ix ] ->
+            Some (name, contig_index ~name ~n ~rows:1 ~cols None (link_sub ~depths ix))
+        | [ rows; cols ], [ ixr; ix ] ->
+            let row = Some (link_sub ~depths ixr) in
+            Some (name, contig_index ~name ~n ~rows ~cols row (link_sub ~depths ix))
+        | _ -> None)
   | _ -> None
 
 let compile_instr ctx ~depths instr =
@@ -629,21 +710,14 @@ let compile_instr ctx ~depths instr =
       let n = List.length elems in
       let dst_off = dst * stride in
       let issue = float_of_int costs.M.load_issue in
-      match contig_1d ctx ~depths elems with
-      | Some (name, d0, f0) ->
+      match contig ctx ~depths elems with
+      | Some (name, f0) ->
           let data = Memory.array_values ctx.mem name in
           let base = Memory.array_base ctx.mem name in
           let bytes = Memory.elem_bytes ctx.mem name in
           let bytes_total = bytes * n in
           fun st ->
             let i0 = f0 st.frame in
-            if i0 < 0 || i0 + n > d0 then
-              (* Out of range: replay the generic path's per-lane
-                 checks so the trap blames the same lane. *)
-              for k = 0 to n - 1 do
-                let i = i0 + k in
-                if i < 0 || i >= d0 then Trap.oob ~array:name ~index:i ~bound:d0 ()
-              done;
             let vregs = st.vregs in
             for k = 0 to n - 1 do
               FA.unsafe_set vregs (dst_off + k) (FA.unsafe_get data (i0 + k))
@@ -679,8 +753,8 @@ let compile_instr ctx ~depths instr =
       let n = List.length elems in
       let src_off = src * stride in
       let issue = float_of_int costs.M.store_issue in
-      match contig_1d ctx ~depths elems with
-      | Some (name, d0, f0) ->
+      match contig ctx ~depths elems with
+      | Some (name, f0) ->
           let data = Memory.array_values ctx.mem name in
           let base = Memory.array_base ctx.mem name in
           let bytes = Memory.elem_bytes ctx.mem name in
@@ -688,11 +762,6 @@ let compile_instr ctx ~depths instr =
           fun st ->
             let ls = vreg_lanes st src in
             let i0 = f0 st.frame in
-            if i0 < 0 || i0 + n > d0 then
-              for k = 0 to n - 1 do
-                let i = i0 + k in
-                if i < 0 || i >= d0 then Trap.oob ~array:name ~index:i ~bound:d0 ()
-              done;
             let vregs = st.vregs in
             for k = 0 to n - 1 do
               if k >= ls then invalid_arg "index out of bounds";

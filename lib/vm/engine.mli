@@ -21,6 +21,17 @@
     data-dependent control flow, so values never depend on timing and
     the two modes leave bit-identical memory.
 
+    Array subscripts are linked once.  A 1-D subscript, or a rank-2
+    one with at most one loop term per dimension, becomes one closure
+    that computes, bounds-checks and flattens the index; other shapes
+    loop over linked per-dimension constants and terms.  A vector load
+    or store whose lanes are contiguous along the last dimension of a
+    rank-1 or rank-2 array (the same leading subscripts in every lane,
+    lane k's last subscript lane 0's plus k) makes one range check
+    and a flat copy.  Out of range, it replays the per-lane checks, so
+    the {!Trap.Trap} names the same lane and dimension as
+    {!Vector_exec.run_interpreter}'s.
+
     A run allocates nothing per simulated access, only what compiling
     its closures takes.  Its caches come from {!Cache.create}'s
     per-domain reuse list and go back with {!Cache.release} when the

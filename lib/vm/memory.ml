@@ -216,6 +216,11 @@ let spill_load t ~slot =
   let base = slot * t.spill_stride in
   Array.init lanes (fun k -> FA.unsafe_get t.spill_data (base + k))
 
+(* Identical NaNs/infinities count as equal: both executions
+   overflowing the same way is agreement.  Inlined: a call would box
+   both floats of every element [same_contents] compares. *)
+let[@inline] close x y = Float.equal x y || Float.abs (x -. y) <= 1e-9
+
 let same_contents a b =
   let names =
     Hashtbl.fold (fun k _ acc -> k :: acc) a.arrays [] |> List.sort String.compare
@@ -230,15 +235,12 @@ let same_contents a b =
           &&
           let rec scan i =
             if i >= FA.length ba.data then true
-            else begin
-              let x = FA.unsafe_get ba.data i and y = FA.unsafe_get bb.data i in
-              (* Identical NaNs/infinities count as equal: both
-                 executions overflowing the same way is agreement. *)
-              (Float.equal x y || Float.abs (x -. y) <= 1e-9) && scan (i + 1)
-            end
+            else close (FA.unsafe_get ba.data i) (FA.unsafe_get bb.data i) && scan (i + 1)
           in
           scan 0)
     names
+
+let same_scalars ~names a b = List.for_all (fun v -> close (scalar a v) (scalar b v)) names
 
 let equal a b =
   let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in

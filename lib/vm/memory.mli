@@ -84,6 +84,11 @@ val same_contents : t -> t -> bool
     only in [candidate], such as the replicas a data layout adds, are
     ignored.  Pass the scalar run's memory first. *)
 
+val same_scalars : names:string list -> t -> t -> bool
+(** The scalars [names] read the same in both memories, with
+    {!same_contents}' tolerance; a scalar a memory never set reads 0
+    (as {!scalar} does). *)
+
 val equal : t -> t -> bool
 (** The same arrays and the same scalars, bit for bit (floats compared
     by [Int64.bits_of_float]) — the memory half of the

@@ -11,9 +11,14 @@ let array_names = [ "A"; "B"; "C" ]
 let scalar_names = [ "s0"; "s1"; "t0"; "t1"; "t2" ]
 let array_size = 256
 
+(* [M] is rank 2, one row per iteration of the outer [t] loop, shaped
+   like the NAS kernels' [X[p][i]]. *)
+let matrix_rows = 3
+
 let gen_env () =
   let env = Env.create () in
   List.iter (fun a -> Env.declare_array env a Types.F64 [ array_size ]) array_names;
+  Env.declare_array env "M" Types.F64 [ matrix_rows; array_size ];
   List.iter (fun v -> Env.declare_scalar env v Types.F64) scalar_names;
   env
 
@@ -25,11 +30,28 @@ let gen_subscript =
       (fun coeff offset -> Affine.make [ ("i", coeff) ] offset)
       (int_range 1 2) (int_range (-2) 4))
 
-let gen_operand =
+(* An element of a rank-1 array, or of [M] with the row [t] or a
+   constant row.  Unrolling [i] shifts only the last subscript, so
+   adjacent [M] lanes pack contiguously along a row.  An [M] column
+   may also add [t] (two loop terms, still within [0, 246]). *)
+let gen_elem =
   QCheck.Gen.(
     frequency
       [
         (3, map2 (fun a ix -> Operand.Elem (a, [ ix ])) (oneofl array_names) gen_subscript);
+        ( 1,
+          map3
+            (fun row ix skew ->
+              Operand.Elem ("M", [ row; (if skew then Affine.add ix (Affine.var "t") else ix) ]))
+            (oneof [ return (Affine.var "t"); map Affine.const (int_bound (matrix_rows - 1)) ])
+            gen_subscript bool );
+      ])
+
+let gen_operand =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, gen_elem);
         (2, map (fun v -> Operand.Scalar v) (oneofl scalar_names));
         (1, map (fun f -> Operand.Const (Float.of_int f /. 8.0)) (int_range (-16) 16));
       ])
@@ -59,7 +81,7 @@ let gen_lhs =
   QCheck.Gen.(
     frequency
       [
-        (3, map2 (fun a ix -> Operand.Elem (a, [ ix ])) (oneofl array_names) gen_subscript);
+        (3, gen_elem);
         (1, map (fun v -> Operand.Scalar v) (oneofl [ "t0"; "t1"; "t2" ]));
       ])
 
@@ -74,7 +96,7 @@ let gen_program =
         in
         Program.make ~name:"fuzz" ~env
           [
-            Program.loop "t" ~lo:(Affine.const 0) ~hi:(Affine.const 3)
+            Program.loop "t" ~lo:(Affine.const 0) ~hi:(Affine.const matrix_rows)
               [
                 Program.loop "i" ~lo:(Affine.const 2) ~hi:(Affine.const 120)
                   [ Program.Stmts block ];

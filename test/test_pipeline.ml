@@ -163,6 +163,41 @@ let test_layout_helps_strided () =
     true
     (layout < global)
 
+(* The scalar-reference check covers live-out scalars, not only
+   arrays: a vector program whose arrays are right but whose reduction
+   leaves a wrong sum is not correct. *)
+let test_check_covers_live_out_scalars () =
+  let open Slp_ir in
+  let prog =
+    Parser.parse ~name:"dot"
+      {|
+f64 X[256];
+f64 Z[256];
+f64 acc;
+for i = 0 to 256 {
+  Z[i] = Z[i] + 0.5 * X[i];
+  acc = acc + X[i] * X[i];
+}
+|}
+  in
+  let machine = Machine.intel_dunnington in
+  let c = Pipeline.compile ~scheme:Pipeline.Global ~machine prog in
+  Alcotest.(check bool) "as compiled" true (Pipeline.execute c).Pipeline.correct;
+  let v = Option.get c.Pipeline.vector in
+  let bump =
+    Stmt.make ~id:999 ~lhs:(Operand.Scalar "acc")
+      ~rhs:(Expr.Bin (Types.Add, Expr.Leaf (Operand.Scalar "acc"), Expr.Leaf (Operand.Const 1.0)))
+  in
+  let wrong =
+    { v with Slp_vm.Visa.body = v.Slp_vm.Visa.body @ [ Slp_vm.Visa.Block [ Slp_vm.Visa.Sstmt bump ] ] }
+  in
+  let r, memory = Pipeline.execute_with_memory { c with Pipeline.vector = Some wrong } in
+  Alcotest.(check bool) "arrays still match" true
+    (Slp_vm.Memory.same_contents
+       (Slp_vm.Scalar_exec.final_memory ~machine c.Pipeline.reference)
+       memory);
+  Alcotest.(check bool) "wrong live-out sum caught" false r.Pipeline.correct
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -179,5 +214,7 @@ let () =
           Alcotest.test_case "layout replicates repeated kernel" `Quick
             test_layout_replicates_repeated;
           Alcotest.test_case "layout helps strided" `Quick test_layout_helps_strided;
+          Alcotest.test_case "check covers live-out scalars" `Quick
+            test_check_covers_live_out_scalars;
         ] );
     ]

@@ -334,6 +334,73 @@ let test_vector_reads_before_write_fail () =
     (Invalid_argument "Vector_exec: v7 read before write") (fun () ->
       ignore (Vector_exec.run ~machine prog))
 
+(* A contiguous vload or vstore that runs off its array raises the same
+   [Trap.info] from the engine, which checks the whole pack at once and
+   replays the per-lane checks on failure, as from the interpreter,
+   which checks lane by lane: off a 1-D array at lane 2, off a rank-2
+   row at lane 2, off the leading dimension, and through a two-term
+   last subscript at lane 2. *)
+let test_vector_trap_parity () =
+  let env = Env.create () in
+  Env.declare_array env "A" Types.F64 [ 8 ];
+  Env.declare_array env "M" Types.F64 [ 3; 4 ];
+  let lanes = 4 in
+  let pack elem = List.init lanes elem in
+  let i = Affine.var "i" in
+  let shifted k = Affine.add i (Affine.const k) in
+  let loop index v body =
+    Visa.Loop { Visa.index; lo = Affine.const v; hi = Affine.const (v + 1); step = 1; body }
+  in
+  let trap_of f =
+    match f () with
+    | _ -> None
+    | exception Slp_vm.Trap.Trap info -> Some info
+  in
+  List.iter
+    (fun (what, i0, elems, (index, bound)) ->
+      List.iter
+        (fun (op, instrs) ->
+          let prog =
+            {
+              Visa.name = "oob";
+              env;
+              setup = [];
+              body = [ loop "j" 1 [ loop "i" i0 [ Visa.Block instrs ] ] ];
+            }
+          in
+          let tag = Printf.sprintf "%s off %s" op what in
+          let engine = trap_of (fun () -> Slp_vm.Engine.run_vector ~machine prog) in
+          let interpreter = trap_of (fun () -> Vector_exec.run_interpreter ~machine prog) in
+          (match engine with
+          | Some { Slp_vm.Trap.kind = Slp_vm.Trap.Out_of_bounds o; _ } ->
+              Alcotest.(check (pair int int)) (tag ^ ": index, bound") (index, bound)
+                (o.index, o.bound)
+          | _ -> Alcotest.failf "%s: expected an out-of-bounds trap" tag);
+          Alcotest.(check bool) (tag ^ ": same trap") true (engine = interpreter))
+        [
+          ("vload", [ Visa.Vload { dst = 0; elems } ]);
+          ( "vstore",
+            [
+              Visa.Vbroadcast { dst = 0; src = Visa.Imm 1.0; lanes };
+              Visa.Vstore { src = 0; elems };
+            ] );
+        ])
+    [
+      ("a 1-D array", 6, pack (fun k -> Operand.Elem ("A", [ shifted k ])), (8, 8));
+      ( "a rank-2 row",
+        2,
+        pack (fun k -> Operand.Elem ("M", [ Affine.const 1; shifted k ])),
+        (4, 4) );
+      ( "the leading dimension",
+        3,
+        pack (fun k -> Operand.Elem ("M", [ i; Affine.const k ])),
+        (3, 3) );
+      ( "a row through a two-term subscript",
+        1,
+        pack (fun k -> Operand.Elem ("M", [ Affine.const 1; Affine.make [ ("i", 1); ("j", 1) ] k ])),
+        (4, 4) );
+    ]
+
 (* -- multicore ----------------------------------------------------------------- *)
 
 let test_chunk_ranges () =
@@ -492,7 +559,7 @@ let global_compile name =
       ~machine (Suite.program b)
   in
   match c.Pipeline.vector with
-  | Some v -> (c.Pipeline.reference, c.Pipeline.scalar_offsets, v)
+  | Some v -> (c.Pipeline.reference, c.Pipeline.scalar_offsets, v, c)
   | None -> Alcotest.failf "%s: no vector program" name
 
 let initialized ?(scalar_layout = []) env =
@@ -509,11 +576,14 @@ let memory_accesses (k : Counters.t) =
    its own).  Compiling the closures allocates in proportion to the
    program, which the budget covers; nothing may be allocated per
    access.  Every run is made once before it is measured, so a cache
-   geometry this process has not created yet does not count. *)
+   geometry this process has not created yet does not count.  A checked
+   execute (vector run, values-only reference and the comparison of
+   their memories) is held to the same budget over both runs'
+   accesses. *)
 let test_allocation_budget () =
   List.iter
     (fun name ->
-      let reference, scalar_layout, vprog = global_compile name in
+      let reference, scalar_layout, vprog, compiled = global_compile name in
       let scalar_memory () = initialized reference.Program.env in
       let vector_memory () = initialized ~scalar_layout vprog.Visa.env in
       let scalar memory = Scalar_exec.run ~memory ~machine reference in
@@ -539,7 +609,9 @@ let test_allocation_budget () =
       budget "timed scalar run" ~accesses:scalar_accesses (fun () -> scalar memory);
       let memory = vector_memory () in
       budget "timed Global vector run" ~accesses:vector_accesses (fun () -> vector memory);
-      budget "values-only reference" ~accesses:scalar_accesses values)
+      budget "values-only reference" ~accesses:scalar_accesses values;
+      budget "checked execute" ~accesses:(scalar_accesses + vector_accesses) (fun () ->
+          Slp_pipeline.Pipeline.execute ~check:true compiled))
     [ "cactusADM"; "bt" ]
 
 (* Runs hand their caches on: kernel K, then L, then K again gives K's
@@ -548,12 +620,12 @@ let test_allocation_budget () =
    not released) leaves the next run alone. *)
 let test_engine_cache_reuse () =
   let k = global_compile "bt" and l = global_compile "mg" in
-  let vector ?profile ~cores (_, scalar_layout, vprog) =
+  let vector ?profile ~cores (_, scalar_layout, vprog, _) =
     Vector_exec.run ~cores ?profile
       ~memory:(initialized ~scalar_layout vprog.Visa.env)
       ~machine vprog
   in
-  let scalar ~cores (reference, _, _) = Scalar_exec.run ~cores ~machine reference in
+  let scalar ~cores (reference, _, _, _) = Scalar_exec.run ~cores ~machine reference in
   let same what (a : Scalar_exec.result) (b : Scalar_exec.result) =
     Alcotest.(check bool) (what ^ ": counters") true
       (Counters.equal a.Scalar_exec.counters b.Scalar_exec.counters);
@@ -674,6 +746,7 @@ let () =
         [
           Alcotest.test_case "ISA roundtrip" `Quick test_vector_isa_roundtrip;
           Alcotest.test_case "uninitialised register" `Quick test_vector_reads_before_write_fail;
+          Alcotest.test_case "contiguous trap parity" `Quick test_vector_trap_parity;
         ] );
       ( "multicore",
         [
