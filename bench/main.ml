@@ -223,7 +223,7 @@ let config = Config.make ~datapath_bits:128 ()
 
 let grouping_with options () =
   let env, block = fig15 () in
-  ignore (Grouping.run ~options ~env ~config block)
+  ignore (Grouping.run ~options ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block)
 
 let all_tests =
   let t name f = (name, f) in
@@ -303,11 +303,11 @@ let all_tests =
     (* Phase benchmarks. *)
     t "phase_grouping_fig15" (fun () ->
         let env, block = fig15 () in
-        ignore (Grouping.run ~env ~config block));
+        ignore (Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block));
     t "phase_scheduling_fig15" (fun () ->
         let env, block = fig15 () in
-        let g = Grouping.run ~env ~config block in
-        ignore (Schedule.run ~env ~config block g));
+        let g = Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block in
+        ignore (Schedule.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
     t "phase_vm_scalar_soplex" (fun () ->
         ignore (Slp_vm.Scalar_exec.run ~machine:intel (kernel "soplex")));
     (* Ablations (DESIGN.md). *)
@@ -327,31 +327,31 @@ let all_tests =
       (grouping_with { Grouping.default_options with Grouping.scatter_penalty = 0.0 });
     t "ablation_scheduling_reuse_driven" (fun () ->
         let env, block = fig15 () in
-        let g = Grouping.run ~env ~config block in
+        let g = Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block in
         ignore
           (Schedule.run
              ~options:
                { Schedule.selection = Schedule.Reuse_driven;
                  ordering_search = Schedule.Direct_reuse_only }
-             ~env ~config block g));
+             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
     t "ablation_scheduling_program_order" (fun () ->
         let env, block = fig15 () in
-        let g = Grouping.run ~env ~config block in
+        let g = Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block in
         ignore
           (Schedule.run
              ~options:
                { Schedule.selection = Schedule.Program_order;
                  ordering_search = Schedule.Direct_reuse_only }
-             ~env ~config block g));
+             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
     t "ablation_ordering_exhaustive" (fun () ->
         let env, block = fig15 () in
-        let g = Grouping.run ~env ~config block in
+        let g = Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block in
         ignore
           (Schedule.run
              ~options:
                { Schedule.selection = Schedule.Reuse_driven;
                  ordering_search = Schedule.Exhaustive }
-             ~env ~config block g));
+             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
   ]
 
 (* Natural ("numeric by name groups") ordering: digit runs compare as

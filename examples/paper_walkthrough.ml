@@ -42,7 +42,7 @@ let () =
 
   (* Step 1: candidate groups. *)
   let units = List.map (Slp_core.Units.of_stmt ~env) b.Block.stmts in
-  let deps = Slp_core.Units.Deps.build b units in
+  let deps = Slp_core.Units.Deps.build ~dep_pairs:(Block.dep_pairs b) units in
   let candidates = Slp_core.Candidate.find ~env ~config ~units ~deps in
   Format.printf "@.%d candidate groups:@." (List.length candidates);
   List.iter (fun c -> Format.printf "  %a@." Slp_core.Candidate.pp c) candidates;
@@ -61,7 +61,7 @@ let () =
   Format.printf "@.%a@." Slp_core.Packgraph.pp vp;
 
   (* Steps 3-4 + iteration: the full grouping. *)
-  let grouping = Slp_core.Grouping.run ~env ~config b in
+  let grouping = Slp_core.Grouping.run ~dep_pairs:(Block.dep_pairs b) ~env ~config b in
   Format.printf "grouping decisions (%d):@." grouping.Slp_core.Grouping.decisions;
   List.iter
     (fun ms ->
@@ -70,7 +70,7 @@ let () =
     grouping.Slp_core.Grouping.groups;
 
   (* Scheduling fixes execution order and lane order (Figure 15(c)). *)
-  let sched = Slp_core.Schedule.run ~env ~config b grouping in
+  let sched = Slp_core.Schedule.run ~dep_pairs:(Block.dep_pairs b) ~env ~config b grouping in
   Format.printf "@.schedule (compare Figure 15(c)):@.%a@." Slp_core.Schedule.pp sched;
   Format.printf "@.The paper reports three superword reuses for this grouping@.";
   Format.printf "(<d,g>, <c,h>, <a,r>) versus one for the original SLP algorithm.@."

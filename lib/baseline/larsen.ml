@@ -5,17 +5,15 @@ module Units = Slp_core.Units
 module Config = Slp_core.Config
 module Grouping = Slp_core.Grouping
 module Schedule = Slp_core.Schedule
-module Cost = Slp_core.Cost
-module Driver = Slp_core.Driver
 module Chains = Slp_analysis.Chains
 
 let stmt_elem_ty ~env (s : Stmt.t) =
   match Env.operand_ty env s.Stmt.lhs with Some ty -> ty | None -> assert false
 
-let group ~env ~config (block : Block.t) =
+let group ~dep_pairs ~env ~config (block : Block.t) =
   let stmts = Array.of_list block.Block.stmts in
   let units = List.map (Units.of_stmt ~env) block.Block.stmts in
-  let deps = Units.Deps.build block units in
+  let deps = Units.Deps.build ~dep_pairs units in
   let chains = Chains.compute block in
   let row_size = Env.row_size env in
   let packed = Hashtbl.create 16 in
@@ -211,7 +209,7 @@ let group ~env ~config (block : Block.t) =
     decisions = List.length !decided;
   }
 
-let schedule ~env:_ ~config (block : Block.t) (grouping : Grouping.result) =
+let schedule ~dep_pairs ~env:_ ~config (block : Block.t) (grouping : Grouping.result) =
   (* Dependence-respecting program order; lane order as committed. *)
   let nodes = ref [] in
   let next = ref 0 in
@@ -232,7 +230,7 @@ let schedule ~env:_ ~config (block : Block.t) (grouping : Grouping.result) =
       let gp = Hashtbl.find owner p and gq = Hashtbl.find owner q in
       if gp <> gq && not (Graph.Directed.mem_edge dg gp gq) then
         Graph.Directed.add_edge dg gp gq)
-    (Block.dep_pairs block);
+    dep_pairs;
   if Graph.Directed.has_cycle dg then
     E.fail ~pass:E.Scheduling E.Schedule_failed
       "Larsen.schedule: packs are not schedulable";
@@ -263,19 +261,3 @@ let schedule ~env:_ ~config (block : Block.t) (grouping : Grouping.result) =
         decr remaining
   done;
   Schedule.analyze ~config block (List.rev !items)
-
-let plan_block ?params ~env ~config ~query ~nest (block : Block.t) =
-  let grouping = group ~env ~config block in
-  if grouping.Grouping.groups = [] then
-    { Driver.block = block; nest; deps = Block.dep_pairs block; grouping; schedule = None; estimate = None }
-  else begin
-    let sched = schedule ~env ~config block grouping in
-    if not (Schedule.is_valid block sched) then
-      E.fail ~pass:E.Scheduling E.Schedule_failed
-        "Larsen.plan_block: invalid schedule for %s" block.Block.label;
-    let estimate = Cost.estimate ?params ~query block sched in
-    if estimate.Cost.vector_cost < estimate.Cost.scalar_cost then
-      { Driver.block = block; nest; deps = Block.dep_pairs block; grouping; schedule = Some sched; estimate = Some estimate }
-    else
-      { Driver.block = block; nest; deps = Block.dep_pairs block; grouping; schedule = None; estimate = Some estimate }
-  end

@@ -11,26 +11,26 @@
 
 open Slp_ir
 
-val group : env:Env.t -> config:Slp_core.Config.t -> Block.t -> Slp_core.Grouping.result
-(** The packs found (ordered member lists recorded as groups) plus
-    leftover singles.  [decisions] counts committed pairs/merges. *)
+val group :
+  dep_pairs:(int * int) list ->
+  env:Env.t ->
+  config:Slp_core.Config.t ->
+  Block.t ->
+  Slp_core.Grouping.result
+(** The packs found under the statement dependence pairs [dep_pairs]
+    (the pipeline passes a syntactic {!Slp_core.Driver.site}'s):
+    ordered member lists recorded as groups, plus leftover singles.
+    [decisions] counts committed pairs/merges. *)
 
 val schedule :
+  dep_pairs:(int * int) list ->
   env:Env.t ->
   config:Slp_core.Config.t ->
   Block.t ->
   Slp_core.Grouping.result ->
   Slp_core.Schedule.t
-(** Program-order topological emission; lane order as committed (the
-    group member lists are already ordered by address). *)
-
-val plan_block :
-  ?params:Slp_core.Cost.params ->
-  env:Env.t ->
-  config:Slp_core.Config.t ->
-  query:Slp_core.Cost.query ->
-  nest:string list ->
-  Block.t ->
-  Slp_core.Driver.block_plan
-(** Group, schedule, then apply the same profitability gate as the
-    holistic optimizer. *)
+(** Program-order topological emission over the group DAG of
+    [dep_pairs]; lane order as committed (the group member lists are
+    already ordered by address).  Both baselines schedule this way,
+    and the pipeline prices the result with {!Slp_core.Driver.gate},
+    the same profitability gate as the holistic optimizer. *)

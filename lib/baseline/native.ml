@@ -1,11 +1,7 @@
 open Slp_ir
-module E = Slp_util.Slp_error
 module Units = Slp_core.Units
 module Config = Slp_core.Config
 module Grouping = Slp_core.Grouping
-module Schedule = Slp_core.Schedule
-module Cost = Slp_core.Cost
-module Driver = Slp_core.Driver
 
 let stmt_elem_ty ~env (s : Stmt.t) =
   match Env.operand_ty env s.Stmt.lhs with Some ty -> ty | None -> assert false
@@ -46,10 +42,10 @@ let lanes_vectorizable ~env block lanes =
   done;
   !ok
 
-let group ~env ~config (block : Block.t) =
+let group ~dep_pairs ~env ~config (block : Block.t) =
   let stmts = Array.of_list block.Block.stmts in
   let units = List.map (Units.of_stmt ~env) block.Block.stmts in
-  let deps = Units.Deps.build block units in
+  let deps = Units.Deps.build ~dep_pairs units in
   let n = Array.length stmts in
   let used = Hashtbl.create 16 in
   let decided = ref [] in
@@ -104,19 +100,3 @@ let group ~env ~config (block : Block.t) =
     rounds = (if !packs = [] then 0 else 1);
     decisions = List.length !decided;
   }
-
-let plan_block ?params ~env ~config ~query ~nest (block : Block.t) =
-  let grouping = group ~env ~config block in
-  if grouping.Grouping.groups = [] then
-    { Driver.block = block; nest; deps = Block.dep_pairs block; grouping; schedule = None; estimate = None }
-  else begin
-    let sched = Larsen.schedule ~env ~config block grouping in
-    if not (Schedule.is_valid block sched) then
-      E.fail ~pass:E.Scheduling E.Schedule_failed
-        "Native.plan_block: invalid schedule for %s" block.Block.label;
-    let estimate = Cost.estimate ?params ~query block sched in
-    if estimate.Cost.vector_cost < estimate.Cost.scalar_cost then
-      { Driver.block = block; nest; deps = Block.dep_pairs block; grouping; schedule = Some sched; estimate = Some estimate }
-    else
-      { Driver.block = block; nest; deps = Block.dep_pairs block; grouping; schedule = None; estimate = Some estimate }
-  end

@@ -8,13 +8,13 @@
 
 open Slp_ir
 
-val group : env:Env.t -> config:Slp_core.Config.t -> Block.t -> Slp_core.Grouping.result
-
-val plan_block :
-  ?params:Slp_core.Cost.params ->
+val group :
+  dep_pairs:(int * int) list ->
   env:Env.t ->
   config:Slp_core.Config.t ->
-  query:Slp_core.Cost.query ->
-  nest:string list ->
   Block.t ->
-  Slp_core.Driver.block_plan
+  Slp_core.Grouping.result
+(** The packs found under the statement dependence pairs [dep_pairs]
+    (the pipeline passes a syntactic {!Slp_core.Driver.site}'s).  The
+    pipeline schedules them with {!Larsen.schedule} under
+    {!Slp_core.Driver.gate}. *)

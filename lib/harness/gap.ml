@@ -15,7 +15,6 @@ module Machine = Slp_machine.Machine
 module Suite = Slp_benchmarks.Suite
 module Counters = Slp_vm.Counters
 module Cost = Slp_core.Cost
-module Driver = Slp_core.Driver
 module Optimal = Slp_core.Optimal
 module Block = Slp_ir.Block
 module J = Slp_obs.Json
@@ -54,12 +53,11 @@ type entry = {
    uses per block, so costs are comparable across schemes. *)
 let scalar_modeled_cost ~params prog =
   List.fold_left
-    (fun acc ((block : Block.t), _) ->
+    (fun acc (block : Block.t) ->
       List.fold_left
         (fun a s -> a +. Cost.scalar_stmt_cost params s)
         acc block.Block.stmts)
-    0.0
-    (Driver.blocks_with_nest prog)
+    0.0 (Slp_ir.Program.blocks prog)
 
 let modeled_cost ~params (c : Pipeline.compiled) =
   match c.Pipeline.plan with

@@ -18,6 +18,11 @@ val jobs : unit -> job list
 val job_name : job -> string
 (** [kernel/scheme/machine/width], e.g. [lbm/Optimal/intel/256]. *)
 
+val render : Slp_pipeline.Pipeline.compiled -> string
+(** Everything a digest covers, printed: the Visa program, each
+    block's groups, singles and schedule, the cost estimate with its
+    floats in exact hexadecimal, and the number of BAIL15 records. *)
+
 val lines : unit -> string list
 (** One ["NAME HEX"] line per job, in {!jobs} order.  The digest
     covers the printed Visa program, each block's groups, singles and

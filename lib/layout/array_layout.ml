@@ -400,11 +400,12 @@ let apply ?(obs = Obs.none) ?(max_replica_elems = 4 * 1024 * 1024)
   let rewritten =
     Program.map_blocks { prog with Program.env } ~f:rewrite_block
   in
+  (* A rewritten block keeps its plan, pairs included: the rewrite
+     renames array reads, which moves no dependence. *)
   let new_plans =
     List.map2
-      (fun (p : Driver.block_plan) (b, _) -> { p with Driver.block = b })
-      plan.Driver.plans
-      (List.map (fun (b, n) -> (b, n)) (Driver.blocks_with_nest rewritten))
+      (fun (p : Driver.block_plan) b -> { p with Driver.block = b })
+      plan.Driver.plans (Program.blocks rewritten)
   in
   (* Setup: one replication loop (nest) per replica.  Rank-2 sources
      copy every leading row — a superset of the rows the kernel

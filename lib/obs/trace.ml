@@ -49,10 +49,19 @@ let tid t = t.tid
 let events t =
   List.rev_map (fun ev -> (ev.name, ev.ph, ev.ts, ev.args)) t.events
 
-let to_json t =
-  let events = List.rev t.events in
-  let t0 = match events with [] -> 0.0 | ev :: _ -> ev.ts in
-  let event_json ev =
+(* Rows are buffers of one document, each under its own pid/tid;
+   timestamps are rebased to the earliest first event of any row, so
+   the rows stay aligned. *)
+let rows_to_json rows =
+  let rows = List.map (fun t -> (t, List.rev t.events)) rows in
+  let t0 =
+    List.fold_left
+      (fun acc (_, events) ->
+        match events with ev :: _ -> Float.min acc ev.ts | [] -> acc)
+      Float.infinity rows
+  in
+  let t0 = if t0 = Float.infinity then 0.0 else t0 in
+  let event_json t ev =
     let base =
       [
         ("name", Json.Str ev.name);
@@ -72,19 +81,23 @@ let to_json t =
   in
   Json.Obj
     [
-      ("traceEvents", Json.Arr (List.map event_json events));
+      ( "traceEvents",
+        Json.Arr
+          (List.concat_map (fun (t, events) -> List.map (event_json t) events) rows)
+      );
       ("displayTimeUnit", Json.Str "ms");
     ]
 
-let to_chrome_json t = Json.to_string (to_json t)
-
-let write_file t path =
+let write_rows rows path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (to_chrome_json t);
+      output_string oc (Json.to_string (rows_to_json rows));
       output_char oc '\n')
+
+let to_chrome_json t = Json.to_string (rows_to_json [ t ])
+let write_file t path = write_rows [ t ] path
 
 let validate_chrome_json s =
   match Json.parse s with

@@ -34,12 +34,20 @@ val tid : t -> int
 
 val events : t -> (string * char * float * (string * string) list) list
 (** Chronological [(name, ph, ts, args)] tuples with raw {!Clock}
-    timestamps — the merge feed for {!Tracehub}. *)
+    timestamps, for readers that rebuild the span tree. *)
+
+val rows_to_json : t list -> Json.t
+(** The one Chrome trace-event encoder:
+    [{"traceEvents":[...],"displayTimeUnit":"ms"}], each buffer's
+    events in order under its own pid/tid row, with microsecond ["ts"]
+    values relative to the earliest first event of any row.
+    {!Tracehub} writes its per-domain rows through it. *)
+
+val write_rows : t list -> string -> unit
+(** {!rows_to_json} to a file, newline-terminated. *)
 
 val to_chrome_json : t -> string
-(** Serialize as a Chrome trace-event document:
-    [{"traceEvents":[...],"displayTimeUnit":"ms"}] with microsecond
-    ["ts"] values relative to the first event. *)
+(** The document of one buffer: ["ts"] relative to its first event. *)
 
 val write_file : t -> string -> unit
 

@@ -7,9 +7,10 @@
    buffer); the hub mutex is touched once per domain, at buffer
    creation, and again at merge time.
 
-   The merge rebases all timestamps against one global t0 (the
-   earliest event anywhere), keeping rows aligned so a job's reactor
-   "rx" span visually precedes its worker "job" span. *)
+   The rows go out through [Trace.rows_to_json], which rebases all
+   timestamps against one global t0 (the earliest event anywhere),
+   keeping rows aligned so a job's reactor "rx" span visually precedes
+   its worker "job" span. *)
 
 type t = { mutex : Mutex.t; traces : (int, Trace.t) Hashtbl.t }
 
@@ -43,51 +44,5 @@ let balanced t = List.for_all (fun (_, tr) -> Trace.balanced tr) (rows t)
 let event_count t =
   List.fold_left (fun acc (_, tr) -> acc + Trace.event_count tr) 0 (rows t)
 
-let to_json t =
-  let rows = List.map (fun (tid, tr) -> (tid, Trace.events tr)) (rows t) in
-  let t0 =
-    List.fold_left
-      (fun acc (_, events) ->
-        match events with
-        | (_, _, ts, _) :: _ -> Float.min acc ts
-        | [] -> acc)
-      Float.infinity rows
-  in
-  let t0 = if t0 = Float.infinity then 0.0 else t0 in
-  let event_json tid (name, ph, ts, args) =
-    let base =
-      [
-        ("name", Json.Str name);
-        ("ph", Json.Str (String.make 1 ph));
-        ("ts", Json.Num ((ts -. t0) *. 1e6));
-        ("pid", Json.Num 1.0);
-        ("tid", Json.Num (float_of_int tid));
-      ]
-    in
-    let args =
-      match args with
-      | [] -> []
-      | kvs ->
-          [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) kvs)) ]
-    in
-    Json.Obj (base @ args)
-  in
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.Arr
-          (List.concat_map
-             (fun (tid, events) -> List.map (event_json tid) events)
-             rows) );
-      ("displayTimeUnit", Json.Str "ms");
-    ]
-
-let to_chrome_json t = Json.to_string (to_json t)
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_chrome_json t);
-      output_char oc '\n')
+let to_chrome_json t = Json.to_string (Trace.rows_to_json (List.map snd (rows t)))
+let write_file t path = Trace.write_rows (List.map snd (rows t)) path

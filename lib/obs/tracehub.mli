@@ -25,6 +25,8 @@ val domains : t -> int
 val balanced : t -> bool
 val event_count : t -> int
 
-val to_json : t -> Json.t
 val to_chrome_json : t -> string
+(** {!Trace.rows_to_json} of the rows in domain-id order: with one row,
+    exactly {!Trace.to_chrome_json} of that row. *)
+
 val write_file : t -> string -> unit

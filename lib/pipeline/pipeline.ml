@@ -81,7 +81,7 @@ let query_for ?(layout_aware = false) ~config (prog : Program.t) =
   let lanes = max 2 (config.Config.datapath_bits / 64) in
   let liveness = Slp_analysis.Liveness.compute prog in
   let written = Slp_layout.Array_layout.written_set prog in
-  fun ~nest (block : Slp_ir.Block.t) ->
+  fun ({ Driver.block; nest; _ } : Driver.site) ->
     let q = Cost.default_query ~env ~nest ~lanes in
     let innermost = List.nth_opt (List.rev nest) 0 in
     let repeat =
@@ -101,25 +101,6 @@ let query_for ?(layout_aware = false) ~config (prog : Program.t) =
       aligned = (if layout_aware then aligned else q.Cost.aligned);
       scalar_live_out = Slp_analysis.Liveness.demanded liveness block;
     }
-
-let plan_with
-    (f :
-      ?params:Cost.params ->
-      env:Env.t ->
-      config:Config.t ->
-      query:Cost.query ->
-      nest:string list ->
-      Block.t ->
-      Driver.block_plan) ~config ~params (prog : Program.t) =
-  let query_of = query_for ~config prog in
-  let env = prog.Program.env in
-  let plans =
-    List.map
-      (fun (block, nest) ->
-        f ~params ~env ~config ~query:(query_of ~nest block) ~nest block)
-      (Driver.blocks_with_nest prog)
-  in
-  { Driver.program = prog; plans }
 
 type exec_result = { counters : Slp_vm.Counters.t; correct : bool }
 
@@ -217,49 +198,81 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
     in
     (Some vec, Some plan, [], 0, origins)
   in
+  (* The one block loop: inside the "plan" span every scheme lists its
+     sites and maps a per-site planner over them, each site under the
+     cost query of its nest. *)
+  let env = prepared.Program.env in
+  let plan_sites sites plan_site =
+    { Driver.program = prepared; plans = List.map plan_site sites }
+  in
+  let holistic ?obs query site =
+    Driver.optimize_block ?obs ?options:grouping_options ?schedule_options
+      ?grouping_fuel ?schedule_fuel ~params ~env ~config ~query:(query site)
+      site
+  in
+  (* A baseline is its grouper under the one gate, scheduled the
+     Larsen way; it plans silently. *)
+  let baseline group query (site : Driver.site) =
+    let dep_pairs = site.Driver.deps and block = site.Driver.block in
+    Driver.gate ~params ~query:(query site)
+      ~schedule:(fun _ grouping ->
+        Slp_baseline.Larsen.schedule ~dep_pairs ~env ~config block grouping)
+      site
+      (group ~dep_pairs ~env ~config block)
+  in
   let vector, plan, scalar_offsets, replica_count, origins =
     match scheme with
     | Scalar -> (None, None, [], 0, [])
     | Native ->
         plan_then_lower (fun () ->
-            plan_with Slp_baseline.Native.plan_block ~config ~params prepared)
+            plan_sites (Driver.sites ~precise:false prepared)
+              (baseline Slp_baseline.Native.group (query_for ~config prepared)))
     | Slp ->
         plan_then_lower (fun () ->
-            plan_with Slp_baseline.Larsen.plan_block ~config ~params prepared)
+            plan_sites (Driver.sites ~precise:false prepared)
+              (baseline Slp_baseline.Larsen.group (query_for ~config prepared)))
     | Global ->
         plan_then_lower (fun () ->
-            Driver.optimize_program ~obs ?options:grouping_options
-              ?schedule_options ?grouping_fuel ?schedule_fuel ~params
-              ~query_of:(query_for ~config prepared) ~config prepared)
+            plan_sites (Driver.sites ~precise:true prepared)
+              (holistic ~obs (query_for ~config prepared)))
     | Optimal ->
         plan_then_lower (fun () ->
+            let query = query_for ~config prepared in
             (* Committed schedules of the baseline heuristics ride
                along as incumbents, so the exact scheme can never end
                up worse than either on the modeled cost — even when a
-               block's search bails on fuel. *)
-            let seed_plan f =
-              match plan_with f ~config ~params prepared with
-              | p -> Some p
-              | exception _ -> None
+               block's search bails on fuel.  Their sites are
+               syntactic, listed by the same walk as the precise ones,
+               so seed k belongs to block k; a baseline that raises on
+               any block seeds none. *)
+            let syntactic = Driver.sites ~precise:false prepared in
+            let seeds group =
+              match List.map (baseline group query) syntactic with
+              | plans ->
+                  List.map (fun (bp : Driver.block_plan) -> Option.to_list bp.Driver.schedule) plans
+              | exception _ -> List.map (fun _ -> []) syntactic
             in
-            let native = seed_plan Slp_baseline.Native.plan_block in
-            let larsen = seed_plan Slp_baseline.Larsen.plan_block in
-            let seeds_of i =
-              List.filter_map
-                (fun plan ->
-                  Option.bind plan (fun (p : Driver.program_plan) ->
-                      Option.bind
-                        (List.nth_opt p.Driver.plans i)
-                        (fun bp -> bp.Driver.schedule)))
-                [ native; larsen ]
+            let seeds =
+              List.map2 ( @ ) (seeds Slp_baseline.Native.group)
+                (seeds Slp_baseline.Larsen.group)
             in
-            let plan, bails, _stats =
-              Slp_core.Optimal.optimize_program ~obs ~params ~seeds_of
-                ?solver_steps ?grouping_fuel ?schedule_fuel
-                ~query_of:(query_for ~config prepared) ~config prepared
+            let bails = ref [] in
+            let plan =
+              plan_sites
+                (List.combine (Driver.sites ~precise:true prepared) seeds)
+                (fun (site, seeds) ->
+                  let plan, bail, _stats =
+                    Slp_core.Optimal.plan_block ~obs ~params ~seeds ?solver_steps
+                      ?grouping_fuel ?schedule_fuel ~env ~config
+                      ~query:(query site) site
+                  in
+                  Option.iter (fun b -> bails := b :: !bails) bail;
+                  plan)
             in
             solver_bails :=
-              List.map (fun (b : Slp_core.Optimal.bail) -> b.Slp_core.Optimal.error) bails;
+              List.rev_map
+                (fun (b : Slp_core.Optimal.bail) -> b.Slp_core.Optimal.error)
+                !bails;
             plan)
     | Global_layout ->
         (* Stage 1 planned under a layout-aware cost gate, then stage 2
@@ -271,20 +284,18 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
            cost; otherwise we skip the data optimization phase").
            Remarks and per-pass spans follow the layout-aware plan (the
            scheme's primary artifact); the plain variant is planned and
-           lowered silently for the arbitration baseline. *)
+           lowered silently for the arbitration baseline.  Both plans
+           share one list of precise sites. *)
         stage "plan";
         let plain_plan, plan =
           Obs.span obs "plan" (fun () ->
+              let sites = Driver.sites ~precise:true prepared in
               let plain_plan =
-                Driver.optimize_program ?options:grouping_options
-                  ?schedule_options ?grouping_fuel ?schedule_fuel ~params
-                  ~query_of:(query_for ~config prepared) ~config prepared
+                plan_sites sites (holistic (query_for ~config prepared))
               in
               let plan =
-                Driver.optimize_program ~obs ?options:grouping_options
-                  ?schedule_options ?grouping_fuel ?schedule_fuel ~params
-                  ~query_of:(query_for ~layout_aware:true ~config prepared)
-                  ~config prepared
+                plan_sites sites
+                  (holistic ~obs (query_for ~layout_aware:true ~config prepared))
               in
               (plain_plan, plan))
         in

@@ -86,6 +86,10 @@ type client = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (** Partial input line. *)
   out : string Queue.t;  (** Guarded by the server mutex. *)
+  mutable sent : int;
+      (** Bytes of [out]'s head line already written.  Only the
+          reactor reads or writes it; the head stays queued until it
+          is written whole. *)
   mutable gone : bool;
 }
 
@@ -227,21 +231,15 @@ let handle_writable t (c : client) =
   match next with
   | None -> ()
   | Some line -> (
-      match Unix.write_substring c.fd line 0 (String.length line) with
+      let left = String.length line - c.sent in
+      match Unix.write_substring c.fd line c.sent left with
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
           drop_client t c
       | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
-      | n ->
-          locked t (fun () ->
-              ignore (Queue.pop c.out);
-              if n < String.length line then
-                (* Partial write: requeue the remainder at the front by
-                   draining into a fresh queue. *)
-                let rest = String.sub line n (String.length line - n) in
-                let tmp = Queue.copy c.out in
-                Queue.clear c.out;
-                Queue.push rest c.out;
-                Queue.transfer tmp c.out))
+      | n when n < left -> c.sent <- c.sent + n
+      | _ ->
+          c.sent <- 0;
+          locked t (fun () -> ignore (Queue.pop c.out)))
 
 let accept_client t =
   match Unix.accept ~cloexec:true t.listen_fd with
@@ -258,6 +256,7 @@ let accept_client t =
                 fd;
                 buf = Buffer.create 256;
                 out = Queue.create ();
+                sent = 0;
                 gone = false;
               };
             token)

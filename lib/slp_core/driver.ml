@@ -1,6 +1,9 @@
 open Slp_ir
+module E = Slp_util.Slp_error
 module Obs = Slp_obs.Obs
 module Remark = Slp_obs.Remark
+
+type site = { block : Block.t; nest : string list; deps : (int * int) list }
 
 type block_plan = {
   block : Block.t;
@@ -11,79 +14,85 @@ type block_plan = {
   estimate : Cost.estimate option;
 }
 
-let blocks_with_nest (prog : Program.t) =
-  let rec go nest items =
+(* One walk of the loop tree carries both the nest and the iteration
+   box, so a block's pairs are computed beside the block itself. *)
+let sites ~precise (prog : Program.t) =
+  let module Depend = Slp_depend.Depend in
+  let rec go nest box items =
     List.concat_map
       (function
-        | Program.Stmts b -> [ (b, List.rev nest) ]
-        | Program.Loop l -> go (l.Program.index :: nest) l.Program.body)
+        | Program.Stmts block ->
+            let deps =
+              if precise then Depend.block_dep_pairs ~box block
+              else Block.dep_pairs block
+            in
+            [ { block; nest = List.rev nest; deps } ]
+        | Program.Loop l ->
+            let box =
+              if not precise then box
+              else
+                Depend.Box.add box l.Program.index
+                  (Depend.Box.of_bounds ~lo:l.Program.lo ~hi:l.Program.hi
+                     ~step:l.Program.step)
+            in
+            go (l.Program.index :: nest) box l.Program.body)
       items
   in
-  go [] prog.Program.body
+  go [] Depend.Box.empty prog.Program.body
 
 let cost_remark obs ~block ~id message =
   if Obs.remarks_on obs then
     Obs.remark obs
       (Remark.make ~id ~pass:"cost" ~block:block.Block.label message)
 
-(* One grouping/scheduling/estimation attempt. *)
-let attempt ?(obs = Obs.none) ~options ~schedule_options ?grouping_fuel
-    ?schedule_fuel ?params ~deps ~env ~config ~query ~nest block =
-  let label = block.Block.label in
-  let grouping =
-    Obs.span obs
-      ~args:[ ("block", label) ]
-      ("grouping:" ^ label)
-      (fun () ->
-        Grouping.run ~options ?fuel:grouping_fuel ~obs ~dep_pairs:deps ~env
-          ~config block)
-  in
-  if grouping.Grouping.groups = [] then
-    { block; nest; deps; grouping; schedule = None; estimate = None }
+let gate ?(obs = Obs.none) ?params ~query ~schedule (site : site) grouping =
+  let ({ block; nest; deps } : site) = site in
+  let plan schedule estimate = { block; nest; deps; grouping; schedule; estimate } in
+  if grouping.Grouping.groups = [] then plan None None
   else begin
+    let label = block.Block.label in
+    let span pass f = Obs.span obs ~args:[ ("block", label) ] (pass ^ ":" ^ label) f in
     let facts = Schedule.Facts.make ~deps block in
-    let schedule =
-      Obs.span obs
-        ~args:[ ("block", label) ]
-        ("schedule:" ^ label)
-        (fun () ->
-          Schedule.run_facts ~options:schedule_options ?fuel:schedule_fuel ~obs
-            ~config facts grouping)
-    in
-    if not (Schedule.is_valid_facts facts schedule) then
-      Slp_util.Slp_error.fail ~pass:Slp_util.Slp_error.Scheduling
-        Slp_util.Slp_error.Schedule_failed
-        "Driver.optimize_block: invalid schedule for %s" label;
+    let sched = span "schedule" (fun () -> schedule facts grouping) in
+    if not (Schedule.is_valid_facts facts sched) then
+      E.fail ~pass:E.Scheduling E.Schedule_failed
+        "Driver.gate: invalid schedule for %s" label;
     let estimate =
-      Obs.span obs
-        ~args:[ ("block", label) ]
-        ("estimate:" ^ label)
-        (fun () -> Cost.estimate_facts ?params ~query facts schedule)
+      span "estimate" (fun () -> Cost.estimate_facts ?params ~query facts sched)
     in
-    if estimate.Cost.vector_cost < estimate.Cost.scalar_cost then begin
+    let vector = estimate.Cost.vector_cost and scalar = estimate.Cost.scalar_cost in
+    if vector < scalar then begin
       cost_remark obs ~block ~id:"COST-VECTORIZE"
-        (Printf.sprintf "vector cost %.1f beats scalar cost %.1f"
-           estimate.Cost.vector_cost estimate.Cost.scalar_cost);
-      { block; nest; deps; grouping; schedule = Some schedule; estimate = Some estimate }
+        (Printf.sprintf "vector cost %.1f beats scalar cost %.1f" vector scalar);
+      plan (Some sched) (Some estimate)
     end
     else begin
       cost_remark obs ~block ~id:"COST-REJECT"
-        (Printf.sprintf "vector cost %.1f does not beat scalar cost %.1f"
-           estimate.Cost.vector_cost estimate.Cost.scalar_cost);
-      { block; nest; deps; grouping; schedule = None; estimate = Some estimate }
+        (Printf.sprintf "vector cost %.1f does not beat scalar cost %.1f" vector
+           scalar);
+      plan None (Some estimate)
     end
   end
 
 let optimize_block ?(obs = Obs.none) ?(options = Grouping.default_options)
     ?(schedule_options = Schedule.default_options) ?grouping_fuel ?schedule_fuel
-    ?params ?deps ~env ~config ~query ~nest block =
-  let deps =
-    match deps with Some d -> d | None -> Block.dep_pairs block
+    ?params ~env ~config ~query (site : site) =
+  let label = site.block.Block.label in
+  let attempt options =
+    let grouping =
+      Obs.span obs
+        ~args:[ ("block", label) ]
+        ("grouping:" ^ label)
+        (fun () ->
+          Grouping.run ~options ?fuel:grouping_fuel ~obs ~dep_pairs:site.deps
+            ~env ~config site.block)
+    in
+    gate ~obs ?params ~query site grouping
+      ~schedule:
+        (Schedule.run_facts ~options:schedule_options ?fuel:schedule_fuel ~obs
+           ~config)
   in
-  let first =
-    attempt ~obs ~options ~schedule_options ?grouping_fuel ?schedule_fuel
-      ?params ~deps ~env ~config ~query ~nest block
-  in
+  let first = attempt options in
   match first.schedule with
   | Some _ -> first
   | None when not options.Grouping.exclude_scattered ->
@@ -92,45 +101,13 @@ let optimize_block ?(obs = Obs.none) ?(options = Grouping.default_options)
          are what usually sinks the estimate ("we skip the current
          basic block" is the paper's whole-block fallback; this retry
          salvages the profitably-groupable remainder first). *)
-      cost_remark obs ~block ~id:"COST-RETRY-NOSCATTER"
+      cost_remark obs ~block:site.block ~id:"COST-RETRY-NOSCATTER"
         "retrying grouping with scattered-store candidates excluded";
-      let second =
-        attempt ~obs
-          ~options:{ options with Grouping.exclude_scattered = true }
-          ~schedule_options ?grouping_fuel ?schedule_fuel ?params ~deps ~env
-          ~config ~query ~nest block
-      in
+      let second = attempt { options with Grouping.exclude_scattered = true } in
       if second.schedule <> None then second else first
   | None -> first
 
 type program_plan = { program : Program.t; plans : block_plan list }
-
-let optimize_program ?obs ?options ?schedule_options ?grouping_fuel
-    ?schedule_fuel ?params ?query_of ~config (prog : Program.t) =
-  let env = prog.Program.env in
-  let query_of =
-    match query_of with
-    | Some f -> f
-    | None ->
-        fun ~nest _block ->
-          Cost.default_query ~env ~nest
-            ~lanes:(max 2 (config.Config.datapath_bits / 64))
-  in
-  (* Precise per-block dependence pairs from the integer dependence
-     solver; [Depend.blocks_with_box] follows the same traversal order
-     as [blocks_with_nest]. *)
-  let module Depend = Slp_depend.Depend in
-  let boxed = Depend.blocks_with_box prog in
-  let plans =
-    List.map2
-      (fun (block, nest) (_, box) ->
-        optimize_block ?obs ?options ?schedule_options ?grouping_fuel
-          ?schedule_fuel ?params
-          ~deps:(Depend.block_dep_pairs ~box block)
-          ~env ~config ~query:(query_of ~nest block) ~nest block)
-      (blocks_with_nest prog) boxed
-  in
-  { program = prog; plans }
 
 let superword_statement_count plan =
   List.fold_left

@@ -1,28 +1,60 @@
 (** The holistic SLP optimizer driver (paper §3, §4): grouping, then
     scheduling, then the profitability gate, per basic block.
 
+    Every scheme plans the same way: {!sites} lists the blocks with
+    their loop nests and dependence pairs, a grouper proposes groups
+    for each site, and {!gate} schedules, validates and prices them.
     Blocks where no groups form or where the cost model predicts a
     slowdown keep their scalar schedule ("we skip the current basic
     block and move on to the next one"). *)
 
 open Slp_ir
 
-type block_plan = {
+type site = {
   block : Block.t;
   nest : string list;  (** Enclosing loop indices, outermost first. *)
   deps : (int * int) list;
-      (** The statement dependence pairs the plan was built and
-          validated against — precise solver pairs when the plan came
-          from {!optimize_program}, syntactic [Block.dep_pairs]
-          otherwise. *)
+      (** The statement dependence pairs every pass planning this
+          block reads: grouping, scheduling, the validity check and
+          the verifier. *)
+}
+(** One basic block as the planners see it. *)
+
+type block_plan = {
+  block : Block.t;
+  nest : string list;
+  deps : (int * int) list;
+      (** The pairs of the {!site} the plan was built and validated
+          against. *)
   grouping : Grouping.result;
   schedule : Schedule.t option;  (** [None]: block stays scalar. *)
   estimate : Cost.estimate option;
 }
 
-val blocks_with_nest : Program.t -> (Block.t * string list) list
-(** All basic blocks in traversal (program) order with their enclosing
-    loop nests. *)
+val sites : precise:bool -> Program.t -> site list
+(** Every basic block in traversal (program) order, with its nest and
+    its pairs: the precise pairs of {!Slp_depend.Depend.block_dep_pairs}
+    under [precise], the syntactic [Block.dep_pairs] otherwise.  The
+    holistic schemes plan precise sites; Native and SLP plan syntactic
+    ones.  Two calls on one program list the same blocks in the same
+    order. *)
+
+val gate :
+  ?obs:Slp_obs.Obs.t ->
+  ?params:Cost.params ->
+  query:Cost.query ->
+  schedule:(Schedule.Facts.t -> Grouping.result -> Schedule.t) ->
+  site ->
+  Grouping.result ->
+  block_plan
+(** The one profitability gate.  No groups give a scalar plan with no
+    estimate.  Otherwise [schedule] orders the groups, the schedule is
+    checked against the site's pairs (an invalid one raises
+    {!Slp_util.Slp_error.Error} with code [Schedule_failed], pass
+    [Scheduling]), and it is priced; the plan commits the schedule iff
+    the vector cost is below the scalar cost.  [obs] wraps scheduling
+    and pricing in [schedule:]/[estimate:] spans and collects the
+    [COST-VECTORIZE] or [COST-REJECT] remark. *)
 
 val optimize_block :
   ?obs:Slp_obs.Obs.t ->
@@ -31,37 +63,23 @@ val optimize_block :
   ?grouping_fuel:Slp_util.Slp_error.Fuel.t ->
   ?schedule_fuel:Slp_util.Slp_error.Fuel.t ->
   ?params:Cost.params ->
-  ?deps:(int * int) list ->
   env:Env.t ->
   config:Config.t ->
   query:Cost.query ->
-  nest:string list ->
-  Block.t ->
+  site ->
   block_plan
-(** The optional fuels bound the grouping decision loop and the
-    scheduling emission loop; exhaustion raises
-    {!Slp_util.Slp_error.Error} with code [Fuel_exhausted] so the
-    resilient pipeline can degrade the kernel to scalar instead of
-    spinning.  [obs] wraps grouping/scheduling/estimation in trace
-    spans and collects the cost-gate remarks ([COST-VECTORIZE],
-    [COST-REJECT], [COST-RETRY-NOSCATTER]) alongside the per-pass
-    remarks of {!Grouping.run} and {!Schedule.run}. *)
+(** The holistic heuristic: {!Grouping.run} then {!Schedule.run_facts}
+    under the {!gate}, with one retry without scattered-store
+    candidates when the gate rejects the first grouping.  The optional
+    fuels bound the grouping decision loop and the scheduling emission
+    loop; exhaustion raises {!Slp_util.Slp_error.Error} with code
+    [Fuel_exhausted] so the resilient pipeline can degrade the kernel
+    to scalar instead of spinning.  [obs] wraps grouping in a
+    [grouping:] span and collects the gate's remarks and
+    [COST-RETRY-NOSCATTER] alongside the per-pass remarks of
+    {!Grouping.run} and {!Schedule.run_facts}. *)
 
 type program_plan = { program : Program.t; plans : block_plan list }
-(** [plans] follows {!blocks_with_nest} order. *)
-
-val optimize_program :
-  ?obs:Slp_obs.Obs.t ->
-  ?options:Grouping.options ->
-  ?schedule_options:Schedule.options ->
-  ?grouping_fuel:Slp_util.Slp_error.Fuel.t ->
-  ?schedule_fuel:Slp_util.Slp_error.Fuel.t ->
-  ?params:Cost.params ->
-  ?query_of:(nest:string list -> Block.t -> Cost.query) ->
-  config:Config.t ->
-  Program.t ->
-  program_plan
-(** Default [query_of] is {!Cost.default_query} with f64 lane count
-    derived from the datapath (conservative for narrower types). *)
+(** [plans] follows {!sites} order. *)
 
 val superword_statement_count : program_plan -> int

@@ -57,7 +57,7 @@ let round ~options ~tick ~obs ~env ~config ~block ~dep_pairs units =
         (Remark.make ~id ~pass:"grouping" ~block:block.Block.label ~stmts
            message)
   in
-  let deps = Units.Deps.build ?dep_pairs block units in
+  let deps = Units.Deps.build ~dep_pairs units in
   let candidates =
     Candidate.find ~env ~config ~units ~deps
     |> List.filter (fun (c : Candidate.t) ->
@@ -214,7 +214,7 @@ let round ~options ~tick ~obs ~env ~config ~block ~dep_pairs units =
     end
   end
 
-let run ?(options = default_options) ?fuel ?(obs = Obs.none) ?dep_pairs ~env
+let run ?(options = default_options) ?fuel ?(obs = Obs.none) ~dep_pairs ~env
     ~config (block : Block.t) =
   let tick =
     match fuel with

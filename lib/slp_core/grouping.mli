@@ -43,7 +43,7 @@ val run :
   ?options:options ->
   ?fuel:Slp_util.Slp_error.Fuel.t ->
   ?obs:Slp_obs.Obs.t ->
-  ?dep_pairs:(int * int) list ->
+  dep_pairs:(int * int) list ->
   env:Env.t ->
   config:Config.t ->
   Block.t ->
@@ -55,6 +55,7 @@ val run :
     [obs] collects one remark per merge decision ([GRP-MERGE]), per
     cycle-rejected merge ([GRP-REJECT-DEP]), and per batch of
     conflict-dropped candidates ([GRP-REJECT-CONFLICT]).
-    [dep_pairs] overrides the statement dependence pairs the unit DAG
-    is built from (default: the syntactic [Block.dep_pairs]); fewer
-    pairs mean more statements qualify as mergeable. *)
+    [dep_pairs] are the statement dependence pairs the unit DAG is
+    built from: the block's {!Driver.site} pairs, which are precise
+    {!Slp_depend.Depend} pairs when the pipeline plans a holistic
+    scheme.  Fewer pairs mean more statements qualify as mergeable. *)

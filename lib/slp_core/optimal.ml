@@ -168,8 +168,8 @@ let enumerate_partitions ~env ~config ~deps (block : Block.t) =
 (* -- the solver ------------------------------------------------------ *)
 
 let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
-    ?grouping_fuel ?schedule_fuel ~deps ~env ~config ~query ~nest
-    (block : Block.t) =
+    ?grouping_fuel ?schedule_fuel ~env ~config ~query (site : Driver.site) =
+  let ({ Driver.block; nest; deps } : Driver.site) = site in
   let label = block.Block.label in
   let cost_params = match params with Some p -> p | None -> Cost.default_params in
   let budget = match solver_steps with Some b -> b | None -> default_solver_steps in
@@ -192,7 +192,7 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
      initial incumbent, so the exact scheme can never end up worse. *)
   let heuristic =
     Driver.optimize_block ~obs:Obs.none ?grouping_fuel ?schedule_fuel ?params
-      ~deps ~env ~config ~query ~nest block
+      ~env ~config ~query site
   in
   let seed_attempts =
     List.filter_map
@@ -251,7 +251,7 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
   let partners id = try Hashtbl.find partner_tbl id with Not_found -> [] in
   let compat a b = List.mem b (partners a) in
   let units = Array.to_list (Array.map (Units.of_stmt ~env) stmts) in
-  let udeps = Units.Deps.build ~dep_pairs:deps block units in
+  let udeps = Units.Deps.build ~dep_pairs:deps units in
   let fuel = E.Fuel.create ~pass:E.Grouping ~budget () in
   let tick () = E.Fuel.tick fuel in
   let single id =
@@ -416,36 +416,3 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
         }
   in
   (plan, bailed, stats)
-
-let optimize_program ?obs ?params ?(seeds_of = fun _ -> []) ?solver_steps
-    ?grouping_fuel ?schedule_fuel ?query_of ~config (prog : Program.t) =
-  let env = prog.Program.env in
-  let query_of =
-    match query_of with
-    | Some f -> f
-    | None ->
-        fun ~nest _block ->
-          Cost.default_query ~env ~nest
-            ~lanes:(max 2 (config.Config.datapath_bits / 64))
-  in
-  let module Depend = Slp_depend.Depend in
-  let boxed = Depend.blocks_with_box prog in
-  let bails = ref [] in
-  let all_stats = ref [] in
-  let plans =
-    List.mapi
-      (fun i ((block, nest), (_, box)) ->
-        let plan, bail, stats =
-          plan_block ?obs ?params ~seeds:(seeds_of i) ?solver_steps
-            ?grouping_fuel ?schedule_fuel
-            ~deps:(Depend.block_dep_pairs ~box block)
-            ~env ~config ~query:(query_of ~nest block) ~nest block
-        in
-        (match bail with Some b -> bails := b :: !bails | None -> ());
-        all_stats := stats :: !all_stats;
-        plan)
-      (List.combine (Driver.blocks_with_nest prog) boxed)
-  in
-  ( { Driver.program = prog; plans },
-    List.rev !bails,
-    List.rev !all_stats )

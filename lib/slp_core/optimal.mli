@@ -81,30 +81,15 @@ val plan_block :
   ?solver_steps:int ->
   ?grouping_fuel:Slp_util.Slp_error.Fuel.t ->
   ?schedule_fuel:Slp_util.Slp_error.Fuel.t ->
-  deps:(int * int) list ->
   env:Env.t ->
   config:Config.t ->
   query:Cost.query ->
-  nest:string list ->
-  Block.t ->
+  Driver.site ->
   Driver.block_plan * bail option * stats
-(** Exactly optimise one block.  [seeds] are committed schedules from
-    other schemes; they participate as incumbents, so the result is
-    never worse than any seed on the modeled cost — the dominance
-    guarantee the differential tests rely on. *)
-
-val optimize_program :
-  ?obs:Slp_obs.Obs.t ->
-  ?params:Cost.params ->
-  ?seeds_of:(int -> Schedule.t list) ->
-  ?solver_steps:int ->
-  ?grouping_fuel:Slp_util.Slp_error.Fuel.t ->
-  ?schedule_fuel:Slp_util.Slp_error.Fuel.t ->
-  ?query_of:(nest:string list -> Block.t -> Cost.query) ->
-  config:Config.t ->
-  Program.t ->
-  Driver.program_plan * bail list * stats list
-(** Per-block exact optimisation over the precise dependence facts of
-    {!Slp_depend.Depend}, in {!Driver.blocks_with_nest} order.
-    [seeds_of] maps a block's index in that order to its seed
-    schedules. *)
+(** Exactly optimise one block under its site's pairs (the pipeline
+    hands it precise {!Driver.sites}).  [seeds] are committed
+    schedules from other schemes; they participate as incumbents, so
+    the result is never worse than any seed on the modeled cost — the
+    dominance guarantee the differential tests rely on.  [obs]
+    collects the [OPT-BAIL], [OPT-IMPROVE] or [OPT-MATCH] remark; the
+    holistic heuristic run inside stays silent. *)

@@ -388,9 +388,8 @@ let run_facts ?(options = default_options) ?fuel ?(obs = Obs.none) ~config
   in
   { items = List.rev !items; stats }
 
-let run ?options ?fuel ?obs ?dep_pairs ~env:_ ~config (block : Block.t) grouping =
-  let deps = match dep_pairs with Some p -> p | None -> Block.dep_pairs block in
-  run_facts ?options ?fuel ?obs ~config (Facts.make ~deps block) grouping
+let run ?options ?fuel ?obs ~dep_pairs ~env:_ ~config (block : Block.t) grouping =
+  run_facts ?options ?fuel ?obs ~config (Facts.make ~deps:dep_pairs block) grouping
 
 let scheduled_stmt_ids t =
   List.concat_map (function Single s -> [ s ] | Superword ms -> ms) t.items
@@ -435,9 +434,8 @@ let is_valid_facts facts t =
   in
   all_present && independent_members && deps_forward
 
-let is_valid ?dep_pairs (block : Block.t) t =
-  let deps = match dep_pairs with Some p -> p | None -> Block.dep_pairs block in
-  is_valid_facts (Facts.make ~deps block) t
+let is_valid ~dep_pairs (block : Block.t) t =
+  is_valid_facts (Facts.make ~deps:dep_pairs block) t
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

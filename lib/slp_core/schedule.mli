@@ -76,7 +76,7 @@ val run :
   ?options:options ->
   ?fuel:Slp_util.Slp_error.Fuel.t ->
   ?obs:Slp_obs.Obs.t ->
-  ?dep_pairs:(int * int) list ->
+  dep_pairs:(int * int) list ->
   env:Env.t ->
   config:Config.t ->
   Block.t ->
@@ -89,10 +89,9 @@ val run :
     [obs] collects one remark per source pack of each emitted
     superword: [SCHED-REUSE] (live in lane order), [SCHED-PERM]
     (live, permutation needed), or [SCHED-PACK] (packed from
-    scratch).  [dep_pairs] overrides the statement dependence pairs
-    the group DAG is built from (default: the syntactic
-    [Block.dep_pairs]).  Builds the block's {!Facts} and runs
-    {!run_facts}. *)
+    scratch).  [dep_pairs] are the statement dependence pairs the
+    group DAG is built from, the same ones the groups were formed
+    under.  Builds the block's {!Facts} and runs {!run_facts}. *)
 
 val run_facts :
   ?options:options ->
@@ -114,13 +113,14 @@ val scheduled_stmt_ids : t -> int list
 (** Statement ids in final execution order (superword members
     flattened in lane order). *)
 
-val is_valid : ?dep_pairs:(int * int) list -> Block.t -> t -> bool
+val is_valid : dep_pairs:(int * int) list -> Block.t -> t -> bool
 (** Checks the paper's validity constraints 1 and 2: members of one
     superword statement are pairwise independent (no dependence pair
     relates them), and every statement-level dependence goes forward in
-    the emitted sequence of items.  [dep_pairs] must be the same pairs
-    the schedule was built from (default: the syntactic
-    [Block.dep_pairs]). *)
+    the emitted sequence of items.  [dep_pairs] must be the pairs the
+    schedule was built from: a schedule that reorders two statements
+    related only by a syntactic pair is valid under precise pairs and
+    invalid under [Block.dep_pairs]. *)
 
 val is_valid_facts : Facts.t -> t -> bool
 (** {!is_valid} against the facts' dependence pairs. *)

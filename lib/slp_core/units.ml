@@ -66,10 +66,7 @@ module Deps = struct
     succs : int array array;
   }
 
-  let build ?dep_pairs (block : Block.t) units =
-    let pairs =
-      match dep_pairs with Some p -> p | None -> Block.dep_pairs block
-    in
+  let build ~dep_pairs units =
     let index = Hashtbl.create 32 in
     List.iteri
       (fun i uid -> Hashtbl.replace index uid i)
@@ -86,7 +83,7 @@ module Deps = struct
         match (Hashtbl.find_opt owner p, Hashtbl.find_opt owner q) with
         | Some ip, Some iq when ip <> iq -> out.(ip) <- iq :: out.(ip)
         | _ -> ())
-      pairs;
+      dep_pairs;
     { index; succs = Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) out }
 
   let index_of t uid =

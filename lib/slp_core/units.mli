@@ -41,12 +41,13 @@ val pp : Format.formatter -> t -> unit
 module Deps : sig
   type unit_graph
 
-  val build : ?dep_pairs:(int * int) list -> Block.t -> t list -> unit_graph
+  val build : dep_pairs:(int * int) list -> t list -> unit_graph
   (** Unit-level dependence DAG: an edge [u -> v] when some member of
       [u] precedes and carries a dependence to some member of [v].
-      [dep_pairs] supplies the statement-level pairs (e.g. the precise
-      dependence analysis of [Slp_depend]); default is the syntactic
-      [Block.dep_pairs]. *)
+      [dep_pairs] are the block's statement-level pairs: the ones its
+      {!Driver.site} carries (precise {!Slp_depend.Depend} pairs for
+      the holistic schemes, syntactic [Block.dep_pairs] for the
+      baselines). *)
 
   val depends : unit_graph -> int -> int -> bool
   (** Direct dependence between units by uid. *)

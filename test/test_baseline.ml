@@ -43,7 +43,7 @@ let sorted_groups (r : Grouping.result) =
 let test_larsen_fig15_grouping () =
   let env = fig15_env () in
   let block = fig15_block () in
-  let r = Larsen.group ~env ~config block in
+  let r = Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   (* The only adjacent-memory seed is <S1,S4> (A[i], A[i+1]; the
      stores A[2i], A[2i+2] are NOT adjacent); the def-use chain from
      (a,b) then yields <S2,S5> and stops, since c and d are both
@@ -61,16 +61,16 @@ let test_larsen_fig15_grouping () =
 let test_larsen_vs_global_reuses () =
   let env = fig15_env () in
   let block = fig15_block () in
-  let slp_grouping = Larsen.group ~env ~config block in
-  let slp_sched = Larsen.schedule ~env ~config block slp_grouping in
-  let global_grouping = Grouping.run ~env ~config block in
-  let global_sched = Schedule.run ~env ~config block global_grouping in
+  let slp_grouping = Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+  let slp_sched = Larsen.schedule ~dep_pairs:(Block.dep_pairs block) ~env ~config block slp_grouping in
+  let global_grouping = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+  let global_sched = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block global_grouping in
   let reuses (s : Schedule.t) =
     s.Schedule.stats.Schedule.direct_reuses + s.Schedule.stats.Schedule.permuted_reuses
   in
   Alcotest.(check int) "SLP captures one reuse (Figure 15(b))" 1 (reuses slp_sched);
   Alcotest.(check int) "Global captures three (Figure 15(c))" 3 (reuses global_sched);
-  Alcotest.(check bool) "SLP schedule valid" true (Schedule.is_valid block slp_sched)
+  Alcotest.(check bool) "SLP schedule valid" true (Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block slp_sched)
 
 let test_larsen_seeds_require_adjacency () =
   (* No adjacent memory accesses anywhere: the baseline finds nothing,
@@ -86,7 +86,7 @@ let test_larsen_seeds_require_adjacency () =
         Stmt.make ~id:2 ~lhs:(e "A" 2) ~rhs:Expr.Infix.(arr "B" [ Affine.make [ ("i", 4) ] 2 ] * cst 2.0);
       ]
   in
-  let r = Larsen.group ~env ~config block in
+  let r = Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   Alcotest.(check (list (list int))) "no seeds, no groups" [] r.Grouping.groups
 
 let test_larsen_combination_to_four_wide () =
@@ -99,7 +99,7 @@ let test_larsen_combination_to_four_wide () =
       (List.init 4 (fun k ->
            Stmt.make ~id:(k + 1) ~lhs:(e "A" k) ~rhs:(Expr.Leaf (e "B" k))))
   in
-  let r = Larsen.group ~env ~config block in
+  let r = Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   Alcotest.(check (list (list int)))
     "pairs combined into a quad"
     [ [ 1; 2; 3; 4 ] ]
@@ -123,8 +123,8 @@ let test_native_requires_full_contiguity () =
            Stmt.make ~id:(k + 1) ~lhs:(e "A" k)
              ~rhs:Expr.Infix.(arr "B" [ ix ] + cst 1.0)))
   in
-  let r1 = Native.group ~env ~config contiguous in
-  let r2 = Native.group ~env ~config strided in
+  let r1 = Native.group ~dep_pairs:(Block.dep_pairs contiguous) ~env ~config contiguous in
+  let r2 = Native.group ~dep_pairs:(Block.dep_pairs strided) ~env ~config strided in
   Alcotest.(check int) "contiguous vectorized" 1 (List.length r1.Grouping.groups);
   Alcotest.(check int) "strided left scalar" 0 (List.length r2.Grouping.groups)
 
@@ -138,7 +138,7 @@ let test_native_broadcast_allowed () =
       (List.init 2 (fun k ->
            Stmt.make ~id:(k + 1) ~lhs:(e (k + 8)) ~rhs:Expr.Infix.(sc "s" * (Expr.Leaf (e k)))))
   in
-  let r = Native.group ~env ~config block in
+  let r = Native.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   Alcotest.(check int) "scalar broadcast accepted" 1 (List.length r.Grouping.groups)
 
 let () =

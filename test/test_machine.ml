@@ -96,20 +96,20 @@ let arb_block =
 let prop_grouping_partitions =
   QCheck.Test.make ~name:"grouping partitions the block" ~count:150 arb_block
     (fun (env, block) ->
-      let r = Grouping.run ~env ~config block in
+      let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
       let all = List.concat r.Grouping.groups @ r.Grouping.singles in
       List.sort compare all = Block.stmt_ids block)
 
 let prop_grouping_respects_datapath =
   QCheck.Test.make ~name:"groups fit the datapath" ~count:150 arb_block
     (fun (env, block) ->
-      let r = Grouping.run ~env ~config block in
+      let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
       List.for_all (fun g -> List.length g * 64 <= 128) r.Grouping.groups)
 
 let prop_grouping_members_independent =
   QCheck.Test.make ~name:"group members are pairwise independent" ~count:150 arb_block
     (fun (env, block) ->
-      let r = Grouping.run ~env ~config block in
+      let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
       List.for_all
         (fun g ->
           let rec pairs = function
@@ -123,17 +123,17 @@ let prop_grouping_members_independent =
 let prop_schedule_always_valid =
   QCheck.Test.make ~name:"schedules are always valid" ~count:150 arb_block
     (fun (env, block) ->
-      let r = Grouping.run ~env ~config block in
-      let s = Schedule.run ~env ~config block r in
-      Schedule.is_valid block s)
+      let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+      let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block r in
+      Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block s)
 
 let prop_schedule_valid_all_options =
   QCheck.Test.make ~name:"schedules valid under every option combination" ~count:80
     arb_block (fun (env, block) ->
-      let r = Grouping.run ~env ~config block in
+      let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
       List.for_all
         (fun options ->
-          Schedule.is_valid block (Schedule.run ~options ~env ~config block r))
+          Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block (Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block r))
         [
           { Schedule.selection = Schedule.Reuse_driven;
             ordering_search = Schedule.Direct_reuse_only };
@@ -148,9 +148,9 @@ let prop_schedule_valid_all_options =
 let prop_exhaustive_never_worse =
   QCheck.Test.make ~name:"exhaustive ordering search never loses reuses" ~count:80
     arb_block (fun (env, block) ->
-      let r = Grouping.run ~env ~config block in
+      let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
       let reuses options =
-        let s = Schedule.run ~options ~env ~config block r in
+        let s = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block r in
         s.Schedule.stats.Schedule.direct_reuses
       in
       reuses
@@ -161,9 +161,9 @@ let prop_exhaustive_never_worse =
 let prop_baseline_schedule_valid =
   QCheck.Test.make ~name:"baseline schedules are always valid" ~count:150 arb_block
     (fun (env, block) ->
-      let r = Slp_baseline.Larsen.group ~env ~config block in
-      let s = Slp_baseline.Larsen.schedule ~env ~config block r in
-      Schedule.is_valid block s)
+      let r = Slp_baseline.Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+      let s = Slp_baseline.Larsen.schedule ~dep_pairs:(Block.dep_pairs block) ~env ~config block r in
+      Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block s)
 
 let () =
   Alcotest.run "machine_and_invariants"

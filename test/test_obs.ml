@@ -179,8 +179,8 @@ let test_remarks_fig15_golden () =
   let env = fig15_env () in
   let block = fig15_block () in
   let obs = Obs.create ~remarks:true () in
-  let g = Grouping.run ~obs ~env ~config block in
-  let s = Schedule.run ~obs ~env ~config block g in
+  let g = Grouping.run ~obs ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+  let s = Schedule.run ~obs ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
   ignore s;
   let remarks = Obs.remarks obs in
   Alcotest.(check bool) "remarks were emitted" true (remarks <> []);
@@ -243,7 +243,7 @@ let test_remarks_slp_differs () =
 let test_remarks_off_by_default () =
   let env = fig15_env () in
   let block = fig15_block () in
-  ignore (Grouping.run ~env ~config block);
+  ignore (Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block);
   Alcotest.(check (list unit)) "Obs.none collects nothing" []
     (List.map ignore (Obs.remarks Obs.none))
 

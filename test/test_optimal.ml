@@ -61,14 +61,12 @@ let test_bruteforce_exactness () =
     let prng = Prng.split master in
     let prog = Gen.program ~options ~name:(Printf.sprintf "bf%d" k) prng in
     let env = prog.Program.env in
-    List.iter2
-      (fun ((block : Block.t), nest) (_, box) ->
+    List.iter
+      (fun ({ Driver.block; nest; deps } as site : Driver.site) ->
         if List.length block.Block.stmts <= 6 then begin
-          let deps = Depend.block_dep_pairs ~box block in
           let query = Cost.default_query ~env ~nest ~lanes:2 in
           let plan, bail, stats =
-            Optimal.plan_block ~solver_steps:10_000_000 ~deps ~env ~config
-              ~query ~nest block
+            Optimal.plan_block ~solver_steps:10_000_000 ~env ~config ~query site
           in
           let name fmt =
             Printf.ksprintf
@@ -102,8 +100,7 @@ let test_bruteforce_exactness () =
             (name "solver equals exhaustive minimum")
             best (block_cost params plan)
         end)
-      (Driver.blocks_with_nest prog)
-      (Depend.blocks_with_box prog)
+      (Driver.sites ~precise:true prog)
   done;
   Alcotest.(check bool) "property exercised some blocks" true (!checked > 0)
 
@@ -207,11 +204,21 @@ let test_blowup_bails () =
   | _ -> Alcotest.fail "plans missing");
   (* A bailed block still reports the search it did, in its stats and
      in its OPT-BAIL remark. *)
-  let _, bails, stats =
-    Optimal.optimize_program ~solver_steps:100
-      ~config:(Config.make ~datapath_bits:128 ())
-      prog
+  let config = Config.make ~datapath_bits:128 () in
+  let env = prog.Program.env in
+  let bails, stats =
+    List.split
+      (List.map
+         (fun (site : Driver.site) ->
+           let _, bail, stats =
+             Optimal.plan_block ~solver_steps:100 ~env ~config
+               ~query:(Cost.default_query ~env ~nest:site.Driver.nest ~lanes:2)
+               site
+           in
+           (bail, stats))
+         (Driver.sites ~precise:true prog))
   in
+  let bails = List.filter_map Fun.id bails in
   Alcotest.(check bool) "raw kernel bails too" true (bails <> []);
   List.iter
     (fun (st : Optimal.stats) ->

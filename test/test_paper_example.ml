@@ -42,7 +42,7 @@ let sorted_groups r = List.sort compare (List.map (List.sort compare) r.Grouping
 
 let test_global_grouping () =
   let block = figure15_block () in
-  let r = Grouping.run ~env:(env ()) ~config block in
+  let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env:(env ()) ~config block in
   Alcotest.(check (list (list int)))
     "holistic grouping picks the reuse-rich pairs"
     [ [ 1; 4 ]; [ 2; 6 ]; [ 3; 5 ]; [ 7; 8 ] ]
@@ -52,9 +52,9 @@ let test_global_grouping () =
 let test_schedule_reuses () =
   let block = figure15_block () in
   let e = env () in
-  let r = Grouping.run ~env:e ~config block in
-  let s = Schedule.run ~env:e ~config block r in
-  Alcotest.(check bool) "schedule is valid" true (Schedule.is_valid block s);
+  let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block r in
+  Alcotest.(check bool) "schedule is valid" true (Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block s);
   let total_reuses =
     s.Schedule.stats.Schedule.direct_reuses + s.Schedule.stats.Schedule.permuted_reuses
   in
@@ -63,8 +63,8 @@ let test_schedule_reuses () =
 let test_schedule_respects_deps () =
   let block = figure15_block () in
   let e = env () in
-  let r = Grouping.run ~env:e ~config block in
-  let s = Schedule.run ~env:e ~config block r in
+  let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block r in
   let order = Schedule.scheduled_stmt_ids s in
   let pos id =
     let rec go i = function

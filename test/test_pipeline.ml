@@ -198,6 +198,91 @@ for i = 0 to 256 {
        memory);
   Alcotest.(check bool) "wrong live-out sum caught" false r.Pipeline.correct
 
+(* The dependence-pair contract.  C[2*i] and C[i+1100] conflict
+   syntactically (their subscripts differ by a non-constant) but never
+   within the loop box, so precise and syntactic pairs differ here:
+   Native and SLP must plan under [Block.dep_pairs], and the holistic
+   schemes under the precise pairs of the prepared block, which a
+   layout rewrite keeps. *)
+let pairs_src =
+  {|
+f64 A[4096];
+f64 C[2048];
+for t = 0 to 16 {
+  for i = 0 to 512 {
+    C[2*i] = A[4*i] * 1.5;
+    C[2*i+1] = A[4*i+3] * 1.5;
+    C[i+1100] = A[i] + 2.0;
+  }
+}
+|}
+
+let test_plans_record_their_pairs () =
+  let open Slp_ir in
+  let module Depend = Slp_depend.Depend in
+  let module Driver = Slp_core.Driver in
+  let prog = Parser.parse ~name:"pairs" pairs_src in
+  let machine = Machine.intel_dunnington in
+  List.iter
+    (fun scheme ->
+      let c = Pipeline.compile ~scheme ~machine prog in
+      let prepared = Depend.blocks_with_box c.Pipeline.reference in
+      let plans = (Option.get c.Pipeline.plan).Driver.plans in
+      let name = Pipeline.scheme_name scheme in
+      Alcotest.(check int) (name ^ ": one plan per block") (List.length prepared)
+        (List.length plans);
+      Alcotest.(check bool) (name ^ ": some block's pairs differ") true
+        (List.exists
+           (fun (b, box) -> Depend.block_dep_pairs ~box b <> Block.dep_pairs b)
+           prepared);
+      List.iter2
+        (fun (bp : Driver.block_plan) (b, box) ->
+          let expected =
+            match scheme with
+            | Pipeline.Native | Pipeline.Slp -> Block.dep_pairs b
+            | _ -> Depend.block_dep_pairs ~box b
+          in
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s: %s pairs" name b.Block.label)
+            expected bp.Driver.deps)
+        plans prepared)
+    Pipeline.[ Native; Slp; Global; Global_layout; Optimal ];
+  let laid = Pipeline.compile ~scheme:Pipeline.Global_layout ~machine prog in
+  Alcotest.(check bool) "layout rewrote the kernel" true
+    (laid.Pipeline.replica_count > 0)
+
+(* A schedule that swaps two statements related only by a syntactic
+   pair: valid under the precise pairs, invalid under the syntactic. *)
+let test_is_valid_reads_its_pairs () =
+  let open Slp_ir in
+  let module Depend = Slp_depend.Depend in
+  let module Schedule = Slp_core.Schedule in
+  let block =
+    Block.of_rhs ~label:"bb"
+      [
+        (Operand.Elem ("C", [ Affine.make [ ("i", 2) ] 0 ]), Expr.Infix.(cst 1.0));
+        (Operand.Elem ("C", [ Affine.make [ ("i", 1) ] 9 ]), Expr.Infix.(cst 2.0));
+      ]
+  in
+  let box =
+    Depend.Box.add Depend.Box.empty "i"
+      (Depend.Box.of_bounds ~lo:(Affine.const 0) ~hi:(Affine.const 8) ~step:1)
+  in
+  let precise = Depend.block_dep_pairs ~box block in
+  let syntactic = Block.dep_pairs block in
+  Alcotest.(check (list (pair int int))) "precise pairs" [] precise;
+  Alcotest.(check (list (pair int int))) "syntactic pairs" [ (1, 2) ] syntactic;
+  let swapped =
+    Schedule.analyze
+      ~config:(Slp_core.Config.make ~datapath_bits:128 ())
+      block
+      [ Schedule.Single 2; Schedule.Single 1 ]
+  in
+  Alcotest.(check bool) "valid under precise pairs" true
+    (Schedule.is_valid ~dep_pairs:precise block swapped);
+  Alcotest.(check bool) "invalid under syntactic pairs" false
+    (Schedule.is_valid ~dep_pairs:syntactic block swapped)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -216,5 +301,12 @@ let () =
           Alcotest.test_case "layout helps strided" `Quick test_layout_helps_strided;
           Alcotest.test_case "check covers live-out scalars" `Quick
             test_check_covers_live_out_scalars;
+        ] );
+      ( "dep_pairs",
+        [
+          Alcotest.test_case "plans record their scheme's pairs" `Quick
+            test_plans_record_their_pairs;
+          Alcotest.test_case "validity reads the given pairs" `Quick
+            test_is_valid_reads_its_pairs;
         ] );
     ]

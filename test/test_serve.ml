@@ -511,6 +511,57 @@ let test_server_observability () =
   Domain.join daemon;
   Client.close client
 
+(* Partial writes.  One client pipelines its requests and reads
+   nothing until all are sent.  Every third names an unknown op of
+   twice the socket send buffer, which the error reply echoes: such a
+   line cannot leave in one write, and the stats replies queued behind
+   it wait on a full buffer.  Every reply must still arrive, whole and
+   in order. *)
+let test_server_partial_writes () =
+  Fault.disarm ();
+  let dir = fresh_dir () in
+  let socket = Filename.concat dir "slpd.sock" in
+  let pool = Pool.create ~config:quick_config ~cache:(Cache.create ~dir) () in
+  let daemon = Domain.spawn (fun () -> Server.run ~pool ~socket ()) in
+  let control = connect ~socket 100 in
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let big_op = String.make (2 * Unix.getsockopt_int fd Unix.SO_SNDBUF) 'x' in
+  let count = 9 in
+  let big k = k mod 3 = 2 in
+  let requests =
+    String.concat ""
+      (List.init count (fun i ->
+           let id = i + 1 in
+           if big id then Printf.sprintf "{\"id\": %d, \"op\": \"%s\"}\n" id big_op
+           else Proto.request_to_line { Proto.id; op = Proto.Stats } ^ "\n"))
+  in
+  let rec send off =
+    if off < String.length requests then
+      send (off + Unix.write_substring fd requests off (String.length requests - off))
+  in
+  send 0;
+  let ic = Unix.in_channel_of_descr fd in
+  for id = 1 to count do
+    match Proto.reply_of_line (input_line ic) with
+    | Error e -> Alcotest.failf "reply %d does not parse: %s" id e
+    | Ok reply -> (
+        Alcotest.(check int) "replies in request order" id reply.Proto.id;
+        match (big id, Json.member "message" reply.Proto.payload) with
+        | true, Some (Json.Str m) ->
+            Alcotest.(check string) "long reply whole"
+              (Printf.sprintf "unknown op %S" big_op)
+              m
+        | true, _ -> Alcotest.failf "reply %d lacks its message" id
+        | false, _ ->
+            Alcotest.(check string) "stats ok" "ok"
+              (Proto.status_name reply.Proto.status))
+  done;
+  close_in ic;
+  shut_down control 1;
+  Domain.join daemon;
+  Client.close control
+
 (* A second daemon on a live daemon's socket must refuse to start and
    leave the socket alone; a socket file nobody listens on is stale and
    is replaced.  Each daemon runs on its own domain, so a second daemon
@@ -657,6 +708,8 @@ let () =
             test_server_observability;
           Alcotest.test_case "live socket refused, stale replaced" `Quick
             test_server_socket_ownership;
+          Alcotest.test_case "partial writes finish in order" `Quick
+            test_server_partial_writes;
         ] );
       ( "fault matrix",
         [

@@ -57,7 +57,7 @@ let fig2_candidates () =
   let env = fig2_env () in
   let block = fig2_block () in
   let units = List.map (Units.of_stmt ~env) block.Block.stmts in
-  let deps = Units.Deps.build block units in
+  let deps = Units.Deps.build ~dep_pairs:(Block.dep_pairs block) units in
   (env, block, units, deps, Candidate.find ~env ~config ~units ~deps)
 
 let test_fig2_candidates () =
@@ -134,7 +134,7 @@ let first_round_graphs name =
     (fun (block, box) ->
       let dep_pairs = Slp_depend.Depend.block_dep_pairs ~box block in
       let units = List.map (Units.of_stmt ~env) block.Block.stmts in
-      let deps = Units.Deps.build ~dep_pairs block units in
+      let deps = Units.Deps.build ~dep_pairs units in
       let cands = Candidate.find ~env ~config ~units ~deps in
       let tbl = Hashtbl.create 64 in
       List.iter (fun (c : Candidate.t) -> Hashtbl.replace tbl c.Candidate.cid c) cands;
@@ -243,7 +243,7 @@ let test_units_deps_acyclicity () =
   let env = fig2_env () in
   let block = fig2_block () in
   let units = List.map (Units.of_stmt ~env) block.Block.stmts in
-  let deps = Units.Deps.build block units in
+  let deps = Units.Deps.build ~dep_pairs:(Block.dep_pairs block) units in
   (* S1 reads V3, S4 writes V3: merging {1,4} is fine on its own; the
      contraction test must also accept independent pairs. *)
   Alcotest.(check bool) "disjoint merge acyclic" true
@@ -260,7 +260,7 @@ let test_units_deps_acyclicity () =
 let test_fig2_grouping () =
   let env = fig2_env () in
   let block = fig2_block () in
-  let r = Grouping.run ~env ~config block in
+  let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   (* {S1,S2} has weight 1 (its packs reused by {S4,S5}); {S4,S5}
      likewise; {S1,S3} conflicts with {S1,S2} and loses.  The final
      grouping is {{S1,S2},{S4,S5}} with S3 single. *)
@@ -283,7 +283,7 @@ let test_iterative_grouping_four_wide () =
            Stmt.make ~id:(k + 1) ~lhs:(elem "A" k)
              ~rhs:Expr.Infix.(arr "B" [ ix ] * cst 2.0)))
   in
-  let r = Grouping.run ~env ~config block in
+  let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   Alcotest.(check int) "two rounds" 2 r.Grouping.rounds;
   Alcotest.(check (list (list int)))
     "one four-wide group"
@@ -300,7 +300,7 @@ let test_grouping_respects_datapath () =
       (List.init 4 (fun k ->
            Stmt.make ~id:(k + 1) ~lhs:(elem (k + 8)) ~rhs:(Expr.Leaf (elem k))))
   in
-  let r = Grouping.run ~env ~config block in
+  let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   List.iter
     (fun g -> Alcotest.(check int) "group width" 2 (List.length g))
     r.Grouping.groups
@@ -317,7 +317,7 @@ let test_grouping_dependence_safety () =
         (Operand.Scalar "y", Expr.Infix.(sc "x" + cst 1.0));
       ]
   in
-  let r = Grouping.run ~env ~config block in
+  let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   Alcotest.(check (list (list int))) "no groups" [] r.Grouping.groups
 
 (* -- live set ------------------------------------------------------------------ *)
@@ -509,7 +509,6 @@ let ref_merged_acyclic g pairs =
 
 let test_merged_acyclic_vs_reference () =
   let st = Seeded.rand () in
-  let block = Block.make ~label:"synthetic" [] in
   let acyclic = ref 0 and cyclic = ref 0 in
   let permutation n =
     let a = Array.init n Fun.id in
@@ -544,7 +543,7 @@ let test_merged_acyclic_vs_reference () =
           (min p q, max p q))
       |> List.filter (fun (p, q) -> p <> q)
     in
-    let deps = Units.Deps.build ~dep_pairs block units in
+    let deps = Units.Deps.build ~dep_pairs units in
     let g = ref_unit_graph units dep_pairs in
     let uids = List.map (fun (u : Units.t) -> u.Units.uid) units in
     let uid () = List.nth uids (Random.State.int st n) in
@@ -577,8 +576,8 @@ let test_merged_acyclic_vs_reference () =
 let test_schedule_analyze_matches_run () =
   let env = fig2_env () in
   let block = fig2_block () in
-  let g = Grouping.run ~env ~config block in
-  let s = Schedule.run ~env ~config block g in
+  let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
   let replay = Schedule.analyze ~config block s.Schedule.items in
   Alcotest.(check int) "direct reuses agree" s.Schedule.stats.Schedule.direct_reuses
     replay.Schedule.stats.Schedule.direct_reuses;
@@ -600,7 +599,7 @@ let test_schedule_invalid_detected () =
     }
   in
   ignore env;
-  Alcotest.(check bool) "reversed order invalid" false (Schedule.is_valid block bogus)
+  Alcotest.(check bool) "reversed order invalid" false (Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block bogus)
 
 (* -- cost model -------------------------------------------------------------------- *)
 
@@ -642,8 +641,8 @@ let test_cost_prefers_contiguous () =
              ~rhs:Expr.Infix.(arr "B" [ ix ] * cst 2.0)))
   in
   let estimate block =
-    let g = Grouping.run ~env ~config block in
-    let s = Schedule.run ~env ~config block g in
+    let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+    let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
     Cost.estimate ~query:simple_query block s
   in
   let c = estimate contiguous_block and s = estimate strided_block in
@@ -668,8 +667,8 @@ let test_cost_counts_reuse () =
       ]
   in
   ignore elem;
-  let g = Grouping.run ~env ~config block in
-  let s = Schedule.run ~env ~config block g in
+  let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
   Alcotest.(check bool) "at least one reuse" true
     (s.Schedule.stats.Schedule.direct_reuses + s.Schedule.stats.Schedule.permuted_reuses
     >= 1)
@@ -706,25 +705,25 @@ let tie_grouping groups =
 
 let test_schedule_tie_break_program_order () =
   let env = tie_env () and block = tie_block () in
-  let s = Schedule.run ~env ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
   Alcotest.(check (list int)) "program order on ties" [ 1; 2; 3; 4 ]
     (Schedule.scheduled_stmt_ids s)
 
 let test_schedule_group_order_independent () =
   let env = tie_env () and block = tie_block () in
-  let a = Schedule.run ~env ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
-  let b = Schedule.run ~env ~config block (tie_grouping [ [ 3; 4 ]; [ 1; 2 ] ]) in
+  let a = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
+  let b = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block (tie_grouping [ [ 3; 4 ]; [ 1; 2 ] ]) in
   Alcotest.(check (list int)) "grouping order irrelevant"
     (Schedule.scheduled_stmt_ids a) (Schedule.scheduled_stmt_ids b)
 
 let test_schedule_repeatable () =
   (* Same inputs, same schedule — across options and repeated runs. *)
   let env = fig2_env () and block = fig2_block () in
-  let g = Grouping.run ~env ~config block in
+  let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   List.iter
     (fun options ->
-      let a = Schedule.run ~options ~env ~config block g in
-      let b = Schedule.run ~options ~env ~config block g in
+      let a = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
+      let b = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
       Alcotest.(check (list int)) "repeatable" (Schedule.scheduled_stmt_ids a)
         (Schedule.scheduled_stmt_ids b))
     [

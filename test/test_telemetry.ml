@@ -327,6 +327,18 @@ let test_tracehub_merge () =
           Alcotest.(check int) "four tids" 4 (List.length tids)
       | _ -> Alcotest.fail "no traceEvents")
 
+(* One Chrome-trace writer: a hub with a single row renders exactly
+   what the row's own trace renders. *)
+let test_tracehub_one_row () =
+  let hub = Tracehub.create () in
+  Tracehub.span hub ~args:[ ("trace", "c1-r1") ] "rx" (fun () ->
+      Tracehub.span hub "decode" (fun () -> ()));
+  Tracehub.span hub "rx" (fun () -> ());
+  Alcotest.(check int) "one row" 1 (Tracehub.domains hub);
+  Alcotest.(check string) "same document"
+    (Trace.to_chrome_json (Tracehub.trace hub))
+    (Tracehub.to_chrome_json hub)
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -353,5 +365,9 @@ let () =
           Alcotest.test_case "file sink" `Quick test_log_file_sink;
         ] );
       ( "tracehub",
-        [ Alcotest.test_case "multi-domain merge" `Quick test_tracehub_merge ] );
+        [
+          Alcotest.test_case "multi-domain merge" `Quick test_tracehub_merge;
+          Alcotest.test_case "one row renders as its trace" `Quick
+            test_tracehub_one_row;
+        ] );
     ]
