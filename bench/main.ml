@@ -307,7 +307,7 @@ let all_tests =
     t "phase_scheduling_fig15" (fun () ->
         let env, block = fig15 () in
         let g = Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block in
-        ignore (Schedule.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
+        ignore (Schedule.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~config block g));
     t "phase_vm_scalar_soplex" (fun () ->
         ignore (Slp_vm.Scalar_exec.run ~machine:intel (kernel "soplex")));
     (* Ablations (DESIGN.md). *)
@@ -333,7 +333,7 @@ let all_tests =
              ~options:
                { Schedule.selection = Schedule.Reuse_driven;
                  ordering_search = Schedule.Direct_reuse_only }
-             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
+             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~config block g));
     t "ablation_scheduling_program_order" (fun () ->
         let env, block = fig15 () in
         let g = Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block in
@@ -342,7 +342,7 @@ let all_tests =
              ~options:
                { Schedule.selection = Schedule.Program_order;
                  ordering_search = Schedule.Direct_reuse_only }
-             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
+             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~config block g));
     t "ablation_ordering_exhaustive" (fun () ->
         let env, block = fig15 () in
         let g = Grouping.run ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block in
@@ -351,7 +351,7 @@ let all_tests =
              ~options:
                { Schedule.selection = Schedule.Reuse_driven;
                  ordering_search = Schedule.Exhaustive }
-             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~env ~config block g));
+             ~dep_pairs:(Slp_ir.Block.dep_pairs block) ~config block g));
   ]
 
 (* Natural ("numeric by name groups") ordering: digit runs compare as

@@ -1,7 +1,8 @@
 (* slpd — the compile-service daemon and its client driver.
 
    [slpd serve] binds a Unix socket and serves line-delimited JSON
-   compile/execute jobs on a supervised pool of domains with a
+   compile/execute jobs on a pool of worker domains, each of which
+   recovers in place from a job that fails or kills it, with a
    content-addressed result cache (default layout under _serve/).
    [slpd submit] sends one job, [slpd ping] checks liveness, and
    [slpd campaign] is the CI smoke driver: concurrent clients fire
@@ -145,7 +146,7 @@ let serve_cmd =
           ~doc:
             "Arm a one-shot service fault before serving (repeatable): \
              kill-worker:N, clock-skip:SECS:N, corrupt-store:N, \
-             drop-client:N.  For smoke testing the supervision path.")
+             drop-client:N.  For smoke testing the recovery paths.")
   in
   let log_file =
     Arg.(
@@ -459,7 +460,7 @@ let health_cmd =
 let cmd =
   Cmd.group
     (Cmd.info "slpd" ~version:"1.0"
-       ~doc:"supervised compile service for the SLP framework")
+       ~doc:"self-healing compile service for the SLP framework")
     [
       serve_cmd; submit_cmd; campaign_cmd; ping_cmd; stats_cmd; metrics_cmd;
       health_cmd;

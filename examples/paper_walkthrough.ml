@@ -70,7 +70,7 @@ let () =
     grouping.Slp_core.Grouping.groups;
 
   (* Scheduling fixes execution order and lane order (Figure 15(c)). *)
-  let sched = Slp_core.Schedule.run ~dep_pairs:(Block.dep_pairs b) ~env ~config b grouping in
+  let sched = Slp_core.Schedule.run ~dep_pairs:(Block.dep_pairs b) ~config b grouping in
   Format.printf "@.schedule (compare Figure 15(c)):@.%a@." Slp_core.Schedule.pp sched;
   Format.printf "@.The paper reports three superword reuses for this grouping@.";
   Format.printf "(<d,g>, <c,h>, <a,r>) versus one for the original SLP algorithm.@."

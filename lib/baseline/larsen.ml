@@ -209,7 +209,7 @@ let group ~dep_pairs ~env ~config (block : Block.t) =
     decisions = List.length !decided;
   }
 
-let schedule ~dep_pairs ~env:_ ~config (block : Block.t) (grouping : Grouping.result) =
+let schedule ~dep_pairs ~config (block : Block.t) (grouping : Grouping.result) =
   (* Dependence-respecting program order; lane order as committed. *)
   let nodes = ref [] in
   let next = ref 0 in

@@ -24,7 +24,6 @@ val group :
 
 val schedule :
   dep_pairs:(int * int) list ->
-  env:Env.t ->
   config:Slp_core.Config.t ->
   Block.t ->
   Slp_core.Grouping.result ->

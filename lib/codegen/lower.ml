@@ -486,7 +486,7 @@ let lower_with_origins ?(obs = Obs.none) ~machine ?(reuse = true)
         p
     | _ ->
         E.fail ~pass:E.Lowering E.Lowering_failed
-          "Lower.lower: plan list out of sync with program"
+          "Lower.lower_with_origins: plan list out of sync with program"
   in
   (* One origin array per emitted [Visa.Block], in pre-order — the
      order the engine pops them back off. *)
@@ -557,6 +557,3 @@ let lower_with_origins ?(obs = Obs.none) ~machine ?(reuse = true)
   in
   let body = walk prog.Program.body in
   ({ Visa.name = prog.Program.name; env; setup; body }, List.rev !origins)
-
-let lower ~machine ?reuse ?scalar_offsets ?setup plan =
-  fst (lower_with_origins ~machine ?reuse ?scalar_offsets ?setup plan)

@@ -12,22 +12,6 @@
     the machine's vector register file size; evicted superwords are
     simply repacked on next use. *)
 
-val lower :
-  machine:Slp_machine.Machine.t ->
-  ?reuse:bool ->
-  ?scalar_offsets:(string * int) list ->
-  ?setup:Slp_vm.Visa.item list ->
-  Slp_core.Driver.program_plan ->
-  Slp_vm.Visa.program
-(** [reuse] (default true) enables register-resident superword reuse;
-    disabling it forces every source pack to be rebuilt from
-    memory/scalars — the knob behind the reuse-value experiment.
-    [scalar_offsets]: byte offsets of layout-optimised scalars within
-    the scalar segment (paper §5.1) — consecutive 8-byte slots make a
-    scalar superword eligible for single vector memory operations.
-    [setup] is prepended replication code from the array layout
-    optimizer (§5.2). *)
-
 val lower_with_origins :
   ?obs:Slp_obs.Obs.t ->
   machine:Slp_machine.Machine.t ->
@@ -36,10 +20,19 @@ val lower_with_origins :
   ?setup:Slp_vm.Visa.item list ->
   Slp_core.Driver.program_plan ->
   Slp_vm.Visa.program * Slp_obs.Profile.key array list
-(** Like {!lower}, and additionally returns the profiling origin of
-    every emitted instruction: one key array per [Visa.Block] of the
-    body in pre-order, entry [i] naming the statement or pack that
-    produced instruction [i] of that block.  [obs] collects one
+(** The lowered program, and the profiling origin of every emitted
+    instruction: one key array per [Visa.Block] of the body in
+    pre-order, entry [i] naming the statement or pack that produced
+    instruction [i] of that block.
+
+    [reuse] (default true) enables register-resident superword reuse;
+    disabling it forces every source pack to be rebuilt from
+    memory/scalars — the knob behind the reuse-value experiment.
+    [scalar_offsets]: byte offsets of layout-optimised scalars within
+    the scalar segment (paper §5.1) — consecutive 8-byte slots make a
+    scalar superword eligible for single vector memory operations.
+    [setup] is prepended replication code from the array layout
+    optimizer (§5.2).  [obs] collects one
     [PACK-DROP-ALIGN] remark per source pack that fell back to an
     element-wise gather and one [PACK-SCATTER] remark per destination
     pack unpacked element-wise to memory (from the surviving

@@ -269,12 +269,6 @@ let rec allocate_items ~registers ~queue ~push items =
           (add_stats acc nested, Visa.Loop { l with Visa.body }))
     zero_stats items
 
-let program ~registers (p : Visa.program) =
-  let stats, body =
-    allocate_items ~registers ~queue:(ref []) ~push:ignore p.Visa.body
-  in
-  ({ p with Visa.body }, stats)
-
 let program_with_origins ~registers ~origins (p : Visa.program) =
   let queue = ref origins in
   let out = ref [] in

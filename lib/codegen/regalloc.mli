@@ -26,18 +26,14 @@ val allocate_block :
 (** Raises [Invalid_argument] when [registers < 2] (an instruction can
     need two simultaneous sources). *)
 
-val program :
-  registers:int -> Slp_vm.Visa.program -> Slp_vm.Visa.program * stats
-(** Allocate every block of the body (setup code contains no vector
-    instructions). *)
-
 val program_with_origins :
   registers:int ->
   origins:Slp_obs.Profile.key array list ->
   Slp_vm.Visa.program ->
   Slp_vm.Visa.program * stats * Slp_obs.Profile.key array list
-(** Like {!program}, additionally transforming the profiling origins
-    from {!Lower.lower_with_origins} alongside the code: every spill
-    or reload inserted while processing an instruction inherits that
+(** Allocate every block of the body (setup code contains no vector
+    instructions), transforming the profiling origins from
+    {!Lower.lower_with_origins} alongside the code: every spill or
+    reload inserted while processing an instruction inherits that
     instruction's origin, so the returned arrays stay parallel to the
     allocated blocks (pre-order). *)

@@ -34,16 +34,10 @@ type outcome = {
   ok : bool;
 }
 
-(* Single worker, instant retries, fixed jitter seed: with one worker
-   the n-th armed firing lands on a known job, so every case is
-   deterministic. *)
+(* Single worker, instant retries: with one worker the n-th armed
+   firing lands on a known job, so every case is deterministic. *)
 let case_config =
-  {
-    Pool.default_config with
-    Pool.workers = 1;
-    sleep = (fun _ -> ());
-    seed = 7;
-  }
+  { Pool.default_config with Pool.workers = 1; sleep = (fun _ -> ()) }
 
 let payload_string reply = Json.to_string reply.Proto.payload
 
@@ -96,9 +90,9 @@ let run_case ?(scheme = P.Global_layout) ~dir ~machine ~point prog =
   in
   match point with
   | Kill_worker ->
-      (* The worker dies under the first job; the supervisor joins the
-         corpse, restarts the slot, and the retry must answer exactly
-         what a healthy one-shot run answers. *)
+      (* The worker dies under the first job; it recovers in place,
+         and the retry must answer exactly what a healthy one-shot run
+         answers. *)
       Fault.arm (Fault.Kill_worker 1);
       let reply = run () in
       Pool.drain pool;

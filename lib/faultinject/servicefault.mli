@@ -2,11 +2,11 @@
 
     The sibling {!Faultinject} matrix proves the {e pipeline} recovers
     from faults inside compilation; this one proves the {e service}
-    around it — worker pool, retry/quarantine supervisor, reply path,
-    content-addressed cache — holds its contract under the faults a
-    daemon actually meets: a worker dying mid-job, the clock jumping
-    past a deadline, a cache entry rotting on disk, a client vanishing
-    before its reply.
+    around it — worker pool and its one retry/quarantine path, reply
+    path, content-addressed cache — holds its contract under the
+    faults a daemon actually meets: a worker dying mid-job (and
+    recovering in place), the clock jumping past a deadline, a cache
+    entry rotting on disk, a client vanishing before its reply.
 
     Every case asserts the service obligation from the issue: the
     reply is either {b bit-identical} to a one-shot

@@ -4,7 +4,8 @@
    plus caller fields — into a bounded in-memory ring (always) and an
    optional file sink.  The ring lets the stats endpoint and tests see
    recent history without any file plumbing; the file sink is what
-   [slpd --log FILE] wires up.  Level filtering is an atomic read so a
+   [slpd --log FILE] wires up, and a write error closes it rather than
+   raising into the logging call.  Level filtering is an atomic read so a
    disabled call site costs one load and a compare. *)
 
 type level = Debug | Info | Warn | Error | Off
@@ -54,7 +55,7 @@ type t = {
   mutable total : int; (* entries ever logged (post-filter) *)
   counts : int array; (* per-level counts, Debug..Error *)
   mutable sink : out_channel option;
-  mutable sink_path : string option;
+  mutable sink_error : string option;  (* why the last sink was closed *)
 }
 
 let create ?(level = Info) ?(capacity = 256) ?(clock = Clock.now) () =
@@ -67,7 +68,7 @@ let create ?(level = Info) ?(capacity = 256) ?(clock = Clock.now) () =
     total = 0;
     counts = Array.make 4 0;
     sink = None;
-    sink_path = None;
+    sink_error = None;
   }
 
 let locked t f =
@@ -89,13 +90,12 @@ let with_file t path =
   locked t (fun () ->
       (match t.sink with Some oc -> close_out_noerr oc | None -> ());
       t.sink <- Some (open_out path);
-      t.sink_path <- Some path)
+      t.sink_error <- None)
 
 let close t =
   locked t (fun () ->
       (match t.sink with Some oc -> close_out_noerr oc | None -> ());
-      t.sink <- None;
-      t.sink_path <- None)
+      t.sink <- None)
 
 let render ~ts ~lvl ~event fields =
   Json.to_string
@@ -116,10 +116,17 @@ let event t lvl event fields =
         t.total <- t.total + 1;
         t.counts.(level_value lvl) <- t.counts.(level_value lvl) + 1;
         match t.sink with
-        | Some oc ->
-            output_string oc (Lazy.force line);
-            output_char oc '\n';
-            flush oc
+        | Some oc -> (
+            (* A failing sink (a full disk, say) must not take its
+               caller down: drop the sink, keep the ring. *)
+            try
+              output_string oc (Lazy.force line);
+              output_char oc '\n';
+              flush oc
+            with Sys_error msg ->
+              close_out_noerr oc;
+              t.sink <- None;
+              t.sink_error <- Some msg)
         | None -> ())
   end
 
@@ -153,6 +160,7 @@ let total t = locked t (fun () -> t.total)
 
 let stats_json t =
   let by_level = counts t in
+  let sink_error = locked t (fun () -> t.sink_error) in
   Json.Obj
     [
       ("level", Json.Str (level_name (level t)));
@@ -160,4 +168,6 @@ let stats_json t =
       ( "counts",
         Json.Obj
           (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) by_level) );
+      ( "sink_error",
+        match sink_error with Some msg -> Json.Str msg | None -> Json.Null );
     ]

@@ -26,7 +26,9 @@ val enabled : t -> level -> bool
 (** Whether an event at this level would be recorded. *)
 
 val with_file : t -> string -> unit
-(** Open (truncate) [path] as the line sink; replaces any prior sink. *)
+(** Open (truncate) [path] as the line sink; replaces any prior sink.
+    A write error later closes the sink instead of raising: logging
+    carries on in the ring, and {!stats_json} reports the error. *)
 
 val close : t -> unit
 (** Close the file sink, if any.  The ring stays usable. *)
@@ -48,4 +50,6 @@ val counts : t -> (string * int) list
 val total : t -> int
 
 val stats_json : t -> Json.t
-(** {v {"level":..,"total":..,"counts":{..}} v} for the stats op. *)
+(** {v {"level":..,"total":..,"counts":{..},"sink_error":..} v} for
+    the stats op; [sink_error] is [null] unless a write error closed
+    the file sink. *)

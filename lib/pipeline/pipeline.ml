@@ -216,7 +216,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
     let dep_pairs = site.Driver.deps and block = site.Driver.block in
     Driver.gate ~params ~query:(query site)
       ~schedule:(fun _ grouping ->
-        Slp_baseline.Larsen.schedule ~dep_pairs ~env ~config block grouping)
+        Slp_baseline.Larsen.schedule ~dep_pairs ~config block grouping)
       site
       (group ~dep_pairs ~env ~config block)
   in

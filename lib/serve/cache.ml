@@ -4,6 +4,7 @@ type stats = {
   hits : int;
   misses : int;
   stores : int;
+  store_failures : int;
   corrupt_evictions : int;
 }
 
@@ -13,6 +14,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable stores : int;
+  mutable store_failures : int;
   mutable corrupt_evictions : int;
 }
 
@@ -21,14 +23,25 @@ let rec mkdir_p path =
     mkdir_p (Filename.dirname path);
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
 
+let remove_all ~suffix dir =
+  Array.iter
+    (fun name ->
+      if Filename.check_suffix name suffix then
+        try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
+(* A [store] killed between its write and its rename leaves its tmp
+   file behind, and nothing else would ever remove it. *)
 let create ~dir =
   mkdir_p dir;
+  remove_all ~suffix:".entry.tmp" dir;
   {
     cache_dir = dir;
     mutex = Mutex.create ();
     hits = 0;
     misses = 0;
     stores = 0;
+    store_failures = 0;
     corrupt_evictions = 0;
   }
 
@@ -91,20 +104,23 @@ let store t key payload =
       let line = Fnv.to_hex (Fnv.hash64 payload) ^ " " ^ Bytes.to_string bytes ^ "\n" in
       let file = path t key in
       let tmp = file ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc line);
-      Sys.rename tmp file;
-      t.stores <- t.stores + 1)
+      match
+        let oc = open_out_bin tmp in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            output_string oc line;
+            close_out oc);
+        Sys.rename tmp file
+      with
+      | () -> t.stores <- t.stores + 1
+      | exception Sys_error _ ->
+          (* A full disk or a vanished directory: the entry is lost,
+             the caller's payload is not. *)
+          (try Sys.remove tmp with Sys_error _ -> ());
+          t.store_failures <- t.store_failures + 1)
 
-let clear t =
-  locked t (fun () ->
-      Array.iter
-        (fun name ->
-          if Filename.check_suffix name ".entry" then
-            try Sys.remove (Filename.concat t.cache_dir name) with Sys_error _ -> ())
-        (try Sys.readdir t.cache_dir with Sys_error _ -> [||]))
+let clear t = locked t (fun () -> remove_all ~suffix:".entry" t.cache_dir)
 
 let stats t =
   locked t (fun () ->
@@ -112,5 +128,6 @@ let stats t =
         hits = t.hits;
         misses = t.misses;
         stores = t.stores;
+        store_failures = t.store_failures;
         corrupt_evictions = t.corrupt_evictions;
       })

@@ -7,7 +7,8 @@
     entry and reports a miss, so the caller recompiles and the next
     store heals the cache — a corrupt entry can cost one recompile but
     can never serve a wrong answer.  Writes go through a temp file and
-    [rename] so readers never observe a half-written entry. *)
+    [rename] so readers never observe a half-written entry, and a
+    write that fails costs the entry, never the caller's payload. *)
 
 type t
 
@@ -15,11 +16,13 @@ type stats = {
   hits : int;
   misses : int;
   stores : int;
+  store_failures : int;  (** Writes lost to an I/O error. *)
   corrupt_evictions : int;
 }
 
 val create : dir:string -> t
-(** Creates [dir] (and parents) when missing. *)
+(** Creates [dir] (and parents) when missing, and removes the
+    [*.entry.tmp] files a killed {!store} left in it. *)
 
 val dir : t -> string
 
@@ -28,7 +31,9 @@ val find : t -> Ckey.t -> string option
     corrupt entry. *)
 
 val store : t -> Ckey.t -> string -> unit
-(** Idempotent; later stores for the same key overwrite. *)
+(** Idempotent; later stores for the same key overwrite.  Never
+    raises: on an I/O error (a full disk, a removed directory) it
+    removes its temp file and counts the failure in [store_failures]. *)
 
 val clear : t -> unit
 (** Remove every entry (stats are kept). *)

@@ -11,7 +11,8 @@
     Points:
     - [Kill_worker n]: the n-th job a worker picks up raises
       {!Worker_killed} mid-compile (at the ["prepare"] stage hook),
-      simulating the domain dying under the job.
+      simulating the worker dying under the job: the exception
+      escapes the attempt, and the worker recovers in place.
     - [Clock_skip (s, n)]: the service clock jumps forward [s] seconds
       at the n-th stage-boundary read, blowing any armed deadline.
     - [Corrupt_store n]: the n-th cache write flips a byte of the

@@ -24,8 +24,8 @@ val run :
     ({!Slp_pipeline.Pipeline.execute_with_memory}) and ["digest"] span
     around its memory digest, land on the job's timeline.  Pipeline and deadline failures
     come back as structured errors; {!Fault.Worker_killed} is
-    re-raised so the supervisor can tell a dead worker from a failed
-    job. *)
+    re-raised, so the pool counts it as a worker death like any other
+    exception that escapes an attempt. *)
 
 val run_degraded :
   op:Proto.jobop ->

@@ -9,9 +9,7 @@ type config = {
   workers : int;
   queue_depth : int;
   max_attempts : int;
-  backoff : Backoff.policy;
   sleep : float -> unit;
-  seed : int;
   default_timeout : float option;
 }
 
@@ -20,9 +18,7 @@ let default_config =
     workers = 2;
     queue_depth = 64;
     max_attempts = 3;
-    backoff = Backoff.default;
     sleep = Unix.sleepf;
-    seed = 42;
     default_timeout = None;
   }
 
@@ -39,10 +35,6 @@ type jobrec = {
   mutable errors : E.t list;  (** Reverse chronological. *)
 }
 
-type event = Died of int * jobrec | Stop
-
-type slot_state = Idle | Busy | Dead
-
 type t = {
   config : config;
   job_cache : Cache.t;
@@ -54,16 +46,11 @@ type t = {
   mutable in_flight : int;  (** Queued + running, until the reply lands. *)
   mutable paused : bool;
   mutable stopping : bool;
-  mutable shut : bool;
+  mutable live : int;  (** Worker loops still running. *)
+  mutable workers : unit Domain.t list;  (** Taken, and joined, by [shutdown]. *)
   prng : Prng.t;  (** Jitter source; guarded by [mutex]. *)
   quarantine : (Ckey.t, string) Hashtbl.t;  (** Guarded by [mutex]. *)
-  handles : unit Domain.t option array;  (** Guarded by [mutex]. *)
-  slots : slot_state array;  (** Guarded by [mutex]. *)
   seq : int Atomic.t;  (** Fallback trace-id counter. *)
-  ev_mutex : Mutex.t;
-  ev_nonempty : Condition.t;
-  events : event Queue.t;
-  mutable supervisor : unit Domain.t option;
 }
 
 let metrics t = Telemetry.registry t.telem
@@ -75,14 +62,8 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let push_event t ev =
-  Mutex.lock t.ev_mutex;
-  Queue.push ev t.events;
-  Condition.signal t.ev_nonempty;
-  Mutex.unlock t.ev_mutex
-
 let backoff_delay t ~attempt =
-  locked t (fun () -> Backoff.delay t.config.backoff ~prng:t.prng ~attempt)
+  locked t (fun () -> Backoff.delay Backoff.default ~prng:t.prng ~attempt)
 
 type health = {
   live_workers : int;
@@ -94,19 +75,16 @@ type health = {
 let health t =
   locked t (fun () ->
       {
-        live_workers =
-          Array.fold_left
-            (fun acc s -> if s = Dead then acc else acc + 1)
-            0 t.slots;
+        live_workers = t.live;
         queue_len = Queue.length t.queue;
         queue_limit = t.config.queue_depth;
         stopping = t.stopping;
       })
 
 (* Every reply funnels through here so client-disconnect faults are
-   observed (and survived) uniformly: the job's work is already done
-   and cached by the time the callback runs, so a vanished client
-   costs nothing but the reply bytes. *)
+   observed (and survived) uniformly: the job's work is already done,
+   and cached unless the cache write failed, by the time the callback
+   runs, so a vanished client costs nothing but the reply bytes. *)
 let guard_reply t cb reply =
   match
     Fault.reply_hook ();
@@ -165,16 +143,37 @@ let quarantine_and_degrade t (job : jobrec) =
 
 let is_quarantined t key = locked t (fun () -> Hashtbl.mem t.quarantine key)
 
-(* One attempt plus in-place retries.  [Fault.Worker_killed] escapes to
-   the worker loop — the supervisor owns that recovery. *)
+(* One attempt: compute the payload and store it.  Whatever escapes
+   the attempt, the injected [Fault.Worker_killed] or any other
+   exception, is a worker death: the worker logs it and lives on, and
+   the attempt fails with BAIL13 as a structured failure would with
+   its own error.  The [string] names the retry reason. *)
+let attempt t (job : jobrec) =
+  match
+    let r = Job.run ~obs:(Telemetry.obs t.telem) ~op:job.op ~spec:job.spec job.prog in
+    Result.iter (fun p -> Cache.store t.job_cache job.key (Json.to_string p)) r;
+    r
+  with
+  | Result.Ok payload -> Result.Ok payload
+  | Result.Error err -> Result.Error ("failure", err)
+  | exception exn ->
+      Telemetry.worker_restart t.telem;
+      Log.error (logger t) "worker_death"
+        (job_fields job @ [ ("exn", Json.Str (Printexc.to_string exn)) ]);
+      Result.Error
+        ( "worker_death",
+          E.make ~pass:E.Pipeline E.Internal
+            "worker died mid-job; worker restarted, job retried" )
+
+(* Attempts run in place until one succeeds or [max_attempts] have
+   failed; then the key is quarantined. *)
 let rec run_job t (job : jobrec) =
   if is_quarantined t job.key then quarantine_and_degrade t job
   else
-    let obs = Telemetry.obs t.telem in
-    match Job.run ~obs ~op:job.op ~spec:job.spec job.prog with
+    let outcome = attempt t job in
+    job.attempts <- job.attempts + 1;
+    match outcome with
     | Result.Ok payload ->
-        job.attempts <- job.attempts + 1;
-        Cache.store t.job_cache job.key (Json.to_string payload);
         Telemetry.job t.telem
           ~scheme:(Proto.scheme_to_string job.spec.Proto.scheme)
           ~outcome:"ok";
@@ -183,12 +182,11 @@ let rec run_job t (job : jobrec) =
         deliver t job
           (Proto.ok_reply ~attempts:job.attempts ~errors:(List.rev job.errors)
              ~id:job.job_id payload)
-    | Result.Error err ->
-        job.attempts <- job.attempts + 1;
+    | Result.Error (reason, err) ->
         job.errors <- err :: job.errors;
         if job.attempts >= t.config.max_attempts then quarantine_and_degrade t job
         else (
-          Telemetry.retry t.telem ~reason:"failure";
+          Telemetry.retry t.telem ~reason;
           Log.warn (logger t) "job_retry"
             (job_fields job
             @ [
@@ -198,28 +196,20 @@ let rec run_job t (job : jobrec) =
           t.config.sleep (backoff_delay t ~attempt:job.attempts);
           run_job t job)
 
-let set_slot t slot state = locked t (fun () -> t.slots.(slot) <- state)
-
-let rec worker_loop t slot =
-  let job =
-    locked t (fun () ->
-        let rec await () =
-          if t.stopping && Queue.is_empty t.queue then None
-          else if Queue.is_empty t.queue || (t.paused && not t.stopping) then (
-            Condition.wait t.nonempty t.mutex;
-            await ())
-          else (
-            let job = Queue.pop t.queue in
-            t.slots.(slot) <- Busy;
-            Some job)
-        in
-        await ())
+(* A worker loop ends only when [shutdown] has drained the queue. *)
+let worker_loop (t : t) =
+  let rec next () =
+    if t.stopping && Queue.is_empty t.queue then None
+    else if Queue.is_empty t.queue || (t.paused && not t.stopping) then (
+      Condition.wait t.nonempty t.mutex;
+      next ())
+    else Some (Queue.pop t.queue)
   in
-  match job with
-  | None -> ()
-  | Some job -> (
-      Telemetry.observe_queue_wait t.telem (Clock.now () -. job.enqueued_at);
-      let run () =
+  let rec loop () =
+    match locked t next with
+    | None -> ()
+    | Some job ->
+        Telemetry.observe_queue_wait t.telem (Clock.now () -. job.enqueued_at);
         Telemetry.span t.telem
           ~args:
             [
@@ -229,72 +219,14 @@ let rec worker_loop t slot =
               ("op", Proto.jobop_name job.op);
             ]
           "job"
-          (fun () -> run_job t job)
-      in
-      match run () with
-      | () ->
-          set_slot t slot Idle;
-          worker_loop t slot
-      | exception Fault.Worker_killed ->
-          (* This worker is "dead": hand the job to the supervisor and
-             let the domain terminate. *)
-          push_event t (Died (slot, job)))
-
-let spawn_worker t slot = Domain.spawn (fun () -> worker_loop t slot)
-
-let rec supervisor_loop t =
-  let ev =
-    Mutex.lock t.ev_mutex;
-    while Queue.is_empty t.events do
-      Condition.wait t.ev_nonempty t.ev_mutex
-    done;
-    let ev = Queue.pop t.events in
-    Mutex.unlock t.ev_mutex;
-    ev
+          (fun () -> run_job t job);
+        loop ()
   in
-  match ev with
-  | Stop -> ()
-  | Died (slot, job) ->
-      set_slot t slot Dead;
-      Telemetry.worker_restart t.telem;
-      Log.error (logger t) "worker_death"
-        (job_fields job @ [ ("slot", Json.Num (float_of_int slot)) ]);
-      (* Join the corpse, then bring the slot back up. *)
-      (match locked t (fun () -> t.handles.(slot)) with
-      | Some d -> Domain.join d
-      | None -> ());
-      let replacement =
-        if locked t (fun () -> t.stopping) then None
-        else Some (spawn_worker t slot)
-      in
-      locked t (fun () ->
-          t.handles.(slot) <- replacement;
-          if replacement <> None then t.slots.(slot) <- Idle);
-      if replacement <> None then
-        Log.info (logger t) "worker_respawn"
-          [ ("slot", Json.Num (float_of_int slot)) ];
-      job.attempts <- job.attempts + 1;
-      job.errors <-
-        E.make ~pass:E.Pipeline E.Internal
-          "worker died mid-job; worker restarted, job retried"
-        :: job.errors;
-      if job.attempts >= t.config.max_attempts then quarantine_and_degrade t job
-      else (
-        Telemetry.retry t.telem ~reason:"worker_death";
-        Log.warn (logger t) "job_retry"
-          (job_fields job
-          @ [
-              ("attempt", Json.Num (float_of_int job.attempts));
-              ("error", Json.Str "worker died mid-job");
-            ]);
-        t.config.sleep (backoff_delay t ~attempt:job.attempts);
-        locked t (fun () ->
-            Queue.push job t.queue;
-            Condition.signal t.nonempty));
-      supervisor_loop t
+  Fun.protect ~finally:(fun () -> locked t (fun () -> t.live <- t.live - 1)) loop
 
 let create ?(config = default_config) ?telem ~cache () =
   let telem = match telem with Some tm -> tm | None -> Telemetry.create () in
+  let workers = max 1 config.workers in
   let t =
     {
       config;
@@ -307,16 +239,11 @@ let create ?(config = default_config) ?telem ~cache () =
       in_flight = 0;
       paused = false;
       stopping = false;
-      shut = false;
-      prng = Prng.create config.seed;
+      live = workers;
+      workers = [];
+      prng = Prng.create 42;
       quarantine = Hashtbl.create 16;
-      handles = Array.make (max 1 config.workers) None;
-      slots = Array.make (max 1 config.workers) Idle;
       seq = Atomic.make 0;
-      ev_mutex = Mutex.create ();
-      ev_nonempty = Condition.create ();
-      events = Queue.create ();
-      supervisor = None;
     }
   in
   (* Scrape-derived gauges: refreshed by the registry's collect hook
@@ -345,10 +272,7 @@ let create ?(config = default_config) ?telem ~cache () =
       Metric.Gauge.set cache_corrupt (float_of_int cs.Cache.corrupt_evictions);
       Metric.Gauge.set cache_hit_rate
         (if hits +. misses > 0.0 then hits /. (hits +. misses) else 0.0));
-  for slot = 0 to max 1 config.workers - 1 do
-    t.handles.(slot) <- Some (spawn_worker t slot)
-  done;
-  t.supervisor <- Some (Domain.spawn (fun () -> supervisor_loop t));
+  t.workers <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let submit ?trace_id t ~id ~op ~spec ~reply =
@@ -468,27 +392,12 @@ let drain t =
 
 let shutdown t =
   drain t;
-  let already =
+  let workers =
     locked t (fun () ->
-        if t.shut then true
-        else (
-          t.shut <- true;
-          t.stopping <- true;
-          Condition.broadcast t.nonempty;
-          false))
+        t.stopping <- true;
+        Condition.broadcast t.nonempty;
+        let workers = t.workers in
+        t.workers <- [];
+        workers)
   in
-  if not already then (
-    Array.iteri
-      (fun slot handle ->
-        match handle with
-        | Some d ->
-            Domain.join d;
-            t.handles.(slot) <- None
-        | None -> ())
-      (locked t (fun () -> Array.copy t.handles));
-    push_event t Stop;
-    match t.supervisor with
-    | Some d ->
-        Domain.join d;
-        t.supervisor <- None
-    | None -> ())
+  List.iter Domain.join workers

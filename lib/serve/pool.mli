@@ -1,43 +1,44 @@
-(** The supervised worker pool.
+(** The worker pool.
 
     Jobs flow: [submit] parses and keys the spec, answers straight
     from the cache on a hit, sheds with [Overloaded] when the bounded
     queue is full, and otherwise enqueues.  Worker domains pull jobs
-    and run {!Job.run}; a structured failure is retried in place with
-    capped exponential backoff (seeded jitter, so tests are
+    and run {!Job.run}.  An attempt fails in one of two ways: {!Job.run}
+    returns a structured error, or an exception escapes the attempt (the
+    injected {!Fault.Worker_killed}, or any other), which counts as a
+    worker death and records a BAIL13 error.  Both take one path: the
+    job is retried in place with capped exponential backoff
+    ({!Slp_util.Backoff.default}, jitter seeded 42, so tests are
     deterministic) up to [max_attempts], after which the key is
-    quarantined and the job falls back to {!Job.run_degraded}.  A
-    worker that dies under a job ({!Fault.Worker_killed} escaping) is
-    detected by the supervisor domain, which joins the corpse, spawns
-    a replacement, and re-enqueues the job with its attempt count
-    advanced — a dying worker costs a retry, never a lost job.
+    quarantined and the job falls back to {!Job.run_degraded}.  The
+    worker itself carries on, and its loop ends only at {!shutdown}:
+    a failing job costs retries, never a lost job or a lost worker.
 
     Every reply — success, degraded, shed — goes through the job's
     callback exactly once; a callback that raises {!Fault.Client_gone}
     (client vanished mid-reply) is counted and swallowed, and since
     successful payloads are cached before delivery, the client can
-    replay the request and hit the cache.
+    replay the request and hit the cache.  A cache write that fails
+    ({!Cache.store} never raises) leaves the reply [ok] and uncached.
 
     Deadlines are cooperative: {!Job.run} arms them over the service
     clock and the pipeline checks them at stage boundaries and fuel
     ticks.  A breach is a structured [BAIL16] failure and takes the
-    ordinary retry path; the supervisor cannot preempt a domain. *)
+    ordinary retry path; nothing preempts a domain. *)
 
 type config = {
   workers : int;
   queue_depth : int;  (** Jobs beyond this are shed, not queued. *)
   max_attempts : int;  (** Attempts before quarantine. *)
-  backoff : Slp_util.Backoff.policy;
   sleep : float -> unit;
       (** Backoff sleeper; tests pass [ignore] to retry instantly. *)
-  seed : int;  (** Seeds the jitter PRNG. *)
   default_timeout : float option;
       (** Applied when a spec carries no [timeout]. *)
 }
 
 val default_config : config
-(** 2 workers, depth 64, 3 attempts, {!Slp_util.Backoff.default},
-    [Unix.sleepf], seed 42, no default timeout. *)
+(** 2 workers, depth 64, 3 attempts, [Unix.sleepf], no default
+    timeout. *)
 
 type t
 
@@ -51,7 +52,7 @@ val submit :
   reply:(Proto.reply -> unit) -> unit
 (** Never blocks for the job itself (cache hits, sheds and parse
     failures reply on the caller's thread; queued jobs reply from a
-    worker or supervisor thread — the callback must be thread-safe). *)
+    worker domain — the callback must be thread-safe). *)
 
 val run_sync :
   t -> ?id:int -> ?trace_id:string -> op:Proto.jobop -> spec:Proto.spec ->
@@ -73,11 +74,10 @@ val drain : t -> unit
 (** Block until no job is queued or in flight. *)
 
 val shutdown : t -> unit
-(** [drain], then stop and join every worker and the supervisor.
-    Idempotent. *)
+(** [drain], then stop and join every worker.  Idempotent. *)
 
 type health = {
-  live_workers : int;  (** Worker slots not currently dead. *)
+  live_workers : int;  (** Worker loops still running. *)
   queue_len : int;
   queue_limit : int;
   stopping : bool;

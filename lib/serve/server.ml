@@ -37,6 +37,8 @@ let stats_json pool =
             ("hits", Json.Num hits);
             ("misses", Json.Num misses);
             ("stores", Json.Num (float_of_int cache_stats.Cache.stores));
+            ( "store_failures",
+              Json.Num (float_of_int cache_stats.Cache.store_failures) );
             ( "corrupt_evictions",
               Json.Num (float_of_int cache_stats.Cache.corrupt_evictions) );
             ( "hit_rate",
@@ -115,9 +117,17 @@ let locked t f =
 
 let wake t = try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1) with _ -> ()
 
-(* Runs on worker/supervisor domains: queue the line for the reactor
-   to flush.  A token that no longer resolves means the client hung up
-   first — count it, the job's result is in the cache regardless. *)
+(* A reply line that will never reach its client.  Count it; a job's
+   result was cached before its reply, unless the cache write failed. *)
+let unroutable t token =
+  Telemetry.reply (Pool.telemetry t.pool) ~outcome:"unroutable";
+  Log.warn
+    (Telemetry.log (Pool.telemetry t.pool))
+    "reply_unroutable"
+    [ ("token", Json.Num (float_of_int token)) ]
+
+(* Runs on worker domains and the reactor: queue the line for the
+   reactor to flush, or count it when the token no longer resolves. *)
 let enqueue_reply t token line =
   let found =
     locked t (fun () ->
@@ -127,19 +137,21 @@ let enqueue_reply t token line =
             true
         | _ -> false)
   in
-  if found then wake t
-  else begin
-    Telemetry.reply (Pool.telemetry t.pool) ~outcome:"unroutable";
-    Log.warn
-      (Telemetry.log (Pool.telemetry t.pool))
-      "reply_unroutable"
-      [ ("token", Json.Num (float_of_int token)) ]
-  end
+  if found then wake t else unroutable t token
 
+(* The lines still queued to a dropped client are unroutable too. *)
 let drop_client t (c : client) =
-  locked t (fun () ->
-      c.gone <- true;
-      Hashtbl.remove t.clients c.token);
+  let lost =
+    locked t (fun () ->
+        c.gone <- true;
+        Hashtbl.remove t.clients c.token;
+        let lost = Queue.length c.out in
+        Queue.clear c.out;
+        lost)
+  in
+  for _ = 1 to lost do
+    unroutable t c.token
+  done;
   Log.debug
     (Telemetry.log (Pool.telemetry t.pool))
     "client_gone"

@@ -52,7 +52,8 @@ let create ?log ?hub ?registry () =
           ~labels:[ "outcome" ] "replies_total";
       worker_restarts =
         Metric.Counter.plain registry
-          ~help:"Worker domains respawned after a death" "worker_restarts_total";
+          ~help:"Worker deaths recovered in place (an exception escaped a job)"
+          "worker_restarts_total";
       quarantined_total =
         Metric.Counter.plain registry ~help:"Job keys quarantined"
           "jobs_quarantined_total";
@@ -70,7 +71,7 @@ let create ?log ?hub ?registry () =
         Metric.Gauge.plain registry ~help:"Jobs queued or running"
           "jobs_in_flight";
       workers_live =
-        Metric.Gauge.plain registry ~help:"Worker domains not currently dead"
+        Metric.Gauge.plain registry ~help:"Worker loops still running"
           "workers_live";
       uptime =
         Metric.Gauge.plain registry ~help:"Seconds since telemetry start"

@@ -33,7 +33,7 @@ let find ~env ~config ~units ~deps =
           List.fold_left
             (fun acc (v : Units.t) ->
               if
-                Units.isomorphic ~env u v
+                Units.isomorphic u v
                 && Units.width_bits u + Units.width_bits v
                    <= config.Config.datapath_bits
                 && Units.Deps.mergeable deps u.Units.uid v.Units.uid

@@ -95,7 +95,7 @@ let evaluate_facts ?params ~query ~config facts grouping =
             a_estimate = Cost.estimate_facts ?params ~query facts sched;
           }
 
-let evaluate ?params ~query ~deps ~env:_ ~config block grouping =
+let evaluate ?params ~query ~deps ~config block grouping =
   evaluate_facts ?params ~query ~config (Schedule.Facts.make ~deps block) grouping
 
 (* Scheme-fair modeled cost of a whole plan: committed blocks at their

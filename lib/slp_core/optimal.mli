@@ -49,7 +49,6 @@ val evaluate :
   ?params:Cost.params ->
   query:Cost.query ->
   deps:(int * int) list ->
-  env:Env.t ->
   config:Config.t ->
   Block.t ->
   Grouping.result ->

@@ -388,7 +388,7 @@ let run_facts ?(options = default_options) ?fuel ?(obs = Obs.none) ~config
   in
   { items = List.rev !items; stats }
 
-let run ?options ?fuel ?obs ~dep_pairs ~env:_ ~config (block : Block.t) grouping =
+let run ?options ?fuel ?obs ~dep_pairs ~config (block : Block.t) grouping =
   run_facts ?options ?fuel ?obs ~config (Facts.make ~deps:dep_pairs block) grouping
 
 let scheduled_stmt_ids t =

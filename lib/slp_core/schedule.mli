@@ -77,7 +77,6 @@ val run :
   ?fuel:Slp_util.Slp_error.Fuel.t ->
   ?obs:Slp_obs.Obs.t ->
   dep_pairs:(int * int) list ->
-  env:Env.t ->
   config:Config.t ->
   Block.t ->
   Grouping.result ->

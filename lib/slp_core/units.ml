@@ -41,7 +41,7 @@ let merge ~uid a b =
 let lane_count u = List.length u.members
 let width_bits u = lane_count u * Types.bits u.elem_ty
 
-let isomorphic ~env:_ a b =
+let isomorphic a b =
   a.mem_dest = b.mem_dest
   && Expr.same_shape a.shape b.shape
   && a.elem_ty = b.elem_ty

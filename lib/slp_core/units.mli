@@ -30,7 +30,7 @@ val merge : uid:int -> t -> t -> t
 val lane_count : t -> int
 val width_bits : t -> int
 
-val isomorphic : env:Env.t -> t -> t -> bool
+val isomorphic : t -> t -> bool
 (** Same store-target kind, shape and element type, and equal member
     counts (lanes of unequal halves cannot fill a SIMD register
     uniformly). *)

@@ -124,7 +124,7 @@ let prop_schedule_always_valid =
   QCheck.Test.make ~name:"schedules are always valid" ~count:150 arb_block
     (fun (env, block) ->
       let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-      let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block r in
+      let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block r in
       Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block s)
 
 let prop_schedule_valid_all_options =
@@ -133,7 +133,7 @@ let prop_schedule_valid_all_options =
       let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
       List.for_all
         (fun options ->
-          Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block (Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block r))
+          Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block (Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~config block r))
         [
           { Schedule.selection = Schedule.Reuse_driven;
             ordering_search = Schedule.Direct_reuse_only };
@@ -150,7 +150,7 @@ let prop_exhaustive_never_worse =
     arb_block (fun (env, block) ->
       let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
       let reuses options =
-        let s = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block r in
+        let s = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~config block r in
         s.Schedule.stats.Schedule.direct_reuses
       in
       reuses
@@ -162,7 +162,7 @@ let prop_baseline_schedule_valid =
   QCheck.Test.make ~name:"baseline schedules are always valid" ~count:150 arb_block
     (fun (env, block) ->
       let r = Slp_baseline.Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-      let s = Slp_baseline.Larsen.schedule ~dep_pairs:(Block.dep_pairs block) ~env ~config block r in
+      let s = Slp_baseline.Larsen.schedule ~dep_pairs:(Block.dep_pairs block) ~config block r in
       Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block s)
 
 let () =

@@ -180,7 +180,7 @@ let test_remarks_fig15_golden () =
   let block = fig15_block () in
   let obs = Obs.create ~remarks:true () in
   let g = Grouping.run ~obs ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-  let s = Schedule.run ~obs ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
+  let s = Schedule.run ~obs ~dep_pairs:(Block.dep_pairs block) ~config block g in
   ignore s;
   let remarks = Obs.remarks obs in
   Alcotest.(check bool) "remarks were emitted" true (remarks <> []);

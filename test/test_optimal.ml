@@ -86,7 +86,7 @@ let test_bruteforce_exactness () =
             List.fold_left
               (fun best parts ->
                 match
-                  Optimal.evaluate ~query ~deps ~env ~config block
+                  Optimal.evaluate ~query ~deps ~config block
                     (Optimal.grouping_of_parts parts)
                 with
                 | Some a ->

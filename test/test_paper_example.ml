@@ -53,7 +53,7 @@ let test_schedule_reuses () =
   let block = figure15_block () in
   let e = env () in
   let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block in
-  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block r in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block r in
   Alcotest.(check bool) "schedule is valid" true (Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block s);
   let total_reuses =
     s.Schedule.stats.Schedule.direct_reuses + s.Schedule.stats.Schedule.permuted_reuses
@@ -64,7 +64,7 @@ let test_schedule_respects_deps () =
   let block = figure15_block () in
   let e = env () in
   let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block in
-  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env:e ~config block r in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block r in
   let order = Schedule.scheduled_stmt_ids s in
   let pos id =
     let rec go i = function

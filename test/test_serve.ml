@@ -1,5 +1,5 @@
 (* Tests for the compile service: deadlines, the content-addressed
-   cache and its keys, the supervised pool (retry, quarantine,
+   cache and its keys, the worker pool (retry, quarantine,
    load-shedding), the socket daemon end-to-end, and a subset of the
    service fault matrix (the full matrix runs under [slpfault
    --service] and the CI serve-smoke job). *)
@@ -243,10 +243,27 @@ let test_cache_corrupt_store_fault () =
   Alcotest.(check int) "evicted" 1 (Cache.stats cache).Cache.corrupt_evictions;
   Fault.disarm ()
 
+(* A [store] killed between its write and its rename leaves an
+   [.entry.tmp] file behind; the next [create] sweeps it and keeps the
+   entries written before. *)
+let test_cache_sweeps_orphaned_tmp () =
+  Fault.disarm ();
+  let dir = fresh_dir () in
+  let key = Fnv.hash64 "k3" in
+  Cache.store (Cache.create ~dir) key "{\"v\": 1}";
+  let orphan = Filename.concat dir (Fnv.to_hex (Fnv.hash64 "k4") ^ ".entry.tmp") in
+  let oc = open_out_bin orphan in
+  output_string oc "a torn wri";
+  close_out oc;
+  let cache = Cache.create ~dir in
+  Alcotest.(check bool) "orphaned tmp swept" false (Sys.file_exists orphan);
+  Alcotest.(check (option string))
+    "earlier entry still hits" (Some "{\"v\": 1}") (Cache.find cache key)
+
 (* -- pool ------------------------------------------------------------ *)
 
 let quick_config =
-  { Pool.default_config with Pool.workers = 1; sleep = (fun _ -> ()); seed = 11 }
+  { Pool.default_config with Pool.workers = 1; sleep = (fun _ -> ()) }
 
 let with_pool ?(config = quick_config) f =
   Fault.disarm ();
@@ -323,6 +340,45 @@ let test_pool_health () =
       Alcotest.(check int) "limit from config" quick_config.Pool.queue_depth
         h.Pool.queue_limit;
       Alcotest.(check bool) "not stopping" false h.Pool.stopping)
+
+(* Poll [f] every 25 ms for up to 10 s. *)
+let rec within_10s ?(tries = 400) f =
+  match f () with
+  | Some v -> Some v
+  | None when tries = 0 -> None
+  | None ->
+      Unix.sleepf 0.025;
+      within_10s ~tries:(tries - 1) f
+
+(* A pool whose cache directory vanishes after [create]: the job's
+   cache write fails, and the job must still be answered [ok],
+   uncached, with the one-shot payload.  The wait is bounded, because
+   a worker that dies of the failed write never answers. *)
+let test_pool_survives_lost_cache_dir () =
+  Fault.disarm ();
+  let dir = fresh_dir () in
+  let cache = Cache.create ~dir in
+  let pool = Pool.create ~config:quick_config ~cache () in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  let spec = small_spec () in
+  let oracle =
+    match Job.run ~op:Proto.Execute ~spec (Slp_frontend.Parser.parse ~name:"k" spec.Proto.kernel) with
+    | Result.Ok payload -> Json.to_string payload
+    | Result.Error e -> Alcotest.fail (E.to_string e)
+  in
+  let answer = Atomic.make None in
+  Pool.submit pool ~id:1 ~op:Proto.Execute ~spec ~reply:(fun r -> Atomic.set answer (Some r));
+  match within_10s (fun () -> Atomic.get answer) with
+  | None -> Alcotest.fail "job never answered"
+  | Some reply ->
+      Alcotest.(check string) "ok" "ok" (Proto.status_name reply.Proto.status);
+      Alcotest.(check bool) "uncached" false reply.Proto.cached;
+      Alcotest.(check int) "one attempt" 1 reply.Proto.attempts;
+      Alcotest.(check string) "one-shot payload" oracle (Json.to_string reply.Proto.payload);
+      Alcotest.(check int) "store failure counted" 1 (Cache.stats cache).Cache.store_failures;
+      Pool.shutdown pool;
+      Alcotest.(check int) "no worker loop left" 0 (Pool.health pool).Pool.live_workers
 
 (* Global+Layout on mg adds replica arrays to the vector program's
    memory; the reply's scalar-reference check must still pass, as
@@ -511,6 +567,34 @@ let test_server_observability () =
   Domain.join daemon;
   Client.close client
 
+(* A reply still queued when the reactor drops its client is counted
+   as unroutable.  The client shuts down its receiving side and sends
+   a ping: the reactor's write of the pong fails with EPIPE, and the
+   pong goes down with the client. *)
+let test_server_dropped_client_replies () =
+  Fault.disarm ();
+  let dir = fresh_dir () in
+  let socket = Filename.concat dir "slpd.sock" in
+  let pool = Pool.create ~config:quick_config ~cache:(Cache.create ~dir) () in
+  let daemon = Domain.spawn (fun () -> Server.run ~pool ~socket ()) in
+  let control = connect ~socket 100 in
+  Alcotest.(check bool) "daemon answers" true (ping_ok control 1);
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+  let ping = Proto.request_to_line { Proto.id = 1; op = Proto.Ping } ^ "\n" in
+  ignore (Unix.write_substring fd ping 0 (String.length ping));
+  let unroutable () =
+    Metric.get ~where:[ ("outcome", "unroutable") ] (Pool.metrics pool) "replies_total"
+  in
+  let counted = within_10s (fun () -> if unroutable () >= 1.0 then Some () else None) in
+  Unix.close fd;
+  shut_down control 2;
+  Domain.join daemon;
+  Client.close control;
+  Alcotest.(check bool) "dropped pong counted" true (counted <> None);
+  Alcotest.(check (float 1e-9)) "counted once" 1.0 (unroutable ())
+
 (* Partial writes.  One client pipelines its requests and reads
    nothing until all are sent.  Every third names an unknown op of
    twice the socket send buffer, which the error reply echoes: such a
@@ -682,6 +766,8 @@ let () =
           Alcotest.test_case "fnv hex digits" `Quick test_fnv_hex_into;
           Alcotest.test_case "integrity eviction" `Quick test_cache_integrity;
           Alcotest.test_case "corrupt-store fault" `Quick test_cache_corrupt_store_fault;
+          Alcotest.test_case "create sweeps orphaned tmp" `Quick
+            test_cache_sweeps_orphaned_tmp;
         ] );
       ( "protocol",
         [
@@ -700,6 +786,8 @@ let () =
           Alcotest.test_case "execute span traced" `Quick test_execute_span;
           Alcotest.test_case "Execute payloads pinned" `Slow
             test_execute_payloads_pinned;
+          Alcotest.test_case "lost cache dir still answers ok" `Quick
+            test_pool_survives_lost_cache_dir;
         ] );
       ( "daemon",
         [
@@ -710,6 +798,8 @@ let () =
             test_server_socket_ownership;
           Alcotest.test_case "partial writes finish in order" `Quick
             test_server_partial_writes;
+          Alcotest.test_case "reply dropped with its client counted" `Quick
+            test_server_dropped_client_replies;
         ] );
       ( "fault matrix",
         [

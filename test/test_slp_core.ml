@@ -577,7 +577,7 @@ let test_schedule_analyze_matches_run () =
   let env = fig2_env () in
   let block = fig2_block () in
   let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block g in
   let replay = Schedule.analyze ~config block s.Schedule.items in
   Alcotest.(check int) "direct reuses agree" s.Schedule.stats.Schedule.direct_reuses
     replay.Schedule.stats.Schedule.direct_reuses;
@@ -642,7 +642,7 @@ let test_cost_prefers_contiguous () =
   in
   let estimate block =
     let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-    let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
+    let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block g in
     Cost.estimate ~query:simple_query block s
   in
   let c = estimate contiguous_block and s = estimate strided_block in
@@ -668,7 +668,7 @@ let test_cost_counts_reuse () =
   in
   ignore elem;
   let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block g in
   Alcotest.(check bool) "at least one reuse" true
     (s.Schedule.stats.Schedule.direct_reuses + s.Schedule.stats.Schedule.permuted_reuses
     >= 1)
@@ -688,11 +688,6 @@ let test_config () =
 (* Two independent isomorphic pairs with no reuses between them: every
    selection step is a pure tie.  The tie-break must be program order,
    and must not depend on the order the grouping lists the groups. *)
-let tie_env () =
-  let env = Env.create () in
-  List.iter (fun a -> Env.declare_array env a Types.F64 [ 64 ]) [ "A"; "B"; "C" ];
-  env
-
 let tie_block () =
   let e a k = Operand.Elem (a, [ Affine.const k ]) in
   let s id a k =
@@ -704,15 +699,15 @@ let tie_grouping groups =
   { Grouping.groups; singles = []; rounds = 1; decisions = List.length groups }
 
 let test_schedule_tie_break_program_order () =
-  let env = tie_env () and block = tie_block () in
-  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
+  let block = tie_block () in
+  let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
   Alcotest.(check (list int)) "program order on ties" [ 1; 2; 3; 4 ]
     (Schedule.scheduled_stmt_ids s)
 
 let test_schedule_group_order_independent () =
-  let env = tie_env () and block = tie_block () in
-  let a = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
-  let b = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block (tie_grouping [ [ 3; 4 ]; [ 1; 2 ] ]) in
+  let block = tie_block () in
+  let a = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block (tie_grouping [ [ 1; 2 ]; [ 3; 4 ] ]) in
+  let b = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block (tie_grouping [ [ 3; 4 ]; [ 1; 2 ] ]) in
   Alcotest.(check (list int)) "grouping order irrelevant"
     (Schedule.scheduled_stmt_ids a) (Schedule.scheduled_stmt_ids b)
 
@@ -722,8 +717,8 @@ let test_schedule_repeatable () =
   let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   List.iter
     (fun options ->
-      let a = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
-      let b = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~env ~config block g in
+      let a = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~config block g in
+      let b = Schedule.run ~options ~dep_pairs:(Block.dep_pairs block) ~config block g in
       Alcotest.(check (list int)) "repeatable" (Schedule.scheduled_stmt_ids a)
         (Schedule.scheduled_stmt_ids b))
     [

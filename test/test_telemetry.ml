@@ -291,6 +291,23 @@ let test_log_file_sink () =
         (Json.member "event" obj = Some (Json.Str "hello"))
   | Result.Error m -> Alcotest.fail ("bad sink line: " ^ m)
 
+(* A sink that cannot take a write (here [/dev/full]: every flush
+   fails with ENOSPC) must not raise into the logging call.  The sink
+   closes, the ring keeps every event, and the stats name the error. *)
+let test_log_full_sink () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let log = Log.create ~level:Log.Debug ~clock:(fun () -> 1.5) () in
+  Log.with_file log "/dev/full";
+  Log.info log "first" [];
+  Log.info log "second" [];
+  Alcotest.(check (list string))
+    "ring keeps both" [ "first"; "second" ]
+    (List.map (fun (e : Log.entry) -> e.Log.event) (Log.recent log));
+  (match Json.member "sink_error" (Log.stats_json log) with
+  | Some (Json.Str _) -> ()
+  | _ -> Alcotest.fail "stats do not report the sink error");
+  Log.close log
+
 (* -- trace hub -------------------------------------------------------- *)
 
 let test_tracehub_merge () =
@@ -363,6 +380,7 @@ let () =
         [
           Alcotest.test_case "ring and levels" `Quick test_log_ring_and_levels;
           Alcotest.test_case "file sink" `Quick test_log_file_sink;
+          Alcotest.test_case "full sink closes, never raises" `Quick test_log_full_sink;
         ] );
       ( "tracehub",
         [
