@@ -209,7 +209,7 @@ let group ~dep_pairs ~env ~config (block : Block.t) =
     decisions = List.length !decided;
   }
 
-let schedule ~dep_pairs ~config (block : Block.t) (grouping : Grouping.result) =
+let schedule ~config facts (grouping : Grouping.result) =
   (* Dependence-respecting program order; lane order as committed. *)
   let nodes = ref [] in
   let next = ref 0 in
@@ -230,7 +230,7 @@ let schedule ~dep_pairs ~config (block : Block.t) (grouping : Grouping.result) =
       let gp = Hashtbl.find owner p and gq = Hashtbl.find owner q in
       if gp <> gq && not (Graph.Directed.mem_edge dg gp gq) then
         Graph.Directed.add_edge dg gp gq)
-    dep_pairs;
+    (Schedule.Facts.deps facts);
   if Graph.Directed.has_cycle dg then
     E.fail ~pass:E.Scheduling E.Schedule_failed
       "Larsen.schedule: packs are not schedulable";
@@ -260,4 +260,4 @@ let schedule ~dep_pairs ~config (block : Block.t) (grouping : Grouping.result) =
         Graph.Directed.remove_node dg gid;
         decr remaining
   done;
-  Schedule.analyze ~config block (List.rev !items)
+  Schedule.analyze ~config facts (List.rev !items)

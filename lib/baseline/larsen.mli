@@ -23,13 +23,14 @@ val group :
     [decisions] counts committed pairs/merges. *)
 
 val schedule :
-  dep_pairs:(int * int) list ->
   config:Slp_core.Config.t ->
-  Block.t ->
+  Slp_core.Schedule.Facts.t ->
   Slp_core.Grouping.result ->
   Slp_core.Schedule.t
-(** Program-order topological emission over the group DAG of
-    [dep_pairs]; lane order as committed (the group member lists are
-    already ordered by address).  Both baselines schedule this way,
-    and the pipeline prices the result with {!Slp_core.Driver.gate},
-    the same profitability gate as the holistic optimizer. *)
+(** Program-order topological emission over the group DAG of the
+    facts' dependence pairs; lane order as committed (the group member
+    lists are already ordered by address).  The reuse statistics come
+    from {!Slp_core.Schedule.analyze} on the same facts.  Both
+    baselines schedule this way, and the pipeline prices the result
+    with {!Slp_core.Driver.gate}, the same profitability gate as the
+    holistic optimizer, on the site's facts. *)

@@ -215,8 +215,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
   let baseline group query (site : Driver.site) =
     let dep_pairs = site.Driver.deps and block = site.Driver.block in
     Driver.gate ~params ~query:(query site)
-      ~schedule:(fun _ grouping ->
-        Slp_baseline.Larsen.schedule ~dep_pairs ~config block grouping)
+      ~schedule:(Slp_baseline.Larsen.schedule ~config)
       site
       (group ~dep_pairs ~env ~config block)
   in

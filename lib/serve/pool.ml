@@ -84,13 +84,17 @@ let health t =
 (* Every reply funnels through here so client-disconnect faults are
    observed (and survived) uniformly: the job's work is already done,
    and cached unless the cache write failed, by the time the callback
-   runs, so a vanished client costs nothing but the reply bytes. *)
+   runs, so a vanished client costs nothing but the reply bytes.  A
+   callback that returns has taken the reply; where it goes from there
+   is known to the callback's owner (slpd's reactor counts it when the
+   line is written or lost), so only a raising callback is counted
+   here. *)
 let guard_reply t cb reply =
   match
     Fault.reply_hook ();
     cb reply
   with
-  | () -> Telemetry.reply t.telem ~outcome:"delivered"
+  | () -> ()
   | exception _ ->
       Telemetry.reply t.telem ~outcome:"dropped";
       Log.warn (logger t) "reply_dropped"

@@ -16,7 +16,8 @@
 
     Every reply — success, degraded, shed — goes through the job's
     callback exactly once; a callback that raises {!Fault.Client_gone}
-    (client vanished mid-reply) is counted and swallowed, and since
+    (client vanished mid-reply) is counted [dropped] and swallowed (a
+    callback that returns is the owner's to count), and since
     successful payloads are cached before delivery, the client can
     replay the request and hit the cache.  A cache write that fails
     ({!Cache.store} never raises) leaves the reply [ok] and uncached.

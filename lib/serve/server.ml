@@ -251,7 +251,8 @@ let handle_writable t (c : client) =
       | n when n < left -> c.sent <- c.sent + n
       | _ ->
           c.sent <- 0;
-          locked t (fun () -> ignore (Queue.pop c.out)))
+          locked t (fun () -> ignore (Queue.pop c.out));
+          Telemetry.reply (Pool.telemetry t.pool) ~outcome:"delivered")
 
 let accept_client t =
   match Unix.accept ~cloexec:true t.listen_fd with

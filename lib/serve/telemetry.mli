@@ -33,7 +33,12 @@ val retry : t -> reason:string -> unit
 (** [job_retries_total{reason}]: failure or worker_death. *)
 
 val reply : t -> outcome:string -> unit
-(** [replies_total{outcome}]: delivered / dropped / unroutable. *)
+(** [replies_total{outcome}]: each reply counted once, where its fate
+    is known.  [delivered]: slpd's reactor wrote its line in full.
+    [unroutable]: its client was gone when it was queued, or left with
+    the line still queued.  [dropped]: the pool's reply callback
+    raised.  A reply the pool hands to an in-process callback that
+    returns is not counted. *)
 
 val worker_restart : t -> unit
 val quarantine : t -> unit

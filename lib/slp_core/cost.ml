@@ -71,13 +71,6 @@ type estimate = {
   permutes : int;
 }
 
-let classify ops =
-  let is_elem = function Operand.Elem _ -> true | _ -> false in
-  let is_scalar = function Operand.Scalar _ -> true | _ -> false in
-  if List.for_all is_elem ops then `All_elem
-  else if List.for_all is_scalar ops then `All_scalar
-  else `Mixed
-
 let weighted_ops params ~base rhs =
   List.fold_left
     (fun acc op ->
@@ -103,26 +96,98 @@ let scalar_stmt_cost params (s : Stmt.t) =
   in
   ops +. loads +. store
 
+(* What pricing keeps about one block between estimates, for the query
+   and params it was made under: the per-statement costs (a statement's
+   vector operator cost once a superword it heads is priced, NaN
+   before), the answers of [scalar_live_out] by operand id (0 = not
+   asked yet, 1 = no, 2 = yes), and per ordered pack (its lane ids) the
+   answers of [contiguous] and [aligned] for the pack and for its
+   reverse, two bits each in that order.  [last_read] is per-estimate
+   scratch. *)
+type memo = {
+  query : query;
+  params : params;
+  scalar_cost : float;
+  stmt_cost : float array;  (** By rank. *)
+  vector_op_cost : float array;  (** By rank. *)
+  live_out : int array;
+  verdicts : (int array, int) Hashtbl.t;
+  last_read : int array;
+      (** By operand id: the last item index of a Single reading it. *)
+}
+
+type Schedule.Facts.pricing += Memo of memo
+
+let memo_of ~params ~query facts =
+  let module F = Schedule.Facts in
+  match F.pricing facts with
+  | Some (Memo m) when m.query == query && m.params == params -> m
+  | Some _ | None ->
+      let stmt_cost =
+        Array.init (F.rank_count facts) (fun r -> scalar_stmt_cost params (F.rank_stmt facts r))
+      in
+      let m =
+        {
+          query;
+          params;
+          (* Summed in block order, as [Stmt.t] lists are priced. *)
+          scalar_cost =
+            List.fold_left
+              (fun acc (s : Stmt.t) -> acc +. stmt_cost.(F.rank facts s.Stmt.id))
+              0.0 (F.block facts).Block.stmts;
+          stmt_cost;
+          vector_op_cost = Array.make (F.rank_count facts) Float.nan;
+          live_out = Array.make (F.id_count facts) 0;
+          verdicts = Hashtbl.create 16;
+          last_read = Array.make (F.id_count facts) (-1);
+        }
+      in
+      F.set_pricing facts (Memo m);
+      m
+
+(* Question [q] of an ordered pack: 0 = contiguous, 1 = aligned, 2 and
+   3 the same of the reversed lanes. *)
+let verdict facts m lanes q =
+  let bits = match Hashtbl.find m.verdicts lanes with b -> b | exception Not_found -> 0 in
+  match (bits lsr (2 * q)) land 3 with
+  | 0 ->
+      let ops = Array.fold_right (fun i acc -> Schedule.Facts.operand facts i :: acc) lanes [] in
+      let ops = if q >= 2 then List.rev ops else ops in
+      let yes = (if q land 1 = 0 then m.query.contiguous else m.query.aligned) ops in
+      Hashtbl.replace m.verdicts lanes (bits lor ((if yes then 2 else 1) lsl (2 * q)));
+      yes
+  | answer -> answer = 2
+
+let scalar_live_out facts m i =
+  match m.live_out.(i) with
+  | 0 ->
+      let yes =
+        match Schedule.Facts.operand facts i with
+        | Operand.Scalar v -> m.query.scalar_live_out v
+        | Operand.Const _ | Operand.Elem _ -> false
+      in
+      m.live_out.(i) <- (if yes then 2 else 1);
+      yes
+  | answer -> answer = 2
+
 let estimate_facts ?(params = default_params) ~query facts (sched : Schedule.t) =
   let module F = Schedule.Facts in
-  let block = F.block facts in
-  let scalar_cost =
-    List.fold_left (fun acc s -> acc +. scalar_stmt_cost params s) 0.0 block.Block.stmts
-  in
+  let m = memo_of ~params ~query facts in
+  let first_scalar = F.first_scalar facts and first_elem = F.first_elem facts in
   (* Scalars read by later Single items, per item index: a superword
      defining such a scalar must unpack it. *)
   let items = Array.of_list sched.Schedule.items in
-  let scalar_used_by_single_after = Hashtbl.create 16 in
-  (* var -> last item index where a Single reads it *)
+  let last_read = m.last_read in
+  Array.fill last_read 0 (Array.length last_read) (-1);
   Array.iteri
     (fun idx item ->
       match item with
       | Schedule.Single sid ->
-          List.iter
-            (function
-              | Operand.Scalar v -> Hashtbl.replace scalar_used_by_single_after v idx
-              | Operand.Const _ | Operand.Elem _ -> ())
-            (Stmt.uses (F.stmt facts sid))
+          let row = F.row facts (F.rank facts sid) in
+          for pos = 1 to Array.length row - 1 do
+            let i = row.(pos) in
+            if i >= first_scalar && i < first_elem then last_read.(i) <- idx
+          done
       | Schedule.Superword _ -> ())
     items;
   let live = Live.create ~capacity:64 in
@@ -134,149 +199,143 @@ let estimate_facts ?(params = default_params) ~query facts (sched : Schedule.t) 
   let extracts = ref 0 in
   let permutes = ref 0 in
   let charge c = vcost := !vcost +. c in
-  let pack_source ordered =
-    let pack = Pack.of_operands ordered in
-    if Pack.all_constant pack then ()
-    else if Live.mem_exact live ordered then ()
-    else if Live.mem_multiset live pack then begin
+  let contiguous lanes = verdict facts m lanes 0 and aligned lanes = verdict facts m lanes 1 in
+  let contiguous_rev lanes = verdict facts m lanes 2
+  and aligned_rev lanes = verdict facts m lanes 3 in
+  (* A pack's kind from its multiset: ids order constants, scalars,
+     then elements. *)
+  let all_elem key = key.(0) >= first_elem in
+  let all_scalar key = key.(0) >= first_scalar && key.(Array.length key - 1) < first_elem in
+  let pack_source lanes key =
+    let n = Array.length lanes in
+    if Live.mem_exact live lanes then ()
+    else if Live.mem_multiset live key then begin
       incr permutes;
       charge params.permute
     end
-    else if Live.coverable_by_two live pack then begin
+    else if Live.coverable_by_two live key then begin
       incr permutes;
       charge params.permute
     end
-    else begin
-      let n = List.length ordered in
-      let all_equal =
-        match ordered with
-        | first :: rest -> List.for_all (Operand.equal first) rest
-        | [] -> false
-      in
-      if all_equal then begin
-        (* Splat: one broadcast, plus one element load when the value
-           comes from memory. *)
-        charge params.broadcast;
-        match ordered with
-        | Operand.Elem _ :: _ ->
-            incr scalar_memops_in_packs;
-            charge params.scalar_load
-        | _ -> ()
+    else if key.(0) = key.(n - 1) then begin
+      (* Splat: one broadcast, plus one element load when the value
+         comes from memory. *)
+      charge params.broadcast;
+      if all_elem key then begin
+        incr scalar_memops_in_packs;
+        charge params.scalar_load
       end
-      else
-      match classify ordered with
-      | `All_elem ->
-          if query.contiguous ordered then begin
-            incr vector_memops;
-            charge params.vector_load;
-            if not (query.aligned ordered) then charge params.unaligned_extra
-          end
-          else if query.contiguous (List.rev ordered) then begin
-            incr vector_memops;
-            incr permutes;
-            charge (params.vector_load +. params.permute);
-            if not (query.aligned (List.rev ordered)) then charge params.unaligned_extra
-          end
-          else begin
-            scalar_memops_in_packs := !scalar_memops_in_packs + n;
-            inserts := !inserts + n;
-            charge (float_of_int n *. (params.scalar_load +. params.insert))
-          end
-      | `All_scalar ->
-          if query.contiguous ordered then begin
-            incr vector_memops;
-            charge params.vector_load;
-            if not (query.aligned ordered) then charge params.unaligned_extra
-          end
-          else begin
-            inserts := !inserts + n;
-            charge (float_of_int n *. params.insert)
-          end
-      | `Mixed ->
-          List.iter
-            (fun op ->
-              incr inserts;
-              charge params.insert;
-              match op with
-              | Operand.Elem _ ->
-                  incr scalar_memops_in_packs;
-                  charge params.scalar_load
-              | Operand.Scalar _ | Operand.Const _ -> ())
-            ordered
     end
-  in
-  let pack_dest item_idx ordered =
-    let n = List.length ordered in
-    match classify ordered with
-    | `All_elem ->
-        if query.contiguous ordered then begin
-          incr vector_memops;
-          charge params.vector_store;
-          if not (query.aligned ordered) then charge params.unaligned_extra
+    else if all_elem key then
+      if contiguous lanes then begin
+        incr vector_memops;
+        charge params.vector_load;
+        if not (aligned lanes) then charge params.unaligned_extra
+      end
+      else if contiguous_rev lanes then begin
+        incr vector_memops;
+        incr permutes;
+        charge (params.vector_load +. params.permute);
+        if not (aligned_rev lanes) then charge params.unaligned_extra
+      end
+      else begin
+        scalar_memops_in_packs := !scalar_memops_in_packs + n;
+        inserts := !inserts + n;
+        charge (float_of_int n *. (params.scalar_load +. params.insert))
+      end
+    else if all_scalar key then
+      if contiguous lanes then begin
+        incr vector_memops;
+        charge params.vector_load;
+        if not (aligned lanes) then charge params.unaligned_extra
+      end
+      else begin
+        inserts := !inserts + n;
+        charge (float_of_int n *. params.insert)
+      end
+    else
+      for l = 0 to n - 1 do
+        incr inserts;
+        charge params.insert;
+        if lanes.(l) >= first_elem then begin
+          incr scalar_memops_in_packs;
+          charge params.scalar_load
         end
-        else if query.contiguous (List.rev ordered) then begin
+      done
+  in
+  let pack_dest item_idx lanes key =
+    let n = Array.length lanes in
+    if all_elem key then
+      if contiguous lanes then begin
+        incr vector_memops;
+        charge params.vector_store;
+        if not (aligned lanes) then charge params.unaligned_extra
+      end
+      else if contiguous_rev lanes then begin
+        incr vector_memops;
+        incr permutes;
+        charge (params.vector_store +. params.permute);
+        if not (aligned_rev lanes) then charge params.unaligned_extra
+      end
+      else begin
+        extracts := !extracts + n;
+        scalar_memops_in_packs := !scalar_memops_in_packs + n;
+        charge (float_of_int n *. (params.extract +. params.scalar_store))
+      end
+    else begin
+      (* Scalars stay in the vector register unless some later Single
+         (or the world outside the block) needs them as scalars. *)
+      let needed = ref 0 in
+      for l = 0 to n - 1 do
+        let i = lanes.(l) in
+        if
+          i >= first_scalar && i < first_elem
+          && (scalar_live_out facts m i || last_read.(i) > item_idx)
+        then incr needed
+      done;
+      let needed = !needed in
+      if needed > 0 then
+        if needed = n && contiguous lanes then begin
+          (* The scalar layout optimization placed them adjacently:
+             one vector store materialises all of them. *)
           incr vector_memops;
-          incr permutes;
-          charge (params.vector_store +. params.permute);
-          if not (query.aligned (List.rev ordered)) then charge params.unaligned_extra
+          charge params.vector_store
         end
         else begin
-          extracts := !extracts + n;
-          scalar_memops_in_packs := !scalar_memops_in_packs + n;
-          charge (float_of_int n *. (params.extract +. params.scalar_store))
+          extracts := !extracts + needed;
+          charge (float_of_int needed *. (params.extract +. params.scalar_store))
         end
-    | `All_scalar | `Mixed ->
-        (* Scalars stay in the vector register unless some later Single
-           (or the world outside the block) needs them as scalars. *)
-        let needed =
-          List.filter
-            (function
-              | Operand.Scalar v ->
-                  query.scalar_live_out v
-                  ||
-                  (match Hashtbl.find_opt scalar_used_by_single_after v with
-                  | Some last -> last > item_idx
-                  | None -> false)
-              | Operand.Const _ | Operand.Elem _ -> false)
-            ordered
-        in
-        if needed <> [] then
-          if List.length needed = n && query.contiguous ordered then begin
-            (* The scalar layout optimization placed them adjacently:
-               one vector store materialises all of them. *)
-            incr vector_memops;
-            charge params.vector_store
-          end
-          else begin
-            extracts := !extracts + List.length needed;
-            charge (float_of_int (List.length needed) *. (params.extract +. params.scalar_store))
-          end
+    end
   in
   Array.iteri
     (fun idx item ->
       match item with
       | Schedule.Single sid ->
-          let s = F.stmt facts sid in
-          charge (scalar_stmt_cost params s);
-          Live.invalidate live ~defs:[ Stmt.def s ]
+          let r = F.rank facts sid in
+          charge m.stmt_cost.(r);
+          Live.invalidate live (F.clobbers facts (F.row facts r).(0))
       | Schedule.Superword order ->
-          let first = F.stmt facts (List.hd order) in
-          vector_ops := !vector_ops + Stmt.op_count first;
-          charge (weighted_ops params ~base:params.vector_op first.Stmt.rhs);
-          let ordered = Array.init (F.position_count facts first.Stmt.id) (F.ordered facts order) in
-          let npos = Array.length ordered in
-          for pos = 1 to npos - 1 do
-            pack_source ordered.(pos)
+          let ranks = List.map (F.rank facts) order in
+          let g = F.group facts (List.sort Int.compare ranks) in
+          let first = List.hd ranks in
+          let head = F.rank_stmt facts first in
+          vector_ops := !vector_ops + Stmt.op_count head;
+          if Float.is_nan m.vector_op_cost.(first) then
+            m.vector_op_cost.(first) <- weighted_ops params ~base:params.vector_op head.Stmt.rhs;
+          charge m.vector_op_cost.(first);
+          let positions = g.F.positions and keys = g.F.keys in
+          let lanes = Array.map (F.lanes facts ranks) positions in
+          for i = 1 to Array.length positions - 1 do
+            pack_source lanes.(i) keys.(i)
           done;
-          pack_dest idx ordered.(0);
-          Live.invalidate live ~defs:ordered.(0);
-          for pos = npos - 1 downto 0 do
-            if not (Pack.all_constant (Pack.of_operands ordered.(pos))) then
-              Live.insert live ordered.(pos)
+          pack_dest idx lanes.(0) keys.(0);
+          Live.invalidate live g.F.clobbers;
+          for i = Array.length positions - 1 downto 0 do
+            Live.insert live ~lanes:lanes.(i) ~key:keys.(i)
           done)
     items;
   {
-    scalar_cost;
+    scalar_cost = m.scalar_cost;
     vector_cost = !vcost;
     vector_ops = !vector_ops;
     vector_memops = !vector_memops;

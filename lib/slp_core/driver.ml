@@ -3,7 +3,12 @@ module E = Slp_util.Slp_error
 module Obs = Slp_obs.Obs
 module Remark = Slp_obs.Remark
 
-type site = { block : Block.t; nest : string list; deps : (int * int) list }
+type site = {
+  block : Block.t;
+  nest : string list;
+  deps : (int * int) list;
+  facts : Schedule.Facts.t Lazy.t;
+}
 
 type block_plan = {
   block : Block.t;
@@ -26,7 +31,8 @@ let sites ~precise (prog : Program.t) =
               if precise then Depend.block_dep_pairs ~box block
               else Block.dep_pairs block
             in
-            [ { block; nest = List.rev nest; deps } ]
+            let facts = lazy (Schedule.Facts.make ~deps block) in
+            [ { block; nest = List.rev nest; deps; facts } ]
         | Program.Loop l ->
             let box =
               if not precise then box
@@ -40,19 +46,23 @@ let sites ~precise (prog : Program.t) =
   in
   go [] Depend.Box.empty prog.Program.body
 
-let cost_remark obs ~block ~id message =
+(* The message is formatted only when [obs] takes remarks. *)
+let cost_remark obs ~block ~id fmt =
   if Obs.remarks_on obs then
-    Obs.remark obs
-      (Remark.make ~id ~pass:"cost" ~block:block.Block.label message)
+    Printf.ksprintf
+      (fun message ->
+        Obs.remark obs (Remark.make ~id ~pass:"cost" ~block:block.Block.label message))
+      fmt
+  else Printf.ikfprintf ignore () fmt
 
 let gate ?(obs = Obs.none) ?params ~query ~schedule (site : site) grouping =
-  let ({ block; nest; deps } : site) = site in
+  let ({ block; nest; deps; facts } : site) = site in
   let plan schedule estimate = { block; nest; deps; grouping; schedule; estimate } in
   if grouping.Grouping.groups = [] then plan None None
   else begin
     let label = block.Block.label in
     let span pass f = Obs.span obs ~args:[ ("block", label) ] (pass ^ ":" ^ label) f in
-    let facts = Schedule.Facts.make ~deps block in
+    let facts = Lazy.force facts in
     let sched = span "schedule" (fun () -> schedule facts grouping) in
     if not (Schedule.is_valid_facts facts sched) then
       E.fail ~pass:E.Scheduling E.Schedule_failed
@@ -62,14 +72,13 @@ let gate ?(obs = Obs.none) ?params ~query ~schedule (site : site) grouping =
     in
     let vector = estimate.Cost.vector_cost and scalar = estimate.Cost.scalar_cost in
     if vector < scalar then begin
-      cost_remark obs ~block ~id:"COST-VECTORIZE"
-        (Printf.sprintf "vector cost %.1f beats scalar cost %.1f" vector scalar);
+      cost_remark obs ~block ~id:"COST-VECTORIZE" "vector cost %.1f beats scalar cost %.1f"
+        vector scalar;
       plan (Some sched) (Some estimate)
     end
     else begin
       cost_remark obs ~block ~id:"COST-REJECT"
-        (Printf.sprintf "vector cost %.1f does not beat scalar cost %.1f" vector
-           scalar);
+        "vector cost %.1f does not beat scalar cost %.1f" vector scalar;
       plan None (Some estimate)
     end
   end

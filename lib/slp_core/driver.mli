@@ -17,6 +17,12 @@ type site = {
       (** The statement dependence pairs every pass planning this
           block reads: grouping, scheduling, the validity check and
           the verifier. *)
+  facts : Schedule.Facts.t Lazy.t;
+      (** The block's facts under [deps], built on first use and
+          shared by every schedule, validity check and estimate made
+          for the site: a gate and its retry, the exact solver's
+          heuristic, seeds and leaves, and a second planning under
+          another cost query.  Not for use from two domains at once. *)
 }
 (** One basic block as the planners see it. *)
 
@@ -51,8 +57,9 @@ val gate :
     estimate.  Otherwise [schedule] orders the groups, the schedule is
     checked against the site's pairs (an invalid one raises
     {!Slp_util.Slp_error.Error} with code [Schedule_failed], pass
-    [Scheduling]), and it is priced; the plan commits the schedule iff
-    the vector cost is below the scalar cost.  [obs] wraps scheduling
+    [Scheduling]), and it is priced, all on the site's facts; the
+    plan commits the schedule iff the vector cost is below the scalar
+    cost.  [obs] wraps scheduling
     and pricing in [schedule:]/[estimate:] spans and collects the
     [COST-VECTORIZE] or [COST-REJECT] remark. *)
 

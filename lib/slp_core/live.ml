@@ -1,75 +1,107 @@
-open Slp_ir
-
-(* Each entry carries its multiset key, sorted once when it is
-   inserted, so membership by multiset is a key comparison. *)
-type entry = { ordered : Operand.t list; key : Pack.t }
-type t = { mutable entries : entry list; capacity : int }
+(* Slots [0 .. size - 1] hold the entries oldest first, so an insertion
+   into a set with room appends.  Each entry keeps its lanes and its
+   multiset key (the lanes sorted), both arrays of operand ids handed
+   over by the caller, so every question is a walk over ints. *)
+type t = {
+  capacity : int;
+  mutable size : int;
+  lanes : int array array;
+  keys : int array array;
+}
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Live.create: capacity must be positive";
-  { entries = []; capacity }
+  { capacity; size = 0; lanes = Array.make capacity [||]; keys = Array.make capacity [||] }
 
-let entries t = List.map (fun e -> e.ordered) t.entries
-let size t = List.length t.entries
+let entries t = List.init t.size (fun i -> t.lanes.(t.size - 1 - i))
+let size t = t.size
 
-let mem_exact t ordered =
-  List.exists (fun e -> List.equal Operand.equal ordered e.ordered) t.entries
+let rec same_from (a : int array) (b : int array) i =
+  i = Array.length a || (a.(i) = b.(i) && same_from a b (i + 1))
 
-let mem_multiset t pack = List.exists (fun e -> Pack.equal e.key pack) t.entries
+let same a b = Array.length a = Array.length b && same_from a b 0
 
-let iter_multiset t pack f =
-  List.iter (fun e -> if Pack.equal e.key pack then f e.ordered) t.entries
+let rec find_in slots t q i = i < t.size && (same slots.(i) q || find_in slots t q (i + 1))
+let mem_exact t lanes = find_in t.lanes t lanes 0
+let mem_multiset t key = find_in t.keys t key 0
 
-(* Walks over sorted operand lists. *)
-let rec intersects a b =
-  match (a, b) with
-  | [], _ | _, [] -> false
-  | x :: a', y :: b' ->
-      let c = Operand.compare x y in
-      if c = 0 then true else if c < 0 then intersects a' b else intersects a b'
+let iter_multiset t key f =
+  for i = t.size - 1 downto 0 do
+    if same t.keys.(i) key then f t.lanes.(i)
+  done
 
-(* [want] is a sub-multiset of [a] and [b] together. *)
-let rec covered want a b =
-  match want with
-  | [] -> true
-  | w :: want' -> (
-      let rec skip = function
-        | x :: rest when Operand.compare x w < 0 -> skip rest
-        | l -> l
-      in
-      match (skip a, skip b) with
-      | x :: a', b when Operand.compare x w = 0 -> covered want' a' b
-      | a, y :: b' when Operand.compare y w = 0 -> covered want' a b'
-      | _ -> false)
+(* Walks over sorted id arrays. *)
+let rec intersects (a : int array) (b : int array) i j =
+  i < Array.length a
+  && j < Array.length b
+  &&
+  let x = a.(i) and y = b.(j) in
+  x = y || if x < y then intersects a b (i + 1) j else intersects a b i (j + 1)
 
-(* An entry sharing no operand with the pack adds nothing to a pair, so
-   only sharing entries are paired; one of them covering the pack alone
+let rec skip (a : int array) w i = if i < Array.length a && a.(i) < w then skip a w (i + 1) else i
+
+(* [want] from index [k] is a sub-multiset of [a] from [i] and [b] from
+   [j] together. *)
+let rec covered (want : int array) (a : int array) (b : int array) k i j =
+  k = Array.length want
+  ||
+  let w = want.(k) in
+  let i = skip a w i and j = skip b w j in
+  if i < Array.length a && a.(i) = w then covered want a b (k + 1) (i + 1) j
+  else if j < Array.length b && b.(j) = w then covered want a b (k + 1) i (j + 1)
+  else false
+
+(* An entry sharing no id with the pack adds nothing to a pair, so only
+   sharing entries are paired; one of them covering the pack alone
    still needs some second entry to pair with. *)
 let coverable_by_two t pack =
-  let pack = Pack.operands pack in
-  let sharing =
-    List.filter (fun e -> intersects (Pack.operands e.key) pack) t.entries
-  in
-  let two = match t.entries with _ :: _ :: _ -> true | _ -> false in
-  List.exists
-    (fun e1 ->
-      let k1 = Pack.operands e1.key in
-      (two && covered pack k1 [])
-      || List.exists
-           (fun e2 -> e1 != e2 && covered pack k1 (Pack.operands e2.key))
-           sharing)
-    sharing
+  let found = ref false and i = ref 0 in
+  while (not !found) && !i < t.size do
+    let k1 = t.keys.(!i) in
+    if intersects k1 pack 0 0 then
+      if t.size >= 2 && covered pack k1 [||] 0 0 0 then found := true
+      else begin
+        let j = ref 0 in
+        while (not !found) && !j < t.size do
+          let k2 = t.keys.(!j) in
+          if !j <> !i && intersects k2 pack 0 0 && covered pack k1 k2 0 0 0 then
+            found := true;
+          incr j
+        done
+      end;
+    incr i
+  done;
+  !found
 
-let invalidate t ~defs =
-  t.entries <-
-    List.filter
-      (fun e ->
-        not (List.exists (fun d -> List.exists (Operand.may_alias d) e.ordered) defs))
-      t.entries
+let invalidate t clobbered =
+  let kept = ref 0 in
+  for i = 0 to t.size - 1 do
+    if not (intersects t.keys.(i) clobbered 0 0) then begin
+      t.lanes.(!kept) <- t.lanes.(i);
+      t.keys.(!kept) <- t.keys.(i);
+      incr kept
+    end
+  done;
+  for i = !kept to t.size - 1 do
+    t.lanes.(i) <- [||];
+    t.keys.(i) <- [||]
+  done;
+  t.size <- !kept
 
-let insert t ordered =
-  let key = Pack.of_operands ordered in
-  t.entries <-
-    { ordered; key } :: List.filter (fun e -> not (Pack.equal e.key key)) t.entries;
-  if List.length t.entries > t.capacity then
-    t.entries <- List.filteri (fun i _ -> i < t.capacity) t.entries
+(* The entry with the same key leaves, else the oldest one when the set
+   is full; the entries after it move down one and the new entry goes
+   last. *)
+let insert t ~lanes ~key =
+  let j = ref 0 in
+  while !j < t.size && not (same t.keys.(!j) key) do
+    incr j
+  done;
+  let freed = if !j < t.size then !j else if t.size = t.capacity then 0 else t.size in
+  let last = if freed = t.size then t.size else t.size - 1 in
+  for i = freed to last - 1 do
+    t.lanes.(i) <- t.lanes.(i + 1);
+    t.keys.(i) <- t.keys.(i + 1)
+  done;
+  t.lanes.(last) <- lanes;
+  t.keys.(last) <- key;
+  t.size <- last + 1

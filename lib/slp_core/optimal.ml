@@ -169,17 +169,21 @@ let enumerate_partitions ~env ~config ~deps (block : Block.t) =
 
 let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
     ?grouping_fuel ?schedule_fuel ~env ~config ~query (site : Driver.site) =
-  let ({ Driver.block; nest; deps } : Driver.site) = site in
+  let ({ Driver.block; nest; deps; facts } : Driver.site) = site in
   let label = block.Block.label in
   let cost_params = match params with Some p -> p | None -> Cost.default_params in
   let budget = match solver_steps with Some b -> b | None -> default_solver_steps in
-  let remark id message =
+  let remark id fmt =
     if Obs.remarks_on obs then
-      Obs.remark obs (Remark.make ~id ~pass:"optimal" ~block:label message)
+      Printf.ksprintf
+        (fun message -> Obs.remark obs (Remark.make ~id ~pass:"optimal" ~block:label message))
+        fmt
+    else Printf.ikfprintf ignore () fmt
   in
   let stmts = Array.of_list block.Block.stmts in
-  (* One set of block facts serves every leaf, seed and re-evaluation. *)
-  let facts = Schedule.Facts.make ~deps block in
+  (* The site's facts serve the heuristic, every leaf, seed and
+     re-evaluation. *)
+  let facts = Lazy.force facts in
   let stmt id = Schedule.Facts.stmt facts id in
   let scalar_cost =
     Array.fold_left
@@ -365,10 +369,8 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
   (match (stats.bailed, best) with
   | true, _ ->
       remark "OPT-BAIL"
-        (Printf.sprintf
-           "solver budget %d exhausted after %d nodes, %d leaves; using best \
-            incumbent"
-           budget stats.nodes stats.leaves)
+        "solver budget %d exhausted after %d nodes, %d leaves; using best incumbent" budget
+        stats.nodes stats.leaves
   | false, Some a ->
       let h =
         match heuristic_attempt with
@@ -376,15 +378,11 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
         | [] -> scalar_cost
       in
       if a.a_estimate.Cost.vector_cost < h -. 1e-9 then
-        remark "OPT-IMPROVE"
-          (Printf.sprintf "optimum %.1f beats heuristic %.1f (%d nodes, %d pruned)"
-             a.a_estimate.Cost.vector_cost h stats.nodes stats.pruned)
-      else
-        remark "OPT-MATCH"
-          (Printf.sprintf "heuristic already optimal at %.1f (%d nodes)" h stats.nodes)
+        remark "OPT-IMPROVE" "optimum %.1f beats heuristic %.1f (%d nodes, %d pruned)"
+          a.a_estimate.Cost.vector_cost h stats.nodes stats.pruned
+      else remark "OPT-MATCH" "heuristic already optimal at %.1f (%d nodes)" h stats.nodes
   | false, None ->
-      remark "OPT-MATCH"
-        (Printf.sprintf "scalar cost %.1f is optimal (%d nodes)" scalar_cost stats.nodes));
+      remark "OPT-MATCH" "scalar cost %.1f is optimal (%d nodes)" scalar_cost stats.nodes);
   let plan =
     match best with
     | Some a when a.a_estimate.Cost.vector_cost < scalar_cost ->

@@ -86,9 +86,11 @@ val plan_block :
   Driver.site ->
   Driver.block_plan * bail option * stats
 (** Exactly optimise one block under its site's pairs (the pipeline
-    hands it precise {!Driver.sites}).  [seeds] are committed
-    schedules from other schemes; they participate as incumbents, so
-    the result is never worse than any seed on the modeled cost — the
-    dominance guarantee the differential tests rely on.  [obs]
+    hands it precise {!Driver.sites}).  The heuristic, the seeds and
+    every leaf are scheduled and priced on the site's facts.  [seeds]
+    are committed schedules from other schemes; they participate as
+    incumbents, so the result is never worse than any seed on the
+    modeled cost — the dominance guarantee the differential tests rely
+    on.  [obs]
     collects the [OPT-BAIL], [OPT-IMPROVE] or [OPT-MATCH] remark; the
     holistic heuristic run inside stays silent. *)

@@ -41,47 +41,190 @@ let permutations ~limit xs =
   go [] xs;
   List.rev !results
 
+(* Sorted union of sorted id arrays, without repeats. *)
+let union_sorted arrays =
+  Array.of_list (List.sort_uniq Int.compare (List.concat_map Array.to_list arrays))
+
 (* -- per-block facts -------------------------------------------------- *)
 
 module Facts = struct
   type group = {
-    packs : (int * Pack.t) list;  (** Non-constant packs, by position. *)
-    defs : Operand.t list;
-    memory_orders : int list list;
-        (** Row-major lane order of each pack that has one, by position. *)
+    positions : int array;
+    keys : int array array;
+    clobbers : int array;
+    memory_orders : int list list Lazy.t;
   }
 
-  type row = { stmt : Stmt.t; positions : Operand.t array (** 0 = def *) }
+  type pricing = ..
 
+  (* Statements are held by rank (index in ascending id order), so rank
+     order is id order and a rank list sorts like its id list.  Operand
+     ids number the distinct operands in [Operand.compare] order:
+     constants, then scalars, then array elements, each array's
+     elements one run. *)
   type t = {
     block : Block.t;
     deps : (int * int) list;
-    related : (int * int, unit) Hashtbl.t;  (** [deps] as a set. *)
-    rows : (int, row) Hashtbl.t;  (** By statement id. *)
-    groups : (int list, group) Hashtbl.t;  (** By sorted member list. *)
+    ids : int array;  (** Statement id by rank, ascending. *)
+    stmts : Stmt.t array;  (** By rank. *)
+    dep_ranks : (int * int) list;
+    related : Bytes.t;  (** [deps] as a rank matrix: byte [p * n + q] is 1. *)
+    operands : Operand.t array;  (** By operand id. *)
+    first_scalar : int;
+    first_elem : int;
+    rows : int array array;  (** By rank: operand id per position, 0 = def. *)
+    clobbers : int array array;  (** By operand id; empty unless defined. *)
+    groups : (int list, group) Hashtbl.t;  (** By sorted rank list. *)
+    mutable pricing : pricing option;
   }
 
+  (* Binary search of a statement id; -1 when absent. *)
+  let rank_in (ids : int array) id =
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let x = ids.(mid) in
+        if x = id then mid else if x < id then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length ids)
+
+  let find_rank t id = rank_in t.ids id
+
+  let rank t id =
+    let r = find_rank t id in
+    if r < 0 then raise Not_found else r
+
+  (* The ids a definition of operand [d] may alias: itself for a
+     scalar; for an array element, the elements of the same array (one
+     run of ids) that [Operand.may_alias] cannot tell apart from it. *)
+  let aliases operands d =
+    match operands.(d) with
+    | Operand.Const _ -> [||]
+    | Operand.Scalar _ -> [| d |]
+    | Operand.Elem (x, _) as def ->
+        let named i =
+          i >= 0
+          && i < Array.length operands
+          && match operands.(i) with Operand.Elem (y, _) -> String.equal x y | _ -> false
+        in
+        let lo = ref d and hi = ref d in
+        while named (!lo - 1) do decr lo done;
+        while named (!hi + 1) do incr hi done;
+        Array.of_list
+          (List.filter
+             (fun i -> Operand.may_alias def operands.(i))
+             (List.init (!hi - !lo + 1) (fun k -> !lo + k)))
+
   let make ~deps (block : Block.t) =
-    let rows = Hashtbl.create 32 in
-    List.iter
-      (fun (s : Stmt.t) ->
-        Hashtbl.replace rows s.Stmt.id
-          { stmt = s; positions = Array.of_list (Stmt.positions s) })
-      block.Block.stmts;
-    let related = Hashtbl.create 32 in
-    List.iter (fun pq -> Hashtbl.replace related pq ()) deps;
-    { block; deps; related; rows; groups = Hashtbl.create 32 }
+    let stmts = Array.of_list block.Block.stmts in
+    Array.stable_sort (fun (a : Stmt.t) (b : Stmt.t) -> Int.compare a.Stmt.id b.Stmt.id) stmts;
+    let ids = Array.map (fun (s : Stmt.t) -> s.Stmt.id) stmts in
+    let positions = Array.map (fun s -> Array.of_list (Stmt.positions s)) stmts in
+    (* Every occurrence, numbered in (rank, position) order, then sorted
+       by operand: equal operands end up side by side and share the next
+       id. *)
+    let flat f = Array.concat (Array.to_list (Array.mapi f positions)) in
+    let occ_op = flat (fun _ ops -> ops) in
+    let occ_row = flat (fun r ops -> Array.make (Array.length ops) r) in
+    let occ_pos = flat (fun _ ops -> Array.init (Array.length ops) Fun.id) in
+    let order = Array.init (Array.length occ_op) Fun.id in
+    Array.stable_sort (fun a b -> Operand.compare occ_op.(a) occ_op.(b)) order;
+    let rows = Array.map (fun ops -> Array.make (Array.length ops) 0) positions in
+    let operands = Array.make (Array.length occ_op) (Operand.Const 0.0) in
+    let next = ref (-1) and first_scalar = ref 0 and first_elem = ref 0 in
+    Array.iteri
+      (fun i k ->
+        let op = occ_op.(k) in
+        if i = 0 || Operand.compare occ_op.(order.(i - 1)) op <> 0 then begin
+          incr next;
+          operands.(!next) <- op;
+          match op with
+          | Operand.Const _ ->
+              first_scalar := !next + 1;
+              first_elem := !next + 1
+          | Operand.Scalar _ -> first_elem := !next + 1
+          | Operand.Elem _ -> ()
+        end;
+        rows.(occ_row.(k)).(occ_pos.(k)) <- !next)
+      order;
+    let operands = Array.sub operands 0 (!next + 1) in
+    let first_scalar = !first_scalar and first_elem = !first_elem in
+    let clobbers = Array.make (Array.length operands) [||] in
+    Array.iter
+      (fun row ->
+        let d = row.(0) in
+        if Array.length clobbers.(d) = 0 then clobbers.(d) <- aliases operands d)
+      rows;
+    let n = Array.length ids in
+    let rank id =
+      let r = rank_in ids id in
+      if r < 0 then raise Not_found else r
+    in
+    let related = Bytes.make (n * n) '\000' in
+    let dep_ranks =
+      List.map
+        (fun (p, q) ->
+          let rp = rank p and rq = rank q in
+          Bytes.set related ((rp * n) + rq) '\001';
+          (rp, rq))
+        deps
+    in
+    {
+      block;
+      deps;
+      ids;
+      stmts;
+      dep_ranks;
+      related;
+      operands;
+      first_scalar;
+      first_elem;
+      rows;
+      clobbers;
+      groups = Hashtbl.create 32;
+      pricing = None;
+    }
 
   let block t = t.block
-  let stmt t id = (Hashtbl.find t.rows id).stmt
-  let operand t id pos = (Hashtbl.find t.rows id).positions.(pos)
-  let ordered t order pos = List.map (fun m -> operand t m pos) order
-  let position_count t id = Array.length (Hashtbl.find t.rows id).positions
+  let deps t = t.deps
+  let stmt t id = t.stmts.(rank t id)
+  let rank_count t = Array.length t.ids
+  let rank_stmt t r = t.stmts.(r)
+  let row t r = t.rows.(r)
+
+  let id t op =
+    let rec go lo hi =
+      if lo >= hi then raise Not_found
+      else
+        let mid = (lo + hi) / 2 in
+        let c = Operand.compare t.operands.(mid) op in
+        if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+    in
+    go 0 (Array.length t.operands)
+
+  let operand t i = t.operands.(i)
+  let id_count t = Array.length t.operands
+  let first_scalar t = t.first_scalar
+  let first_elem t = t.first_elem
+  let clobbers t i = t.clobbers.(i)
+  let related t a b = Bytes.get t.related ((a * Array.length t.ids) + b) = '\001'
+
+  let rec fill_lanes rows pos (a : int array) l = function
+    | [] -> ()
+    | r :: rest ->
+        a.(l) <- rows.(r).(pos);
+        fill_lanes rows pos a (l + 1) rest
+
+  let lanes t order pos =
+    let a = Array.make (List.length order) 0 in
+    fill_lanes t.rows pos a 0 order;
+    a
 
   (* Lane order following row-major memory order of the pack at [pos],
      when all pairwise address differences are constant. *)
   let memory_order t members pos =
-    let with_ops = List.map (fun m -> (m, operand t m pos)) members in
+    let with_ops = List.map (fun m -> (m, t.operands.(t.rows.(m).(pos)))) members in
     let comparable =
       List.for_all
         (fun (_, a) ->
@@ -118,80 +261,85 @@ module Facts = struct
     match Hashtbl.find_opt t.groups members with
     | Some g -> g
     | None ->
-        let packs =
-          List.init (position_count t (List.hd members)) (fun pos -> (pos, Pack.of_operands (ordered t members pos)))
-          |> List.filter (fun (_, p) -> not (Pack.all_constant p))
+        let npos = Array.length t.rows.(List.hd members) in
+        let keys =
+          List.init npos (fun pos ->
+              let key = lanes t members pos in
+              Array.sort Int.compare key;
+              (pos, key))
+          |> List.filter (fun (_, key) -> key.(Array.length key - 1) >= t.first_scalar)
         in
         let g =
           {
-            packs;
-            defs = ordered t members 0;
+            positions = Array.of_list (List.map fst keys);
+            keys = Array.of_list (List.map snd keys);
+            clobbers = union_sorted (List.map (fun r -> t.clobbers.(t.rows.(r).(0))) members);
             memory_orders =
-              List.filter_map (fun (pos, _) -> memory_order t members pos) packs;
+              lazy (List.filter_map (fun (pos, _) -> memory_order t members pos) keys);
           }
         in
         Hashtbl.replace t.groups members g;
         g
+
+  let pricing t = t.pricing
+  let set_pricing t p = t.pricing <- Some p
 end
 
-type gnode = {
-  gid : int;
-  members : int list;  (** Sorted ascending (program order). *)
-  is_super : bool;
-}
-
-(* Enumerate lane orders of [members] that place, at source position
-   [pos], exactly the live superword [target] — the "orders with at
-   least one direct reuse".  Bounded to avoid factorial blow-up on
+(* Apply [f] to each lane order of [members] (ranks) that places, at
+   source position [pos], exactly the live superword [target] — the
+   "orders with at least one direct reuse" — in depth-first order over
+   the members.  Bounded to 24 orders to avoid factorial blow-up on
    packs full of duplicates. *)
-let orders_matching facts members pos target =
+let orders_matching facts members pos (target : int array) f =
   let limit = 24 in
-  let results = ref [] in
   let count = ref 0 in
-  let rec go remaining target_ops acc =
+  let ms = Array.of_list members in
+  let used = Array.make (Array.length ms) false in
+  let rec go l acc =
     if !count < limit then
-      match target_ops with
-      | [] -> begin
-          results := List.rev acc :: !results;
-          incr count
-        end
-      | want :: rest ->
-          List.iter
-            (fun m ->
-              if !count < limit then
-                let op = Facts.operand facts m pos in
-                if Operand.equal op want then
-                  go (List.filter (fun x -> x <> m) remaining) rest (m :: acc))
-            remaining
+      if l = Array.length target then begin
+        incr count;
+        f (List.rev acc)
+      end
+      else
+        for i = 0 to Array.length ms - 1 do
+          if !count < limit && (not used.(i)) && (Facts.row facts ms.(i)).(pos) = target.(l)
+          then begin
+            used.(i) <- true;
+            go (l + 1) (ms.(i) :: acc);
+            used.(i) <- false
+          end
+        done
   in
-  go members target [];
-  !results
+  go 0 []
+
+let stmt_ids facts order = List.map (fun r -> facts.Facts.ids.(r)) order
+let sorted_ranks facts order = List.sort Int.compare (List.map (Facts.rank facts) order)
 
 (* -- stats replay --------------------------------------------------- *)
 
-let analyze ~config (block : Block.t) items =
-  (* Replay reads statements only; no dependence is consulted. *)
-  let facts = Facts.make ~deps:[] block in
+let analyze ~config facts items =
   let live = Live.create ~capacity:config.Config.vector_registers in
   let direct = ref 0 and permuted = ref 0 and packed = ref 0 in
   List.iter
     (function
-      | Single sid -> Live.invalidate live ~defs:[ Facts.operand facts sid 0 ]
+      | Single sid ->
+          let r = Facts.rank facts sid in
+          Live.invalidate live (Facts.clobbers facts (Facts.row facts r).(0))
       | Superword order ->
-          let npos = Facts.position_count facts (List.hd order) in
-          for pos = 1 to npos - 1 do
-            let ordered = Facts.ordered facts order pos in
-            let pack = Pack.of_operands ordered in
-            if not (Pack.all_constant pack) then
-              if Live.mem_exact live ordered then incr direct
-              else if Live.mem_multiset live pack then incr permuted
-              else incr packed
-          done;
-          Live.invalidate live ~defs:(Facts.ordered facts order 0);
-          for pos = npos - 1 downto 0 do
-            let ordered = Facts.ordered facts order pos in
-            if not (Pack.all_constant (Pack.of_operands ordered)) then
-              Live.insert live ordered
+          let ranks = List.map (Facts.rank facts) order in
+          let g = Facts.group facts (List.sort Int.compare ranks) in
+          let lanes = Array.map (Facts.lanes facts ranks) g.Facts.positions in
+          Array.iteri
+            (fun i pos ->
+              if pos > 0 then
+                if Live.mem_exact live lanes.(i) then incr direct
+                else if Live.mem_multiset live g.Facts.keys.(i) then incr permuted
+                else incr packed)
+            g.Facts.positions;
+          Live.invalidate live g.Facts.clobbers;
+          for i = Array.length lanes - 1 downto 0 do
+            Live.insert live ~lanes:lanes.(i) ~key:g.Facts.keys.(i)
           done)
     items;
   {
@@ -207,41 +355,60 @@ let analyze ~config (block : Block.t) items =
 
 (* -- main ----------------------------------------------------------- *)
 
+let rec mem_int (x : int) = function [] -> false | y :: rest -> x = y || mem_int x rest
+
+(* [compare] on rank lists, lexicographic. *)
+let rec compare_orders (a : int list) (b : int list) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: a', y :: b' -> if x <> y then Int.compare x y else compare_orders a' b'
+
 let run_facts ?(options = default_options) ?fuel ?(obs = Obs.none) ~config
     facts (grouping : Grouping.result) =
-  let remark id ~stmts message =
+  (* The message is formatted only when [obs] takes remarks. *)
+  let remark id ~order fmt =
     if Obs.remarks_on obs then
-      Obs.remark obs
-        (Remark.make ~id ~pass:"scheduling" ~block:facts.Facts.block.Block.label
-           ~stmts message)
+      Printf.ksprintf
+        (fun message ->
+          Obs.remark obs
+            (Remark.make ~id ~pass:"scheduling" ~block:facts.Facts.block.Block.label
+               ~stmts:(stmt_ids facts order) message))
+        fmt
+    else Printf.ikfprintf ignore () fmt
   in
   let tick =
     match fuel with
     | None -> fun () -> ()
     | Some f -> fun () -> Slp_util.Slp_error.Fuel.tick f
   in
-  (* Group nodes: one per SIMD group, one per single; gid = index. *)
+  (* Group nodes: one per SIMD group, one per single; gid = index.
+     Members are ranks, ascending. *)
   let nodes =
     Array.of_list
-      (List.mapi
-         (fun gid (members, is_super) ->
-           { gid; members = List.sort compare members; is_super })
-         (List.map (fun g -> (g, true)) grouping.Grouping.groups
-         @ List.map (fun s -> ([ s ], false)) grouping.Grouping.singles))
+      (List.map (fun g -> (sorted_ranks facts g, true)) grouping.Grouping.groups
+      @ List.map (fun s -> ([ Facts.rank facts s ], false)) grouping.Grouping.singles)
   in
   let n = Array.length nodes in
-  let owner = Hashtbl.create 32 in
-  Array.iter (fun g -> List.iter (fun m -> Hashtbl.replace owner m g.gid) g.members) nodes;
+  let members = Array.map fst nodes and is_super = Array.map snd nodes in
+  let groups =
+    Array.map (fun (ms, super) -> if super then Some (Facts.group facts ms) else None) nodes
+  in
+  let owner = Array.make (Facts.rank_count facts) (-1) in
+  Array.iteri (fun gid ms -> List.iter (fun m -> owner.(m) <- gid) ms) members;
   (* Dependence DAG over groups, as successor lists and in-degrees. *)
   let succs = Array.make n [] and indeg = Array.make n 0 in
   List.iter
     (fun (p, q) ->
-      let gp = Hashtbl.find owner p and gq = Hashtbl.find owner q in
-      if gp <> gq && not (List.mem gq succs.(gp)) then begin
+      let gp = owner.(p) and gq = owner.(q) in
+      (* A statement the grouping leaves out. *)
+      if gp < 0 || gq < 0 then raise Not_found;
+      if gp <> gq && not (mem_int gq succs.(gp)) then begin
         succs.(gp) <- gq :: succs.(gp);
         indeg.(gq) <- indeg.(gq) + 1
       end)
-    facts.Facts.deps;
+    facts.Facts.dep_ranks;
   if not (Slp_util.Graph.acyclic succs) then
     Slp_util.Slp_error.fail ~pass:Slp_util.Slp_error.Scheduling
       Slp_util.Slp_error.Schedule_failed
@@ -249,134 +416,129 @@ let run_facts ?(options = default_options) ?fuel ?(obs = Obs.none) ~config
   let live = Live.create ~capacity:config.Config.vector_registers in
   let items = ref [] in
   let direct = ref 0 and permuted = ref 0 and packed = ref 0 in
-  let reuse_count g =
-    List.length
-      (List.filter (fun (_, p) -> Live.mem_multiset live p) (Facts.group facts g.members).Facts.packs)
+  let group gid = match groups.(gid) with Some g -> g | None -> assert false in
+  let reuse_count gid =
+    let keys = (group gid).Facts.keys in
+    let c = ref 0 in
+    for i = 0 to Array.length keys - 1 do
+      if Live.mem_multiset live keys.(i) then incr c
+    done;
+    !c
   in
-  let emit_single g =
-    let sid = List.hd g.members in
-    items := Single sid :: !items;
-    Live.invalidate live ~defs:[ Facts.operand facts sid 0 ]
+  let emit_single gid =
+    let r = List.hd members.(gid) in
+    items := Single facts.Facts.ids.(r) :: !items;
+    Live.invalidate live (Facts.clobbers facts (Facts.row facts r).(0))
   in
-  let emit_superword g =
-    let gf = Facts.group facts g.members in
-    (* Choose the lane order. *)
-    let candidates = ref [] in
-    let add_order o = if not (List.mem o !candidates) then candidates := o :: !candidates in
-    List.iter
-      (fun (pos, pack) ->
-        Live.iter_multiset live pack (fun l ->
-            List.iter add_order (orders_matching facts g.members pos l)))
-      gf.Facts.packs;
-    List.iter add_order gf.Facts.memory_orders;
-    (match options.ordering_search with
-    | Direct_reuse_only -> ()
-    | Exhaustive -> List.iter add_order (permutations ~limit:120 g.members));
-    add_order g.members;
+  let emit_superword gid =
+    let gf = group gid and ms = members.(gid) in
+    let positions = gf.Facts.positions and keys = gf.Facts.keys in
     (* Cost of an order: one permutation per live-matched source pack
-       in the wrong lane order; ties prefer program order. *)
-    let live_packs = List.filter (fun (_, p) -> Live.mem_multiset live p) gf.Facts.packs in
+       in the wrong lane order. *)
+    let live_positions =
+      List.filter (fun i -> Live.mem_multiset live keys.(i))
+        (List.init (Array.length positions) Fun.id)
+    in
+    let scratch = Array.make (List.length ms) 0 in
     let cost order =
       List.fold_left
-        (fun perms (pos, _) ->
-          if Live.mem_exact live (Facts.ordered facts order pos) then perms
-          else perms + 1)
-        0 live_packs
+        (fun perms i ->
+          Facts.fill_lanes facts.Facts.rows positions.(i) scratch 0 order;
+          if Live.mem_exact live scratch then perms else perms + 1)
+        0 live_positions
     in
-    let best =
-      List.fold_left
-        (fun acc order ->
-          let c = cost order in
-          match acc with
-          | Some (bc, border)
-            when bc < c || (bc = c && compare border order <= 0) ->
-              acc
-          | _ -> Some (c, order))
-        None
-        (List.rev !candidates)
+    (* Choose the lane order: the cheapest candidate, ties to the
+       smallest order, program order (the members) among them.  That
+       minimum does not depend on the order candidates come in, or on
+       repeats, so each is weighed as it is found. *)
+    let best = ref ms and best_cost = ref (cost ms) in
+    let consider order =
+      let c = cost order in
+      if c < !best_cost || (c = !best_cost && compare_orders order !best < 0) then begin
+        best := order;
+        best_cost := c
+      end
     in
-    let order = match best with Some (_, o) -> o | None -> g.members in
+    Array.iteri
+      (fun i pos ->
+        Live.iter_multiset live keys.(i) (fun l -> orders_matching facts ms pos l consider))
+      positions;
+    List.iter consider (Lazy.force gf.Facts.memory_orders);
+    (match options.ordering_search with
+    | Direct_reuse_only -> ()
+    | Exhaustive -> List.iter consider (permutations ~limit:120 ms));
+    let order = !best in
+    let lanes = Array.map (Facts.lanes facts order) positions in
     (* Account reuse statistics for the chosen order. *)
-    List.iter
-      (fun (pos, pack) ->
-        if pos > 0 then begin
-          let ordered = Facts.ordered facts order pos in
-          if Live.mem_exact live ordered then begin
+    Array.iteri
+      (fun i pos ->
+        if pos > 0 then
+          if Live.mem_exact live lanes.(i) then begin
             incr direct;
-            remark "SCHED-REUSE" ~stmts:order
-              (Printf.sprintf
-                 "operand position %d reuses a live pack in lane order" pos)
+            remark "SCHED-REUSE" ~order "operand position %d reuses a live pack in lane order"
+              pos
           end
-          else if Live.mem_multiset live pack then begin
+          else if Live.mem_multiset live keys.(i) then begin
             incr permuted;
-            remark "SCHED-PERM" ~stmts:order
-              (Printf.sprintf
-                 "operand position %d reuses a live pack via a permutation" pos)
+            remark "SCHED-PERM" ~order
+              "operand position %d reuses a live pack via a permutation" pos
           end
           else begin
             incr packed;
-            remark "SCHED-PACK" ~stmts:order
-              (Printf.sprintf "operand position %d is packed from scratch" pos)
-          end
-        end)
-      gf.Facts.packs;
-    items := Superword order :: !items;
-    Live.invalidate live ~defs:gf.Facts.defs;
+            remark "SCHED-PACK" ~order "operand position %d is packed from scratch" pos
+          end)
+      positions;
+    items := Superword (stmt_ids facts order) :: !items;
+    Live.invalidate live gf.Facts.clobbers;
     (* Sources first, destination last (most recently touched). *)
-    List.iter
-      (fun (pos, _) -> Live.insert live (Facts.ordered facts order pos))
-      (List.rev gf.Facts.packs)
+    for i = Array.length positions - 1 downto 0 do
+      Live.insert live ~lanes:lanes.(i) ~key:keys.(i)
+    done
   in
   (* Ready-driven emission: prefer the superword statement with the
-     highest live reuse; emit singles only when no superword is ready. *)
+     highest live reuse; emit singles only when no superword is ready.
+     Members are disjoint, so comparing them never ties. *)
   let emitted = Array.make n false in
+  let ready gid = (not emitted.(gid)) && indeg.(gid) = 0 in
   for _ = 1 to n do
     tick ();
-    let ready = ref [] in
-    for gid = n - 1 downto 0 do
-      if (not emitted.(gid)) && indeg.(gid) = 0 then ready := nodes.(gid) :: !ready
+    let best = ref (-1) and best_reuse = ref 0 in
+    for gid = 0 to n - 1 do
+      if ready gid && is_super.(gid) then
+        match options.selection with
+        | Program_order ->
+            if !best < 0 || compare_orders members.(!best) members.(gid) > 0 then best := gid
+        | Reuse_driven ->
+            let r = reuse_count gid in
+            if
+              !best < 0 || r > !best_reuse
+              || (r = !best_reuse && compare_orders members.(!best) members.(gid) > 0)
+            then begin
+              best := gid;
+              best_reuse := r
+            end
     done;
-    let ready = !ready in
     let g =
-      match List.filter (fun g -> g.is_super) ready with
-      | [] -> begin
-          match List.sort (fun a b -> compare a.members b.members) ready with
-          | g :: _ ->
-              emit_single g;
-              g
-          | [] ->
-              Slp_util.Slp_error.fail ~pass:Slp_util.Slp_error.Scheduling
-                Slp_util.Slp_error.Schedule_failed
-                "Schedule.run: no ready group (cycle?)"
-        end
-      | supers ->
-          let best =
-            match options.selection with
-            | Program_order ->
-                List.fold_left
-                  (fun acc g ->
-                    match acc with
-                    | Some (bg : gnode) when compare bg.members g.members <= 0 -> acc
-                    | _ -> Some g)
-                  None supers
-                |> Option.map (fun g -> (0, g))
-            | Reuse_driven ->
-                List.fold_left
-                  (fun acc g ->
-                    let r = reuse_count g in
-                    match acc with
-                    | Some (br, (bg : gnode))
-                      when br > r || (br = r && compare bg.members g.members <= 0) ->
-                        acc
-                    | _ -> Some (r, g))
-                  None supers
-          in
-          let g = match best with Some (_, g) -> g | None -> assert false in
-          emit_superword g;
-          g
+      if !best >= 0 then begin
+        emit_superword !best;
+        !best
+      end
+      else begin
+        let single = ref (-1) in
+        for gid = 0 to n - 1 do
+          if ready gid && (!single < 0 || compare_orders members.(!single) members.(gid) > 0)
+          then
+            single := gid
+        done;
+        if !single < 0 then
+          Slp_util.Slp_error.fail ~pass:Slp_util.Slp_error.Scheduling
+            Slp_util.Slp_error.Schedule_failed "Schedule.run: no ready group (cycle?)";
+        emit_single !single;
+        !single
+      end
     in
-    emitted.(g.gid) <- true;
-    List.iter (fun s -> indeg.(s) <- indeg.(s) - 1) succs.(g.gid)
+    emitted.(g) <- true;
+    List.iter (fun s -> indeg.(s) <- indeg.(s) - 1) succs.(g)
   done;
   let stats =
     {
@@ -395,44 +557,43 @@ let scheduled_stmt_ids t =
   List.concat_map (function Single s -> [ s ] | Superword ms -> ms) t.items
 
 let is_valid_facts facts t =
-  let block = facts.Facts.block in
-  let order_of = Hashtbl.create 32 in
+  let n = Facts.rank_count facts in
+  (* Item index by rank; -1 = not scheduled. *)
+  let slot = Array.make n (-1) in
+  let placed = ref 0 and unknown = ref false in
+  let place idx m =
+    incr placed;
+    let r = Facts.find_rank facts m in
+    if r < 0 then unknown := true else slot.(r) <- idx
+  in
   List.iteri
     (fun idx item ->
-      List.iter
-        (fun m -> Hashtbl.replace order_of m idx)
-        (match item with Single s -> [ s ] | Superword ms -> ms))
+      match item with Single s -> place idx s | Superword ms -> List.iter (place idx) ms)
     t.items;
   let all_present =
-    List.for_all (fun id -> Hashtbl.mem order_of id) (Block.stmt_ids block)
-    && List.length (scheduled_stmt_ids t) = Block.size block
+    (not !unknown) && !placed = n && Array.for_all (fun idx -> idx >= 0) slot
   in
   (* Two statements may share a superword only when no dependence pair
      relates them — the same relation the scheduler's DAG was built
      from, so the verdict is consistent whichever analysis supplied the
      pairs. *)
-  let related a b =
-    Hashtbl.mem facts.Facts.related (a, b) || Hashtbl.mem facts.Facts.related (b, a)
-  in
-  let independent_members =
+  let related a b = Facts.related facts a b || Facts.related facts b a in
+  let independent_members () =
     List.for_all
       (function
         | Single _ -> true
         | Superword ms ->
             let rec pairs = function
               | [] -> true
-              | a :: rest ->
-                  List.for_all (fun b -> not (related a b)) rest && pairs rest
+              | a :: rest -> List.for_all (fun b -> not (related a b)) rest && pairs rest
             in
-            pairs ms)
+            pairs (List.map (Facts.rank facts) ms))
       t.items
   in
-  let deps_forward =
-    List.for_all
-      (fun (p, q) -> Hashtbl.find order_of p < Hashtbl.find order_of q)
-      facts.Facts.deps
+  let deps_forward () =
+    List.for_all (fun (p, q) -> slot.(p) < slot.(q)) facts.Facts.dep_ranks
   in
-  all_present && independent_members && deps_forward
+  all_present && independent_members () && deps_forward ()
 
 let is_valid ~dep_pairs (block : Block.t) t =
   is_valid_facts (Facts.make ~deps:dep_pairs block) t

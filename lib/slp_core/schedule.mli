@@ -47,12 +47,22 @@ type stats = {
 type t = { items : item list; stats : stats }
 
 (** The facts of one block that scheduling, validation and pricing
-    consult, resolved once: each statement with its operand positions,
-    the dependence pairs with their lookup set, and, per SIMD group
-    (memoised by sorted member list), its non-constant packs, its defs
-    and the memory lane orders of its packs.  The value belongs to its
-    caller; sharing one across many schedules of the same block (the
-    exact solver's leaves) saves the work, never changes a result. *)
+    consult, resolved once.
+
+    Statements are held by {e rank}, their index in ascending id
+    order, so a list of ranks sorts like the list of their ids.  The
+    block's distinct operands are interned as {e ids} numbered in
+    [Operand.compare] order: constants first, then scalars, then array
+    elements, each array's elements one run.  So a pack's multiset is
+    its ids sorted, and two operands are equal exactly when their ids
+    are.  Each defined operand keeps the ids its definition may alias
+    ({!clobbers}).  Per SIMD group (memoised by sorted rank list) the
+    facts hold its non-constant packs, the ids its definitions may
+    alias and the memory lane orders of its packs.  The value belongs
+    to its caller and is not for use from two domains at once; sharing
+    one across many schedules of the same block (the exact solver's
+    leaves, a gate's retry, a replay) saves the work, never changes a
+    result. *)
 module Facts : sig
   type t
 
@@ -61,15 +71,60 @@ module Facts : sig
       validity check are built from; pricing never reads them. *)
 
   val block : t -> Block.t
+  val deps : t -> (int * int) list
 
   val stmt : t -> int -> Stmt.t
   (** By id; raises [Not_found]. *)
 
-  val ordered : t -> int list -> int -> Operand.t list
-  (** [ordered t lanes pos]: the operands at position [pos] of the
-      statements [lanes], in lane order. *)
+  val rank : t -> int -> int
+  (** Rank of a statement id; raises [Not_found]. *)
 
-  val position_count : t -> int -> int
+  val rank_count : t -> int
+  val rank_stmt : t -> int -> Stmt.t
+
+  val row : t -> int -> int array
+  (** [row t r]: the operand id at each position of the statement of
+      rank [r] (0 = its definition).  Not to be changed. *)
+
+  val lanes : t -> int list -> int -> int array
+  (** [lanes t ranks pos]: the ids at position [pos] of the statements
+      [ranks], in lane order (a fresh array). *)
+
+  val id : t -> Operand.t -> int
+  (** The id of an operand of the block; raises [Not_found]. *)
+
+  val operand : t -> int -> Operand.t
+  val id_count : t -> int
+
+  val first_scalar : t -> int
+  (** Ids below this one are constants. *)
+
+  val first_elem : t -> int
+  (** Ids from this one on are array elements. *)
+
+  val clobbers : t -> int -> int array
+  (** For an operand some statement defines, the ids that a definition
+      of it may alias (by [Operand.may_alias]), sorted; empty for
+      other operands. *)
+
+  type group = private {
+    positions : int array;  (** Non-constant positions, ascending (0 first). *)
+    keys : int array array;  (** The multiset (sorted ids) at each of them. *)
+    clobbers : int array;  (** Sorted ids the members' definitions may alias. *)
+    memory_orders : int list list Lazy.t;
+        (** Row-major lane order (ranks) of each pack that has one;
+            only the scheduler's order search asks. *)
+  }
+
+  val group : t -> int list -> group
+  (** By the members' ranks, ascending. *)
+
+  type pricing = ..
+  (** What the cost model keeps about the block between estimates
+      ({!Cost} extends this type, being defined after this module). *)
+
+  val pricing : t -> pricing option
+  val set_pricing : t -> pricing -> unit
 end
 
 val run :
@@ -88,7 +143,8 @@ val run :
     [obs] collects one remark per source pack of each emitted
     superword: [SCHED-REUSE] (live in lane order), [SCHED-PERM]
     (live, permutation needed), or [SCHED-PACK] (packed from
-    scratch).  [dep_pairs] are the statement dependence pairs the
+    scratch); remark text is only formatted when [obs] takes
+    remarks.  [dep_pairs] are the statement dependence pairs the
     group DAG is built from, the same ones the groups were formed
     under.  Builds the block's {!Facts} and runs {!run_facts}. *)
 
@@ -102,11 +158,12 @@ val run_facts :
   t
 (** {!run} on facts the caller already holds. *)
 
-val analyze : config:Config.t -> Block.t -> item list -> t
+val analyze : config:Config.t -> Facts.t -> item list -> t
 (** Replay a fixed item sequence against a fresh live superword set and
     compute its reuse statistics — used to evaluate schedules produced
     by other algorithms (the Larsen-Amarasinghe baseline, the native
-    vectorizer) on an equal footing. *)
+    vectorizer) on an equal footing.  Replay reads statements only; no
+    dependence is consulted. *)
 
 val scheduled_stmt_ids : t -> int list
 (** Statement ids in final execution order (superword members

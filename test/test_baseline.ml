@@ -62,7 +62,7 @@ let test_larsen_vs_global_reuses () =
   let env = fig15_env () in
   let block = fig15_block () in
   let slp_grouping = Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-  let slp_sched = Larsen.schedule ~dep_pairs:(Block.dep_pairs block) ~config block slp_grouping in
+  let slp_sched = Larsen.schedule ~config (Schedule.Facts.make ~deps:(Block.dep_pairs block) block) slp_grouping in
   let global_grouping = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   let global_sched = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block global_grouping in
   let reuses (s : Schedule.t) =

@@ -162,7 +162,7 @@ let prop_baseline_schedule_valid =
   QCheck.Test.make ~name:"baseline schedules are always valid" ~count:150 arb_block
     (fun (env, block) ->
       let r = Slp_baseline.Larsen.group ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
-      let s = Slp_baseline.Larsen.schedule ~dep_pairs:(Block.dep_pairs block) ~config block r in
+      let s = Slp_baseline.Larsen.schedule ~config (Schedule.Facts.make ~deps:(Block.dep_pairs block) block) r in
       Schedule.is_valid ~dep_pairs:(Block.dep_pairs block) block s)
 
 let () =

@@ -27,6 +27,8 @@ module Pipeline = Slp_pipeline.Pipeline
 module Machine = Slp_machine.Machine
 module Suite = Slp_benchmarks.Suite
 module Gen = Slp_fuzz.Gen
+module Schedule = Slp_core.Schedule
+module Grouping = Slp_core.Grouping
 
 let intel = Machine.intel_dunnington
 let amd = Machine.amd_phenom_ii
@@ -62,7 +64,7 @@ let test_bruteforce_exactness () =
     let prog = Gen.program ~options ~name:(Printf.sprintf "bf%d" k) prng in
     let env = prog.Program.env in
     List.iter
-      (fun ({ Driver.block; nest; deps } as site : Driver.site) ->
+      (fun ({ Driver.block; nest; deps; _ } as site : Driver.site) ->
         if List.length block.Block.stmts <= 6 then begin
           let query = Cost.default_query ~env ~nest ~lanes:2 in
           let plan, bail, stats =
@@ -103,6 +105,78 @@ let test_bruteforce_exactness () =
       (Driver.sites ~precise:true prog)
   done;
   Alcotest.(check bool) "property exercised some blocks" true (!checked > 0)
+
+(* -- shared facts ---------------------------------------------------- *)
+
+(* The solver evaluates every leaf of a block on one facts value, which
+   keeps the block's groups and pricing answers between evaluations.
+   Sharing must never change a result: each partition of every small
+   generated block, scheduled and priced on the shared value, equals
+   the same evaluation on fresh facts, bit for bit.  The partitions
+   cycle through three pricings of the shared value, so consecutive
+   evaluations change the query under the same params, then both, then
+   the params under the same query: answers memoised under one of them
+   must not leak into another. *)
+let same_estimate (a : Cost.estimate) (b : Cost.estimate) =
+  Int64.equal (Int64.bits_of_float a.Cost.scalar_cost) (Int64.bits_of_float b.Cost.scalar_cost)
+  && Int64.equal (Int64.bits_of_float a.Cost.vector_cost) (Int64.bits_of_float b.Cost.vector_cost)
+  && { a with Cost.scalar_cost = 0.0; vector_cost = 0.0 }
+     = { b with Cost.scalar_cost = 0.0; vector_cost = 0.0 }
+
+let prop_shared_facts =
+  let config = Config.make ~datapath_bits:128 () in
+  let options = { Gen.default_options with Gen.max_stmts = 6 } in
+  QCheck.Test.make ~name:"shared facts never change a schedule or an estimate" ~count:60
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let prog = Slp_fuzz.Gen.program ~options ~name:"shared" (Prng.create seed) in
+      let env = prog.Program.env in
+      List.for_all
+        (fun ({ Driver.block; nest; deps; _ } : Driver.site) ->
+          List.length block.Block.stmts > 6
+          ||
+          let plain = Cost.default_query ~env ~nest ~lanes:2 in
+          (* Every pack contiguous and aligned, no scalar live out:
+             answers that differ from the plain query's. *)
+          let eager =
+            { Cost.contiguous = (fun _ -> true); aligned = (fun _ -> true);
+              scalar_live_out = (fun _ -> false) }
+          in
+          let intel = Pipeline.params_of_machine intel in
+          let pricings =
+            [| (plain, Cost.default_params); (eager, Cost.default_params); (plain, intel) |]
+          in
+          let shared = Schedule.Facts.make ~deps block in
+          let evaluate facts pricing_facts (query, params) grouping =
+            match Schedule.run_facts ~config facts grouping with
+            | exception E.Error { E.code = E.Schedule_failed; _ } -> None
+            | sched ->
+                Some
+                  ( sched,
+                    Schedule.is_valid_facts facts sched,
+                    Cost.estimate_facts ~params ~query pricing_facts sched )
+          in
+          List.for_all
+            (fun (k, parts) ->
+              let pricing = pricings.(k mod Array.length pricings) in
+              let grouping = Optimal.grouping_of_parts parts in
+              let fresh () = Schedule.Facts.make ~deps block in
+              match
+                ( evaluate shared shared pricing grouping,
+                  evaluate (fresh ()) (fresh ()) pricing grouping )
+              with
+              | None, None -> true
+              | Some (s1, v1, e1), Some (s2, v2, e2)
+                when s1 = s2 && v1 = v2 && same_estimate e1 e2 ->
+                  true
+              | _ ->
+                  QCheck.Test.fail_reportf "block %s, partition %d (%s): shared facts differ"
+                    block.Block.label k
+                    (String.concat " | "
+                       (List.map (fun p -> String.concat "," (List.map string_of_int p)) parts)))
+            (List.mapi (fun k parts -> (k, parts))
+               (Optimal.enumerate_partitions ~env ~config ~deps block)))
+        (Driver.sites ~precise:true prog))
 
 (* -- dominance over every heuristic on the suite -------------------- *)
 
@@ -325,6 +399,107 @@ let test_fuel_bound_pinned () =
         | None -> 0))
     fuel_bound_pins
 
+(* The searches behind those pins, as each block's OPT-BAIL remark
+   reports them: nodes expanded and leaves evaluated before the fuel
+   ran out.  A leaf may get cheaper to evaluate; what the search
+   visits must not change.  Values as DESIGN.md's "Solver cost" table
+   records them. *)
+let fuel_bound_searches =
+  [
+    ("cactusADM", 15146, 1865);
+    ("lbm", 14994, 496);
+    ("povray", 10266, 2);
+    ("gromacs", 13710, 2114);
+    ("calculix", 14369, 2784);
+    ("namd", 15279, 1596);
+    ("ua", 15345, 1619);
+    ("ft", 15891, 1105);
+  ]
+
+let test_fuel_bound_searches_pinned () =
+  let machine = Machine.with_simd_bits intel 256 in
+  List.iter
+    (fun (name, nodes, leaves) ->
+      let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
+      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let obs = Slp_obs.Obs.create ~remarks:true () in
+      ignore
+        (Pipeline.compile ~obs ~unroll ~scheme:Pipeline.Optimal ~machine (Suite.program b));
+      let searches =
+        List.filter_map
+          (fun (r : Slp_obs.Remark.t) ->
+            if r.Slp_obs.Remark.id = "OPT-BAIL" then
+              Scanf.sscanf_opt r.Slp_obs.Remark.message
+                "solver budget %_d exhausted after %d nodes, %d leaves" (fun n l -> (n, l))
+            else None)
+          (Slp_obs.Obs.remarks obs)
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%s: OPT-BAIL nodes and leaves" name)
+        [ (nodes, leaves) ] searches)
+    fuel_bound_searches
+
+(* A fuel-bound block's search evaluates thousands of leaves on the
+   block's one facts value.  Once the facts are warm (the groups'
+   packs resolved, the pricing answers memoised), re-evaluating a leaf
+   (its schedule, validity check and estimate) may allocate per
+   schedule item no more than [leaf_words_per_item] minor words.  The
+   leaf is each fuel-bound block's holistic grouping at 256 bits,
+   priced under the default query.  Measured: 660 to 1180 words per
+   item; the solver allocated 2.1k to 8.0k on the same leaves before
+   its leaves worked on interned operand ids. *)
+let leaf_words_per_item = 1500.0
+
+let test_leaf_allocation () =
+  let machine = Machine.with_simd_bits intel 256 in
+  let config =
+    Config.make ~vector_registers:machine.Machine.vector_registers ~datapath_bits:256 ()
+  in
+  let params = Pipeline.params_of_machine machine in
+  List.iter
+    (fun (name, _, _) ->
+      let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
+      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let prog =
+        Slp_transform.Simplify.fold_program (Suite.program b)
+        |> Slp_transform.Unroll.program ~factor:unroll
+      in
+      let env = prog.Program.env in
+      let leaves =
+        List.filter_map
+          (fun (site : Driver.site) ->
+            let query = Cost.default_query ~env ~nest:site.Driver.nest ~lanes:4 in
+            match Optimal.plan_block ~params ~env ~config ~query site with
+            | _, None, _ -> None
+            | _, Some _, _ ->
+                let facts = Lazy.force site.Driver.facts in
+                let grouping =
+                  Grouping.run ~dep_pairs:site.Driver.deps ~env ~config site.Driver.block
+                in
+                Some
+                  (fun () ->
+                    let sched = Schedule.run_facts ~config facts grouping in
+                    ignore (Schedule.is_valid_facts facts sched);
+                    ignore (Cost.estimate_facts ~params ~query facts sched);
+                    sched))
+          (Driver.sites ~precise:true prog)
+      in
+      Alcotest.(check int) (name ^ ": one fuel-bound block") 1 (List.length leaves);
+      List.iter
+        (fun leaf ->
+          let items = List.length (leaf ()).Schedule.items in
+          let reps = 10 in
+          let before = Gc.minor_words () in
+          for _ = 1 to reps do
+            ignore (leaf ())
+          done;
+          let per_item = (Gc.minor_words () -. before) /. float_of_int (reps * items) in
+          if not (per_item < leaf_words_per_item) then
+            Alcotest.failf "%s: a warm leaf allocates %.0f minor words per schedule item (budget %.0f)"
+              name per_item leaf_words_per_item)
+        leaves)
+    fuel_bound_searches
+
 let () =
   Alcotest.run "optimal"
     [
@@ -342,5 +517,10 @@ let () =
             `Quick test_small_budget_scales;
           Alcotest.test_case "fuel-bound results at 256 bits pinned" `Slow
             test_fuel_bound_pinned;
+          Alcotest.test_case "fuel-bound searches at 256 bits pinned" `Slow
+            test_fuel_bound_searches_pinned;
+          Seeded.to_alcotest prop_shared_facts;
+          Alcotest.test_case "warm fuel-bound leaf allocation budget" `Quick
+            test_leaf_allocation;
         ] );
     ]

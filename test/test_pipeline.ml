@@ -275,7 +275,7 @@ let test_is_valid_reads_its_pairs () =
   let swapped =
     Schedule.analyze
       ~config:(Slp_core.Config.make ~datapath_bits:128 ())
-      block
+      (Schedule.Facts.make ~deps:[] block)
       [ Schedule.Single 2; Schedule.Single 1 ]
   in
   Alcotest.(check bool) "valid under precise pairs" true

@@ -544,6 +544,15 @@ let test_server_observability () =
     end
   in
   await 400;
+  (* Counted once: the job's reply was queued for a client that was
+     gone, so it is unroutable and never delivered.  Draining the pool
+     lets its reply callback finish. *)
+  Pool.drain pool;
+  let delivered =
+    Metric.get ~where:[ ("outcome", "delivered") ] (Pool.metrics pool) "replies_total"
+  in
+  Alcotest.(check (float 1e-9)) "ghost reply unroutable" 1.0 (unroutable ());
+  Alcotest.(check (float 1e-9)) "ghost reply not delivered" 0.0 delivered;
   let client = connect ~socket 100 in
   let health = Client.call client { Proto.id = 2; op = Proto.Health } in
   Alcotest.(check string) "health ok" "ok" (Proto.status_name health.Proto.status);

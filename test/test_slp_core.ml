@@ -322,29 +322,56 @@ let test_grouping_dependence_safety () =
 
 (* -- live set ------------------------------------------------------------------ *)
 
+(* The live set works on operand ids.  The interner for a handful of
+   operands is the facts of a block that defines each of them once, so
+   each also has the ids its definition may alias. *)
+let interner ops =
+  Schedule.Facts.make ~deps:[]
+    (Block.of_rhs (List.map (fun op -> (op, Expr.Leaf (Operand.Const 0.0))) ops))
+
+let lane_ids facts ops = Array.of_list (List.map (Schedule.Facts.id facts) ops)
+
+let key_ids facts ops =
+  let key = lane_ids facts ops in
+  Array.sort Int.compare key;
+  key
+
+let live_insert facts live ops =
+  Live.insert live ~lanes:(lane_ids facts ops) ~key:(key_ids facts ops)
+
+let clobbered facts defs =
+  Array.of_list
+    (List.sort_uniq Int.compare
+       (List.concat_map
+          (fun d -> Array.to_list (Schedule.Facts.clobbers facts (Schedule.Facts.id facts d)))
+          defs))
+
+let lane_operands facts lanes = Array.to_list (Array.map (Schedule.Facts.operand facts) lanes)
+
 let test_live_set () =
+  let facts = interner (List.map (fun v -> Operand.Scalar v) [ "a"; "b"; "c"; "d"; "e"; "f" ]) in
   let live = Live.create ~capacity:2 in
   let sw1 = [ Operand.Scalar "a"; Operand.Scalar "b" ] in
   let sw2 = [ Operand.Scalar "b"; Operand.Scalar "a" ] in
-  Live.insert live sw1;
-  Alcotest.(check bool) "exact hit" true (Live.mem_exact live sw1);
-  Alcotest.(check bool) "exact miss on permutation" false (Live.mem_exact live sw2);
-  Alcotest.(check bool) "multiset hit" true
-    (Live.mem_multiset live (Pack.of_operands sw2));
+  live_insert facts live sw1;
+  Alcotest.(check bool) "exact hit" true (Live.mem_exact live (lane_ids facts sw1));
+  Alcotest.(check bool) "exact miss on permutation" false
+    (Live.mem_exact live (lane_ids facts sw2));
+  Alcotest.(check bool) "multiset hit" true (Live.mem_multiset live (key_ids facts sw2));
   (* Same multiset replaces rather than duplicating. *)
-  Live.insert live sw2;
+  live_insert facts live sw2;
   Alcotest.(check int) "replaced" 1 (Live.size live);
-  Alcotest.(check bool) "now the permuted order is exact" true (Live.mem_exact live sw2);
+  Alcotest.(check bool) "now the permuted order is exact" true
+    (Live.mem_exact live (lane_ids facts sw2));
   (* Capacity eviction. *)
-  Live.insert live [ Operand.Scalar "c"; Operand.Scalar "d" ];
-  Live.insert live [ Operand.Scalar "e"; Operand.Scalar "f" ];
+  live_insert facts live [ Operand.Scalar "c"; Operand.Scalar "d" ];
+  live_insert facts live [ Operand.Scalar "e"; Operand.Scalar "f" ];
   Alcotest.(check int) "bounded" 2 (Live.size live);
-  Alcotest.(check bool) "oldest evicted" false
-    (Live.mem_multiset live (Pack.of_operands sw1));
+  Alcotest.(check bool) "oldest evicted" false (Live.mem_multiset live (key_ids facts sw1));
   (* Invalidation by definition. *)
-  Live.invalidate live ~defs:[ Operand.Scalar "e" ];
+  Live.invalidate live (clobbered facts [ Operand.Scalar "e" ]);
   Alcotest.(check bool) "invalidated" false
-    (Live.mem_multiset live (Pack.of_operands [ Operand.Scalar "e"; Operand.Scalar "f" ]))
+    (Live.mem_multiset live (key_ids facts [ Operand.Scalar "e"; Operand.Scalar "f" ]))
 
 (* The live set against a test-local copy of the list-based set it
    replaced, which re-sorts every entry on every multiset query and
@@ -411,6 +438,7 @@ let live_alphabet =
 
 let test_live_vs_reference () =
   let st = Seeded.rand () in
+  let facts = interner (Array.to_list live_alphabet) in
   let operand () = live_alphabet.(Random.State.int st (Array.length live_alphabet)) in
   let superword () = List.init (1 + Random.State.int st 4) (fun _ -> operand ()) in
   let ops = Alcotest.(list (of_pp (Fmt.of_to_string Operand.to_string))) in
@@ -421,16 +449,16 @@ let test_live_vs_reference () =
       let name what = Printf.sprintf "case %d step %d: %s" case step what in
       if Random.State.int st 4 = 0 then begin
         let defs = List.init (1 + Random.State.int st 2) (fun _ -> operand ()) in
-        Live.invalidate live ~defs;
+        Live.invalidate live (clobbered facts defs);
         Ref_live.invalidate reference ~defs
       end
       else begin
         let sw = superword () in
-        Live.insert live sw;
+        live_insert facts live sw;
         Ref_live.insert reference sw
       end;
       Alcotest.(check (list ops)) (name "entries") reference.Ref_live.entries
-        (Live.entries live);
+        (List.map (lane_operands facts) (Live.entries live));
       (* Queries: every live entry, a shuffle of it, and fresh draws. *)
       let queries =
         List.concat_map (fun l -> [ l; List.rev l ]) reference.Ref_live.entries
@@ -439,19 +467,22 @@ let test_live_vs_reference () =
       List.iter
         (fun q ->
           let pack = Pack.of_operands q in
+          let key = key_ids facts q in
           let what = Printf.sprintf "%s on %s" in
           let shown = Pack.to_string pack in
+          Alcotest.check ops (name (what "key is the pack" shown))
+            (Pack.operands pack) (lane_operands facts key);
           Alcotest.(check bool) (name (what "mem_exact" shown))
-            (Ref_live.mem_exact reference q) (Live.mem_exact live q);
+            (Ref_live.mem_exact reference q) (Live.mem_exact live (lane_ids facts q));
           Alcotest.(check bool) (name (what "mem_multiset" shown))
-            (Ref_live.mem_multiset reference pack) (Live.mem_multiset live pack);
+            (Ref_live.mem_multiset reference pack) (Live.mem_multiset live key);
           let seen = ref [] in
-          Live.iter_multiset live pack (fun l -> seen := l :: !seen);
+          Live.iter_multiset live key (fun l -> seen := lane_operands facts l :: !seen);
           Alcotest.(check (list ops)) (name (what "iter_multiset" shown))
             (Ref_live.matching reference pack) (List.rev !seen);
           Alcotest.(check bool) (name (what "coverable_by_two" shown))
             (Ref_live.coverable_by_two reference q)
-            (Live.coverable_by_two live pack))
+            (Live.coverable_by_two live key))
         queries
     done
   done
@@ -578,7 +609,7 @@ let test_schedule_analyze_matches_run () =
   let block = fig2_block () in
   let g = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   let s = Schedule.run ~dep_pairs:(Block.dep_pairs block) ~config block g in
-  let replay = Schedule.analyze ~config block s.Schedule.items in
+  let replay = Schedule.analyze ~config (Schedule.Facts.make ~deps:[] block) s.Schedule.items in
   Alcotest.(check int) "direct reuses agree" s.Schedule.stats.Schedule.direct_reuses
     replay.Schedule.stats.Schedule.direct_reuses;
   Alcotest.(check int) "permuted reuses agree" s.Schedule.stats.Schedule.permuted_reuses
