@@ -76,30 +76,14 @@ let params_of_machine (m : M.t) =
 let config_of_machine (m : M.t) =
   Config.make ~vector_registers:m.M.vector_registers ~datapath_bits:m.M.simd_bits ()
 
-let query_for ?(layout_aware = false) ~config (prog : Program.t) =
+let query_for ~config (prog : Program.t) =
   let env = prog.Program.env in
   let lanes = max 2 (config.Config.datapath_bits / 64) in
   let liveness = Slp_analysis.Liveness.compute prog in
-  let written = Slp_layout.Array_layout.written_set prog in
   fun ({ Driver.block; nest; _ } : Driver.site) ->
-    let q = Cost.default_query ~env ~nest ~lanes in
-    let innermost = List.nth_opt (List.rev nest) 0 in
-    let repeat =
-      Slp_layout.Array_layout.outer_repeat_of_block prog block.Slp_ir.Block.label
-    in
-    let will_replicate ops =
-      Slp_layout.Array_layout.replicable_pack ~env ~written ~innermost ops
-      && Slp_layout.Array_layout.amortizes ~lanes:(List.length ops) ~repeat
-    in
-    let contiguous ops = q.Cost.contiguous ops || (layout_aware && will_replicate ops) in
-    let aligned ops =
-      q.Cost.aligned ops
-      || (layout_aware && (not (q.Cost.contiguous ops)) && will_replicate ops)
-    in
     {
-      Cost.contiguous = (if layout_aware then contiguous else q.Cost.contiguous);
-      aligned = (if layout_aware then aligned else q.Cost.aligned);
-      scalar_live_out = Slp_analysis.Liveness.demanded liveness block;
+      (Cost.default_query ~env ~nest ~lanes) with
+      Cost.scalar_live_out = Slp_analysis.Liveness.demanded liveness block;
     }
 
 type exec_result = { counters : Slp_vm.Counters.t; correct : bool }
@@ -182,7 +166,11 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
         |> Slp_transform.Unroll.program ~factor:unroll_factor)
   in
   let t0 = Clock.now () in
-  let lower_o = Slp_codegen.Lower.lower_with_origins ~obs ~machine in
+  (* Every lowering honours [register_reuse]; Global+Layout's plain
+     variant, lowered only for the arbitration, passes [Obs.none]. *)
+  let lower ~obs =
+    Slp_codegen.Lower.lower_with_origins ~obs ~machine ~reuse:register_reuse
+  in
   (* Advisory bailouts of the exact pack solver: the compile still
      succeeds (the affected blocks carry the heuristic's plan), but the
      BAIL15 records surface on the result for reporting. *)
@@ -194,7 +182,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
     let plan = Obs.span obs "plan" make_plan in
     stage "lower";
     let vec, origins =
-      Obs.span obs "lower" (fun () -> lower_o ~reuse:register_reuse plan)
+      Obs.span obs "lower" (fun () -> lower ~obs plan)
     in
     (Some vec, Some plan, [], 0, origins)
   in
@@ -274,7 +262,8 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
                 !bails;
             plan)
     | Global_layout ->
-        (* Stage 1 planned under a layout-aware cost gate, then stage 2
+        (* Stage 1 planned under a layout-aware cost gate that asks
+           the replication rule stage 2 acts on, then stage 2
            applied; the analytic amortisation rule cannot see cache
            footprint effects, so the final arbitration is measured: the
            laid-out variant must actually beat the plain Global variant
@@ -289,18 +278,15 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
         let plain_plan, plan =
           Obs.span obs "plan" (fun () ->
               let sites = Driver.sites ~precise:true prepared in
-              let plain_plan =
-                plan_sites sites (holistic (query_for ~config prepared))
-              in
+              let query = query_for ~config prepared in
+              let plain_plan = plan_sites sites (holistic query) in
               let plan =
                 plan_sites sites
-                  (holistic ~obs (query_for ~layout_aware:true ~config prepared))
+                  (holistic ~obs (Slp_layout.Array_layout.gate_query prepared query))
               in
               (plain_plan, plan))
         in
-        let plain_vec, plain_origins =
-          Slp_codegen.Lower.lower_with_origins ~machine plain_plan
-        in
+        let plain_vec, plain_origins = lower ~obs:Obs.none plain_plan in
         stage "layout";
         let placement, arr =
           Obs.span obs "layout" (fun () ->
@@ -313,7 +299,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
         stage "lower";
         let laid_vec, laid_origins =
           Obs.span obs "lower" (fun () ->
-              lower_o
+              lower ~obs
                 ~scalar_offsets:placement.Slp_layout.Scalar_layout.offsets
                 ~setup:arr.Slp_layout.Array_layout.setup
                 arr.Slp_layout.Array_layout.plan)

@@ -293,6 +293,69 @@ let test_values_only_on_suite () =
         [ Machine.intel_dunnington; Machine.amd_phenom_ii ])
     Suite.all
 
+(* -- seed independence ---------------------------------------------------------
+
+   Subscripts and loop bounds are affine and nothing branches on data
+   (docs/LANGUAGE.md), so a run's counters and its trap, if any,
+   depend on the compiled program, the machine and the core count,
+   never on the data seed. *)
+
+let timing ~seed ~cores c =
+  match Pipeline.execute ~check:false ~seed ~cores c with
+  | r -> Ok r.Pipeline.counters
+  | exception Vm.Trap.Trap info -> Error info
+
+let timing_testable =
+  Alcotest.result counters_testable (Alcotest.testable Vm.Trap.pp ( = ))
+
+let seed_free ~cores c =
+  Alcotest.equal timing_testable (timing ~seed:42 ~cores c) (timing ~seed:7 ~cores c)
+
+let seed_fuzz =
+  QCheck.Test.make ~name:"generated kernels" ~count:40 arb_program (fun p ->
+      match Program.validate p with
+      | Error _ -> true
+      | Ok () ->
+          List.for_all
+            (fun machine ->
+              List.for_all
+                (fun scheme ->
+                  let c = Pipeline.compile ~unroll:2 ~verify:false ~scheme ~machine p in
+                  List.for_all
+                    (fun cores ->
+                      seed_free ~cores c
+                      || QCheck.Test.fail_reportf "%s on %s, %d cores: seeds time apart:\n%s"
+                           (Pipeline.scheme_name scheme) (Machine.to_string machine) cores
+                           (Program.to_string p))
+                    [ 1; 2; 4 ])
+                Pipeline.all_schemes)
+            [ Machine.intel_dunnington; Machine.amd_phenom_ii ])
+
+(* Every suite kernel under every scheme, on both machines at 1, 2
+   and 4 cores. *)
+let test_seed_free_on_suite () =
+  let module Suite = Slp_benchmarks.Suite in
+  List.iter
+    (fun b ->
+      let prog = Suite.program b in
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun scheme ->
+              let c =
+                Pipeline.compile ~unroll:b.Suite.unroll ~verify:false ~scheme ~machine prog
+              in
+              List.iter
+                (fun cores ->
+                  Alcotest.check timing_testable
+                    (Printf.sprintf "%s %s %s %dc" b.Suite.name (Pipeline.scheme_name scheme)
+                       (Machine.to_string machine) cores)
+                    (timing ~seed:42 ~cores c) (timing ~seed:7 ~cores c))
+                [ 1; 2; 4 ])
+            Pipeline.all_schemes)
+        [ Machine.intel_dunnington; Machine.amd_phenom_ii ])
+    Suite.all
+
 (* Printing a program and re-parsing it must yield the same scalar
    semantics (the printer emits the input language). *)
 let roundtrip =
@@ -359,5 +422,10 @@ let () =
           Seeded.to_alcotest values_only_fuzz;
           Alcotest.test_case "values-only memory matches on every suite kernel" `Slow
             test_values_only_on_suite;
+        ] );
+      ( "seed independence",
+        [
+          Seeded.to_alcotest seed_fuzz;
+          Alcotest.test_case "every suite kernel" `Slow test_seed_free_on_suite;
         ] );
     ]

@@ -142,6 +142,26 @@ let test_scalar_placement_conflicts () =
 
 (* -- array replication --------------------------------------------------------- *)
 
+(* [decide] takes the loops around a block innermost first. *)
+let loop ?(step = 1) index lo hi =
+  { Program.index; lo = Affine.const lo; hi = Affine.const hi; step; body = [] }
+
+let decision =
+  Alcotest.testable
+    (fun ppf -> function
+      | Array_layout.Keep -> Format.pp_print_string ppf "keep"
+      | Array_layout.Skip { source; elems; repeat } ->
+          Format.fprintf ppf "skip %s (%d elements, repeat %d)" source elems repeat
+      | Array_layout.Replicate r ->
+          Format.fprintf ppf "replicate %s (%d lanes, stride %d, coeff %d, size %d)"
+            r.Array_layout.source r.Array_layout.lanes r.Array_layout.stride
+            r.Array_layout.coeff r.Array_layout.size)
+    ( = )
+
+let replicates = function
+  | Array_layout.Replicate _ -> true
+  | Array_layout.Keep | Array_layout.Skip _ -> false
+
 let test_replicable_pack () =
   let env = Env.create () in
   Env.declare_array env "A" Types.F64 [ 64 ];
@@ -149,7 +169,9 @@ let test_replicable_pack () =
   Env.declare_array env "M" Types.F64 [ 8; 8 ];
   let written = function "A" -> true | _ -> false in
   let e b coeff k = Operand.Elem (b, [ Affine.make [ ("i", coeff) ] k ]) in
-  let ok = Array_layout.replicable_pack ~env ~written ~innermost:(Some "i") in
+  (* Sixty-four re-runs of the loop amortise the copy. *)
+  let nest = [ loop "i" 0 16; loop "t" 0 64 ] in
+  let ok ?(loops = nest) ops = replicates (Array_layout.decide ~env ~written ~loops ops) in
   Alcotest.(check bool) "strided read-only pack" true (ok [ e "W" 4 0; e "W" 4 2 ]);
   Alcotest.(check bool) "written array rejected" false (ok [ e "A" 4 0; e "A" 4 2 ]);
   Alcotest.(check bool) "mixed strides rejected" false (ok [ e "W" 4 0; e "W" 2 2 ]);
@@ -160,8 +182,28 @@ let test_replicable_pack () =
          Operand.Elem ("M", [ Affine.var "i"; Affine.const 0 ]);
          Operand.Elem ("M", [ Affine.var "i"; Affine.const 2 ]);
        ]);
-  Alcotest.(check bool) "no innermost loop" false
-    (Array_layout.replicable_pack ~env ~written ~innermost:None [ e "W" 4 0; e "W" 4 2 ])
+  Alcotest.(check bool) "no innermost loop" false (ok ~loops:[] [ e "W" 4 0; e "W" 4 2 ]);
+  Alcotest.(check bool) "contiguous ascending unit stride rejected" false
+    (ok [ e "W" 1 0; e "W" 1 1 ]);
+  (* Beyond the pack's shape: the loop's bounds and step, the
+     amortisation rule and the size cap. *)
+  Alcotest.(check bool) "symbolic bound rejected" false
+    (ok
+       ~loops:[ { (loop "i" 0 16) with Program.hi = Affine.var "n" }; loop "t" 0 64 ]
+       [ e "W" 4 0; e "W" 4 2 ]);
+  Alcotest.(check bool) "step dividing the lanes" true
+    (ok ~loops:[ loop ~step:2 "i" 0 16; loop "t" 0 64 ] [ e "W" 4 0; e "W" 4 2 ]);
+  Alcotest.(check bool) "2 lanes in a step-4 loop rejected" false
+    (ok ~loops:[ loop ~step:4 "i" 0 16; loop "t" 0 64 ] [ e "W" 4 0; e "W" 4 2 ]);
+  Alcotest.(check bool) "single pass does not amortise" false
+    (ok ~loops:[ loop "i" 0 16 ] [ e "W" 4 0; e "W" 4 2 ]);
+  (* 2 lanes x 2.1M iterations: 4.2M elements, over the 4M cap. *)
+  Env.declare_array env "H" Types.F64 [ 8_400_000 ];
+  Alcotest.check decision "size cap"
+    (Array_layout.Skip { source = "H"; elems = 4_200_000; repeat = 64 })
+    (Array_layout.decide ~env ~written
+       ~loops:[ loop "i" 0 2_100_000; loop "t" 0 64 ]
+       [ e "H" 4 0; e "H" 4 2 ])
 
 let test_replicable_rank2 () =
   let env = Env.create () in
@@ -171,13 +213,26 @@ let test_replicable_rank2 () =
     Operand.Elem ("L", [ row; Affine.make [ ("i", coeff) ] k ])
   in
   let p_row = Affine.var "p" in
-  let ok = Array_layout.replicable_pack ~env ~written ~innermost:(Some "i") in
+  let ok ops =
+    replicates
+      (Array_layout.decide ~env ~written ~loops:[ loop "i" 0 16; loop "t" 0 64 ] ops)
+  in
   Alcotest.(check bool) "rank-2 with lane-invariant row" true
     (ok [ e p_row 4 0; e p_row 4 2 ]);
   Alcotest.(check bool) "row varying across lanes rejected" false
     (ok [ e p_row 4 0; e (Affine.add p_row (Affine.const 1)) 4 2 ]);
   Alcotest.(check bool) "row using innermost index rejected" false
-    (ok [ e (Affine.var "i") 4 0; e (Affine.var "i") 4 2 ])
+    (ok [ e (Affine.var "i") 4 0; e (Affine.var "i") 4 2 ]);
+  (* A row chosen by an outer loop is a different replica row on each
+     of its iterations, so that loop does not amortise the copy. *)
+  let row_loop loops =
+    Array_layout.decide ~env ~written ~loops [ e p_row 4 0; e p_row 4 2 ]
+  in
+  Alcotest.check decision "row from the only outer loop"
+    (Array_layout.Skip { source = "L"; elems = 16 * 32; repeat = 1 })
+    (row_loop [ loop "i" 0 16; loop "p" 0 16 ]);
+  Alcotest.(check bool) "row loop inside a repeating loop" true
+    (replicates (row_loop [ loop "i" 0 16; loop "p" 0 16; loop "t" 0 64 ]))
 
 let test_rank2_replication_end_to_end () =
   (* Per-plane strided table: requires the rank-2 replication path. *)
@@ -272,9 +327,11 @@ let test_single_lane_pack_rejected () =
   let env = Env.create () in
   Env.declare_array env "W" Types.F64 [ 64 ];
   let written _ = false in
-  let ok = Array_layout.replicable_pack ~env ~written ~innermost:(Some "i") in
-  Alcotest.(check bool) "empty pack" false (ok []);
-  Alcotest.(check bool) "single lane" false
+  let ok =
+    Array_layout.decide ~env ~written ~loops:[ loop "i" 0 16; loop "t" 0 64 ]
+  in
+  Alcotest.check decision "empty pack" Array_layout.Keep (ok []);
+  Alcotest.check decision "single lane" Array_layout.Keep
     (ok [ Operand.Elem ("W", [ Affine.make [ ("i", 4) ] 0 ]) ])
 
 let test_max_lane_pack_mapping () =
@@ -302,9 +359,17 @@ let test_max_lane_pack_replicable () =
   Env.declare_array env "W" Types.F32 [ 256 ];
   let written _ = false in
   let e k = Operand.Elem ("W", [ Affine.make [ ("i", 4) ] k ]) in
-  Alcotest.(check bool) "4-lane f32 pack replicable" true
-    (Array_layout.replicable_pack ~env ~written ~innermost:(Some "i")
-       [ e 0; e 1; e 2; e 3 ])
+  match
+    Array_layout.decide ~env ~written
+      ~loops:[ loop ~step:2 "i" 0 64; loop "t" 0 16 ]
+      [ e 0; e 1; e 2; e 3 ]
+  with
+  | Array_layout.Replicate r ->
+      Alcotest.(check int) "R[2i + k]: 4 lanes over step 2" 2 r.Array_layout.coeff;
+      Alcotest.(check int) "4 elements per iteration" (4 * 32) r.Array_layout.size;
+      Alcotest.(check (list int)) "lane offsets" [ 0; 1; 2; 3 ]
+        r.Array_layout.lane_offsets
+  | d -> Alcotest.failf "4-lane f32 pack not replicable: %a" (Alcotest.pp decision) d
 
 let test_single_lane_mapping () =
   (* lanes = 1 degenerates to a gather-to-dense copy: d = a·t + b maps
@@ -318,12 +383,49 @@ let test_single_lane_mapping () =
     [ 0; 1; 7 ]
 
 let test_outer_repeat () =
+  (* The repeat factor is the product of the outer trips, 6 x 5,
+     without the innermost loop's; a loop feeding the leading
+     subscript drops out.  A replica over the cap shows it. *)
+  let env = Env.create () in
+  Env.declare_array env "M" Types.F64 [ 300_000; 64 ];
+  let written _ = false in
+  let nest = [ loop "i" 0 8; loop "s" 0 5; loop "t" 0 6 ] in
+  let skip row =
+    Array_layout.decide ~env ~written ~loops:nest
+      (List.map
+         (fun k -> Operand.Elem ("M", [ row; Affine.make [ ("i", 4) ] k ]))
+         [ 0; 2 ])
+  in
+  let elems = 300_000 * 2 * 8 in
+  Alcotest.check decision "product of outer trips"
+    (Array_layout.Skip { source = "M"; elems; repeat = 30 })
+    (skip (Affine.const 0));
+  Alcotest.check decision "row from the outermost loop"
+    (Array_layout.Skip { source = "M"; elems; repeat = 5 })
+    (skip (Affine.var "t"));
+  Alcotest.check decision "row from the middle loop"
+    (Array_layout.Skip { source = "M"; elems; repeat = 6 })
+    (skip (Affine.var "s"));
+  (* The gate finds a block's loops in the program: the same pack is
+     priced contiguous in the repeated nest and not in the single
+     pass. *)
   let prog =
     Slp_frontend.Parser.parse ~name:"t"
-      "f64 A[8];\nfor t = 0 to 6 {\n  for s = 0 to 5 {\n    for i = 0 to 8 {\n      A[i] = 1.0;\n    }\n  }\n}"
+      "f64 A[16];\nf64 W[64];\nfor t = 0 to 6 {\n  for s = 0 to 5 {\n    for i = 0 to 8 {\n      A[i] = W[4*i] + W[4*i+2];\n    }\n  }\n}\nfor i = 0 to 8 {\n  A[i+8] = W[4*i] + W[4*i+2];\n}"
   in
-  Alcotest.(check int) "product of outer trips" 30
-    (Array_layout.outer_repeat_of_block prog "bb1")
+  let base (site : Slp_core.Driver.site) =
+    Slp_core.Cost.default_query ~env:prog.Program.env ~nest:site.Slp_core.Driver.nest
+      ~lanes:2
+  in
+  let pack =
+    List.map (fun k -> Operand.Elem ("W", [ Affine.make [ ("i", 4) ] k ])) [ 0; 2 ]
+  in
+  let verdicts =
+    List.map
+      (fun site -> (Array_layout.gate_query prog base site).Slp_core.Cost.contiguous pack)
+      (Slp_core.Driver.sites ~precise:false prog)
+  in
+  Alcotest.(check (list bool)) "gate: repeated nest, single pass" [ true; false ] verdicts
 
 let () =
   Alcotest.run "layout"

@@ -198,6 +198,60 @@ for i = 0 to 256 {
        memory);
   Alcotest.(check bool) "wrong live-out sum caught" false r.Pipeline.correct
 
+(* Global+Layout lowers both of its variants under the caller's
+   [register_reuse], as every other scheme does. *)
+let test_layout_register_reuse () =
+  let module Suite = Slp_benchmarks.Suite in
+  let b = Suite.find "soplex" in
+  let compile register_reuse =
+    Pipeline.compile ~unroll:b.Suite.unroll ~register_reuse ~scheme:Pipeline.Global_layout
+      ~machine:Machine.intel_dunnington (Suite.program b)
+  in
+  let visa c = Format.asprintf "%a" Slp_vm.Visa.pp_program (Option.get c.Pipeline.vector) in
+  let without = compile false in
+  Alcotest.(check bool) "Visa changes without register reuse" true
+    (visa (compile true) <> visa without);
+  Alcotest.(check bool) "still correct" true (Pipeline.execute without).Pipeline.correct
+
+(* The layout-aware gate prices a pack as a replica only when
+   [Array_layout.apply] builds that replica, so a Global+Layout compile
+   that ends with none commits exactly Global's schedules, at Global's
+   estimates.  Over the suite and 400 generated kernels, both
+   machines. *)
+let test_no_replica_commits_global () =
+  let module Suite = Slp_benchmarks.Suite in
+  let module Driver = Slp_core.Driver in
+  let module Cost = Slp_core.Cost in
+  let committed (c : Pipeline.compiled) =
+    List.map
+      (fun (bp : Driver.block_plan) ->
+        let label = bp.Driver.block.Slp_ir.Block.label in
+        match (bp.Driver.schedule, bp.Driver.estimate) with
+        | Some s, Some e ->
+            Format.asprintf "%s %a@.%h %h %d %d %d %d %d %d" label Slp_core.Schedule.pp s
+              e.Cost.scalar_cost e.Cost.vector_cost e.Cost.vector_ops e.Cost.vector_memops
+              e.Cost.scalar_memops_in_packs e.Cost.inserts e.Cost.extracts e.Cost.permutes
+        | _ -> label ^ " scalar")
+      (Option.get c.Pipeline.plan).Driver.plans
+  in
+  let check name ?unroll prog =
+    List.iter
+      (fun machine ->
+        let compile scheme = Pipeline.compile ?unroll ~verify:false ~scheme ~machine prog in
+        let layout = compile Pipeline.Global_layout in
+        if layout.Pipeline.replica_count = 0 then
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s on %s" name (Machine.to_string machine))
+            (committed (compile Pipeline.Global))
+            (committed layout))
+      machines
+  in
+  List.iter (fun b -> check b.Suite.name ~unroll:b.Suite.unroll (Suite.program b)) Suite.all;
+  let config = { Slp_fuzz.Harness.default_config with Slp_fuzz.Harness.seed = 7 } in
+  for i = 0 to 399 do
+    check (Printf.sprintf "seed 7 case %d" i) (Slp_fuzz.Harness.case_program config i)
+  done
+
 (* The dependence-pair contract.  C[2*i] and C[i+1100] conflict
    syntactically (their subscripts differ by a non-constant) but never
    within the loop box, so precise and syntactic pairs differ here:
@@ -301,6 +355,10 @@ let () =
           Alcotest.test_case "layout helps strided" `Quick test_layout_helps_strided;
           Alcotest.test_case "check covers live-out scalars" `Quick
             test_check_covers_live_out_scalars;
+          Alcotest.test_case "layout honours register_reuse" `Quick
+            test_layout_register_reuse;
+          Alcotest.test_case "no replica commits Global's plans" `Slow
+            test_no_replica_commits_global;
         ] );
       ( "dep_pairs",
         [
