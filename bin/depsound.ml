@@ -5,8 +5,11 @@
    replays the dynamic tracer over the unrolled reference program of
    each scheme x machine, verifying that no statically-independent
    statement pair ever conflicts on a concrete address and that
-   [Parallel] verdicts hold under the real access streams.  An
-   optional fuzz sample runs the same tracer over generated kernels.
+   [Parallel] verdicts hold under the real access streams.  Each leg
+   also records the chunk-independence verdict of its vector program,
+   so a kernel whose vector code gets a different verdict from its
+   reference shows in the JSON.  An optional fuzz sample runs the same
+   tracer over generated kernels.
 
    Exit status 0 when every check is clean, 1 on any violation. *)
 
@@ -15,6 +18,7 @@ module Machine = Slp_machine.Machine
 module Pipeline = Slp_pipeline.Pipeline
 module Depend = Slp_depend.Depend
 module Dtrace = Slp_depend.Dtrace
+module Parcheck = Slp_vm.Parcheck
 module Json = Slp_obs.Json
 
 let machines =
@@ -48,8 +52,11 @@ let verdict_json = function
                  reductions) );
         ]
 
+(* The verdict the engine acts on for a scalar program. *)
+let verdict_of prog = Parcheck.analyze (Slp_vm.Visa.of_program prog)
+
 let trace_program ~label prog =
-  let report = Dtrace.check prog in
+  let report = Dtrace.check ~verdict:(verdict_of prog) prog in
   List.iter
     (fun v ->
       incr violations;
@@ -59,6 +66,7 @@ let trace_program ~label prog =
 
 let run_kernel (k : Suite.t) =
   let prog = Suite.program k in
+  let verdict = verdict_of prog in
   let graph = Depend.of_program prog in
   let base_report = trace_program ~label:k.Suite.name prog in
   (* one tracer replay per distinct unrolled reference program;
@@ -100,6 +108,10 @@ let run_kernel (k : Suite.t) =
                 ( "violations",
                   Json.Num (float_of_int (List.length report.Dtrace.violations))
                 );
+                ( "vector_verdict",
+                  match compiled.Pipeline.vector with
+                  | Some v -> verdict_json (Parcheck.analyze v)
+                  | None -> Json.Null );
               ])
           machines)
       Pipeline.all_schemes
@@ -109,7 +121,7 @@ let run_kernel (k : Suite.t) =
       [
         ("kernel", Json.Str k.Suite.name);
         ("graph", Depend.to_json graph);
-        ("verdict", verdict_json (Depend.scalar_parallel_verdict prog));
+        ("verdict", verdict_json verdict);
         ("base_events", Json.Num (float_of_int base_report.Dtrace.events));
         ("legs", Json.Arr legs);
       ]
@@ -118,7 +130,7 @@ let run_kernel (k : Suite.t) =
   Printf.printf "%-12s %7d events  %d edges  %s\n%!" k.Suite.name
     base_report.Dtrace.events
     (List.length graph.Depend.edges)
-    (match Depend.scalar_parallel_verdict prog with
+    (match verdict with
     | Depend.Parallel { reductions = [] } -> "parallel"
     | Depend.Parallel { reductions } ->
         "parallel+reductions:"

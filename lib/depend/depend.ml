@@ -346,6 +346,8 @@ let block_dep_pairs ~box (block : Block.t) =
 
 (* -- scalar reduction recognition ----------------------------------- *)
 
+(* Computed over Visa code by [Slp_vm.Parcheck.analyze]; declared here
+   so that [Dtrace] can check a verdict without seeing Visa. *)
 type verdict =
   | Serial of string  (** stable reason code *)
   | Parallel of { reductions : (string * Types.binop) list }
@@ -382,9 +384,8 @@ let reduction_update ~scalar rhs =
       else None
   | _ -> None
 
-(* Walk a loop body collecting every statement (reductions live in
-   scalar programs; the Visa side is handled by the VM's parcheck with
-   the same rules). *)
+(* Every statement of a loop body, in program order: the dependence
+   graph's reduction report reads the updates of each outermost loop. *)
 let rec stmts_of_items items =
   List.concat_map
     (function
@@ -420,128 +421,6 @@ let reductions_of_stmts stmts =
     written
 
 let reductions_of_items items = reductions_of_stmts (stmts_of_items items)
-
-(* -- chunk-independence verdict for scalar programs ----------------- *)
-
-exception Serial_because of string
-
-(* A loop with compile-time constant bounds provably runs at least
-   once; only then may its writes count as definite afterwards. *)
-let trip_at_least_once ~lo ~hi =
-  match (Affine.to_const lo, Affine.to_const hi) with
-  | Some lo, Some hi -> hi > lo
-  | _ -> false
-
-let collect_accesses ~pvar ~box items =
-  let acc = ref [] in
-  let rec go ~box items =
-    List.iter
-      (function
-        | Program.Stmts b ->
-            List.iter
-              (fun (s : Stmt.t) ->
-                let w, r = stmt_accesses ~box s in
-                acc := w @ r @ !acc)
-              b.Block.stmts
-        | Program.Loop l ->
-            go
-              ~box:
-                (Box.add box l.Program.index
-                   (Box.of_bounds ~lo:l.Program.lo ~hi:l.Program.hi
-                      ~step:l.Program.step))
-              l.Program.body)
-      items
-  in
-  ignore pvar;
-  go ~box items;
-  List.rev !acc
-
-(* Written-before-read replay for privatizable scalars, mirroring the
-   original syntactic parcheck; [exempt] are the recognised reduction
-   scalars, whose accumulator reads are by construction their own
-   updates. *)
-let check_privatizable ~wscalars ~exempt ~bound0 items =
-  let add xs x = if List.mem x xs then xs else x :: xs in
-  let check_read ~bound ~written v =
-    if
-      (not (List.mem v bound))
-      && List.mem v wscalars
-      && (not (List.mem v exempt))
-      && not (List.mem v !written)
-    then raise (Serial_because ("par-scalar:" ^ v))
-  in
-  let rec go ~bound ~written items =
-    List.iter
-      (function
-        | Program.Stmts b ->
-            List.iter
-              (fun (s : Stmt.t) ->
-                List.iter (check_read ~bound ~written) (scalar_reads s);
-                match scalar_def s with
-                | Some v -> written := add !written v
-                | None -> ())
-              b.Block.stmts
-        | Program.Loop l ->
-            let inner = ref !written in
-            go ~bound:(l.Program.index :: bound) ~written:inner l.Program.body;
-            if trip_at_least_once ~lo:l.Program.lo ~hi:l.Program.hi then
-              written := !inner)
-      items
-  in
-  go ~bound:bound0 ~written:(ref []) items
-
-let scalar_parallel_verdict (prog : Program.t) =
-  match prog.Program.body with
-  | [ Program.Loop l ] -> begin
-      let pvar = l.Program.index in
-      let box0 =
-        Box.add Box.empty pvar
-          (Box.of_bounds ~lo:l.Program.lo ~hi:l.Program.hi ~step:l.Program.step)
-      in
-      let accesses = collect_accesses ~pvar ~box:box0 l.Program.body in
-      let warrays =
-        List.filter_map (fun a -> if a.write then Some a.base else None) accesses
-        |> List.sort_uniq String.compare
-      in
-      let stmts = stmts_of_items l.Program.body in
-      let wscalars =
-        List.filter_map scalar_def stmts |> List.sort_uniq String.compare
-      in
-      match
-        (* array chunk independence *)
-        List.iter
-          (fun a ->
-            if List.mem a.base warrays then
-              List.iter
-                (fun b ->
-                  if
-                    String.equal a.base b.base
-                    && (a.write || b.write)
-                    && cross_instance_conflict ~pvar a b
-                  then raise (Serial_because ("par-array-dep:" ^ a.base)))
-                accesses)
-          accesses;
-        (* scalar recurrences: reductions or privatizable temporaries *)
-        let reductions = reductions_of_items l.Program.body in
-        let exempt = List.map fst reductions in
-        (* a self-referencing update that is not an accepted reduction
-           shape gets its own reason code *)
-        List.iter
-          (fun (st : Stmt.t) ->
-            match scalar_def st with
-            | Some v
-              when (not (List.mem v exempt))
-                   && List.mem v (scalar_reads st) ->
-                raise (Serial_because ("par-nonassoc:" ^ v))
-            | _ -> ())
-          stmts;
-        check_privatizable ~wscalars ~exempt ~bound0:[ pvar ] l.Program.body;
-        reductions
-      with
-      | reductions -> Parallel { reductions }
-      | exception Serial_because reason -> Serial reason
-    end
-  | _ -> Serial "par-shape"
 
 (* -- the dependence graph ------------------------------------------- *)
 

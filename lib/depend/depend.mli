@@ -5,7 +5,8 @@
     conservative "assume dependent" verdict with a stable reason code.
     Produces per-array-pair dependence edges with distance/direction
     vectors plus scalar reduction recognition.  Consumed by the VM's
-    parcheck (chunk independence + reduction parallelization), the SLP
+    [Parcheck] (chunk independence + reduction parallelization, built
+    on {!cross_instance_conflict} and {!reductions_of_stmts}), the SLP
     grouping/scheduling passes (precise statement dependence graphs),
     and the verifier (DEP01–DEP05). *)
 
@@ -69,24 +70,27 @@ val blocks_with_box : Program.t -> (Block.t * Box.t) list
 (** Blocks with their enclosing iteration boxes, in [Program.blocks]
     order. *)
 
-(** {1 Parallelization verdict for scalar programs} *)
+(** {1 Chunk-independence verdict} *)
 
 type verdict =
   | Serial of string
       (** stable reason code: ["par-shape"], ["par-array-dep:<arr>"],
-          ["par-scalar:<name>"], ["par-nonassoc:<name>"] *)
+          ["par-scalar:<name>"] *)
   | Parallel of { reductions : (string * Types.binop) list }
       (** chunks of the outermost loop are independent; each listed
           scalar is a recognized reduction to run via per-core partial
           accumulators merged in core order *)
-
-val scalar_parallel_verdict : Program.t -> verdict
+(** The multicore verdict.  [Slp_vm.Parcheck.analyze] computes it over
+    Visa code, a scalar program's included (as its [Visa.of_program]
+    image); the type lives here so that {!Dtrace} can check a verdict
+    without seeing Visa. *)
 
 val reductions_of_stmts : Stmt.t list -> (string * Types.binop) list
 (** Scalars whose every write in [stmts] is an associative
     self-update [s = s ⊕ e] with one shared operator and which are
     read nowhere else in [stmts].  Callers owning accesses outside the
-    statement list (the Visa checker) must disqualify separately. *)
+    statement list ([Parcheck], for vector instructions) must
+    disqualify separately. *)
 
 val identity_of : Types.binop -> float
 (** Identity element of a reduction operator (Add → 0, Mul → 1,

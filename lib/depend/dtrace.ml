@@ -7,12 +7,14 @@
    - block soundness: two statements of one block instance never touch
      the same location in a conflicting way unless {!Depend.block_dep_pairs}
      reports an edge between them;
-   - parallel claim: when {!Depend.scalar_parallel_verdict} says
-     [Parallel], no array address is written under one value of the
-     partitioned index and touched under another, recognised reduction
-     scalars are touched only by their own update statements, and
-     every other written scalar is written before read within each
-     partition value.
+   - parallel claim: when the verdict passed in says [Parallel], no
+     array address is written under one value of the partitioned index
+     and touched under another, recognised reduction scalars are
+     touched only by their own update statements, and every other
+     written scalar is written before read within each partition
+     value.  The verdict comes from the caller because this library
+     cannot see Visa, over which [Slp_vm.Parcheck.analyze] computes
+     it.
 
    Violations are reported as strings naming the statements and the
    location, so a failing kernel is diagnosable from the message
@@ -119,8 +121,8 @@ type par_state = {
       (* (scalar, pval) -> written already under this pval *)
 }
 
-let par_state_of prog =
-  match Depend.scalar_parallel_verdict prog with
+let par_state_of ~verdict prog =
+  match verdict with
   | Depend.Serial _ -> None
   | Depend.Parallel { reductions } -> (
       match prog.Program.body with
@@ -208,9 +210,9 @@ let par_check ps ~pval ~stmt ~write loc violations =
 
 (* -- the walk ------------------------------------------------------- *)
 
-let check (prog : Program.t) =
+let check ~verdict (prog : Program.t) =
   let deps = static_deps prog in
-  let ps = par_state_of prog in
+  let ps = par_state_of ~verdict prog in
   let violations = ref [] in
   let events = ref 0 in
   let env = prog.Program.env in

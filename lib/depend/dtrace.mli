@@ -6,11 +6,11 @@
     - no two statements of one block instance touch the same location
       in a conflicting way unless {!Depend.block_dep_pairs} reports an
       edge between them, and
-    - when {!Depend.scalar_parallel_verdict} is [Parallel]: no array
-      address is written under one value of the partitioned index and
-      touched under another; recognised reduction scalars are touched
-      only by their own update statements; every other written scalar
-      is written before read within each partition value.
+    - when the verdict passed in is [Parallel]: no array address is
+      written under one value of the partitioned index and touched
+      under another; recognised reduction scalars are touched only by
+      their own update statements; every other written scalar is
+      written before read within each partition value.
 
     Zero violations over a run means the static verdicts were sound
     for that input shape. *)
@@ -22,7 +22,11 @@ type report = {
   violations : string list;  (** human-readable, empty when sound *)
 }
 
-val check : Program.t -> report
-(** Runs both checks over a full sequential replay.  The program must
-    be valid ([Program.validate]); outer loop bounds are then
-    compile-time constants, so the replay never needs runtime data. *)
+val check : verdict:Depend.verdict -> Program.t -> report
+(** Runs both checks over a full sequential replay.  [verdict] is the
+    program's chunk-independence verdict, from
+    [Slp_vm.Parcheck.analyze (Slp_vm.Visa.of_program prog)]: the
+    verdict the engine acts on (this library cannot see Visa).  The
+    program must be valid ([Program.validate]); outer loop bounds are
+    then compile-time constants, so the replay never needs runtime
+    data. *)

@@ -88,18 +88,6 @@ let scalar_diff ~names ref_mem vec_mem =
 
 (* -- the oracle ---------------------------------------------------- *)
 
-let predicted_cost (plan : Slp_core.Driver.program_plan) =
-  List.fold_left
-    (fun acc (bp : Slp_core.Driver.block_plan) ->
-      match bp.Slp_core.Driver.estimate with
-      | Some e ->
-          acc
-          +.
-          if bp.Slp_core.Driver.schedule <> None then e.Slp_core.Cost.vector_cost
-          else e.Slp_core.Cost.scalar_cost
-      | None -> acc)
-    0.0 plan.Slp_core.Driver.plans
-
 let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed = 42)
     ?solver_steps ?(mutate = fun v -> v) (prog : Program.t) =
   match Program.validate prog with
@@ -118,7 +106,11 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
          accesses against the static analyzer's verdicts.  Scheme- and
          machine-independent (addresses are control-flow-data-free), so
          one trace per case suffices. *)
-      (match Slp_depend.Dtrace.check prog with
+      (match
+         Slp_depend.Dtrace.check
+           ~verdict:(Vm.Parcheck.analyze (Vm.Visa.of_program prog))
+           prog
+       with
       | { Slp_depend.Dtrace.violations = []; _ } -> ()
       | { Slp_depend.Dtrace.violations; _ } ->
           List.iter
@@ -137,6 +129,7 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
           if not (Float.is_finite ref_cycles) then
             fail ~scheme:"Scalar" ~machine:mname ~stage:"cycles"
               (Printf.sprintf "non-finite scalar cycles %f" ref_cycles);
+          let params = Pipeline.params_of_machine machine in
           let predicted = ref [] and measured = ref [] in
           List.iter
             (fun scheme ->
@@ -156,7 +149,9 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
               | compiled -> begin
                   (match compiled.Pipeline.plan with
                   | Some plan ->
-                      predicted := (sname, predicted_cost plan) :: !predicted
+                      predicted :=
+                        (sname, Slp_core.Optimal.modeled_cost ~params plan)
+                        :: !predicted
                   | None -> ());
                   match compiled.Pipeline.vector with
                   | None ->

@@ -40,7 +40,10 @@ type failure = {
 type drift = {
   machine : string;
   predicted : (string * float) list;
-      (** Scheme name -> cost-model units (sum over planned blocks);
+      (** Scheme name -> the plan's
+          {!Slp_core.Optimal.modeled_cost} under the machine's
+          parameters (every block priced, a block left scalar at its
+          exact scalar cost), the price the gap report uses;
           vectorizing schemes only. *)
   measured : (string * float) list;  (** Scheme name -> simulated cycles. *)
 }

@@ -1,20 +1,19 @@
-(* Typed, labeled instruments with per-domain sharded collection.
+(* Typed, labeled instruments.
 
-   The hot path (worker domains observing counters and latencies) is
-   lock-free: counter and histogram-bucket cells are arrays of
-   [Atomic.t] stripes indexed by the calling domain's id, so two
-   domains never contend on a cache line for the same increment.
-   Locks exist only at the edges — resolving a (family, label-set)
-   pair to its cells, and taking a scrape snapshot — and both copy
-   under the lock and do all sorting/formatting outside it.
+   Updating an instrument is lock-free: a counter, each histogram
+   bucket and each histogram's fixed-point sum is one [Atomic.t], so
+   concurrent domains add to it without a lock.  slpd's writers are a
+   handful of worker domains and the reactor, and its labelled helpers
+   resolve their handle (under the family mutex) on every call anyway,
+   so per-domain copies of the cells would buy nothing.  Locks exist
+   only at the edges — resolving a (family, label-set) pair to its
+   cells, and taking a scrape snapshot — and both copy under the lock
+   and do all sorting/formatting outside it.
 
    Histograms are log-bucketed and mergeable: the sum is stored as a
-   fixed-point int64 (round (v * scale)) so merging shards is integer
-   addition — exactly associative and commutative, hence bit-identical
-   regardless of merge order across domains. *)
-
-let stripes = 8
-let stripe () = (Domain.self () :> int) land (stripes - 1)
+   fixed-point int64 (round (v * scale)) so merging snapshots is
+   integer addition — exactly associative and commutative, hence
+   bit-identical regardless of merge order. *)
 
 let rec add64 cell v =
   let cur = Atomic.get cell in
@@ -92,12 +91,12 @@ let kind_name = function
   | Gauge_k -> "gauge"
   | Histogram_k -> "histogram"
 
-type counter_cells = int Atomic.t array (* one stripe per slot *)
+type counter_cells = int Atomic.t
 
 type hist_cells = {
   hc_layout : layout;
-  hc_counts : int Atomic.t array array; (* stripe -> bucket counts (+overflow) *)
-  hc_sums : int64 Atomic.t array; (* per-stripe fixed-point sums *)
+  hc_counts : int Atomic.t array; (* bucket counts (+overflow) *)
+  hc_sum : int64 Atomic.t; (* fixed-point sum *)
 }
 
 type cells =
@@ -167,7 +166,7 @@ let family t ~kind ~help ~labels ?layout name =
 
 let new_cells fam =
   match fam.fam_kind with
-  | Counter_k -> Ccells (Array.init stripes (fun _ -> Atomic.make 0))
+  | Counter_k -> Ccells (Atomic.make 0)
   | Gauge_k -> Gcell (Atomic.make 0.0)
   | Histogram_k ->
       let layout = Option.get fam.fam_layout in
@@ -175,9 +174,8 @@ let new_cells fam =
       Hcells
         {
           hc_layout = layout;
-          hc_counts =
-            Array.init stripes (fun _ -> Array.init nb (fun _ -> Atomic.make 0));
-          hc_sums = Array.init stripes (fun _ -> Atomic.make 0L);
+          hc_counts = Array.init nb (fun _ -> Atomic.make 0);
+          hc_sum = Atomic.make 0L;
         }
 
 (* Resolve a label-set to its cells: the one locking step on the job
@@ -213,11 +211,8 @@ module Counter = struct
 
   let plain t ?help name = handle (family t ?help name) []
 
-  let incr ?(by = 1) (h : handle) =
-    ignore (Atomic.fetch_and_add h.(stripe ()) by)
-
-  let value (h : handle) =
-    Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h
+  let incr ?(by = 1) (h : handle) = ignore (Atomic.fetch_and_add h by)
+  let value (h : handle) = Atomic.get h
 end
 
 module Gauge = struct
@@ -252,28 +247,18 @@ module Histogram = struct
   let plain t ?help ?layout name = handle (family t ?help ?layout name) []
 
   let observe (h : handle) v =
-    let s = stripe () in
     let i = bucket_index h.hc_layout v in
-    ignore (Atomic.fetch_and_add h.hc_counts.(s).(i) 1);
-    add64 h.hc_sums.(s) (Int64.of_float (Float.round (v *. h.hc_layout.scale)))
+    ignore (Atomic.fetch_and_add h.hc_counts.(i) 1);
+    add64 h.hc_sum (Int64.of_float (Float.round (v *. h.hc_layout.scale)))
 
   let snap (h : handle) =
     let layout = h.hc_layout in
-    let nb = Array.length layout.bounds + 1 in
-    let counts = Array.make nb 0 in
-    let sum = ref 0L in
-    for s = 0 to stripes - 1 do
-      for i = 0 to nb - 1 do
-        counts.(i) <- counts.(i) + Atomic.get h.hc_counts.(s).(i)
-      done;
-      sum := Int64.add !sum (Atomic.get h.hc_sums.(s))
-    done;
     {
       hbounds = layout.bounds;
       hgrowth = layout.growth;
       hscale = layout.scale;
-      hcounts = counts;
-      hsum_fp = !sum;
+      hcounts = Array.map Atomic.get h.hc_counts;
+      hsum_fp = Atomic.get h.hc_sum;
     }
 end
 

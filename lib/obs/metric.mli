@@ -1,13 +1,14 @@
-(** Typed, labeled metric instruments with lock-free sharded hot paths.
+(** Typed, labeled metric instruments with lock-free updates.
 
     The service-facing metrics core: counter / gauge / histogram
-    families carry declared label keys, series are materialised per
-    label-value tuple, and increments go to per-domain atomic stripes
-    so worker domains never contend while compiling.  Histograms are
-    log-bucketed with fixed-point sums, making shard merges exactly
-    associative — a merged snapshot is bit-identical no matter the
-    merge order.  Scrapes ([snapshot] / [to_json] / [to_prometheus])
-    copy under the per-family lock and format outside it. *)
+    families carry declared label keys, and series are materialised
+    per label-value tuple.  Each counter, histogram bucket and
+    histogram sum is one atomic cell, so concurrent domains update it
+    without a lock.  Histograms are log-bucketed with fixed-point
+    sums, making snapshot merges exactly associative — a merged
+    snapshot is bit-identical no matter the merge order.  Scrapes
+    ([snapshot] / [to_json] / [to_prometheus]) copy under the
+    per-family lock and format outside it. *)
 
 type t
 (** A registry of instrument families. *)
@@ -93,7 +94,7 @@ module Histogram : sig
   val plain : t -> ?help:string -> ?layout:layout -> string -> handle
   val observe : handle -> float -> unit
   val snap : handle -> hsnap
-  (** Merge all domain stripes into one snapshot. *)
+  (** Read the bucket counts and the sum into a snapshot. *)
 end
 
 (** {1 Scraping} *)

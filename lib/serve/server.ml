@@ -3,10 +3,6 @@ module Metric = Slp_obs.Metric
 module Log = Slp_obs.Log
 module Clock = Slp_obs.Clock
 
-type config = { socket_path : string; accept_backlog : int }
-
-let default_config ~socket_path = { socket_path; accept_backlog = 16 }
-
 exception Socket_in_use of string
 
 (* The full snapshot: the typed registry under "metrics", plus
@@ -333,16 +329,14 @@ let claim_socket path =
     Unix.unlink path
   end
 
-let run ?config ~pool ~socket () =
-  let config = Option.value config ~default:(default_config ~socket_path:socket) in
-  let path = config.socket_path in
+let run ~pool ~socket:path () =
   claim_socket path;
   (let dir = Filename.dirname path in
    if not (Sys.file_exists dir) then
      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX path);
-  Unix.listen listen_fd config.accept_backlog;
+  Unix.listen listen_fd 16;
   Unix.set_nonblock listen_fd;
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;

@@ -13,13 +13,6 @@
     wait for every in-flight job, flush outstanding replies, then tear
     the pool down and unlink the socket. *)
 
-type config = {
-  socket_path : string;
-  accept_backlog : int;
-}
-
-val default_config : socket_path:string -> config
-
 val stats_json : Pool.t -> Slp_obs.Json.t
 (** The [stats] op's payload, also printed by [slpd] on exit: uptime,
     queue and worker state, the full typed registry ("metrics"), cache
@@ -28,9 +21,10 @@ val stats_json : Pool.t -> Slp_obs.Json.t
 exception Socket_in_use of string
 (** The socket path on which a live daemon already answers. *)
 
-val run : ?config:config -> pool:Pool.t -> socket:string -> unit -> unit
-(** Serve until a shutdown trigger, then drain and return.  Installs
-    SIGTERM/SIGINT handlers for the duration and ignores SIGPIPE.
+val run : pool:Pool.t -> socket:string -> unit -> unit
+(** Serve on the Unix socket [socket] (listen backlog 16) until a
+    shutdown trigger, then drain and return.  Installs SIGTERM/SIGINT
+    handlers for the duration and ignores SIGPIPE.
 
     An existing socket file is probed with a connect first.  If a live
     daemon answers, [run] raises {!Socket_in_use} before touching the

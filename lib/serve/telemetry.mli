@@ -6,7 +6,7 @@
     DESIGN.md); the pool reports through the helpers below rather than
     touching the registry, so series names and label sets stay in one
     place.  All helpers are safe from any domain: counters and
-    histograms stripe per domain, spans record on the calling domain's
+    histogram cells are atomics, spans record on the calling domain's
     own trace row. *)
 
 type t

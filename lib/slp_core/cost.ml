@@ -348,7 +348,3 @@ let estimate_facts ?(params = default_params) ~query facts (sched : Schedule.t) 
 let estimate ?params ~query block sched =
   (* Pricing never consults dependences. *)
   estimate_facts ?params ~query (Schedule.Facts.make ~deps:[] block) sched
-
-let profitable ?params ~query block sched =
-  let e = estimate ?params ~query block sched in
-  e.vector_cost < e.scalar_cost

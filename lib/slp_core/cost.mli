@@ -4,8 +4,10 @@
     proposed schedule, counting SIMD instructions, memory operations
     and vector register reshuffling/permutation instructions.  "If we
     realize that our transformation could potentially degrade the
-    performance, we choose not to apply it" — the driver consults
-    [profitable] per block. *)
+    performance, we choose not to apply it" — [Driver.gate] commits a
+    block's schedule only when its [vector_cost] is below its
+    [scalar_cost]; equality counts as unprofitable (a transformation
+    must pay for its risk). *)
 
 open Slp_ir
 
@@ -72,7 +74,3 @@ val scalar_stmt_cost : params -> Stmt.t -> float
 (** Exact cost of one statement executed scalar: weighted operators
     plus element loads and the store (when the target is an array
     element). *)
-
-val profitable : ?params:params -> query:query -> Block.t -> Schedule.t -> bool
-(** [vector_cost < scalar_cost]; equality counts as unprofitable (a
-    transformation must pay for its risk). *)

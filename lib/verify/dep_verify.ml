@@ -212,8 +212,12 @@ let check ?(stage = D.Prepared_ir) (prog : Program.t) =
     graph.Depend.reductions;
   (* DEP04: a Parallel verdict promises chunks of the outermost loop
      are independent — the graph must agree (no array edge carried on
-     the partition variable). *)
-  (match (Depend.scalar_parallel_verdict prog, prog.Program.body) with
+     the partition variable).  The verdict is the one the engine acts
+     on: the analysis of the program's Visa image. *)
+  (match
+     ( Slp_vm.Parcheck.analyze (Slp_vm.Visa.of_program prog),
+       prog.Program.body )
+   with
   | Depend.Parallel _, [ Program.Loop l ] ->
       List.iter
         (fun (e : Depend.edge) ->

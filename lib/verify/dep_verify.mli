@@ -14,8 +14,9 @@
     - [DEP03-reduction]: reported reductions use an associative
       operator and each update statement is a self-update of the
       scalar with that operator.
-    - [DEP04-parallel]: a [Parallel] verdict coexists with no edge
-      carried on the partition loop.
+    - [DEP04-parallel]: a [Parallel] verdict of
+      {!Slp_vm.Parcheck.analyze} on the program's Visa image coexists
+      with no edge carried on the partition loop.
     - [DEP05-reason]: inexact edges carry a catalogued reason code;
       exact edges carry none. *)
 

@@ -17,10 +17,10 @@
    one driver ([run]).  A scalar program runs as the Visa program
    [Visa.of_program] makes of it: no setup, and every statement an
    [Sstmt], which [compile_instr] compiles with the same
-   [compile_stmt] as the unplanned blocks of lowered code.  The two
-   entry points differ only in the chunk-independence verdict they
-   hand the driver ({!Parcheck.analyze_scalar} or
-   {!Parcheck.analyze_vector}).
+   [compile_stmt] as the unplanned blocks of lowered code.  The driver
+   takes its chunk-independence verdict from {!Parcheck.analyze} of
+   the program it runs, so both entry points get it from the same
+   rules.
 
    The compiler has two modes, fixed per run in the link context and
    read only while closures are built.  A timed run (the two entry
@@ -1475,13 +1475,13 @@ let run_setup st ~cores setup =
     !total
   end
 
-(* The one driver.  [verdict] is the caller's chunk-independence
-   analysis of [prog], forced only when a multicore run partitions a
-   loop.  A [values_only] run builds and merges its states exactly as a
-   timed run does; its closures just never touch them for timing, so
-   its counters stay zero. *)
+(* The one driver.  The chunk-independence verdict on [prog] is
+   computed only when a multicore run partitions a loop.  A
+   [values_only] run builds and merges its states exactly as a timed
+   run does; its closures just never touch them for timing, so its
+   counters stay zero. *)
 let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
-    ~values_only ~verdict (prog : Visa.program) =
+    ~values_only (prog : Visa.program) =
   let memory =
     match memory with
     | Some m -> m
@@ -1555,7 +1555,7 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
         in
         let ranges = chunk_ranges ~lo ~hi ~step:main_loop.c_step ~cores in
         let privatize, reductions =
-          match verdict () with
+          match Parcheck.analyze prog with
           | Parcheck.Parallel { reductions } ->
               ( true,
                 List.map (fun (v, op) -> (Memory.scalar_slot memory v, op)) reductions )
@@ -1580,17 +1580,9 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
 
 let run_scalar ?cores ?seed ?memory ?profile ?pool ~machine (prog : Program.t) =
   run ?cores ?seed ?memory ?profile ?pool ~machine ~values_only:false
-    ~verdict:(fun () -> Parcheck.analyze_scalar prog)
     (Visa.of_program prog)
 
 let scalar_final_memory ?cores ?seed ~machine (prog : Program.t) =
-  (run ?cores ?seed ~machine ~values_only:true
-     ~verdict:(fun () -> Parcheck.analyze_scalar prog)
-     (Visa.of_program prog))
-    .memory
+  (run ?cores ?seed ~machine ~values_only:true (Visa.of_program prog)).memory
 
-let run_vector ?cores ?seed ?memory ?profile ?origins ?pool ~machine
-    (prog : Visa.program) =
-  run ?cores ?seed ?memory ?profile ?origins ?pool ~machine ~values_only:false
-    ~verdict:(fun () -> Parcheck.analyze_vector prog)
-    prog
+let run_vector = run ~values_only:false

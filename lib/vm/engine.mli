@@ -5,7 +5,9 @@
     registers to a preallocated array, loop indices to a depth-indexed
     frame, affine subscripts to specialised multiply-adds — and then
     runs it.  One item compiler and one driver serve both entry
-    points: a scalar program runs as its {!Visa.of_program} image.
+    points: a scalar program runs as its {!Visa.of_program} image, and
+    a multicore run of either takes its chunk-independence verdict
+    from {!Parcheck.analyze} of the Visa program it runs.
     Observationally identical to the reference interpreters in
     {!Scalar_exec} and {!Vector_exec}: bit-identical memory, counters
     and cycles (the differential fuzz suite in [test/test_fuzz.ml]
@@ -122,7 +124,9 @@ val make_privatizer :
   ranges:(int * int) list ->
   verdict:Slp_depend.Depend.verdict ->
   privatizer
-(** Pre-register every scalar name the program mentions (see
+(** [verdict] is {!Parcheck.analyze} of the program (of its
+    {!Visa.of_program} image for a scalar one), the verdict the engine
+    acts on.  Pre-register every scalar name the program mentions (see
     {!scalar_prog_names}) before calling — the snapshot is taken
     against the live backing store. *)
 

@@ -2,23 +2,28 @@
 
    The multicore simulation partitions the first top-level loop into
    per-core chunks; executing them on concurrent domains must be
-   observationally identical to the sequential chunked run.  The
-   scalar side delegates wholesale to {!Depend.scalar_parallel_verdict}:
-   dependence-based chunk independence (no cross-iteration conflict on
-   the partitioned index — offset subscripts and stride patterns are
-   admitted when the solver proves the footprints disjoint), plus
-   scalar reduction recognition; recognised reductions run on per-core
-   partial accumulators merged in core order, which {!Engine} also
-   makes the semantics of the sequential chunked leg so domain runs
-   stay bit-identical.
+   observationally identical to the sequential chunked run.  One
+   analysis serves every program the engine runs: a scalar program is
+   analysed as its [Visa.of_program] image, whose statements are all
+   [Sstmt]s, so scalar and vector code get their verdict from the same
+   rules:
 
-   The vector (Visa) side applies the same rules to lowered programs:
-   array accesses are collected from every instruction with their
-   iteration boxes and tested pairwise with the cross-instance solver;
-   reductions are recognised only from scalar [Sstmt] update chains
-   and disqualified by any other instruction touching the scalar;
-   remaining written scalars must be written before read within one
-   iteration of the partitioned loop (privatizable temporaries).
+   - array chunk independence: accesses are collected from every
+     instruction with their iteration boxes and tested pairwise with
+     {!Depend.cross_instance_conflict} (no cross-iteration conflict on
+     the partitioned index — offset subscripts and stride patterns are
+     admitted when the solver proves the footprints disjoint);
+   - reductions: recognised by {!Depend.reductions_of_stmts} from the
+     scalar [Sstmt] update chains, and disqualified by any other
+     instruction touching the scalar; they run on per-core partial
+     accumulators merged in core order, which {!Engine} also makes the
+     semantics of the sequential chunked leg so domain runs stay
+     bit-identical;
+   - remaining written scalars must be written before read within one
+     iteration of the partitioned loop (privatizable temporaries).  A
+     self-update [s = f(s)] that is not a reduction reads [s] before
+     any write unless [s] was written earlier in the iteration, so it
+     fails this replay or is a temporary.
 
    Soundness rests on control flow being data-independent: loop
    bounds are affine in the enclosing indices, so every chunk executes
@@ -31,10 +36,6 @@ open Slp_depend
 type verdict = Depend.verdict =
   | Serial of string
   | Parallel of { reductions : (string * Types.binop) list }
-
-let analyze_scalar = Depend.scalar_parallel_verdict
-
-(* -- Visa side ------------------------------------------------------ *)
 
 exception Unsafe of string
 
@@ -96,7 +97,7 @@ let instr_scalar_touches (i : Visa.instr) =
     ->
       []
 
-let collect_vector ~box0 items =
+let collect ~box0 items =
   let accesses = ref [] in
   let sstmts = ref [] in
   let foreign = ref [] in
@@ -185,20 +186,20 @@ let check_instr ~wscalars ~exempt ~bound ~written (i : Visa.instr) =
   | Visa.Vbin _ | Visa.Vun _ | Visa.Vspill _ | Visa.Vreload _ ->
       ()
 
-let rec check_vector_items ~wscalars ~exempt ~bound ~written items =
+let rec check_items ~wscalars ~exempt ~bound ~written items =
   List.iter
     (function
       | Visa.Block instrs ->
           List.iter (check_instr ~wscalars ~exempt ~bound ~written) instrs
       | Visa.Loop l ->
           let inner = ref !written in
-          check_vector_items ~wscalars ~exempt ~bound:(l.Visa.index :: bound)
+          check_items ~wscalars ~exempt ~bound:(l.Visa.index :: bound)
             ~written:inner l.Visa.body;
           if trip_at_least_once ~lo:l.Visa.lo ~hi:l.Visa.hi then
             written := !inner)
     items
 
-let analyze_vector (prog : Visa.program) =
+let analyze (prog : Visa.program) =
   match prog.Visa.body with
   | [ Visa.Loop l ] -> begin
       let pvar = l.Visa.index in
@@ -206,7 +207,7 @@ let analyze_vector (prog : Visa.program) =
         Depend.Box.add Depend.Box.empty pvar
           (Depend.Box.of_bounds ~lo:l.Visa.lo ~hi:l.Visa.hi ~step:l.Visa.step)
       in
-      let accesses, sstmts, foreign, wscalars = collect_vector ~box0 l.Visa.body in
+      let accesses, sstmts, foreign, wscalars = collect ~box0 l.Visa.body in
       let warrays =
         List.filter_map
           (fun (a : Depend.access) ->
@@ -233,7 +234,7 @@ let analyze_vector (prog : Visa.program) =
             (Depend.reductions_of_stmts sstmts)
         in
         let exempt = List.map fst reductions in
-        check_vector_items ~wscalars ~exempt ~bound:[ pvar ] ~written:(ref [])
+        check_items ~wscalars ~exempt ~bound:[ pvar ] ~written:(ref [])
           l.Visa.body;
         reductions
       with

@@ -11,7 +11,12 @@
     in core order, and remaining written scalars must be privatizable
     (written before read within each iteration).  [Serial] carries a
     stable reason code and never breaks anything — the engine keeps
-    its sequential legs. *)
+    its sequential legs.
+
+    There is one analysis for every program the engine runs: a scalar
+    program is analysed as its {!Visa.of_program} image.  The engine,
+    both reference interpreters, the verifier's DEP04 check and the
+    dynamic oracle ([Dtrace]) all read this verdict. *)
 
 open Slp_ir
 open Slp_depend
@@ -19,14 +24,10 @@ open Slp_depend
 type verdict = Depend.verdict =
   | Serial of string
       (** reason code: ["par-shape"], ["par-array-dep:<arr>"],
-          ["par-scalar:<name>"], ["par-nonassoc:<name>"] *)
+          ["par-scalar:<name>"] *)
   | Parallel of { reductions : (string * Types.binop) list }
 
-val analyze_scalar : Program.t -> verdict
-(** Alias of {!Depend.scalar_parallel_verdict}. *)
-
-val analyze_vector : Visa.program -> verdict
-(** Same rules over a lowered vector program ([setup] is ignored: it
-    always runs before the parallel leg).  Reductions are recognised
-    only from scalar [Sstmt] update chains; any other instruction
-    touching the scalar disqualifies it. *)
+val analyze : Visa.program -> verdict
+(** [setup] is ignored: it always runs before the parallel leg.
+    Reductions are recognised only from scalar [Sstmt] update chains;
+    any other instruction touching the scalar disqualifies it. *)

@@ -128,7 +128,7 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Progr
           (Engine.scalar_prog_names [] prog.Program.body);
         let priv =
           Engine.make_privatizer ~memory ~ranges
-            ~verdict:(Parcheck.analyze_scalar prog)
+            ~verdict:(Parcheck.analyze (Visa.of_program prog))
         in
         let all = Counters.create () in
         let max_cycles = ref 0.0 in

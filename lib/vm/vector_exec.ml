@@ -311,7 +311,7 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
              prog.Visa.body);
         let priv =
           Engine.make_privatizer ~memory ~ranges
-            ~verdict:(Parcheck.analyze_vector prog)
+            ~verdict:(Parcheck.analyze prog)
         in
         let all = setup_state.counters in
         let max_cycles = ref 0.0 in

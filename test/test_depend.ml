@@ -188,11 +188,14 @@ let test_fig15_deps_golden () =
 
 (* -- dynamic soundness tracer ---------------------------------------- *)
 
+(* The verdict the engine acts on. *)
+let verdict_of prog = Slp_vm.Parcheck.analyze (Slp_vm.Visa.of_program prog)
+
 let test_dtrace_clean_kernels () =
   List.iter
     (fun name ->
-      let k = Suite.find name in
-      let r = Dtrace.check (Suite.program k) in
+      let prog = Suite.program (Suite.find name) in
+      let r = Dtrace.check ~verdict:(verdict_of prog) prog in
       Alcotest.(check (list string))
         (Printf.sprintf "%s: no violations" name)
         [] r.Dtrace.violations;
@@ -206,8 +209,13 @@ let test_dtrace_reduction_kernel () =
     parse ~name:"red"
       "f64 s;\nf64 A[64];\nfor i = 0 to 64 {\n  s = s + A[i];\n}"
   in
-  let r = Dtrace.check prog in
-  Alcotest.(check (list string)) "reduction traces clean" [] r.Dtrace.violations
+  let r = Dtrace.check ~verdict:(verdict_of prog) prog in
+  Alcotest.(check (list string)) "reduction traces clean" [] r.Dtrace.violations;
+  (* The replay checks the verdict it is given: without the reduction,
+     [s] is read before any write in every partition. *)
+  let wrong = Dtrace.check ~verdict:(Depend.Parallel { reductions = [] }) prog in
+  Alcotest.(check int) "a verdict missing the reduction is caught" 64
+    (List.length wrong.Dtrace.violations)
 
 (* -- brute force vs the same-instance solver ------------------------- *)
 

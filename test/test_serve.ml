@@ -132,18 +132,39 @@ let test_key_stability =
       let spec = { (Proto.default_spec ~kernel:src ~name:"a") with Proto.scheme = P.Global } in
       let k1 = key_of spec in
       (* Round-trip: reparse of the canonical source keys identically,
-         and a different job name keys identically. *)
-      let round = key_of { spec with Proto.name = "b" } in
-      (* Flag changes split the key. *)
-      let other_scheme = key_of { spec with Proto.scheme = P.Slp } in
-      let other_machine = key_of { spec with Proto.machine = M.amd_phenom_ii } in
-      let other_unroll = key_of { spec with Proto.unroll = Some 8 } in
-      let other_seed = key_of { spec with Proto.seed = 43 } in
-      let other_op = key_of ~op:Proto.Compile spec in
-      let timeout_ignored = key_of { spec with Proto.timeout = Some 5.0 } in
-      k1 = round && k1 = timeout_ignored && k1 <> other_scheme
-      && k1 <> other_machine && k1 <> other_unroll && k1 <> other_seed
-      && k1 <> other_op)
+         and a different job name or timeout keys identically. *)
+      let same =
+        [
+          ("name", key_of { spec with Proto.name = "b" });
+          ("timeout", key_of { spec with Proto.timeout = Some 5.0 });
+        ]
+      in
+      (* A change to any keyed field splits the key. *)
+      let split =
+        [
+          ("op", key_of ~op:Proto.Compile spec);
+          ("scheme", key_of { spec with Proto.scheme = P.Slp });
+          ("machine", key_of { spec with Proto.machine = M.amd_phenom_ii });
+          ( "simd_bits",
+            key_of
+              { spec with Proto.machine = { spec.Proto.machine with M.simd_bits = 256 } }
+          );
+          ("unroll", key_of { spec with Proto.unroll = Some 8 });
+          ("max_steps", key_of { spec with Proto.max_steps = Some 1000 });
+          ("solver_steps", key_of { spec with Proto.solver_steps = Some 500 });
+          ("cores", key_of { spec with Proto.cores = 2 });
+          ("seed", key_of { spec with Proto.seed = 43 });
+        ]
+      in
+      List.iter
+        (fun (field, k) ->
+          if k <> k1 then QCheck.Test.fail_reportf "%s split the key" field)
+        same;
+      List.iter
+        (fun (field, k) ->
+          if k = k1 then QCheck.Test.fail_reportf "%s did not split the key" field)
+        split;
+      true)
 
 let test_fnv_framing () =
   Alcotest.(check bool)

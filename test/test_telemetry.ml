@@ -143,7 +143,7 @@ let test_instruments () =
   Metric.Counter.incr ok;
   Metric.Counter.incr ~by:4 ok;
   Metric.Counter.incr shed;
-  Alcotest.(check int) "labeled counter sums stripes" 5 (Metric.Counter.value ok);
+  Alcotest.(check int) "labeled counter sums increments" 5 (Metric.Counter.value ok);
   let g = Metric.Gauge.plain reg "queue_depth" in
   Metric.Gauge.set g 7.0;
   Alcotest.(check (float 0.0)) "gauge" 7.0 (Metric.Gauge.value g);
@@ -176,6 +176,29 @@ let test_instruments () =
   in
   Alcotest.(check bool) "series sorted" true
     (labelsets = List.sort compare labelsets)
+
+(* Every domain adds to the same atomic cells: no update is lost. *)
+let test_concurrent_updates () =
+  let reg = Metric.create () in
+  let c = Metric.Counter.plain reg "hits_total" in
+  let h = Metric.Histogram.plain reg "wait_seconds" in
+  let per_domain = 2_000 in
+  let work () =
+    for i = 1 to per_domain do
+      Metric.Counter.incr c;
+      Metric.Histogram.observe h (if i mod 2 = 0 then 1e-3 else 2.0)
+    done
+  in
+  let domains = List.init 2 (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join domains;
+  let n = 3 * per_domain in
+  Alcotest.(check int) "counter" n (Metric.Counter.value c);
+  let snap = Metric.Histogram.snap h in
+  Alcotest.(check int) "histogram count" n (Metric.hcount snap);
+  Alcotest.(check int64) "fixed-point sum"
+    (Int64.of_int (n / 2 * (1_000_000 + 2_000_000_000)))
+    snap.Metric.hsum_fp
 
 (* -- exposition rendering and validation ----------------------------- *)
 
@@ -370,6 +393,8 @@ let () =
         [
           Alcotest.test_case "counters, gauges, labels" `Quick test_instruments;
           Alcotest.test_case "get sums and filters series" `Quick test_get;
+          Alcotest.test_case "concurrent updates are exact" `Quick
+            test_concurrent_updates;
         ] );
       ( "exposition",
         [

@@ -667,29 +667,26 @@ let test_engine_cache_reuse () =
 
 let parse_mc = Slp_frontend.Parser.parse
 
+module Parcheck = Slp_vm.Parcheck
+
+let show_reductions reductions =
+  String.concat ","
+    (List.map (fun (v, op) -> v ^ Slp_depend.Depend.op_string op) reductions)
+
+let show_verdict = function
+  | Parcheck.Serial reason -> "serial:" ^ reason
+  | Parcheck.Parallel { reductions } -> "parallel:" ^ show_reductions reductions
+
+(* The verdict and the reductions, without the reason text. *)
+let verdict_key = function
+  | Parcheck.Serial _ -> "serial"
+  | Parcheck.Parallel { reductions } -> "parallel:" ^ show_reductions reductions
+
+let scalar_verdict prog = Parcheck.analyze (Visa.of_program prog)
+
 let check_verdict name src expected =
   let prog = parse_mc ~name src in
-  let show = function
-    | Slp_vm.Parcheck.Serial reason -> "serial:" ^ reason
-    | Slp_vm.Parcheck.Parallel { reductions } ->
-        "parallel:"
-        ^ String.concat ","
-            (List.map
-               (fun (v, op) ->
-                 v
-                 ^
-                 match op with
-                 | Types.Add -> "+"
-                 | Types.Mul -> "*"
-                 | Types.Min -> "min"
-                 | Types.Max -> "max"
-                 | Types.Sub -> "-"
-                 | Types.Div -> "/")
-               reductions)
-  in
-  Alcotest.(check string)
-    name expected
-    (show (Slp_vm.Parcheck.analyze_scalar prog))
+  Alcotest.(check string) name expected (show_verdict (scalar_verdict prog))
 
 let test_parcheck_admits () =
   check_verdict "parity-disjoint offsets on one array"
@@ -708,10 +705,83 @@ let test_parcheck_rejects () =
     "f64 A[128];\nfor i = 0 to 64 {\n  A[i+1] = A[i];\n}" "serial:par-array-dep:A";
   check_verdict "non-associative self-update"
     "f64 s;\nf64 A[64];\nfor i = 0 to 64 {\n  s = A[i] - s;\n}"
-    "serial:par-nonassoc:s";
+    "serial:par-scalar:s";
   check_verdict "statements outside the loop"
     "f64 x;\nf64 A[64];\nx = 1.0;\nfor i = 0 to 64 {\n  A[i] = x;\n}"
     "serial:par-shape"
+
+module Pipeline = Slp_pipeline.Pipeline
+module Suite = Slp_benchmarks.Suite
+
+let machines = [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
+
+(* A temporary that updates itself after its first write is
+   privatizable, beside a sum reduction: the reference and every
+   scheme's vector code must get the same verdict, or a multicore run
+   of the reference would add [s] up serially while the vector run
+   merges per-core partial sums. *)
+let test_parcheck_one_verdict () =
+  let prog =
+    parse_mc ~name:"temp_and_sum"
+      "f64 s;\nf64 t;\nf64 A[64];\nf64 B[64];\nfor i = 0 to 64 {\n  t = A[i];\n\
+      \  t = t * 2.0;\n  B[i] = t;\n  s = s + A[i];\n}"
+  in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun scheme ->
+          let c = Pipeline.compile ~scheme ~machine prog in
+          let tag what =
+            Printf.sprintf "%s %s %s" machine.Machine.name
+              (Pipeline.scheme_name scheme) what
+          in
+          Alcotest.(check string) (tag "reference") "parallel:s+"
+            (verdict_key (scalar_verdict c.Pipeline.reference));
+          Option.iter
+            (fun v ->
+              Alcotest.(check string) (tag "vector code") "parallel:s+"
+                (verdict_key (Parcheck.analyze v)))
+            c.Pipeline.vector)
+        Pipeline.all_schemes)
+    machines
+
+(* One hash per machine over the verdict and reductions of every
+   suite kernel's reference and vector program, every scheme, at the
+   suite's unroll.  A changed hash means a multicore run now
+   privatizes or merges differently.  The reason text is left out: it
+   names only the first conflict the walk meets.  Both machines are
+   128-bit and their programs get the same verdicts, so the two
+   hashes coincide. *)
+let test_parcheck_suite_pinned () =
+  List.iter
+    (fun (machine, expected) ->
+      let fields =
+        List.concat_map
+          (fun (k : Suite.t) ->
+            let prog = Suite.program k in
+            List.concat_map
+              (fun scheme ->
+                let c =
+                  Pipeline.compile ~unroll:k.Suite.unroll ~verify:false ~scheme
+                    ~machine prog
+                in
+                [
+                  k.Suite.name;
+                  Pipeline.scheme_name scheme;
+                  verdict_key (scalar_verdict c.Pipeline.reference);
+                  (match c.Pipeline.vector with
+                  | Some v -> verdict_key (Parcheck.analyze v)
+                  | None -> "-");
+                ])
+              Pipeline.all_schemes)
+          Suite.all
+      in
+      Alcotest.(check string) machine.Machine.name expected
+        (Slp_util.Fnv.to_hex (Slp_util.Fnv.hash_fields fields)))
+    [
+      (Machine.intel_dunnington, "fed97be35eeb3ca7");
+      (Machine.amd_phenom_ii, "fed97be35eeb3ca7");
+    ]
 
 let () =
   Alcotest.run "vm"
@@ -760,5 +830,9 @@ let () =
         [
           Alcotest.test_case "admitted kernels" `Quick test_parcheck_admits;
           Alcotest.test_case "rejected kernels" `Quick test_parcheck_rejects;
+          Alcotest.test_case "kernel and vector code agree" `Quick
+            test_parcheck_one_verdict;
+          Alcotest.test_case "suite verdicts pinned" `Quick
+            test_parcheck_suite_pinned;
         ] );
     ]
