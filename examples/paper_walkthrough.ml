@@ -48,16 +48,7 @@ let () =
   List.iter (fun c -> Format.printf "  %a@." Slp_core.Candidate.pp c) candidates;
 
   (* Step 2: the variable pack conflicting graph. *)
-  let conflict =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (c : Slp_core.Candidate.t) -> Hashtbl.replace tbl c.Slp_core.Candidate.cid c)
-      candidates;
-    fun a b ->
-      a <> b
-      && Slp_core.Candidate.conflicts ~deps (Hashtbl.find tbl a) (Hashtbl.find tbl b)
-  in
-  let vp = Slp_core.Packgraph.build ~candidates ~conflict in
+  let vp = Slp_core.Packgraph.build ~deps ~candidates in
   Format.printf "@.%a@." Slp_core.Packgraph.pp vp;
 
   (* Steps 3-4 + iteration: the full grouping. *)

@@ -1,62 +1,85 @@
-module Smap = Map.Make (String)
+type t = { vars : string array; coeffs : int array; const : int }
+(* Invariant: [vars] is strictly ascending by [String.compare], [coeffs]
+   is parallel to it and holds no zero.  Equal expressions are therefore
+   structurally equal, so polymorphic [=] agrees with [equal]. *)
 
-type t = { coeffs : int Smap.t; const : int }
-(* Invariant: no binding in [coeffs] is zero. *)
-
-let normalise coeffs = Smap.filter (fun _ k -> k <> 0) coeffs
-
-let const c = { coeffs = Smap.empty; const = c }
-
-let var ?(coeff = 1) v =
-  { coeffs = normalise (Smap.singleton v coeff); const = 0 }
-
+(* The canonical form of any term list: sorted by variable, repeats
+   summed, zeros dropped. *)
 let make terms c =
-  let coeffs =
-    List.fold_left
-      (fun acc (v, k) ->
-        Smap.update v (function None -> Some k | Some k' -> Some (k + k')) acc)
-      Smap.empty terms
+  let rec sum = function
+    | (v, k) :: (w, k') :: rest when String.equal v w -> sum ((v, k + k') :: rest)
+    | (_, 0) :: rest -> sum rest
+    | t :: rest -> t :: sum rest
+    | [] -> []
   in
-  { coeffs = normalise coeffs; const = c }
+  let terms = sum (List.stable_sort (fun (v, _) (w, _) -> String.compare v w) terms) in
+  { vars = Array.of_list (List.map fst terms); coeffs = Array.of_list (List.map snd terms); const = c }
 
-let merge f a b =
-  Smap.merge
-    (fun _ ka kb ->
-      let k = f (Option.value ka ~default:0) (Option.value kb ~default:0) in
-      if k = 0 then None else Some k)
-    a b
-
-let add a b = { coeffs = merge ( + ) a.coeffs b.coeffs; const = a.const + b.const }
-let sub a b = { coeffs = merge ( - ) a.coeffs b.coeffs; const = a.const - b.const }
-
-let scale k a =
-  if k = 0 then const 0
-  else { coeffs = Smap.map (fun c -> k * c) a.coeffs; const = k * a.const }
-
+let const c = make [] c
+let var ?(coeff = 1) v = make [ (v, coeff) ] 0
+let terms a = List.init (Array.length a.vars) (fun i -> (a.vars.(i), a.coeffs.(i)))
+let add a b = make (terms a @ terms b) (a.const + b.const)
+let scale k a = make (List.map (fun (v, c) -> (v, k * c)) (terms a)) (k * a.const)
 let neg a = scale (-1) a
-let terms a = Smap.bindings a.coeffs
+let sub a b = add a (neg b)
 let const_part a = a.const
-let coeff a v = Option.value (Smap.find_opt v a.coeffs) ~default:0
-let is_const a = Smap.is_empty a.coeffs
+
+let rec coeff_from a v i =
+  if i = Array.length a.vars then 0
+  else if String.equal a.vars.(i) v then a.coeffs.(i)
+  else coeff_from a v (i + 1)
+
+let coeff a v = coeff_from a v 0
+
+let is_const a = Array.length a.vars = 0
 let to_const a = if is_const a then Some a.const else None
-let vars a = List.map fst (terms a)
-let equal a b = a.const = b.const && Smap.equal ( = ) a.coeffs b.coeffs
+let vars a = Array.to_list a.vars
+
+(* [equal], [compare] and [diff_const] allocate nothing: they walk the
+   two term arrays with top-level recursive functions, no closure. *)
+let rec same_terms_from a b i =
+  i = Array.length a.vars
+  || a.coeffs.(i) = b.coeffs.(i)
+     && String.equal a.vars.(i) b.vars.(i)
+     && same_terms_from a b (i + 1)
+
+let same_terms a b =
+  a == b || (Array.length a.vars = Array.length b.vars && same_terms_from a b 0)
+
+let equal a b = a.const = b.const && same_terms a b
+
+(* Operand interning and every pack order rest on this order: the
+   constant, then the terms in variable order, each by variable then
+   coefficient, a proper prefix first. *)
+let rec compare_from a b i =
+  let na = Array.length a.vars and nb = Array.length b.vars in
+  if i = na then if i = nb then 0 else -1
+  else if i = nb then 1
+  else
+    let c = String.compare a.vars.(i) b.vars.(i) in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.coeffs.(i) b.coeffs.(i) in
+      if c <> 0 then c else compare_from a b (i + 1)
 
 let compare a b =
-  let c = compare a.const b.const in
-  if c <> 0 then c else Smap.compare Stdlib.compare a.coeffs b.coeffs
+  let c = Int.compare a.const b.const in
+  if c <> 0 then c else compare_from a b 0
 
 let subst e v by =
-  match Smap.find_opt v e.coeffs with
-  | None -> e
-  | Some k -> add { e with coeffs = Smap.remove v e.coeffs } (scale k by)
+  match coeff e v with
+  | 0 -> e
+  | k ->
+      add (make (List.filter (fun (w, _) -> not (String.equal w v)) (terms e)) e.const) (scale k by)
 
 let eval e env =
-  Smap.fold (fun v k acc -> acc + (k * env v)) e.coeffs e.const
+  let acc = ref e.const in
+  for i = 0 to Array.length e.vars - 1 do
+    acc := !acc + (e.coeffs.(i) * env e.vars.(i))
+  done;
+  !acc
 
-let diff_const a b =
-  let d = sub a b in
-  to_const d
+let diff_const a b = if same_terms a b then Some (a.const - b.const) else None
 
 let pp ppf a =
   let ts = terms a in

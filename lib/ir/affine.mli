@@ -5,7 +5,8 @@
     loop nests in which the loop bounds and array references are affine
     functions of the enclosing loop indices").  An affine expression is
     a sum [c + Σ k_v · v] kept in a canonical form: terms sorted by
-    variable name, no zero coefficients. *)
+    variable name, no zero coefficients.  Equal expressions are
+    structurally equal, so polymorphic [=] agrees with {!equal}. *)
 
 type t
 
@@ -29,7 +30,13 @@ val coeff : t -> string -> int
 val to_const : t -> int option
 val vars : t -> string list
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** The constant first, then the terms in variable order, each by
+    variable ([String.compare]) then coefficient; of two expressions
+    whose terms agree up to the shorter one's end, the shorter comes
+    first.  [equal], [compare] and {!diff_const} allocate nothing
+    beyond [diff_const]'s result. *)
 
 val subst : t -> string -> t -> t
 (** [subst e v by] replaces every occurrence of [v] with the affine
@@ -42,7 +49,7 @@ val eval : t -> (string -> int) -> int
 val diff_const : t -> t -> int option
 (** [diff_const a b] is [Some d] when [a - b] is the constant [d] —
     the dependence test and the memory-adjacency test both reduce to
-    this question. *)
+    this question.  That is exactly when the two have the same terms. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

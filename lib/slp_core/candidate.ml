@@ -2,6 +2,8 @@ type t = {
   cid : int;
   u1 : int;
   u2 : int;
+  i1 : int;
+  i2 : int;
   packs : Pack.t list;
   adjacency : int;
   scattered_store : bool;
@@ -24,14 +26,17 @@ let merged_packs (a : Units.t) (b : Units.t) =
   |> List.filter (fun p -> not (Pack.all_constant p))
 
 let find ~env ~config ~units ~deps =
-  let sorted = List.sort (fun (a : Units.t) b -> compare a.Units.uid b.Units.uid) units in
+  let sorted =
+    List.sort (fun (a : Units.t) b -> compare a.Units.uid b.Units.uid) units
+    |> List.map (fun (u : Units.t) -> (u, Units.Deps.index_of deps u.Units.uid))
+  in
   let next = ref 0 in
   let rec pairs acc = function
     | [] -> List.rev acc
-    | (u : Units.t) :: rest ->
+    | ((u : Units.t), iu) :: rest ->
         let acc =
           List.fold_left
-            (fun acc (v : Units.t) ->
+            (fun acc ((v : Units.t), iv) ->
               if
                 Units.isomorphic u v
                 && Units.width_bits u + Units.width_bits v
@@ -46,6 +51,8 @@ let find ~env ~config ~units ~deps =
                   cid;
                   u1 = u.Units.uid;
                   u2 = v.Units.uid;
+                  i1 = iu;
+                  i2 = iv;
                   packs;
                   adjacency;
                   scattered_store = u.Units.mem_dest && adjacency < 1_000_000;
@@ -63,18 +70,17 @@ let units_of c = (c.u1, c.u2)
 
 let shares_unit a b = a.u1 = b.u1 || a.u1 = b.u2 || a.u2 = b.u1 || a.u2 = b.u2
 
+(* Some unit of the pair [x1, x2] depends directly on some unit of the
+   pair [y1, y2], by dense unit index. *)
+let depends_on deps x1 x2 y1 y2 =
+  Units.Deps.depends_at deps x1 y1
+  || Units.Deps.depends_at deps x1 y2
+  || Units.Deps.depends_at deps x2 y1
+  || Units.Deps.depends_at deps x2 y2
+
 let conflicts ~deps a b =
   shares_unit a b
-  ||
-  let dep_group x1 x2 y1 y2 =
-    (* some unit of the first group depends directly on some unit of
-       the second *)
-    Units.Deps.depends deps x1 y1
-    || Units.Deps.depends deps x1 y2
-    || Units.Deps.depends deps x2 y1
-    || Units.Deps.depends deps x2 y2
-  in
-  dep_group a.u1 a.u2 b.u1 b.u2 && dep_group b.u1 b.u2 a.u1 a.u2
+  || (depends_on deps a.i1 a.i2 b.i1 b.i2 && depends_on deps b.i1 b.i2 a.i1 a.i2)
 
 let pp ppf c =
   Format.fprintf ppf "C%d{u%d,u%d}" c.cid c.u1 c.u2;

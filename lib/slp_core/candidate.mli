@@ -13,6 +13,8 @@ type t = {
   cid : int;  (** Dense candidate index, assigned in discovery order. *)
   u1 : int;  (** Smaller unit uid. *)
   u2 : int;  (** Larger unit uid. *)
+  i1 : int;  (** [u1]'s dense index in the round's {!Units.Deps.unit_graph}. *)
+  i2 : int;  (** [u2]'s dense index. *)
   packs : Pack.t list;
       (** Merged variable packs, one per operand position (lhs first),
           all-constant packs omitted; duplicates kept (a pack used at
@@ -42,6 +44,9 @@ val shares_unit : t -> t -> bool
 
 val conflicts : deps:Units.Deps.unit_graph -> t -> t -> bool
 (** Shared unit, or mutual direct dependence between the two merged
-    groups. *)
+    groups.  Reads at most eight bytes of [deps]' unit matrix through
+    the candidates' unit indices, so it is cheap enough to ask again
+    rather than memoise; [deps] must be the graph the candidates were
+    found over.  A candidate conflicts with itself. *)
 
 val pp : Format.formatter -> t -> unit

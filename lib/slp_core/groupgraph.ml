@@ -1,56 +1,53 @@
-module Graph = Slp_util.Graph
-
 type elimination = Max_degree | Arbitrary
 
-let pack_types_of packs = Pack.Set.of_list packs
-
-(* The auxiliary graph for [cand] after conflict elimination: VP nodes
-   matching [pack_types], excluding the candidate's own nodes and nodes
-   of conflicting candidates, with a maximal conflict-free subset
-   retained. *)
-let auxiliary_survivors ~vp ~conflict ~elimination ~pack_types ~cand =
-  let cid = cand.Candidate.cid in
-  let selected =
-    Packgraph.matching vp ~pack_types ~exclude_owner:cid ~compatible:(fun owner ->
-        not (conflict owner cid))
-  in
-  (* Build the auxiliary graph over the selected nodes with VP edges. *)
-  let ag = Graph.Undirected.create () in
-  List.iter
-    (fun (n : Packgraph.node) -> Graph.Undirected.add_node ag n.Packgraph.nid n)
-    selected;
-  List.iter
-    (fun (a, b) -> Graph.Undirected.add_edge ag a b)
-    (Packgraph.edges_among vp selected);
-  (* Greedy conflict elimination: drop nodes until edgeless. *)
-  let pick_victim () =
-    match elimination with
-    | Max_degree -> Graph.Undirected.max_degree_node ag
-    | Arbitrary ->
-        List.find_opt (fun id -> Graph.Undirected.degree ag id > 0) (Graph.Undirected.nodes ag)
-  in
-  let rec eliminate () =
-    if not (Graph.Undirected.is_edgeless ag) then begin
-      (match pick_victim () with
-      | Some id -> Graph.Undirected.remove_node ag id
-      | None -> ());
-      eliminate ()
+(* The victim's index in the selection, or -1 once no node has an
+   edge.  Nodes are numbered owner by owner in ascending cid order and
+   all nodes of an owner share its degree, so the node-level rules read
+   on owners: [Max_degree] takes the highest degree, ties to the lowest
+   cid; [Arbitrary] the lowest cid with an edge. *)
+let victim elimination (s : Packgraph.selection) =
+  let best = ref (-1) in
+  for k = 0 to s.size - 1 do
+    if s.mult.(k) > 0 && s.degree.(k) > 0 then begin
+      let b = !best in
+      if
+        b < 0
+        ||
+        match elimination with
+        | Max_degree ->
+            s.degree.(k) > s.degree.(b)
+            || (s.degree.(k) = s.degree.(b) && s.owners.(k) < s.owners.(b))
+        | Arbitrary -> s.owners.(k) < s.owners.(b)
+      then best := k
     end
-  in
-  eliminate ();
-  List.map (Graph.Undirected.label ag) (Graph.Undirected.nodes ag)
+  done;
+  !best
 
-let weight ~vp ~conflict ~elimination ~decided_packs ~cand =
-  let all_packs = decided_packs @ cand.Candidate.packs in
-  let pack_types = pack_types_of all_packs in
-  if Pack.Set.is_empty pack_types then 0.0
+(* Greedy conflict elimination: drop one node of the victim owner,
+   which takes one edge from each node of a conflicting owner, until
+   no edge is left. *)
+let rec eliminate ~vp elimination (s : Packgraph.selection) =
+  let v = victim elimination s in
+  if v >= 0 then begin
+    s.mult.(v) <- s.mult.(v) - 1;
+    for k = 0 to s.size - 1 do
+      if Packgraph.conflict vp s.owners.(v) s.owners.(k) then s.degree.(k) <- s.degree.(k) - 1
+    done;
+    eliminate ~vp elimination s
+  end
+
+let weight ~vp ~elimination ~cand =
+  let s = Packgraph.select vp ~cid:cand.Candidate.cid in
+  if s.types = 0 then 0.0
   else begin
-    let survivors = auxiliary_survivors ~vp ~conflict ~elimination ~pack_types ~cand in
+    eliminate ~vp elimination s;
     (* The reuse of type t is N_t - 1, where N_t counts t among the
-       survivors and among [all_packs].  Every survivor's pack and every
-       pack of [all_packs] is one of [pack_types], so the sum over the
-       types is a sum of lengths. *)
-    let types = Pack.Set.cardinal pack_types in
-    let total_reuse = List.length survivors + List.length all_packs - types in
-    float_of_int total_reuse /. float_of_int types
+       surviving nodes and among the packs of D ∪ {C}.  Every survivor's
+       pack and every pack of D ∪ {C} is one of the types, so the sum
+       over the types is a sum of counts. *)
+    let survivors = ref 0 in
+    for k = 0 to s.size - 1 do
+      survivors := !survivors + s.mult.(k)
+    done;
+    float_of_int (!survivors + s.packs - s.types) /. float_of_int s.types
   end

@@ -14,14 +14,13 @@ type elimination = Max_degree | Arbitrary
     is the paper's greedy rule; [Arbitrary] (insertion order) exists
     for the ablation bench. *)
 
-val weight :
-  vp:Packgraph.t ->
-  conflict:(int -> int -> bool) ->
-  elimination:elimination ->
-  decided_packs:Pack.t list ->
-  cand:Candidate.t ->
-  float
+val weight : vp:Packgraph.t -> elimination:elimination -> cand:Candidate.t -> float
 (** The candidate's estimated average superword reuse (the edge weight
-    of SG).  [decided_packs] lists, with multiplicity, the packs of all
-    groups decided so far — they count towards N_t, reflecting reuse
-    against already-made decisions. *)
+    of SG), from its auxiliary graph on the owner quotient
+    ({!Packgraph.select}).  Pack types and [N_t] count, with
+    multiplicity, the packs of every group decided so far
+    ({!Packgraph.remove_decided}), reflecting reuse against
+    already-made decisions.  The result is the float the node-level
+    graph gives: an owner's nodes share one degree and nids run owner
+    by owner in cid order, so eliminating on owners removes the same
+    number of nodes of each owner. *)

@@ -65,49 +65,15 @@ let round ~options ~tick ~obs ~env ~config ~block ~dep_pairs units =
   in
   if candidates = [] then (units, 0)
   else begin
-    let cand_tbl = Hashtbl.create 64 in
-    List.iter (fun (c : Candidate.t) -> Hashtbl.replace cand_tbl c.Candidate.cid c) candidates;
-    (* Memoised symmetric conflict relation on candidate ids. *)
-    let conflict_memo = Hashtbl.create 256 in
-    let conflict a b =
-      if a = b then false
-      else begin
-        let key = if a < b then (a, b) else (b, a) in
-        match Hashtbl.find_opt conflict_memo key with
-        | Some v -> v
-        | None ->
-            let v =
-              match (Hashtbl.find_opt cand_tbl a, Hashtbl.find_opt cand_tbl b) with
-              | Some ca, Some cb -> Candidate.conflicts ~deps ca cb
-              | _ -> false
-            in
-            Hashtbl.replace conflict_memo key v;
-            v
-      end
-    in
-    let vp = Packgraph.build ~candidates ~conflict in
-    let alive = Hashtbl.copy cand_tbl in
+    let vp = Packgraph.build ~deps ~candidates in
+    let cands = Array.of_list candidates in
     let decided_pairs = ref [] in
-    let decided_packs = ref [] in
     let decisions = ref 0 in
-    let weight_of =
-      let static = Hashtbl.create 64 in
-      if not options.recompute_weights then
-        List.iter
-          (fun (c : Candidate.t) ->
-            Hashtbl.replace static c.Candidate.cid
-              (Groupgraph.weight ~vp ~conflict ~elimination:options.elimination
-                 ~decided_packs:[] ~cand:c))
-          candidates;
-      fun (c : Candidate.t) ->
-        let base =
-          if options.recompute_weights then
-            Groupgraph.weight ~vp ~conflict ~elimination:options.elimination
-              ~decided_packs:!decided_packs ~cand:c
-          else Hashtbl.find static c.Candidate.cid
-        in
-        if c.Candidate.scattered_store then base -. options.scatter_penalty
-        else base
+    let weigh c = Groupgraph.weight ~vp ~elimination:options.elimination ~cand:c in
+    let static = if options.recompute_weights then [||] else Array.map weigh cands in
+    let weight_of k (c : Candidate.t) =
+      let base = if options.recompute_weights then weigh c else static.(k) in
+      if c.Candidate.scattered_store then base -. options.scatter_penalty else base
     in
     let best_alive () =
       (* Highest weight; ties prefer memory-adjacent packs, then the
@@ -119,15 +85,18 @@ let round ~options ~tick ~obs ~env ~config ~block ~dep_pairs units =
            && bc.Candidate.adjacency = c.Candidate.adjacency
            && bc.Candidate.cid < c.Candidate.cid)
       in
-      Hashtbl.fold
-        (fun _ (c : Candidate.t) best ->
-          let w = weight_of c in
-          match best with
-          | Some (bw, bc) when better (bw, bc) w c -> best
-          | _ -> Some (w, c))
-        alive None
+      let best = ref None in
+      Array.iteri
+        (fun k (c : Candidate.t) ->
+          if Packgraph.alive vp c.Candidate.cid then begin
+            let w = weight_of k c in
+            match !best with
+            | Some (bw, bc) when better (bw, bc) w c -> ()
+            | _ -> best := Some (w, c)
+          end)
+        cands;
+      !best
     in
-    let drop (c : Candidate.t) = Hashtbl.remove alive c.Candidate.cid in
     let rec decide () =
       tick ();
       match best_alive () with
@@ -144,7 +113,6 @@ let round ~options ~tick ~obs ~env ~config ~block ~dep_pairs units =
               (Printf.sprintf
                  "merging units %d and %d would create a dependence cycle"
                  c.Candidate.u1 c.Candidate.u2);
-            drop c;
             Packgraph.remove_owner vp c.Candidate.cid;
             decide ()
           end
@@ -153,36 +121,30 @@ let round ~options ~tick ~obs ~env ~config ~block ~dep_pairs units =
               (Printf.sprintf "merged units %d and %d (weight %.2f)"
                  c.Candidate.u1 c.Candidate.u2 w);
             decided_pairs := pair :: !decided_pairs;
-            decided_packs := !decided_packs @ c.Candidate.packs;
             incr decisions;
+            if Obs.remarks_on obs then begin
+              (* The decision removes every live candidate conflicting
+                 with it; those not sharing one of its units are
+                 reported. *)
+              let distinct =
+                Array.fold_left
+                  (fun n (o : Candidate.t) ->
+                    if
+                      Packgraph.alive vp o.Candidate.cid
+                      && (not (Candidate.shares_unit c o))
+                      && Candidate.conflicts ~deps c o
+                    then n + 1
+                    else n)
+                  0 cands
+              in
+              if distinct > 0 then
+                remark "GRP-REJECT-CONFLICT" ~stmts:(pair_stmts ())
+                  (Printf.sprintf
+                     "dropped %d candidate(s) conflicting with the \
+                      committed merge"
+                     distinct)
+            end;
             Packgraph.remove_decided vp c.Candidate.cid;
-            (* Remove the decided candidate, every candidate sharing one
-               of its units, and every conflicting candidate. *)
-            let doomed =
-              Hashtbl.fold
-                (fun _ (o : Candidate.t) acc ->
-                  if
-                    Candidate.shares_unit c o
-                    || conflict c.Candidate.cid o.Candidate.cid
-                  then o :: acc
-                  else acc)
-                alive []
-            in
-            (match doomed with
-            | [] -> ()
-            | _ :: _ ->
-                let distinct =
-                  List.filter
-                    (fun (o : Candidate.t) -> not (Candidate.shares_unit c o))
-                    doomed
-                in
-                if distinct <> [] then
-                  remark "GRP-REJECT-CONFLICT" ~stmts:(pair_stmts ())
-                    (Printf.sprintf
-                       "dropped %d candidate(s) conflicting with the \
-                        committed merge"
-                       (List.length distinct)));
-            List.iter drop doomed;
             decide ()
           end
     in

@@ -7,46 +7,70 @@
     different candidates) — the number of such nodes that can coexist
     is exactly the reuse count of that superword.
 
-    The edges are not stored: two nodes are adjacent iff their owners
-    conflict, and [conflict] is asked only when an edge is needed.
-    [build] indexes the nodes by pack, so {!matching} visits only the
-    nodes that carry a requested pack, not the whole graph. *)
-
-type node = { nid : int; pack : Pack.t; owner : int  (** cid *) }
+    Neither nodes nor edges are stored.  [build] gives each distinct
+    pack a dense id and keeps, over dense candidate ids (cids), each
+    owner's pack ids, the owners carrying each pack id, the live owners
+    and the decided pack ids.  Two nodes are adjacent iff their owners
+    conflict ({!Candidate.conflicts}, asked again rather than stored),
+    and nodes leave the graph a whole owner at a time.  So the nodes of
+    one owner are never adjacent and all have the same neighbours:
+    {!select} hands out the auxiliary graph of a candidate on this
+    owner quotient. *)
 
 type t
 
-val build :
-  candidates:Candidate.t list -> conflict:(int -> int -> bool) -> t
-(** [conflict] is consulted on candidate-id pairs (symmetric); the
-    graph keeps it and asks it lazily, so it should be memoised. *)
-
-val nodes : t -> node list
-(** Live nodes, in increasing [nid] order. *)
+val build : deps:Units.Deps.unit_graph -> candidates:Candidate.t list -> t
+(** Every candidate starts live; [deps] must be the graph the
+    candidates were found over.  A node's id is its rank among all the
+    candidates' packs in ascending cid order, pack by pack (the order
+    {!Candidate.find} lists them in). *)
 
 val node_count : t -> int
+(** Live nodes: the packs of the live owners, with multiplicity. *)
 
 val alive : t -> int -> bool
-(** The candidate still has nodes in the graph. *)
+(** The candidate has not been removed. *)
 
-val matching :
-  t -> pack_types:Pack.Set.t -> exclude_owner:int -> compatible:(int -> bool) -> node list
-(** Live nodes whose pack belongs to [pack_types], not owned by
-    [exclude_owner], and whose owner satisfies [compatible], in
-    increasing [nid] order — the raw material of an auxiliary graph. *)
+val conflict : t -> int -> int -> bool
+(** {!Candidate.conflicts} by cid; false for a cid with itself. *)
 
-val edges_among : t -> node list -> (int * int) list
-(** VP edges restricted to the given nodes, as nid pairs. *)
+(** The auxiliary graph of one candidate [c] on the owner quotient: the
+    live owners other than [c] that do not conflict with it and carry
+    at least one pack type of [D ∪ {c}], where [D] is the packs decided
+    so far.  The arrays are scratch space of the graph, valid until the
+    next {!select}; only their first [size] entries mean anything, and
+    the caller may update [mult] and [degree] in place, as elimination
+    does. *)
+type selection = private {
+  mutable size : int;
+  owners : int array;  (** The selected owners' cids, in no set order. *)
+  mult : int array;
+      (** [mult.(k)]: the nodes of [owners.(k)] in the auxiliary graph,
+          one per pack of the owner whose type is in [D ∪ {c}]. *)
+  degree : int array;
+      (** [degree.(k)]: the degree shared by every node of [owners.(k)],
+          the sum of [mult] over the selected owners it conflicts
+          with. *)
+  mutable types : int;  (** Distinct pack types of [D ∪ {c}]. *)
+  mutable packs : int;  (** Packs of [D ∪ {c}], with multiplicity. *)
+}
+
+val select : t -> cid:int -> selection
+(** The work is the live carriers of the pack types, then [size²]
+    conflict questions for the degrees; dead owners met on the way are
+    swept out for good. *)
 
 val remove_decided : t -> int -> unit
-(** Delete the nodes of a decided candidate and every node connected
-    to them (paper step 4's VP update). *)
+(** Record the candidate's packs as decided (they join [D] for every
+    later {!select}), then, if it is live, delete it and every owner
+    conflicting with it (paper step 4's VP update). *)
 
 val remove_owner : t -> int -> unit
-(** Delete only the given candidate's own nodes — used when a
-    candidate is discarded (not decided), so that other candidates'
-    reuse information survives. *)
+(** Delete only the given candidate — used when a candidate is
+    discarded (not decided), so that other candidates' reuse
+    information survives. *)
 
 val pp : Format.formatter -> t -> unit
-(** Prints the node and edge counts, then the live nodes.  Counting the
-    edges asks [conflict] of every pair of live owners. *)
+(** Prints the node and edge counts, then the live nodes in id order.
+    Counting the edges asks {!conflict} of every pair of live
+    owners. *)

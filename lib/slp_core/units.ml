@@ -60,10 +60,13 @@ let pp ppf u =
 module Deps = struct
   (* The uid-level dependence DAG over dense indices, numbered in
      ascending uid order: [succs.(i)] holds the successors' indices,
-     ascending and without repeats. *)
+     ascending and without repeats, and [direct] is the same relation
+     as an [n * n] byte matrix (byte [i * n + j] is 1 when [j] is in
+     [succs.(i)]).  [n] is at most the block's statement count. *)
   type unit_graph = {
     index : (int, int) Hashtbl.t;  (** uid -> index *)
     succs : int array array;
+    direct : Bytes.t;
   }
 
   let build ~dep_pairs units =
@@ -77,23 +80,29 @@ module Deps = struct
         let i = Hashtbl.find index u.uid in
         List.iter (fun sid -> Hashtbl.replace owner sid i) u.members)
       units;
-    let out = Array.make (Hashtbl.length index) [] in
+    let n = Hashtbl.length index in
+    let out = Array.make n [] in
     List.iter
       (fun (p, q) ->
         match (Hashtbl.find_opt owner p, Hashtbl.find_opt owner q) with
         | Some ip, Some iq when ip <> iq -> out.(ip) <- iq :: out.(ip)
         | _ -> ())
       dep_pairs;
-    { index; succs = Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) out }
+    let succs = Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) out in
+    let direct = Bytes.make (n * n) '\000' in
+    Array.iteri (fun i js -> Array.iter (fun j -> Bytes.set direct ((i * n) + j) '\001') js) succs;
+    { index; succs; direct }
 
   let index_of t uid =
     match Hashtbl.find_opt t.index uid with
     | Some i -> i
     | None -> invalid_arg (Printf.sprintf "Units.Deps: unknown unit %d" uid)
 
+  let depends_at t i j = Bytes.get t.direct ((i * Array.length t.succs) + j) <> '\000'
+
   let depends t u v =
     match (Hashtbl.find_opt t.index u, Hashtbl.find_opt t.index v) with
-    | Some iu, Some iv -> Array.mem iv t.succs.(iu)
+    | Some iu, Some iv -> depends_at t iu iv
     | _ -> false
 
   let reachable t iu iv =

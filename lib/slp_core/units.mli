@@ -49,8 +49,16 @@ module Deps : sig
       the holistic schemes, syntactic [Block.dep_pairs] for the
       baselines). *)
 
+  val index_of : unit_graph -> int -> int
+  (** A unit's dense index, [0 .. n-1] in ascending uid order.  Raises
+      [Invalid_argument] on a uid that is not a node of the graph. *)
+
   val depends : unit_graph -> int -> int -> bool
   (** Direct dependence between units by uid. *)
+
+  val depends_at : unit_graph -> int -> int -> bool
+  (** [depends] by dense index: one byte of an [n * n] matrix, where
+      [n], the unit count, is at most the block's statement count. *)
 
   val mergeable : unit_graph -> int -> int -> bool
   (** True when no dependence path connects the two units in either

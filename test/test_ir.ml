@@ -61,6 +61,164 @@ let prop_affine_subst_eval =
       let env v = if String.equal v "i" then Affine.eval by (fun _ -> 7) else 7 in
       Affine.eval (Affine.subst e "i" by) (fun _ -> 7) = Affine.eval e env)
 
+(* The canonical form against a list model: a sorted, zero-free
+   (variable, coefficient) list and the constant.  Expressions are
+   built from random [make] / [add] / [sub] / [scale] / [subst] trees
+   over variables that collide and prefix one another. *)
+module Affine_model = struct
+  type t = (string * int) list * int
+
+  let norm terms =
+    List.fold_left
+      (fun acc (v, k) ->
+        let k' = k + Option.value (List.assoc_opt v acc) ~default:0 in
+        (v, k') :: List.remove_assoc v acc)
+      [] terms
+    |> List.filter (fun (_, k) -> k <> 0)
+    |> List.sort (fun (v, _) (w, _) -> String.compare v w)
+
+  let make terms c : t = (norm terms, c)
+  let add ((ta, ca) : t) ((tb, cb) : t) : t = (norm (ta @ tb), ca + cb)
+  let scale k ((t, c) : t) : t = if k = 0 then ([], 0) else (norm (List.map (fun (v, x) -> (v, k * x)) t), k * c)
+  let sub a b = add a (scale (-1) b)
+
+  let subst ((t, c) as e : t) v by =
+    match List.assoc_opt v t with
+    | None -> e
+    | Some k -> add (List.remove_assoc v t, c) (scale k by)
+
+  (* The constant first, then term by term (variable, then
+     coefficient), a proper prefix first. *)
+  let compare ((ta, ca) : t) ((tb, cb) : t) =
+    let c = Int.compare ca cb in
+    if c <> 0 then c
+    else
+      List.compare
+        (fun (v, k) (w, j) ->
+          let c = String.compare v w in
+          if c <> 0 then c else Int.compare k j)
+        ta tb
+end
+
+type affine_tree =
+  | Make of (string * int) list * int
+  | Add of affine_tree * affine_tree
+  | Sub of affine_tree * affine_tree
+  | Scale of int * affine_tree
+  | Subst of affine_tree * string * affine_tree
+
+let rec show_tree = function
+  | Make (ts, c) ->
+      Printf.sprintf "make [%s] %d"
+        (String.concat "; " (List.map (fun (v, k) -> Printf.sprintf "%s,%d" v k) ts))
+        c
+  | Add (a, b) -> Printf.sprintf "add (%s) (%s)" (show_tree a) (show_tree b)
+  | Sub (a, b) -> Printf.sprintf "sub (%s) (%s)" (show_tree a) (show_tree b)
+  | Scale (k, a) -> Printf.sprintf "scale %d (%s)" k (show_tree a)
+  | Subst (e, v, by) -> Printf.sprintf "subst (%s) %s (%s)" (show_tree e) v (show_tree by)
+
+let rec build_affine = function
+  | Make (ts, c) -> Affine.make ts c
+  | Add (a, b) -> Affine.add (build_affine a) (build_affine b)
+  | Sub (a, b) -> Affine.sub (build_affine a) (build_affine b)
+  | Scale (k, a) -> Affine.scale k (build_affine a)
+  | Subst (e, v, by) -> Affine.subst (build_affine e) v (build_affine by)
+
+let rec build_model = function
+  | Make (ts, c) -> Affine_model.make ts c
+  | Add (a, b) -> Affine_model.add (build_model a) (build_model b)
+  | Sub (a, b) -> Affine_model.sub (build_model a) (build_model b)
+  | Scale (k, a) -> Affine_model.scale k (build_model a)
+  | Subst (e, v, by) -> Affine_model.subst (build_model e) v (build_model by)
+
+let gen_tree =
+  let open QCheck.Gen in
+  let var = oneofl [ "i"; "ii"; "i2"; "j"; "k" ] in
+  let leaf =
+    map2 (fun ts c -> Make (ts, c)) (list_size (int_bound 4) (pair var (int_range (-3) 3))) (int_range (-4) 4)
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (2, map2 (fun a b -> Add (a, b)) (self (n / 2)) (self (n / 2)));
+               (2, map2 (fun a b -> Sub (a, b)) (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun k a -> Scale (k, a)) (int_range (-3) 3) (self (n - 1)));
+               (1, map3 (fun e v by -> Subst (e, v, by)) (self (n / 2)) var (self (n / 2)));
+             ])
+
+let arb_tree_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Printf.sprintf "a = %s\nb = %s" (show_tree a) (show_tree b))
+    QCheck.Gen.(pair gen_tree gen_tree)
+
+let rec canonical = function
+  | (v, k) :: ((w, _) :: _ as rest) -> k <> 0 && String.compare v w < 0 && canonical rest
+  | [ (_, k) ] -> k <> 0
+  | [] -> true
+
+let prop_affine_vs_model =
+  QCheck.Test.make ~name:"order and normal form vs a list model" ~count:1000 arb_tree_pair
+    (fun (ta, tb) ->
+      let a = build_affine ta and b = build_affine tb in
+      let ma = build_model ta and mb = build_model tb in
+      let sign x = Int.compare x 0 in
+      let c = Affine.compare a b in
+      Affine.terms a = fst ma
+      && Affine.const_part a = snd ma
+      && canonical (Affine.terms a)
+      && canonical (Affine.terms b)
+      && sign c = sign (Affine_model.compare ma mb)
+      && sign (Affine.compare b a) = - sign c
+      && Affine.equal a b = (c = 0)
+      && (a = b) = Affine.equal a b
+      && Affine.diff_const a b = Affine.to_const (Affine.sub a b))
+
+(* Every operand of the prepared suite programs (unrolled for 512
+   bits), sorted with [Operand.compare], in the order the model gives:
+   constants, scalars, then array elements by name and subscripts. *)
+let test_operand_order_suite () =
+  let model_affine a = (Affine.terms a, Affine.const_part a) in
+  let model_compare a b =
+    match (a, b) with
+    | Operand.Const x, Operand.Const y -> Float.compare x y
+    | Operand.Const _, _ -> -1
+    | _, Operand.Const _ -> 1
+    | Operand.Scalar x, Operand.Scalar y -> String.compare x y
+    | Operand.Scalar _, _ -> -1
+    | _, Operand.Scalar _ -> 1
+    | Operand.Elem (x, ix), Operand.Elem (y, iy) ->
+        let c = String.compare x y in
+        if c <> 0 then c
+        else
+          List.compare (fun a b -> Affine_model.compare (model_affine a) (model_affine b)) ix iy
+  in
+  let operands =
+    List.concat_map
+      (fun (k : Slp_benchmarks.Suite.t) ->
+        let prog =
+          Slp_benchmarks.Suite.program k
+          |> Slp_transform.Simplify.fold_program
+          |> Slp_transform.Unroll.program ~factor:(k.Slp_benchmarks.Suite.unroll * 4)
+        in
+        List.concat_map
+          (fun (b : Block.t) -> List.concat_map Stmt.positions b.Block.stmts)
+          (Program.blocks prog))
+      Slp_benchmarks.Suite.all
+  in
+  let by_library = List.stable_sort Operand.compare operands in
+  let by_model = List.stable_sort model_compare operands in
+  Alcotest.(check bool) "many operands" true (List.length operands > 1000);
+  List.iter2
+    (fun a b ->
+      if not (Operand.equal a b) then
+        Alcotest.failf "order differs: %s (Operand.compare) vs %s (model)" (Operand.to_string a)
+          (Operand.to_string b))
+    by_library by_model
+
 (* -- operand ------------------------------------------------------------- *)
 
 let elem base offsets = Operand.Elem (base, [ Affine.make [ ("i", 1) ] offsets ])
@@ -314,11 +472,13 @@ let () =
           Alcotest.test_case "diff const" `Quick test_affine_diff_const;
           qtest prop_affine_eval_hom;
           qtest prop_affine_subst_eval;
+          qtest prop_affine_vs_model;
         ] );
       ( "operand",
         [
           Alcotest.test_case "aliasing" `Quick test_operand_alias;
           Alcotest.test_case "adjacency" `Quick test_operand_adjacent;
+          Alcotest.test_case "suite operands sort as the model" `Quick test_operand_order_suite;
         ] );
       ( "expr",
         [

@@ -71,19 +71,11 @@ let test_fig2_candidates () =
 
 let test_fig2_weight () =
   let _, _, _, deps, cands = fig2_candidates () in
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (c : Candidate.t) -> Hashtbl.replace tbl c.Candidate.cid c) cands;
-  let conflict a b =
-    a <> b && Candidate.conflicts ~deps (Hashtbl.find tbl a) (Hashtbl.find tbl b)
-  in
-  let vp = Packgraph.build ~candidates:cands ~conflict in
+  let vp = Packgraph.build ~deps ~candidates:cands in
   let c45 =
     List.find (fun (c : Candidate.t) -> Candidate.units_of c = (4, 5)) cands
   in
-  let w =
-    Groupgraph.weight ~vp ~conflict ~elimination:Groupgraph.Max_degree
-      ~decided_packs:[] ~cand:c45
-  in
+  let w = Groupgraph.weight ~vp ~elimination:Groupgraph.Max_degree ~cand:c45 in
   Alcotest.(check (float 1e-9)) "the paper's 2/3" (2.0 /. 3.0) w
 
 let test_fig2_conflicts () =
@@ -101,12 +93,7 @@ let test_fig2_conflicts () =
 
 let test_packgraph_updates () =
   let _, _, _, deps, cands = fig2_candidates () in
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (c : Candidate.t) -> Hashtbl.replace tbl c.Candidate.cid c) cands;
-  let conflict a b =
-    a <> b && Candidate.conflicts ~deps (Hashtbl.find tbl a) (Hashtbl.find tbl b)
-  in
-  let vp = Packgraph.build ~candidates:cands ~conflict in
+  let vp = Packgraph.build ~deps ~candidates:cands in
   let n0 = Packgraph.node_count vp in
   Alcotest.(check bool) "has nodes" true (n0 > 0);
   let c12 = List.find (fun (c : Candidate.t) -> Candidate.units_of c = (1, 2)) cands in
@@ -118,8 +105,151 @@ let test_packgraph_updates () =
   Alcotest.(check bool) "independent candidate survives" true
     (Packgraph.alive vp c45.Candidate.cid)
 
-(* The first-round VP graph of every block of a suite kernel at 512
-   bits, prepared and dependence-analysed as the Global scheme does. *)
+(* A test-local weight on the paper's node-level auxiliary graph, built
+   directly: one node per pack of every candidate (nids in candidate
+   order, pack by pack), a full scan
+   for the live nodes matching the pack types of D ∪ {C}, node-pair
+   edges from [conflict], and greedy elimination through
+   [Graph.Undirected]: the highest degree, ties to the lowest nid
+   ([Max_degree]), or the lowest nid with an edge ([Arbitrary]). *)
+module Ref_weight = struct
+  module G = Slp_util.Graph.Undirected
+
+  let nodes cands =
+    let next = ref 0 in
+    List.concat_map
+      (fun (c : Candidate.t) ->
+        List.map
+          (fun p ->
+            let nid = !next in
+            incr next;
+            (nid, p, c.Candidate.cid))
+          c.Candidate.packs)
+      cands
+
+  let weight ~nodes ~alive ~conflict ~elimination ~decided (cand : Candidate.t) =
+    let cid = cand.Candidate.cid in
+    let all_packs = decided @ cand.Candidate.packs in
+    let types = Pack.Set.of_list all_packs in
+    if Pack.Set.is_empty types then 0.0
+    else begin
+      let selected =
+        List.filter
+          (fun (_, p, o) -> o <> cid && alive o && Pack.Set.mem p types && not (conflict o cid))
+          nodes
+      in
+      let g = G.create () in
+      List.iter (fun (nid, _, _) -> G.add_node g nid ()) selected;
+      List.iter
+        (fun (a, _, oa) ->
+          List.iter (fun (b, _, ob) -> if a < b && conflict oa ob then G.add_edge g a b) selected)
+        selected;
+      let rec eliminate () =
+        if not (G.is_edgeless g) then begin
+          (match elimination with
+          | Groupgraph.Max_degree -> G.max_degree_node g
+          | Groupgraph.Arbitrary -> List.find_opt (fun id -> G.degree g id > 0) (G.nodes g))
+          |> Option.iter (G.remove_node g);
+          eliminate ()
+        end
+      in
+      eliminate ();
+      let types = Pack.Set.cardinal types in
+      float_of_int (G.node_count g + List.length all_packs - types) /. float_of_int types
+    end
+end
+
+(* First-round candidates of a block, with a conflict relation that
+   does not go through the unit matrix: a shared unit, or direct
+   dependences both ways read off the statement pairs (a first-round
+   unit is one statement, its uid the statement id). *)
+let first_round ~env ~config ~dep_pairs (block : Block.t) =
+  let units = List.map (Units.of_stmt ~env) block.Block.stmts in
+  let deps = Units.Deps.build ~dep_pairs units in
+  let cands = Candidate.find ~env ~config ~units ~deps in
+  let pairs = Hashtbl.create 64 in
+  List.iter (fun pq -> Hashtbl.replace pairs pq ()) dep_pairs;
+  let by_cid = Hashtbl.create 64 in
+  List.iter (fun (c : Candidate.t) -> Hashtbl.replace by_cid c.Candidate.cid c) cands;
+  let dep x1 x2 y1 y2 =
+    List.exists
+      (fun (x, y) -> x <> y && Hashtbl.mem pairs (x, y))
+      [ (x1, y1); (x1, y2); (x2, y1); (x2, y2) ]
+  in
+  let conflict a b =
+    a <> b
+    &&
+    let (ca : Candidate.t) = Hashtbl.find by_cid a and (cb : Candidate.t) = Hashtbl.find by_cid b in
+    Candidate.shares_unit ca cb
+    || dep ca.Candidate.u1 ca.Candidate.u2 cb.Candidate.u1 cb.Candidate.u2
+       && dep cb.Candidate.u1 cb.Candidate.u2 ca.Candidate.u1 ca.Candidate.u2
+  in
+  (deps, cands, conflict)
+
+(* [Groupgraph.weight] on the owner quotient must give the node-level
+   reference's float, under both elimination rules, for every live
+   candidate: on the fresh graph and after each step of a walk that
+   decides every fifth live candidate and discards every seventh other
+   one.  Liveness after each step is checked too.  Returns the number
+   of weights compared. *)
+let quotient_agrees ~what (deps, cands, conflict) =
+  let vp = Packgraph.build ~deps ~candidates:cands in
+  let nodes = Ref_weight.nodes cands in
+  let live = Hashtbl.create 64 in
+  List.iter (fun (c : Candidate.t) -> Hashtbl.replace live c.Candidate.cid ()) cands;
+  let alive o = Hashtbl.mem live o in
+  let decided = ref [] and compared = ref 0 in
+  let agree what =
+    List.iter
+      (fun (c : Candidate.t) ->
+        if alive c.Candidate.cid then
+          List.iter
+            (fun (rule, elimination) ->
+              incr compared;
+              let expected =
+                Ref_weight.weight ~nodes ~alive ~conflict ~elimination ~decided:!decided c
+              in
+              let got = Groupgraph.weight ~vp ~elimination ~cand:c in
+              if not (Float.equal expected got) then
+                Alcotest.failf "%s C%d %s: node-level %h, quotient %h" what c.Candidate.cid rule
+                  expected got)
+            [ ("max-degree", Groupgraph.Max_degree); ("arbitrary", Groupgraph.Arbitrary) ])
+      cands
+  in
+  agree (what ^ " fresh");
+  List.iteri
+    (fun i (c : Candidate.t) ->
+      let cid = c.Candidate.cid in
+      if alive cid && (i mod 5 = 0 || i mod 7 = 3) then begin
+        if i mod 5 = 0 then begin
+          Packgraph.remove_decided vp cid;
+          decided := !decided @ c.Candidate.packs;
+          (* Paper step 4: every owner conflicting with the decided
+             candidate goes too. *)
+          List.iter
+            (fun (o : Candidate.t) ->
+              if o.Candidate.cid = cid || conflict cid o.Candidate.cid then
+                Hashtbl.remove live o.Candidate.cid)
+            cands
+        end
+        else begin
+          Packgraph.remove_owner vp cid;
+          Hashtbl.remove live cid
+        end;
+        let what = Printf.sprintf "%s after step %d" what i in
+        List.iter
+          (fun (o : Candidate.t) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: C%d live" what o.Candidate.cid)
+              (alive o.Candidate.cid) (Packgraph.alive vp o.Candidate.cid))
+          cands;
+        agree what
+      end)
+    cands;
+  !compared
+
+(* The first-round graph of every block of a suite kernel at 512 bits,
+   prepared and dependence-analysed as the Global scheme does. *)
 let first_round_graphs name =
   let kernel = Slp_benchmarks.Suite.find name in
   let factor = kernel.Slp_benchmarks.Suite.unroll * 512 / 128 in
@@ -132,100 +262,35 @@ let first_round_graphs name =
   let config = Config.make ~datapath_bits:512 () in
   List.map
     (fun (block, box) ->
-      let dep_pairs = Slp_depend.Depend.block_dep_pairs ~box block in
-      let units = List.map (Units.of_stmt ~env) block.Block.stmts in
-      let deps = Units.Deps.build ~dep_pairs units in
-      let cands = Candidate.find ~env ~config ~units ~deps in
-      let tbl = Hashtbl.create 64 in
-      List.iter (fun (c : Candidate.t) -> Hashtbl.replace tbl c.Candidate.cid c) cands;
-      let conflict a b =
-        a <> b && Candidate.conflicts ~deps (Hashtbl.find tbl a) (Hashtbl.find tbl b)
-      in
-      (cands, conflict, Packgraph.build ~candidates:cands ~conflict))
+      first_round ~env ~config ~dep_pairs:(Slp_depend.Depend.block_dep_pairs ~box block) block)
     (Slp_depend.Depend.blocks_with_box prog)
 
-(* The indexed [matching] must select exactly what a full scan of the
-   live nodes selects, for every candidate's pack-type set (joined with
-   the packs decided so far), before and after graph updates.  The
-   implied edges and the removals are checked against [conflict] too. *)
-let test_packgraph_matching_differential () =
-  let nids = List.map (fun (n : Packgraph.node) -> n.Packgraph.nid) in
-  let norm l = List.sort compare (List.map (fun (a, b) -> (min a b, max a b)) l) in
-  let agree ~what ~conflict ~decided vp cands =
-    let live = Packgraph.nodes vp in
-    List.iter
-      (fun (c : Candidate.t) ->
-        let cid = c.Candidate.cid in
-        let what = Printf.sprintf "%s C%d" what cid in
-        let pack_types = Pack.Set.of_list (decided @ c.Candidate.packs) in
-        let compatible owner = not (conflict owner cid) in
-        let full_scan =
-          List.filter
-            (fun (n : Packgraph.node) ->
-              n.Packgraph.owner <> cid
-              && Pack.Set.mem n.Packgraph.pack pack_types
-              && compatible n.Packgraph.owner)
-            live
-        in
-        let selected = Packgraph.matching vp ~pack_types ~exclude_owner:cid ~compatible in
-        Alcotest.(check (list int)) what (nids full_scan) (nids selected);
-        let all_pairs =
-          List.concat_map
-            (fun (a : Packgraph.node) ->
-              List.filter_map
-                (fun (b : Packgraph.node) ->
-                  if a.Packgraph.nid < b.Packgraph.nid && conflict a.Packgraph.owner b.Packgraph.owner
-                  then Some (a.Packgraph.nid, b.Packgraph.nid)
-                  else None)
-                selected)
-            selected
-        in
-        Alcotest.(check (list (pair int int)))
-          (what ^ " edges") (norm all_pairs)
-          (norm (Packgraph.edges_among vp selected)))
-      cands
-  in
+let test_quotient_weight () =
   let graphs = List.concat_map first_round_graphs [ "lbm"; "povray"; "ft" ] in
-  Alcotest.(check bool) "some graph has nodes" true
-    (List.exists (fun (_, _, vp) -> Packgraph.node_count vp > 0) graphs);
-  List.iter
-    (fun (cands, conflict, vp) ->
-      agree ~what:"fresh" ~conflict ~decided:[] vp cands;
-      (* Decide every fifth live candidate, discard every seventh other
-         one, and compare again after each update. *)
-      let decided = ref [] in
-      let owners () =
-        List.filter_map
-          (fun (o : Candidate.t) ->
-            if Packgraph.alive vp o.Candidate.cid then Some o.Candidate.cid else None)
-          cands
+  let compared = List.fold_left (fun n g -> n + quotient_agrees ~what:"suite" g) 0 graphs in
+  Alcotest.(check bool) "weights compared" true (compared > 0)
+
+(* The same on the first round of every block of generated kernels, at
+   128 bits (unroll 2) or 256 bits (unroll 4). *)
+let quotient_weight_generated =
+  QCheck.Test.make ~name:"quotient weight vs node-level weight, generated blocks" ~count:60
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, wide) ->
+      let bits, unroll = if wide then (256, 4) else (128, 2) in
+      let prog =
+        Slp_fuzz.Gen.program ~name:"qw" (Slp_util.Prng.create seed)
+        |> Slp_transform.Simplify.fold_program
+        |> Slp_transform.Unroll.program ~factor:unroll
       in
-      List.iteri
-        (fun i (c : Candidate.t) ->
-          let cid = c.Candidate.cid in
-          if Packgraph.alive vp cid && (i mod 5 = 0 || i mod 7 = 3) then begin
-            let before = List.filter (( <> ) cid) (owners ()) in
-            let expected =
-              if i mod 5 = 0 then begin
-                Packgraph.remove_decided vp cid;
-                decided := !decided @ c.Candidate.packs;
-                (* Paper step 4: every node connected to the decided
-                   candidate's nodes goes too. *)
-                List.filter (fun o -> not (conflict cid o)) before
-              end
-              else begin
-                Packgraph.remove_owner vp cid;
-                before
-              end
-            in
-            let step = Printf.sprintf "after step %d" i in
-            Alcotest.(check (list int)) (step ^ " live owners") expected (owners ());
-            (* Weights are only asked of candidates that are still alive. *)
-            agree ~what:step ~conflict ~decided:!decided vp
-              (List.filter (fun (o : Candidate.t) -> Packgraph.alive vp o.Candidate.cid) cands)
-          end)
-        cands)
-    graphs
+      let config = Config.make ~datapath_bits:bits () in
+      List.iter
+        (fun (site : Slp_core.Driver.site) ->
+          ignore
+            (quotient_agrees ~what:(Printf.sprintf "seed %d" seed)
+               (first_round ~env:prog.Program.env ~config ~dep_pairs:site.Slp_core.Driver.deps
+                  site.Slp_core.Driver.block)))
+        (Slp_core.Driver.sites ~precise:true prog);
+      true)
 
 (* -- units ------------------------------------------------------------------ *)
 
@@ -319,6 +384,119 @@ let test_grouping_dependence_safety () =
   in
   let r = Grouping.run ~dep_pairs:(Block.dep_pairs block) ~env ~config block in
   Alcotest.(check (list (list int))) "no groups" [] r.Grouping.groups
+
+(* Grouping memory stays linear in the candidates: a 256-statement
+   independent isomorphic block at 512 bits has 32,640 candidates, and a
+   structure over candidate pairs would cost a gigabyte.  Under a
+   1-step budget the round builds its candidates and VP graph, then
+   bails at its first decision. *)
+let test_grouping_memory_linear () =
+  let n = 256 in
+  let env = Env.create () in
+  Env.declare_array env "A" Types.F64 [ n ];
+  Env.declare_array env "B" Types.F64 [ n ];
+  let block =
+    Block.make ~label:"wide"
+      (List.init n (fun k ->
+           Stmt.make ~id:(k + 1)
+             ~lhs:(Operand.Elem ("B", [ Affine.const k ]))
+             ~rhs:Expr.Infix.(arr "A" [ Affine.const k ] * cst 2.0)))
+  in
+  let module E = Slp_util.Slp_error in
+  let fuel = E.Fuel.create ~pass:E.Grouping ~budget:1 () in
+  let before = Gc.allocated_bytes () in
+  (match
+     Grouping.run ~fuel ~dep_pairs:(Block.dep_pairs block) ~env
+       ~config:(Config.make ~datapath_bits:512 ())
+       block
+   with
+  | _ -> Alcotest.fail "grouping finished within one step"
+  | exception E.Error e ->
+      Alcotest.(check string) "bail code" "BAIL11-fuel" (E.code_name e.E.code));
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  if mb >= 512.0 then Alcotest.failf "grouping allocated %.0f MB (limit 512 MB)" mb
+
+(* Grouping pinned under every option set.  Plan digests pin only the
+   default options; these hashes also pin [Arbitrary] elimination,
+   static weights and the scattered-store retry.  The blocks are the
+   precise sites of every suite kernel at 128, 256 and 512 bits
+   (unroll scaled to the width) and of 300 generated kernels at 128
+   bits, unroll 2.  One hash covers each [Grouping.run] result, one
+   every [GRP-*] remark (they print the weights to two decimals).  Only
+   a change that means to change groupings may re-record them, giving
+   the old and new values. *)
+let pinned_groupings = "a1fe45d587bfe568"
+let pinned_grouping_remarks = "7c9e2d1782cbae3c"
+
+let pin_option_sets =
+  let d = Grouping.default_options in
+  List.concat_map
+    (fun elimination ->
+      List.map
+        (fun recompute_weights -> { d with Grouping.elimination; recompute_weights })
+        [ true; false ])
+    [ Groupgraph.Max_degree; Groupgraph.Arbitrary ]
+  @ [ { d with Grouping.exclude_scattered = true } ]
+
+let pin_sites () =
+  let prepared ~bits ~unroll prog =
+    let prog =
+      Slp_transform.Simplify.fold_program prog |> Slp_transform.Unroll.program ~factor:unroll
+    in
+    let config = Config.make ~datapath_bits:bits () in
+    List.map
+      (fun site -> (prog.Program.env, config, site))
+      (Slp_core.Driver.sites ~precise:true prog)
+  in
+  let suite =
+    List.concat_map
+      (fun bits ->
+        List.concat_map
+          (fun (k : Slp_benchmarks.Suite.t) ->
+            prepared ~bits
+              ~unroll:(max 1 (k.Slp_benchmarks.Suite.unroll * bits / 128))
+              (Slp_benchmarks.Suite.program k))
+          Slp_benchmarks.Suite.all)
+      [ 128; 256; 512 ]
+  in
+  let generated =
+    List.concat_map
+      (fun seed ->
+        prepared ~bits:128 ~unroll:2
+          (Slp_fuzz.Gen.program
+             ~name:(Printf.sprintf "grp%d" seed)
+             (Slp_util.Prng.create seed)))
+      (List.init 300 (fun i -> 5000 + i))
+  in
+  suite @ generated
+
+let test_groupings_pinned () =
+  let module Fnv = Slp_util.Fnv in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let h = ref (Fnv.hash64 "") and r = ref (Fnv.hash64 "") in
+  let sites = pin_sites () in
+  List.iter
+    (fun options ->
+      List.iter
+        (fun (env, config, (site : Slp_core.Driver.site)) ->
+          let obs = Slp_obs.Obs.create ~remarks:true () in
+          let g =
+            Grouping.run ~options ~obs ~dep_pairs:site.Slp_core.Driver.deps ~env ~config
+              site.Slp_core.Driver.block
+          in
+          h :=
+            Fnv.combine !h
+              (Printf.sprintf "%s|%d|%d|%s" (ints g.Grouping.singles) g.Grouping.rounds
+                 g.Grouping.decisions
+                 (String.concat ";" (List.map ints g.Grouping.groups)));
+          List.iter
+            (fun (rk : Slp_obs.Remark.t) ->
+              r := Fnv.combine !r (Format.asprintf "%a" Slp_obs.Remark.pp rk))
+            (Slp_obs.Obs.remarks obs))
+        sites)
+    pin_option_sets;
+  Alcotest.(check string) "groupings" pinned_groupings (Slp_util.Fnv.to_hex !h);
+  Alcotest.(check string) "GRP remarks" pinned_grouping_remarks (Slp_util.Fnv.to_hex !r)
 
 (* -- live set ------------------------------------------------------------------ *)
 
@@ -771,8 +949,9 @@ let () =
       ( "packgraph",
         [
           Alcotest.test_case "decided-node removal" `Quick test_packgraph_updates;
-          Alcotest.test_case "pack index vs full scan" `Quick
-            test_packgraph_matching_differential;
+          Alcotest.test_case "quotient weight vs node-level weight" `Quick
+            test_quotient_weight;
+          Seeded.to_alcotest quotient_weight_generated;
         ] );
       ( "units",
         [
@@ -786,6 +965,8 @@ let () =
           Alcotest.test_case "iterative four-wide" `Quick test_iterative_grouping_four_wide;
           Alcotest.test_case "datapath bound" `Quick test_grouping_respects_datapath;
           Alcotest.test_case "dependence safety" `Quick test_grouping_dependence_safety;
+          Alcotest.test_case "every option set pinned" `Slow test_groupings_pinned;
+          Alcotest.test_case "memory linear in candidates" `Quick test_grouping_memory_linear;
         ] );
       ( "live",
         [
