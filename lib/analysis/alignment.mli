@@ -2,10 +2,11 @@
 
     A vector load/store of [lanes] elements is cheap when the first
     element's address is a multiple of the vector width for *every*
-    iteration of the enclosing nest.  With a linearised access
-    [Σ c_j·i_j + r] that holds exactly when every [c_j] is divisible by
-    [lanes] and [r mod lanes = 0] (element-sized units; bases are
-    assumed vector-aligned). *)
+    iteration of the enclosing nest.  A reference's row-major address
+    is [Σ c_j·i_j + r] over the nest variables [i_j], each [c_j] summed
+    over all subscripts; the verdict is constant in every iteration
+    exactly when every [c_j] is divisible by [lanes] (element-sized
+    units; bases are assumed vector-aligned). *)
 
 open Slp_ir
 
@@ -16,11 +17,12 @@ type verdict =
           lanes) in every iteration. *)
   | Unknown  (** Alignment varies with the iteration vector. *)
 
-val of_access : lanes:int -> dims:int list -> Access.t -> verdict
-
 val of_operand :
   env:Env.t -> nest:string list -> lanes:int -> Operand.t -> verdict option
-(** [None] for non-memory operands or references outside [nest]. *)
+(** The verdict for an array reference whose subscripts name only
+    variables of [nest]; [None] for constants, scalars and references
+    outside [nest].  Fails with code [Internal] when the reference's
+    rank differs from its array's. *)
 
 val contiguous_pack :
   env:Env.t -> Operand.t list -> bool

@@ -210,54 +210,41 @@ let group ~dep_pairs ~env ~config (block : Block.t) =
   }
 
 let schedule ~config facts (grouping : Grouping.result) =
-  (* Dependence-respecting program order; lane order as committed. *)
-  let nodes = ref [] in
-  let next = ref 0 in
-  let add members =
-    let gid = !next in
-    incr next;
-    nodes := (gid, members) :: !nodes
-  in
-  List.iter add grouping.Grouping.groups;
-  List.iter (fun s -> add [ s ]) grouping.Grouping.singles;
-  let nodes = List.rev !nodes in
+  (* Dependence-respecting program order; lane order as committed.
+     Group nodes: one per SIMD group, then one per single; gid = index. *)
+  let singles = List.map (fun s -> [ s ]) grouping.Grouping.singles in
+  let members = Array.of_list (grouping.Grouping.groups @ singles) in
+  let n = Array.length members in
   let owner = Hashtbl.create 32 in
-  List.iter (fun (gid, ms) -> List.iter (fun m -> Hashtbl.replace owner m gid) ms) nodes;
-  let dg = Graph.Directed.create () in
-  List.iter (fun (gid, ms) -> Graph.Directed.add_node dg gid ms) nodes;
+  Array.iteri (fun gid ms -> List.iter (fun m -> Hashtbl.replace owner m gid) ms) members;
+  (* The group DAG, as successor lists and in-degrees. *)
+  let succs = Array.make n [] and indeg = Array.make n 0 in
   List.iter
     (fun (p, q) ->
       let gp = Hashtbl.find owner p and gq = Hashtbl.find owner q in
-      if gp <> gq && not (Graph.Directed.mem_edge dg gp gq) then
-        Graph.Directed.add_edge dg gp gq)
+      if gp <> gq && not (List.mem gq succs.(gp)) then begin
+        succs.(gp) <- gq :: succs.(gp);
+        indeg.(gq) <- indeg.(gq) + 1
+      end)
     (Schedule.Facts.deps facts);
-  if Graph.Directed.has_cycle dg then
-    E.fail ~pass:E.Scheduling E.Schedule_failed
-      "Larsen.schedule: packs are not schedulable";
+  if not (Graph.acyclic succs) then
+    E.fail ~pass:E.Scheduling E.Schedule_failed "Larsen.schedule: packs are not schedulable";
+  (* Emit the ready group whose smallest member id is smallest, ties
+     to the lower gid. *)
+  let first = Array.map (List.fold_left min max_int) members in
+  let emitted = Array.make n false in
   let items = ref [] in
-  let remaining = ref (List.length nodes) in
-  while !remaining > 0 do
-    let ready =
-      List.map (fun gid -> (gid, Graph.Directed.label dg gid)) (Graph.Directed.sources dg)
-    in
-    let best =
-      List.fold_left
-        (fun acc (gid, ms) ->
-          let first = List.fold_left min max_int ms in
-          match acc with
-          | Some (bf, _, _) when bf <= first -> acc
-          | _ -> Some (first, gid, ms))
-        None ready
-    in
-    match best with
-    | None -> E.fail ~pass:E.Scheduling E.Schedule_failed "Larsen.schedule: no ready group"
-    | Some (_, gid, ms) ->
-        items :=
-          (match ms with
-          | [ s ] -> Schedule.Single s
-          | _ -> Schedule.Superword ms)
-          :: !items;
-        Graph.Directed.remove_node dg gid;
-        decr remaining
+  for _ = 1 to n do
+    let best = ref (-1) in
+    for gid = 0 to n - 1 do
+      let ready = (not emitted.(gid)) && indeg.(gid) = 0 in
+      if ready && (!best < 0 || first.(gid) < first.(!best)) then best := gid
+    done;
+    let gid = !best in
+    emitted.(gid) <- true;
+    List.iter (fun s -> indeg.(s) <- indeg.(s) - 1) succs.(gid);
+    items :=
+      (match members.(gid) with [ s ] -> Schedule.Single s | ms -> Schedule.Superword ms)
+      :: !items
   done;
   Schedule.analyze ~config facts (List.rev !items)

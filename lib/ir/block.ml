@@ -1,5 +1,3 @@
-module Graph = Slp_util.Graph
-
 type t = { label : string; stmts : Stmt.t list }
 
 let make ?(label = "bb") stmts =
@@ -46,12 +44,6 @@ let dep_pairs b =
         go acc rest
   in
   go [] b.stmts
-
-let dep_graph b =
-  let g = Graph.Directed.create () in
-  List.iter (fun (s : Stmt.t) -> Graph.Directed.add_node g s.Stmt.id ()) b.stmts;
-  List.iter (fun (p, q) -> Graph.Directed.add_edge g p q) (dep_pairs b);
-  g
 
 let independent b p q =
   let ip = position b p and iq = position b q in

@@ -27,9 +27,6 @@ val depends : t -> int -> int -> bool
 val dep_pairs : t -> (int * int) list
 (** All dependent (earlier, later) id pairs. *)
 
-val dep_graph : t -> unit Slp_util.Graph.Directed.t
-(** Dependence DAG over statement ids. *)
-
 val independent : t -> int -> int -> bool
 (** Neither order carries a dependence — precondition for putting two
     statements in one superword statement (§4.1 constraint 1). *)

@@ -15,11 +15,11 @@
     replicate during planning, so the Global+Layout cost gate never
     counts on a replica that {!apply} then refuses.
 
-    This module implements the executable one-dimensional
-    innermost-loop case (with a preserved leading dimension for rank-2
-    sources); the general multi-dimensional mapping functions
-    (Equations 5-8) live in {!Transform} and are exercised
-    analytically. *)
+    This is the one §5.2 mapping the compiler implements: Equation 4
+    in the innermost loop, with a preserved leading dimension for
+    rank-2 sources.  The spatial transformation and the
+    multi-dimensional mappings (Equations 2-3 and 5-8) are not
+    implemented. *)
 
 type replica = {
   source : string;

@@ -62,11 +62,15 @@ module Deps = struct
      ascending uid order: [succs.(i)] holds the successors' indices,
      ascending and without repeats, and [direct] is the same relation
      as an [n * n] byte matrix (byte [i * n + j] is 1 when [j] is in
-     [succs.(i)]).  [n] is at most the block's statement count. *)
+     [succs.(i)]).  [reach.(i)] is empty until [mergeable] first asks
+     about unit [i]; then it is the [n]-byte row of the units [i]
+     reaches (itself included).  [n] is at most the block's statement
+     count. *)
   type unit_graph = {
     index : (int, int) Hashtbl.t;  (** uid -> index *)
     succs : int array array;
     direct : Bytes.t;
+    reach : Bytes.t array;
   }
 
   let build ~dep_pairs units =
@@ -91,7 +95,7 @@ module Deps = struct
     let succs = Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) out in
     let direct = Bytes.make (n * n) '\000' in
     Array.iteri (fun i js -> Array.iter (fun j -> Bytes.set direct ((i * n) + j) '\001') js) succs;
-    { index; succs; direct }
+    { index; succs; direct; reach = Array.make n Bytes.empty }
 
   let index_of t uid =
     match Hashtbl.find_opt t.index uid with
@@ -105,23 +109,28 @@ module Deps = struct
     | Some iu, Some iv -> depends_at t iu iv
     | _ -> false
 
-  let reachable t iu iv =
-    let visited = Array.make (Array.length t.succs) false in
-    let rec dfs x =
-      x = iv
-      || (not visited.(x))
-         && begin
-              visited.(x) <- true;
-              Array.exists dfs t.succs.(x)
-            end
-    in
-    dfs iu
+  let reach_row t i =
+    let row = t.reach.(i) in
+    if Bytes.length row > 0 then row
+    else begin
+      let row = Bytes.make (Array.length t.succs) '\000' in
+      let rec visit x =
+        if Bytes.get row x = '\000' then begin
+          Bytes.set row x '\001';
+          Array.iter visit t.succs.(x)
+        end
+      in
+      visit i;
+      t.reach.(i) <- row;
+      row
+    end
 
   let mergeable t u v =
     u <> v
     &&
     match (Hashtbl.find_opt t.index u, Hashtbl.find_opt t.index v) with
-    | Some iu, Some iv -> (not (reachable t iu iv)) && not (reachable t iv iu)
+    | Some iu, Some iv ->
+        Bytes.get (reach_row t iu) iv = '\000' && Bytes.get (reach_row t iv) iu = '\000'
     | _ -> true
 
   let merged_acyclic t pairs =

@@ -64,7 +64,10 @@ module Deps : sig
   (** True when no dependence path connects the two units in either
       direction — merging them cannot create a cycle (paper §4.1
       constraint 1, strengthened to paths so that the scheduling phase
-      is guaranteed a valid order). *)
+      is guaranteed a valid order).  Two byte reads, once each unit's
+      [n]-byte row of reachable units is filled on first use; the
+      graph then holds at most [n * n] bytes of rows, so it is not for
+      use from two domains at once. *)
 
   val merged_acyclic : unit_graph -> (int * int) list -> bool
   (** Would the graph stay acyclic if each listed uid pair were

@@ -1,59 +1,121 @@
-(* Tests for the analysis library: access vectors, alignment, def-use
-   chains and scalar liveness. *)
+(* Tests for the analysis library: alignment verdicts on the row-major
+   linearisation of a reference, def-use chains and scalar liveness. *)
 
 open Slp_ir
-module Access = Slp_analysis.Access
 module Alignment = Slp_analysis.Alignment
 module Chains = Slp_analysis.Chains
 module Liveness = Slp_analysis.Liveness
 
-(* -- access vectors -------------------------------------------------------- *)
-
-let test_access_vector () =
-  (* A[2i+1][3j-2] in nest (i, j). *)
-  let op =
-    Operand.Elem
-      ("A", [ Affine.make [ ("i", 2) ] 1; Affine.make [ ("j", 3) ] (-2) ])
-  in
-  match Access.of_operand ~nest:[ "i"; "j" ] op with
-  | None -> Alcotest.fail "expected an access vector"
-  | Some a ->
-      Alcotest.(check int) "rank" 2 (Access.rank a);
-      Alcotest.(check int) "depth" 2 (Access.depth a);
-      Alcotest.(check bool) "Q" true (a.Access.q = [| [| 2; 0 |]; [| 0; 3 |] |]);
-      Alcotest.(check bool) "O" true (a.Access.offset = [| 1; -2 |]);
-      (* Row-major linearisation with dims [8; 16]:
-         addr = (2i+1)*16 + 3j-2 = 32 i + 3 j + 14. *)
-      let coeffs, const = Access.linearise ~dims:[ 8; 16 ] a in
-      Alcotest.(check bool) "linear coeffs" true (coeffs = [| 32; 3 |]);
-      Alcotest.(check int) "linear const" 14 const;
-      Alcotest.(check int) "innermost stride" 3 (Access.innermost_coeff ~dims:[ 8; 16 ] a)
-
-let test_access_rejects_foreign_vars () =
-  let op = Operand.Elem ("A", [ Affine.var "k" ]) in
-  Alcotest.(check bool) "foreign variable" true
-    (Access.of_operand ~nest:[ "i" ] op = None);
-  Alcotest.(check bool) "scalar has no access vector" true
-    (Access.of_operand ~nest:[ "i" ] (Operand.Scalar "x") = None)
-
-(* -- alignment -------------------------------------------------------------- *)
-
 let verdict =
   Alcotest.testable Alignment.pp_verdict (fun a b -> a = b)
 
+let env_of arrays =
+  let env = Env.create () in
+  List.iter (fun (name, dims) -> Env.declare_array env name Types.F64 dims) arrays;
+  env
+
+(* -- access vectors -------------------------------------------------------- *)
+
+let test_access_vector () =
+  (* A[2i+1][4j-2] over [8; 16] in nest (i, j): the row-major address
+     is (2i+1)*16 + 4j-2 = 32 i + 4 j + 14. *)
+  let env = env_of [ ("A", [ 8; 16 ]) ] in
+  let op =
+    Operand.Elem
+      ("A", [ Affine.make [ ("i", 2) ] 1; Affine.make [ ("j", 4) ] (-2) ])
+  in
+  let at lanes = Alignment.of_operand ~env ~nest:[ "i"; "j" ] ~lanes op in
+  Alcotest.(check (option verdict)) "2 lanes" (Some Alignment.Aligned) (at 2);
+  Alcotest.(check (option verdict)) "4 lanes" (Some (Alignment.Misaligned 2)) (at 4);
+  Alcotest.(check (option verdict)) "8 lanes: 4 j varies" (Some Alignment.Unknown) (at 8)
+
+let test_access_rejects_foreign_vars () =
+  let env = env_of [ ("A", [ 64 ]) ] in
+  let at op = Alignment.of_operand ~env ~nest:[ "i" ] ~lanes:2 op in
+  Alcotest.(check (option verdict)) "foreign variable" None
+    (at (Operand.Elem ("A", [ Affine.var "k" ])));
+  Alcotest.(check (option verdict)) "scalar has no verdict" None (at (Operand.Scalar "x"))
+
+(* -- alignment -------------------------------------------------------------- *)
+
 let test_alignment_verdicts () =
-  let acc coeff const =
-    Option.get
-      (Access.of_operand ~nest:[ "i" ]
-         (Operand.Elem ("A", [ Affine.make [ ("i", coeff) ] const ])))
+  let env = env_of [ ("A", [ 64 ]) ] in
+  let at coeff const =
+    Alignment.of_operand ~env ~nest:[ "i" ] ~lanes:2
+      (Operand.Elem ("A", [ Affine.make [ ("i", coeff) ] const ]))
   in
   (* Two lanes: aligned iff coeff and const are even. *)
-  Alcotest.check verdict "A[2i] aligned" Alignment.Aligned
-    (Alignment.of_access ~lanes:2 ~dims:[ 64 ] (acc 2 0));
-  Alcotest.check verdict "A[2i+1] misaligned by one" (Alignment.Misaligned 1)
-    (Alignment.of_access ~lanes:2 ~dims:[ 64 ] (acc 2 1));
-  Alcotest.check verdict "A[i] varies" Alignment.Unknown
-    (Alignment.of_access ~lanes:2 ~dims:[ 64 ] (acc 1 0))
+  Alcotest.(check (option verdict)) "A[2i] aligned" (Some Alignment.Aligned) (at 2 0);
+  Alcotest.(check (option verdict)) "A[2i+1] misaligned by one"
+    (Some (Alignment.Misaligned 1)) (at 2 1);
+  Alcotest.(check (option verdict)) "A[i] varies" (Some Alignment.Unknown) (at 1 0)
+
+let test_summed_coefficient () =
+  (* A[i][i] over [8; 3]: the address is 3 i + i = 4 i.  Neither
+     subscript's own stride (3, then 1) divides 4 lanes; their sum
+     does. *)
+  let env = env_of [ ("A", [ 8; 3 ]) ] in
+  Alcotest.(check (option verdict)) "A[i][i] at 4 lanes" (Some Alignment.Aligned)
+    (Alignment.of_operand ~env ~nest:[ "i" ] ~lanes:4
+       (Operand.Elem ("A", [ Affine.var "i"; Affine.var "i" ])))
+
+(* Soundness: whenever the verdict is [Aligned] or [Misaligned k], the
+   row-major address of every point of a small box is 0 or k modulo the
+   lanes.  Subscripts over (i, j) are drawn with coefficients that are
+   often multiples of the lanes, so both kinds of verdict occur. *)
+let prop_verdict_sound =
+  let gen =
+    QCheck.Gen.(
+      let* lanes = oneofl [ 1; 2; 4; 8 ] in
+      let coeff = oneof [ int_range (-4) 4; map (fun k -> k * lanes) (int_range (-2) 2) ] in
+      let subscript =
+        map3
+          (fun ci cj c -> Affine.make [ ("i", ci); ("j", cj) ] c)
+          coeff coeff (int_range (-9) 9)
+      in
+      let* dims =
+        oneof
+          [
+            map (fun d -> [ d ]) (int_range 1 40);
+            map2 (fun a b -> [ a; b ]) (int_range 1 6) (int_range 1 9);
+          ]
+      in
+      let* idxs = flatten_l (List.map (fun _ -> subscript) dims) in
+      let* ni = int_range 1 5 and* nj = int_range 1 5 in
+      return (lanes, dims, idxs, ni, nj))
+  in
+  let print (lanes, dims, idxs, ni, nj) =
+    Printf.sprintf "lanes %d, dims [%s], A[%s], i < %d, j < %d" lanes
+      (String.concat "; " (List.map string_of_int dims))
+      (String.concat "][" (List.map Affine.to_string idxs))
+      ni nj
+  in
+  QCheck.Test.make ~name:"verdict holds at every point" ~count:500 (QCheck.make ~print gen)
+    (fun (lanes, dims, idxs, ni, nj) ->
+      let env = env_of [ ("A", dims) ] in
+      (* Row-major strides: the product of the later dimensions. *)
+      let strides =
+        List.mapi
+          (fun k _ -> List.fold_left ( * ) 1 (List.filteri (fun m _ -> m > k) dims))
+          dims
+      in
+      let residue i j =
+        let point v = if v = "i" then i else j in
+        let addr =
+          List.fold_left2 (fun acc ix s -> acc + (Affine.eval ix point * s)) 0 idxs strides
+        in
+        ((addr mod lanes) + lanes) mod lanes
+      in
+      let every r =
+        List.for_all
+          (fun i -> List.for_all (fun j -> residue i j = r) (List.init nj Fun.id))
+          (List.init ni Fun.id)
+      in
+      match Alignment.of_operand ~env ~nest:[ "i"; "j" ] ~lanes (Operand.Elem ("A", idxs)) with
+      | Some Alignment.Aligned -> every 0
+      | Some (Alignment.Misaligned k) -> 0 < k && k < lanes && every k
+      | Some Alignment.Unknown -> true
+      | None -> false)
 
 let env_a () =
   let env = Env.create () in
@@ -174,6 +236,8 @@ let () =
         [
           Alcotest.test_case "verdicts" `Quick test_alignment_verdicts;
           Alcotest.test_case "contiguous packs" `Quick test_contiguous_pack;
+          Alcotest.test_case "summed coefficient decides" `Quick test_summed_coefficient;
+          Seeded.to_alcotest prop_verdict_sound;
         ] );
       ( "chains",
         [

@@ -1,62 +1,59 @@
-(* Tests for the data layout optimization: scalar placement (§5.1),
-   array replication (§5.2) and the general mapping equations. *)
+(* Tests for the data layout optimization: scalar placement (§5.1) and
+   array replication (§5.2), with Figure 14's mapping (Equation 4)
+   checked on the replicas a compiled kernel builds and runs. *)
 
 open Slp_ir
 module Scalar_layout = Slp_layout.Scalar_layout
 module Array_layout = Slp_layout.Array_layout
-module Transform = Slp_layout.Transform
 module Pipeline = Slp_pipeline.Pipeline
 module Machine = Slp_machine.Machine
-module Rat = Slp_util.Rat
-module Mat = Slp_util.Mat
+module Memory = Slp_vm.Memory
 
 (* -- the paper's Figure 14 mapping ---------------------------------------- *)
 
+(* Compile [src] under Global+Layout without unrolling, check that it
+   builds one replica [R] of [source] and runs correctly, and check bit
+   for bit, over the whole replica, that [R[lanes·t + k]] holds
+   [source[a·t + b_k]] for the [k]th of the lane offsets [offsets]
+   (Equation 4 with [p = k]). *)
+let check_mapping ~name ~source ~a ~offsets src =
+  let prog = Slp_frontend.Parser.parse ~name src in
+  let c =
+    Pipeline.compile ~unroll:1 ~scheme:Pipeline.Global_layout
+      ~machine:Machine.intel_dunnington prog
+  in
+  Alcotest.(check int) "one replica" 1 c.Pipeline.replica_count;
+  let r, mem = Pipeline.execute_with_memory c in
+  Alcotest.(check bool) "semantics preserved" true r.Pipeline.correct;
+  let replica = Memory.array_values mem (source ^ "__r0")
+  and data = Memory.array_values mem source in
+  let lanes = List.length offsets in
+  Alcotest.(check int) "replica size: 256 iterations" (lanes * 256) (Float.Array.length replica);
+  for t = 0 to 255 do
+    List.iteri
+      (fun k b ->
+        let got = Float.Array.get replica ((lanes * t) + k)
+        and want = Float.Array.get data ((a * t) + b) in
+        if Int64.bits_of_float got <> Int64.bits_of_float want then
+          Alcotest.failf "%s__r0[%d] = %h, expected %s[%d] = %h" source
+            ((lanes * t) + k) got source ((a * t) + b) want)
+      offsets
+  done
+
 let test_mapping_1d_figure14 () =
-  (* A[4i] and A[4i+3] mapped to B[2i] and B[2i+1]: lane 0 has a=4,
+  (* A[4i] and A[4i+3] mapped to R[2i] and R[2i+1]: lane 0 has a=4,
      b=0, p=0; lane 1 has a=4, b=3, p=1. *)
-  List.iter
-    (fun (d, expected) ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "lane0 d=%d" d)
-        expected
-        (Transform.mapping_1d ~a:4 ~b:0 ~lanes:2 ~position:0 d))
-    [ (0, Some 0); (4, Some 2); (8, Some 4); (1, None); (6, None) ];
-  List.iter
-    (fun (d, expected) ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "lane1 d=%d" d)
-        expected
-        (Transform.mapping_1d ~a:4 ~b:3 ~lanes:2 ~position:1 d))
-    [ (3, Some 1); (7, Some 3); (11, Some 5); (2, None) ]
-
-let test_mapping_nd () =
-  (* 2-D reference with Q1 = [[1,0],[0,2]], O = (0,1): element (i, 2j+1).
-     For lanes=2, position=0: data index (3, 5) -> i=3, j=2 ->
-     B[3][2*2+0] = (3,4). *)
-  let q1 = Mat.of_int_array [| [| 1; 0 |]; [| 0; 2 |] |] in
-  let offset = [| Rat.zero; Rat.one |] in
-  (match Transform.mapping_nd ~q1 ~offset ~lanes:2 ~position:0 [| 3; 5 |] with
-  | Some r -> Alcotest.(check bool) "mapped" true (r = [| 3; 4 |])
-  | None -> Alcotest.fail "expected a mapping");
-  (* An element the reference never touches (even second coordinate). *)
-  Alcotest.(check bool) "untouched element" true
-    (Transform.mapping_nd ~q1 ~offset ~lanes:2 ~position:0 [| 3; 4 |] = None)
-
-let test_spatial_transform () =
-  (* Ldefault = I; Lopt swaps dimensions: M is the swap itself. *)
-  let id = Mat.identity 2 in
-  let swap = Mat.of_int_array [| [| 0; 1 |]; [| 1; 0 |] |] in
-  match Transform.spatial_transform ~l_default:id ~l_opt:swap with
-  | None -> Alcotest.fail "identity is invertible"
-  | Some m ->
-      Alcotest.(check bool) "M = swap" true (Mat.equal m swap);
-      let q = Mat.of_int_array [| [| 1; 0 |]; [| 0; 3 |] |] in
-      let q1, o1 = Transform.transformed_access ~m ~q ~offset:[| Rat.of_int 1; Rat.of_int 2 |] in
-      Alcotest.(check bool) "rows swapped" true
-        (Mat.equal q1 (Mat.of_int_array [| [| 0; 3 |]; [| 1; 0 |] |]));
-      Alcotest.(check bool) "offset swapped" true
-        (Rat.equal o1.(0) (Rat.of_int 2) && Rat.equal o1.(1) (Rat.of_int 1))
+  check_mapping ~name:"fig14" ~source:"A" ~a:4 ~offsets:[ 0; 3 ]
+    {|
+f64 A[1024];
+f64 B[512];
+for t = 0 to 64 {
+  for i = 0 to 256 {
+    B[2*i] = A[4*i] * 2.0;
+    B[2*i+1] = A[4*i+3] * 3.0;
+  }
+}
+|}
 
 (* -- scalar placement -------------------------------------------------------- *)
 
@@ -335,24 +332,21 @@ let test_single_lane_pack_rejected () =
     (ok [ Operand.Elem ("W", [ Affine.make [ ("i", 4) ] 0 ]) ])
 
 let test_max_lane_pack_mapping () =
-  (* Four f32 lanes (the 128-bit maximum): W[4i+k] for k = 0..3 maps
-     onto R[4t+k] — stride L = lanes, every position hit exactly once. *)
-  let lanes = 4 in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun t ->
-          Alcotest.(check (option int))
-            (Printf.sprintf "t=%d p=%d" t p)
-            (Some ((lanes * t) + p))
-            (Transform.mapping_1d ~a:4 ~b:p ~lanes ~position:p ((4 * t) + p)))
-        [ 0; 1; 5 ];
-      (* Elements of other lanes are not this lane's. *)
-      Alcotest.(check (option int))
-        (Printf.sprintf "p=%d off-lane" p)
-        None
-        (Transform.mapping_1d ~a:4 ~b:p ~lanes ~position:p (p + 1)))
-    [ 0; 1; 2; 3 ]
+  (* Four f32 lanes (the 128-bit maximum) reading W[8i + 2k], not one
+     contiguous run: W[8t + 2k] lands at R[4t + k], stride L = lanes. *)
+  check_mapping ~name:"f32x4" ~source:"W" ~a:8 ~offsets:[ 0; 2; 4; 6 ]
+    {|
+f32 W[2048];
+f32 B[1024];
+for t = 0 to 16 {
+  for i = 0 to 256 {
+    B[4*i] = W[8*i] * 2.0;
+    B[4*i+1] = W[8*i+2] * 3.0;
+    B[4*i+2] = W[8*i+4] * 4.0;
+    B[4*i+3] = W[8*i+6] * 5.0;
+  }
+}
+|}
 
 let test_max_lane_pack_replicable () =
   let env = Env.create () in
@@ -370,17 +364,6 @@ let test_max_lane_pack_replicable () =
       Alcotest.(check (list int)) "lane offsets" [ 0; 1; 2; 3 ]
         r.Array_layout.lane_offsets
   | d -> Alcotest.failf "4-lane f32 pack not replicable: %a" (Alcotest.pp decision) d
-
-let test_single_lane_mapping () =
-  (* lanes = 1 degenerates to a gather-to-dense copy: d = a·t + b maps
-     to t. *)
-  List.iter
-    (fun t ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "t=%d" t)
-        (Some t)
-        (Transform.mapping_1d ~a:3 ~b:2 ~lanes:1 ~position:0 ((3 * t) + 2)))
-    [ 0; 1; 7 ]
 
 let test_outer_repeat () =
   (* The repeat factor is the product of the outer trips, 6 x 5,
@@ -431,11 +414,7 @@ let () =
   Alcotest.run "layout"
     [
       ( "transform",
-        [
-          Alcotest.test_case "figure 14 mapping" `Quick test_mapping_1d_figure14;
-          Alcotest.test_case "n-d mapping (eq. 6-8)" `Quick test_mapping_nd;
-          Alcotest.test_case "spatial transform (eq. 2-3)" `Quick test_spatial_transform;
-        ] );
+        [ Alcotest.test_case "figure 14 mapping" `Quick test_mapping_1d_figure14 ] );
       ( "scalar",
         [
           Alcotest.test_case "placement invariants" `Quick test_scalar_placement;
@@ -460,7 +439,5 @@ let () =
             test_max_lane_pack_mapping;
           Alcotest.test_case "max-lane (4x f32) replicable" `Quick
             test_max_lane_pack_replicable;
-          Alcotest.test_case "single-lane mapping degenerates" `Quick
-            test_single_lane_mapping;
         ] );
     ]

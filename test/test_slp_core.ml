@@ -1,7 +1,10 @@
 (* Tests for the core SLP machinery: packs, candidates, the variable
    pack conflicting graph, auxiliary-graph weights (including the
    paper's 2/3 example from Figures 4-6), grouping, scheduling, the
-   live superword set and the cost model. *)
+   live superword set and the cost model.  Weights and the unit
+   dependence graph are compared with references on a test-local
+   adjacency-set graph ([Ref_graph]), never with the arrays under
+   test. *)
 
 open Slp_ir
 module Pack = Slp_core.Pack
@@ -105,15 +108,86 @@ let test_packgraph_updates () =
   Alcotest.(check bool) "independent candidate survives" true
     (Packgraph.alive vp c45.Candidate.cid)
 
+(* Test-local graphs for the references below: adjacency sets keyed
+   by node id, with only the operations the references call.  They
+   share no code with the dense arrays under test. *)
+module Ref_graph = struct
+  module S = Set.Make (Int)
+
+  (* Node id -> the ids its arcs lead to; an undirected edge is an arc
+     each way. *)
+  type t = (int, S.t) Hashtbl.t
+
+  let create () : t = Hashtbl.create 16
+  let add_node g id = if not (Hashtbl.mem g id) then Hashtbl.replace g id S.empty
+  let adj g id = Hashtbl.find g id
+  let nodes g = List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) g [])
+  let node_count g = Hashtbl.length g
+  let mem_arc g u v = S.mem v (adj g u)
+  let add_arc g u v = Hashtbl.replace g u (S.add v (adj g u))
+
+  let add_edge g u v =
+    add_arc g u v;
+    add_arc g v u
+
+  let degree g id = S.cardinal (adj g id)
+  let is_edgeless g = Hashtbl.fold (fun _ a acc -> acc && S.is_empty a) g true
+
+  (* Undirected graphs only: drops the neighbours' arcs back to [id]. *)
+  let remove_node g id =
+    S.iter (fun nb -> Hashtbl.replace g nb (S.remove id (adj g nb))) (adj g id);
+    Hashtbl.remove g id
+
+  (* The highest degree (at least 1), ties to the lowest id. *)
+  let max_degree_node g =
+    List.fold_left
+      (fun best id ->
+        let d = degree g id in
+        match best with
+        | Some (_, bd) when bd >= d -> best
+        | _ -> if d > 0 then Some (id, d) else best)
+      None (nodes g)
+    |> Option.map fst
+
+  (* A path from [u] to [v], the empty one included. *)
+  let reachable g u v =
+    let seen = Hashtbl.create 16 in
+    let rec go x =
+      x = v
+      || (not (Hashtbl.mem seen x))
+         && begin
+              Hashtbl.replace seen x ();
+              S.exists go (adj g x)
+            end
+    in
+    go u
+
+  (* Depth-first search for an arc back to a node on the stack. *)
+  let has_cycle g =
+    let on_stack = Hashtbl.create 16 and finished = Hashtbl.create 16 in
+    let rec visit x =
+      Hashtbl.mem on_stack x
+      || (not (Hashtbl.mem finished x))
+         && begin
+              Hashtbl.replace on_stack x ();
+              let cycle = S.exists visit (adj g x) in
+              Hashtbl.remove on_stack x;
+              Hashtbl.replace finished x ();
+              cycle
+            end
+    in
+    List.exists visit (nodes g)
+end
+
 (* A test-local weight on the paper's node-level auxiliary graph, built
    directly: one node per pack of every candidate (nids in candidate
    order, pack by pack), a full scan
    for the live nodes matching the pack types of D ∪ {C}, node-pair
-   edges from [conflict], and greedy elimination through
-   [Graph.Undirected]: the highest degree, ties to the lowest nid
-   ([Max_degree]), or the lowest nid with an edge ([Arbitrary]). *)
+   edges from [conflict], and greedy elimination on a [Ref_graph]: the
+   highest degree, ties to the lowest nid ([Max_degree]), or the lowest
+   nid with an edge ([Arbitrary]). *)
 module Ref_weight = struct
-  module G = Slp_util.Graph.Undirected
+  module G = Ref_graph
 
   let nodes cands =
     let next = ref 0 in
@@ -139,7 +213,7 @@ module Ref_weight = struct
           nodes
       in
       let g = G.create () in
-      List.iter (fun (nid, _, _) -> G.add_node g nid ()) selected;
+      List.iter (fun (nid, _, _) -> G.add_node g nid) selected;
       List.iter
         (fun (a, _, oa) ->
           List.iter (fun (b, _, ob) -> if a < b && conflict oa ob then G.add_edge g a b) selected)
@@ -390,7 +464,9 @@ let test_grouping_dependence_safety () =
    structure over candidate pairs would cost a gigabyte.  Under a
    1-step budget the round builds its candidates and VP graph, then
    bails at its first decision. *)
-let test_grouping_memory_linear () =
+(* 256 independent isomorphic statements [B[k] = A[k] * 2.0]: 32,640
+   candidate pairs at 512 bits. *)
+let wide_block () =
   let n = 256 in
   let env = Env.create () in
   Env.declare_array env "A" Types.F64 [ n ];
@@ -402,6 +478,10 @@ let test_grouping_memory_linear () =
              ~lhs:(Operand.Elem ("B", [ Affine.const k ]))
              ~rhs:Expr.Infix.(arr "A" [ Affine.const k ] * cst 2.0)))
   in
+  (env, block)
+
+let test_grouping_memory_linear () =
+  let env, block = wide_block () in
   let module E = Slp_util.Slp_error in
   let fuel = E.Fuel.create ~pass:E.Grouping ~budget:1 () in
   let before = Gc.allocated_bytes () in
@@ -415,6 +495,21 @@ let test_grouping_memory_linear () =
       Alcotest.(check string) "bail code" "BAIL11-fuel" (E.code_name e.E.code));
   let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
   if mb >= 512.0 then Alcotest.failf "grouping allocated %.0f MB (limit 512 MB)" mb
+
+(* [Units.Deps.mergeable] on every isomorphic pair of the same block
+   reads each unit's reachable row, filled once: about 25 MB in all.
+   A depth-first search per pair allocated 167 MB. *)
+let test_candidate_memory_budget () =
+  let env, block = wide_block () in
+  let units = List.map (Units.of_stmt ~env) block.Block.stmts in
+  let deps = Units.Deps.build ~dep_pairs:(Block.dep_pairs block) units in
+  let before = Gc.allocated_bytes () in
+  let cands =
+    Candidate.find ~env ~config:(Config.make ~datapath_bits:512 ()) ~units ~deps
+  in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  Alcotest.(check int) "every pair a candidate" (256 * 255 / 2) (List.length cands);
+  if mb >= 64.0 then Alcotest.failf "Candidate.find allocated %.0f MB (limit 64 MB)" mb
 
 (* Grouping pinned under every option set.  Plan digests pin only the
    default options; these hashes also pin [Arbitrary] elimination,
@@ -666,29 +761,29 @@ let test_live_vs_reference () =
   done
 
 (* [Units.Deps] against a test-local copy of the Hashtbl-graph version
-   it replaced: build the uid graph, contract each pair into its
-   smaller uid, then [has_cycle].  Units get sparse uids in an order
-   unrelated to their statements, and statements are dealt to units at
-   random, so dependences run both ways between units and can close
-   unit-level cycles. *)
+   it replaced, on a [Ref_graph]: build the uid graph, contract each
+   pair into its smaller uid, then [has_cycle].  Units get sparse uids
+   in an order unrelated to their statements, and statements are dealt
+   to units at random, so dependences run both ways between units and
+   can close unit-level cycles. *)
 let ref_unit_graph units dep_pairs =
-  let module G = Slp_util.Graph.Directed in
+  let module G = Ref_graph in
   let owner = Hashtbl.create 32 in
   List.iter
     (fun (u : Units.t) -> List.iter (fun sid -> Hashtbl.replace owner sid u.Units.uid) u.Units.members)
     units;
   let g = G.create () in
-  List.iter (fun (u : Units.t) -> G.add_node g u.Units.uid ()) units;
+  List.iter (fun (u : Units.t) -> G.add_node g u.Units.uid) units;
   List.iter
     (fun (p, q) ->
       match (Hashtbl.find_opt owner p, Hashtbl.find_opt owner q) with
-      | Some up, Some uq when up <> uq -> if not (G.mem_edge g up uq) then G.add_edge g up uq
+      | Some up, Some uq when up <> uq -> G.add_arc g up uq
       | _ -> ())
     dep_pairs;
   g
 
 let ref_merged_acyclic g pairs =
-  let module G = Slp_util.Graph.Directed in
+  let module G = Ref_graph in
   let repr = Hashtbl.create 8 in
   let rec find x =
     match Hashtbl.find_opt repr x with
@@ -705,14 +800,14 @@ let ref_merged_acyclic g pairs =
         if ra < rb then Hashtbl.replace repr rb ra else Hashtbl.replace repr ra rb)
     pairs;
   let c = G.create () in
-  List.iter (fun id -> G.add_node c (find id) ()) (G.nodes g);
+  List.iter (fun id -> G.add_node c (find id)) (G.nodes g);
   List.iter
     (fun u ->
-      List.iter
+      G.S.iter
         (fun v ->
           let ru = find u and rv = find v in
-          if ru <> rv && not (G.mem_edge c ru rv) then G.add_edge c ru rv)
-        (G.succs g u))
+          if ru <> rv then G.add_arc c ru rv)
+        (G.adj g u))
     (G.nodes g);
   not (G.has_cycle c)
 
@@ -762,11 +857,9 @@ let test_merged_acyclic_vs_reference () =
         List.iter
           (fun v ->
             Alcotest.(check bool) (name (Printf.sprintf "depends %d %d" u v))
-              (Slp_util.Graph.Directed.mem_edge g u v) (Units.Deps.depends deps u v);
+              (Ref_graph.mem_arc g u v) (Units.Deps.depends deps u v);
             Alcotest.(check bool) (name (Printf.sprintf "mergeable %d %d" u v))
-              (u <> v
-              && (not (Slp_util.Graph.Directed.reachable g u v))
-              && not (Slp_util.Graph.Directed.reachable g v u))
+              (u <> v && (not (Ref_graph.reachable g u v)) && not (Ref_graph.reachable g v u))
               (Units.Deps.mergeable deps u v))
           uids)
       uids;
@@ -967,6 +1060,8 @@ let () =
           Alcotest.test_case "dependence safety" `Quick test_grouping_dependence_safety;
           Alcotest.test_case "every option set pinned" `Slow test_groupings_pinned;
           Alcotest.test_case "memory linear in candidates" `Quick test_grouping_memory_linear;
+          Alcotest.test_case "candidate search memory budget" `Quick
+            test_candidate_memory_budget;
         ] );
       ( "live",
         [
