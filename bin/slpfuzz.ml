@@ -182,6 +182,8 @@ let main seed count index max_stmts scheme replay repro progress =
               reports;
               drift_total = 0;
               drift_agreements = 0;
+              drift_ties = 0;
+              drift_disagreements = 0;
             }
         | None ->
             Fuzz.Harness.run
@@ -194,8 +196,10 @@ let main seed count index max_stmts scheme replay repro progress =
         seed
         (List.length stats.Fuzz.Harness.reports);
       if stats.Fuzz.Harness.drift_total > 0 then
-        Printf.printf "; cost-model ordering agreed on %d/%d machine-records"
-          stats.Fuzz.Harness.drift_agreements stats.Fuzz.Harness.drift_total;
+        Printf.printf
+          "; cost-model ordering over %d machine-records: %d agree, %d tie, %d disagree"
+          stats.Fuzz.Harness.drift_total stats.Fuzz.Harness.drift_agreements
+          stats.Fuzz.Harness.drift_ties stats.Fuzz.Harness.drift_disagreements;
       print_newline ();
       (match stats.Fuzz.Harness.reports with
       | [] -> ()

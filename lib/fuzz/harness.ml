@@ -40,6 +40,8 @@ type stats = {
   reports : failure_report list;
   drift_total : int;
   drift_agreements : int;
+  drift_ties : int;
+  drift_disagreements : int;
 }
 
 (* Case [i] owns the [i]-th split of the master stream: replayable
@@ -63,6 +65,13 @@ let argmin = function
               (fun (bn, bv) (n', v') -> if v' < bv then (n', v') else (bn, bv))
               (n, v) rest))
 
+(* Two or more schemes share the minimum. *)
+let tied side =
+  let least = List.fold_left (fun acc (_, v) -> Float.min acc v) Float.infinity side in
+  List.length (List.filter (fun (_, v) -> v = least) side) >= 2
+
+type verdict = Agree | Tie | Disagree
+
 let agreement (d : Oracle.drift) =
   (* Compare only schemes present on both sides: the cost model only
      speaks for schemes that produced a plan. *)
@@ -74,13 +83,19 @@ let agreement (d : Oracle.drift) =
   in
   if List.length both < 2 then None
   else
-    let pred = argmin (List.map (fun (n, p, _) -> (n, p)) both) in
-    let meas = argmin (List.map (fun (n, _, m) -> (n, m)) both) in
-    Some (pred = meas)
+    let pred = List.map (fun (n, p, _) -> (n, p)) both in
+    let meas = List.map (fun (n, _, m) -> (n, m)) both in
+    (* Each [argmin] keeps the first scheme in list order among equals,
+       so when both minima are shared the two picks agree or not by
+       list order alone: the record decides nothing. *)
+    if tied pred && tied meas then Some Tie
+    else if argmin pred = argmin meas then Some Agree
+    else Some Disagree
 
 let run ?(on_case = fun _ _ -> ()) config =
   let reports = ref [] in
   let drift_total = ref 0 and drift_agreements = ref 0 in
+  let drift_ties = ref 0 and drift_disagreements = ref 0 in
   for index = 0 to config.count - 1 do
     let program = case_program config index in
     on_case index program;
@@ -91,9 +106,13 @@ let run ?(on_case = fun _ _ -> ()) config =
     List.iter
       (fun d ->
         match agreement d with
-        | Some agree ->
+        | Some verdict ->
             incr drift_total;
-            if agree then incr drift_agreements
+            incr
+              (match verdict with
+              | Agree -> drift_agreements
+              | Tie -> drift_ties
+              | Disagree -> drift_disagreements)
         | None -> ())
       outcome.Oracle.drifts;
     if Oracle.failed outcome then begin
@@ -119,6 +138,8 @@ let run ?(on_case = fun _ _ -> ()) config =
     reports = List.rev !reports;
     drift_total = !drift_total;
     drift_agreements = !drift_agreements;
+    drift_ties = !drift_ties;
+    drift_disagreements = !drift_disagreements;
   }
 
 let pp_report ppf r =

@@ -38,9 +38,23 @@ type stats = {
   drift_total : int;
       (** Machine-level drift records with at least two measured schemes. *)
   drift_agreements : int;
-      (** Records where the cost model's cheapest vectorizing scheme
-          is also the measured-fastest one. *)
+      (** Decided records where the cost model's cheapest vectorizing
+          scheme is also the measured-fastest one (the first in scheme
+          order among equals). *)
+  drift_ties : int;
+      (** Records where both the predicted and the measured minimum are
+          shared by two or more schemes: they decide nothing. *)
+  drift_disagreements : int;  (** The remaining records. *)
 }
+
+type verdict = Agree | Tie | Disagree
+
+val agreement : Oracle.drift -> verdict option
+(** How one machine-record's predicted and measured orderings compare,
+    over the schemes present on both sides ([None] below two): [Tie]
+    when both the predicted and the measured minimum are shared by two
+    or more schemes, otherwise [Agree] when the first scheme (in list
+    order) reaching each minimum is the same, else [Disagree]. *)
 
 val case_program : config -> int -> Program.t
 (** The program of case [index] under this config — replay without

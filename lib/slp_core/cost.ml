@@ -99,19 +99,20 @@ let scalar_stmt_cost params (s : Stmt.t) =
 (* What pricing keeps about one block between estimates, for the query
    and params it was made under: the per-statement costs (a statement's
    vector operator cost once a superword it heads is priced, NaN
-   before), the answers of [scalar_live_out] by operand id (0 = not
-   asked yet, 1 = no, 2 = yes), and per ordered pack (its lane ids) the
-   answers of [contiguous] and [aligned] for the pack and for its
-   reverse, two bits each in that order.  [last_read] is per-estimate
-   scratch. *)
+   before) and operator counts, the answers of [scalar_live_out] by
+   operand id (0 = not asked yet, 1 = no, 2 = yes), and per ordered
+   pack (a position of a {!Schedule.Facts.view}) the answers of
+   [contiguous] and [aligned] for the pack and for its reverse, two
+   bits each in that order.  [last_read] is per-estimate scratch. *)
 type memo = {
   query : query;
   params : params;
   scalar_cost : float;
   stmt_cost : float array;  (** By rank. *)
   vector_op_cost : float array;  (** By rank. *)
+  op_count : int array;  (** By rank. *)
   live_out : int array;
-  verdicts : (int array, int) Hashtbl.t;
+  mutable verdicts : Bytes.t array;  (** By view id, a byte per group position. *)
   last_read : int array;
       (** By operand id: the last item index of a Single reading it. *)
 }
@@ -137,24 +138,35 @@ let memo_of ~params ~query facts =
               0.0 (F.block facts).Block.stmts;
           stmt_cost;
           vector_op_cost = Array.make (F.rank_count facts) Float.nan;
+          op_count = Array.init (F.rank_count facts) (fun r -> Stmt.op_count (F.rank_stmt facts r));
           live_out = Array.make (F.id_count facts) 0;
-          verdicts = Hashtbl.create 16;
+          verdicts = [||];
           last_read = Array.make (F.id_count facts) (-1);
         }
       in
       F.set_pricing facts (Memo m);
       m
 
-(* Question [q] of an ordered pack: 0 = contiguous, 1 = aligned, 2 and
-   3 the same of the reversed lanes. *)
-let verdict facts m lanes q =
-  let bits = match Hashtbl.find m.verdicts lanes with b -> b | exception Not_found -> 0 in
+(* Question [q] of the ordered pack at group position [i] of view [v]:
+   0 = contiguous, 1 = aligned, 2 and 3 the same of the reversed
+   lanes. *)
+let verdict facts m (v : Schedule.Facts.view) i q =
+  let module F = Schedule.Facts in
+  if v.F.id >= Array.length m.verdicts then begin
+    let grown = Array.make (max 16 (2 * (v.F.id + 1))) Bytes.empty in
+    Array.blit m.verdicts 0 grown 0 (Array.length m.verdicts);
+    m.verdicts <- grown
+  end;
+  if Bytes.length m.verdicts.(v.F.id) = 0 then
+    m.verdicts.(v.F.id) <- Bytes.make (Array.length v.F.lanes) '\000';
+  let row = m.verdicts.(v.F.id) in
+  let bits = Char.code (Bytes.get row i) in
   match (bits lsr (2 * q)) land 3 with
   | 0 ->
-      let ops = Array.fold_right (fun i acc -> Schedule.Facts.operand facts i :: acc) lanes [] in
+      let ops = Array.fold_right (fun i acc -> F.operand facts i :: acc) v.F.lanes.(i) [] in
       let ops = if q >= 2 then List.rev ops else ops in
       let yes = (if q land 1 = 0 then m.query.contiguous else m.query.aligned) ops in
-      Hashtbl.replace m.verdicts lanes (bits lor ((if yes then 2 else 1) lsl (2 * q)));
+      Bytes.set row i (Char.chr (bits lor ((if yes then 2 else 1) lsl (2 * q))));
       yes
   | answer -> answer = 2
 
@@ -170,179 +182,215 @@ let scalar_live_out facts m i =
       yes
   | answer -> answer = 2
 
+(* One estimate in progress: what it reads and its running counts.
+   The cost lives apart, in a record of floats alone, which OCaml
+   stores flat: adding to it allocates nothing. *)
+type total = { mutable cost : float }
+
+type pricer = {
+  facts : Schedule.Facts.t;
+  m : memo;
+  params : params;
+  live : Live.t;
+  first_scalar : int;
+  first_elem : int;
+  total : total;
+  mutable vector_ops : int;
+  mutable vector_memops : int;
+  mutable scalar_memops_in_packs : int;
+  mutable inserts : int;
+  mutable extracts : int;
+  mutable permutes : int;
+}
+
+let[@inline] charge p c = p.total.cost <- p.total.cost +. c
+
+(* A pack's kind from its multiset: ids order constants, scalars, then
+   elements. *)
+let all_elem p (key : int array) = key.(0) >= p.first_elem
+
+let all_scalar p (key : int array) =
+  key.(0) >= p.first_scalar && key.(Array.length key - 1) < p.first_elem
+
+let pack_source p (v : Schedule.Facts.view) i =
+  let lanes = v.Schedule.Facts.lanes.(i) and key = v.Schedule.Facts.group.Schedule.Facts.keys.(i) in
+  let params = p.params and live = p.live in
+  let n = Array.length lanes in
+  if Live.mem_exact live lanes then ()
+  else if Live.mem_multiset live key then begin
+    p.permutes <- p.permutes + 1;
+    charge p params.permute
+  end
+  else if Live.coverable_by_two live key then begin
+    p.permutes <- p.permutes + 1;
+    charge p params.permute
+  end
+  else if key.(0) = key.(n - 1) then begin
+    (* Splat: one broadcast, plus one element load when the value
+       comes from memory. *)
+    charge p params.broadcast;
+    if all_elem p key then begin
+      p.scalar_memops_in_packs <- p.scalar_memops_in_packs + 1;
+      charge p params.scalar_load
+    end
+  end
+  else if all_elem p key then
+    if verdict p.facts p.m v i 0 then begin
+      p.vector_memops <- p.vector_memops + 1;
+      charge p params.vector_load;
+      if not (verdict p.facts p.m v i 1) then charge p params.unaligned_extra
+    end
+    else if verdict p.facts p.m v i 2 then begin
+      p.vector_memops <- p.vector_memops + 1;
+      p.permutes <- p.permutes + 1;
+      charge p (params.vector_load +. params.permute);
+      if not (verdict p.facts p.m v i 3) then charge p params.unaligned_extra
+    end
+    else begin
+      p.scalar_memops_in_packs <- p.scalar_memops_in_packs + n;
+      p.inserts <- p.inserts + n;
+      charge p (float_of_int n *. (params.scalar_load +. params.insert))
+    end
+  else if all_scalar p key then
+    if verdict p.facts p.m v i 0 then begin
+      p.vector_memops <- p.vector_memops + 1;
+      charge p params.vector_load;
+      if not (verdict p.facts p.m v i 1) then charge p params.unaligned_extra
+    end
+    else begin
+      p.inserts <- p.inserts + n;
+      charge p (float_of_int n *. params.insert)
+    end
+  else
+    for l = 0 to n - 1 do
+      p.inserts <- p.inserts + 1;
+      charge p params.insert;
+      if lanes.(l) >= p.first_elem then begin
+        p.scalar_memops_in_packs <- p.scalar_memops_in_packs + 1;
+        charge p params.scalar_load
+      end
+    done
+
+let pack_dest p item_idx (v : Schedule.Facts.view) =
+  let lanes = v.Schedule.Facts.lanes.(0) and key = v.Schedule.Facts.group.Schedule.Facts.keys.(0) in
+  let params = p.params in
+  let n = Array.length lanes in
+  if all_elem p key then
+    if verdict p.facts p.m v 0 0 then begin
+      p.vector_memops <- p.vector_memops + 1;
+      charge p params.vector_store;
+      if not (verdict p.facts p.m v 0 1) then charge p params.unaligned_extra
+    end
+    else if verdict p.facts p.m v 0 2 then begin
+      p.vector_memops <- p.vector_memops + 1;
+      p.permutes <- p.permutes + 1;
+      charge p (params.vector_store +. params.permute);
+      if not (verdict p.facts p.m v 0 3) then charge p params.unaligned_extra
+    end
+    else begin
+      p.extracts <- p.extracts + n;
+      p.scalar_memops_in_packs <- p.scalar_memops_in_packs + n;
+      charge p (float_of_int n *. (params.extract +. params.scalar_store))
+    end
+  else begin
+    (* Scalars stay in the vector register unless some later Single
+       (or the world outside the block) needs them as scalars. *)
+    let needed = ref 0 in
+    for l = 0 to n - 1 do
+      let i = lanes.(l) in
+      if
+        i >= p.first_scalar && i < p.first_elem
+        && (scalar_live_out p.facts p.m i || p.m.last_read.(i) > item_idx)
+      then incr needed
+    done;
+    let needed = !needed in
+    if needed > 0 then
+      if needed = n && verdict p.facts p.m v 0 0 then begin
+        (* The scalar layout optimization placed them adjacently: one
+           vector store materialises all of them. *)
+        p.vector_memops <- p.vector_memops + 1;
+        charge p params.vector_store
+      end
+      else begin
+        p.extracts <- p.extracts + needed;
+        charge p (float_of_int needed *. (params.extract +. params.scalar_store))
+      end
+  end
+
+(* Scalars read by later Single items, per item index: a superword
+   defining such a scalar must unpack it. *)
+let rec note_reads p idx = function
+  | [] -> ()
+  | Schedule.Single sid :: rest ->
+      let row = Schedule.Facts.row p.facts (Schedule.Facts.rank p.facts sid) in
+      for pos = 1 to Array.length row - 1 do
+        let i = row.(pos) in
+        if i >= p.first_scalar && i < p.first_elem then p.m.last_read.(i) <- idx
+      done;
+      note_reads p (idx + 1) rest
+  | Schedule.Superword _ :: rest -> note_reads p (idx + 1) rest
+
+let rec price p idx = function
+  | [] -> ()
+  | item :: rest ->
+      let module F = Schedule.Facts in
+      (match item with
+      | Schedule.Single sid ->
+          let r = F.rank p.facts sid in
+          charge p p.m.stmt_cost.(r);
+          Live.invalidate p.live (F.clobbers p.facts (F.row p.facts r).(0))
+      | Schedule.Superword order ->
+          let v = F.view p.facts order in
+          let g = v.F.group and lanes = v.F.lanes in
+          let first = List.hd v.F.order in
+          p.vector_ops <- p.vector_ops + p.m.op_count.(first);
+          if Float.is_nan p.m.vector_op_cost.(first) then
+            p.m.vector_op_cost.(first) <-
+              weighted_ops p.params ~base:p.params.vector_op (F.rank_stmt p.facts first).Stmt.rhs;
+          charge p p.m.vector_op_cost.(first);
+          let keys = g.F.keys in
+          for i = 1 to Array.length keys - 1 do
+            pack_source p v i
+          done;
+          pack_dest p idx v;
+          Live.invalidate p.live g.F.clobbers;
+          for i = Array.length keys - 1 downto 0 do
+            Live.insert p.live ~lanes:lanes.(i) ~key:keys.(i)
+          done);
+      price p (idx + 1) rest
+
 let estimate_facts ?(params = default_params) ~query facts (sched : Schedule.t) =
   let module F = Schedule.Facts in
   let m = memo_of ~params ~query facts in
-  let first_scalar = F.first_scalar facts and first_elem = F.first_elem facts in
-  (* Scalars read by later Single items, per item index: a superword
-     defining such a scalar must unpack it. *)
-  let items = Array.of_list sched.Schedule.items in
-  let last_read = m.last_read in
-  Array.fill last_read 0 (Array.length last_read) (-1);
-  Array.iteri
-    (fun idx item ->
-      match item with
-      | Schedule.Single sid ->
-          let row = F.row facts (F.rank facts sid) in
-          for pos = 1 to Array.length row - 1 do
-            let i = row.(pos) in
-            if i >= first_scalar && i < first_elem then last_read.(i) <- idx
-          done
-      | Schedule.Superword _ -> ())
-    items;
-  let live = Live.create ~capacity:64 in
-  let vcost = ref 0.0 in
-  let vector_ops = ref 0 in
-  let vector_memops = ref 0 in
-  let scalar_memops_in_packs = ref 0 in
-  let inserts = ref 0 in
-  let extracts = ref 0 in
-  let permutes = ref 0 in
-  let charge c = vcost := !vcost +. c in
-  let contiguous lanes = verdict facts m lanes 0 and aligned lanes = verdict facts m lanes 1 in
-  let contiguous_rev lanes = verdict facts m lanes 2
-  and aligned_rev lanes = verdict facts m lanes 3 in
-  (* A pack's kind from its multiset: ids order constants, scalars,
-     then elements. *)
-  let all_elem key = key.(0) >= first_elem in
-  let all_scalar key = key.(0) >= first_scalar && key.(Array.length key - 1) < first_elem in
-  let pack_source lanes key =
-    let n = Array.length lanes in
-    if Live.mem_exact live lanes then ()
-    else if Live.mem_multiset live key then begin
-      incr permutes;
-      charge params.permute
-    end
-    else if Live.coverable_by_two live key then begin
-      incr permutes;
-      charge params.permute
-    end
-    else if key.(0) = key.(n - 1) then begin
-      (* Splat: one broadcast, plus one element load when the value
-         comes from memory. *)
-      charge params.broadcast;
-      if all_elem key then begin
-        incr scalar_memops_in_packs;
-        charge params.scalar_load
-      end
-    end
-    else if all_elem key then
-      if contiguous lanes then begin
-        incr vector_memops;
-        charge params.vector_load;
-        if not (aligned lanes) then charge params.unaligned_extra
-      end
-      else if contiguous_rev lanes then begin
-        incr vector_memops;
-        incr permutes;
-        charge (params.vector_load +. params.permute);
-        if not (aligned_rev lanes) then charge params.unaligned_extra
-      end
-      else begin
-        scalar_memops_in_packs := !scalar_memops_in_packs + n;
-        inserts := !inserts + n;
-        charge (float_of_int n *. (params.scalar_load +. params.insert))
-      end
-    else if all_scalar key then
-      if contiguous lanes then begin
-        incr vector_memops;
-        charge params.vector_load;
-        if not (aligned lanes) then charge params.unaligned_extra
-      end
-      else begin
-        inserts := !inserts + n;
-        charge (float_of_int n *. params.insert)
-      end
-    else
-      for l = 0 to n - 1 do
-        incr inserts;
-        charge params.insert;
-        if lanes.(l) >= first_elem then begin
-          incr scalar_memops_in_packs;
-          charge params.scalar_load
-        end
-      done
+  let p =
+    {
+      facts;
+      m;
+      params;
+      live = F.live facts ~capacity:64;
+      first_scalar = F.first_scalar facts;
+      first_elem = F.first_elem facts;
+      total = { cost = 0.0 };
+      vector_ops = 0;
+      vector_memops = 0;
+      scalar_memops_in_packs = 0;
+      inserts = 0;
+      extracts = 0;
+      permutes = 0;
+    }
   in
-  let pack_dest item_idx lanes key =
-    let n = Array.length lanes in
-    if all_elem key then
-      if contiguous lanes then begin
-        incr vector_memops;
-        charge params.vector_store;
-        if not (aligned lanes) then charge params.unaligned_extra
-      end
-      else if contiguous_rev lanes then begin
-        incr vector_memops;
-        incr permutes;
-        charge (params.vector_store +. params.permute);
-        if not (aligned_rev lanes) then charge params.unaligned_extra
-      end
-      else begin
-        extracts := !extracts + n;
-        scalar_memops_in_packs := !scalar_memops_in_packs + n;
-        charge (float_of_int n *. (params.extract +. params.scalar_store))
-      end
-    else begin
-      (* Scalars stay in the vector register unless some later Single
-         (or the world outside the block) needs them as scalars. *)
-      let needed = ref 0 in
-      for l = 0 to n - 1 do
-        let i = lanes.(l) in
-        if
-          i >= first_scalar && i < first_elem
-          && (scalar_live_out facts m i || last_read.(i) > item_idx)
-        then incr needed
-      done;
-      let needed = !needed in
-      if needed > 0 then
-        if needed = n && contiguous lanes then begin
-          (* The scalar layout optimization placed them adjacently:
-             one vector store materialises all of them. *)
-          incr vector_memops;
-          charge params.vector_store
-        end
-        else begin
-          extracts := !extracts + needed;
-          charge (float_of_int needed *. (params.extract +. params.scalar_store))
-        end
-    end
-  in
-  Array.iteri
-    (fun idx item ->
-      match item with
-      | Schedule.Single sid ->
-          let r = F.rank facts sid in
-          charge m.stmt_cost.(r);
-          Live.invalidate live (F.clobbers facts (F.row facts r).(0))
-      | Schedule.Superword order ->
-          let ranks = List.map (F.rank facts) order in
-          let g = F.group facts (List.sort Int.compare ranks) in
-          let first = List.hd ranks in
-          let head = F.rank_stmt facts first in
-          vector_ops := !vector_ops + Stmt.op_count head;
-          if Float.is_nan m.vector_op_cost.(first) then
-            m.vector_op_cost.(first) <- weighted_ops params ~base:params.vector_op head.Stmt.rhs;
-          charge m.vector_op_cost.(first);
-          let positions = g.F.positions and keys = g.F.keys in
-          let lanes = Array.map (F.lanes facts ranks) positions in
-          for i = 1 to Array.length positions - 1 do
-            pack_source lanes.(i) keys.(i)
-          done;
-          pack_dest idx lanes.(0) keys.(0);
-          Live.invalidate live g.F.clobbers;
-          for i = Array.length positions - 1 downto 0 do
-            Live.insert live ~lanes:lanes.(i) ~key:keys.(i)
-          done)
-    items;
+  Array.fill m.last_read 0 (Array.length m.last_read) (-1);
+  note_reads p 0 sched.Schedule.items;
+  price p 0 sched.Schedule.items;
   {
     scalar_cost = m.scalar_cost;
-    vector_cost = !vcost;
-    vector_ops = !vector_ops;
-    vector_memops = !vector_memops;
-    scalar_memops_in_packs = !scalar_memops_in_packs;
-    inserts = !inserts;
-    extracts = !extracts;
-    permutes = !permutes;
+    vector_cost = p.total.cost;
+    vector_ops = p.vector_ops;
+    vector_memops = p.vector_memops;
+    scalar_memops_in_packs = p.scalar_memops_in_packs;
+    inserts = p.inserts;
+    extracts = p.extracts;
+    permutes = p.permutes;
   }
 
 let estimate ?params ~query block sched =

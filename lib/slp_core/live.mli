@@ -15,6 +15,11 @@ type t
 
 val create : capacity:int -> t
 
+val capacity : t -> int
+
+val clear : t -> unit
+(** Empty the set, keeping its arrays for reuse. *)
+
 val entries : t -> int array list
 (** Most recently inserted first. *)
 

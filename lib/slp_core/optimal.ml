@@ -15,11 +15,14 @@ module Remark = Slp_obs.Remark
 
    We solve it with the branch-and-bound core in [Slp_util.Bnb]
    rather than an LP relaxation: bounds are per-element admissible
-   underestimates derived from the cost model, the relaxation of the
-   uncovered set is memoised on its bitset signature, and the search
-   is metered by the standard [Fuel] so pathological blocks bail to
-   the holistic heuristic under the catalogued BAIL15 code instead of
-   hanging the pipeline. *)
+   underestimates derived from the cost model, read from tables built
+   once per block, the relaxation of the uncovered set is memoised on
+   its bitset, acyclicity is checked incrementally
+   ([Units.Deps.join]), and the search is metered by the standard
+   [Fuel] so pathological blocks bail under the catalogued BAIL15
+   code instead of hanging the pipeline.  A bailed block keeps the
+   best incumbent it started with (the holistic heuristic's plan or a
+   seed); what the search itself found is discarded. *)
 
 let default_solver_steps = 20_000
 
@@ -27,9 +30,11 @@ type stats = {
   nodes : int;
   leaves : int;
   memo_hits : int;
-  pruned : int;
+  bound_cuts : int;
+  infeasible : int;
+  improvements : int;
   proven : bool;  (** search completed: the result is the exact optimum *)
-  bailed : bool;  (** fuel ran out: result is the best incumbent *)
+  bailed : bool;  (** fuel ran out: result is the best incumbent it started with *)
 }
 
 type bail = { label : string; budget : int; error : E.t }
@@ -184,7 +189,6 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
   (* The site's facts serve the heuristic, every leaf, seed and
      re-evaluation. *)
   let facts = Lazy.force facts in
-  let stmt id = Schedule.Facts.stmt facts id in
   let scalar_cost =
     Array.fold_left
       (fun acc s -> acc +. Cost.scalar_stmt_cost cost_params s)
@@ -227,91 +231,92 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
       (fun acc a -> Float.min acc a.a_estimate.Cost.vector_cost)
       scalar_cost incumbents
   in
-  (* Admissible bounds from the cost model.  A committed pack of k
-     isomorphic statements is charged the vector op weight of its head
-     exactly once; isomorphism forces identical operator sequences, so
-     every member shares that weight.  A memory destination costs at
-     least one vector store or two extract+store pairs, whichever is
-     cheaper; source packs and alignment penalties only add. *)
-  let vec_ops id = Cost.weighted_ops cost_params ~base:cost_params.Cost.vector_op (stmt id).Stmt.rhs in
-  let dest_floor id =
-    match (stmt id).Stmt.lhs with
-    | Operand.Elem _ ->
-        Float.min cost_params.Cost.vector_store
-          (2.0 *. (cost_params.Cost.extract +. cost_params.Cost.scalar_store))
-    | Operand.Scalar _ | Operand.Const _ -> 0.0
+  (* Per-rank tables, built once per block; the search reads only
+     these.  Admissible bounds from the cost model: a committed pack
+     of k isomorphic statements is charged the vector op weight of its
+     head exactly once; isomorphism forces identical operator
+     sequences, so every member shares that weight.  A memory
+     destination costs at least one vector store or two extract+store
+     pairs, whichever is cheaper; source packs and alignment penalties
+     only add.  A statement's relaxation is its scalar price, or its
+     share of that pack bound when a partner is still uncovered.
+     Partners are listed in ascending rank, the order the packs are
+     grown in. *)
+  let n = Schedule.Facts.rank_count facts in
+  let rank_stmt = Schedule.Facts.rank_stmt facts in
+  let scalar = Array.init n (fun r -> Cost.scalar_stmt_cost cost_params (rank_stmt r)) in
+  let pack_bound =
+    Array.init n (fun r ->
+        let s = rank_stmt r in
+        let dest_floor =
+          match s.Stmt.lhs with
+          | Operand.Elem _ ->
+              Float.min cost_params.Cost.vector_store
+                (2.0 *. (cost_params.Cost.extract +. cost_params.Cost.scalar_store))
+          | Operand.Scalar _ | Operand.Const _ -> 0.0
+        in
+        Cost.weighted_ops cost_params ~base:cost_params.Cost.vector_op s.Stmt.rhs +. dest_floor)
   in
-  let lanes id = Config.max_lanes config (Units.stmt_elem_ty ~env (stmt id)) in
-  let partner_tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun a ->
-      let ps =
-        Array.to_list stmts
-        |> List.filter (fun b -> compatible ~env ~deps a b)
-        |> List.map (fun (b : Stmt.t) -> b.Stmt.id)
-      in
-      Hashtbl.replace partner_tbl a.Stmt.id ps)
-    stmts;
-  let partners id = try Hashtbl.find partner_tbl id with Not_found -> [] in
-  let compat a b = List.mem b (partners a) in
-  let units = Array.to_list (Array.map (Units.of_stmt ~env) stmts) in
-  let udeps = Units.Deps.build ~dep_pairs:deps units in
+  let lanes = Array.init n (fun r -> Config.max_lanes config (Units.stmt_elem_ty ~env (rank_stmt r))) in
+  let share = Array.init n (fun r -> Float.min scalar.(r) (pack_bound.(r) /. float_of_int lanes.(r))) in
+  let compat = Bytes.make (n * n) '\000' in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if compatible ~env ~deps (rank_stmt a) (rank_stmt b) then Bytes.set compat ((a * n) + b) '\001'
+    done
+  done;
+  let partners =
+    Array.init n (fun a ->
+        Array.of_list (List.filter (fun b -> Bytes.get compat ((a * n) + b) <> '\000') (List.init n Fun.id)))
+  in
+  let rec compatible_with_all c = function
+    | [] -> true
+    | m :: rest -> Bytes.get compat ((m * n) + c) <> '\000' && compatible_with_all c rest
+  in
+  let contraction =
+    Units.Deps.contraction
+      (Units.Deps.build ~dep_pairs:deps (Array.to_list (Array.map (Units.of_stmt ~env) stmts)))
+  in
   let fuel = E.Fuel.create ~pass:E.Grouping ~budget () in
   let tick () = E.Fuel.tick fuel in
-  let single id =
-    {
-      Bnb.part = [ id ];
-      members = [ id ];
-      bound = Cost.scalar_stmt_cost cost_params (stmt id);
-    }
-  in
-  let choices id ~available =
-    let pool = List.filter available (partners id) in
+  let singles = Array.init n (fun r -> { Bnb.part = [| r |]; members = [| r |]; bound = scalar.(r) }) in
+  (* Packs with least member [r], in the reverse of the order they are
+     found: members grow by ascending rank, each new one compatible
+     with all before it, up to the lane budget; one tick per pack
+     grown. *)
+  let choices r ~available =
     let packs = ref [] in
-    let rec extend members size pool =
+    let rec fill part i = function
+      | [] -> ()
+      | m :: rest ->
+          part.(i) <- m;
+          fill part (i - 1) rest
+    in
+    let rec extend members size k =
       tick ();
-      if size >= 2 then packs := List.rev members :: !packs;
-      if size < lanes id then
-        let rec pick = function
-          | [] -> ()
-          | c :: rest ->
-              if List.for_all (fun m -> compat m c) members then
-                extend (c :: members) (size + 1) rest;
-              pick rest
-        in
-        pick pool
+      if size >= 2 then begin
+        let part = Array.make size 0 in
+        fill part (size - 1) members;
+        packs := { Bnb.part; members = part; bound = pack_bound.(r) } :: !packs
+      end;
+      if size < lanes.(r) then pick members size k
+    and pick members size k =
+      if k < Array.length partners.(r) then begin
+        let c = partners.(r).(k) in
+        if available c && compatible_with_all c members then extend (c :: members) (size + 1) (k + 1);
+        pick members size (k + 1)
+      end
     in
-    extend [ id ] 1 (List.sort compare pool);
-    List.map
-      (fun members ->
-        let sorted = List.sort compare members in
-        {
-          Bnb.part = sorted;
-          members = sorted;
-          bound = vec_ops id +. dest_floor id;
-        })
-      !packs
+    extend [ r ] 1 0;
+    !packs
   in
-  let relax id ~available =
-    let scalar = Cost.scalar_stmt_cost cost_params (stmt id) in
-    if List.exists available (partners id) then
-      Float.min scalar
-        ((vec_ops id +. dest_floor id) /. float_of_int (lanes id))
-    else scalar
+  let relax r ~available =
+    if Array.exists available partners.(r) then share.(r) else scalar.(r)
   in
-  let feasible parts =
-    let pairs =
-      List.concat_map
-        (fun part ->
-          match part with
-          | [] | [ _ ] -> []
-          | head :: rest -> List.map (fun m -> (head, m)) rest)
-        parts
-    in
-    pairs = [] || Units.Deps.merged_acyclic udeps pairs
-  in
+  let ids part = Array.fold_right (fun r acc -> Schedule.Facts.rank_id facts r :: acc) part [] in
+  let grouping_of_ranks parts = grouping_of_parts (List.map ids parts) in
   let leaf parts =
-    let grouping = grouping_of_parts parts in
+    let grouping = grouping_of_ranks parts in
     if grouping.Grouping.groups = [] then Some scalar_cost
     else
       match evaluate_grouping grouping with
@@ -322,10 +327,9 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
      fuel. *)
   let counts = Bnb.new_stats () in
   let solve () =
-    Bnb.solve
-      ~universe:(Block.stmt_ids block)
-      ~choices ~single ~relax ~feasible ~leaf ~incumbent:incumbent_cost ~tick
-      ~stats:counts ()
+    Bnb.solve ~size:n ~choices ~single:(Array.get singles) ~relax
+      ~feasible:(Units.Deps.join contraction) ~undo:(Units.Deps.leave contraction) ~leaf
+      ~incumbent:incumbent_cost ~tick ~stats:counts ()
   in
   let solved, bailed =
     match solve () with
@@ -341,7 +345,7 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
   in
   let solved_attempt =
     match solved with
-    | Some (parts, _) -> evaluate_grouping (grouping_of_parts parts)
+    | Some (parts, _) -> evaluate_grouping (grouping_of_ranks parts)
     | None -> None
   in
   let stats =
@@ -349,7 +353,9 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
       nodes = counts.Bnb.nodes;
       leaves = counts.Bnb.leaves;
       memo_hits = counts.Bnb.memo_hits;
-      pruned = counts.Bnb.pruned;
+      bound_cuts = counts.Bnb.bound_cuts;
+      infeasible = counts.Bnb.infeasible;
+      improvements = counts.Bnb.improvements;
       proven = Option.is_none bailed;
       bailed = Option.is_some bailed;
     }
@@ -369,8 +375,8 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
   (match (stats.bailed, best) with
   | true, _ ->
       remark "OPT-BAIL"
-        "solver budget %d exhausted after %d nodes, %d leaves; using best incumbent" budget
-        stats.nodes stats.leaves
+        "solver budget %d exhausted after %d nodes, %d leaves (%d bound cuts, %d infeasible, %d improvements); using best incumbent"
+        budget stats.nodes stats.leaves stats.bound_cuts stats.infeasible stats.improvements
   | false, Some a ->
       let h =
         match heuristic_attempt with
@@ -379,7 +385,7 @@ let plan_block ?(obs = Obs.none) ?params ?(seeds = []) ?solver_steps
       in
       if a.a_estimate.Cost.vector_cost < h -. 1e-9 then
         remark "OPT-IMPROVE" "optimum %.1f beats heuristic %.1f (%d nodes, %d pruned)"
-          a.a_estimate.Cost.vector_cost h stats.nodes stats.pruned
+          a.a_estimate.Cost.vector_cost h stats.nodes stats.bound_cuts
       else remark "OPT-MATCH" "heuristic already optimal at %.1f (%d nodes)" h stats.nodes
   | false, None ->
       remark "OPT-MATCH" "scalar cost %.1f is optimal (%d nodes)" scalar_cost stats.nodes);

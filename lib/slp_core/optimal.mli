@@ -20,9 +20,15 @@ type stats = {
   nodes : int;
   leaves : int;
   memo_hits : int;
-  pruned : int;
+  bound_cuts : int;  (** Subtrees cut by the bound. *)
+  infeasible : int;  (** Packs rejected because contracting them closes a cycle. *)
+  improvements : int;  (** Leaves that beat the incumbent. *)
   proven : bool;  (** Search completed: the result is the exact optimum. *)
-  bailed : bool;  (** Fuel ran out: the result is the best incumbent. *)
+  bailed : bool;
+      (** Fuel ran out: the result is the best of the incumbents the
+          search started from (the heuristic's plan and the seeds);
+          partitions the search itself found, even cheaper ones, are
+          discarded. *)
 }
 
 type bail = { label : string; budget : int; error : Slp_util.Slp_error.t }

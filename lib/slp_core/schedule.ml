@@ -47,15 +47,53 @@ let union_sorted arrays =
 
 (* -- per-block facts -------------------------------------------------- *)
 
+(* [compare] on rank lists, lexicographic. *)
+let rec compare_orders (a : int list) (b : int list) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: a', y :: b' -> if x <> y then Int.compare x y else compare_orders a' b'
+
 module Facts = struct
   type group = {
+    members : int list;
+    ranks : int array;
     positions : int array;
     keys : int array array;
     clobbers : int array;
     memory_orders : int list list Lazy.t;
+    mutable orders : view list;  (** The lane orders viewed so far. *)
   }
 
+  and view = { id : int; order : int list; group : group; lanes : int array array; item : item }
+
   type pricing = ..
+
+  (* What schedules and validity checks use besides the facts proper,
+     built on first use: per rank, its dependence successors, its
+     [[rank]] list and its [Single] item; and arrays by node (an item
+     of the grouping) or by rank that each run overwrites.  The node
+     arrays grow when a grouping has more nodes than the block has
+     statements, which only an invalid one can. *)
+  type scratch = {
+    mutable node_members : int list array;
+    mutable node_group : group array;  (** [no_group] for a single. *)
+    mutable indeg : int array;
+    mutable pending : int array;
+    mutable stack : int array;
+    mutable emitted : Bytes.t;
+    mutable placed : item array;  (** Emitted items, in order. *)
+    owner : int array;  (** By rank: its node. *)
+    slot : int array;  (** By rank: its item's index. *)
+    used : Bytes.t;  (** By lane, for the lane order search. *)
+    live_with : int array list array;
+        (** By group position, for the lane order search: the lanes of
+            the live superwords carrying its multiset. *)
+    dep_succs : int array array;  (** By rank: the second rank of each of its pairs. *)
+    single_members : int list array;  (** By rank: [[rank]]. *)
+    single_items : item array;  (** By rank: [Single id]. *)
+  }
 
   (* Statements are held by rank (index in ascending id order), so rank
      order is id order and a rank list sorts like its id list.  Operand
@@ -75,19 +113,36 @@ module Facts = struct
     rows : int array array;  (** By rank: operand id per position, 0 = def. *)
     clobbers : int array array;  (** By operand id; empty unless defined. *)
     groups : (int list, group) Hashtbl.t;  (** By sorted rank list. *)
+    views : (int list, view) Hashtbl.t;  (** By ids in lane order. *)
+    scratch : scratch Lazy.t;  (** Built by the first schedule or check. *)
+    mutable view_count : int;
+    mutable lives : Live.t list;
     mutable pricing : pricing option;
   }
 
-  (* Binary search of a statement id; -1 when absent. *)
-  let rank_in (ids : int array) id =
-    let rec go lo hi =
-      if lo >= hi then -1
-      else
-        let mid = (lo + hi) / 2 in
-        let x = ids.(mid) in
-        if x = id then mid else if x < id then go (mid + 1) hi else go lo mid
-    in
-    go 0 (Array.length ids)
+  let no_group =
+    {
+      members = [];
+      ranks = [||];
+      positions = [||];
+      keys = [||];
+      clobbers = [||];
+      memory_orders = Lazy.from_val [];
+      orders = [];
+    }
+
+  (* Binary search of a statement id in [ids.(lo) .. ids.(hi - 1)]; -1
+     when absent. *)
+  let rec rank_within (ids : int array) id lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let x = ids.(mid) in
+      if x = id then mid
+      else if x < id then rank_within ids id (mid + 1) hi
+      else rank_within ids id lo mid
+
+  let rank_in ids id = rank_within ids id 0 (Array.length ids)
 
   let find_rank t id = rank_in t.ids id
 
@@ -115,6 +170,27 @@ module Facts = struct
           (List.filter
              (fun i -> Operand.may_alias def operands.(i))
              (List.init (!hi - !lo + 1) (fun k -> !lo + k)))
+
+  let make_scratch ids rows dep_ranks =
+    let n = Array.length ids in
+    let succs = Array.make n [] in
+    List.iter (fun (p, q) -> succs.(p) <- q :: succs.(p)) dep_ranks;
+    {
+      node_members = Array.make n [];
+      node_group = Array.make n no_group;
+      indeg = Array.make n 0;
+      pending = Array.make n 0;
+      stack = Array.make n 0;
+      emitted = Bytes.make n '\000';
+      placed = Array.make n (Single 0);
+      owner = Array.make n (-1);
+      slot = Array.make n (-1);
+      used = Bytes.make n '\000';
+      live_with = Array.make (Array.fold_left (fun acc row -> max acc (Array.length row)) 0 rows) [];
+      dep_succs = Array.map Array.of_list succs;
+      single_members = Array.init n (fun r -> [ r ]);
+      single_items = Array.map (fun id -> Single id) ids;
+    }
 
   let make ~deps (block : Block.t) =
     let stmts = Array.of_list block.Block.stmts in
@@ -183,14 +259,18 @@ module Facts = struct
       rows;
       clobbers;
       groups = Hashtbl.create 32;
+      views = Hashtbl.create 32;
+      scratch = lazy (make_scratch ids rows dep_ranks);
+      view_count = 0;
+      lives = [];
       pricing = None;
     }
 
   let block t = t.block
   let deps t = t.deps
-  let stmt t id = t.stmts.(rank t id)
   let rank_count t = Array.length t.ids
   let rank_stmt t r = t.stmts.(r)
+  let rank_id t r = t.ids.(r)
   let row t r = t.rows.(r)
 
   let id t op =
@@ -258,9 +338,9 @@ module Facts = struct
     end
 
   let group t members =
-    match Hashtbl.find_opt t.groups members with
-    | Some g -> g
-    | None ->
+    match Hashtbl.find t.groups members with
+    | g -> g
+    | exception Not_found ->
         let npos = Array.length t.rows.(List.hd members) in
         let keys =
           List.init npos (fun pos ->
@@ -271,50 +351,80 @@ module Facts = struct
         in
         let g =
           {
+            members;
+            ranks = Array.of_list members;
             positions = Array.of_list (List.map fst keys);
             keys = Array.of_list (List.map snd keys);
             clobbers = union_sorted (List.map (fun r -> t.clobbers.(t.rows.(r).(0))) members);
             memory_orders =
               lazy (List.filter_map (fun (pos, _) -> memory_order t members pos) keys);
+            orders = [];
           }
         in
         Hashtbl.replace t.groups members g;
         g
 
+  let rec find_view order = function
+    | [] -> raise Not_found
+    | v :: rest -> if compare_orders v.order order = 0 then v else find_view order rest
+
+  let order_view t g order =
+    match find_view order g.orders with
+    | v -> v
+    | exception Not_found ->
+        let ids = List.map (fun r -> t.ids.(r)) order in
+        let v =
+          {
+            id = t.view_count;
+            order;
+            group = g;
+            lanes = Array.map (lanes t order) g.positions;
+            item = Superword ids;
+          }
+        in
+        t.view_count <- t.view_count + 1;
+        g.orders <- v :: g.orders;
+        Hashtbl.replace t.views ids v;
+        v
+
+  let view t ids =
+    match Hashtbl.find t.views ids with
+    | v -> v
+    | exception Not_found ->
+        let order = List.map (rank t) ids in
+        order_view t (group t (List.sort Int.compare order)) order
+
+  let rec find_live capacity = function
+    | [] -> None
+    | l :: rest -> if Live.capacity l = capacity then Some l else find_live capacity rest
+
+  let live t ~capacity =
+    match find_live capacity t.lives with
+    | Some l ->
+        Live.clear l;
+        l
+    | None ->
+        let l = Live.create ~capacity in
+        t.lives <- l :: t.lives;
+        l
+
+  (* The scratch, with node arrays for at least [n] nodes. *)
+  let scratch t n =
+    let s = Lazy.force t.scratch in
+    if Array.length s.node_members < n then begin
+      s.node_members <- Array.make n [];
+      s.node_group <- Array.make n no_group;
+      s.indeg <- Array.make n 0;
+      s.pending <- Array.make n 0;
+      s.stack <- Array.make n 0;
+      s.emitted <- Bytes.make n '\000';
+      s.placed <- Array.make n (Single 0)
+    end;
+    s
+
   let pricing t = t.pricing
   let set_pricing t p = t.pricing <- Some p
 end
-
-(* Apply [f] to each lane order of [members] (ranks) that places, at
-   source position [pos], exactly the live superword [target] — the
-   "orders with at least one direct reuse" — in depth-first order over
-   the members.  Bounded to 24 orders to avoid factorial blow-up on
-   packs full of duplicates. *)
-let orders_matching facts members pos (target : int array) f =
-  let limit = 24 in
-  let count = ref 0 in
-  let ms = Array.of_list members in
-  let used = Array.make (Array.length ms) false in
-  let rec go l acc =
-    if !count < limit then
-      if l = Array.length target then begin
-        incr count;
-        f (List.rev acc)
-      end
-      else
-        for i = 0 to Array.length ms - 1 do
-          if !count < limit && (not used.(i)) && (Facts.row facts ms.(i)).(pos) = target.(l)
-          then begin
-            used.(i) <- true;
-            go (l + 1) (ms.(i) :: acc);
-            used.(i) <- false
-          end
-        done
-  in
-  go 0 []
-
-let stmt_ids facts order = List.map (fun r -> facts.Facts.ids.(r)) order
-let sorted_ranks facts order = List.sort Int.compare (List.map (Facts.rank facts) order)
 
 (* -- stats replay --------------------------------------------------- *)
 
@@ -327,9 +437,8 @@ let analyze ~config facts items =
           let r = Facts.rank facts sid in
           Live.invalidate live (Facts.clobbers facts (Facts.row facts r).(0))
       | Superword order ->
-          let ranks = List.map (Facts.rank facts) order in
-          let g = Facts.group facts (List.sort Int.compare ranks) in
-          let lanes = Array.map (Facts.lanes facts ranks) g.Facts.positions in
+          let v = Facts.view facts order in
+          let g = v.Facts.group and lanes = v.Facts.lanes in
           Array.iteri
             (fun i pos ->
               if pos > 0 then
@@ -355,200 +464,335 @@ let analyze ~config facts items =
 
 (* -- main ----------------------------------------------------------- *)
 
-let rec mem_int (x : int) = function [] -> false | y :: rest -> x = y || mem_int x rest
+(* The state of one schedule's lane order search: the group being
+   ordered, the live superword set, and the cheapest order found so
+   far with its cost.  [sc.live_with] holds, for each of the group's
+   positions, the live superwords carrying its multiset (filled
+   through [at]); [sc.used] marks the members placed by
+   [orders_matching]. *)
+type order_search = {
+  facts : Facts.t;
+  sc : Facts.scratch;
+  live : Live.t;
+  mutable group : Facts.group;
+  mutable at : int;  (** A position index of the group. *)
+  mutable pos : int;
+  mutable found : int;
+  mutable best : int list;
+  mutable best_cost : int;
+  mutable direct : int;  (** Source packs live in lane order, so far. *)
+  mutable permuted : int;  (** Live in another lane order. *)
+  mutable packed : int;  (** Packed from scratch. *)
+}
 
-(* [compare] on rank lists, lexicographic. *)
-let rec compare_orders (a : int list) (b : int list) =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ -> -1
-  | _, [] -> 1
-  | x :: a', y :: b' -> if x <> y then Int.compare x y else compare_orders a' b'
+(* The lanes at position [pos] of the statements [order] are [lanes]. *)
+let rec same_lanes rows pos (lanes : int array) l = function
+  | [] -> true
+  | r :: rest -> rows.(r).(pos) = lanes.(l) && same_lanes rows pos lanes (l + 1) rest
 
-let run_facts ?(options = default_options) ?fuel ?(obs = Obs.none) ~config
-    facts (grouping : Grouping.result) =
-  (* The message is formatted only when [obs] takes remarks. *)
-  let remark id ~order fmt =
-    if Obs.remarks_on obs then
-      Printf.ksprintf
-        (fun message ->
-          Obs.remark obs
-            (Remark.make ~id ~pass:"scheduling" ~block:facts.Facts.block.Block.label
-               ~stmts:(stmt_ids facts order) message))
-        fmt
-    else Printf.ikfprintf ignore () fmt
-  in
-  let tick =
-    match fuel with
-    | None -> fun () -> ()
-    | Some f -> fun () -> Slp_util.Slp_error.Fuel.tick f
-  in
-  (* Group nodes: one per SIMD group, one per single; gid = index.
-     Members are ranks, ascending. *)
-  let nodes =
-    Array.of_list
-      (List.map (fun g -> (sorted_ranks facts g, true)) grouping.Grouping.groups
-      @ List.map (fun s -> ([ Facts.rank facts s ], false)) grouping.Grouping.singles)
-  in
-  let n = Array.length nodes in
-  let members = Array.map fst nodes and is_super = Array.map snd nodes in
-  let groups =
-    Array.map (fun (ms, super) -> if super then Some (Facts.group facts ms) else None) nodes
-  in
-  let owner = Array.make (Facts.rank_count facts) (-1) in
-  Array.iteri (fun gid ms -> List.iter (fun m -> owner.(m) <- gid) ms) members;
-  (* Dependence DAG over groups, as successor lists and in-degrees. *)
-  let succs = Array.make n [] and indeg = Array.make n 0 in
-  List.iter
-    (fun (p, q) ->
+let rec some_same rows pos order = function
+  | [] -> false
+  | lanes :: rest -> same_lanes rows pos lanes 0 order || some_same rows pos order rest
+
+(* Cost of a lane order: one permutation per live-matched source pack
+   in the wrong lane order.  A live superword with the pack's lanes
+   in this order carries the pack's multiset, so only those are
+   compared. *)
+let order_cost st order =
+  let g = st.group and live_with = st.sc.Facts.live_with and rows = st.facts.Facts.rows in
+  let perms = ref 0 in
+  for i = 0 to Array.length g.Facts.positions - 1 do
+    match live_with.(i) with
+    | [] -> ()
+    | candidates -> if not (some_same rows g.Facts.positions.(i) order candidates) then incr perms
+  done;
+  !perms
+
+(* The cheapest order, ties to the smallest, program order (the
+   members) among them.  That minimum does not depend on the order
+   candidates come in, or on repeats, so each is weighed as it is
+   found. *)
+let consider st order =
+  let c = order_cost st order in
+  if c < st.best_cost || (c = st.best_cost && compare_orders order st.best < 0) then begin
+    st.best <- order;
+    st.best_cost <- c
+  end
+
+let rec consider_all st = function
+  | [] -> ()
+  | order :: rest ->
+      consider st order;
+      consider_all st rest
+
+(* Weigh each lane order of the group's members that places, at source
+   position [st.pos], exactly the live superword [target] — the
+   "orders with at least one direct reuse" — in depth-first order over
+   the members.  Bounded to 24 orders per target to avoid factorial
+   blow-up on packs full of duplicates. *)
+let rec orders_matching st (target : int array) l acc =
+  let limit = 24 in
+  if st.found < limit then
+    if l = Array.length target then begin
+      st.found <- st.found + 1;
+      consider st (List.rev acc)
+    end
+    else
+      let ms = st.group.Facts.ranks and used = st.sc.Facts.used in
+      for i = 0 to Array.length ms - 1 do
+        if
+          st.found < limit
+          && Bytes.get used i = '\000'
+          && st.facts.Facts.rows.(ms.(i)).(st.pos) = target.(l)
+        then begin
+          Bytes.set used i '\001';
+          orders_matching st target (l + 1) (ms.(i) :: acc);
+          Bytes.set used i '\000'
+        end
+      done
+
+let stmt_ids facts order = List.map (fun r -> facts.Facts.ids.(r)) order
+
+(* The message is formatted only when [obs] takes remarks: callers
+   test [Obs.remarks_on] first. *)
+let remark obs facts id ~order fmt =
+  Printf.ksprintf
+    (fun message ->
+      Obs.remark obs
+        (Remark.make ~id ~pass:"scheduling" ~block:facts.Facts.block.Block.label
+           ~stmts:(stmt_ids facts order) message))
+    fmt
+
+let emit_superword ~options ~obs st ~collect ~on_match (g : Facts.group) =
+  let facts = st.facts and live = st.live in
+  let ms = g.Facts.members in
+  let positions = g.Facts.positions and keys = g.Facts.keys in
+  st.group <- g;
+  for i = 0 to Array.length positions - 1 do
+    st.sc.Facts.live_with.(i) <- [];
+    st.at <- i;
+    Live.iter_multiset live keys.(i) collect
+  done;
+  st.best <- ms;
+  st.best_cost <- order_cost st ms;
+  for i = 0 to Array.length positions - 1 do
+    st.pos <- positions.(i);
+    List.iter on_match st.sc.Facts.live_with.(i)
+  done;
+  consider_all st (Lazy.force g.Facts.memory_orders);
+  (match options.ordering_search with
+  | Direct_reuse_only -> ()
+  | Exhaustive -> consider_all st (permutations ~limit:120 ms));
+  let v = Facts.order_view facts g st.best in
+  let order = v.Facts.order and lanes = v.Facts.lanes in
+  (* Account reuse statistics for the chosen order. *)
+  let remarks = Obs.remarks_on obs in
+  for i = 0 to Array.length positions - 1 do
+    let pos = positions.(i) in
+    if pos > 0 then
+      if Live.mem_exact live lanes.(i) then begin
+        st.direct <- st.direct + 1;
+        if remarks then
+          remark obs facts "SCHED-REUSE" ~order
+            "operand position %d reuses a live pack in lane order" pos
+      end
+      else if Live.mem_multiset live keys.(i) then begin
+        st.permuted <- st.permuted + 1;
+        if remarks then
+          remark obs facts "SCHED-PERM" ~order
+            "operand position %d reuses a live pack via a permutation" pos
+      end
+      else begin
+        st.packed <- st.packed + 1;
+        if remarks then
+          remark obs facts "SCHED-PACK" ~order "operand position %d is packed from scratch" pos
+      end
+  done;
+  Live.invalidate live g.Facts.clobbers;
+  (* Sources first, destination last (most recently touched). *)
+  for i = Array.length positions - 1 downto 0 do
+    Live.insert live ~lanes:lanes.(i) ~key:keys.(i)
+  done;
+  v.Facts.item
+
+(* Node [g] is done: count down, once per dependence pair leaving it,
+   the [pending] predecessors of the pair's target node, and push the
+   nodes that reach zero on [stack] from [top]; the new top. *)
+let rec release (sc : Facts.scratch) owner pending stack top g = function
+  | [] -> top
+  | m :: rest ->
+      let top = ref top in
+      if owner.(m) = g then begin
+        let qs = sc.Facts.dep_succs.(m) in
+        for k = 0 to Array.length qs - 1 do
+          let h = owner.(qs.(k)) in
+          if h <> g then begin
+            pending.(h) <- pending.(h) - 1;
+            if pending.(h) = 0 then begin
+              stack.(!top) <- h;
+              incr top
+            end
+          end
+        done
+      end;
+      release sc owner pending stack !top g rest
+
+let rec place_owner owner g = function
+  | [] -> ()
+  | m :: rest ->
+      owner.(m) <- g;
+      place_owner owner g rest
+
+let rec count_preds owner indeg = function
+  | [] -> ()
+  | (p, q) :: rest ->
       let gp = owner.(p) and gq = owner.(q) in
       (* A statement the grouping leaves out. *)
       if gp < 0 || gq < 0 then raise Not_found;
-      if gp <> gq && not (mem_int gq succs.(gp)) then begin
-        succs.(gp) <- gq :: succs.(gp);
-        indeg.(gq) <- indeg.(gq) + 1
-      end)
-    facts.Facts.dep_ranks;
-  if not (Slp_util.Graph.acyclic succs) then
+      if gp <> gq then indeg.(gq) <- indeg.(gq) + 1;
+      count_preds owner indeg rest
+
+let run_facts ?(options = default_options) ?fuel ?(obs = Obs.none) ~config
+    facts (grouping : Grouping.result) =
+  (* Group nodes: one per SIMD group, one per single; gid = index.
+     Members are ranks, ascending. *)
+  let n = List.length grouping.Grouping.groups + List.length grouping.Grouping.singles in
+  let sc = Facts.scratch facts n in
+  let members = sc.Facts.node_members and node_group = sc.Facts.node_group in
+  let rec add_groups gid = function
+    | [] -> gid
+    | ids :: rest ->
+        let g = (Facts.view facts ids).Facts.group in
+        members.(gid) <- g.Facts.members;
+        node_group.(gid) <- g;
+        add_groups (gid + 1) rest
+  in
+  let rec add_singles gid = function
+    | [] -> ()
+    | s :: rest ->
+        members.(gid) <- sc.Facts.single_members.(Facts.rank facts s);
+        node_group.(gid) <- Facts.no_group;
+        add_singles (gid + 1) rest
+  in
+  add_singles (add_groups 0 grouping.Grouping.groups) grouping.Grouping.singles;
+  let owner = sc.Facts.owner in
+  Array.fill owner 0 (Array.length owner) (-1);
+  for g = 0 to n - 1 do
+    place_owner owner g members.(g)
+  done;
+  (* Dependences between nodes, counted once per pair: a node is ready
+     when every pair into it comes from an emitted node. *)
+  let indeg = sc.Facts.indeg and pending = sc.Facts.pending and stack = sc.Facts.stack in
+  Array.fill indeg 0 n 0;
+  count_preds owner indeg facts.Facts.dep_ranks;
+  Array.blit indeg 0 pending 0 n;
+  let top = ref 0 in
+  for g = 0 to n - 1 do
+    if pending.(g) = 0 then begin
+      stack.(!top) <- g;
+      incr top
+    end
+  done;
+  let drained = ref 0 in
+  while !top > 0 do
+    decr top;
+    let g = stack.(!top) in
+    incr drained;
+    top := release sc owner pending stack !top g members.(g)
+  done;
+  if !drained < n then
     Slp_util.Slp_error.fail ~pass:Slp_util.Slp_error.Scheduling
       Slp_util.Slp_error.Schedule_failed
       "Schedule.run: groups are not schedulable (dependence cycle)";
-  let live = Live.create ~capacity:config.Config.vector_registers in
-  let items = ref [] in
-  let direct = ref 0 and permuted = ref 0 and packed = ref 0 in
-  let group gid = match groups.(gid) with Some g -> g | None -> assert false in
-  let reuse_count gid =
-    let keys = (group gid).Facts.keys in
-    let c = ref 0 in
-    for i = 0 to Array.length keys - 1 do
-      if Live.mem_multiset live keys.(i) then incr c
-    done;
-    !c
+  let live = Facts.live facts ~capacity:config.Config.vector_registers in
+  let st =
+    {
+      facts;
+      sc;
+      live;
+      group = Facts.no_group;
+      at = 0;
+      pos = 0;
+      found = 0;
+      best = [];
+      best_cost = 0;
+      direct = 0;
+      permuted = 0;
+      packed = 0;
+    }
   in
-  let emit_single gid =
-    let r = List.hd members.(gid) in
-    items := Single facts.Facts.ids.(r) :: !items;
-    Live.invalidate live (Facts.clobbers facts (Facts.row facts r).(0))
+  let collect lanes = sc.Facts.live_with.(st.at) <- lanes :: sc.Facts.live_with.(st.at) in
+  let on_match target =
+    st.found <- 0;
+    orders_matching st target 0 []
   in
-  let emit_superword gid =
-    let gf = group gid and ms = members.(gid) in
-    let positions = gf.Facts.positions and keys = gf.Facts.keys in
-    (* Cost of an order: one permutation per live-matched source pack
-       in the wrong lane order. *)
-    let live_positions =
-      List.filter (fun i -> Live.mem_multiset live keys.(i))
-        (List.init (Array.length positions) Fun.id)
-    in
-    let scratch = Array.make (List.length ms) 0 in
-    let cost order =
-      List.fold_left
-        (fun perms i ->
-          Facts.fill_lanes facts.Facts.rows positions.(i) scratch 0 order;
-          if Live.mem_exact live scratch then perms else perms + 1)
-        0 live_positions
-    in
-    (* Choose the lane order: the cheapest candidate, ties to the
-       smallest order, program order (the members) among them.  That
-       minimum does not depend on the order candidates come in, or on
-       repeats, so each is weighed as it is found. *)
-    let best = ref ms and best_cost = ref (cost ms) in
-    let consider order =
-      let c = cost order in
-      if c < !best_cost || (c = !best_cost && compare_orders order !best < 0) then begin
-        best := order;
-        best_cost := c
-      end
-    in
-    Array.iteri
-      (fun i pos ->
-        Live.iter_multiset live keys.(i) (fun l -> orders_matching facts ms pos l consider))
-      positions;
-    List.iter consider (Lazy.force gf.Facts.memory_orders);
-    (match options.ordering_search with
-    | Direct_reuse_only -> ()
-    | Exhaustive -> List.iter consider (permutations ~limit:120 ms));
-    let order = !best in
-    let lanes = Array.map (Facts.lanes facts order) positions in
-    (* Account reuse statistics for the chosen order. *)
-    Array.iteri
-      (fun i pos ->
-        if pos > 0 then
-          if Live.mem_exact live lanes.(i) then begin
-            incr direct;
-            remark "SCHED-REUSE" ~order "operand position %d reuses a live pack in lane order"
-              pos
-          end
-          else if Live.mem_multiset live keys.(i) then begin
-            incr permuted;
-            remark "SCHED-PERM" ~order
-              "operand position %d reuses a live pack via a permutation" pos
-          end
-          else begin
-            incr packed;
-            remark "SCHED-PACK" ~order "operand position %d is packed from scratch" pos
-          end)
-      positions;
-    items := Superword (stmt_ids facts order) :: !items;
-    Live.invalidate live gf.Facts.clobbers;
-    (* Sources first, destination last (most recently touched). *)
-    for i = Array.length positions - 1 downto 0 do
-      Live.insert live ~lanes:lanes.(i) ~key:keys.(i)
-    done
-  in
+  let emitted = sc.Facts.emitted and placed = sc.Facts.placed in
+  Bytes.fill emitted 0 n '\000';
   (* Ready-driven emission: prefer the superword statement with the
      highest live reuse; emit singles only when no superword is ready.
      Members are disjoint, so comparing them never ties. *)
-  let emitted = Array.make n false in
-  let ready gid = (not emitted.(gid)) && indeg.(gid) = 0 in
-  for _ = 1 to n do
-    tick ();
+  for step = 0 to n - 1 do
+    (match fuel with None -> () | Some f -> Slp_util.Slp_error.Fuel.tick f);
     let best = ref (-1) and best_reuse = ref 0 in
     for gid = 0 to n - 1 do
-      if ready gid && is_super.(gid) then
+      let g = node_group.(gid) in
+      if Bytes.get emitted gid = '\000' && indeg.(gid) = 0 && g != Facts.no_group then
         match options.selection with
         | Program_order ->
             if !best < 0 || compare_orders members.(!best) members.(gid) > 0 then best := gid
         | Reuse_driven ->
-            let r = reuse_count gid in
+            let keys = g.Facts.keys in
+            let r = ref 0 in
+            for i = 0 to Array.length keys - 1 do
+              if Live.mem_multiset live keys.(i) then incr r
+            done;
             if
-              !best < 0 || r > !best_reuse
-              || (r = !best_reuse && compare_orders members.(!best) members.(gid) > 0)
+              !best < 0 || !r > !best_reuse
+              || (!r = !best_reuse && compare_orders members.(!best) members.(gid) > 0)
             then begin
               best := gid;
-              best_reuse := r
+              best_reuse := !r
             end
     done;
     let g =
       if !best >= 0 then begin
-        emit_superword !best;
+        placed.(step) <- emit_superword ~options ~obs st ~collect ~on_match node_group.(!best);
         !best
       end
       else begin
         let single = ref (-1) in
         for gid = 0 to n - 1 do
-          if ready gid && (!single < 0 || compare_orders members.(!single) members.(gid) > 0)
-          then
-            single := gid
+          if
+            Bytes.get emitted gid = '\000'
+            && indeg.(gid) = 0
+            && (!single < 0 || compare_orders members.(!single) members.(gid) > 0)
+          then single := gid
         done;
         if !single < 0 then
           Slp_util.Slp_error.fail ~pass:Slp_util.Slp_error.Scheduling
             Slp_util.Slp_error.Schedule_failed "Schedule.run: no ready group (cycle?)";
-        emit_single !single;
+        let r = List.hd members.(!single) in
+        placed.(step) <- sc.Facts.single_items.(r);
+        Live.invalidate live (Facts.clobbers facts facts.Facts.rows.(r).(0));
         !single
       end
     in
-    emitted.(g) <- true;
-    List.iter (fun s -> indeg.(s) <- indeg.(s) - 1) succs.(g)
+    Bytes.set emitted g '\001';
+    ignore (release sc owner indeg stack 0 g members.(g))
+  done;
+  let items = ref [] in
+  for i = n - 1 downto 0 do
+    items := placed.(i) :: !items
   done;
   let stats =
     {
-      direct_reuses = !direct;
-      permuted_reuses = !permuted;
-      packed_sources = !packed;
-      permutations = !permuted;
+      direct_reuses = st.direct;
+      permuted_reuses = st.permuted;
+      packed_sources = st.packed;
+      permutations = st.permuted;
     }
   in
-  { items = List.rev !items; stats }
+  { items = !items; stats }
 
 let run ?options ?fuel ?obs ~dep_pairs ~config (block : Block.t) grouping =
   run_facts ?options ?fuel ?obs ~config (Facts.make ~deps:dep_pairs block) grouping
@@ -556,44 +800,61 @@ let run ?options ?fuel ?obs ~dep_pairs ~config (block : Block.t) grouping =
 let scheduled_stmt_ids t =
   List.concat_map (function Single s -> [ s ] | Superword ms -> ms) t.items
 
+(* Record each id's item index in [slot] by rank; the count placed, or
+   -1 at the first id that is not a statement of the block. *)
+let rec place facts slot idx placed = function
+  | [] -> placed
+  | id :: rest ->
+      let r = Facts.find_rank facts id in
+      if r < 0 then -1
+      else begin
+        slot.(r) <- idx;
+        place facts slot idx (placed + 1) rest
+      end
+
+let rec place_items facts slot idx placed = function
+  | [] -> placed
+  | item :: rest ->
+      let placed =
+        match item with
+        | Single s -> place facts slot idx placed [ s ]
+        | Superword ms -> place facts slot idx placed ms
+      in
+      if placed < 0 then -1 else place_items facts slot (idx + 1) placed rest
+
+(* Two statements may share a superword only when no dependence pair
+   relates them — the same relation the scheduler's DAG was built
+   from, so the verdict is consistent whichever analysis supplied the
+   pairs. *)
+let rec independent_of facts a = function
+  | [] -> true
+  | b :: rest ->
+      let rb = Facts.rank facts b in
+      (not (Facts.related facts a rb || Facts.related facts rb a)) && independent_of facts a rest
+
+let rec independent facts = function
+  | [] -> true
+  | a :: rest -> independent_of facts (Facts.rank facts a) rest && independent facts rest
+
+let rec independent_members facts = function
+  | [] -> true
+  | Single _ :: rest -> independent_members facts rest
+  | Superword ms :: rest -> independent facts ms && independent_members facts rest
+
+let rec deps_forward slot = function
+  | [] -> true
+  | (p, q) :: rest -> slot.(p) < slot.(q) && deps_forward slot rest
+
 let is_valid_facts facts t =
   let n = Facts.rank_count facts in
   (* Item index by rank; -1 = not scheduled. *)
-  let slot = Array.make n (-1) in
-  let placed = ref 0 and unknown = ref false in
-  let place idx m =
-    incr placed;
-    let r = Facts.find_rank facts m in
-    if r < 0 then unknown := true else slot.(r) <- idx
-  in
-  List.iteri
-    (fun idx item ->
-      match item with Single s -> place idx s | Superword ms -> List.iter (place idx) ms)
-    t.items;
-  let all_present =
-    (not !unknown) && !placed = n && Array.for_all (fun idx -> idx >= 0) slot
-  in
-  (* Two statements may share a superword only when no dependence pair
-     relates them — the same relation the scheduler's DAG was built
-     from, so the verdict is consistent whichever analysis supplied the
-     pairs. *)
-  let related a b = Facts.related facts a b || Facts.related facts b a in
-  let independent_members () =
-    List.for_all
-      (function
-        | Single _ -> true
-        | Superword ms ->
-            let rec pairs = function
-              | [] -> true
-              | a :: rest -> List.for_all (fun b -> not (related a b)) rest && pairs rest
-            in
-            pairs (List.map (Facts.rank facts) ms))
-      t.items
-  in
-  let deps_forward () =
-    List.for_all (fun (p, q) -> slot.(p) < slot.(q)) facts.Facts.dep_ranks
-  in
-  all_present && independent_members () && deps_forward ()
+  let slot = (Facts.scratch facts 0).Facts.slot in
+  Array.fill slot 0 n (-1);
+  let rec all_placed r = r = n || (slot.(r) >= 0 && all_placed (r + 1)) in
+  place_items facts slot 0 0 t.items = n
+  && all_placed 0
+  && independent_members facts t.items
+  && deps_forward slot facts.Facts.dep_ranks
 
 let is_valid ~dep_pairs (block : Block.t) t =
   is_valid_facts (Facts.make ~deps:dep_pairs block) t

@@ -58,11 +58,14 @@ type t = { items : item list; stats : stats }
     are.  Each defined operand keeps the ids its definition may alias
     ({!clobbers}).  Per SIMD group (memoised by sorted rank list) the
     facts hold its non-constant packs, the ids its definitions may
-    alias and the memory lane orders of its packs.  The value belongs
-    to its caller and is not for use from two domains at once; sharing
-    one across many schedules of the same block (the exact solver's
-    leaves, a gate's retry, a replay) saves the work, never changes a
-    result. *)
+    alias and the memory lane orders of its packs, and per lane order
+    of the group a {!view}: its lanes at each pack and its schedule
+    item.  They also keep what one schedule, check or estimate writes
+    and the next one reuses: live superword sets and arrays by node
+    and by rank.  The value belongs to its caller and is not for use
+    from two domains at once; sharing one across many schedules of the
+    same block (the exact solver's leaves, a gate's retry, a replay)
+    saves the work, never changes a result. *)
 module Facts : sig
   type t
 
@@ -73,22 +76,16 @@ module Facts : sig
   val block : t -> Block.t
   val deps : t -> (int * int) list
 
-  val stmt : t -> int -> Stmt.t
-  (** By id; raises [Not_found]. *)
-
   val rank : t -> int -> int
   (** Rank of a statement id; raises [Not_found]. *)
 
   val rank_count : t -> int
   val rank_stmt : t -> int -> Stmt.t
+  val rank_id : t -> int -> int
 
   val row : t -> int -> int array
   (** [row t r]: the operand id at each position of the statement of
       rank [r] (0 = its definition).  Not to be changed. *)
-
-  val lanes : t -> int list -> int -> int array
-  (** [lanes t ranks pos]: the ids at position [pos] of the statements
-      [ranks], in lane order (a fresh array). *)
 
   val id : t -> Operand.t -> int
   (** The id of an operand of the block; raises [Not_found]. *)
@@ -108,16 +105,38 @@ module Facts : sig
       other operands. *)
 
   type group = private {
+    members : int list;  (** Ranks, ascending: the group's key. *)
+    ranks : int array;  (** The same ranks. *)
     positions : int array;  (** Non-constant positions, ascending (0 first). *)
     keys : int array array;  (** The multiset (sorted ids) at each of them. *)
     clobbers : int array;  (** Sorted ids the members' definitions may alias. *)
     memory_orders : int list list Lazy.t;
         (** Row-major lane order (ranks) of each pack that has one;
             only the scheduler's order search asks. *)
+    mutable orders : view list;  (** The lane orders viewed so far. *)
   }
 
-  val group : t -> int list -> group
-  (** By the members' ranks, ascending. *)
+  (** One superword statement: a group in one lane order, memoised
+      with everything a schedule, a replay or an estimate reads of it,
+      so that emitting or pricing it again allocates nothing. *)
+  and view = private {
+    id : int;  (** Views of one facts value are numbered from 0. *)
+    order : int list;  (** Ranks in lane order. *)
+    group : group;
+    lanes : int array array;
+        (** By group position, the ids in lane order.  Not to be
+            changed: live sets keep them. *)
+    item : item;  (** [Superword] of the ids in lane order. *)
+  }
+
+  val view : t -> int list -> view
+  (** A superword by its statement ids in lane order; raises
+      [Not_found] on an id that is not a statement of the block. *)
+
+  val live : t -> capacity:int -> Live.t
+  (** An empty live superword set of that capacity, reused from the
+      last call with the same capacity: a schedule or an estimate
+      starts from it instead of allocating its own. *)
 
   type pricing = ..
   (** What the cost model keeps about the block between estimates

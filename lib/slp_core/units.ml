@@ -163,4 +163,74 @@ module Deps = struct
           ys)
       t.succs;
     Graph.acyclic out
+
+  (* Joined parts by unit index: [cls.(i)] is the class of unit [i],
+     the least index of its part ([i] itself while it is in none), and
+     [members.(c)] the units of class [c].  [seen] and [stack] are the
+     search's scratch; a class is seen when [seen.(c) = stamp]. *)
+  type contraction = {
+    graph : unit_graph;
+    cls : int array;
+    members : int array array;
+    alone : int array array;
+    seen : int array;
+    mutable stamp : int;
+    stack : int array;
+  }
+
+  let contraction graph =
+    let n = Array.length graph.succs in
+    let alone = Array.init n (fun i -> [| i |]) in
+    {
+      graph;
+      cls = Array.init n Fun.id;
+      members = Array.copy alone;
+      alone;
+      seen = Array.make n 0;
+      stamp = 0;
+      stack = Array.make n 0;
+    }
+
+  (* Is class [target] reachable from a successor of its own members,
+     through other classes?  Every class enters the stack at most
+     once. *)
+  let reaches_itself c target =
+    c.stamp <- c.stamp + 1;
+    let stamp = c.stamp and succs = c.graph.succs and cls = c.cls and stack = c.stack in
+    let top = ref 1 and found = ref false in
+    stack.(0) <- target;
+    while (not !found) && !top > 0 do
+      decr top;
+      let from = stack.(!top) in
+      let ms = c.members.(from) in
+      for a = 0 to Array.length ms - 1 do
+        let ys = succs.(ms.(a)) in
+        for k = 0 to Array.length ys - 1 do
+          let cy = cls.(ys.(k)) in
+          if cy = target then (if from <> target then found := true)
+          else if c.seen.(cy) <> stamp then begin
+            c.seen.(cy) <- stamp;
+            stack.(!top) <- cy;
+            incr top
+          end
+        done
+      done
+    done;
+    !found
+
+  let leave c part =
+    for k = 0 to Array.length part - 1 do
+      c.cls.(part.(k)) <- part.(k)
+    done;
+    c.members.(part.(0)) <- c.alone.(part.(0))
+
+  let join c part =
+    let head = part.(0) in
+    for k = 0 to Array.length part - 1 do
+      c.cls.(part.(k)) <- head
+    done;
+    c.members.(head) <- part;
+    let cyclic = reaches_itself c head in
+    if cyclic then leave c part;
+    not cyclic
 end

@@ -74,4 +74,29 @@ module Deps : sig
       contracted into one node?  A dependence between the two units of
       a pair is not a cycle ({!mergeable} rules those out).  Raises
       [Invalid_argument] on a uid that is not a node of the graph. *)
+
+  type contraction
+  (** The graph with a stack of disjoint parts contracted, each into
+      one node, for a depth-first search that adds and removes parts
+      (the exact solver's).  Parts are arrays of dense indices, least
+      first.  The value holds [O(n)] scratch and is not for use from
+      two domains at once. *)
+
+  val contraction : unit_graph -> contraction
+  (** No part contracted. *)
+
+  val join : contraction -> int array -> bool
+  (** [join c part] contracts [part] if the result stays acyclic, and
+      says whether it did.  The graph with the parts already joined
+      must be acyclic (true when each of them joined through [join]),
+      so only a cycle through the new node is looked for: one
+      depth-first search from its members' successors over class
+      ids, which visits each class once and allocates nothing.  With
+      [parts] the joined parts and [pairs] their (least, other member)
+      uid pairs, the answer equals [merged_acyclic] on the pairs of
+      [parts @ [part]]. *)
+
+  val leave : contraction -> int array -> unit
+  (** Undo the last [join] that answered [true]; parts leave in the
+      reverse order they joined. *)
 end

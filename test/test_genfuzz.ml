@@ -26,6 +26,42 @@ let test_campaign () =
     "no differential failures" 0
     (List.length stats.Harness.reports)
 
+(* A record decides the model's ordering unless both of its minima are
+   shared; a shared minimum on one side only still decides, by the
+   first scheme in list order. *)
+let test_agreement_ties () =
+  let drift predicted measured = { Oracle.machine = "m"; predicted; measured } in
+  let verdict =
+    Alcotest.testable
+      (fun ppf v ->
+        Format.pp_print_string ppf
+          (match v with
+          | Some Harness.Agree -> "agree"
+          | Some Harness.Tie -> "tie"
+          | Some Harness.Disagree -> "disagree"
+          | None -> "none"))
+      ( = )
+  in
+  let check name expected predicted measured =
+    Alcotest.check verdict name expected (Harness.agreement (drift predicted measured))
+  in
+  check "both minima shared" (Some Harness.Tie)
+    [ ("a", 1.0); ("b", 1.0); ("c", 2.0) ]
+    [ ("a", 5.0); ("b", 5.0); ("c", 9.0) ];
+  check "both shared, different schemes" (Some Harness.Tie)
+    [ ("a", 1.0); ("b", 1.0); ("c", 2.0) ]
+    [ ("a", 9.0); ("b", 5.0); ("c", 5.0) ];
+  check "one winner each, the same" (Some Harness.Agree)
+    [ ("a", 2.0); ("b", 1.0) ]
+    [ ("a", 9.0); ("b", 5.0) ];
+  check "one winner each, different" (Some Harness.Disagree)
+    [ ("a", 2.0); ("b", 1.0) ]
+    [ ("a", 5.0); ("b", 9.0) ];
+  check "predicted shared, measured decided" (Some Harness.Agree)
+    [ ("a", 1.0); ("b", 1.0) ]
+    [ ("a", 5.0); ("b", 9.0) ];
+  check "a scheme measured only" None [ ("a", 1.0); ("b", 1.0) ] [ ("a", 5.0) ]
+
 (* -- source <-> IR round-trips ------------------------------------- *)
 
 (* Printing a generated kernel and re-parsing it must reproduce the
@@ -194,6 +230,7 @@ let () =
           Alcotest.test_case "300-case differential campaign" `Quick test_campaign;
           Alcotest.test_case "case replay from (seed, index)" `Quick
             test_case_replay;
+          Alcotest.test_case "cost-model ties counted apart" `Quick test_agreement_ties;
         ] );
       ( "roundtrip",
         [

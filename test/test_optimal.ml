@@ -12,8 +12,9 @@
      advisory BAIL15 — without degrading the compile — still
      dominates the heuristic it fell back to, and reports the nodes
      its search visited;
-   - pinned results: the fuel-bound kernels at 256 bits keep the plans
-     their bailed searches reached. *)
+   - pinned results: the fuel-bound kernels at 256 bits keep their
+     plans, and their bailed searches keep the nodes, leaves, bound
+     cuts, rejected packs and incumbent improvements they reach. *)
 
 open Slp_ir
 module E = Slp_util.Slp_error
@@ -350,9 +351,11 @@ let test_small_budget_scales () =
 (* The eight kernels whose exact search runs out of its default fuel on
    Figure 18's widened Intel model at 256 bits, compiled as the
    compile_wide benchmark compiles them (unroll scaled by width/128).
-   A bailed search keeps whatever its fuel reached, so any change to
-   the order or number of nodes the search visits shows up here as a
-   different plan.  Values recorded from the solver before its leaves
+   A bailed search's own finds are discarded: each block's plan is the
+   best of the incumbents the search started from (the holistic
+   heuristic's plan, the Native and SLP seeds).  So these pins hold
+   the plans, not the traversal; the node, leaf and count pins below
+   see the search.  Values recorded from the solver before its leaves
    moved onto per-block facts: modeled cost, superword statements,
    BAIL15 records, Visa instructions. *)
 let fuel_bound_pins =
@@ -439,16 +442,67 @@ let test_fuel_bound_searches_pinned () =
         [ (nodes, leaves) ] searches)
     fuel_bound_searches
 
+(* What those searches did besides expanding nodes, as the same
+   remarks report it after the leaves: subtrees cut by the bound, packs
+   rejected because contracting them closes a dependence cycle, and
+   leaves that beat the incumbent.  Recorded before the search's
+   tables, memo key and cycle check were rewritten, so they hold the
+   rewrite to the same cuts, rejections and finds.  No pack of these
+   blocks closes a cycle, so the rejections only guard against a check
+   that rejects too much; the incremental check's own oracle is the
+   "incremental cycle check" case in test_slp_core.ml.
+   gromacs's and calculix's improvements are the partitions priced 68
+   and 183 that the bail discards (their plans keep the incumbents
+   priced 72 and 184). *)
+let fuel_bound_counts =
+  [
+    ("cactusADM", 0, 0, 0);
+    ("lbm", 2657, 0, 0);
+    ("povray", 9012, 0, 0);
+    ("gromacs", 6, 0, 1);
+    ("calculix", 0, 0, 1);
+    ("namd", 0, 0, 0);
+    ("ua", 11, 0, 0);
+    ("ft", 522, 0, 0);
+  ]
+
+let test_fuel_bound_counts_pinned () =
+  let machine = Machine.with_simd_bits intel 256 in
+  List.iter
+    (fun (name, cuts, infeasible, improvements) ->
+      let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
+      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let obs = Slp_obs.Obs.create ~remarks:true () in
+      ignore
+        (Pipeline.compile ~obs ~unroll ~scheme:Pipeline.Optimal ~machine (Suite.program b));
+      let counts =
+        List.filter_map
+          (fun (r : Slp_obs.Remark.t) ->
+            if r.Slp_obs.Remark.id = "OPT-BAIL" then
+              Scanf.sscanf_opt r.Slp_obs.Remark.message
+                "solver budget %_d exhausted after %_d nodes, %_d leaves (%d bound cuts, %d \
+                 infeasible, %d improvements)"
+                (fun c i m -> (c, i, m))
+            else None)
+          (Slp_obs.Obs.remarks obs)
+      in
+      Alcotest.(check (list (triple int int int)))
+        (Printf.sprintf "%s: OPT-BAIL bound cuts, infeasible packs, improvements" name)
+        [ (cuts, infeasible, improvements) ] counts)
+    fuel_bound_counts
+
 (* A fuel-bound block's search evaluates thousands of leaves on the
    block's one facts value.  Once the facts are warm (the groups'
    packs resolved, the pricing answers memoised), re-evaluating a leaf
    (its schedule, validity check and estimate) may allocate per
    schedule item no more than [leaf_words_per_item] minor words.  The
    leaf is each fuel-bound block's holistic grouping at 256 bits,
-   priced under the default query.  Measured: 660 to 1180 words per
-   item; the solver allocated 2.1k to 8.0k on the same leaves before
-   its leaves worked on interned operand ids. *)
-let leaf_words_per_item = 1500.0
+   priced under the default query.  Measured: 31 to 107 words per
+   item.  The same leaves allocated 660 to 1180 before the facts kept
+   the scheduler's and the estimator's live sets, scratch arrays and
+   superword views, and 2.1k to 8.0k before the leaves worked on
+   interned operand ids. *)
+let leaf_words_per_item = 135.0
 
 let test_leaf_allocation () =
   let machine = Machine.with_simd_bits intel 256 in
@@ -519,6 +573,8 @@ let () =
             test_fuel_bound_pinned;
           Alcotest.test_case "fuel-bound searches at 256 bits pinned" `Slow
             test_fuel_bound_searches_pinned;
+          Alcotest.test_case "fuel-bound search counts pinned" `Slow
+            test_fuel_bound_counts_pinned;
           Seeded.to_alcotest prop_shared_facts;
           Alcotest.test_case "warm fuel-bound leaf allocation budget" `Quick
             test_leaf_allocation;

@@ -394,6 +394,99 @@ let test_units_deps_acyclicity () =
   Alcotest.(check bool) "dependent pair not mergeable" false
     (Units.Deps.mergeable deps 2 3)
 
+(* [Units.Deps.join], the exact solver's incremental cycle check,
+   against [merged_acyclic] on the whole list.  On each block of a
+   generated kernel (unrolled, so that isomorphic statements abound),
+   the statements are dealt at random into disjoint parts of two to
+   four mutually compatible statements ([Optimal.compatible]: isomorphic
+   and independent, the solver's packs).  The parts are offered in turn;
+   those [join] accepts stay, so the contracted prefix is always
+   acyclic, and each verdict must equal [merged_acyclic] on the pairs
+   of the accepted parts plus the new one.  The parts then [leave] in
+   reverse order and the same sequence must get the same verdicts
+   again.  [cyclic] counts the rejections, so the caller can tell the
+   property met some cycles. *)
+let cyclic = ref 0
+
+let incremental_cycle_check =
+  QCheck.Test.make ~name:"incremental cycle check = merged_acyclic" ~count:100
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, wide) ->
+      let prog =
+        Slp_fuzz.Gen.program ~name:"cyc" (Slp_util.Prng.create seed)
+        |> Slp_transform.Simplify.fold_program
+        |> Slp_transform.Unroll.program ~factor:(if wide then 4 else 2)
+      in
+      let env = prog.Program.env in
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun ({ Slp_core.Driver.block; deps; _ } : Slp_core.Driver.site) ->
+          let stmts = Array.of_list block.Block.stmts in
+          let n = Array.length stmts in
+          let graph = Units.Deps.build ~dep_pairs:deps (List.map (Units.of_stmt ~env) block.Block.stmts) in
+          let index i = Units.Deps.index_of graph stmts.(i).Stmt.id in
+          let free = Array.make n true in
+          let order = Array.init n Fun.id in
+          for i = n - 1 downto 1 do
+            let j = Random.State.int st (i + 1) in
+            let t = order.(i) in
+            order.(i) <- order.(j);
+            order.(j) <- t
+          done;
+          let parts = ref [] in
+          Array.iter
+            (fun a ->
+              if free.(a) then begin
+                let size = 2 + Random.State.int st 3 in
+                let members = ref [ a ] in
+                Array.iter
+                  (fun b ->
+                    if
+                      free.(b) && List.length !members < size
+                      && List.for_all
+                           (fun m -> Slp_core.Optimal.compatible ~env ~deps stmts.(m) stmts.(b))
+                           !members
+                    then members := b :: !members)
+                  order;
+                if List.length !members >= 2 then begin
+                  List.iter (fun m -> free.(m) <- false) !members;
+                  parts := Array.of_list (List.sort compare (List.map index !members)) :: !parts
+                end
+              end)
+            order;
+          let parts = List.rev !parts in
+          let c = Units.Deps.contraction graph in
+          let ids = Array.make n 0 in
+          Array.iteri (fun i (s : Stmt.t) -> ids.(index i) <- s.Stmt.id) stmts;
+          let pairs part = List.map (fun m -> (ids.(part.(0)), ids.(m))) (List.tl (Array.to_list part)) in
+          let run () =
+            let accepted = ref [] in
+            let verdicts =
+              List.map
+                (fun part ->
+                  let expected =
+                    Units.Deps.merged_acyclic graph (List.concat_map pairs (part :: !accepted))
+                  in
+                  let got = Units.Deps.join c part in
+                  if got <> expected then
+                    QCheck.Test.fail_reportf "seed %d, block %s: join says %b, merged_acyclic %b"
+                      seed block.Block.label got expected;
+                  if got then accepted := part :: !accepted else incr cyclic;
+                  got)
+                parts
+            in
+            List.iter (Units.Deps.leave c) !accepted;
+            verdicts
+          in
+          let first = run () in
+          first = run ())
+        (Slp_core.Driver.sites ~precise:true prog))
+
+let test_incremental_cycle_check () =
+  cyclic := 0;
+  QCheck.Test.check_exn ~rand:(Seeded.rand ()) incremental_cycle_check;
+  Alcotest.(check bool) "some part closed a cycle" true (!cyclic > 0)
+
 (* -- grouping on the paper's Figure 2 --------------------------------------- *)
 
 let test_fig2_grouping () =
@@ -1052,6 +1145,7 @@ let () =
           Alcotest.test_case "dependence safety" `Quick test_units_deps_acyclicity;
           Alcotest.test_case "array graph vs Hashtbl graph" `Quick
             test_merged_acyclic_vs_reference;
+          Alcotest.test_case "incremental cycle check" `Quick test_incremental_cycle_check;
         ] );
       ( "grouping",
         [
