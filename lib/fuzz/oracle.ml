@@ -102,6 +102,19 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
       let fail ~scheme ~machine ~stage message =
         failures := { scheme; machine; stage; message } :: !failures
       in
+      (* Every one-core timed run is also timed timing-only
+         ([Vm.Engine.run_timing]), whose counters must be the timed
+         run's bit for bit. *)
+      let check_timing ~scheme ~machine (timed : Vm.Counters.t) timing_only =
+        match timing_only () with
+        | counters when Vm.Counters.equal counters timed -> ()
+        | counters ->
+            fail ~scheme ~machine ~stage:"timing"
+              (Format.asprintf "timing-only counters@ %a@ differ from the timed run's@ %a"
+                 Vm.Counters.pp counters Vm.Counters.pp timed)
+        | exception exn ->
+            fail ~scheme ~machine ~stage:"timing" (Printexc.to_string exn)
+      in
       (* Dynamic dependence soundness: replay the program's memory
          accesses against the static analyzer's verdicts.  Scheme- and
          machine-independent (addresses are control-flow-data-free), so
@@ -125,6 +138,8 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
           (* The scalar oracle runs the *original* program, so the
              unroller is inside the tested surface, not the oracle. *)
           let reference = Vm.Scalar_exec.run ~seed ~machine prog in
+          check_timing ~scheme:"Scalar" ~machine:mname reference.Vm.Scalar_exec.counters
+            (fun () -> Vm.Engine.run_timing ~machine (Vm.Visa.of_program prog));
           let ref_cycles = Vm.Counters.total_cycles reference.Vm.Scalar_exec.counters in
           if not (Float.is_finite ref_cycles) then
             fail ~scheme:"Scalar" ~machine:mname ~stage:"cycles"
@@ -161,6 +176,10 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
                       let r =
                         Vm.Scalar_exec.run ~seed ~machine compiled.Pipeline.reference
                       in
+                      check_timing ~scheme:sname ~machine:mname r.Vm.Scalar_exec.counters
+                        (fun () ->
+                          Vm.Engine.run_timing ~machine
+                            (Vm.Visa.of_program compiled.Pipeline.reference));
                       let cycles = Vm.Counters.total_cycles r.Vm.Scalar_exec.counters in
                       measured := (sname, cycles) :: !measured;
                       if not (Float.is_finite cycles) then
@@ -178,6 +197,10 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
                           fail ~scheme:sname ~machine:mname ~stage:"execute"
                             (Printexc.to_string exn)
                       | r ->
+                          check_timing ~scheme:sname ~machine:mname r.Vm.Vector_exec.counters
+                            (fun () ->
+                              Vm.Engine.run_timing
+                                ~scalar_layout:compiled.Pipeline.scalar_offsets ~machine vprog);
                           let cycles =
                             Vm.Counters.total_cycles r.Vm.Vector_exec.counters
                           in

@@ -9,8 +9,12 @@
       — no verifier diagnostic may fire on generator output),
     - execution raises,
     - final array memory or final observable-scalar values diverge
-      from the scalar reference execution, or
-    - simulated cycle counts are not finite.
+      from the scalar reference execution,
+    - simulated cycle counts are not finite, or
+    - a one-core run's timing-only counters
+      ({!Slp_vm.Engine.run_timing}) differ from its timed counters
+      ({!Slp_vm.Counters.equal}): the scalar reference, the [Scalar]
+      scheme's prepared program and every vector program.
 
     "Observable" scalars follow the repository's liveness contract
     ({!Slp_analysis.Liveness}): a scalar is unpacked from vector
@@ -32,8 +36,8 @@ type failure = {
   scheme : string;  (** Scheme name, or ["-"] for program-level failures. *)
   machine : string;
   stage : string;
-      (** [validate], [compile], [verify], [execute], [memory],
-          [scalars] or [cycles]. *)
+      (** [validate], [dep-soundness], [compile], [verify], [execute],
+          [memory], [scalars], [cycles] or [timing]. *)
   message : string;
 }
 

@@ -365,7 +365,7 @@ let ablations () =
           Pipeline.compile ~unroll:b.Suite.unroll ~scheme:Pipeline.Scalar ~machine:intel
             prog
         in
-        let rs = Pipeline.execute ~check:false s in
+        let rs = Pipeline.timing s in
         let reuse =
           match c.Pipeline.plan with
           | None -> 0
@@ -381,7 +381,7 @@ let ablations () =
                 0 plan.Slp_core.Driver.plans
         in
         ( cycles +. Counters.total_cycles r.Pipeline.counters,
-          scalar +. Counters.total_cycles rs.Pipeline.counters,
+          scalar +. Counters.total_cycles rs,
           reuses + reuse,
           correct && r.Pipeline.correct ))
       (0.0, 0.0, 0, true) Suite.all

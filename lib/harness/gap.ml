@@ -70,8 +70,7 @@ let modeled_cost ~params (c : Pipeline.compiled) =
 let comparable (c : Pipeline.compiled) =
   c.Pipeline.replica_count = 0 && c.Pipeline.scalar_offsets = []
 
-let cycles_of c =
-  Counters.total_cycles (Pipeline.execute ~check:false c).Pipeline.counters
+let cycles_of c = Counters.total_cycles (Pipeline.timing c)
 
 let suite_entry ?solver_steps ~machine (b : Suite.t) =
   let prog = Suite.program b in

@@ -124,6 +124,12 @@ let run_kernel ?profile ?origins ?pool ~cores ~seed ~check ~machine
       in
       ({ counters = r.Slp_vm.Vector_exec.counters; correct }, memory)
 
+(* The counters [run_kernel ~cores:1 ~check:false] returns, from the
+   engine's timing-only run: no memory values, no register file. *)
+let timing_of ~machine ~scalar_offsets (reference : Program.t) = function
+  | None -> Slp_vm.Engine.run_timing ~machine (Slp_vm.Visa.of_program reference)
+  | Some vprog -> Slp_vm.Engine.run_timing ~scalar_layout:scalar_offsets ~machine vprog
+
 (* Stage hook points, in pipeline order.  [compile ~on_stage] calls
    the hook with each name just before the stage runs — the seeded
    fault-injection harness raises from the hook to simulate that stage
@@ -271,9 +277,10 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
            "the benefit of layout optimization has to outweigh the
            cost; otherwise we skip the data optimization phase").
            Remarks and per-pass spans follow the layout-aware plan (the
-           scheme's primary artifact); the plain variant is planned and
-           lowered silently for the arbitration baseline.  Both plans
-           share one list of precise sites. *)
+           scheme's primary artifact); the plain variant is planned
+           silently, and lowered silently inside the arbitration, the
+           only place that needs it.  Both plans share one list of
+           precise sites. *)
         stage "plan";
         let plain_plan, plan =
           Obs.span obs "plan" (fun () ->
@@ -286,7 +293,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
               in
               (plain_plan, plan))
         in
-        let plain_vec, plain_origins = lower ~obs:Obs.none plain_plan in
+        let plain_lowered = lazy (lower ~obs:Obs.none plain_plan) in
         stage "layout";
         let placement, arr =
           Obs.span obs "layout" (fun () ->
@@ -305,11 +312,8 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
                 arr.Slp_layout.Array_layout.plan)
         in
         let probe vec scalar_offsets =
-          let r, _ =
-            run_kernel ~cores:1 ~seed:42 ~check:false ~machine ~scalar_offsets
-              prepared (Some vec)
-          in
-          Slp_vm.Counters.total_cycles r.counters
+          Slp_vm.Counters.total_cycles
+            (timing_of ~machine ~scalar_offsets prepared (Some vec))
         in
         let offsets = placement.Slp_layout.Scalar_layout.offsets in
         let trivial =
@@ -320,7 +324,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
           else
             Obs.span obs "arbitrate" (fun () ->
                 let laid = probe laid_vec offsets in
-                let plain = probe plain_vec [] in
+                let plain = probe (fst (Lazy.force plain_lowered)) [] in
                 (laid < plain, Some (laid, plain)))
         in
         (match measured with
@@ -345,7 +349,9 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
             offsets,
             List.length arr.Slp_layout.Array_layout.replicas,
             laid_origins )
-        else (Some plain_vec, Some plain_plan, [], 0, plain_origins)
+        else
+          let plain_vec, plain_origins = Lazy.force plain_lowered in
+          (Some plain_vec, Some plain_plan, [], 0, plain_origins)
   in
   (* Post-processing: map virtual vector registers onto the machine's
      register file (paper Figure 3's register allocation box). *)
@@ -424,6 +430,9 @@ let execute_with_memory ?(cores = 1) ?(seed = 42) ?(check = true)
 
 let execute ?cores ?seed ?check ?obs ?pool c =
   fst (execute_with_memory ?cores ?seed ?check ?obs ?pool c)
+
+let timing (c : compiled) =
+  timing_of ~machine:c.machine ~scalar_offsets:c.scalar_offsets c.reference c.vector
 
 (* -- fault-tolerant compilation ------------------------------------- *)
 

@@ -186,6 +186,13 @@ val execute_with_memory :
     digests it; the fault harness compares it with an independent
     oracle). *)
 
+val timing : compiled -> Slp_vm.Counters.t
+(** The counters of [execute ~cores:1 ~check:false], bit for bit, from
+    the engine's timing-only run ({!Slp_vm.Engine.run_timing}): the
+    measured run's cache accesses and costs without its values.  For
+    callers that read only cycles or counters; the [Global_layout]
+    arbitration times both variants this way. *)
+
 (** {1 Fault-tolerant compilation}
 
     The resilient entry points never raise: any failure in the compile

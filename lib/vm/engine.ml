@@ -22,20 +22,46 @@
    the program it runs, so both entry points get it from the same
    rules.
 
-   The compiler has two modes, fixed per run in the link context and
-   read only while closures are built.  A timed run (the two entry
-   points above) simulates the cache, counts events and charges
-   cycles.  A values-only run ([scalar_final_memory], the
-   scalar-reference check) compiles [compile_operand_read] and
-   [compile_stmt] to closures that only compute, bounds-check and
-   store: no [Cache.charge], no cycle charging, no counter updates.
-   Its fault tick stands where the timed closure calls [Cache.charge],
-   after the bounds check, so an armed fault lands on the same access.
-   Everything else — driver, chunking, privatization, reduction
-   merging, states (caches included) — is shared, so the final memory
-   is bit-identical to the timed run's.  Only scalar programs run
-   values-only; a vector instruction in that mode is an
-   [Invalid_argument].
+   There are three compiles.  Two are modes of [compile_items], fixed
+   per run in the link context and read only while closures are
+   built.  A timed run (the two entry points above) simulates the
+   cache, counts events and charges cycles.  A values-only run
+   ([scalar_final_memory], the scalar-reference check) compiles
+   [compile_operand_read] and [compile_stmt] to closures that only
+   compute, bounds-check and store: no [Cache.charge], no cycle
+   charging, no counter updates.  Its fault tick stands where the
+   timed closure calls [Cache.charge], after the bounds check, so an
+   armed fault lands on the same access.  Everything else — driver,
+   chunking, privatization, reduction merging, states (caches
+   included) — is shared, so the final memory is bit-identical to the
+   timed run's.  Only scalar programs run values-only; a vector
+   instruction in that mode is an [Invalid_argument].
+
+   The third, timing-only ([run_timing], the Global+Layout
+   arbitration's probes and other callers that read only counters),
+   computes no values: no memory initialisation, register file or
+   expression tree.  It is exact only at one core, and takes no core
+   count.  There the contention factor is 1.0, so the cache's bus
+   surcharge is 0 and every latency, issue and op cost is an
+   integer-valued float; every partial sum of a run's cycles is an
+   integer below 2^53, so each addition is exact and the total does
+   not depend on their order.  So [time_block] folds a [Visa.Block]'s
+   non-memory cycles and all its counter increments into one static
+   delta, added once per execution of the block, and keeps one closure
+   per memory access: the timed closure's bounds check and address
+   ([link_elem], [contig]), then [Cache.charge] with its bytes and
+   issue cost.  Accesses run in the timed run's order, so the cache
+   sees the same stream, the counters and cycles are bit-identical, a
+   bounds trap names the same access and an armed fault ticks on the
+   same one.  The timed closures also check register lane counts
+   (read before write, a lane past a register's width); those are
+   proved before the run ([lanes_proven]) by walking each loop body
+   over every lane state that can enter it.  A program the proof
+   rejects, any program that spills (a reload's lane count lives in
+   the spill arena) and one whose accesses fail to link run on the
+   timed engine instead; nothing selects the path but the program.
+   Loops, setup and the driver ([link_items], [run_setup],
+   [run_items]) are the timed run's.
 
    All hot-path storage is unboxed and preallocated: the register
    file is a single [floatarray] of [nvregs * stride] cells (register
@@ -521,25 +547,26 @@ let rec compile_expr ?stmt ctx ~depths ~dst e =
             let t = st.tmp in
             FA.unsafe_set t dst (Float.max (FA.unsafe_get t left) (FA.unsafe_get t dst)))
 
+(* The ALU cycles of a scalar statement's right-hand side. *)
+let stmt_op_cycles (costs : M.op_costs) (s : Stmt.t) =
+  List.fold_left
+    (fun acc op ->
+      acc
+      +
+      match op with
+      | Either.Left Types.Div -> costs.M.divide
+      | Either.Right Types.Sqrt -> costs.M.square_root
+      | Either.Left _ -> costs.M.scalar_op
+      | Either.Right _ -> costs.M.scalar_op)
+    0
+    (Expr.operators s.Stmt.rhs)
+
 let compile_stmt ctx ~depths (s : Stmt.t) =
   let costs = ctx.machine.M.costs in
   let stmt = s.Stmt.id in
   let rhs = compile_expr ~stmt ctx ~depths ~dst:0 s.Stmt.rhs in
   let nops = Stmt.op_count s in
-  let op_cycles =
-    float_of_int
-      (List.fold_left
-         (fun acc op ->
-           acc
-           +
-           match op with
-           | Either.Left Types.Div -> costs.M.divide
-           | Either.Right Types.Sqrt -> costs.M.square_root
-           | Either.Left _ -> costs.M.scalar_op
-           | Either.Right _ -> costs.M.scalar_op)
-         0
-         (Expr.operators s.Stmt.rhs))
-  in
+  let op_cycles = float_of_int (stmt_op_cycles costs s) in
   match s.Stmt.lhs with
   | Operand.Scalar v when ctx.values_only ->
       let slot = Memory.scalar_slot ctx.mem v in
@@ -1094,48 +1121,17 @@ let compile_instr ctx ~depths instr =
         let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
         Cache.charge st.cache st.cycles ~issue ~addr ~bytes
 
-(* [keys] selects profiling keys for vector instructions: [`Setup]
-   charges everything to the setup key; [`Origins q] pops one origin
-   array per [Visa.Block] from [q] in pre-order (the order [Lower]
-   records them), falling back to opcode keys when the queue runs dry
-   or an origin array is short. *)
-let rec compile_items ?prof ?(keys = `Origins (ref [])) ctx ~depths
-    ~depth items =
+(* The loop structure of [items], each [Visa.Block] compiled by
+   [block] in pre-order. *)
+let rec link_items ~block ~depths ~depth items =
   List.map
     (function
-      | Visa.Block instrs ->
-          let okeys =
-            match keys with
-            | `Setup -> None
-            | `Origins q -> (
-                match !q with
-                | arr :: rest ->
-                    q := rest;
-                    Some arr
-                | [] -> None)
-          in
-          let key i instr =
-            match keys with
-            | `Setup -> Profile.Setup
-            | `Origins _ -> (
-                match okeys with
-                | Some arr when i < Array.length arr -> arr.(i)
-                | _ -> fallback_key instr)
-          in
-          let fs =
-            Array.of_list
-              (List.mapi
-                 (fun i instr ->
-                   wrap_profile prof (key i instr)
-                     (compile_instr ctx ~depths instr))
-                 instrs)
-          in
-          Cblock (run_block fs)
+      | Visa.Block instrs -> Cblock (block ~depths instrs)
       | Visa.Loop l ->
           let c_lo = compile_bound ~depths l.Visa.lo in
           let c_hi = compile_bound ~depths l.Visa.hi in
           let body =
-            compile_items ?prof ~keys ctx
+            link_items ~block
               ~depths:((l.Visa.index, depth) :: depths)
               ~depth:(depth + 1) l.Visa.body
           in
@@ -1152,6 +1148,39 @@ let rec compile_items ?prof ?(keys = `Origins (ref [])) ctx ~depths
               c_body = seq_items body;
             })
     items
+
+(* [keys] selects profiling keys for vector instructions: [`Setup]
+   charges everything to the setup key; [`Origins q] pops one origin
+   array per [Visa.Block] from [q] in pre-order (the order [Lower]
+   records them), falling back to opcode keys when the queue runs dry
+   or an origin array is short. *)
+let compile_items ?prof ?(keys = `Origins (ref [])) ctx items =
+  let block ~depths instrs =
+    let okeys =
+      match keys with
+      | `Setup -> None
+      | `Origins q -> (
+          match !q with
+          | arr :: rest ->
+              q := rest;
+              Some arr
+          | [] -> None)
+    in
+    let key i instr =
+      match keys with
+      | `Setup -> Profile.Setup
+      | `Origins _ -> (
+          match okeys with
+          | Some arr when i < Array.length arr -> arr.(i)
+          | _ -> fallback_key instr)
+    in
+    run_block
+      (Array.of_list
+         (List.mapi
+            (fun i instr -> wrap_profile prof (key i instr) (compile_instr ctx ~depths instr))
+            instrs))
+  in
+  link_items ~block ~depths:[] ~depth:0 items
 
 (* -- program geometry ---------------------------------------------- *)
 
@@ -1498,14 +1527,11 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   in
   let stride = program_lane_stride prog in
   let ctx = make_ctx ~machine ~values_only ~stride memory names in
-  let setup =
-    compile_items ?prof:profile ~keys:`Setup ctx ~depths:[] ~depth:0
-      prog.Visa.setup
-  in
+  let setup = compile_items ?prof:profile ~keys:`Setup ctx prog.Visa.setup in
   let body =
     compile_items ?prof:profile
       ~keys:(`Origins (ref (Option.value origins ~default:[])))
-      ctx ~depths:[] ~depth:0 prog.Visa.body
+      ctx prog.Visa.body
   in
   assert (Memory.scalar_values memory == ctx.sdata);
   let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
@@ -1577,6 +1603,284 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
             ~sdata:ctx.sdata ~items:body ~main_idx ~main_loop ~ranges ~into:all ();
         { counters = all; memory }
   end
+
+(* -- timing-only compile -------------------------------------------- *)
+
+(* The register-lane checks of the timed closures, decided before a
+   timing-only run.  A lane state holds each register's lane count
+   (-1: never written); lane counts follow from which instructions ran,
+   never from values.  [lane_step] applies one instruction and raises
+   [Unproven] wherever its timed closure could raise. *)
+exception Unproven
+
+let lane_step lanes instr =
+  let read r =
+    let n = lanes.(r) in
+    if n < 0 then raise Unproven;
+    n
+  in
+  let require ok = if not ok then raise Unproven in
+  match instr with
+  | Visa.Sstmt _ -> ()
+  | Visa.Vload { dst; elems } -> lanes.(dst) <- List.length elems
+  | Visa.Vgather { dst; srcs } -> lanes.(dst) <- List.length srcs
+  | Visa.Vbroadcast { dst; lanes = n; _ } -> lanes.(dst) <- n
+  | Visa.Vload_scalars { dst; sources } -> lanes.(dst) <- List.length sources
+  | Visa.Vstore { src; elems } -> require (read src >= List.length elems)
+  | Visa.Vstore_scalars { src; targets } -> require (read src >= List.length targets)
+  | Visa.Vunpack { src; dsts } ->
+      let n = read src in
+      List.iteri (fun i d -> require (Option.is_none d || i < n)) dsts
+  | Visa.Vpermute { dst; src; sel } ->
+      let n = read src in
+      Array.iter (fun s -> require (s >= 0 && s < n)) sel;
+      lanes.(dst) <- Array.length sel
+  | Visa.Vshuffle2 { dst; a; b; sel } ->
+      let na = read a in
+      let nb = read b in
+      Array.iter (fun (side, l) -> require (l >= 0 && l < if side = 0 then na else nb)) sel;
+      lanes.(dst) <- Array.length sel
+  | Visa.Vbin { dst; a; b; _ } ->
+      let na = read a in
+      require (read b >= na);
+      lanes.(dst) <- na
+  | Visa.Vun { dst; a; _ } -> lanes.(dst) <- read a
+  | Visa.Vspill _ | Visa.Vreload _ -> raise Unproven
+
+let same_lanes a b = Array.for_all2 Int.equal a b
+let add_lanes states s = if List.exists (same_lanes s) states then states else s :: states
+
+(* A bound on the lane states a loop may reach before the proof gives
+   up (the program then runs timed). *)
+let max_lane_states = 64
+
+(* The lane states that can leave [items], entered in any of
+   [states].  A loop body is walked from every state that can enter it
+   — those reaching the loop, then those each walk leaves — until no
+   new one appears.  Two walks are not enough: [Vbin] and [Vun] copy a
+   lane count from register to register, so a count can take several
+   iterations to reach the register that reads it.  A loop may exit
+   untaken unless its bounds are constants with [lo < hi]. *)
+let rec lane_items states items = List.fold_left lane_item states items
+
+and lane_item states = function
+  | Visa.Block instrs ->
+      List.fold_left
+        (fun acc s ->
+          let s = Array.copy s in
+          List.iter (lane_step s) instrs;
+          add_lanes acc s)
+        [] states
+  | Visa.Loop l -> (
+      let rec walk entered exits = function
+        | [] -> exits
+        | frontier ->
+            let out = lane_items frontier l.Visa.body in
+            let fresh = List.filter (fun s -> not (List.exists (same_lanes s) entered)) out in
+            let entered = List.fold_left add_lanes entered fresh in
+            if List.length entered > max_lane_states then raise Unproven;
+            walk entered (List.fold_left add_lanes exits out) fresh
+      in
+      match (Affine.to_const l.Visa.lo, Affine.to_const l.Visa.hi) with
+      | Some lo, Some hi when hi <= lo -> states
+      | Some _, Some _ -> walk states [] states
+      | _ -> List.fold_left add_lanes (walk states [] states) states)
+
+(* No register-lane check of [prog]'s timed run can fail.  At one core
+   setup and body run on one state, so the body starts from the lane
+   states setup leaves. *)
+let lanes_proven (prog : Visa.program) =
+  match
+    lane_items
+      (lane_items [ Array.make (program_vregs prog) (-1) ] prog.Visa.setup)
+      prog.Visa.body
+  with
+  | _ -> true
+  | exception (Unproven | Invalid_argument _) -> false
+
+(* The counter increments of [d], added to [into]: the int fields only
+   (a float field update would box). *)
+let add_counts (into : Counters.t) (d : Counters.t) =
+  into.scalar_ops <- into.scalar_ops + d.scalar_ops;
+  into.vector_ops <- into.vector_ops + d.vector_ops;
+  into.scalar_loads <- into.scalar_loads + d.scalar_loads;
+  into.scalar_stores <- into.scalar_stores + d.scalar_stores;
+  into.vector_loads <- into.vector_loads + d.vector_loads;
+  into.vector_stores <- into.vector_stores + d.vector_stores;
+  into.pack_loads <- into.pack_loads + d.pack_loads;
+  into.pack_stores <- into.pack_stores + d.pack_stores;
+  into.inserts <- into.inserts + d.inserts;
+  into.extracts <- into.extracts + d.extracts;
+  into.permutes <- into.permutes + d.permutes;
+  into.broadcasts <- into.broadcasts + d.broadcasts
+
+(* One element access: the timed closure's bounds check and address,
+   then its [Cache.charge]. *)
+let time_elem ?stmt ctx ~depths ~issue op =
+  let { e_base; e_bytes = bytes; e_flat; _ } = link_elem ?stmt ctx ~depths op in
+  fun st ->
+    Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (e_flat st.frame * bytes)) ~bytes
+
+(* A vload's or vstore's one access: a contiguous pack's range check,
+   or every lane's checks in lane order, then lane 0's address. *)
+let time_pack ctx ~depths ~issue elems =
+  let n = List.length elems in
+  match contig ctx ~depths elems with
+  | Some (name, f0) ->
+      let base = Memory.array_base ctx.mem name in
+      let bytes = Memory.elem_bytes ctx.mem name in
+      let bytes_total = bytes * n in
+      fun st ->
+        Cache.charge st.cache st.cycles ~issue ~addr:(base + (f0 st.frame * bytes))
+          ~bytes:bytes_total
+  | None ->
+      let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
+      let e0 = es.(0) in
+      let bytes_total = e0.e_bytes * n in
+      fun st ->
+        let frame = st.frame in
+        let fl0 = e0.e_flat frame in
+        for k = 1 to n - 1 do
+          ignore ((Array.unsafe_get es k).e_flat frame : int)
+        done;
+        Cache.charge st.cache st.cycles ~issue ~addr:(e0.e_base + (fl0 * e0.e_bytes))
+          ~bytes:bytes_total
+
+let time_scalars ctx ~issue names =
+  let bytes = 8 * List.length names in
+  let addr0 =
+    try Ok (Memory.scalar_addr ctx.mem (List.hd names)) with Invalid_argument msg -> Error msg
+  in
+  fun st ->
+    let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
+    Cache.charge st.cache st.cycles ~issue ~addr ~bytes
+
+(* An instruction's counter increments go into [d] and its non-memory
+   cycles into [cycles]; returns its accesses in the timed closure's
+   order. *)
+let time_instr ctx ~depths (d : Counters.t) cycles instr =
+  let costs = ctx.machine.M.costs in
+  let load = float_of_int costs.M.load_issue and store = float_of_int costs.M.store_issue in
+  let cost c = cycles := !cycles + c in
+  let pack_load op =
+    d.pack_loads <- d.pack_loads + 1;
+    time_elem ctx ~depths ~issue:load op
+  in
+  match instr with
+  | Visa.Sstmt s ->
+      let stmt = s.Stmt.id in
+      (* Right operands load before left ones, as [compile_expr]
+         evaluates them. *)
+      let rec reads acc = function
+        | Expr.Leaf (Operand.Elem _ as op) ->
+            d.scalar_loads <- d.scalar_loads + 1;
+            time_elem ~stmt ctx ~depths ~issue:load op :: acc
+        | Expr.Leaf (Operand.Const _ | Operand.Scalar _) -> acc
+        | Expr.Un (_, e) -> reads acc e
+        | Expr.Bin (_, l, r) -> reads (reads acc r) l
+      in
+      let loads = reads [] s.Stmt.rhs in
+      d.scalar_ops <- d.scalar_ops + Stmt.op_count s;
+      cost (stmt_op_cycles costs s);
+      List.rev
+        (match s.Stmt.lhs with
+        | Operand.Elem _ as op ->
+            d.scalar_stores <- d.scalar_stores + 1;
+            time_elem ~stmt ctx ~depths ~issue:store op :: loads
+        | Operand.Scalar _ -> loads
+        | Operand.Const _ -> assert false)
+  | Visa.Vload { elems; _ } ->
+      d.vector_loads <- d.vector_loads + 1;
+      [ time_pack ctx ~depths ~issue:load elems ]
+  | Visa.Vstore { elems; _ } ->
+      d.vector_stores <- d.vector_stores + 1;
+      [ time_pack ctx ~depths ~issue:store elems ]
+  | Visa.Vgather { srcs; _ } ->
+      let n = List.length srcs in
+      d.inserts <- d.inserts + n;
+      cost (n * costs.M.insert);
+      List.filter_map (function Visa.Mem op -> Some (pack_load op) | _ -> None) srcs
+  | Visa.Vunpack { dsts; _ } ->
+      List.filter_map
+        (function
+          | None -> None
+          | Some dst -> (
+              d.extracts <- d.extracts + 1;
+              cost costs.M.extract;
+              match dst with
+              | Visa.To_reg _ -> None
+              | Visa.To_mem op ->
+                  d.pack_stores <- d.pack_stores + 1;
+                  Some (time_elem ctx ~depths ~issue:store op)))
+        dsts
+  | Visa.Vbroadcast { src; _ } ->
+      d.broadcasts <- d.broadcasts + 1;
+      cost costs.M.broadcast;
+      (match src with Visa.Mem op -> [ pack_load op ] | Visa.Reg _ | Visa.Imm _ -> [])
+  | Visa.Vpermute _ | Visa.Vshuffle2 _ ->
+      d.permutes <- d.permutes + 1;
+      cost costs.M.permute;
+      []
+  | Visa.Vbin { op; _ } ->
+      d.vector_ops <- d.vector_ops + 1;
+      cost (match op with Types.Div -> costs.M.divide | _ -> costs.M.vector_op);
+      []
+  | Visa.Vun { op; _ } ->
+      d.vector_ops <- d.vector_ops + 1;
+      cost (match op with Types.Sqrt -> costs.M.square_root | _ -> costs.M.vector_op);
+      []
+  | Visa.Vload_scalars { sources; _ } ->
+      d.vector_loads <- d.vector_loads + 1;
+      [ time_scalars ctx ~issue:load sources ]
+  | Visa.Vstore_scalars { targets; _ } ->
+      d.vector_stores <- d.vector_stores + 1;
+      [ time_scalars ctx ~issue:store targets ]
+  | Visa.Vspill _ | Visa.Vreload _ -> raise Unproven
+
+(* One execution of a block: its static cycles and counts, then its
+   accesses. *)
+let time_block ctx ~depths instrs =
+  let d = Counters.create () and cycles = ref 0 in
+  let accesses = Array.of_list (List.concat_map (time_instr ctx ~depths d cycles) instrs) in
+  let static = float_of_int !cycles in
+  fun st ->
+    charge st static;
+    add_counts st.counters d;
+    run_block accesses st
+
+let fallbacks = Atomic.make 0
+let timing_fallbacks () = Atomic.get fallbacks
+
+let run_timing ?scalar_layout ~machine (prog : Visa.program) =
+  let memory = Memory.create ?scalar_layout ~env:prog.Visa.env () in
+  let timed () =
+    Atomic.incr fallbacks;
+    (run ~memory ~machine ~values_only:false prog).counters
+  in
+  let ctx =
+    { mem = memory; machine; values_only = false; sdata = Memory.scalar_values memory; stride = 1 }
+  in
+  (* Linking raises only where the timed compile raises too (an
+     unbound loop index, an unknown array, an empty pack); the timed
+     engine then raises its own error. *)
+  match
+    if not (lanes_proven prog) then None
+    else
+      let setup = link_items ~block:(time_block ctx) ~depths:[] ~depth:0 prog.Visa.setup in
+      Some (setup, link_items ~block:(time_block ctx) ~depths:[] ~depth:0 prog.Visa.body)
+  with
+  | exception _ | None -> timed ()
+  | Some (setup, body) ->
+      let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
+      let st =
+        fresh_state ~machine ~nframe ~ntmp:1 ~nvregs:0 ~stride:1 ~nslots:0 ~sdata:ctx.sdata ()
+      in
+      let setup_cycles = run_setup st ~cores:1 setup in
+      run_items st body;
+      st.counters.Counters.cycles <- st.cycles.(0);
+      st.counters.Counters.setup_cycles <- setup_cycles;
+      Cache.release st.cache;
+      st.counters
 
 let run_scalar ?cores ?seed ?memory ?profile ?pool ~machine (prog : Program.t) =
   run ?cores ?seed ?memory ?profile ?pool ~machine ~values_only:false

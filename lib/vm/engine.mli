@@ -14,14 +14,23 @@
     checks this with {!Memory.equal} and {!Counters.equal}), just
     several times faster.
 
-    The compiler has two modes.  A {e timed} run ({!run_scalar},
+    There are three compiles.  A {e timed} run ({!run_scalar},
     {!run_vector}) simulates the cache, counts every event and charges
     cycles.  A {e values-only} run ({!scalar_final_memory}) computes
     the same values, raises the same traps, and chunks, privatizes and
     merges reductions the same way, but does no cache access, cycle
     charging or counter update.  The kernel language has no
     data-dependent control flow, so values never depend on timing and
-    the two modes leave bit-identical memory.
+    the two leave bit-identical memory.  A {e timing-only} run
+    ({!run_timing}) is the converse at one core: no values, memory
+    initialisation or register file; each [Visa.Block]'s non-memory
+    cycles and counts are one static delta added per execution, and
+    only its memory accesses are simulated, in the timed run's order.
+    At one core every cost is an integer-valued float (contention 1.0
+    adds no bus surcharge) and every partial sum stays below 2{^53},
+    so the reordered additions are exact and the counters are the
+    timed run's bit for bit.  Register-lane checks are proved before
+    the run; a program the proof rejects, or that spills, runs timed.
 
     Array subscripts are linked once.  A 1-D subscript, or a rank-2
     one with at most one loop term per dimension, becomes one closure
@@ -88,6 +97,21 @@ val run_vector :
     [Regalloc.program_with_origins]); instructions beyond the recorded
     origins fall back to opcode keys, and setup instructions are
     attributed to [Setup]. *)
+
+val run_timing :
+  ?scalar_layout:(string * int) list -> machine:Slp_machine.Machine.t -> Visa.program ->
+  Counters.t
+(** The counters of a one-core {!run_vector} of the program on a fresh
+    memory built with [scalar_layout] (a scalar program's
+    {!Visa.of_program} image takes none), bit for bit, from a
+    timing-only run: the same {!Trap.Trap} at the same access, and an
+    armed fault fires on the same access.  A program whose lane checks
+    cannot be proved, or that spills, runs timed; so does one whose
+    accesses fail to link, which then raises as the timed run does. *)
+
+val timing_fallbacks : unit -> int
+(** How many {!run_timing} calls so far, in this process, ran on the
+    timed engine. *)
 
 val chunk_ranges : lo:int -> hi:int -> step:int -> cores:int -> (int * int) list
 (** Split [lo, hi) into [cores] contiguous step-aligned ranges. *)

@@ -356,6 +356,69 @@ let test_seed_free_on_suite () =
         [ Machine.intel_dunnington; Machine.amd_phenom_ii ])
     Suite.all
 
+(* -- timing-only vs timed --------------------------------------------------------
+
+   [Pipeline.timing] folds each block's non-memory costs and counts
+   into one delta and simulates only the memory accesses; at one core
+   its counters and its trap, if any, must equal the timed run's bit
+   for bit. *)
+
+let timing_only c =
+  match Pipeline.timing c with
+  | counters -> Ok counters
+  | exception Vm.Trap.Trap info -> Error info
+
+let timing_fuzz =
+  QCheck.Test.make ~name:"generated kernels, every scheme" ~count:40 arb_program (fun p ->
+      match Program.validate p with
+      | Error _ -> true
+      | Ok () ->
+          List.for_all
+            (fun machine ->
+              List.for_all
+                (fun scheme ->
+                  let c = Pipeline.compile ~unroll:2 ~verify:false ~scheme ~machine p in
+                  Alcotest.equal timing_testable (timing ~seed:42 ~cores:1 c) (timing_only c)
+                  || QCheck.Test.fail_reportf "%s on %s: timing-only run differs:\n%s"
+                       (Pipeline.scheme_name scheme) (Machine.to_string machine)
+                       (Program.to_string p))
+                Pipeline.all_schemes)
+            [ Machine.intel_dunnington; Machine.amd_phenom_ii ])
+
+(* Every suite program: 16 kernels under every scheme, on both 128-bit
+   machines and Figure 18's Intel model at 256 and 512 bits, compiled
+   as the benchmarks compile them (suite unroll scaled by width/128).
+   None spills or fails the lane proof, so none falls back to the timed
+   engine. *)
+let test_timing_only_on_suite () =
+  let module Suite = Slp_benchmarks.Suite in
+  let intel = Machine.intel_dunnington in
+  let fallbacks = Vm.Engine.timing_fallbacks () in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun b ->
+          let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+          List.iter
+            (fun scheme ->
+              let c =
+                Pipeline.compile ~unroll ~verify:false ~scheme ~machine (Suite.program b)
+              in
+              Alcotest.check counters_testable
+                (Printf.sprintf "%s %s %s %d bits" b.Suite.name (Pipeline.scheme_name scheme)
+                   (Machine.to_string machine) machine.Machine.simd_bits)
+                (Pipeline.execute ~check:false c).Pipeline.counters
+                (Pipeline.timing c))
+            Pipeline.all_schemes)
+        Suite.all)
+    [
+      intel;
+      Machine.amd_phenom_ii;
+      Machine.with_simd_bits intel 256;
+      Machine.with_simd_bits intel 512;
+    ];
+  Alcotest.(check int) "runs on the timed engine" fallbacks (Vm.Engine.timing_fallbacks ())
+
 (* Printing a program and re-parsing it must yield the same scalar
    semantics (the printer emits the input language). *)
 let roundtrip =
@@ -427,5 +490,10 @@ let () =
         [
           Seeded.to_alcotest seed_fuzz;
           Alcotest.test_case "every suite kernel" `Slow test_seed_free_on_suite;
+        ] );
+      ( "timing-only vs timed",
+        [
+          Seeded.to_alcotest timing_fuzz;
+          Alcotest.test_case "every suite program" `Slow test_timing_only_on_suite;
         ] );
     ]

@@ -252,6 +252,65 @@ let test_no_replica_commits_global () =
     check (Printf.sprintf "seed 7 case %d" i) (Slp_fuzz.Harness.case_program config i)
   done
 
+(* Every measured Global+Layout arbitration of the suite, pinned: one
+   FNV hash per machine over each [LAYOUT-ARBITRATE-*] remark (its id,
+   and its message, which prints both probes' cycles) and the chosen
+   variant's replica and scalar-offset counts, compiled as the
+   compile_wide benchmark compiles (suite unroll scaled by width/128).
+   Plan digests pin only the winner; this pin also moves when a probe's
+   cycles drift without flipping the verdict.  30 arbitrations run: 22
+   keep the layout, 8 discard it.  A changed hash means the probes
+   measure differently. *)
+let test_arbitrations_pinned () =
+  let module Suite = Slp_benchmarks.Suite in
+  let intel = Machine.intel_dunnington in
+  let apply = ref 0 and skip = ref 0 in
+  let hash (label, machine) =
+    let fields =
+      List.concat_map
+        (fun (b : Suite.t) ->
+          let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+          let obs = Slp_obs.Obs.create ~remarks:true () in
+          let c =
+            Pipeline.compile ~obs ~unroll ~verify:false ~scheme:Pipeline.Global_layout
+              ~machine (Suite.program b)
+          in
+          let arbitrations =
+            List.filter_map
+              (fun (r : Slp_obs.Remark.t) ->
+                match r.Slp_obs.Remark.id with
+                | "LAYOUT-ARBITRATE-APPLY" ->
+                    incr apply;
+                    Some [ r.Slp_obs.Remark.id; r.Slp_obs.Remark.message ]
+                | "LAYOUT-ARBITRATE-SKIP" ->
+                    incr skip;
+                    Some [ r.Slp_obs.Remark.id; r.Slp_obs.Remark.message ]
+                | _ -> None)
+              (Slp_obs.Obs.remarks obs)
+          in
+          b.Suite.name
+          :: string_of_int c.Pipeline.replica_count
+          :: string_of_int (List.length c.Pipeline.scalar_offsets)
+          :: List.concat arbitrations)
+        Suite.all
+    in
+    (label, Slp_util.Fnv.to_hex (Slp_util.Fnv.hash_fields fields))
+  in
+  Alcotest.(check (list (pair string string)))
+    "one hash per machine"
+    [
+      ("Intel 128", "af7daefab0887780");
+      ("AMD 128", "9092e5386ac6a1fe");
+      ("Intel 256", "a403f0441ccd7b5a");
+    ]
+    (List.map hash
+       [
+         ("Intel 128", intel);
+         ("AMD 128", Machine.amd_phenom_ii);
+         ("Intel 256", Machine.with_simd_bits intel 256);
+       ]);
+  Alcotest.(check (pair int int)) "arbitrations kept, discarded" (22, 8) (!apply, !skip)
+
 (* The dependence-pair contract.  C[2*i] and C[i+1100] conflict
    syntactically (their subscripts differ by a non-constant) but never
    within the loop box, so precise and syntactic pairs differ here:
@@ -359,6 +418,7 @@ let () =
             test_layout_register_reuse;
           Alcotest.test_case "no replica commits Global's plans" `Slow
             test_no_replica_commits_global;
+          Alcotest.test_case "every arbitration pinned" `Slow test_arbitrations_pinned;
         ] );
       ( "dep_pairs",
         [

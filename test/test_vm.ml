@@ -220,7 +220,7 @@ let test_scalar_exec_index_as_value () =
 (* A values-only run traps like a timed run: the same [Trap.info] from
    a read, a store and a rank-2 subscript out of bounds, and an armed
    one-shot fault fires on the same access (the 16th of 16 here, and
-   never past the last). *)
+   never past the last).  So does a timing-only run, at one core. *)
 let test_values_only_trap_parity () =
   let parse src = Slp_frontend.Parser.parse ~name:"oob" src in
   let trap_of f =
@@ -237,7 +237,10 @@ let test_values_only_trap_parity () =
           let values = trap_of (fun () -> Scalar_exec.final_memory ~cores ~machine prog) in
           let tag = Printf.sprintf "%s, %d core(s)" what cores in
           Alcotest.(check bool) (tag ^ " traps") true (Option.is_some timed);
-          Alcotest.(check bool) (tag ^ " same trap") true (timed = values))
+          Alcotest.(check bool) (tag ^ " same trap") true (timed = values);
+          if cores = 1 then
+            Alcotest.(check bool) (tag ^ " same timing-only trap") true
+              (timed = trap_of (fun () -> Slp_vm.Engine.run_timing ~machine (Visa.of_program prog))))
         [ 1; 2 ])
     [
       ("read", "f64 A[8];\nf64 B[8];\nfor i = 0 to 8 {\n  B[i] = A[i + 1] * 2.0;\n}");
@@ -259,7 +262,11 @@ let test_values_only_trap_parity () =
       Alcotest.(check bool)
         (Printf.sprintf "values-only fault after %d" after)
         fires
-        (fired (fun () -> ignore (Scalar_exec.final_memory ~machine prog))))
+        (fired (fun () -> ignore (Scalar_exec.final_memory ~machine prog)));
+      Alcotest.(check bool)
+        (Printf.sprintf "timing-only fault after %d" after)
+        fires
+        (fired (fun () -> ignore (Slp_vm.Engine.run_timing ~machine (Visa.of_program prog)))))
     [ (15, true); (16, false) ]
 
 (* -- vector executor --------------------------------------------------------- *)
@@ -332,7 +339,71 @@ let test_vector_reads_before_write_fail () =
   in
   Alcotest.check_raises "uninitialised vreg"
     (Invalid_argument "Vector_exec: v7 read before write") (fun () ->
-      ignore (Vector_exec.run ~machine prog))
+      ignore (Vector_exec.run ~machine prog));
+  (* The lane proof fails, so the timing-only run is the timed one. *)
+  let fallbacks = Slp_vm.Engine.timing_fallbacks () in
+  Alcotest.check_raises "uninitialised vreg, timing-only"
+    (Invalid_argument "Vector_exec: v7 read before write") (fun () ->
+      ignore (Slp_vm.Engine.run_timing ~machine prog));
+  Alcotest.(check int) "ran timed" (fallbacks + 1) (Slp_vm.Engine.timing_fallbacks ())
+
+(* Lane counts travel: each iteration of this loop moves v0's count to
+   v1 and v1's to v2, and v0 drops to one lane, so the two-lane store
+   of v2 first fails in the third iteration.  The timing-only run must
+   prove the loop over every lane state it can enter, not just the
+   first two: with 2 iterations it returns the timed counters, with 4
+   it raises the timed run's error. *)
+let test_lane_proof_fixpoint () =
+  let env = Env.create () in
+  Env.declare_array env "A" Types.F64 [ 4 ];
+  let elem k = Operand.Elem ("A", [ Affine.const k ]) in
+  let pair = [ elem 0; elem 1 ] in
+  let prog trips =
+    {
+      Visa.name = "lanes";
+      env;
+      setup = [];
+      body =
+        [
+          Visa.Block
+            [
+              Visa.Vload { dst = 0; elems = pair };
+              Visa.Vload { dst = 1; elems = pair };
+              Visa.Vload { dst = 2; elems = pair };
+            ];
+          Visa.Loop
+            {
+              Visa.index = "i";
+              lo = Affine.const 0;
+              hi = Affine.const trips;
+              step = 1;
+              body =
+                [
+                  Visa.Block
+                    [
+                      Visa.Vun { dst = 2; op = Types.Neg; a = 1 };
+                      Visa.Vun { dst = 1; op = Types.Neg; a = 0 };
+                      Visa.Vload { dst = 0; elems = [ elem 0 ] };
+                      Visa.Vstore { src = 2; elems = pair };
+                    ];
+                ];
+            };
+        ];
+    }
+  in
+  let outcome f = match f () with c -> Ok c | exception Invalid_argument m -> Error m in
+  List.iter
+    (fun trips ->
+      let p = prog trips in
+      let timed = outcome (fun () -> (Vector_exec.run ~machine p).Vector_exec.counters) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d iterations: timed run fails" trips)
+        (trips > 2) (Result.is_error timed);
+      Alcotest.(check (result (Alcotest.testable Counters.pp Counters.equal) string))
+        (Printf.sprintf "%d iterations" trips)
+        timed
+        (outcome (fun () -> Slp_vm.Engine.run_timing ~machine p)))
+    [ 2; 4 ]
 
 (* A contiguous vload or vstore that runs off its array raises the same
    [Trap.info] from the engine, which checks the whole pack at once and
@@ -572,8 +643,8 @@ let memory_accesses (k : Counters.t) =
   + k.Counters.vector_stores + k.Counters.pack_loads + k.Counters.pack_stores
 
 (* Minor words of one engine run per simulated memory access, its
-   memory built and initialized beforehand (a values-only run builds
-   its own).  Compiling the closures allocates in proportion to the
+   memory built and initialized beforehand (a values-only or
+   timing-only run builds its own).  Compiling the closures allocates in proportion to the
    program, which the budget covers; nothing may be allocated per
    access.  Every run is made once before it is measured, so a cache
    geometry this process has not created yet does not count.  A checked
@@ -589,6 +660,7 @@ let test_allocation_budget () =
       let scalar memory = Scalar_exec.run ~memory ~machine reference in
       let vector memory = Vector_exec.run ~memory ~machine vprog in
       let values () = Scalar_exec.final_memory ~machine reference in
+      let timing () = Slp_vm.Engine.run_timing ~scalar_layout ~machine vprog in
       let scalar_accesses =
         memory_accesses (scalar (scalar_memory ())).Scalar_exec.counters
       in
@@ -596,6 +668,7 @@ let test_allocation_budget () =
         memory_accesses (vector (vector_memory ())).Vector_exec.counters
       in
       ignore (values ());
+      ignore (timing ());
       let budget what ~accesses run =
         let before = Gc.minor_words () in
         ignore (run ());
@@ -610,9 +683,31 @@ let test_allocation_budget () =
       let memory = vector_memory () in
       budget "timed Global vector run" ~accesses:vector_accesses (fun () -> vector memory);
       budget "values-only reference" ~accesses:scalar_accesses values;
+      budget "timing-only Global vector run" ~accesses:vector_accesses timing;
       budget "checked execute" ~accesses:(scalar_accesses + vector_accesses) (fun () ->
           Slp_pipeline.Pipeline.execute ~check:true compiled))
     [ "cactusADM"; "bt" ]
+
+(* The Global+Layout arbitration times both variants of every suite
+   kernel timing-only, at both 128-bit machines and Intel at 256 bits
+   (60 probes): none may fall back to the timed engine, or the
+   arbitration pays for values nothing reads. *)
+let test_probes_timing_only () =
+  let module Pipeline = Slp_pipeline.Pipeline in
+  let module Suite = Slp_benchmarks.Suite in
+  let before = Slp_vm.Engine.timing_fallbacks () in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (b : Suite.t) ->
+          let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+          ignore
+            (Pipeline.compile ~unroll ~verify:false ~scheme:Pipeline.Global_layout ~machine
+               (Suite.program b)))
+        Suite.all)
+    [ machine; Machine.amd_phenom_ii; Machine.with_simd_bits machine 256 ];
+  Alcotest.(check int) "probes run on the timed engine" 0
+    (Slp_vm.Engine.timing_fallbacks () - before)
 
 (* Runs hand their caches on: kernel K, then L, then K again gives K's
    results bit for bit, at 1 and 2 cores.  A profiled run's observer
@@ -804,6 +899,8 @@ let () =
       ( "engine runs",
         [
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+          Alcotest.test_case "arbitration probes run timing-only" `Quick
+            test_probes_timing_only;
           Alcotest.test_case "caches reused across runs" `Quick test_engine_cache_reuse;
         ] );
       ( "scalar_exec",
@@ -816,6 +913,8 @@ let () =
         [
           Alcotest.test_case "ISA roundtrip" `Quick test_vector_isa_roundtrip;
           Alcotest.test_case "uninitialised register" `Quick test_vector_reads_before_write_fail;
+          Alcotest.test_case "lane proof reaches every loop state" `Quick
+            test_lane_proof_fixpoint;
           Alcotest.test_case "contiguous trap parity" `Quick test_vector_trap_parity;
         ] );
       ( "multicore",
