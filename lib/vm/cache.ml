@@ -91,8 +91,11 @@ let take_released specs =
       Array.iter reset_level levels;
       Some levels
 
+let specs (m : M.t) = [| m.M.l1; m.M.l2; m.M.l3 |]
+let level_count m = Array.length (specs m)
+
 let create ?(contention = 1.0) (m : M.t) =
-  let specs = [| m.M.l1; m.M.l2; m.M.l3 |] in
+  let specs = specs m in
   let levels =
     match take_released specs with Some levels -> levels | None -> Array.map make_level specs
   in
@@ -230,6 +233,11 @@ let access t ~addr ~bytes =
   let acc = [| 0.0 |] in
   charge t acc ~issue:0.0 ~addr ~bytes;
   acc.(0)
+
+let tags t =
+  Array.map
+    (fun l -> Array.init l.set_count (fun s -> Array.sub l.tags (s * l.ways) l.fill.(s)))
+    t.levels
 
 let hits t = (t.level_hits.(0), t.level_hits.(1), t.level_hits.(2))
 let misses t = t.memory_accesses

@@ -33,6 +33,9 @@ val create : ?contention:float -> Slp_machine.Machine.t -> t
     surcharge of [(contention - 1) x 8] cycles to every line access,
     hits included. *)
 
+val level_count : Slp_machine.Machine.t -> int
+(** The number of cache levels {!create} builds for the machine. *)
+
 val release : t -> unit
 (** Hand [t]'s tag stores to this domain's reuse list.  [t] must not
     be used afterwards; releasing twice is a no-op. *)
@@ -53,6 +56,10 @@ val set_observer : t -> (int -> int -> unit) option -> unit
     called with the line's base address and the level that resolved
     the access (0-based cache level; [max_int] means memory).  Costs
     one option match per line when absent. *)
+
+val tags : t -> int array array array
+(** A copy of the hierarchy's contents: per level, L1 first, per set,
+    the lines it holds, most recently used first. *)
 
 val hits : t -> int * int * int
 (** L1, L2, L3 hit counts. *)

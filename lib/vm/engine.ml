@@ -26,16 +26,39 @@
    per run in the link context and read only while closures are
    built.  A timed run (the two entry points above) simulates the
    cache, counts events and charges cycles.  A values-only run
-   ([scalar_final_memory], the scalar-reference check) compiles
-   [compile_operand_read] and [compile_stmt] to closures that only
-   compute, bounds-check and store: no [Cache.charge], no cycle
-   charging, no counter updates.  Its fault tick stands where the
-   timed closure calls [Cache.charge], after the bounds check, so an
-   armed fault lands on the same access.  Everything else — driver,
-   chunking, privatization, reduction merging, states (caches
-   included) — is shared, so the final memory is bit-identical to the
-   timed run's.  Only scalar programs run values-only; a vector
-   instruction in that mode is an [Invalid_argument].
+   ([scalar_final_memory] for the scalar-reference check,
+   [vector_final_memory]) compiles every instruction to a closure that
+   only computes, checks and stores: the timed closure's bounds and
+   register-lane checks and memory writes, in the same order, with no
+   [Cache.charge], cycle charge or counter update.  Its fault tick
+   ([tick]) stands where the timed closure calls [Cache.charge], after
+   the bounds check, so an armed fault lands on the same access.
+   Everything else — driver, chunking, privatization, reduction
+   merging, states (caches included) — is shared, so the final memory
+   is bit-identical to the timed run's.
+
+   A one-core timed run without a profiler fast-forwards every loop
+   that replays one cache-line stream: no subscript and no inner loop
+   bound of its body mentions its index, so every iteration makes the
+   same accesses at the same addresses ([replay_tail]).  Each cache
+   level is an LRU store fed by the misses of the level above, and an
+   LRU set fed one stream twice ends exactly as it ended the first
+   time; so with L levels the hierarchy's state is fixed after
+   iteration L, and iteration L + 1 and every later one charge the
+   same counts and cycles.  [forward] simulates L + 1 iterations, adds
+   the last one's counter and cycle increments once per remaining
+   iteration, and runs the remaining ones on a values-only compile of
+   the body: their values, traps, lane errors and fault ticks are the
+   timed run's, their cache accesses are skipped.  The cache ends in
+   the state full simulation leaves.  This is exact only at one core,
+   where every cost is an integer-valued float and the sums stay below
+   2^53 (see below; a loop that would pass 2^53 simulates on).  A
+   multicore run's contention costs need not be integers, and a
+   profiled run observes every access, so both compile every loop to
+   full simulation ([simulate]), as do loops without the property.  A
+   fast-forwarded run's own {!Cache} hit counts cover only the
+   simulated iterations; nothing reads them after a run, and the
+   profiler, which reads them during one, keeps full simulation.
 
    The third, timing-only ([run_timing], the Global+Layout
    arbitration's probes and other callers that read only counters),
@@ -61,7 +84,12 @@
    the spill arena) and one whose accesses fail to link run on the
    timed engine instead; nothing selects the path but the program.
    Loops, setup and the driver ([link_items], [run_setup],
-   [run_items]) are the timed run's.
+   [run_items]) are the timed run's, and so is the fast-forward,
+   except that the iterations past the warm-up are skipped outright,
+   unless a fault is armed: its ticks need every access, so the loop
+   simulates on.  Its address map ({!Memory.layout}) has bases,
+   dimensions, element sizes and scalar addresses but no element
+   storage.
 
    All hot-path storage is unboxed and preallocated: the register
    file is a single [floatarray] of [nvregs * stride] cells (register
@@ -101,12 +129,14 @@
    budget holds timed and values-only runs under 0.1 minor words per
    simulated memory access.
 
-   The engine is observationally identical to the interpreters: every
-   cache access happens at the same address in the same order, every
-   counter increments at the same point, and cycles accumulate in the
-   same floating-point order, so memory, counters and cycles are
-   bit-identical (the differential fuzz suite asserts this).  The
-   interpreters remain as the reference oracle. *)
+   The engine is observationally identical to the interpreters:
+   memory, counters and cycles are bit-identical (the differential
+   fuzz suite asserts this).  Every cache access it simulates happens
+   at the same address in the same order, every counter increments at
+   the same point, and cycles accumulate in the same floating-point
+   order; at one core a fast-forwarded loop's remaining iterations add
+   the same integers in fewer, exact additions.  The interpreters
+   simulate every access and remain as the reference oracle. *)
 
 open Slp_ir
 module M = Slp_machine.Machine
@@ -155,6 +185,11 @@ type state = {
 }
 
 let charge st c = Array.unsafe_set st.cycles 0 (Array.unsafe_get st.cycles 0 +. c)
+
+(* A values-only closure's stand-in for [Cache.charge]: the fault tick
+   at the same point of the same access, so an armed fault fires
+   there. *)
+let[@inline] tick () = if !Trap.fault_enabled then Trap.fault_tick ()
 
 (* -- profiling ------------------------------------------------------ *)
 
@@ -236,10 +271,84 @@ and cloop = {
   c_hi : state -> int;
   c_const_bounds : (int * int) option;
   c_body : state -> unit;
+  c_tail : tail;
 }
 
+(* How a loop runs its iterations.  [Simulate]: every one on [c_body].
+   [Forward]: the loop replays one cache-line stream (see [forward]);
+   [warm] iterations run on [c_body], the rest on [values] (a
+   values-only compile of the body) or, when [values] is [None], not
+   at all. *)
+and tail = Simulate | Forward of { warm : int; values : (state -> unit) option }
+
+let forwarded = Atomic.make 0
+let forwarded_iterations () = Atomic.get forwarded
+
+(* Add [times] more of the counts [c] gained since [before]: the int
+   fields only (a float field update would box). *)
+let repeat_counts (c : Counters.t) ~(before : Counters.t) ~times =
+  let more now was = now + (times * (now - was)) in
+  c.scalar_ops <- more c.scalar_ops before.scalar_ops;
+  c.vector_ops <- more c.vector_ops before.vector_ops;
+  c.scalar_loads <- more c.scalar_loads before.scalar_loads;
+  c.scalar_stores <- more c.scalar_stores before.scalar_stores;
+  c.vector_loads <- more c.vector_loads before.vector_loads;
+  c.vector_stores <- more c.vector_stores before.vector_stores;
+  c.pack_loads <- more c.pack_loads before.pack_loads;
+  c.pack_stores <- more c.pack_stores before.pack_stores;
+  c.inserts <- more c.inserts before.inserts;
+  c.extracts <- more c.extracts before.extracts;
+  c.permutes <- more c.permutes before.permutes;
+  c.broadcasts <- more c.broadcasts before.broadcasts
+
+(* A [Forward] loop (the argument is in the header): [warm] = L + 1
+   iterations run timed, then the last one's counter and cycle
+   increments are added once per remaining iteration, and those
+   iterations run on [values] or, in a timing-only run, not at all,
+   unless a fault is armed: its ticks need every access.  The product
+   and the sum are exact while the total stays below 2^53; a loop that
+   would pass it simulates on.  Returns the index the timed loop
+   continues from. *)
+let forward st l ~warm ~values ~lo ~hi =
+  let step = l.c_step in
+  let trips = if hi <= lo then 0 else (hi - lo + step - 1) / step in
+  if trips <= warm then lo
+  else begin
+    let i = ref lo in
+    let iterate body =
+      Array.unsafe_set st.frame l.c_depth !i;
+      body st;
+      i := !i + step
+    in
+    for _ = 2 to warm do
+      iterate l.c_body
+    done;
+    let before = Counters.copy st.counters and from = st.cycles.(0) in
+    iterate l.c_body;
+    let times = trips - warm in
+    let total = st.cycles.(0) +. (float_of_int times *. (st.cycles.(0) -. from)) in
+    if (Option.is_none values && !Trap.fault_enabled) || not (total < 0x1p53) then !i
+    else begin
+      repeat_counts st.counters ~before ~times;
+      st.cycles.(0) <- total;
+      ignore (Atomic.fetch_and_add forwarded times : int);
+      Option.iter
+        (fun body ->
+          while !i < hi do
+            iterate body
+          done)
+        values;
+      hi
+    end
+  end
+
 let run_loop st l ~lo ~hi =
-  let i = ref lo in
+  let i =
+    ref
+      (match l.c_tail with
+      | Simulate -> lo
+      | Forward { warm; values } -> forward st l ~warm ~values ~lo ~hi)
+  in
   while !i < hi do
     Array.unsafe_set st.frame l.c_depth !i;
     l.c_body st;
@@ -447,12 +556,10 @@ let compile_operand_read ?stmt ctx ~depths ~dst op =
           fun st -> FA.unsafe_set st.tmp dst (float_of_int (Array.unsafe_get st.frame d))
       | Slot slot -> fun st -> FA.unsafe_set st.tmp dst (FA.unsafe_get st.sdata slot))
   | Operand.Elem _ when ctx.values_only ->
-      (* The fault tick stands where the timed closure charges the
-         cache, so an armed fault lands on the same access. *)
       let { e_data; e_flat; _ } = link_elem ?stmt ctx ~depths op in
       fun st ->
         let fl = e_flat st.frame in
-        if !Trap.fault_enabled then Trap.fault_tick ();
+        tick ();
         FA.unsafe_set st.tmp dst (FA.unsafe_get e_data fl)
   | Operand.Elem (name, idxs) -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ?stmt ctx ~depths op in
@@ -579,7 +686,7 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
         rhs st;
         let value = FA.unsafe_get st.tmp 0 in
         let fl = e_flat st.frame in
-        if !Trap.fault_enabled then Trap.fault_tick ();
+        tick ();
         FA.unsafe_set e_data fl value
   | Operand.Scalar v ->
       let slot = Memory.scalar_slot ctx.mem v in
@@ -642,6 +749,12 @@ let link_lane_src ctx ~depths ~off (src : Visa.lane_src) =
       | Frame d ->
           fun st -> FA.unsafe_set st.vregs off (float_of_int (Array.unsafe_get st.frame d))
       | Slot slot -> fun st -> FA.unsafe_set st.vregs off (FA.unsafe_get st.sdata slot))
+  | Visa.Mem op when ctx.values_only ->
+      let { e_data; e_flat; _ } = link_elem ctx ~depths op in
+      fun st ->
+        let fl = e_flat st.frame in
+        tick ();
+        FA.unsafe_set st.vregs off (FA.unsafe_get e_data fl)
   | Visa.Mem op ->
       let { e_data; e_base; e_bytes; e_flat } = link_elem ctx ~depths op in
       let issue = float_of_int ctx.machine.M.costs.M.load_issue in
@@ -725,14 +838,17 @@ let contig ctx ~depths elems =
         | _ -> None)
   | _ -> None
 
+(* Each instruction compiles to a timed closure or, in a values-only
+   link context, to one that computes the same values and makes the
+   same checks in the same order (lane counts, bounds, memory writes),
+   with [tick] where the timed closure calls [Cache.charge] and no
+   counter update or cycle charge. *)
 let compile_instr ctx ~depths instr =
   let costs = ctx.machine.M.costs in
   let stride = ctx.stride in
+  let values_only = ctx.values_only in
   match instr with
   | Visa.Sstmt s -> compile_stmt ctx ~depths s
-  | _ when ctx.values_only ->
-      invalid_arg
-        ("Engine: " ^ opcode_name instr ^ " in a values-only run (scalar programs only)")
   | Visa.Vload { dst; elems } -> (
       let n = List.length elems in
       let dst_off = dst * stride in
@@ -743,7 +859,15 @@ let compile_instr ctx ~depths instr =
           let base = Memory.array_base ctx.mem name in
           let bytes = Memory.elem_bytes ctx.mem name in
           let bytes_total = bytes * n in
-          fun st ->
+          if values_only then fun st ->
+            let i0 = f0 st.frame in
+            let vregs = st.vregs in
+            for k = 0 to n - 1 do
+              FA.unsafe_set vregs (dst_off + k) (FA.unsafe_get data (i0 + k))
+            done;
+            Array.unsafe_set st.vlanes dst n;
+            tick ()
+          else fun st ->
             let i0 = f0 st.frame in
             let vregs = st.vregs in
             for k = 0 to n - 1 do
@@ -758,7 +882,21 @@ let compile_instr ctx ~depths instr =
           let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
           let e0 = es.(0) in
           let bytes_total = e0.e_bytes * n in
-          fun st ->
+          if values_only then fun st ->
+            let frame = st.frame in
+            let flats = st.iscratch in
+            for k = 0 to n - 1 do
+              Array.unsafe_set flats k ((Array.unsafe_get es k).e_flat frame)
+            done;
+            let vregs = st.vregs in
+            for k = 0 to n - 1 do
+              FA.unsafe_set vregs (dst_off + k)
+                (FA.unsafe_get (Array.unsafe_get es k).e_data
+                   (Array.unsafe_get flats k))
+            done;
+            Array.unsafe_set st.vlanes dst n;
+            tick ()
+          else fun st ->
             let frame = st.frame in
             let flats = st.iscratch in
             for k = 0 to n - 1 do
@@ -786,7 +924,16 @@ let compile_instr ctx ~depths instr =
           let base = Memory.array_base ctx.mem name in
           let bytes = Memory.elem_bytes ctx.mem name in
           let bytes_total = bytes * n in
-          fun st ->
+          if values_only then fun st ->
+            let ls = vreg_lanes st src in
+            let i0 = f0 st.frame in
+            let vregs = st.vregs in
+            for k = 0 to n - 1 do
+              if k >= ls then invalid_arg "index out of bounds";
+              FA.unsafe_set data (i0 + k) (FA.unsafe_get vregs (src_off + k))
+            done;
+            tick ()
+          else fun st ->
             let ls = vreg_lanes st src in
             let i0 = f0 st.frame in
             let vregs = st.vregs in
@@ -802,7 +949,23 @@ let compile_instr ctx ~depths instr =
           let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
           let e0 = es.(0) in
           let bytes_total = e0.e_bytes * n in
-          fun st ->
+          if values_only then fun st ->
+            let ls = vreg_lanes st src in
+            let frame = st.frame in
+            let flats = st.iscratch in
+            for k = 0 to n - 1 do
+              Array.unsafe_set flats k ((Array.unsafe_get es k).e_flat frame)
+            done;
+            let vregs = st.vregs in
+            for k = 0 to n - 1 do
+              if k >= ls then invalid_arg "index out of bounds";
+              FA.unsafe_set
+                (Array.unsafe_get es k).e_data
+                (Array.unsafe_get flats k)
+                (FA.unsafe_get vregs (src_off + k))
+            done;
+            tick ()
+          else fun st ->
             let ls = vreg_lanes st src in
             let frame = st.frame in
             let flats = st.iscratch in
@@ -832,7 +995,12 @@ let compile_instr ctx ~depths instr =
       in
       let n = Array.length fns in
       let insert_c = float_of_int (n * costs.M.insert) in
-      fun st ->
+      if values_only then fun st ->
+        for k = 0 to n - 1 do
+          (Array.unsafe_get fns k) st
+        done;
+        Array.unsafe_set st.vlanes dst n
+      else fun st ->
         for k = 0 to n - 1 do
           (Array.unsafe_get fns k) st
         done;
@@ -850,26 +1018,34 @@ let compile_instr ctx ~depths instr =
             | Some (Visa.To_reg v) ->
                 let slot = Memory.scalar_slot ctx.mem v in
                 Some
-                  (fun st n ->
-                    st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
-                    charge st extract_c;
-                    if i >= n then invalid_arg "index out of bounds";
-                    FA.unsafe_set st.sdata slot (FA.unsafe_get st.vregs (src_off + i)))
+                  (if values_only then fun (st : state) n ->
+                     if i >= n then invalid_arg "index out of bounds";
+                     FA.unsafe_set st.sdata slot (FA.unsafe_get st.vregs (src_off + i))
+                   else fun st n ->
+                     st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
+                     charge st extract_c;
+                     if i >= n then invalid_arg "index out of bounds";
+                     FA.unsafe_set st.sdata slot (FA.unsafe_get st.vregs (src_off + i)))
             | Some (Visa.To_mem op) ->
                 let { e_data; e_base; e_bytes; e_flat } = link_elem ctx ~depths op in
                 let issue = float_of_int costs.M.store_issue in
                 Some
-                  (fun st n ->
-                    st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
-                    charge st extract_c;
-                    let fl = e_flat st.frame in
-                    st.counters.Counters.pack_stores <-
-                      st.counters.Counters.pack_stores + 1;
-                    Cache.charge st.cache st.cycles ~issue
-                      ~addr:(e_base + (fl * e_bytes))
-                      ~bytes:e_bytes;
-                    if i >= n then invalid_arg "index out of bounds";
-                    FA.unsafe_set e_data fl (FA.unsafe_get st.vregs (src_off + i))))
+                  (if values_only then fun st n ->
+                     let fl = e_flat st.frame in
+                     tick ();
+                     if i >= n then invalid_arg "index out of bounds";
+                     FA.unsafe_set e_data fl (FA.unsafe_get st.vregs (src_off + i))
+                   else fun st n ->
+                     st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
+                     charge st extract_c;
+                     let fl = e_flat st.frame in
+                     st.counters.Counters.pack_stores <-
+                       st.counters.Counters.pack_stores + 1;
+                     Cache.charge st.cache st.cycles ~issue
+                       ~addr:(e_base + (fl * e_bytes))
+                       ~bytes:e_bytes;
+                     if i >= n then invalid_arg "index out of bounds";
+                     FA.unsafe_set e_data fl (FA.unsafe_get st.vregs (src_off + i))))
           dsts
         |> List.filter_map Fun.id |> Array.of_list
       in
@@ -883,7 +1059,15 @@ let compile_instr ctx ~depths instr =
       (* The source fills lane 0, which the loop then copies. *)
       let value = link_lane_src ctx ~depths ~off:dst_off src in
       let broadcast_c = float_of_int costs.M.broadcast in
-      fun st ->
+      if values_only then fun st ->
+        value st;
+        let vregs = st.vregs in
+        let v = FA.unsafe_get vregs dst_off in
+        for k = 1 to lanes - 1 do
+          FA.unsafe_set vregs (dst_off + k) v
+        done;
+        Array.unsafe_set st.vlanes dst lanes
+      else fun st ->
         value st;
         st.counters.Counters.broadcasts <- st.counters.Counters.broadcasts + 1;
         charge st broadcast_c;
@@ -898,12 +1082,22 @@ let compile_instr ctx ~depths instr =
       let nsel = Array.length sel in
       let permute_c = float_of_int costs.M.permute in
       let dst_off = dst * stride and src_off = src * stride in
-      fun st ->
+      (* Staged through scratch: [dst] may be [src]. *)
+      if values_only then fun st ->
+        let n = vreg_lanes st src in
+        let vregs = st.vregs and buf = st.fscratch in
+        for k = 0 to nsel - 1 do
+          let s = Array.unsafe_get sel k in
+          if s < 0 || s >= n then invalid_arg "index out of bounds";
+          FA.unsafe_set buf k (FA.unsafe_get vregs (src_off + s))
+        done;
+        FA.blit buf 0 vregs dst_off nsel;
+        Array.unsafe_set st.vlanes dst nsel
+      else fun st ->
         let n = vreg_lanes st src in
         st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
         charge st permute_c;
         let vregs = st.vregs and buf = st.fscratch in
-        (* Staged through scratch: [dst] may be [src]. *)
         for k = 0 to nsel - 1 do
           let s = Array.unsafe_get sel k in
           if s < 0 || s >= n then invalid_arg "index out of bounds";
@@ -917,10 +1111,7 @@ let compile_instr ctx ~depths instr =
       let permute_c = float_of_int costs.M.permute in
       let dst_off = dst * stride in
       let a_off = a * stride and b_off = b * stride in
-      fun st ->
-        let na = vreg_lanes st a and nb = vreg_lanes st b in
-        st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
-        charge st permute_c;
+      let shuffle st na nb =
         let vregs = st.vregs and buf = st.fscratch in
         for k = 0 to nsel - 1 do
           let l = Array.unsafe_get lane k in
@@ -935,6 +1126,15 @@ let compile_instr ctx ~depths instr =
         done;
         FA.blit buf 0 vregs dst_off nsel;
         Array.unsafe_set st.vlanes dst nsel
+      in
+      if values_only then fun st ->
+        let na = vreg_lanes st a and nb = vreg_lanes st b in
+        shuffle st na nb
+      else fun st ->
+        let na = vreg_lanes st a and nb = vreg_lanes st b in
+        st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
+        charge st permute_c;
+        shuffle st na nb
   | Visa.Vbin { dst; op; a; b } ->
       let c =
         float_of_int
@@ -946,13 +1146,19 @@ let compile_instr ctx ~depths instr =
          so writing [dst] in place is safe even when it aliases an
          operand.  Dispatching on the operator here keeps the float
          primitive direct in the lane loop. *)
-      let lanes_pre st =
-        let na = vreg_lanes st a in
-        let nb = vreg_lanes st b in
-        st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
-        charge st c;
-        if nb < na then invalid_arg "index out of bounds";
-        na
+      let lanes_pre =
+        if values_only then fun st ->
+          let na = vreg_lanes st a in
+          let nb = vreg_lanes st b in
+          if nb < na then invalid_arg "index out of bounds";
+          na
+        else fun st ->
+          let na = vreg_lanes st a in
+          let nb = vreg_lanes st b in
+          st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
+          charge st c;
+          if nb < na then invalid_arg "index out of bounds";
+          na
       in
       (match op with
       | Types.Add ->
@@ -1021,11 +1227,13 @@ let compile_instr ctx ~depths instr =
           | Types.Neg | Types.Abs -> costs.M.vector_op)
       in
       let dst_off = dst * stride and a_off = a * stride in
-      let lanes_pre st =
-        let na = vreg_lanes st a in
-        st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
-        charge st c;
-        na
+      let lanes_pre =
+        if values_only then fun st -> vreg_lanes st a
+        else fun st ->
+          let na = vreg_lanes st a in
+          st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
+          charge st c;
+          na
       in
       (match op with
       | Types.Neg ->
@@ -1062,7 +1270,12 @@ let compile_instr ctx ~depths instr =
          each simulated core owns its spilled values, which is what
          the sequential per-core execution means and what lets domains
          run cores concurrently without racing on slots. *)
-      fun st ->
+      if values_only then fun st ->
+        let n = vreg_lanes st src in
+        FA.blit st.vregs src_off st.spills slot_off n;
+        Array.unsafe_set st.spill_ln slot n;
+        tick ()
+      else fun st ->
         let n = vreg_lanes st src in
         FA.blit st.vregs src_off st.spills slot_off n;
         Array.unsafe_set st.spill_ln slot n;
@@ -1072,7 +1285,13 @@ let compile_instr ctx ~depths instr =
       let addr = Memory.spill_addr ctx.mem ~slot in
       let issue = float_of_int costs.M.load_issue in
       let dst_off = dst * stride and slot_off = slot * stride in
-      fun st ->
+      if values_only then fun st ->
+        let n = Array.unsafe_get st.spill_ln slot in
+        if n < 0 then Trap.unset_spill ~slot ();
+        FA.blit st.spills slot_off st.vregs dst_off n;
+        tick ();
+        Array.unsafe_set st.vlanes dst n
+      else fun st ->
         let n = Array.unsafe_get st.spill_ln slot in
         if n < 0 then Trap.unset_spill ~slot ();
         FA.blit st.spills slot_off st.vregs dst_off n;
@@ -1089,7 +1308,15 @@ let compile_instr ctx ~depths instr =
         try Ok (Memory.scalar_addr ctx.mem (List.hd sources))
         with Invalid_argument msg -> Error msg
       in
-      fun st ->
+      if values_only then fun st ->
+        let vregs = st.vregs and data = st.sdata in
+        for k = 0 to n - 1 do
+          FA.unsafe_set vregs (dst_off + k)
+            (FA.unsafe_get data (Array.unsafe_get slots k))
+        done;
+        (match addr0 with Ok _ -> tick () | Error msg -> invalid_arg msg);
+        Array.unsafe_set st.vlanes dst n
+      else fun st ->
         let vregs = st.vregs and data = st.sdata in
         for k = 0 to n - 1 do
           FA.unsafe_set vregs (dst_off + k)
@@ -1109,7 +1336,16 @@ let compile_instr ctx ~depths instr =
         try Ok (Memory.scalar_addr ctx.mem (List.hd targets))
         with Invalid_argument msg -> Error msg
       in
-      fun st ->
+      if values_only then fun st ->
+        let ls = vreg_lanes st src in
+        let vregs = st.vregs and data = st.sdata in
+        for k = 0 to n - 1 do
+          if k >= ls then invalid_arg "index out of bounds";
+          FA.unsafe_set data (Array.unsafe_get slots k)
+            (FA.unsafe_get vregs (src_off + k))
+        done;
+        match addr0 with Ok _ -> tick () | Error msg -> invalid_arg msg
+      else fun st ->
         let ls = vreg_lanes st src in
         let vregs = st.vregs and data = st.sdata in
         for k = 0 to n - 1 do
@@ -1122,19 +1358,17 @@ let compile_instr ctx ~depths instr =
         Cache.charge st.cache st.cycles ~issue ~addr ~bytes
 
 (* The loop structure of [items], each [Visa.Block] compiled by
-   [block] in pre-order. *)
-let rec link_items ~block ~depths ~depth items =
+   [block] in pre-order and each loop's [c_tail] chosen by [tail] once
+   its body is linked. *)
+let rec link_items ~block ~tail ~depths ~depth items =
   List.map
     (function
       | Visa.Block instrs -> Cblock (block ~depths instrs)
       | Visa.Loop l ->
           let c_lo = compile_bound ~depths l.Visa.lo in
           let c_hi = compile_bound ~depths l.Visa.hi in
-          let body =
-            link_items ~block
-              ~depths:((l.Visa.index, depth) :: depths)
-              ~depth:(depth + 1) l.Visa.body
-          in
+          let depths = (l.Visa.index, depth) :: depths in
+          let body = link_items ~block ~tail ~depths ~depth:(depth + 1) l.Visa.body in
           Cloop
             {
               c_depth = depth;
@@ -1146,41 +1380,93 @@ let rec link_items ~block ~depths ~depth items =
                 | Some lo, Some hi -> Some (lo, hi)
                 | _, _ -> None);
               c_body = seq_items body;
+              c_tail = tail ~depths ~depth:(depth + 1) l;
             })
     items
 
-(* [keys] selects profiling keys for vector instructions: [`Setup]
-   charges everything to the setup key; [`Origins q] pops one origin
-   array per [Visa.Block] from [q] in pre-order (the order [Lower]
-   records them), falling back to opcode keys when the queue runs dry
-   or an origin array is short. *)
-let compile_items ?prof ?(keys = `Origins (ref [])) ctx items =
-  let block ~depths instrs =
-    let okeys =
-      match keys with
-      | `Setup -> None
-      | `Origins q -> (
-          match !q with
-          | arr :: rest ->
-              q := rest;
-              Some arr
-          | [] -> None)
-    in
-    let key i instr =
-      match keys with
-      | `Setup -> Profile.Setup
-      | `Origins _ -> (
-          match okeys with
-          | Some arr when i < Array.length arr -> arr.(i)
-          | _ -> fallback_key instr)
-    in
-    run_block
-      (Array.of_list
-         (List.mapi
-            (fun i instr -> wrap_profile prof (key i instr) (compile_instr ctx ~depths instr))
-            instrs))
+let simulate ~depths:_ ~depth:_ _ = Simulate
+
+(* Whether [v] occurs in a subscript or a loop bound of [items]. *)
+let rec mentions v items =
+  let affine a = Affine.coeff a v <> 0 in
+  let operand = function
+    | Operand.Elem (_, idxs) -> List.exists affine idxs
+    | Operand.Const _ | Operand.Scalar _ -> false
   in
-  link_items ~block ~depths:[] ~depth:0 items
+  let lane = function Visa.Mem op -> operand op | Visa.Reg _ | Visa.Imm _ -> false in
+  let instr = function
+    | Visa.Sstmt s -> List.exists operand (Stmt.positions s)
+    | Visa.Vload { elems; _ } | Visa.Vstore { elems; _ } -> List.exists operand elems
+    | Visa.Vgather { srcs; _ } -> List.exists lane srcs
+    | Visa.Vbroadcast { src; _ } -> lane src
+    | Visa.Vunpack { dsts; _ } ->
+        List.exists (function Some (Visa.To_mem op) -> operand op | _ -> false) dsts
+    | Visa.Vpermute _ | Visa.Vshuffle2 _ | Visa.Vbin _ | Visa.Vun _ | Visa.Vspill _
+    | Visa.Vreload _ | Visa.Vload_scalars _ | Visa.Vstore_scalars _ ->
+        false
+  in
+  List.exists
+    (function
+      | Visa.Block instrs -> List.exists instr instrs
+      | Visa.Loop l -> affine l.Visa.lo || affine l.Visa.hi || mentions v l.Visa.body)
+    items
+
+(* [Forward] for a loop whose index occurs in no subscript and no
+   inner loop bound of its body, so that every iteration makes the
+   same accesses at the same addresses, and which may run more than
+   its warm-up; [Simulate] otherwise.  [values] compiles the body for
+   the iterations past the warm-up; without it they are skipped. *)
+let replay_tail ~machine ~values ~depths ~depth (l : Visa.vloop) =
+  let warm = Cache.level_count machine + 1 in
+  let short =
+    match (Affine.to_const l.Visa.lo, Affine.to_const l.Visa.hi) with
+    | Some lo, Some hi -> hi - lo <= warm * l.Visa.step
+    | _ -> false
+  in
+  if short || mentions l.Visa.index l.Visa.body then Simulate
+  else Forward { warm; values = Option.map (fun f -> f ~depths ~depth l.Visa.body) values }
+
+(* One [Visa.Block]'s closure.  [keys] selects profiling keys for
+   vector instructions: [`Setup] charges everything to the setup key;
+   [`Origins q] pops one origin array per [Visa.Block] from [q] in
+   pre-order (the order [Lower] records them), falling back to opcode
+   keys when the queue runs dry or an origin array is short. *)
+let compile_block ?prof ?(keys = `Origins (ref [])) ctx ~depths instrs =
+  let okeys =
+    match keys with
+    | `Setup -> None
+    | `Origins q -> (
+        match !q with
+        | arr :: rest ->
+            q := rest;
+            Some arr
+        | [] -> None)
+  in
+  let key i instr =
+    match keys with
+    | `Setup -> Profile.Setup
+    | `Origins _ -> (
+        match okeys with
+        | Some arr when i < Array.length arr -> arr.(i)
+        | _ -> fallback_key instr)
+  in
+  run_block
+    (Array.of_list
+       (List.mapi
+          (fun i instr -> wrap_profile prof (key i instr) (compile_instr ctx ~depths instr))
+          instrs))
+
+(* A one-core timed run's loop tails: a replaying loop runs its
+   iterations past the warm-up on a values-only compile of its body. *)
+let values_tail ctx =
+  let vctx = { ctx with values_only = true } in
+  let values ~depths ~depth body =
+    seq_items (link_items ~block:(compile_block vctx) ~tail:simulate ~depths ~depth body)
+  in
+  replay_tail ~machine:ctx.machine ~values:(Some values)
+
+let compile_items ?prof ?keys ~tail ctx items =
+  link_items ~block:(compile_block ?prof ?keys ctx) ~tail ~depths:[] ~depth:0 items
 
 (* -- program geometry ---------------------------------------------- *)
 
@@ -1527,11 +1813,18 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   in
   let stride = program_lane_stride prog in
   let ctx = make_ctx ~machine ~values_only ~stride memory names in
-  let setup = compile_items ?prof:profile ~keys:`Setup ctx prog.Visa.setup in
+  (* Only a one-core timed run without a profiler fast-forwards: the
+     others' costs need not be integers, or they observe every
+     access. *)
+  let tail =
+    if cores <= 1 && Option.is_none profile && not values_only then values_tail ctx
+    else simulate
+  in
+  let setup = compile_items ?prof:profile ~keys:`Setup ~tail ctx prog.Visa.setup in
   let body =
     compile_items ?prof:profile
       ~keys:(`Origins (ref (Option.value origins ~default:[])))
-      ctx prog.Visa.body
+      ~tail ctx prog.Visa.body
   in
   assert (Memory.scalar_values memory == ctx.sdata);
   let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
@@ -1852,23 +2145,20 @@ let fallbacks = Atomic.make 0
 let timing_fallbacks () = Atomic.get fallbacks
 
 let run_timing ?scalar_layout ~machine (prog : Visa.program) =
-  let memory = Memory.create ?scalar_layout ~env:prog.Visa.env () in
+  let layout = Memory.layout ?scalar_layout ~env:prog.Visa.env () in
   let timed () =
     Atomic.incr fallbacks;
+    let memory = Memory.create ?scalar_layout ~env:prog.Visa.env () in
     (run ~memory ~machine ~values_only:false prog).counters
   in
   let ctx =
-    { mem = memory; machine; values_only = false; sdata = Memory.scalar_values memory; stride = 1 }
+    { mem = layout; machine; values_only = false; sdata = Memory.scalar_values layout; stride = 1 }
   in
+  let link = link_items ~block:(time_block ctx) ~tail:(replay_tail ~machine ~values:None) ~depths:[] ~depth:0 in
   (* Linking raises only where the timed compile raises too (an
      unbound loop index, an unknown array, an empty pack); the timed
      engine then raises its own error. *)
-  match
-    if not (lanes_proven prog) then None
-    else
-      let setup = link_items ~block:(time_block ctx) ~depths:[] ~depth:0 prog.Visa.setup in
-      Some (setup, link_items ~block:(time_block ctx) ~depths:[] ~depth:0 prog.Visa.body)
-  with
+  match if lanes_proven prog then Some (link prog.Visa.setup, link prog.Visa.body) else None with
   | exception _ | None -> timed ()
   | Some (setup, body) ->
       let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
@@ -1888,5 +2178,8 @@ let run_scalar ?cores ?seed ?memory ?profile ?pool ~machine (prog : Program.t) =
 
 let scalar_final_memory ?cores ?seed ~machine (prog : Program.t) =
   (run ?cores ?seed ~machine ~values_only:true (Visa.of_program prog)).memory
+
+let vector_final_memory ?cores ?seed ?memory ~machine prog =
+  (run ?cores ?seed ?memory ~machine ~values_only:true prog).memory
 
 let run_vector = run ~values_only:false

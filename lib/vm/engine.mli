@@ -16,21 +16,36 @@
 
     There are three compiles.  A {e timed} run ({!run_scalar},
     {!run_vector}) simulates the cache, counts every event and charges
-    cycles.  A {e values-only} run ({!scalar_final_memory}) computes
-    the same values, raises the same traps, and chunks, privatizes and
-    merges reductions the same way, but does no cache access, cycle
-    charging or counter update.  The kernel language has no
-    data-dependent control flow, so values never depend on timing and
-    the two leave bit-identical memory.  A {e timing-only} run
-    ({!run_timing}) is the converse at one core: no values, memory
-    initialisation or register file; each [Visa.Block]'s non-memory
-    cycles and counts are one static delta added per execution, and
-    only its memory accesses are simulated, in the timed run's order.
-    At one core every cost is an integer-valued float (contention 1.0
-    adds no bus surcharge) and every partial sum stays below 2{^53},
-    so the reordered additions are exact and the counters are the
-    timed run's bit for bit.  Register-lane checks are proved before
-    the run; a program the proof rejects, or that spills, runs timed.
+    cycles.  A {e values-only} run ({!scalar_final_memory},
+    {!vector_final_memory}) computes the same values, raises the same
+    traps and lane errors, and chunks, privatizes and merges reductions
+    the same way, but does no cache access, cycle charging or counter
+    update.  The kernel language has no data-dependent control flow,
+    so values never depend on timing and the two leave bit-identical
+    memory.  A {e timing-only} run ({!run_timing}) is the converse at
+    one core: no values, memory initialisation or register file; each
+    [Visa.Block]'s non-memory cycles and counts are one static delta
+    added per execution, and only its memory accesses are simulated,
+    in the timed run's order.  At one core every cost is an
+    integer-valued float (contention 1.0 adds no bus surcharge) and
+    every partial sum stays below 2{^53}, so the reordered additions
+    are exact and the counters are the timed run's bit for bit.
+    Register-lane checks are proved before the run; a program the
+    proof rejects, or that spills, runs timed.
+
+    One-core timed runs without a profiler, and timing-only runs,
+    fast-forward every loop whose body mentions its index in no
+    subscript and no inner loop bound: each iteration makes the same
+    accesses, and a hierarchy of L LRU levels fed one stream per
+    iteration is in a fixed state after iteration L.  So L + 1
+    iterations (4 on both machine models) are simulated and the last
+    one's counts and cycles are added once per remaining iteration,
+    exactly.  A timed run computes the remaining iterations'
+    values-only, so memory, traps, lane errors and armed faults are
+    unchanged; a timing-only run skips them unless a fault is armed.
+    Multicore and profiled runs simulate every iteration.  A
+    fast-forwarded run's own {!Cache} hit counts cover only the
+    simulated iterations; nothing reads them after a run.
 
     Array subscripts are linked once.  A 1-D subscript, or a rank-2
     one with at most one loop term per dimension, becomes one closure
@@ -84,6 +99,14 @@ val scalar_final_memory :
     cache included; it never runs on a domain pool.  For callers that
     read only the final memory, such as the scalar-reference check. *)
 
+val vector_final_memory :
+  ?cores:int -> ?seed:int -> ?memory:Memory.t -> machine:Slp_machine.Machine.t ->
+  Visa.program -> Memory.t
+(** The final memory of {!run_vector}, computed by a values-only run
+    (as {!scalar_final_memory}): bit-identical arrays and scalars, the
+    same {!Trap.Trap} or [Invalid_argument] at the same access, and an
+    armed fault fires on the same access. *)
+
 val run_vector :
   ?cores:int -> ?seed:int -> ?memory:Memory.t -> ?profile:Slp_obs.Profile.t ->
   ?origins:Slp_obs.Profile.key array list -> ?pool:Dpool.t ->
@@ -112,6 +135,11 @@ val run_timing :
 val timing_fallbacks : unit -> int
 (** How many {!run_timing} calls so far, in this process, ran on the
     timed engine. *)
+
+val forwarded_iterations : unit -> int
+(** How many loop iterations so far, in this process, one-core timed
+    and timing-only runs fast-forwarded: their counts and cycles were
+    added from the last warm-up iteration's instead of simulated. *)
 
 val chunk_ranges : lo:int -> hi:int -> step:int -> cores:int -> (int * int) list
 (** Split [lo, hi) into [cores] contiguous step-aligned ranges. *)

@@ -30,7 +30,9 @@ type t = {
 
 let align a n = (a + n - 1) / n * n
 
-let create ?(scalar_layout = []) ~env () =
+(* [create] and [layout]: [store n] is an [n]-element array's backing
+   store. *)
+let build ~store ?(scalar_layout = []) ~env () =
   let arrays = Hashtbl.create 16 in
   let brk = ref 64 in
   List.iter
@@ -40,7 +42,7 @@ let create ?(scalar_layout = []) ~env () =
       let base = align !brk 64 in
       brk := base + (total * elem_bytes);
       Hashtbl.replace arrays name
-        { data = FA.make total 0.0; base; dims = info.Env.dims; elem_bytes })
+        { data = store total; base; dims = info.Env.dims; elem_bytes })
     (Env.arrays env);
   let scalar_base = align !brk 64 in
   let scalar_addrs = Hashtbl.create 16 in
@@ -91,6 +93,9 @@ let create ?(scalar_layout = []) ~env () =
     spill_lanes = [||];
     spill_stride = 8;
   }
+
+let create ?scalar_layout ~env () = build ~store:(fun n -> FA.make n 0.0) ?scalar_layout ~env ()
+let layout ?scalar_layout ~env () = build ~store:(fun _ -> FA.create 0) ?scalar_layout ~env ()
 
 let box t name =
   match Hashtbl.find_opt t.arrays name with

@@ -24,6 +24,13 @@ val create : ?scalar_layout:(string * int) list -> env:Env.t -> unit -> t
     "generous" area), and creation raises [Invalid_argument] if any
     scalar address would overflow into the spill segment. *)
 
+val layout : ?scalar_layout:(string * int) list -> env:Env.t -> unit -> t
+(** {!create}'s addresses without its values: the same array bases,
+    dimensions and element sizes, scalar and spill addresses, but no
+    array has a backing store, so nothing is allocated or zero-filled
+    per element.  For runs that compute addresses only, such as
+    timing-only runs; {!load} and {!store} on it trap. *)
+
 val init_arrays : t -> seed:int -> unit
 (** Fill every array with deterministic pseudo-random values in
     [0, 1). *)

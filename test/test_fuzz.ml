@@ -107,6 +107,18 @@ let gen_program =
 let arb_program =
   QCheck.make ~print:(fun p -> Program.to_string p) gen_program
 
+(* A generated program inside a repetition loop of 5-12 trips whose
+   index no subscript mentions, so one-core timed and timing-only runs
+   fast-forward it past its warm-up. *)
+let arb_repeated =
+  QCheck.make ~print:(fun p -> Program.to_string p)
+    QCheck.Gen.(
+      map2
+        (fun (p : Program.t) trips ->
+          Program.make ~name:p.Program.name ~env:p.Program.env
+            [ Program.loop "rep" ~lo:(Affine.const 0) ~hi:(Affine.const trips) p.Program.body ])
+        gen_program (int_range 5 12))
+
 let check_scheme ?(register_reuse = true) ?(machine = Machine.intel_dunnington) scheme p =
   match Program.validate p with
   | Error _ -> true (* generator hit a validation corner; skip *)
@@ -183,7 +195,7 @@ let engine_vector_agrees ?(cores = 1) ?(machine = Machine.intel_dunnington) sche
         end
     end
 
-let engine_fuzz name check = QCheck.Test.make ~name ~count:40 arb_program check
+let engine_fuzz name check = QCheck.Test.make ~name ~count:40 arb_repeated check
 
 (* Every Suite.all kernel, scalar and vectorized, single- and multicore:
    engine and interpreter must agree exactly. *)
@@ -245,13 +257,54 @@ let test_engine_on_suite () =
 (* -- values-only vs timed runs ------------------------------------------------
 
    The scalar-reference check runs values only: no cache, counters or
-   cycles.  Its final memory, arrays and scalars, must equal the timed
-   run's bit for bit at every core count. *)
+   cycles, and so does a one-core timed run past a replaying loop's
+   warm-up.  A values-only run's final memory, arrays and scalars,
+   must equal the timed run's bit for bit at every core count, for
+   scalar and vector programs. *)
 
 let values_only_agrees ?(machine = Machine.intel_dunnington) ~cores p =
   Vm.Memory.equal
     (Vm.Scalar_exec.run ~cores ~machine p).Vm.Scalar_exec.memory
     (Vm.Scalar_exec.final_memory ~cores ~machine p)
+
+let vector_values_only_agrees ~machine ~cores (c : Pipeline.compiled) =
+  match c.Pipeline.vector with
+  | None -> true
+  | Some vprog ->
+      let fresh () =
+        let m =
+          Vm.Memory.create ~scalar_layout:c.Pipeline.scalar_offsets ~env:vprog.Vm.Visa.env ()
+        in
+        Vm.Memory.init_arrays m ~seed:42;
+        m
+      in
+      let timed = fresh () and values = fresh () in
+      ignore (Vm.Vector_exec.run ~cores ~memory:timed ~machine vprog);
+      ignore (Vm.Engine.vector_final_memory ~cores ~memory:values ~machine vprog);
+      Vm.Memory.equal timed values
+
+(* Every scheme's vector program on Intel, and Global's on a
+   2-register Intel (spills and reloads). *)
+let vector_values_only_fuzz =
+  let intel = Machine.intel_dunnington in
+  QCheck.Test.make ~name:"vector values-only memory matches the timed run on 1, 2, 4 cores"
+    ~count:40 arb_repeated (fun p ->
+      match Program.validate p with
+      | Error _ -> true
+      | Ok () ->
+          List.for_all
+            (fun (machine, scheme) ->
+              let c = Pipeline.compile ~unroll:2 ~verify:false ~scheme ~machine p in
+              List.for_all
+                (fun cores ->
+                  vector_values_only_agrees ~machine ~cores c
+                  || QCheck.Test.fail_reportf
+                       "%s, %d registers, %d cores: values-only run diverges:\n%s"
+                       (Pipeline.scheme_name scheme) machine.Machine.vector_registers cores
+                       (Program.to_string p))
+                [ 1; 2; 4 ])
+            ((({ intel with Machine.vector_registers = 2 }, Pipeline.Global))
+            :: List.map (fun scheme -> (intel, scheme)) Pipeline.all_schemes))
 
 let values_only_fuzz =
   QCheck.Test.make ~name:"values-only memory matches the timed run on 1, 2, 4 cores"
@@ -267,7 +320,8 @@ let values_only_fuzz =
             [ 1; 2; 4 ])
 
 (* Every suite kernel, as written and as the pipeline prepares it
-   (folded and unrolled), on both machines at 1, 2 and 4 cores. *)
+   (folded and unrolled), and every scheme's vector program, on both
+   machines at 1, 2 and 4 cores. *)
 let test_values_only_on_suite () =
   let module Suite = Slp_benchmarks.Suite in
   List.iter
@@ -275,6 +329,18 @@ let test_values_only_on_suite () =
       let prog = Suite.program b in
       List.iter
         (fun machine ->
+          List.iter
+            (fun scheme ->
+              let c = Pipeline.compile ~unroll:b.Suite.unroll ~verify:false ~scheme ~machine prog in
+              List.iter
+                (fun cores ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s %s %s %dc" b.Suite.name (Machine.to_string machine)
+                       (Pipeline.scheme_name scheme) cores)
+                    true
+                    (vector_values_only_agrees ~machine ~cores c))
+                [ 1; 2; 4 ])
+            Pipeline.all_schemes;
           let prepared =
             (Pipeline.compile ~unroll:b.Suite.unroll ~scheme:Pipeline.Scalar ~machine prog)
               .Pipeline.reference
@@ -369,7 +435,7 @@ let timing_only c =
   | exception Vm.Trap.Trap info -> Error info
 
 let timing_fuzz =
-  QCheck.Test.make ~name:"generated kernels, every scheme" ~count:40 arb_program (fun p ->
+  QCheck.Test.make ~name:"generated kernels, every scheme" ~count:40 arb_repeated (fun p ->
       match Program.validate p with
       | Error _ -> true
       | Ok () ->
@@ -483,6 +549,7 @@ let () =
       ( "values-only vs timed",
         [
           Seeded.to_alcotest values_only_fuzz;
+          Seeded.to_alcotest vector_values_only_fuzz;
           Alcotest.test_case "values-only memory matches on every suite kernel" `Slow
             test_values_only_on_suite;
         ] );

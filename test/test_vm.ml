@@ -12,6 +12,14 @@ module Machine = Slp_machine.Machine
 
 let machine = Machine.intel_dunnington
 
+(* How many loop iterations [f]'s runs fast-forward. *)
+let forwarded f =
+  let before = Slp_vm.Engine.forwarded_iterations () in
+  f ();
+  Slp_vm.Engine.forwarded_iterations () - before
+
+let counters_t = Alcotest.testable Counters.pp Counters.equal
+
 (* -- memory ----------------------------------------------------------- *)
 
 let env_with_arrays () =
@@ -163,6 +171,55 @@ let test_cache_reuse () =
   ignore (Cache.access a ~addr:0 ~bytes:8);
   ignore (Cache.access b ~addr:0 ~bytes:8);
   Alcotest.(check int) "a second release is a no-op" 1 (Cache.misses b)
+
+(* A stream replayed on a hierarchy settles.  Each level is an LRU
+   store fed by the misses of the level above, and an LRU set fed one
+   stream twice ends as it ended the first time; so with L levels the
+   tags after repetition L are the tags after every later one, and from
+   repetition L + 1 on every repetition resolves its lines at the same
+   levels.  The engine's fast-forward rests on this.  Random 3-level
+   hierarchies of 1-4 sets of 1-3 ways per level, streams over 16
+   lines, repeated L + 3 to L + 6 times. *)
+let cache_settles =
+  let level = QCheck.Gen.(pair (int_range 1 4) (int_range 1 3)) in
+  let gen =
+    QCheck.Gen.(
+      triple (list_repeat 3 level) (list_size (int_range 1 24) (int_bound 15)) (int_bound 3))
+  in
+  let print (levels, stream, extra) =
+    Printf.sprintf "levels (sets, ways) %s, stream [%s], %d extra repetitions"
+      (String.concat " " (List.map (fun (s, w) -> Printf.sprintf "(%d, %d)" s w) levels))
+      (String.concat "; " (List.map string_of_int stream))
+      extra
+  in
+  QCheck.Test.make ~name:"a replayed stream settles after L repetitions" ~count:2000
+    (QCheck.make ~print gen) (fun (levels, stream, extra) ->
+      let spec (sets, ways) =
+        { Machine.size_bytes = sets * ways * 64; ways; line_bytes = 64; latency = 1 }
+      in
+      let m =
+        match List.map spec levels with
+        | [ l1; l2; l3 ] -> { machine with Machine.l1; l2; l3 }
+        | _ -> assert false
+      in
+      let l = Cache.level_count m in
+      let c = Cache.create m in
+      let histogram () =
+        let h1, h2, h3 = Cache.hits c in
+        [ h1; h2; h3; Cache.misses c ]
+      in
+      let reps =
+        Array.init (l + 3 + extra) (fun _ ->
+            let before = histogram () in
+            List.iter (fun line -> ignore (Cache.access c ~addr:(line * 64) ~bytes:8)) stream;
+            (List.map2 ( - ) (histogram ()) before, Cache.tags c))
+      in
+      Cache.release c;
+      (* Repetition [r] is [reps.(r - 1)]. *)
+      let hist r = fst reps.(r - 1) and tags r = snd reps.(r - 1) in
+      List.for_all
+        (fun r -> (r <= l || tags r = tags l) && (r <= l + 1 || hist r = hist (l + 1)))
+        (List.init (Array.length reps) succ))
 
 (* -- counters ------------------------------------------------------------ *)
 
@@ -404,6 +461,139 @@ let test_lane_proof_fixpoint () =
         timed
         (outcome (fun () -> Slp_vm.Engine.run_timing ~machine p)))
     [ 2; 4 ]
+
+(* Values-only runs of vector programs fail as timed runs do, at one
+   and two cores, and leave the same memory behind: the same
+   [Trap.info] off the end of an array (a contiguous load and store, a
+   gathered lane, an unpacked lane, a rank-2 row), and the same
+   [Invalid_argument] for a register read before it is written, a lane
+   past a register's width and a spill reloaded before it is stored.
+   So does a timing-only run at one core.  The last case's loop
+   replays its accesses, and its lane error surfaces in the fifth
+   iteration, past the warm-up: the timed engine raises it from a
+   values-only iteration, at the interpreter's access. *)
+let test_vector_values_only_parity () =
+  let env = Env.create () in
+  Env.declare_array env "A" Types.F64 [ 8 ];
+  Env.declare_array env "B" Types.F64 [ 8 ];
+  Env.declare_array env "M" Types.F64 [ 3; 4 ];
+  let i = Affine.var "i" in
+  (* [a[2i + k]]: off the end when [i] reaches 4. *)
+  let at a k = Operand.Elem (a, [ Affine.add (Affine.scale 2 i) (Affine.const k) ]) in
+  let pair a = [ at a 0; at a 1 ] in
+  let fixed a k = Operand.Elem (a, [ Affine.const k ]) in
+  let prog ?(trips = 5) ?(prologue = []) body =
+    {
+      Visa.name = "parity";
+      env;
+      setup = [];
+      body =
+        [
+          Visa.Block prologue;
+          Visa.Loop
+            {
+              Visa.index = "i";
+              lo = Affine.const 0;
+              hi = Affine.const trips;
+              step = 1;
+              body = [ Visa.Block body ];
+            };
+        ];
+    }
+  in
+  let ones = Visa.Vbroadcast { dst = 0; src = Visa.Imm 1.0; lanes = 2 } in
+  (* v0 .. v4 start with two lanes; each iteration moves v0's one lane
+     one register along, so v4's two-lane store first fails in the
+     fifth. *)
+  let chain =
+    [
+      Visa.Vun { dst = 4; op = Types.Neg; a = 3 };
+      Visa.Vun { dst = 3; op = Types.Neg; a = 2 };
+      Visa.Vun { dst = 2; op = Types.Neg; a = 1 };
+      Visa.Vun { dst = 1; op = Types.Neg; a = 0 };
+      Visa.Vload { dst = 0; elems = [ fixed "A" 0 ] };
+      Visa.Vstore { src = 4; elems = [ fixed "B" 0; fixed "B" 1 ] };
+    ]
+  in
+  let past_warm_up =
+    prog ~trips:8
+      ~prologue:(List.init 5 (fun dst -> Visa.Vload { dst; elems = [ fixed "A" 0; fixed "A" 1 ] }))
+      chain
+  in
+  (* Each case with the iterations a one-core timed run fast-forwards
+     before it fails. *)
+  let cases =
+    [
+      ( "vload",
+        prog
+          [
+            Visa.Vload { dst = 0; elems = pair "A" };
+            Visa.Vstore { src = 0; elems = [ fixed "B" 0; fixed "B" 1 ] };
+          ],
+        0 );
+      ("vstore", prog [ ones; Visa.Vstore { src = 0; elems = pair "B" } ], 0);
+      ( "gathered lane",
+        prog [ Visa.Vgather { dst = 0; srcs = [ Visa.Mem (at "A" 0); Visa.Imm 0.0 ] } ],
+        0 );
+      ( "unpacked lane",
+        prog [ ones; Visa.Vunpack { src = 0; dsts = [ Some (Visa.To_mem (at "B" 1)); None ] } ],
+        0 );
+      ( "rank 2",
+        prog
+          [
+            Visa.Vload
+              { dst = 0; elems = List.init 4 (fun k -> Operand.Elem ("M", [ i; Affine.const k ])) };
+          ],
+        0 );
+      ("read before write", prog [ Visa.Vstore { src = 1; elems = pair "B" } ], 0);
+      ( "lane past width",
+        prog
+          [ Visa.Vload { dst = 0; elems = [ at "A" 0 ] }; Visa.Vstore { src = 0; elems = pair "B" } ],
+        0 );
+      ( "unset spill",
+        prog [ Visa.Vreload { dst = 0; slot = 0 }; Visa.Vstore { src = 0; elems = pair "B" } ],
+        0 );
+      ("lane error past the warm-up", past_warm_up, 4);
+    ]
+  in
+  let fresh () =
+    let m = Memory.create ~env () in
+    Memory.init_arrays m ~seed:42;
+    m
+  in
+  let error f =
+    match f () with
+    | () -> None
+    | exception Slp_vm.Trap.Trap info -> Some (Slp_vm.Trap.to_string info)
+    | exception Invalid_argument msg -> Some msg
+  in
+  List.iter
+    (fun (what, p, forwards) ->
+      List.iter
+        (fun cores ->
+          let tag = Printf.sprintf "%s, %d core(s)" what cores in
+          let timed = fresh () and values = fresh () and reference = fresh () in
+          let e = ref None in
+          let n =
+            forwarded (fun () ->
+                e := error (fun () -> ignore (Vector_exec.run ~cores ~memory:timed ~machine p)))
+          in
+          let e = !e in
+          Alcotest.(check bool) (tag ^ " fails") true (Option.is_some e);
+          Alcotest.(check int) (tag ^ " fast-forwarded") (if cores = 1 then forwards else 0) n;
+          Alcotest.(check (option string)) (tag ^ " interpreter") e
+            (error (fun () ->
+                 ignore (Vector_exec.run_interpreter ~cores ~memory:reference ~machine p)));
+          Alcotest.(check (option string)) (tag ^ " values-only") e
+            (error (fun () ->
+                 ignore (Slp_vm.Engine.vector_final_memory ~cores ~memory:values ~machine p)));
+          Alcotest.(check bool) (tag ^ " timed memory") true (Memory.equal reference timed);
+          Alcotest.(check bool) (tag ^ " values-only memory") true (Memory.equal reference values);
+          if cores = 1 then
+            Alcotest.(check (option string)) (tag ^ " timing-only") e
+              (error (fun () -> ignore (Slp_vm.Engine.run_timing ~machine p))))
+        [ 1; 2 ])
+    cases
 
 (* A contiguous vload or vstore that runs off its array raises the same
    [Trap.info] from the engine, which checks the whole pack at once and
@@ -709,6 +899,209 @@ let test_probes_timing_only () =
   Alcotest.(check int) "probes run on the timed engine" 0
     (Slp_vm.Engine.timing_fallbacks () - before)
 
+(* The fast-forward's warm-up is L + 1 = 4 iterations, and it must be.
+   On a small hierarchy (L1 2 sets x 2 ways, L2 3 x 1, L3 1 x 2) the
+   five lines [tight] reads settle exactly at the fourth repetition:
+   the third resolves them differently, so a 3-iteration warm-up would
+   be wrong.  On the Intel model, the 13 lines 256 KB apart of
+   [pinned] share one L1 and one L2 set; a 2-iteration warm-up reads
+   5,399 cycles there instead of the interpreter's 4,391.  The timed
+   and timing-only runs fast-forward both, and their counters are the
+   interpreter's. *)
+let test_fast_forward_warm_up () =
+  let parse = Slp_frontend.Parser.parse ~name:"warm" in
+  let small =
+    let level sets ways latency =
+      { Machine.size_bytes = sets * ways * 64; ways; line_bytes = 64; latency }
+    in
+    { machine with Machine.l1 = level 2 2 3; l2 = level 3 1 14; l3 = level 1 2 42 }
+  in
+  (* [Z]'s base is 64, so [Z[8 * (k - 1)]] is line [k]: lines 11, 7, 4,
+     8 and 5. *)
+  let tight trips =
+    parse
+      (Printf.sprintf
+         "f64 Z[96];\nf64 s;\nfor t = 0 to %d {\n  s = Z[80];\n  s = Z[48];\n  s = Z[24];\n\
+          \  s = Z[56];\n  s = Z[32];\n}"
+         trips)
+  in
+  let cycles ~machine prog =
+    (Scalar_exec.run_interpreter ~machine prog).Scalar_exec.counters.Counters.cycles
+  in
+  let iteration k = cycles ~machine:small (tight k) -. cycles ~machine:small (tight (k - 1)) in
+  Alcotest.(check bool) "iteration 3 differs from iteration 4" true (iteration 3 <> iteration 4);
+  Alcotest.(check (float 0.0)) "iteration 5 is iteration 4" (iteration 4) (iteration 5);
+  let pinned =
+    let far k = Printf.sprintf "  s = Z[%d];\n" (32768 * k) in
+    parse
+      ("f64 Z[425984];\nf64 s;\nfor t = 0 to 8 {\n"
+      ^ String.concat "" (List.init 6 far)
+      ^ far 12
+      ^ String.concat "" (List.init 6 (fun k -> far (k + 6) ^ far 12))
+      ^ "}\n")
+  in
+  Alcotest.(check (float 0.0)) "pinned, Intel interpreter" 4391.0 (cycles ~machine pinned);
+  List.iter
+    (fun (tag, machine, prog) ->
+      let ri = Scalar_exec.run_interpreter ~machine prog in
+      let re = ref ri and rt = ref ri.Scalar_exec.counters in
+      let n =
+        forwarded (fun () ->
+            re := Scalar_exec.run ~machine prog;
+            rt := Slp_vm.Engine.run_timing ~machine (Visa.of_program prog))
+      in
+      Alcotest.check counters_t (tag ^ " timed") ri.Scalar_exec.counters !re.Scalar_exec.counters;
+      Alcotest.check counters_t (tag ^ " timing-only") ri.Scalar_exec.counters !rt;
+      Alcotest.(check bool) (tag ^ " memory") true
+        (Memory.equal ri.Scalar_exec.memory !re.Scalar_exec.memory);
+      Alcotest.(check int) (tag ^ " fast-forwarded") 8 n)
+    [
+      ("tight", small, tight 8);
+      ("pinned, Intel", machine, pinned);
+      ("pinned, AMD", Machine.amd_phenom_ii, pinned);
+    ]
+
+(* Every suite kernel's repetition loop ([t], inside [p] in the NAS
+   kernels) fast-forwards at Intel/AMD 128 under every scheme, in the
+   timed run and in the timing-only run: each of its executions
+   simulates 4 iterations and forwards the rest.  A profiled run
+   simulates them all.  A change that loses the fast path fails here,
+   not only in the benchmark. *)
+let test_suite_fast_forwarded () =
+  let module Pipeline = Slp_pipeline.Pipeline in
+  let module Suite = Slp_benchmarks.Suite in
+  let trips (l : Program.loop) =
+    match (Affine.to_const l.Program.lo, Affine.to_const l.Program.hi) with
+    | Some lo, Some hi -> (hi - lo) / l.Program.step
+    | _ -> Alcotest.fail "suite loop bounds are constants"
+  in
+  let rec expected outer = function
+    | [] -> 0
+    | Program.Stmts _ :: rest -> expected outer rest
+    | Program.Loop l :: rest ->
+        (if l.Program.index = "t" then outer * (trips l - 4)
+         else expected (outer * trips l) l.Program.body)
+        + expected outer rest
+  in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (b : Suite.t) ->
+          let prog = Suite.program b in
+          let n = expected 1 prog.Program.body in
+          Alcotest.(check bool) (b.Suite.name ^ " has a repetition loop") true (n > 0);
+          List.iter
+            (fun scheme ->
+              let c =
+                Pipeline.compile ~unroll:b.Suite.unroll ~verify:false ~scheme ~machine prog
+              in
+              let tag what =
+                Printf.sprintf "%s %s %s %s" b.Suite.name (Pipeline.scheme_name scheme)
+                  (Machine.to_string machine) what
+              in
+              Alcotest.(check int) (tag "timed") n
+                (forwarded (fun () -> ignore (Pipeline.execute ~check:false c)));
+              Alcotest.(check int) (tag "timing-only") n
+                (forwarded (fun () -> ignore (Pipeline.timing c)));
+              Alcotest.(check int) (tag "profiled") 0
+                (forwarded (fun () ->
+                     ignore
+                       (Pipeline.execute ~check:false
+                          ~obs:(Slp_obs.Obs.create ~profile:true ())
+                          c))))
+            Pipeline.all_schemes)
+        Suite.all)
+    [ machine; Machine.amd_phenom_ii ]
+
+(* An armed fault in an iteration past the warm-up (mid-way through
+   the 8th of 10) fires on the same access in the interpreter, in the
+   timed engine, which runs that iteration values-only, and in a
+   values-only run: the scalar and the vector program leave the same
+   memory behind in each.  A timing-only run does not fast-forward
+   while a fault is armed, so it fires too; armed past the last
+   access, it returns the unarmed counters.  Armed after all but the
+   last access every run fires, after all of them none does. *)
+let test_fault_past_warm_up () =
+  let module Pipeline = Slp_pipeline.Pipeline in
+  let prog =
+    Slp_frontend.Parser.parse ~name:"fault"
+      "f64 A[64];\nf64 B[64];\nfor t = 0 to 10 {\n  for i = 0 to 8 {\n\
+      \    B[i] = A[i] * 2.0 + B[i + 8];\n  }\n}"
+  in
+  let c = Pipeline.compile ~unroll:2 ~verify:false ~scheme:Pipeline.Global ~machine prog in
+  let vprog = Option.get c.Pipeline.vector in
+  let fresh env =
+    let m = Memory.create ~scalar_layout:c.Pipeline.scalar_offsets ~env () in
+    Memory.init_arrays m ~seed:42;
+    m
+  in
+  let fired ~after f =
+    match Slp_vm.Trap.with_fault ~fault:Slp_vm.Trap.Memory_fault ~after f with
+    | () -> false
+    | exception Slp_vm.Trap.Trap _ -> true
+  in
+  (* A scalar program runs values-only as its Visa image, on a given
+     memory. *)
+  let runs =
+    [
+      ( "scalar",
+        prog.Program.env,
+        (fun memory -> ignore (Scalar_exec.run_interpreter ~memory ~machine prog)),
+        (fun memory -> ignore (Scalar_exec.run ~memory ~machine prog)),
+        Visa.of_program prog,
+        [] );
+      ( "vector",
+        vprog.Visa.env,
+        (fun memory -> ignore (Vector_exec.run_interpreter ~memory ~machine vprog)),
+        (fun memory -> ignore (Vector_exec.run ~memory ~machine vprog)),
+        vprog,
+        c.Pipeline.scalar_offsets );
+    ]
+  in
+  List.iter
+    (fun (what, env, interpreter, engine, visa, scalar_layout) ->
+      let values memory = ignore (Slp_vm.Engine.vector_final_memory ~memory ~machine visa) in
+      let timing () = Slp_vm.Engine.run_timing ~scalar_layout ~machine visa in
+      let total = memory_accesses (timing ()) in
+      let after = (total / 10 * 7) + (total / 20) in
+      let reference = fresh env in
+      Alcotest.(check bool) (what ^ ": interpreter fires") true
+        (fired ~after (fun () -> interpreter reference));
+      let timed = fresh env in
+      Alcotest.(check int) (what ^ ": timed run fast-forwards while armed") 6
+        (forwarded (fun () ->
+             Alcotest.(check bool) (what ^ ": timed run fires") true
+               (fired ~after (fun () -> engine timed))));
+      Alcotest.(check bool) (what ^ ": timed run stops at the same access") true
+        (Memory.equal reference timed);
+      let m = fresh env in
+      Alcotest.(check bool) (what ^ ": values-only run fires") true
+        (fired ~after (fun () -> values m));
+      Alcotest.(check bool) (what ^ ": values-only run stops at the same access") true
+        (Memory.equal reference m);
+      let armed = ref (Counters.create ()) in
+      Alcotest.(check int) (what ^ ": timing-only run does not fast-forward while armed") 0
+        (forwarded (fun () ->
+             Alcotest.(check bool) (what ^ ": timing-only run fires") true
+               (fired ~after (fun () -> ignore (timing ())));
+             Alcotest.(check bool) (what ^ ": timing-only run armed past the end") false
+               (fired ~after:total (fun () -> armed := timing ()))));
+      Alcotest.check counters_t (what ^ ": armed past the end, same counters") (timing ())
+        !armed;
+      List.iter
+        (fun (after, fires) ->
+          let tag = Printf.sprintf "%s: fault after %d" what after in
+          Alcotest.(check bool) (tag ^ ", interpreter") fires
+            (fired ~after (fun () -> interpreter (fresh env)));
+          Alcotest.(check bool) (tag ^ ", timed") fires
+            (fired ~after (fun () -> engine (fresh env)));
+          Alcotest.(check bool) (tag ^ ", values-only") fires
+            (fired ~after (fun () -> values (fresh env)));
+          Alcotest.(check bool) (tag ^ ", timing-only") fires
+            (fired ~after (fun () -> ignore (timing ()))))
+        [ (total - 1, true); (total, false) ])
+    runs
+
 (* Runs hand their caches on: kernel K, then L, then K again gives K's
    results bit for bit, at 1 and 2 cores.  A profiled run's observer
    stays with that run, and a run that traps partway (its caches are
@@ -894,6 +1287,7 @@ let () =
           Alcotest.test_case "line straddling" `Quick test_cache_straddling;
           Alcotest.test_case "contention" `Quick test_cache_contention;
           Alcotest.test_case "released hierarchy reused empty" `Quick test_cache_reuse;
+          Seeded.to_alcotest cache_settles;
         ] );
       ("counters", [ Alcotest.test_case "categories" `Quick test_counters ]);
       ( "engine runs",
@@ -902,6 +1296,12 @@ let () =
           Alcotest.test_case "arbitration probes run timing-only" `Quick
             test_probes_timing_only;
           Alcotest.test_case "caches reused across runs" `Quick test_engine_cache_reuse;
+          Alcotest.test_case "fast-forward warms up L + 1 iterations" `Quick
+            test_fast_forward_warm_up;
+          Alcotest.test_case "every suite repetition loop fast-forwarded" `Quick
+            test_suite_fast_forwarded;
+          Alcotest.test_case "a fault past the warm-up fires on the same access" `Quick
+            test_fault_past_warm_up;
         ] );
       ( "scalar_exec",
         [
@@ -916,6 +1316,7 @@ let () =
           Alcotest.test_case "lane proof reaches every loop state" `Quick
             test_lane_proof_fixpoint;
           Alcotest.test_case "contiguous trap parity" `Quick test_vector_trap_parity;
+          Alcotest.test_case "values-only trap parity" `Quick test_vector_values_only_parity;
         ] );
       ( "multicore",
         [
