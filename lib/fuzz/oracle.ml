@@ -86,6 +86,136 @@ let scalar_diff ~names ref_mem vec_mem =
           (Printf.sprintf "scalar %s: scalar-exec %.17g vs vectorized %.17g" name a b))
     names
 
+(* -- the repetition stage --------------------------------------------- *)
+
+(* A name built from [base] that [prog] neither declares nor binds as a
+   loop index. *)
+let fresh_name (prog : Program.t) base =
+  let rec indices acc = function
+    | Program.Stmts _ -> acc
+    | Program.Loop l -> List.fold_left indices (l.Program.index :: acc) l.Program.body
+  in
+  let bound = List.fold_left indices [] prog.Program.body in
+  let rec go k =
+    let v = Printf.sprintf "%s%d" base k in
+    if Env.is_declared prog.Program.env v || List.mem v bound then go (k + 1) else v
+  in
+  go 0
+
+(* [prog]'s body inside a repetition loop of 5-12 trips under a fresh
+   index, so that the engine's one-core runs fast-forward it past their
+   warm-up and, when it settles, skip its values.  About half the
+   programs also store the index as a value into a fresh [i64] array
+   first, which makes every iteration write something new.  The trip
+   count and the shape follow from the program's source, so a replayed
+   or shrunk kernel is wrapped the same way. *)
+let repeated (prog : Program.t) =
+  let h = Hashtbl.hash (Program.to_source prog) in
+  let index = fresh_name prog "rep" in
+  let env = Env.copy prog.Program.env in
+  let store =
+    if h / 8 mod 2 = 0 then []
+    else begin
+      let a = fresh_name prog "W" in
+      Env.declare_array env a Types.I64 [ 1 ];
+      [
+        Program.Stmts
+          (Block.make ~label:"bbw"
+             [
+               Stmt.make ~id:1
+                 ~lhs:(Operand.Elem (a, [ Affine.const 0 ]))
+                 ~rhs:(Expr.Leaf (Operand.Scalar index));
+             ]);
+      ]
+    end
+  in
+  Program.make ~name:prog.Program.name ~env
+    [
+      Program.loop index ~lo:(Affine.const 0)
+        ~hi:(Affine.const (5 + (h mod 8)))
+        (store @ prog.Program.body);
+    ]
+
+(* The engine's one-core timed, values-only and timing-only runs of one
+   program against the interpreter's: the timed run's counters and
+   memory, the values-only run's memory and the timing-only run's
+   counters, or the same exception.  The interpreters simulate every
+   iteration and share no code with the engine's fast paths. *)
+let check_runs ~fail ~interpreter ~timed ~values ~timing =
+  let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+  let reference = outcome interpreter in
+  let check what run same =
+    match (reference, outcome run) with
+    | Ok expected, Ok got when same expected got -> ()
+    | Error expected, Error got when String.equal expected got -> ()
+    | Ok _, Ok _ -> fail (what ^ " run differs from the interpreter")
+    | Error e, Ok _ -> fail (Printf.sprintf "%s run completes, the interpreter raises %s" what e)
+    | _, Error e -> fail (Printf.sprintf "%s run raises %s" what e)
+  in
+  check "timed" timed (fun (c, m) (c', m') ->
+      Vm.Counters.equal c c' && Vm.Memory.equal m m');
+  check "values-only" values (fun (_, m) m' -> Vm.Memory.equal m m');
+  check "timing-only" timing (fun (c, _) c' -> Vm.Counters.equal c c')
+
+(* The [repeat] stage's machine: [machine] with its cache levels cut
+   down so that generated kernels overflow them, each level shaped
+   unlike the others (L1 16 sets x 3 ways, L2 3 x 4, L3 16 x 2) so
+   that misses reach it in a different order and the hierarchy settles
+   late.  Generated kernels fit in either machine's own L1, where every
+   level has settled after one iteration and a fast-forward whose
+   warm-up is one or two iterations short reads the right cycles.  Of
+   the shapes tried on generated kernels, this one most often needs
+   the full L + 1 iterations. *)
+let late_settling (machine : Machine.t) =
+  let level sets ways (l : Machine.cache_level) =
+    { l with Machine.size_bytes = sets * ways * l.Machine.line_bytes; ways }
+  in
+  {
+    machine with
+    Machine.l1 = level 16 3 machine.Machine.l1;
+    l2 = level 3 4 machine.Machine.l2;
+    l3 = level 16 2 machine.Machine.l3;
+  }
+
+let check_repeated ~fail ~seed ?solver_steps ~schemes machine prog =
+  let wrapped = repeated prog in
+  let machine = late_settling machine in
+  let mname = machine.Machine.name ^ " (small caches)" in
+  check_runs
+    ~fail:(fail ~scheme:"Scalar" ~machine:mname ~stage:"repeat")
+    ~interpreter:(fun () ->
+      let r = Vm.Scalar_exec.run_interpreter ~seed ~machine wrapped in
+      (r.Vm.Scalar_exec.counters, r.Vm.Scalar_exec.memory))
+    ~timed:(fun () ->
+      let r = Vm.Scalar_exec.run ~seed ~machine wrapped in
+      (r.Vm.Scalar_exec.counters, r.Vm.Scalar_exec.memory))
+    ~values:(fun () -> Vm.Scalar_exec.final_memory ~seed ~machine wrapped)
+    ~timing:(fun () -> Vm.Engine.run_timing ~machine (Vm.Visa.of_program wrapped));
+  List.iter
+    (fun scheme ->
+      let fail = fail ~scheme:(Pipeline.scheme_name scheme) ~machine:mname ~stage:"repeat" in
+      match Pipeline.compile ~verify:false ?solver_steps ~scheme ~machine wrapped with
+      | exception exn -> fail ("compile raised " ^ Printexc.to_string exn)
+      | { Pipeline.vector = None; _ } -> ()
+      | { Pipeline.vector = Some vprog; scalar_offsets; _ } ->
+          let fresh () =
+            let m = Vm.Memory.create ~scalar_layout:scalar_offsets ~env:vprog.Vm.Visa.env () in
+            Vm.Memory.init_arrays m ~seed;
+            m
+          in
+          check_runs ~fail
+            ~interpreter:(fun () ->
+              let r = Vm.Vector_exec.run_interpreter ~seed ~memory:(fresh ()) ~machine vprog in
+              (r.Vm.Vector_exec.counters, r.Vm.Vector_exec.memory))
+            ~timed:(fun () ->
+              let r = Vm.Vector_exec.run ~seed ~memory:(fresh ()) ~machine vprog in
+              (r.Vm.Vector_exec.counters, r.Vm.Vector_exec.memory))
+            ~values:(fun () ->
+              Vm.Engine.vector_final_memory ~seed ~memory:(fresh ()) ~machine vprog)
+            ~timing:(fun () ->
+              Vm.Engine.run_timing ~scalar_layout:scalar_offsets ~machine vprog))
+    schemes
+
 (* -- the oracle ---------------------------------------------------- *)
 
 let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed = 42)
@@ -221,6 +351,7 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
                     end
                 end)
             schemes;
+          check_repeated ~fail ~seed ?solver_steps ~schemes machine prog;
           drifts :=
             { machine = mname; predicted = List.rev !predicted; measured = List.rev !measured }
             :: !drifts)

@@ -82,3 +82,10 @@ val miscompile : Slp_vm.Visa.program -> Slp_vm.Visa.program
     the first vector arithmetic instruction (Add<->Sub, Mul<->Div,
     Min<->Max).  Programs whose vector code contains no arithmetic are
     returned unchanged. *)
+
+val repeated : Program.t -> Program.t
+(** The program the [repeat] stage runs: the body inside a repetition
+    loop of 5-12 trips under an index the program does not use, and,
+    for about half the programs, a store of that index as a value into
+    a fresh [i64] array at the top of the loop.  Deterministic in the
+    program's source. *)

@@ -40,13 +40,13 @@
    A one-core timed run without a profiler fast-forwards every loop
    that replays one cache-line stream: no subscript and no inner loop
    bound of its body mentions its index, so every iteration makes the
-   same accesses at the same addresses ([replay_tail]).  Each cache
-   level is an LRU store fed by the misses of the level above, and an
-   LRU set fed one stream twice ends exactly as it ended the first
-   time; so with L levels the hierarchy's state is fixed after
-   iteration L, and iteration L + 1 and every later one charge the
-   same counts and cycles.  [forward] simulates L + 1 iterations, adds
-   the last one's counter and cycle increments once per remaining
+   same accesses at the same addresses ([repeat], [replay_tail]).
+   Each cache level is an LRU store fed by the misses of the level
+   above, and an LRU set fed one stream twice ends exactly as it ended
+   the first time; so with L levels the hierarchy's state is fixed
+   after iteration L, and iteration L + 1 and every later one charge
+   the same counts and cycles.  [forward] simulates L + 1 iterations,
+   adds the last one's counter and cycle increments once per remaining
    iteration, and runs the remaining ones on a values-only compile of
    the body: their values, traps, lane errors and fault ticks are the
    timed run's, their cache accesses are skipped.  The cache ends in
@@ -59,6 +59,27 @@
    fast-forwarded run's own {!Cache} hit counts cover only the
    simulated iterations; nothing reads them after a run, and the
    profiler, which reads them during one, keeps full simulation.
+
+   A replaying loop settles when, besides, the state one iteration
+   leaves is a fixed point of its body ([repeat] decides it once per
+   loop, at link time, from names alone): its index appears nowhere in
+   the body, not even as a value; no array the body writes is read in
+   it; and every scalar, register and spill slot it writes is written
+   before it is read in one iteration (in an inner loop, only if that
+   loop has constant bounds and at least one trip).  Every value an
+   iteration computes then depends only on locations the body never
+   writes, so the second iteration writes exactly what the first
+   wrote, at the same addresses, and raises no trap or lane error the
+   first did not.  Reading the index as a value breaks this though no
+   address moves: [A[i] = t] writes a new value in every iteration.
+   So a one-core timed run skips the values of a settled loop's
+   iterations past the warm-up outright, and a one-core values-only
+   run ([settle_tail]) runs one iteration of it and skips the rest.
+   Neither skips while a fault is armed, and multicore and profiled
+   runs never do.  The scalar-reference check is a values-only run, so
+   at one core it shares the skip with the run it checks; only the
+   interpreters, which simulate and compute every iteration, are
+   independent of it.
 
    The third, timing-only ([run_timing], the Global+Layout
    arbitration's probes and other callers that read only counters),
@@ -135,8 +156,10 @@
    at the same address in the same order, every counter increments at
    the same point, and cycles accumulate in the same floating-point
    order; at one core a fast-forwarded loop's remaining iterations add
-   the same integers in fewer, exact additions.  The interpreters
-   simulate every access and remain as the reference oracle. *)
+   the same integers in fewer, exact additions, and a settled loop's
+   remaining iterations would rewrite the values already there.  The
+   interpreters simulate and compute every iteration and remain as the
+   reference oracle; they share no code with either skip. *)
 
 open Slp_ir
 module M = Slp_machine.Machine
@@ -275,14 +298,20 @@ and cloop = {
 }
 
 (* How a loop runs its iterations.  [Simulate]: every one on [c_body].
-   [Forward]: the loop replays one cache-line stream (see [forward]);
-   [warm] iterations run on [c_body], the rest on [values] (a
-   values-only compile of the body) or, when [values] is [None], not
-   at all. *)
-and tail = Simulate | Forward of { warm : int; values : (state -> unit) option }
+   [Forward]: the loop replays one cache-line stream, or settles (see
+   [forward]); [warm] iterations run on [c_body], the rest on [values]
+   (a values-only compile of the body) or, when [values] is [None], not
+   at all.  The skipped iterations count in each of [counts]. *)
+and tail =
+  | Simulate
+  | Forward of { warm : int; values : (state -> unit) option; counts : int Atomic.t list }
 
+(* Iterations whose cache simulation was skipped, and iterations whose
+   values were. *)
 let forwarded = Atomic.make 0
 let forwarded_iterations () = Atomic.get forwarded
+let settled = Atomic.make 0
+let settled_iterations () = Atomic.get settled
 
 (* Add [times] more of the counts [c] gained since [before]: the int
    fields only (a float field update would box). *)
@@ -301,15 +330,17 @@ let repeat_counts (c : Counters.t) ~(before : Counters.t) ~times =
   c.permutes <- more c.permutes before.permutes;
   c.broadcasts <- more c.broadcasts before.broadcasts
 
-(* A [Forward] loop (the argument is in the header): [warm] = L + 1
-   iterations run timed, then the last one's counter and cycle
-   increments are added once per remaining iteration, and those
-   iterations run on [values] or, in a timing-only run, not at all,
-   unless a fault is armed: its ticks need every access.  The product
-   and the sum are exact while the total stays below 2^53; a loop that
-   would pass it simulates on.  Returns the index the timed loop
-   continues from. *)
-let forward st l ~warm ~values ~lo ~hi =
+(* A [Forward] loop (the argument is in the header): [warm] iterations
+   run on [c_body], then the last one's counter and cycle increments
+   are added once per remaining iteration, and those iterations run on
+   [values] or, when the loop settles or the run is timing-only, not at
+   all, unless a fault is armed: its ticks need every access.  In a
+   timed run [warm] = L + 1; in a values-only run, whose counters and
+   cycles stay zero, [warm] = 1.  The product and the sum are exact
+   while the total stays below 2^53; a loop that would pass it
+   simulates on.  Returns the index the loop continues from on
+   [c_body]. *)
+let forward st l ~warm ~values ~counts ~lo ~hi =
   let step = l.c_step in
   let trips = if hi <= lo then 0 else (hi - lo + step - 1) / step in
   if trips <= warm then lo
@@ -331,7 +362,7 @@ let forward st l ~warm ~values ~lo ~hi =
     else begin
       repeat_counts st.counters ~before ~times;
       st.cycles.(0) <- total;
-      ignore (Atomic.fetch_and_add forwarded times : int);
+      List.iter (fun c -> ignore (Atomic.fetch_and_add c times : int)) counts;
       Option.iter
         (fun body ->
           while !i < hi do
@@ -347,7 +378,7 @@ let run_loop st l ~lo ~hi =
     ref
       (match l.c_tail with
       | Simulate -> lo
-      | Forward { warm; values } -> forward st l ~warm ~values ~lo ~hi)
+      | Forward { warm; values; counts } -> forward st l ~warm ~values ~counts ~lo ~hi)
   in
   while !i < hi do
     Array.unsafe_set st.frame l.c_depth !i;
@@ -1386,45 +1417,169 @@ let rec link_items ~block ~tail ~depths ~depth items =
 
 let simulate ~depths:_ ~depth:_ _ = Simulate
 
-(* Whether [v] occurs in a subscript or a loop bound of [items]. *)
-let rec mentions v items =
-  let affine a = Affine.coeff a v <> 0 in
-  let operand = function
-    | Operand.Elem (_, idxs) -> List.exists affine idxs
-    | Operand.Const _ | Operand.Scalar _ -> false
-  in
-  let lane = function Visa.Mem op -> operand op | Visa.Reg _ | Visa.Imm _ -> false in
-  let instr = function
-    | Visa.Sstmt s -> List.exists operand (Stmt.positions s)
-    | Visa.Vload { elems; _ } | Visa.Vstore { elems; _ } -> List.exists operand elems
-    | Visa.Vgather { srcs; _ } -> List.exists lane srcs
-    | Visa.Vbroadcast { src; _ } -> lane src
-    | Visa.Vunpack { dsts; _ } ->
-        List.exists (function Some (Visa.To_mem op) -> operand op | _ -> false) dsts
-    | Visa.Vpermute _ | Visa.Vshuffle2 _ | Visa.Vbin _ | Visa.Vun _ | Visa.Vspill _
-    | Visa.Vreload _ | Visa.Vload_scalars _ | Visa.Vstore_scalars _ ->
-        false
-  in
-  List.exists
-    (function
-      | Visa.Block instrs -> List.exists instr instrs
-      | Visa.Loop l -> affine l.Visa.lo || affine l.Visa.hi || mentions v l.Visa.body)
-    items
+(* What one iteration of a loop over [v] whose body is [items] does to
+   the next, decided by one walk over the body.  [Varies]: [v] occurs
+   in a subscript or an inner loop bound.  [Replays]: it does not, so
+   every iteration makes the same accesses at the same addresses.
+   [Settles]: besides, the state one iteration leaves is a fixed point
+   of the body, which holds when
+   - [v] appears nowhere else either: a value read from it
+     ([Operand.Scalar v], a [Reg v] lane source, [Vload_scalars])
+     differs in every iteration though no address does;
+   - no array the body writes is read in it;
+   - every scalar, vector register and spill slot the body writes is
+     written before it is read within one iteration; a write in an
+     inner loop counts only if that loop has constant bounds and at
+     least one trip.
+   Every value an iteration computes then depends only on locations
+   the body never writes and on what the iteration wrote before, so
+   the second iteration writes exactly what the first wrote, at the
+   same addresses, and raises nothing the first did not. *)
+type repeat = Varies | Replays | Settles
 
-(* [Forward] for a loop whose index occurs in no subscript and no
-   inner loop bound of its body, so that every iteration makes the
-   same accesses at the same addresses, and which may run more than
-   its warm-up; [Simulate] otherwise.  [values] compiles the body for
-   the iterations past the warm-up; without it they are skipped. *)
+type loc = Scalar of string | Reg of int | Spill of int
+
+module Locs = Set.Make (struct
+  type t = loc
+
+  let compare = compare
+end)
+
+module Names = Set.Make (String)
+
+let repeat v items =
+  let varies = ref false and named = ref false in
+  let arrays_read = ref Names.empty and arrays_written = ref Names.empty in
+  (* Every location written, and every one read where it was not yet
+     written in the iteration. *)
+  let written = ref Locs.empty and early = ref Locs.empty in
+  let affine a = if Affine.coeff a v <> 0 then varies := true in
+  let name x = if String.equal x v then named := true in
+  let read must loc = if not (Locs.mem loc must) then early := Locs.add loc !early in
+  let write must loc =
+    written := Locs.add loc !written;
+    Locs.add loc must
+  in
+  let read_op must = function
+    | Operand.Elem (a, idxs) ->
+        List.iter affine idxs;
+        arrays_read := Names.add a !arrays_read
+    | Operand.Scalar x ->
+        name x;
+        read must (Scalar x)
+    | Operand.Const _ -> ()
+  in
+  let write_op must = function
+    | Operand.Elem (a, idxs) ->
+        List.iter affine idxs;
+        arrays_written := Names.add a !arrays_written;
+        must
+    | Operand.Scalar x ->
+        name x;
+        write must (Scalar x)
+    | Operand.Const _ -> must
+  in
+  let lane must = function
+    | Visa.Mem op -> read_op must op
+    | Visa.Reg x -> read_op must (Operand.Scalar x)
+    | Visa.Imm _ -> ()
+  in
+  let instr must = function
+    | Visa.Sstmt s ->
+        List.iter (read_op must) (Expr.leaves s.Stmt.rhs);
+        write_op must s.Stmt.lhs
+    | Visa.Vload { dst; elems } ->
+        List.iter (read_op must) elems;
+        write must (Reg dst)
+    | Visa.Vstore { src; elems } ->
+        read must (Reg src);
+        List.fold_left write_op must elems
+    | Visa.Vgather { dst; srcs } ->
+        List.iter (lane must) srcs;
+        write must (Reg dst)
+    | Visa.Vunpack { src; dsts } ->
+        read must (Reg src);
+        List.fold_left
+          (fun must -> function
+            | Some (Visa.To_mem op) -> write_op must op
+            | Some (Visa.To_reg x) -> write_op must (Operand.Scalar x)
+            | None -> must)
+          must dsts
+    | Visa.Vbroadcast { dst; src; _ } ->
+        lane must src;
+        write must (Reg dst)
+    | Visa.Vpermute { dst; src; _ } | Visa.Vun { dst; a = src; _ } ->
+        read must (Reg src);
+        write must (Reg dst)
+    | Visa.Vshuffle2 { dst; a; b; _ } | Visa.Vbin { dst; a; b; _ } ->
+        read must (Reg a);
+        read must (Reg b);
+        write must (Reg dst)
+    | Visa.Vspill { src; slot } ->
+        read must (Reg src);
+        write must (Spill slot)
+    | Visa.Vreload { dst; slot } ->
+        read must (Spill slot);
+        write must (Reg dst)
+    | Visa.Vload_scalars { dst; sources } ->
+        List.iter (fun x -> read_op must (Operand.Scalar x)) sources;
+        write must (Reg dst)
+    | Visa.Vstore_scalars { src; targets } ->
+        read must (Reg src);
+        List.fold_left (fun must x -> write_op must (Operand.Scalar x)) must targets
+  in
+  (* [must]: the locations certainly written so far in the iteration. *)
+  let rec walk must items =
+    List.fold_left
+      (fun must -> function
+        | Visa.Block instrs -> List.fold_left instr must instrs
+        | Visa.Loop l -> (
+            affine l.Visa.lo;
+            affine l.Visa.hi;
+            name l.Visa.index;
+            let inner = walk must l.Visa.body in
+            match (Affine.to_const l.Visa.lo, Affine.to_const l.Visa.hi) with
+            | Some lo, Some hi when hi > lo -> inner
+            | _ -> must))
+      must items
+  in
+  ignore (walk Locs.empty items : Locs.t);
+  if !varies then Varies
+  else if
+    !named
+    || (not (Names.disjoint !arrays_read !arrays_written))
+    || not (Locs.disjoint !early !written)
+  then Replays
+  else Settles
+
+(* Whether a loop's constant bounds give it at most [warm] trips. *)
+let short ~warm (l : Visa.vloop) =
+  match (Affine.to_const l.Visa.lo, Affine.to_const l.Visa.hi) with
+  | Some lo, Some hi -> hi - lo <= warm * l.Visa.step
+  | _ -> false
+
+(* A timed or timing-only run's loop tails: [Forward] a loop that
+   replays and may run more than its warm-up, [Simulate] others.  The
+   iterations past the warm-up run on [values] (a compile of the body)
+   unless the loop settles; without [values] (a timing-only run) they
+   are skipped. *)
 let replay_tail ~machine ~values ~depths ~depth (l : Visa.vloop) =
   let warm = Cache.level_count machine + 1 in
-  let short =
-    match (Affine.to_const l.Visa.lo, Affine.to_const l.Visa.hi) with
-    | Some lo, Some hi -> hi - lo <= warm * l.Visa.step
-    | _ -> false
-  in
-  if short || mentions l.Visa.index l.Visa.body then Simulate
-  else Forward { warm; values = Option.map (fun f -> f ~depths ~depth l.Visa.body) values }
+  if short ~warm l then Simulate
+  else
+    match (repeat l.Visa.index l.Visa.body, values) with
+    | Varies, _ -> Simulate
+    | (Replays | Settles), None -> Forward { warm; values = None; counts = [ forwarded ] }
+    | Settles, Some _ -> Forward { warm; values = None; counts = [ forwarded; settled ] }
+    | Replays, Some f ->
+        Forward { warm; values = Some (f ~depths ~depth l.Visa.body); counts = [ forwarded ] }
+
+(* A values-only run's loop tails: a loop that settles runs one
+   iteration, and its others are skipped. *)
+let settle_tail ~depths:_ ~depth:_ (l : Visa.vloop) =
+  if (not (short ~warm:1 l)) && repeat l.Visa.index l.Visa.body = Settles then
+    Forward { warm = 1; values = None; counts = [ settled ] }
+  else Simulate
 
 (* One [Visa.Block]'s closure.  [keys] selects profiling keys for
    vector instructions: [`Setup] charges everything to the setup key;
@@ -1456,12 +1611,13 @@ let compile_block ?prof ?(keys = `Origins (ref [])) ctx ~depths instrs =
           (fun i instr -> wrap_profile prof (key i instr) (compile_instr ctx ~depths instr))
           instrs))
 
-(* A one-core timed run's loop tails: a replaying loop runs its
-   iterations past the warm-up on a values-only compile of its body. *)
+(* A one-core timed run's loop tails: a loop that replays but does not
+   settle runs its iterations past the warm-up on a values-only compile
+   of its body, whose own loops settle as a values-only run's do. *)
 let values_tail ctx =
   let vctx = { ctx with values_only = true } in
   let values ~depths ~depth body =
-    seq_items (link_items ~block:(compile_block vctx) ~tail:simulate ~depths ~depth body)
+    seq_items (link_items ~block:(compile_block vctx) ~tail:settle_tail ~depths ~depth body)
   in
   replay_tail ~machine:ctx.machine ~values:(Some values)
 
@@ -1813,12 +1969,14 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   in
   let stride = program_lane_stride prog in
   let ctx = make_ctx ~machine ~values_only ~stride memory names in
-  (* Only a one-core timed run without a profiler fast-forwards: the
-     others' costs need not be integers, or they observe every
-     access. *)
+  (* Only one-core runs without a profiler skip iterations: a
+     multicore run's costs need not be integers and it splits its
+     first loop over per-core states, and a profiler observes every
+     access.  A timed run fast-forwards, a values-only run settles. *)
   let tail =
-    if cores <= 1 && Option.is_none profile && not values_only then values_tail ctx
-    else simulate
+    if cores > 1 || Option.is_some profile then simulate
+    else if values_only then settle_tail
+    else values_tail ctx
   in
   let setup = compile_items ?prof:profile ~keys:`Setup ~tail ctx prog.Visa.setup in
   let body =

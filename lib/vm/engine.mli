@@ -47,6 +47,25 @@
     fast-forwarded run's own {!Cache} hit counts cover only the
     simulated iterations; nothing reads them after a run.
 
+    Such a loop settles when the state one iteration leaves is, besides,
+    a fixed point of its body, decided once per loop from names: its
+    index appears nowhere in the body, not even read as a value; no
+    array the body writes is read in it; and every scalar, register and
+    spill slot the body writes is written before it is read within one
+    iteration (a write in an inner loop counts only if that loop has
+    constant bounds and at least one trip).  Every later iteration then
+    writes exactly what the first wrote and raises nothing new.  An
+    index read as a value ([A[i] = t]) moves no address but changes
+    every iteration's values, so it disqualifies the loop.  A one-core
+    timed run without a profiler skips a settled loop's values past the
+    warm-up, and a one-core values-only run computes one iteration of it
+    and skips the rest; neither skips while a fault is armed, and
+    multicore and profiled runs never do.  The scalar-reference check
+    ({!scalar_final_memory}) shares this skip with the run it checks, so
+    at one core it is not independent of it: the interpreters
+    ({!Scalar_exec.run_interpreter}, {!Vector_exec.run_interpreter}),
+    which compute every iteration, are.
+
     Array subscripts are linked once.  A 1-D subscript, or a rank-2
     one with at most one loop term per dimension, becomes one closure
     that computes, bounds-checks and flattens the index; other shapes
@@ -140,6 +159,11 @@ val forwarded_iterations : unit -> int
 (** How many loop iterations so far, in this process, one-core timed
     and timing-only runs fast-forwarded: their counts and cycles were
     added from the last warm-up iteration's instead of simulated. *)
+
+val settled_iterations : unit -> int
+(** How many loop iterations so far, in this process, one-core timed
+    and values-only runs skipped because their loop settled: their
+    values were not computed. *)
 
 val chunk_ranges : lo:int -> hi:int -> step:int -> cores:int -> (int * int) list
 (** Split [lo, hi) into [cores] contiguous step-aligned ranges. *)

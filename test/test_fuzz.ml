@@ -197,74 +197,139 @@ let engine_vector_agrees ?(cores = 1) ?(machine = Machine.intel_dunnington) sche
 
 let engine_fuzz name check = QCheck.Test.make ~name ~count:40 arb_repeated check
 
-(* Every Suite.all kernel, scalar and vectorized, single- and multicore:
-   engine and interpreter must agree exactly. *)
+(* Every Suite.all kernel, scalar and vectorized, single- and multicore,
+   on both machines: engine and interpreter must agree exactly, and a
+   one-core values-only run must leave the interpreter's memory. *)
 let counters_testable =
   Alcotest.testable Vm.Counters.pp Vm.Counters.equal
 
 let test_engine_on_suite () =
-  let machine = Machine.intel_dunnington in
   let module Suite = Slp_benchmarks.Suite in
   List.iter
-    (fun b ->
-      let name = b.Suite.name in
-      let prog = Suite.program b in
+    (fun machine ->
       List.iter
-        (fun cores ->
-          let tag = Printf.sprintf "%s scalar %dc" name cores in
-          let ri = Vm.Scalar_exec.run_interpreter ~cores ~machine prog in
-          let re = Vm.Engine.run_scalar ~cores ~machine prog in
+        (fun b ->
+          let name = Printf.sprintf "%s %s" b.Suite.name (Machine.to_string machine) in
+          let prog = Suite.program b in
+          List.iter
+            (fun cores ->
+              let tag = Printf.sprintf "%s scalar %dc" name cores in
+              let ri = Vm.Scalar_exec.run_interpreter ~cores ~machine prog in
+              let re = Vm.Engine.run_scalar ~cores ~machine prog in
+              Alcotest.(check bool)
+                (tag ^ " memory") true
+                (Vm.Memory.equal ri.Vm.Scalar_exec.memory re.Vm.Engine.memory);
+              Alcotest.check counters_testable (tag ^ " counters")
+                ri.Vm.Scalar_exec.counters re.Vm.Engine.counters;
+              if cores = 1 then
+                Alcotest.(check bool)
+                  (tag ^ " values-only memory") true
+                  (Vm.Memory.equal ri.Vm.Scalar_exec.memory
+                     (Vm.Engine.scalar_final_memory ~machine prog)))
+            [ 1; 4 ];
+          List.iter
+            (fun (sname, scheme) ->
+              let c = Pipeline.compile ~unroll:b.Suite.unroll ~scheme ~machine prog in
+              match c.Pipeline.vector with
+              | None -> ()
+              | Some vprog ->
+                  let mk () =
+                    let m =
+                      Vm.Memory.create ~scalar_layout:c.Pipeline.scalar_offsets
+                        ~env:vprog.Vm.Visa.env ()
+                    in
+                    Vm.Memory.init_arrays m ~seed:42;
+                    m
+                  in
+                  List.iter
+                    (fun cores ->
+                      let tag = Printf.sprintf "%s %s %dc" name sname cores in
+                      let ri =
+                        Vm.Vector_exec.run_interpreter ~cores ~memory:(mk ()) ~machine vprog
+                      in
+                      let re = Vm.Engine.run_vector ~cores ~memory:(mk ()) ~machine vprog in
+                      Alcotest.(check bool)
+                        (tag ^ " memory") true
+                        (Vm.Memory.equal ri.Vm.Vector_exec.memory re.Vm.Engine.memory);
+                      Alcotest.check counters_testable (tag ^ " counters")
+                        ri.Vm.Vector_exec.counters re.Vm.Engine.counters;
+                      if cores = 1 then
+                        Alcotest.(check bool)
+                          (tag ^ " values-only memory") true
+                          (Vm.Memory.equal ri.Vm.Vector_exec.memory
+                             (Vm.Engine.vector_final_memory ~memory:(mk ()) ~machine vprog)))
+                    [ 1; 4 ])
+            [ ("global", Pipeline.Global); ("layout", Pipeline.Global_layout) ])
+        Suite.all)
+    [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
+
+(* The kernels of examples/kernels, parsed: found from the test's
+   build directory under dune, or from the checkout's root. *)
+let example_kernels () =
+  let dir = List.find Sys.file_exists [ "../examples/kernels"; "examples/kernels" ] in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".kern")
+  |> List.sort compare
+  |> List.map (fun f -> (f, Slp_frontend.Parser.parse_file (Filename.concat dir f)))
+
+(* Every example kernel under the three holistic schemes at one core:
+   the measured run, a checked execute's values-only scalar reference
+   and the reference run timed leave the interpreters' memory, and the
+   measured run counts what the interpreter counts. *)
+let test_engine_on_examples () =
+  let machine = Machine.intel_dunnington in
+  List.iter
+    (fun (file, prog) ->
+      List.iter
+        (fun scheme ->
+          let tag = Printf.sprintf "%s %s" file (Pipeline.scheme_name scheme) in
+          let c = Pipeline.compile ~scheme ~machine prog in
+          let r, memory = Pipeline.execute_with_memory ~cores:1 ~check:true c in
+          Alcotest.(check bool) (tag ^ " matches its scalar reference") true r.Pipeline.correct;
+          let reference = c.Pipeline.reference in
+          let ri = Vm.Scalar_exec.run_interpreter ~machine reference in
           Alcotest.(check bool)
-            (tag ^ " memory") true
-            (Vm.Memory.equal ri.Vm.Scalar_exec.memory re.Vm.Engine.memory);
-          Alcotest.check counters_testable (tag ^ " counters")
-            ri.Vm.Scalar_exec.counters re.Vm.Engine.counters)
-        [ 1; 4 ];
-      List.iter
-        (fun (sname, scheme) ->
-          let c = Pipeline.compile ~unroll:b.Suite.unroll ~scheme ~machine prog in
+            (tag ^ " values-only reference memory") true
+            (Vm.Memory.equal ri.Vm.Scalar_exec.memory
+               (Vm.Scalar_exec.final_memory ~machine reference));
+          Alcotest.(check bool)
+            (tag ^ " timed reference memory") true
+            (Vm.Memory.equal ri.Vm.Scalar_exec.memory
+               (Vm.Scalar_exec.run ~machine reference).Vm.Scalar_exec.memory);
           match c.Pipeline.vector with
-          | None -> ()
+          | None -> Alcotest.failf "%s: no vector program" tag
           | Some vprog ->
-              let mk () =
-                let m =
-                  Vm.Memory.create ~scalar_layout:c.Pipeline.scalar_offsets
-                    ~env:vprog.Vm.Visa.env ()
-                in
-                Vm.Memory.init_arrays m ~seed:42;
-                m
+              let m =
+                Vm.Memory.create ~scalar_layout:c.Pipeline.scalar_offsets
+                  ~env:vprog.Vm.Visa.env ()
               in
-              List.iter
-                (fun cores ->
-                  let tag = Printf.sprintf "%s %s %dc" name sname cores in
-                  let ri =
-                    Vm.Vector_exec.run_interpreter ~cores ~memory:(mk ()) ~machine
-                      vprog
-                  in
-                  let re =
-                    Vm.Engine.run_vector ~cores ~memory:(mk ()) ~machine vprog
-                  in
-                  Alcotest.(check bool)
-                    (tag ^ " memory") true
-                    (Vm.Memory.equal ri.Vm.Vector_exec.memory
-                       re.Vm.Engine.memory);
-                  Alcotest.check counters_testable (tag ^ " counters")
-                    ri.Vm.Vector_exec.counters re.Vm.Engine.counters)
-                [ 1; 4 ])
-        [ ("global", Pipeline.Global); ("layout", Pipeline.Global_layout) ])
-    Suite.all
+              Vm.Memory.init_arrays m ~seed:42;
+              let rv = Vm.Vector_exec.run_interpreter ~memory:m ~machine vprog in
+              Alcotest.(check bool)
+                (tag ^ " measured memory") true
+                (Vm.Memory.equal rv.Vm.Vector_exec.memory memory);
+              Alcotest.check counters_testable (tag ^ " measured counters")
+                rv.Vm.Vector_exec.counters r.Pipeline.counters)
+        [ Pipeline.Global; Pipeline.Global_layout; Pipeline.Optimal ])
+    (example_kernels ())
 
 (* -- values-only vs timed runs ------------------------------------------------
 
    The scalar-reference check runs values only: no cache, counters or
    cycles, and so does a one-core timed run past a replaying loop's
    warm-up.  A values-only run's final memory, arrays and scalars,
-   must equal the timed run's bit for bit at every core count, for
-   scalar and vector programs. *)
+   must equal a timed run's bit for bit at every core count, for
+   scalar and vector programs.  At one core the engine's timed and
+   values-only runs both skip the iterations of a loop that settles,
+   so neither can vouch for the other: the timed run there is the
+   interpreter's.  At more cores no engine run skips an iteration, and
+   the timed engine, held to the interpreters by "engine vs
+   interpreter", is several times faster. *)
 
 let values_only_agrees ?(machine = Machine.intel_dunnington) ~cores p =
   Vm.Memory.equal
-    (Vm.Scalar_exec.run ~cores ~machine p).Vm.Scalar_exec.memory
+    (if cores = 1 then (Vm.Scalar_exec.run_interpreter ~machine p).Vm.Scalar_exec.memory
+     else (Vm.Scalar_exec.run ~cores ~machine p).Vm.Scalar_exec.memory)
     (Vm.Scalar_exec.final_memory ~cores ~machine p)
 
 let vector_values_only_agrees ~machine ~cores (c : Pipeline.compiled) =
@@ -279,7 +344,8 @@ let vector_values_only_agrees ~machine ~cores (c : Pipeline.compiled) =
         m
       in
       let timed = fresh () and values = fresh () in
-      ignore (Vm.Vector_exec.run ~cores ~memory:timed ~machine vprog);
+      if cores = 1 then ignore (Vm.Vector_exec.run_interpreter ~memory:timed ~machine vprog)
+      else ignore (Vm.Vector_exec.run ~cores ~memory:timed ~machine vprog);
       ignore (Vm.Engine.vector_final_memory ~cores ~memory:values ~machine vprog);
       Vm.Memory.equal timed values
 
@@ -308,7 +374,7 @@ let vector_values_only_fuzz =
 
 let values_only_fuzz =
   QCheck.Test.make ~name:"values-only memory matches the timed run on 1, 2, 4 cores"
-    ~count:40 arb_program (fun p ->
+    ~count:40 arb_repeated (fun p ->
       match Program.validate p with
       | Error _ -> true
       | Ok () ->
@@ -545,6 +611,8 @@ let () =
         @ [
             Alcotest.test_case "engine matches interpreter on every suite kernel"
               `Slow test_engine_on_suite;
+            Alcotest.test_case "engine matches interpreter on every example kernel"
+              `Quick test_engine_on_examples;
           ] );
       ( "values-only vs timed",
         [

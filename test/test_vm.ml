@@ -18,6 +18,12 @@ let forwarded f =
   f ();
   Slp_vm.Engine.forwarded_iterations () - before
 
+(* How many loop iterations [f]'s runs skip the values of. *)
+let settled f =
+  let before = Slp_vm.Engine.settled_iterations () in
+  f ();
+  Slp_vm.Engine.settled_iterations () - before
+
 let counters_t = Alcotest.testable Counters.pp Counters.equal
 
 (* -- memory ----------------------------------------------------------- *)
@@ -961,34 +967,38 @@ let test_fast_forward_warm_up () =
       ("pinned, AMD", Machine.amd_phenom_ii, pinned);
     ]
 
-(* Every suite kernel's repetition loop ([t], inside [p] in the NAS
-   kernels) fast-forwards at Intel/AMD 128 under every scheme, in the
-   timed run and in the timing-only run: each of its executions
-   simulates 4 iterations and forwards the rest.  A profiled run
-   simulates them all.  A change that loses the fast path fails here,
-   not only in the benchmark. *)
-let test_suite_fast_forwarded () =
-  let module Pipeline = Slp_pipeline.Pipeline in
-  let module Suite = Slp_benchmarks.Suite in
+(* The iterations of a suite kernel's repetition loops ([t], inside [p]
+   in the NAS kernels) past the first [warm] of each execution. *)
+let past_warm_up ~warm (prog : Program.t) =
   let trips (l : Program.loop) =
     match (Affine.to_const l.Program.lo, Affine.to_const l.Program.hi) with
     | Some lo, Some hi -> (hi - lo) / l.Program.step
     | _ -> Alcotest.fail "suite loop bounds are constants"
   in
-  let rec expected outer = function
+  let rec count outer = function
     | [] -> 0
-    | Program.Stmts _ :: rest -> expected outer rest
+    | Program.Stmts _ :: rest -> count outer rest
     | Program.Loop l :: rest ->
-        (if l.Program.index = "t" then outer * (trips l - 4)
-         else expected (outer * trips l) l.Program.body)
-        + expected outer rest
+        (if l.Program.index = "t" then outer * (trips l - warm)
+         else count (outer * trips l) l.Program.body)
+        + count outer rest
   in
+  count 1 prog.Program.body
+
+(* Every suite kernel's repetition loop fast-forwards at Intel/AMD 128
+   under every scheme, in the timed run and in the timing-only run:
+   each of its executions simulates 4 iterations and forwards the
+   rest.  A profiled run simulates them all.  A change that loses the
+   fast path fails here, not only in the benchmark. *)
+let test_suite_fast_forwarded () =
+  let module Pipeline = Slp_pipeline.Pipeline in
+  let module Suite = Slp_benchmarks.Suite in
   List.iter
     (fun machine ->
       List.iter
         (fun (b : Suite.t) ->
           let prog = Suite.program b in
-          let n = expected 1 prog.Program.body in
+          let n = past_warm_up ~warm:4 prog in
           Alcotest.(check bool) (b.Suite.name ^ " has a repetition loop") true (n > 0);
           List.iter
             (fun scheme ->
@@ -1012,6 +1022,215 @@ let test_suite_fast_forwarded () =
             Pipeline.all_schemes)
         Suite.all)
     [ machine; Machine.amd_phenom_ii ]
+
+(* Exactly the repetition loops of the seven suite kernels whose state
+   is a fixed point after one repetition (cactusADM, milc, povray,
+   calculix, namd, sp and mg) settle at Intel/AMD 128 under every
+   scheme: each execution skips the values of all but its 4 warm-up
+   iterations in the measured run, and of all but its first in the
+   scalar reference, which a checked execute of a vector program adds.
+   The other nine accumulate.  A profiled measured run settles
+   nothing, and neither run of a two-core checked execute does.  A change that loses the skip, or that skips a loop which
+   accumulates, fails here. *)
+let test_suite_settled () =
+  let module Pipeline = Slp_pipeline.Pipeline in
+  let module Suite = Slp_benchmarks.Suite in
+  let fixed = [ "cactusADM"; "milc"; "povray"; "calculix"; "namd"; "sp"; "mg" ] in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (b : Suite.t) ->
+          let prog = Suite.program b in
+          let settles = List.mem b.Suite.name fixed in
+          let expected warm = if settles then past_warm_up ~warm prog else 0 in
+          List.iter
+            (fun scheme ->
+              let c =
+                Pipeline.compile ~unroll:b.Suite.unroll ~verify:false ~scheme ~machine prog
+              in
+              let tag what =
+                Printf.sprintf "%s %s %s %s" b.Suite.name (Pipeline.scheme_name scheme)
+                  (Machine.to_string machine) what
+              in
+              let checked =
+                expected 4 + if Option.is_some c.Pipeline.vector then expected 1 else 0
+              in
+              Alcotest.(check int) (tag "measured") (expected 4)
+                (settled (fun () -> ignore (Pipeline.execute ~check:false c)));
+              Alcotest.(check int) (tag "reference") (expected 1)
+                (settled (fun () ->
+                     ignore (Scalar_exec.final_memory ~machine c.Pipeline.reference)));
+              Alcotest.(check int) (tag "checked") checked
+                (settled (fun () -> ignore (Pipeline.execute ~check:true c)));
+              Alcotest.(check int) (tag "profiled") 0
+                (settled (fun () ->
+                     ignore
+                       (Pipeline.execute ~check:false
+                          ~obs:(Slp_obs.Obs.create ~profile:true ())
+                          c)));
+              Alcotest.(check int) (tag "two cores") 0
+                (settled (fun () -> ignore (Pipeline.execute ~cores:2 ~check:true c))))
+            Pipeline.all_schemes)
+        Suite.all)
+    [ machine; Machine.amd_phenom_ii ]
+
+(* The settle condition on the loops it must reject, and on some it
+   admits.  Each kernel runs timed, values-only, and through a checked
+   [Pipeline.execute] under Global; each hand-built vector program
+   timed and values-only.  Every run ends as the interpreter's does,
+   and settles as many iterations as listed (timed, values-only):
+   none for a loop that reads its index as a value, accumulates into a
+   scalar, reads an array it writes, reads a scalar written only in an
+   inner loop that may not run, or reads a register or a spill slot
+   before writing it. *)
+let test_settle_condition () =
+  let module Pipeline = Slp_pipeline.Pipeline in
+  let parse = Slp_frontend.Parser.parse ~name:"settle" in
+  let kernel (what, src, (timed_n, values_n)) =
+    let prog = parse src in
+    let ri = Scalar_exec.run_interpreter ~machine prog in
+    let re = ref ri and values = ref ri.Scalar_exec.memory in
+    Alcotest.(check int) (what ^ ": timed run settles") timed_n
+      (settled (fun () -> re := Scalar_exec.run ~machine prog));
+    Alcotest.(check int) (what ^ ": values-only run settles") values_n
+      (settled (fun () -> values := Scalar_exec.final_memory ~machine prog));
+    Alcotest.check counters_t (what ^ ": timed counters") ri.Scalar_exec.counters
+      !re.Scalar_exec.counters;
+    Alcotest.(check bool) (what ^ ": timed memory") true
+      (Memory.equal ri.Scalar_exec.memory !re.Scalar_exec.memory);
+    Alcotest.(check bool) (what ^ ": values-only memory") true
+      (Memory.equal ri.Scalar_exec.memory !values);
+    let c = Pipeline.compile ~unroll:2 ~verify:false ~scheme:Pipeline.Global ~machine prog in
+    let r, memory = Pipeline.execute_with_memory ~check:true c in
+    Alcotest.(check bool) (what ^ ": checked execute matches its reference") true
+      r.Pipeline.correct;
+    let reference =
+      match c.Pipeline.vector with
+      | None -> Scalar_exec.run_interpreter ~machine c.Pipeline.reference
+      | Some vprog ->
+          let m = Memory.create ~scalar_layout:c.Pipeline.scalar_offsets ~env:vprog.Visa.env () in
+          Memory.init_arrays m ~seed:42;
+          let r = Vector_exec.run_interpreter ~memory:m ~machine vprog in
+          { Scalar_exec.counters = r.Vector_exec.counters; memory = r.Vector_exec.memory }
+    in
+    Alcotest.check counters_t (what ^ ": checked execute counters")
+      reference.Scalar_exec.counters r.Pipeline.counters;
+    Alcotest.(check bool) (what ^ ": checked execute memory") true
+      (Memory.equal reference.Scalar_exec.memory memory);
+    [ ri.Scalar_exec.memory; !re.Scalar_exec.memory; !values; memory ]
+  in
+  (* The index read as a value: every element ends at the last
+     repetition's index, 7, in every run. *)
+  List.iter
+    (fun m ->
+      Alcotest.(check (list (float 0.0))) "index as value: A[i] = 7" (List.init 64 (fun _ -> 7.0))
+        (Float.Array.to_list (Memory.array_values m "A")))
+    (kernel
+       ( "index as value",
+         "i64 A[64];\nfor t = 0 to 8 {\n  for i = 0 to 64 {\n    A[i] = t;\n  }\n}",
+         (0, 0) ));
+  List.iter
+    (fun case -> ignore (kernel case : Memory.t list))
+    [
+      ( "scalar accumulator",
+        "f64 A[64];\nf64 acc;\nfor t = 0 to 8 {\n  for i = 0 to 64 {\n\
+        \    acc = acc + A[i] * A[i];\n  }\n}",
+        (0, 0) );
+      ( "array read after its own write",
+        "f64 u[66];\nf64 flx[66];\nf64 unew[66];\nfor t = 0 to 8 {\n\
+        \  for i = 1 to 65 {\n    flx[i] = 0.5 * (u[i+1] - u[i-1]);\n\
+        \    unew[i] = u[i] - 0.3 * flx[i];\n  }\n}",
+        (0, 0) );
+      ( "scalar written only in a zero-trip loop",
+        "f64 A[4];\nf64 B[4];\nf64 s;\nfor t = 0 to 8 {\n  for j = 0 to 0 {\n\
+        \    s = A[j];\n  }\n  s = s + 1.0;\n  B[0] = s;\n}",
+        (0, 0) );
+      ( "scalar written only in a loop with non-constant bounds",
+        "f64 A[4];\nf64 B[4];\nf64 s;\nfor p = 0 to 2 {\n  for t = 0 to 8 {\n\
+        \    for j = p to 1 {\n      s = A[j];\n    }\n    s = s + 1.0;\n    B[p] = s;\n\
+        \  }\n}",
+        (0, 0) );
+      ( "scalar written in a loop with constant bounds",
+        "f64 A[4];\nf64 B[4];\nf64 s;\nfor t = 0 to 8 {\n  for j = 0 to 2 {\n\
+        \    s = A[j];\n  }\n  s = s + 1.0;\n  B[0] = s;\n}",
+        (4, 7) );
+      ( "temporaries written before they are read",
+        "f64 A[64];\nf64 B[64];\nf64 s;\nfor t = 0 to 8 {\n  for i = 0 to 64 {\n\
+        \    s = A[i] * 2.0;\n    B[i] = s + 1.0;\n  }\n}",
+        (4, 7) );
+    ];
+  let env = Env.create () in
+  Env.declare_array env "A" Types.F64 [ 8 ];
+  Env.declare_array env "B" Types.F64 [ 8 ];
+  let pair a k = [ Operand.Elem (a, [ Affine.const k ]); Operand.Elem (a, [ Affine.const (k + 1) ]) ] in
+  let prog prologue body =
+    {
+      Visa.name = "settle";
+      env;
+      setup = [];
+      body =
+        [
+          Visa.Block prologue;
+          Visa.Loop
+            {
+              Visa.index = "t";
+              lo = Affine.const 0;
+              hi = Affine.const 8;
+              step = 1;
+              body = [ Visa.Block body ];
+            };
+        ];
+    }
+  in
+  let add dst a b = Visa.Vbin { dst; op = Types.Add; a; b } in
+  List.iter
+    (fun (what, p, (timed_n, values_n)) ->
+      let fresh () =
+        let m = Memory.create ~env () in
+        Memory.init_arrays m ~seed:42;
+        m
+      in
+      let ri = Vector_exec.run_interpreter ~memory:(fresh ()) ~machine p in
+      let timed = fresh () and values = fresh () in
+      let re = ref ri in
+      Alcotest.(check int) (what ^ ": timed run settles") timed_n
+        (settled (fun () -> re := Vector_exec.run ~memory:timed ~machine p));
+      Alcotest.(check int) (what ^ ": values-only run settles") values_n
+        (settled (fun () ->
+             ignore (Slp_vm.Engine.vector_final_memory ~memory:values ~machine p)));
+      Alcotest.check counters_t (what ^ ": timed counters") ri.Vector_exec.counters
+        !re.Vector_exec.counters;
+      Alcotest.(check bool) (what ^ ": timed memory") true
+        (Memory.equal ri.Vector_exec.memory timed);
+      Alcotest.(check bool) (what ^ ": values-only memory") true
+        (Memory.equal ri.Vector_exec.memory values))
+    [
+      ( "register read before written",
+        prog
+          [ Visa.Vload { dst = 0; elems = pair "A" 0 }; Visa.Vload { dst = 1; elems = pair "A" 2 } ]
+          [ add 1 1 0; Visa.Vstore { src = 1; elems = pair "B" 0 } ],
+        (0, 0) );
+      ( "spill slot read before written",
+        prog
+          [ Visa.Vload { dst = 0; elems = pair "A" 0 }; Visa.Vspill { src = 0; slot = 0 } ]
+          [
+            Visa.Vreload { dst = 1; slot = 0 };
+            add 1 1 0;
+            Visa.Vspill { src = 1; slot = 0 };
+            Visa.Vstore { src = 1; elems = pair "B" 0 };
+          ],
+        (0, 0) );
+      ( "register and spill slot written before read",
+        prog []
+          [
+            Visa.Vload { dst = 0; elems = pair "A" 0 };
+            add 1 0 0;
+            Visa.Vspill { src = 1; slot = 0 };
+            Visa.Vreload { dst = 2; slot = 0 };
+            Visa.Vstore { src = 2; elems = pair "B" 0 };
+          ],
+        (4, 7) );
+    ]
 
 (* An armed fault in an iteration past the warm-up (mid-way through
    the 8th of 10) fires on the same access in the interpreter, in the
@@ -1302,6 +1521,9 @@ let () =
             test_suite_fast_forwarded;
           Alcotest.test_case "a fault past the warm-up fires on the same access" `Quick
             test_fault_past_warm_up;
+          Alcotest.test_case "exactly the fixed-point repetition loops settle" `Quick
+            test_suite_settled;
+          Alcotest.test_case "the settle condition" `Quick test_settle_condition;
         ] );
       ( "scalar_exec",
         [
