@@ -52,59 +52,32 @@ let () =
   let gap_fuzz = ref None in
   let digests_path = ref None in
   let steps = ref None in
+  (* Flags that take a value: its kind, for the error message, and a
+     setter that stores a well-formed value and says whether it was. *)
+  let path r v = r := Some v; true in
+  let int r v = match int_of_string_opt v with Some n -> r := Some n; true | None -> false in
+  let valued =
+    [
+      ("--bailout-report", ("a FILE", path report_path));
+      ("--metrics", ("a FILE", path metrics_path));
+      ("--gap-report", ("a FILE", path gap_path));
+      ("--plan-digests", ("a FILE", path digests_path));
+      ("--gap-fuzz", ("an integer", int gap_fuzz));
+      ("--max-steps", ("an integer", int steps));
+    ]
+  in
   let rec scan acc = function
     | [] -> List.rev acc
     | "--resilient" :: rest ->
         resilient := true;
         scan acc rest
-    | "--bailout-report" :: path :: rest ->
-        report_path := Some path;
-        scan acc rest
-    | "--bailout-report" :: [] ->
-        prerr_endline "--bailout-report requires a FILE argument";
-        exit 2
-    | "--metrics" :: path :: rest ->
-        metrics_path := Some path;
-        scan acc rest
-    | "--metrics" :: [] ->
-        prerr_endline "--metrics requires a FILE argument";
-        exit 2
-    | "--gap-report" :: path :: rest ->
-        gap_path := Some path;
-        scan acc rest
-    | "--gap-report" :: [] ->
-        prerr_endline "--gap-report requires a FILE argument";
-        exit 2
-    | "--plan-digests" :: path :: rest ->
-        digests_path := Some path;
-        scan acc rest
-    | "--plan-digests" :: [] ->
-        prerr_endline "--plan-digests requires a FILE argument";
-        exit 2
-    | "--gap-fuzz" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some v ->
-            gap_fuzz := Some v;
-            scan acc rest
-        | None ->
-            prerr_endline "--gap-fuzz requires an integer argument";
-            exit 2
-      end
-    | "--gap-fuzz" :: [] ->
-        prerr_endline "--gap-fuzz requires an integer argument";
-        exit 2
-    | "--max-steps" :: n :: rest -> begin
-        match int_of_string_opt n with
-        | Some v ->
-            steps := Some v;
-            scan acc rest
-        | None ->
-            prerr_endline "--max-steps requires an integer argument";
-            exit 2
-      end
-    | "--max-steps" :: [] ->
-        prerr_endline "--max-steps requires an integer argument";
-        exit 2
+    | flag :: rest when List.mem_assoc flag valued -> (
+        let kind, set = List.assoc flag valued in
+        match rest with
+        | v :: rest when set v -> scan acc rest
+        | _ ->
+            prerr_endline (Printf.sprintf "%s requires %s argument" flag kind);
+            exit 2)
     | a :: rest -> scan (a :: acc) rest
   in
   let args = scan [] args in
@@ -118,9 +91,7 @@ let () =
       exit 2
     end;
     if !resilient then begin
-      (match !steps with
-      | Some s -> Runner.set_resilient ~steps:s true
-      | None -> Runner.set_resilient true);
+      Runner.set_resilient ?steps:!steps true;
       Runner.clear_bailouts ()
     end;
     (* [--metrics]/[--gap-report]/[--plan-digests] with no report ids

@@ -167,13 +167,19 @@ let max_steps =
 let solver_steps =
   Arg.(
     value
-    & opt (some int) None
+    & opt int Pipeline.default_options.Pipeline.solver_steps
     & info [ "solver-steps" ] ~docv:"N"
         ~doc:
           "Per-block search budget of the exact pack solver (scheme \
            $(b,optimal) only).  Exhaustion is advisory: the block falls back \
            to the holistic heuristic under BAIL15 and the exit status stays \
            0.")
+
+let options =
+  let make max_steps solver_steps =
+    { Pipeline.default_options with Pipeline.max_steps; solver_steps }
+  in
+  Term.(const make $ max_steps $ solver_steps)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -192,7 +198,7 @@ let write_bailout_report path bailouts =
    resilient mode but degraded to scalar. *)
 let main file scheme machine simd unroll verify dump_ir dump_plan dump_vector
     dump_deps run stats trace_file remarks profile profile_json cores seed
-    resilient bailout_report max_errors timeout max_steps solver_steps =
+    resilient bailout_report max_errors timeout options =
   let machine =
     match simd with Some bits -> Machine.with_simd_bits machine bits | None -> machine
   in
@@ -224,8 +230,8 @@ let main file scheme machine simd unroll verify dump_ir dump_plan dump_vector
       let compiled, bailouts =
         if resilient then begin
           let r =
-            Pipeline.compile_resilient ?unroll ?max_steps ?solver_steps
-              ?deadline ~verify ~obs ~scheme ~machine prog
+            Pipeline.compile_resilient ?unroll ~options ?deadline ~verify ~obs
+              ~scheme ~machine prog
           in
           List.iter
             (fun (b : Pipeline.bailout) ->
@@ -240,8 +246,8 @@ let main file scheme machine simd unroll verify dump_ir dump_plan dump_vector
         end
         else
           match
-            Pipeline.compile ?unroll ?max_steps ?solver_steps ?deadline ~verify
-              ~obs ~scheme ~machine prog
+            Pipeline.compile ?unroll ~options ?deadline ~verify ~obs ~scheme
+              ~machine prog
           with
           | c -> (c, None)
           | exception Slp_verify.Verify.Verification_failed (what, report) ->
@@ -380,6 +386,6 @@ let cmd =
       const main $ file $ scheme $ machine $ simd $ unroll $ verify $ dump_ir
       $ dump_plan $ dump_vector $ dump_deps $ run $ stats $ trace_file
       $ remarks $ profile $ profile_json $ cores $ seed $ resilient
-      $ bailout_report $ max_errors $ timeout $ max_steps $ solver_steps)
+      $ bailout_report $ max_errors $ timeout $ options)
 
 let () = exit (Cmd.eval' cmd)

@@ -78,7 +78,6 @@ let config_of ~seed ~count ~max_stmts ~scheme =
     match scheme with None -> Pipeline.all_schemes | Some s -> [ Pipeline.Scalar; s ]
   in
   {
-    Fuzz.Harness.default_config with
     Fuzz.Harness.seed;
     count;
     schemes;
@@ -99,7 +98,9 @@ let write_repro ?scheme path (r : Fuzz.Harness.failure_report) =
   output_string oc (Slp_ir.Program.to_source r.Fuzz.Harness.shrunk);
   close_out oc
 
-let run_replay file scheme repro =
+(* A kernel file is judged like a campaign case: the same oracle,
+   options, schemes and shrink budget. *)
+let run_replay file config repro =
   match Slp_frontend.Parser.parse_file file with
   | exception Slp_frontend.Parser.Error (msg, line, col) ->
       Printf.eprintf "%s:%d:%d: error: %s\n" file line col msg;
@@ -107,79 +108,41 @@ let run_replay file scheme repro =
   | exception Slp_frontend.Lexer.Error (msg, line, col) ->
       Printf.eprintf "%s:%d:%d: error: %s\n" file line col msg;
       1
-  | prog ->
-      let schemes =
-        match scheme with
-        | None -> Pipeline.all_schemes
-        | Some s -> [ Pipeline.Scalar; s ]
-      in
-      let outcome = Fuzz.Oracle.run ~schemes prog in
-      if not (Fuzz.Oracle.failed outcome) then begin
-        Printf.printf "replay %s: all oracles clean\n" file;
-        0
-      end
-      else begin
-        Printf.printf "replay %s: %d failure(s)\n" file
-          (List.length outcome.Fuzz.Oracle.failures);
-        List.iter
-          (fun f -> Format.printf "  %a@." Fuzz.Oracle.pp_failure f)
-          outcome.Fuzz.Oracle.failures;
-        let still_fails p = Fuzz.Oracle.failed (Fuzz.Oracle.run ~schemes p) in
-        let shrunk = Fuzz.Shrink.run ~still_fails prog in
-        Printf.printf "minimal reproducer (%d statements):\n%s"
-          (Slp_ir.Program.stmt_count shrunk)
-          (Slp_ir.Program.to_source shrunk);
-        ensure_repro_dir repro;
-        let oc = open_out repro in
-        output_string oc (Slp_ir.Program.to_source shrunk);
-        close_out oc;
-        Printf.printf "reproducer written to %s\n" repro;
-        1
-      end
+  | prog -> (
+      match Fuzz.Harness.check config ~index:0 prog with
+      | _, None ->
+          Printf.printf "replay %s: all oracles clean\n" file;
+          0
+      | _, Some r ->
+          Printf.printf "replay %s: %d failure(s)\n" file (List.length r.Fuzz.Harness.failures);
+          List.iter
+            (fun f -> Format.printf "  %a@." Fuzz.Oracle.pp_failure f)
+            r.Fuzz.Harness.failures;
+          let source = Slp_ir.Program.to_source r.Fuzz.Harness.shrunk in
+          Printf.printf "minimal reproducer (%d statements):\n%s"
+            (Slp_ir.Program.stmt_count r.Fuzz.Harness.shrunk)
+            source;
+          ensure_repro_dir repro;
+          let oc = open_out repro in
+          output_string oc source;
+          close_out oc;
+          Printf.printf "reproducer written to %s\n" repro;
+          1)
 
 let main seed count index max_stmts scheme replay repro progress =
+  let config = config_of ~seed ~count ~max_stmts ~scheme in
   match replay with
-  | Some file -> run_replay file scheme repro
+  | Some file -> run_replay file config repro
   | None ->
-      let config = config_of ~seed ~count ~max_stmts ~scheme in
-      let config =
-        match index with
-        | None -> config
-        | Some _ -> { config with Fuzz.Harness.count = 1 }
-      in
       let stats =
         match index with
         | Some i ->
             (* Replay one case of the campaign by its coordinates. *)
-            let program = Fuzz.Harness.case_program { config with Fuzz.Harness.count = i + 1 } i in
+            let program = Fuzz.Harness.case_program config i in
             Format.printf "case %d:@.%s@." i (Slp_ir.Program.to_source program);
-            let outcome =
-              Fuzz.Oracle.run ~schemes:config.Fuzz.Harness.schemes
-                ?solver_steps:config.Fuzz.Harness.solver_steps program
-            in
-            let reports =
-              if Fuzz.Oracle.failed outcome then begin
-                let still_fails p =
-                  Fuzz.Oracle.failed
-                    (Fuzz.Oracle.run ~schemes:config.Fuzz.Harness.schemes
-                       ?solver_steps:config.Fuzz.Harness.solver_steps p)
-                in
-                let shrunk = Fuzz.Shrink.run ~still_fails program in
-                [
-                  {
-                    Fuzz.Harness.case_index = i;
-                    seed;
-                    program;
-                    shrunk;
-                    failures = outcome.Fuzz.Oracle.failures;
-                  };
-                ]
-              end
-              else []
-            in
             {
               Fuzz.Harness.cases = 1;
-              reports;
+              reports = Option.to_list (snd (Fuzz.Harness.check config ~index:i program));
               drift_total = 0;
               drift_agreements = 0;
               drift_ties = 0;

@@ -72,10 +72,6 @@ type sol =
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let solvable = function
-  | Unsolvable -> false
-  | Solvable _ -> true
-
 (* Add [coeff * v] to the equation where [v] ranges over [range],
    normalising [v = lo + step*t] so the remaining term has a [0..trip)
    interval.  Zero-trip ranges make the whole equation infeasible. *)
@@ -181,16 +177,34 @@ let same_instance_eqn_raw ~box f g =
 
 let same_instance_eqn ~box f g = solve (same_instance_eqn_raw ~box f g)
 
+(* Every dimension of a pair of accesses solved once, in order: [None]
+   as soon as one dimension has no solution (then the accesses never
+   meet), otherwise the pair's exactness with the reason of its first
+   inexact dimension. *)
+let solve_dims solve_dim a b =
+  let rec go exact reason fs gs =
+    match (fs, gs) with
+    | f :: fs, g :: gs -> (
+        match solve_dim f g with
+        | Unsolvable -> None
+        | Solvable { exact = true; _ } -> go exact reason fs gs
+        | Solvable { exact = false; reason = r } ->
+            go false (if reason = None then r else reason) fs gs)
+    | _ -> Some (exact, reason)
+  in
+  go true None a.idxs b.idxs
+
 (* Same base, at least one write, and every subscript dimension
    simultaneously solvable — the precise replacement for
-   [Operand.may_alias] inside a block. *)
-let same_instance_conflict ~box a b =
-  String.equal a.base b.base
-  && (a.write || b.write)
-  && List.length a.idxs = List.length b.idxs
-  && List.for_all2
-       (fun f g -> solvable (same_instance_eqn ~box f g))
-       a.idxs b.idxs
+   [Operand.may_alias] inside a block — with the exactness of that
+   answer. *)
+let same_instance ~box a b =
+  if
+    String.equal a.base b.base
+    && (a.write || b.write)
+    && List.length a.idxs = List.length b.idxs
+  then solve_dims (same_instance_eqn ~box) a b
+  else None
 
 (* Cross-instance equation for one dimension, directed: access [a]
    executes in an earlier iteration of [carrier] than access [b]
@@ -250,19 +264,15 @@ let cross_eqn ~carrier ~carrier_range ~carrier_step ~outer f fbox g gbox =
    iteration than [a]'s, touch the same element?  All dimensions must
    be simultaneously solvable with the same positive delta; the
    rectangle decoupling keeps only the delta's sign consistent across
-   dimensions, which is the sound direction. *)
+   dimensions, which is the sound direction.  [Some] carries the
+   answer's exactness, as {!solve_dims} returns it.  Callers check that
+   the accesses share a base and a rank. *)
 let carried_from ~carrier ~outer a b =
-  String.equal a.base b.base
-  && List.length a.idxs = List.length b.idxs
-  &&
   let carrier_range = Box.range a.box carrier in
-  List.for_all2
+  solve_dims
     (fun f g ->
-      solvable
-        (solve
-           (cross_eqn ~carrier ~carrier_range ~carrier_step:1 ~outer f a.box g
-              b.box)))
-    a.idxs b.idxs
+      solve (cross_eqn ~carrier ~carrier_range ~carrier_step:1 ~outer f a.box g b.box))
+    a b
 
 (* Undirected cross-instance conflict on [pvar] (chunk independence):
    conflict in either direction, no outer shared loops. *)
@@ -270,8 +280,8 @@ let cross_instance_conflict ~pvar a b =
   String.equal a.base b.base
   && (a.write || b.write)
   && List.length a.idxs = List.length b.idxs
-  && (carried_from ~carrier:pvar ~outer:[] a b
-     || carried_from ~carrier:pvar ~outer:[] b a)
+  && (Option.is_some (carried_from ~carrier:pvar ~outer:[] a b)
+     || Option.is_some (carried_from ~carrier:pvar ~outer:[] b a))
 
 (* Note: [carrier_step] is folded into the box normalisation (the
    range's own step), so callers pass the loop's range and step 1 for
@@ -324,7 +334,7 @@ let stmt_depends ~box earlier later =
   let wl, rl = stmt_accesses ~box later in
   let pair_conflicts xs ys =
     List.exists
-      (fun x -> List.exists (fun y -> same_instance_conflict ~box x y) ys)
+      (fun x -> List.exists (fun y -> Option.is_some (same_instance ~box x y)) ys)
       xs
   in
   pair_conflicts we wl || pair_conflicts we rl || pair_conflicts re wl
@@ -485,20 +495,6 @@ let directions_for ~nest ~carrier =
   in
   go false nest
 
-(* Conservativeness report for one directed cross-instance test: the
-   weakest per-dimension answer (symbolic bounds dominate). *)
-let exactness_of ~carrier ~carrier_range ~outer a b =
-  List.fold_left2
-    (fun (exact, reason) f g ->
-      match
-        solve (cross_eqn ~carrier ~carrier_range ~carrier_step:1 ~outer f a.box g b.box)
-      with
-      | Solvable { exact = e; reason = r } ->
-          if e then (exact, reason)
-          else (false, if reason = None then r else reason)
-      | Unsolvable -> (exact, reason))
-    (true, None) a.idxs b.idxs
-
 let edges_between ~nest a b =
   (* [a] textually precedes [b] (or a == b for self edges). *)
   let out = ref [] in
@@ -508,31 +504,22 @@ let edges_between ~nest a b =
     && List.length a.idxs = List.length b.idxs
   then begin
     (* loop-independent *)
-    if a.stmt <> b.stmt && same_instance_conflict ~box:a.box a b then begin
-      let exact, reason =
-        List.fold_left2
-          (fun (exact, reason) f g ->
-            match same_instance_eqn ~box:a.box f g with
-            | Solvable { exact = e; reason = r } ->
-                if e then (exact, reason)
-                else (false, if reason = None then r else reason)
-            | Unsolvable -> (exact, reason))
-          (true, None) a.idxs b.idxs
-      in
-      out :=
-        {
-          src = a.stmt;
-          dst = b.stmt;
-          array = a.base;
-          ekind = kind_of ~src_write:a.write ~dst_write:b.write;
-          carrier = None;
-          distance = None;
-          directions = List.map (fun v -> (v, Eq)) nest;
-          exact;
-          reason;
-        }
-        :: !out
-    end;
+    (match if a.stmt <> b.stmt then same_instance ~box:a.box a b else None with
+    | None -> ()
+    | Some (exact, reason) ->
+        out :=
+          {
+            src = a.stmt;
+            dst = b.stmt;
+            array = a.base;
+            ekind = kind_of ~src_write:a.write ~dst_write:b.write;
+            carrier = None;
+            distance = None;
+            directions = List.map (fun v -> (v, Eq)) nest;
+            exact;
+            reason;
+          }
+          :: !out);
     (* carried on each common loop, outer loops pinned equal *)
     let rec loop_over outer = function
       | [] -> ()
@@ -544,24 +531,22 @@ let edges_between ~nest a b =
             | Box.Unknown -> 1
           in
           let directed src dst =
-            if carried_from ~carrier ~outer src dst then begin
-              let exact, reason =
-                exactness_of ~carrier ~carrier_range ~outer src dst
-              in
-              out :=
-                {
-                  src = src.stmt;
-                  dst = dst.stmt;
-                  array = src.base;
-                  ekind = kind_of ~src_write:src.write ~dst_write:dst.write;
-                  carrier = Some carrier;
-                  distance = strong_siv_distance ~carrier ~step:carrier_step src dst;
-                  directions = directions_for ~nest ~carrier:(Some carrier);
-                  exact;
-                  reason;
-                }
-                :: !out
-            end
+            match carried_from ~carrier ~outer src dst with
+            | None -> ()
+            | Some (exact, reason) ->
+                out :=
+                  {
+                    src = src.stmt;
+                    dst = dst.stmt;
+                    array = src.base;
+                    ekind = kind_of ~src_write:src.write ~dst_write:dst.write;
+                    carrier = Some carrier;
+                    distance = strong_siv_distance ~carrier ~step:carrier_step src dst;
+                    directions = directions_for ~nest ~carrier:(Some carrier);
+                    exact;
+                    reason;
+                  }
+                  :: !out
           in
           directed a b;
           if a.stmt <> b.stmt then directed b a;

@@ -77,8 +77,8 @@ type outcome = {
    it, an armed one-shot VM fault counts only this run's accesses. *)
 let final_memory ~seed c = snd (P.execute_with_memory ~seed ~check:false c)
 
-let run_case ?(scheme = P.Global_layout) ~machine ~point (prog : Program.t) =
-  let seed = 42 in
+let run_case ~machine ~point (prog : Program.t) =
+  let scheme = P.Global_layout and seed = 42 in
   (* Independent scalar oracle over the original program — a
      values-only run, computed before any fault is armed. *)
   let oracle = Slp_vm.Scalar_exec.final_memory ~seed ~machine prog in
@@ -86,13 +86,18 @@ let run_case ?(scheme = P.Global_layout) ~machine ~point (prog : Program.t) =
     match point with
     | Stage target ->
         P.compile_resilient ~on_stage:(injector ~target) ~scheme ~machine prog
-    | Fuel -> P.compile_resilient ~max_steps:0 ~scheme ~machine prog
+    | Fuel ->
+        P.compile_resilient
+          ~options:{ P.default_options with P.max_steps = Some 0 }
+          ~scheme ~machine prog
     | Solver_fuel ->
         (* A zero solver budget starves the exact scheme's search on
            every block.  The expected recovery is *advisory*: each
            block bails to the holistic heuristic under BAIL15 and the
            compile itself still succeeds (not degraded). *)
-        P.compile_resilient ~solver_steps:0 ~scheme:P.Optimal ~machine prog
+        P.compile_resilient
+          ~options:{ P.default_options with P.solver_steps = 0 }
+          ~scheme:P.Optimal ~machine prog
     | Vm_memory _ | Vm_cache _ ->
         (* VM faults are armed around execution only: the layout
            scheme's measured probe runs vector code during compile,
@@ -153,14 +158,14 @@ let run_case ?(scheme = P.Global_layout) ~machine ~point (prog : Program.t) =
 
 let default_machines = [ M.intel_dunnington; M.amd_phenom_ii ]
 
-let run_matrix ?(machines = default_machines) ?(points = all_points) () =
+let run_matrix () =
   List.concat_map
     (fun bench ->
       let prog = Slp_benchmarks.Suite.program bench in
       List.concat_map
         (fun machine ->
-          List.map (fun point -> run_case ~machine ~point prog) points)
-        machines)
+          List.map (fun point -> run_case ~machine ~point prog) all_points)
+        default_machines)
     Slp_benchmarks.Suite.all
 
 (* The fault-enabled fuzz campaign: generated kernels, a fault point

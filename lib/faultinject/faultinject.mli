@@ -38,23 +38,14 @@ type outcome = {
   ok : bool;  (** Recovery happened, code matched, memory identical. *)
 }
 
-val run_case :
-  ?scheme:Slp_pipeline.Pipeline.scheme ->
-  machine:Slp_machine.Machine.t ->
-  point:point ->
-  Slp_ir.Program.t ->
-  outcome
-(** One kernel, one injection point (default scheme
-    [Global_layout] — the deepest pipeline).  Never raises. *)
+val run_case : machine:Slp_machine.Machine.t -> point:point -> Slp_ir.Program.t -> outcome
+(** One kernel, one injection point, under [Global_layout] (the
+    deepest pipeline; [Solver_fuel] under [Optimal]).  Never raises. *)
 
 val default_machines : Slp_machine.Machine.t list
 (** The two evaluation machines. *)
 
-val run_matrix :
-  ?machines:Slp_machine.Machine.t list ->
-  ?points:point list ->
-  unit ->
-  outcome list
+val run_matrix : unit -> outcome list
 (** All 16 suite kernels x all injection points x both machines. *)
 
 val run_fuzz : ?cases:int -> seed:int -> unit -> outcome list

@@ -7,9 +7,6 @@ type config = {
   count : int;
   gen_options : Gen.options;
   schemes : Pipeline.scheme list;
-  machines : Slp_machine.Machine.t list;
-  shrink_checks : int;
-  solver_steps : int option;
 }
 
 let default_config =
@@ -18,13 +15,6 @@ let default_config =
     count = 300;
     gen_options = Gen.default_options;
     schemes = Pipeline.all_schemes;
-    machines = Oracle.default_machines;
-    shrink_checks = 400;
-    (* A fifth of the default budget: generated kernels are small, so
-       the exact search still proves optimality on almost all of them,
-       while a pathological draw bails instead of stalling the
-       campaign. *)
-    solver_steps = Some 4_000;
   }
 
 type failure_report = {
@@ -92,6 +82,22 @@ let agreement (d : Oracle.drift) =
     else if argmin pred = argmin meas then Some Agree
     else Some Disagree
 
+let check config ~index program =
+  let oracle p = Oracle.run ~schemes:config.schemes p in
+  let outcome = oracle program in
+  ( outcome,
+    if not (Oracle.failed outcome) then None
+    else
+      let still_fails p = Oracle.failed (oracle p) in
+      Some
+        {
+          case_index = index;
+          seed = config.seed;
+          program;
+          shrunk = Shrink.run ~max_checks:400 ~still_fails program;
+          failures = outcome.Oracle.failures;
+        } )
+
 let run ?(on_case = fun _ _ -> ()) config =
   let reports = ref [] in
   let drift_total = ref 0 and drift_agreements = ref 0 in
@@ -99,10 +105,7 @@ let run ?(on_case = fun _ _ -> ()) config =
   for index = 0 to config.count - 1 do
     let program = case_program config index in
     on_case index program;
-    let outcome =
-      Oracle.run ~schemes:config.schemes ~machines:config.machines
-        ?solver_steps:config.solver_steps program
-    in
+    let outcome, report = check config ~index program in
     List.iter
       (fun d ->
         match agreement d with
@@ -115,23 +118,7 @@ let run ?(on_case = fun _ _ -> ()) config =
               | Disagree -> drift_disagreements)
         | None -> ())
       outcome.Oracle.drifts;
-    if Oracle.failed outcome then begin
-      let still_fails p =
-        Oracle.failed
-          (Oracle.run ~schemes:config.schemes ~machines:config.machines
-             ?solver_steps:config.solver_steps p)
-      in
-      let shrunk = Shrink.run ~max_checks:config.shrink_checks ~still_fails program in
-      reports :=
-        {
-          case_index = index;
-          seed = config.seed;
-          program;
-          shrunk;
-          failures = outcome.Oracle.failures;
-        }
-        :: !reports
-    end
+    Option.iter (fun r -> reports := r :: !reports) report
   done;
   {
     cases = config.count;

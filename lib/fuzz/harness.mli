@@ -13,16 +13,12 @@ type config = {
   count : int;
   gen_options : Gen.options;
   schemes : Pipeline.scheme list;
-  machines : Slp_machine.Machine.t list;
-  shrink_checks : int;  (** Predicate-evaluation budget per shrink. *)
-  solver_steps : int option;
-      (** Cap on the [Optimal] scheme's per-block exact search;
-          [None] leaves the pipeline default. *)
 }
+(** Every case runs {!Oracle.run} on both evaluation machines, and a
+    failing one is shrunk within 400 oracle runs. *)
 
 val default_config : config
-(** Seed 42, 300 cases, all six schemes, both machines, solver fuel
-    capped at 4000 nodes per block. *)
+(** Seed 42, 300 cases, all six schemes. *)
 
 type failure_report = {
   case_index : int;
@@ -60,9 +56,13 @@ val case_program : config -> int -> Program.t
 (** The program of case [index] under this config — replay without
     running the campaign. *)
 
+val check : config -> index:int -> Program.t -> Oracle.outcome * failure_report option
+(** One case: the oracle's outcome over the config's schemes and,
+    when it fails, its report, shrunk with the oracle itself as the
+    predicate.  [index] names the case in the report. *)
+
 val run : ?on_case:(int -> Program.t -> unit) -> config -> stats
-(** Runs the campaign; failures are shrunk with the oracle itself as
-    the predicate (same schemes/machines). *)
+(** Runs the campaign, {!check}ing every case. *)
 
 val pp_report : Format.formatter -> failure_report -> unit
 (** Failure list, replay coordinates, and the shrunken kernel as

@@ -13,7 +13,14 @@ type drift = {
 
 type outcome = { failures : failure list; drifts : drift list }
 
-let default_machines = [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
+(* The paper's two evaluation machines, and the data seed of every run. *)
+let machines = [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
+let seed = 42
+
+(* A fifth of the default solver budget: generated kernels are small,
+   so the exact search still proves optimality on almost all of them,
+   while a pathological draw bails instead of stalling a campaign. *)
+let options = { Pipeline.default_options with Pipeline.solver_steps = 4_000 }
 let failed o = o.failures <> []
 
 let pp_failure ppf (f : failure) =
@@ -104,36 +111,50 @@ let fresh_name (prog : Program.t) base =
 
 (* [prog]'s body inside a repetition loop of 5-12 trips under a fresh
    index, so that the engine's one-core runs fast-forward it past their
-   warm-up and, when it settles, skip its values.  About half the
-   programs also store the index as a value into a fresh [i64] array
-   first, which makes every iteration write something new.  The trip
-   count and the shape follow from the program's source, so a replayed
-   or shrunk kernel is wrapped the same way. *)
+   warm-up and, when it settles, skip its values.  Half the programs
+   first store the index into an [i64] array, so every iteration writes
+   something new; an eighth store a scalar before writing it, and an
+   eighth write one only in a triangular loop (no trips at [i = 0]) and
+   store it after, so the second iteration stores what the first wrote:
+   the only shapes that reach the settle condition's written-before-read
+   rule, as [Gen] never reads a temporary first.  Trips and shape follow
+   from the source, so a replayed or shrunk kernel is wrapped alike. *)
 let repeated (prog : Program.t) =
   let h = Hashtbl.hash (Program.to_source prog) in
-  let index = fresh_name prog "rep" in
-  let env = Env.copy prog.Program.env in
-  let store =
-    if h / 8 mod 2 = 0 then []
-    else begin
-      let a = fresh_name prog "W" in
-      Env.declare_array env a Types.I64 [ 1 ];
-      [
-        Program.Stmts
-          (Block.make ~label:"bbw"
-             [
-               Stmt.make ~id:1
-                 ~lhs:(Operand.Elem (a, [ Affine.const 0 ]))
-                 ~rhs:(Expr.Leaf (Operand.Scalar index));
-             ]);
-      ]
-    end
+  let fresh = fresh_name prog and env = Env.copy prog.Program.env in
+  let index = fresh "rep" and w = fresh "W" and x = fresh "S" in
+  let stmts assigns =
+    let stmt i (lhs, rhs) = Stmt.make ~id:(i + 1) ~lhs ~rhs:(Expr.Leaf rhs) in
+    Program.Stmts (Block.make ~label:"bbw" (List.mapi stmt assigns))
+  in
+  let store ty n at v =
+    Env.declare_array env w ty [ n ];
+    (Operand.Elem (w, [ at ]), v)
+  in
+  let set_x = (Operand.Scalar x, Operand.Const 1.5) in
+  let prologue =
+    if h / 8 mod 2 = 1 then
+      [ stmts [ store Types.I64 1 (Affine.const 0) (Operand.Scalar index) ] ]
+    else (
+      if h / 16 mod 4 >= 2 then Env.declare_scalar env x Types.F64;
+      match h / 16 mod 4 with
+      | 2 -> [ stmts [ store Types.F64 1 (Affine.const 0) (Operand.Scalar x); set_x ] ]
+      | 3 ->
+          let i = fresh "tri" and j = fresh "trj" in
+          [
+            Program.loop i ~lo:(Affine.const 0) ~hi:(Affine.const 2)
+              [
+                Program.loop j ~lo:(Affine.const 0) ~hi:(Affine.var i) [ stmts [ set_x ] ];
+                stmts [ store Types.F64 2 (Affine.var i) (Operand.Scalar x) ];
+              ];
+          ]
+      | _ -> [])
   in
   Program.make ~name:prog.Program.name ~env
     [
       Program.loop index ~lo:(Affine.const 0)
         ~hi:(Affine.const (5 + (h mod 8)))
-        (store @ prog.Program.body);
+        (prologue @ prog.Program.body);
     ]
 
 (* The engine's one-core timed, values-only and timing-only runs of one
@@ -177,7 +198,7 @@ let late_settling (machine : Machine.t) =
     l3 = level 16 2 machine.Machine.l3;
   }
 
-let check_repeated ~fail ~seed ?solver_steps ~schemes machine prog =
+let check_repeated ~fail ~schemes machine prog =
   let wrapped = repeated prog in
   let machine = late_settling machine in
   let mname = machine.Machine.name ^ " (small caches)" in
@@ -194,7 +215,7 @@ let check_repeated ~fail ~seed ?solver_steps ~schemes machine prog =
   List.iter
     (fun scheme ->
       let fail = fail ~scheme:(Pipeline.scheme_name scheme) ~machine:mname ~stage:"repeat" in
-      match Pipeline.compile ~verify:false ?solver_steps ~scheme ~machine wrapped with
+      match Pipeline.compile ~verify:false ~options ~scheme ~machine wrapped with
       | exception exn -> fail ("compile raised " ^ Printexc.to_string exn)
       | { Pipeline.vector = None; _ } -> ()
       | { Pipeline.vector = Some vprog; scalar_offsets; _ } ->
@@ -218,8 +239,7 @@ let check_repeated ~fail ~seed ?solver_steps ~schemes machine prog =
 
 (* -- the oracle ---------------------------------------------------- *)
 
-let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed = 42)
-    ?solver_steps ?(mutate = fun v -> v) (prog : Program.t) =
+let run ?(schemes = Pipeline.all_schemes) ?(mutate = fun v -> v) (prog : Program.t) =
   match Program.validate prog with
   | Error msg ->
       {
@@ -280,8 +300,7 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
             (fun scheme ->
               let sname = Pipeline.scheme_name scheme in
               match
-                Pipeline.compile ~verify:true ?solver_steps ~scheme ~machine
-                  prog
+                Pipeline.compile ~verify:true ~options ~scheme ~machine prog
               with
               | exception Slp_verify.Verify.Verification_failed (what, report) ->
                   fail ~scheme:sname ~machine:mname ~stage:"verify"
@@ -351,7 +370,7 @@ let run ?(schemes = Pipeline.all_schemes) ?(machines = default_machines) ?(seed 
                     end
                 end)
             schemes;
-          check_repeated ~fail ~seed ?solver_steps ~schemes machine prog;
+          check_repeated ~fail ~schemes machine prog;
           drifts :=
             { machine = mname; predicted = List.rev !predicted; measured = List.rev !measured }
             :: !drifts)

@@ -54,25 +54,22 @@ type drift = {
 
 type outcome = { failures : failure list; drifts : drift list }
 
-val default_machines : Slp_machine.Machine.t list
-(** The paper's two evaluation machines. *)
+val options : Pipeline.options
+(** The options of every fuzz compile (a campaign, a replay, the gap
+    report's sample): the defaults with the [Optimal] scheme's exact
+    search capped at 4,000 steps per block, so that a pathological
+    kernel bails to the heuristic, still checked, instead of stalling. *)
 
 val run :
   ?schemes:Pipeline.scheme list ->
-  ?machines:Slp_machine.Machine.t list ->
-  ?seed:int ->
-  ?solver_steps:int ->
   ?mutate:(Slp_vm.Visa.program -> Slp_vm.Visa.program) ->
   Program.t ->
   outcome
-(** [mutate] (identity by default) is applied to each compiled vector
-    program before execution — the hook used to inject deliberate
-    miscompiles when testing the shrinker against the real oracle.
-
-    [solver_steps] caps the [Optimal] scheme's per-block exact search
-    (a fuzz campaign cannot afford a pathological kernel holding the
-    full default budget); exhaustion is an advisory bail to the
-    heuristic, which the oracle still checks end-to-end. *)
+(** On the paper's two evaluation machines, with arrays initialised
+    from seed 42; every compile runs under {!options}.  [mutate] (identity by
+    default) is applied to each compiled vector program before
+    execution — the hook used to inject deliberate miscompiles when
+    testing the shrinker against the real oracle. *)
 
 val failed : outcome -> bool
 val pp_failure : Format.formatter -> failure -> unit
@@ -85,7 +82,7 @@ val miscompile : Slp_vm.Visa.program -> Slp_vm.Visa.program
 
 val repeated : Program.t -> Program.t
 (** The program the [repeat] stage runs: the body inside a repetition
-    loop of 5-12 trips under an index the program does not use, and,
-    for about half the programs, a store of that index as a value into
-    a fresh [i64] array at the top of the loop.  Deterministic in the
-    program's source. *)
+    loop of 5-12 trips under an index the program does not use, after
+    a prologue under fresh names that stores the index, or a scalar
+    read before its write, or a scalar written only in a triangular
+    loop.  Deterministic in the program's source. *)

@@ -332,33 +332,29 @@ let compile_overhead () =
 let ablations () =
   let module G = Slp_core.Grouping in
   let module S = Slp_core.Schedule in
+  let grouping g = { Pipeline.default_options with Pipeline.grouping = g } in
+  let schedule s = { Pipeline.default_options with Pipeline.schedule = s } in
   let configs =
     [
-      ("paper default", G.default_options, S.default_options);
+      ("paper default", Pipeline.default_options);
       ( "weights computed once",
-        { G.default_options with G.recompute_weights = false },
-        S.default_options );
+        grouping { G.default_options with G.recompute_weights = false } );
       ( "arbitrary conflict elimination",
-        { G.default_options with G.elimination = Slp_core.Groupgraph.Arbitrary },
-        S.default_options );
-      ( "no scatter penalty",
-        { G.default_options with G.scatter_penalty = 0.0 },
-        S.default_options );
+        grouping { G.default_options with G.elimination = Slp_core.Groupgraph.Arbitrary } );
+      ("no scatter penalty", grouping { G.default_options with G.scatter_penalty = 0.0 });
       ( "program-order scheduling",
-        G.default_options,
-        { S.default_options with S.selection = S.Program_order } );
+        schedule { S.default_options with S.selection = S.Program_order } );
       ( "exhaustive lane-order search",
-        G.default_options,
-        { S.default_options with S.ordering_search = S.Exhaustive } );
+        schedule { S.default_options with S.ordering_search = S.Exhaustive } );
     ]
   in
-  let evaluate (grouping_options, schedule_options) =
+  let evaluate options =
     List.fold_left
       (fun (cycles, scalar, reuses, correct) (b : Suite.t) ->
         let prog = Suite.program b in
         let c =
-          Pipeline.compile ~unroll:b.Suite.unroll ~grouping_options ~schedule_options
-            ~scheme:Pipeline.Global ~machine:intel prog
+          Pipeline.compile ~unroll:b.Suite.unroll ~options ~scheme:Pipeline.Global
+            ~machine:intel prog
         in
         let r = Pipeline.execute c in
         let s =
@@ -388,8 +384,8 @@ let ablations () =
   in
   let rows =
     List.map
-      (fun (name, go, so) ->
-        let cycles, scalar, reuses, correct = evaluate (go, so) in
+      (fun (name, options) ->
+        let cycles, scalar, reuses, correct = evaluate options in
         [
           name;
           pct (1.0 -. (cycles /. scalar));
@@ -418,7 +414,8 @@ let reuse_value () =
         let prog = Suite.program b in
         let run register_reuse =
           let c =
-            Pipeline.compile ~unroll:b.Suite.unroll ~register_reuse
+            Pipeline.compile ~unroll:b.Suite.unroll
+              ~options:{ Pipeline.default_options with Pipeline.register_reuse }
               ~scheme:Pipeline.Global ~machine:intel prog
           in
           Pipeline.execute c

@@ -64,39 +64,36 @@ let modeled_cost ~params (c : Pipeline.compiled) =
   | Some plan -> Optimal.modeled_cost ~params plan
   | None -> scalar_modeled_cost ~params c.Pipeline.reference
 
-(* The layout stage rewrites array placement, which the block-local
-   cost model cannot see; a layout-transformed compile is only
-   cost-comparable when the stage was skipped. *)
-let comparable (c : Pipeline.compiled) =
-  c.Pipeline.replica_count = 0 && c.Pipeline.scalar_offsets = []
-
-let cycles_of c = Counters.total_cycles (Pipeline.timing c)
-
-let suite_entry ?solver_steps ~machine (b : Suite.t) =
-  let prog = Suite.program b in
-  let params = Pipeline.params_of_machine machine in
-  let compile scheme =
-    Pipeline.compile ~unroll:b.Suite.unroll ~verify:false ?solver_steps ~scheme
-      ~machine prog
-  in
+(* The optimum, and each scheme's compile with its modeled cost, its
+   gap to the optimum, and whether the two compare: the layout stage
+   rewrites array placement, which the block-local cost model cannot
+   see, so a [Global_layout] compile compares only when the stage was
+   skipped. *)
+let against_optimum ~params ~compile schemes =
   let opt = compile Pipeline.Optimal in
   let opt_cost = modeled_cost ~params opt in
-  let schemes =
+  ( opt,
+    opt_cost,
     List.map
       (fun scheme ->
         let c = compile scheme in
         let cost = modeled_cost ~params c in
-        {
-          g_scheme = Pipeline.scheme_name scheme;
-          g_cost = cost;
-          g_cycles = cycles_of c;
-          g_gap = cost -. opt_cost;
-          g_comparable =
-            (match scheme with
-            | Pipeline.Global_layout -> comparable c
-            | _ -> true);
-        })
-      heuristics
+        let comparable =
+          scheme <> Pipeline.Global_layout
+          || (c.Pipeline.replica_count = 0 && c.Pipeline.scalar_offsets = [])
+        in
+        (scheme, c, cost, cost -. opt_cost, comparable))
+      schemes )
+
+let cycles_of c = Counters.total_cycles (Pipeline.timing c)
+
+let suite_entry ~machine (b : Suite.t) =
+  let prog = Suite.program b in
+  let compile scheme =
+    Pipeline.compile ~unroll:b.Suite.unroll ~verify:false ~scheme ~machine prog
+  in
+  let opt, opt_cost, gaps =
+    against_optimum ~params:(Pipeline.params_of_machine machine) ~compile heuristics
   in
   {
     e_kernel = b.Suite.name;
@@ -106,16 +103,25 @@ let suite_entry ?solver_steps ~machine (b : Suite.t) =
     e_optimal_cycles = cycles_of opt;
     e_compile_seconds = opt.Pipeline.compile_seconds;
     e_solver_bails = List.length opt.Pipeline.solver_bails;
-    e_schemes = schemes;
+    e_schemes =
+      List.map
+        (fun (scheme, c, cost, gap, comparable) ->
+          {
+            g_scheme = Pipeline.scheme_name scheme;
+            g_cost = cost;
+            g_cycles = cycles_of c;
+            g_gap = gap;
+            g_comparable = comparable;
+          })
+        gaps;
   }
 
-let default_machines = [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
+let machines = [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
 
-let suite_report ?solver_steps ?(machines = default_machines) () =
+let suite_report () =
   let entries =
     List.concat_map
-      (fun (b : Suite.t) ->
-        List.map (fun machine -> suite_entry ?solver_steps ~machine b) machines)
+      (fun (b : Suite.t) -> List.map (fun machine -> suite_entry ~machine b) machines)
       Suite.all
   in
   let seconds =
@@ -134,8 +140,6 @@ type fuzz_scheme_stat = {
 
 type fuzz_summary = {
   f_cases : int;
-  f_seed : int;
-  f_solver_steps : int;
   f_bailed : int;  (** Cases where at least one block hit the solver budget. *)
   f_violations : int;  (** Comparable cases where a heuristic beat "optimal". *)
   f_stats : fuzz_scheme_stat list;
@@ -145,23 +149,28 @@ let fuzz_heuristics =
   [ Pipeline.Native; Pipeline.Slp; Pipeline.Global; Pipeline.Global_layout ]
 
 let default_fuzz_cases = 1000
-let default_fuzz_solver_steps = 4_000
+let fuzz_seed = 2024
 
-(* Modeled costs only, single machine: the corpus exists to expose
-   heuristic/optimal cost gaps (and would flag any dominance
-   violation), not to re-run the differential execution oracle the
-   fuzzer already applies. *)
-let fuzz_sample ?(cases = default_fuzz_cases) ?(seed = 2024)
-    ?(solver_steps = default_fuzz_solver_steps) () =
+(* Modeled costs only, single machine, under the fuzz oracle's
+   options: the corpus exists to expose heuristic/optimal cost gaps
+   (and would flag any dominance violation), not to re-run the
+   differential execution oracle the fuzzer already applies. *)
+let fuzz_sample ?(cases = default_fuzz_cases) () =
   let machine = Machine.intel_dunnington in
   let params = Pipeline.params_of_machine machine in
-  let rng = Slp_util.Prng.create seed in
+  let rng = Slp_util.Prng.create fuzz_seed in
   let bailed = ref 0 and violations = ref 0 in
-  let improved = Hashtbl.create 7
-  and total_gap = Hashtbl.create 7
-  and max_gap = Hashtbl.create 7 in
-  let bump tbl name f =
-    Hashtbl.replace tbl name (f (Option.value ~default:0.0 (Hashtbl.find_opt tbl name)))
+  let stats =
+    ref
+      (List.map
+         (fun scheme ->
+           {
+             f_scheme = Pipeline.scheme_name scheme;
+             f_improved = 0;
+             f_total_gap = 0.0;
+             f_max_gap = 0.0;
+           })
+         fuzz_heuristics)
   in
   for i = 0 to cases - 1 do
     let prog =
@@ -170,49 +179,27 @@ let fuzz_sample ?(cases = default_fuzz_cases) ?(seed = 2024)
         (Slp_util.Prng.create (Slp_util.Prng.int rng 1_000_000_000))
     in
     let compile scheme =
-      Pipeline.compile ~verify:false ~solver_steps ~scheme ~machine prog
+      Pipeline.compile ~verify:false ~options:Slp_fuzz.Oracle.options ~scheme ~machine
+        prog
     in
-    let opt = compile Pipeline.Optimal in
-    let opt_cost = modeled_cost ~params opt in
+    let opt, _, gaps = against_optimum ~params ~compile fuzz_heuristics in
     if opt.Pipeline.solver_bails <> [] then incr bailed;
-    List.iter
-      (fun scheme ->
-        let name = Pipeline.scheme_name scheme in
-        let c = compile scheme in
-        let cost = modeled_cost ~params c in
-        let gap = cost -. opt_cost in
-        let is_comparable =
-          match scheme with
-          | Pipeline.Global_layout -> comparable c
-          | _ -> true
-        in
-        if is_comparable then begin
-          if gap < -1e-6 then incr violations;
-          if gap > 1e-9 then bump improved name (fun v -> v +. 1.0);
-          bump total_gap name (fun v -> v +. Float.max 0.0 gap);
-          bump max_gap name (fun v -> Float.max v gap)
-        end)
-      fuzz_heuristics
+    stats :=
+      List.map2
+        (fun st (_, _, _, gap, comparable) ->
+          if not comparable then st
+          else begin
+            if gap < -1e-6 then incr violations;
+            {
+              st with
+              f_improved = (st.f_improved + if gap > 1e-9 then 1 else 0);
+              f_total_gap = st.f_total_gap +. Float.max 0.0 gap;
+              f_max_gap = Float.max st.f_max_gap gap;
+            }
+          end)
+        !stats gaps
   done;
-  let get tbl name = Option.value ~default:0.0 (Hashtbl.find_opt tbl name) in
-  {
-    f_cases = cases;
-    f_seed = seed;
-    f_solver_steps = solver_steps;
-    f_bailed = !bailed;
-    f_violations = !violations;
-    f_stats =
-      List.map
-        (fun scheme ->
-          let name = Pipeline.scheme_name scheme in
-          {
-            f_scheme = name;
-            f_improved = int_of_float (get improved name);
-            f_total_gap = get total_gap name;
-            f_max_gap = get max_gap name;
-          })
-        fuzz_heuristics;
-  }
+  { f_cases = cases; f_bailed = !bailed; f_violations = !violations; f_stats = !stats }
 
 (* -- JSON -------------------------------------------------------------- *)
 
@@ -249,8 +236,9 @@ let fuzz_json f =
   J.Obj
     [
       ("cases", J.Num (float_of_int f.f_cases));
-      ("seed", J.Num (float_of_int f.f_seed));
-      ("solver_steps", J.Num (float_of_int f.f_solver_steps));
+      ("seed", J.Num (float_of_int fuzz_seed));
+      ( "solver_steps",
+        J.Num (float_of_int Slp_fuzz.Oracle.options.Pipeline.solver_steps) );
       ("bailed_cases", J.Num (float_of_int f.f_bailed));
       ("dominance_violations", J.Num (float_of_int f.f_violations));
       ( "schemes",
@@ -274,11 +262,6 @@ let to_json ~entries ~suite_seconds ~fuzz =
       ("kernels", J.Arr (List.map entry_json entries));
       ("fuzz", fuzz_json fuzz);
     ]
-
-let report_json ?fuzz_cases ?fuzz_seed ?solver_steps () =
-  let entries, suite_seconds = suite_report () in
-  let fuzz = fuzz_sample ?cases:fuzz_cases ?seed:fuzz_seed ?solver_steps () in
-  J.to_string (to_json ~entries ~suite_seconds ~fuzz)
 
 (* One human line per machine for the experiments CLI. *)
 let summary_lines entries =
@@ -305,4 +288,4 @@ let summary_lines entries =
       Printf.sprintf
         "%s: every heuristic already optimal on %d/%d kernels; %d solver bail(s)"
         machine.Machine.name tight (List.length on_machine) bails)
-    default_machines
+    machines

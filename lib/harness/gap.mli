@@ -30,19 +30,11 @@ type entry = {
   e_schemes : scheme_gap list;
 }
 
-val heuristics : Slp_pipeline.Pipeline.scheme list
-(** The schemes compared against the optimum (everything but
-    [Optimal] itself). *)
-
-val default_machines : Slp_machine.Machine.t list
-
-val suite_report :
-  ?solver_steps:int ->
-  ?machines:Slp_machine.Machine.t list ->
-  unit ->
-  entry list * float
-(** All suite kernels x machines, plus the total Optimal-scheme
-    compile seconds — the figure the CI smoke guard budgets. *)
+val suite_report : unit -> entry list * float
+(** All suite kernels x both evaluation machines, compiled under
+    {!Slp_pipeline.Pipeline.default_options}, plus the total
+    Optimal-scheme compile seconds — the figure the CI smoke guard
+    budgets. *)
 
 type fuzz_scheme_stat = {
   f_scheme : string;
@@ -53,8 +45,6 @@ type fuzz_scheme_stat = {
 
 type fuzz_summary = {
   f_cases : int;
-  f_seed : int;
-  f_solver_steps : int;
   f_bailed : int;  (** Cases where at least one block hit the solver budget. *)
   f_violations : int;
       (** Comparable cases where a heuristic priced below "optimal" —
@@ -62,9 +52,9 @@ type fuzz_summary = {
   f_stats : fuzz_scheme_stat list;
 }
 
-val fuzz_sample :
-  ?cases:int -> ?seed:int -> ?solver_steps:int -> unit -> fuzz_summary
-(** Generated kernels on the Intel machine, modeled costs only
+val fuzz_sample : ?cases:int -> unit -> fuzz_summary
+(** Generated kernels (drawn from seed 2024) on the Intel machine,
+    compiled under {!Slp_fuzz.Oracle.options}, modeled costs only
     (execution is the fuzzer's job, not the gap report's). *)
 
 val to_json :
@@ -72,11 +62,6 @@ val to_json :
   suite_seconds:float ->
   fuzz:fuzz_summary ->
   Slp_obs.Json.t
-
-val report_json :
-  ?fuzz_cases:int -> ?fuzz_seed:int -> ?solver_steps:int -> unit -> string
-(** The full report: [suite_compile_seconds], per-kernel entries, and
-    the fuzz summary. *)
 
 val summary_lines : entry list -> string list
 (** One human-readable line per machine for the CLI. *)

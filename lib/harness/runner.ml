@@ -27,16 +27,16 @@ let cache : (key, measurement) Hashtbl.t = Hashtbl.create 128
 let pool = lazy (Slp_vm.Dpool.create ())
 let domain_pool () = Lazy.force pool
 
-(* Resilient mode: a kernel whose compilation fails under some scheme
-   is measured as its scalar degradation instead of aborting the whole
-   experiment run; bailouts accumulate for the final report. *)
-let resilient_mode = ref false
-let max_steps = ref None
+(* Resilient mode, with its compile options: a kernel whose
+   compilation fails under some scheme is measured as its scalar
+   degradation instead of aborting the whole experiment run; bailouts
+   accumulate for the final report. *)
+let resilient = ref None
 let collected_bailouts : Pipeline.bailout list ref = ref []
 
 let set_resilient ?steps on =
-  resilient_mode := on;
-  max_steps := steps
+  resilient :=
+    if on then Some { Pipeline.default_options with Pipeline.max_steps = steps } else None
 
 let bailouts () = List.rev !collected_bailouts
 let clear_bailouts () = collected_bailouts := []
@@ -57,21 +57,16 @@ let measure ?(cores = 1) ~machine ~scheme (b : Suite.t) =
       let prog = Suite.program b in
       let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
       let compiled =
-        if !resilient_mode then begin
-          let r =
-            match !max_steps with
-            | Some steps ->
-                Pipeline.compile_resilient ~unroll ~max_steps:steps ~scheme ~machine
-                  prog
-            | None -> Pipeline.compile_resilient ~unroll ~scheme ~machine prog
-          in
-          collected_bailouts := List.rev_append r.Pipeline.bailouts !collected_bailouts;
-          r.Pipeline.result
-        end
-        else Pipeline.compile ~unroll ~scheme ~machine prog
+        match !resilient with
+        | Some options ->
+            let r = Pipeline.compile_resilient ~unroll ~options ~scheme ~machine prog in
+            collected_bailouts := List.rev_append r.Pipeline.bailouts !collected_bailouts;
+            r.Pipeline.result
+        | None -> Pipeline.compile ~unroll ~scheme ~machine prog
       in
       let r, exec_error =
-        if !resilient_mode then Pipeline.execute_resilient ~cores ~check:(cores = 1) compiled
+        if Option.is_some !resilient then
+          Pipeline.execute_resilient ~cores ~check:(cores = 1) compiled
         else
           ( Pipeline.execute ~cores ~check:(cores = 1)
               ?pool:(if cores > 1 then Some (domain_pool ()) else None)

@@ -86,6 +86,25 @@ let query_for ~config (prog : Program.t) =
       Cost.scalar_live_out = Slp_analysis.Liveness.demanded liveness block;
     }
 
+type options = {
+  grouping : Slp_core.Grouping.options;
+  schedule : Slp_core.Schedule.options;
+  register_reuse : bool;
+  max_steps : int option;
+  solver_steps : int;
+}
+
+let default_options =
+  {
+    grouping = Slp_core.Grouping.default_options;
+    schedule = Slp_core.Schedule.default_options;
+    register_reuse = true;
+    max_steps = None;
+    solver_steps = Slp_core.Optimal.default_solver_steps;
+  }
+
+let default_unroll (machine : M.t) = max 1 (machine.M.simd_bits / 64)
+
 type exec_result = { counters : Slp_vm.Counters.t; correct : bool }
 
 (* The one run of a compiled kernel in the library.  The measured run
@@ -136,9 +155,8 @@ let timing_of ~machine ~scalar_offsets (reference : Program.t) = function
    failing. *)
 let stage_hook_points = [ "prepare"; "plan"; "layout"; "lower"; "regalloc"; "verify" ]
 
-let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
-    ?(verify = true) ?on_stage ?max_steps ?deadline ?solver_steps
-    ?(obs = Obs.none) ~scheme ~machine (prog : Program.t) =
+let compile ?unroll ?(options = default_options) ?(verify = true) ?on_stage
+    ?deadline ?(obs = Obs.none) ~scheme ~machine (prog : Program.t) =
   let stage name =
     (* Cooperative deadline enforcement at every stage boundary; the
        fuel below additionally checks mid-pass. *)
@@ -150,7 +168,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
      deadline with no step budget still wants mid-pass checks, so it
      rides on an effectively-unbounded fuel. *)
   let fuel pass =
-    match (max_steps, deadline) with
+    match (options.max_steps, deadline) with
     | None, None -> None
     | budget, _ ->
         Some
@@ -160,9 +178,7 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
   in
   let grouping_fuel = fuel E.Grouping in
   let schedule_fuel = fuel E.Scheduling in
-  let unroll_factor =
-    match unroll with Some u -> u | None -> max 1 (machine.M.simd_bits / 64)
-  in
+  let unroll_factor = Option.value unroll ~default:(default_unroll machine) in
   let config = config_of_machine machine in
   let params = params_of_machine machine in
   stage "prepare";
@@ -175,7 +191,8 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
   (* Every lowering honours [register_reuse]; Global+Layout's plain
      variant, lowered only for the arbitration, passes [Obs.none]. *)
   let lower ~obs =
-    Slp_codegen.Lower.lower_with_origins ~obs ~machine ~reuse:register_reuse
+    Slp_codegen.Lower.lower_with_origins ~obs ~machine
+      ~reuse:options.register_reuse
   in
   (* Advisory bailouts of the exact pack solver: the compile still
      succeeds (the affected blocks carry the heuristic's plan), but the
@@ -200,9 +217,9 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
     { Driver.program = prepared; plans = List.map plan_site sites }
   in
   let holistic ?obs query site =
-    Driver.optimize_block ?obs ?options:grouping_options ?schedule_options
-      ?grouping_fuel ?schedule_fuel ~params ~env ~config ~query:(query site)
-      site
+    Driver.optimize_block ?obs ~options:options.grouping
+      ~schedule_options:options.schedule ?grouping_fuel ?schedule_fuel ~params
+      ~env ~config ~query:(query site) site
   in
   (* A baseline is its grouper under the one gate, scheduled the
      Larsen way; it plans silently. *)
@@ -255,8 +272,9 @@ let compile ?unroll ?grouping_options ?schedule_options ?(register_reuse = true)
                 (List.combine (Driver.sites ~precise:true prepared) seeds)
                 (fun (site, seeds) ->
                   let plan, bail, _stats =
-                    Slp_core.Optimal.plan_block ~obs ~params ~seeds ?solver_steps
-                      ?grouping_fuel ?schedule_fuel ~env ~config
+                    Slp_core.Optimal.plan_block ~obs ~params ~seeds
+                      ~solver_steps:options.solver_steps ?grouping_fuel
+                      ?schedule_fuel ~env ~config
                       ~query:(query site) site
                   in
                   Option.iter (fun b -> bails := b :: !bails) bail;
@@ -497,16 +515,18 @@ let identity_compiled ~machine (prog : Program.t) =
     solver_bails = [];
   }
 
-let compile_resilient ?unroll ?grouping_options ?schedule_options ?register_reuse
-    ?verify ?on_stage ?(max_steps = 2_000_000) ?deadline ?solver_steps ?obs
-    ~scheme ~machine (prog : Program.t) =
+let compile_resilient ?unroll ?(options = default_options) ?verify ?on_stage
+    ?deadline ?obs ~scheme ~machine (prog : Program.t) =
   let bail exn =
     { kernel = prog.Program.name; scheme; machine = machine.M.name;
       error = error_of_exn exn }
   in
+  let options =
+    { options with max_steps = Some (Option.value options.max_steps ~default:2_000_000) }
+  in
   match
-    compile ?unroll ?grouping_options ?schedule_options ?register_reuse ?verify
-      ?on_stage ~max_steps ?deadline ?solver_steps ?obs ~scheme ~machine prog
+    compile ?unroll ~options ?verify ?on_stage ?deadline ?obs ~scheme ~machine
+      prog
   with
   | c -> { result = c; degraded = false; bailouts = [] }
   | exception exn -> begin

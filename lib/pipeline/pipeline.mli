@@ -72,6 +72,40 @@ val params_of_machine : Slp_machine.Machine.t -> Slp_core.Cost.params
     (memory operations priced at an L1 hit).  Exposed so reports and
     tests can price plans exactly as the pipeline's gate does. *)
 
+(** {1 Compile options}
+
+    The settings that change what a compile produces, in one record,
+    so that every scheme compiles under the same explicit settings and
+    a caller cannot drop or re-key one of them on the way down.  The
+    compile service keys its cache on the resolved value
+    ({!Slp_serve.Ckey}). *)
+
+type options = {
+  grouping : Slp_core.Grouping.options;  (** [Global] and [Global_layout]'s grouper. *)
+  schedule : Slp_core.Schedule.options;  (** Their scheduler. *)
+  register_reuse : bool;
+      (** Lowering keeps superwords in vector registers across
+          statements. *)
+  max_steps : int option;
+      (** Independent step budgets of the grouping and scheduling
+          passes; exhaustion raises {!Slp_util.Slp_error.Error} with
+          code [Fuel_exhausted].  [None]: unbounded. *)
+  solver_steps : int;
+      (** Per-block budget of the [Optimal] scheme's exact search;
+          exhaustion falls back to the heuristic, with a [BAIL15]
+          record in [compiled.solver_bails], and the compile succeeds. *)
+}
+
+val default_options : options
+(** The paper's configuration: {!Slp_core.Grouping.default_options},
+    {!Slp_core.Schedule.default_options}, register reuse on, no step
+    budget, and {!Slp_core.Optimal.default_solver_steps}. *)
+
+val default_unroll : Slp_machine.Machine.t -> int
+(** The unroll factor a compile uses when none is given: the machine's
+    f64 lane count ([simd_bits/64]), which exactly fills the datapath
+    for double kernels and half-fills it for floats. *)
+
 val stage_hook_points : string list
 (** The names passed to [compile ~on_stage], in pipeline order:
     ["prepare"], ["plan"], ["layout"], ["lower"], ["regalloc"],
@@ -80,22 +114,22 @@ val stage_hook_points : string list
 
 val compile :
   ?unroll:int ->
-  ?grouping_options:Slp_core.Grouping.options ->
-  ?schedule_options:Slp_core.Schedule.options ->
-  ?register_reuse:bool ->
+  ?options:options ->
   ?verify:bool ->
   ?on_stage:(string -> unit) ->
-  ?max_steps:int ->
   ?deadline:Slp_util.Slp_error.Deadline.t ->
-  ?solver_steps:int ->
   ?obs:Slp_obs.Obs.t ->
   scheme:scheme ->
   machine:Slp_machine.Machine.t ->
   Program.t ->
   compiled
-(** Default [unroll]: the machine's f64 lane count ([simd_bits/64]),
-    the factor that exactly fills the datapath for double kernels and
-    half-fills it for floats.
+(** [options] (default {!default_options}) holds every setting that
+    changes the result but the unroll factor.
+
+    [unroll] (default {!default_unroll}) changes the result too, but
+    stays an argument: its default depends on the machine, which
+    {!default_options} cannot know, and benchmark drivers pass it by
+    label.  The other arguments only observe or limit a run.
 
     [verify] (default true) runs the {!Slp_verify} checkers after
     every stage — prepared IR, plan (pack/schedule legality), lowered
@@ -107,23 +141,12 @@ val compile :
     the stage runs; an exception raised from the hook aborts the
     compile (the fault-injection harness's entry point).
 
-    [max_steps] bounds the grouping and scheduling passes with
-    independent step budgets; exhaustion raises
-    {!Slp_util.Slp_error.Error} with code [Fuel_exhausted].  Omitted:
-    unbounded.
-
     [deadline] enforces a per-job wall-clock budget cooperatively: it
     is checked at every stage boundary and every few hundred fuel
     ticks inside grouping/scheduling, raising
     {!Slp_util.Slp_error.Error} with code [Deadline_exceeded]
     (BAIL16).  The compile service and [slpc --timeout] build one over
     {!Slp_obs.Clock.now}.
-
-    [solver_steps] bounds the per-block exact search of the [Optimal]
-    scheme (default {!Slp_core.Optimal.default_solver_steps});
-    exhaustion does not fail the compile — the block falls back to the
-    holistic heuristic and a [BAIL15] record lands in
-    [compiled.solver_bails].
 
     [obs] (default {!Slp_obs.Obs.none}, a no-op) attaches the
     observability bundle: every stage of {!stage_hook_points} (plus
@@ -226,14 +249,10 @@ type resilient = {
 
 val compile_resilient :
   ?unroll:int ->
-  ?grouping_options:Slp_core.Grouping.options ->
-  ?schedule_options:Slp_core.Schedule.options ->
-  ?register_reuse:bool ->
+  ?options:options ->
   ?verify:bool ->
   ?on_stage:(string -> unit) ->
-  ?max_steps:int ->
   ?deadline:Slp_util.Slp_error.Deadline.t ->
-  ?solver_steps:int ->
   ?obs:Slp_obs.Obs.t ->
   scheme:scheme ->
   machine:Slp_machine.Machine.t ->
@@ -243,8 +262,8 @@ val compile_resilient :
     kernel is recompiled under [Scalar] (without hooks, fuel,
     [deadline], or [obs] — the fallback must not inherit the failure
     trigger), and if even that fails the unprocessed program ships
-    with no vector code.  [max_steps] defaults to [2_000_000].  Never
-    raises. *)
+    with no vector code.  An unset [options.max_steps] is bounded at
+    [2_000_000].  Never raises. *)
 
 val execute_resilient :
   ?cores:int ->

@@ -74,10 +74,30 @@ let execute_payload ~obs ~(spec : Proto.spec) (c : P.compiled) =
       ("correct", Json.Bool r.P.correct);
     ]
 
+let named ~(spec : Proto.spec) = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "name" then (k, Json.Str spec.Proto.name) else (k, v))
+           fields)
+  | payload -> payload
+
 let payload ~obs ~op ~spec c =
   match (op : Proto.jobop) with
   | Proto.Compile -> compile_payload ~spec c
   | Proto.Execute -> execute_payload ~obs ~spec c
+
+let unroll (spec : Proto.spec) =
+  Option.value spec.Proto.unroll ~default:(P.default_unroll spec.Proto.machine)
+
+let options (spec : Proto.spec) =
+  {
+    P.default_options with
+    P.max_steps = spec.Proto.max_steps;
+    solver_steps =
+      Option.value spec.Proto.solver_steps
+        ~default:P.default_options.P.solver_steps;
+  }
 
 let deadline_of ?(clock = Fault.now) (spec : Proto.spec) =
   Option.map (fun seconds -> E.Deadline.create ~clock ~seconds) spec.Proto.timeout
@@ -85,8 +105,7 @@ let deadline_of ?(clock = Fault.now) (spec : Proto.spec) =
 let run ?clock ?(obs = Obs.none) ~op ~(spec : Proto.spec) prog =
   let deadline = deadline_of ?clock spec in
   match
-    P.compile ?unroll:spec.Proto.unroll ?max_steps:spec.Proto.max_steps
-      ?solver_steps:spec.Proto.solver_steps ?deadline ~obs
+    P.compile ~unroll:(unroll spec) ~options:(options spec) ?deadline ~obs
       ~on_stage:Fault.stage_hook ~scheme:spec.Proto.scheme
       ~machine:spec.Proto.machine prog
   with
@@ -98,9 +117,8 @@ let run ?clock ?(obs = Obs.none) ~op ~(spec : Proto.spec) prog =
 
 let run_degraded ~op ~(spec : Proto.spec) prog =
   let r =
-    P.compile_resilient ?unroll:spec.Proto.unroll ?max_steps:spec.Proto.max_steps
-      ?solver_steps:spec.Proto.solver_steps ~scheme:spec.Proto.scheme
-      ~machine:spec.Proto.machine prog
+    P.compile_resilient ~unroll:(unroll spec) ~options:(options spec)
+      ~scheme:spec.Proto.scheme ~machine:spec.Proto.machine prog
   in
   let errors = List.map (fun b -> b.P.error) r.P.bailouts in
   match payload ~obs:Obs.none ~op ~spec r.P.result with

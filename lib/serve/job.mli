@@ -10,6 +10,15 @@
     same key are bit-identical, which is exactly what the fault matrix
     asserts. *)
 
+val unroll : Proto.spec -> int
+(** The unroll factor a spec compiles with: its own, or
+    {!Slp_pipeline.Pipeline.default_unroll} of its machine. *)
+
+val options : Proto.spec -> Slp_pipeline.Pipeline.options
+(** {!Slp_pipeline.Pipeline.default_options} with the spec's step
+    budget and, when it names one, its solver budget.  {!run},
+    {!run_degraded} and {!Ckey} all read {!unroll} and [options]. *)
+
 val run :
   ?clock:(unit -> float) ->
   ?obs:Slp_obs.Obs.t ->
@@ -26,6 +35,12 @@ val run :
     come back as structured errors; {!Fault.Worker_killed} is
     re-raised, so the pool counts it as a worker death like any other
     exception that escapes an attempt. *)
+
+val named : spec:Proto.spec -> Slp_obs.Json.t -> Slp_obs.Json.t
+(** A payload with its ["name"] field set to [spec]'s name, every other
+    field and the field order unchanged: how the pool serves a cached
+    payload, computed under another job's name, to the job that asked.
+    Identical bytes when the names agree. *)
 
 val run_degraded :
   op:Proto.jobop ->

@@ -315,7 +315,7 @@ let submit ?trace_id t ~id ~op ~spec ~reply =
             ];
           let payload =
             match Json.parse stored with
-            | Result.Ok j -> j
+            | Result.Ok j -> Job.named ~spec j
             | Result.Error _ -> Json.Null
           in
           guard_reply t reply (Proto.ok_reply ~cached:true ~attempts:0 ~id payload)

@@ -186,6 +186,46 @@ let test_fig15_deps_golden () =
   let json = Slp_obs.Json.to_string (Depend.to_json (Depend.of_program prog)) in
   Alcotest.(check string) "fig15 dependence graph JSON" fig15_golden json
 
+(* The whole dependence graph pinned: one FNV hash over the JSON of
+   [Depend.of_program], for the 16 suite kernels' prepared programs on
+   the Intel model at 128, 256 and 512 bits (unroll scaled with the
+   width, kernel unroll x bits / 128), and for 100 generated kernels
+   (seeds 7000-7099) prepared at unroll 2.  Edges, kinds, carriers,
+   distances, directions, exactness and reasons all reach the hash, so
+   a change to how the solver is driven must leave every graph as it
+   was.  Re-record only in a change meant to alter dependence graphs,
+   with old and new values in CHANGES.md. *)
+let graph_hash programs =
+  Slp_util.Fnv.to_hex
+    (List.fold_left
+       (fun h p ->
+         Slp_util.Fnv.combine h
+           (Slp_obs.Json.to_string (Depend.to_json (Depend.of_program p))))
+       (Slp_util.Fnv.hash64 "") programs)
+
+let prepared ~unroll prog =
+  Slp_transform.Simplify.fold_program prog |> Slp_transform.Unroll.program ~factor:unroll
+
+let test_graphs_pinned () =
+  let suite =
+    List.concat_map
+      (fun bits ->
+        List.map
+          (fun (b : Suite.t) ->
+            prepared ~unroll:(max 1 (b.Suite.unroll * bits / 128)) (Suite.program b))
+          Suite.all)
+      [ 128; 256; 512 ]
+  in
+  let generated =
+    List.init 100 (fun i ->
+        let seed = 7000 + i in
+        prepared ~unroll:2
+          (Slp_fuzz.Gen.program ~name:(Printf.sprintf "pin%d" seed)
+             (Slp_util.Prng.create seed)))
+  in
+  Alcotest.(check string) "suite graphs" "b33631d5c0027b01" (graph_hash suite);
+  Alcotest.(check string) "generated graphs" "4a380a2998ccdc6e" (graph_hash generated)
+
 (* -- dynamic soundness tracer ---------------------------------------- *)
 
 (* The verdict the engine acts on. *)
@@ -313,6 +353,7 @@ let () =
           Alcotest.test_case "strided distance" `Quick
             test_graph_strided_distance;
           Alcotest.test_case "fig15 JSON golden" `Quick test_fig15_deps_golden;
+          Alcotest.test_case "every graph pinned" `Quick test_graphs_pinned;
         ] );
       ( "dtrace",
         [

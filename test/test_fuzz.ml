@@ -119,11 +119,11 @@ let arb_repeated =
             [ Program.loop "rep" ~lo:(Affine.const 0) ~hi:(Affine.const trips) p.Program.body ])
         gen_program (int_range 5 12))
 
-let check_scheme ?(register_reuse = true) ?(machine = Machine.intel_dunnington) scheme p =
+let check_scheme ?options ?(machine = Machine.intel_dunnington) scheme p =
   match Program.validate p with
   | Error _ -> true (* generator hit a validation corner; skip *)
   | Ok () -> begin
-      match Pipeline.compile ~unroll:2 ~register_reuse ~scheme ~machine p with
+      match Pipeline.compile ~unroll:2 ?options ~scheme ~machine p with
       | exception Invalid_argument msg -> QCheck.Test.fail_reportf "compile raised: %s" msg
       | compiled -> begin
           match Pipeline.execute compiled with
@@ -133,9 +133,9 @@ let check_scheme ?(register_reuse = true) ?(machine = Machine.intel_dunnington) 
         end
     end
 
-let fuzz ?register_reuse ?machine scheme name =
+let fuzz ?options ?machine scheme name =
   QCheck.Test.make ~name ~count:40 arb_program
-    (check_scheme ?register_reuse ?machine scheme)
+    (check_scheme ?options ?machine scheme)
 
 (* -- compiled engine vs reference interpreters --------------------------------
 
@@ -581,7 +581,9 @@ let () =
             fuzz Pipeline.Slp "slp preserves semantics";
             fuzz Pipeline.Global "global preserves semantics";
             fuzz Pipeline.Global_layout "global+layout preserves semantics";
-            fuzz ~register_reuse:false Pipeline.Global
+            fuzz
+              ~options:{ Pipeline.default_options with Pipeline.register_reuse = false }
+              Pipeline.Global
               "global without register reuse preserves semantics";
             fuzz
               ~machine:{ Machine.intel_dunnington with Machine.vector_registers = 2 }

@@ -253,11 +253,12 @@ let blowup_program () =
         [ Program.Stmts (Block.of_rhs ~label:"body" stmts) ];
     ]
 
+let budget_100 = { Pipeline.default_options with Pipeline.solver_steps = 100 }
+
 let test_blowup_bails () =
   let prog = blowup_program () in
   let c =
-    Pipeline.compile ~solver_steps:100 ~scheme:Pipeline.Optimal ~machine:intel
-      prog
+    Pipeline.compile ~options:budget_100 ~scheme:Pipeline.Optimal ~machine:intel prog
   in
   Alcotest.(check bool)
     "solver ran out of budget" true
@@ -304,7 +305,7 @@ let test_blowup_bails () =
     stats;
   let obs = Slp_obs.Obs.create ~remarks:true () in
   ignore
-    (Pipeline.compile ~obs ~solver_steps:100 ~scheme:Pipeline.Optimal ~machine:intel
+    (Pipeline.compile ~obs ~options:budget_100 ~scheme:Pipeline.Optimal ~machine:intel
        prog);
   let bail_nodes =
     List.filter_map
@@ -321,7 +322,7 @@ let test_blowup_bails () =
 let test_blowup_resilient_not_degraded () =
   let prog = blowup_program () in
   let r =
-    Pipeline.compile_resilient ~solver_steps:100 ~scheme:Pipeline.Optimal
+    Pipeline.compile_resilient ~options:budget_100 ~scheme:Pipeline.Optimal
       ~machine:intel prog
   in
   Alcotest.(check bool) "not degraded" true (not r.Pipeline.degraded);
@@ -337,8 +338,8 @@ let test_blowup_resilient_not_degraded () =
 let test_small_budget_scales () =
   let prog = blowup_program () in
   let c =
-    Pipeline.compile ~solver_steps:Optimal.default_solver_steps
-      ~scheme:Pipeline.Optimal ~machine:intel prog
+    Pipeline.compile ~options:Pipeline.default_options ~scheme:Pipeline.Optimal
+      ~machine:intel prog
   in
   (* Whether or not the default budget proves this block, the compile
      must succeed with a plan and verified lowering. *)

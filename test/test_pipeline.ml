@@ -204,8 +204,9 @@ let test_layout_register_reuse () =
   let module Suite = Slp_benchmarks.Suite in
   let b = Suite.find "soplex" in
   let compile register_reuse =
-    Pipeline.compile ~unroll:b.Suite.unroll ~register_reuse ~scheme:Pipeline.Global_layout
-      ~machine:Machine.intel_dunnington (Suite.program b)
+    Pipeline.compile ~unroll:b.Suite.unroll
+      ~options:{ Pipeline.default_options with Pipeline.register_reuse }
+      ~scheme:Pipeline.Global_layout ~machine:Machine.intel_dunnington (Suite.program b)
   in
   let visa c = Format.asprintf "%a" Slp_vm.Visa.pp_program (Option.get c.Pipeline.vector) in
   let without = compile false in

@@ -115,6 +115,85 @@ let key_of ?(op = Proto.Execute) spec =
   | Result.Ok (key, _) -> key
   | Result.Error e -> Alcotest.fail ("unexpected key failure: " ^ E.to_string e)
 
+(* One variant per [Proto.spec] field, with whether it may change a
+   Compile key and an Execute key.  The pattern is exhaustive and uses
+   every field it binds, so a new spec field does not compile until
+   this list says whether it is keyed. *)
+let spec_variants
+    ({ Proto.kernel; name; scheme; machine; unroll; max_steps; solver_steps; timeout; cores; seed }
+     as spec) =
+  let keyed = (true, true) and label = (false, false) and execute_only = (false, true) in
+  [
+    ("kernel", { spec with Proto.kernel = "f64 zz_key;\n" ^ kernel }, keyed);
+    ("name", { spec with Proto.name = name ^ "'" }, label);
+    ("scheme", { spec with Proto.scheme = (if scheme = P.Slp then P.Global else P.Slp) }, keyed);
+    ( "machine",
+      { spec with Proto.machine = { M.amd_phenom_ii with M.simd_bits = machine.M.simd_bits } },
+      keyed );
+    ( "simd_bits",
+      { spec with Proto.machine = { machine with M.simd_bits = 2 * machine.M.simd_bits } },
+      keyed );
+    ("unroll", { spec with Proto.unroll = Some (Option.value unroll ~default:2 + 1) }, keyed);
+    ("max_steps", { spec with Proto.max_steps = Some (Option.value max_steps ~default:0 + 1000) }, keyed);
+    ( "solver_steps",
+      { spec with Proto.solver_steps = Some (Option.value solver_steps ~default:0 + 500) },
+      keyed );
+    ("timeout", { spec with Proto.timeout = Some (Option.value timeout ~default:0.0 +. 5.0) }, label);
+    ("cores", { spec with Proto.cores = cores + 1 }, execute_only);
+    ("seed", { spec with Proto.seed = seed + 1 }, execute_only);
+  ]
+
+(* One variant per field of the resolved compile options, nested
+   records included, exhaustive like [spec_variants]: each must change
+   the rendering the key hashes. *)
+let options_variants
+    ({
+       P.grouping =
+         { Slp_core.Grouping.recompute_weights; elimination; exclude_scattered; scatter_penalty } as
+         grouping;
+       schedule = { Slp_core.Schedule.selection; ordering_search } as schedule;
+       register_reuse;
+       max_steps;
+       solver_steps;
+     } as options) =
+  let module G = Slp_core.Grouping in
+  let module S = Slp_core.Schedule in
+  let with_grouping g = { options with P.grouping = g } in
+  let with_schedule s = { options with P.schedule = s } in
+  [
+    ("recompute_weights", with_grouping { grouping with G.recompute_weights = not recompute_weights });
+    ( "elimination",
+      with_grouping
+        {
+          grouping with
+          G.elimination =
+            (match elimination with
+            | Slp_core.Groupgraph.Max_degree -> Slp_core.Groupgraph.Arbitrary
+            | Slp_core.Groupgraph.Arbitrary -> Slp_core.Groupgraph.Max_degree);
+        } );
+    ("exclude_scattered", with_grouping { grouping with G.exclude_scattered = not exclude_scattered });
+    ("scatter_penalty", with_grouping { grouping with G.scatter_penalty = scatter_penalty +. 0.5 });
+    ( "selection",
+      with_schedule
+        {
+          schedule with
+          S.selection =
+            (match selection with S.Reuse_driven -> S.Program_order | S.Program_order -> S.Reuse_driven);
+        } );
+    ( "ordering_search",
+      with_schedule
+        {
+          schedule with
+          S.ordering_search =
+            (match ordering_search with
+            | S.Direct_reuse_only -> S.Exhaustive
+            | S.Exhaustive -> S.Direct_reuse_only);
+        } );
+    ("register_reuse", { options with P.register_reuse = not register_reuse });
+    ("max_steps", { options with P.max_steps = Some (Option.value max_steps ~default:0 + 1) });
+    ("solver_steps", { options with P.solver_steps = solver_steps + 1 });
+  ]
+
 let test_key_stability =
   let gen =
     QCheck.make
@@ -130,40 +209,37 @@ let test_key_stability =
     (fun prog ->
       let src = Program.to_source prog in
       let spec = { (Proto.default_spec ~kernel:src ~name:"a") with Proto.scheme = P.Global } in
-      let k1 = key_of spec in
-      (* Round-trip: reparse of the canonical source keys identically,
-         and a different job name or timeout keys identically. *)
-      let same =
-        [
-          ("name", key_of { spec with Proto.name = "b" });
-          ("timeout", key_of { spec with Proto.timeout = Some 5.0 });
-        ]
-      in
-      (* A change to any keyed field splits the key. *)
-      let split =
-        [
-          ("op", key_of ~op:Proto.Compile spec);
-          ("scheme", key_of { spec with Proto.scheme = P.Slp });
-          ("machine", key_of { spec with Proto.machine = M.amd_phenom_ii });
-          ( "simd_bits",
-            key_of
-              { spec with Proto.machine = { spec.Proto.machine with M.simd_bits = 256 } }
-          );
-          ("unroll", key_of { spec with Proto.unroll = Some 8 });
-          ("max_steps", key_of { spec with Proto.max_steps = Some 1000 });
-          ("solver_steps", key_of { spec with Proto.solver_steps = Some 500 });
-          ("cores", key_of { spec with Proto.cores = 2 });
-          ("seed", key_of { spec with Proto.seed = 43 });
-        ]
+      let check op ~same (field, k, k') =
+        if (k = k') <> same then
+          QCheck.Test.fail_reportf "%s: %s %s the key" (Proto.jobop_name op) field
+            (if same then "split" else "did not split")
       in
       List.iter
-        (fun (field, k) ->
-          if k <> k1 then QCheck.Test.fail_reportf "%s split the key" field)
-        same;
+        (fun op ->
+          let key_of = key_of ~op in
+          let k = key_of spec in
+          (* A default spelled out keys as the bare spec. *)
+          List.iter (check op ~same:true)
+            [
+              ( "unroll at the machine's default",
+                k,
+                key_of { spec with Proto.unroll = Some (P.default_unroll spec.Proto.machine) } );
+              ( "solver_steps at the default",
+                k,
+                key_of { spec with Proto.solver_steps = Some P.default_options.P.solver_steps } );
+            ];
+          List.iter
+            (fun (field, variant, (compile, execute)) ->
+              let keyed = match op with Proto.Compile -> compile | Proto.Execute -> execute in
+              check op ~same:(not keyed) (field, k, key_of variant))
+            (spec_variants spec))
+        [ Proto.Compile; Proto.Execute ];
+      check Proto.Execute ~same:false ("op", key_of spec, key_of ~op:Proto.Compile spec);
       List.iter
-        (fun (field, k) ->
-          if k = k1 then QCheck.Test.fail_reportf "%s did not split the key" field)
-        split;
+        (fun (field, variant) ->
+          if Ckey.render_options variant = Ckey.render_options P.default_options then
+            QCheck.Test.fail_reportf "options field %s does not reach the key" field)
+        (options_variants P.default_options);
       true)
 
 let test_fnv_framing () =
@@ -303,6 +379,31 @@ let test_pool_basic_and_cached () =
       Alcotest.(check string) "bit-identical payload"
         (Json.to_string first.Proto.payload)
         (Json.to_string again.Proto.payload))
+
+(* The key ignores job names, so two jobs that differ only in name
+   share one cache entry; the second job's reply still names itself,
+   and the rest of its payload is the first job's, byte for byte. *)
+let test_pool_cached_reply_names_its_job () =
+  with_pool (fun pool ->
+      List.iteri
+        (fun i op ->
+          let run id name = Pool.run_sync pool ~id ~op ~spec:(small_spec ~name ()) () in
+          let first = run (2 * i) "first" and second = run ((2 * i) + 1) "second" in
+          let what = Proto.jobop_name op in
+          let name (r : Proto.reply) =
+            match Json.member "name" r.Proto.payload with
+            | Some (Json.Str n) -> n
+            | _ -> Alcotest.fail (what ^ ": payload has no name")
+          in
+          Alcotest.(check bool) (what ^ ": first computed") false first.Proto.cached;
+          Alcotest.(check bool) (what ^ ": second cached") true second.Proto.cached;
+          Alcotest.(check string) (what ^ ": first names itself") "first" (name first);
+          Alcotest.(check string) (what ^ ": second names itself") "second" (name second);
+          Alcotest.(check string)
+            (what ^ ": otherwise the stored payload")
+            (Json.to_string (Job.named ~spec:(small_spec ~name:"second" ()) first.Proto.payload))
+            (Json.to_string second.Proto.payload))
+        [ Proto.Compile; Proto.Execute ])
 
 let test_pool_retries_worker_death () =
   with_pool (fun pool ->
@@ -807,6 +908,8 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "compute then cache" `Quick test_pool_basic_and_cached;
+          Alcotest.test_case "a cached reply names its own job" `Quick
+            test_pool_cached_reply_names_its_job;
           Alcotest.test_case "worker death retried" `Quick test_pool_retries_worker_death;
           Alcotest.test_case "poison job quarantined" `Quick test_pool_quarantines_poison;
           Alcotest.test_case "bounded queue sheds" `Quick test_pool_sheds_when_full;
