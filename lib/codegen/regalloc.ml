@@ -13,34 +13,21 @@ let add_stats a b =
     max_pressure = max a.max_pressure b.max_pressure;
   }
 
-let instr_uses = function
-  | Visa.Vload _ | Visa.Vgather _ | Visa.Vbroadcast _ | Visa.Vload_scalars _
-  | Visa.Vreload _ | Visa.Sstmt _ ->
-      []
-  | Visa.Vstore { src; _ }
-  | Visa.Vunpack { src; _ }
-  | Visa.Vpermute { src; _ }
-  | Visa.Vstore_scalars { src; _ }
-  | Visa.Vspill { src; _ }
-  | Visa.Vun { a = src; _ } ->
-      [ src ]
-  | Visa.Vshuffle2 { a; b; _ } | Visa.Vbin { a; b; _ } ->
-      if a = b then [ a ] else [ a; b ]
-
-let instr_def = function
-  | Visa.Vload { dst; _ }
-  | Visa.Vgather { dst; _ }
-  | Visa.Vbroadcast { dst; _ }
-  | Visa.Vpermute { dst; _ }
-  | Visa.Vshuffle2 { dst; _ }
-  | Visa.Vbin { dst; _ }
-  | Visa.Vun { dst; _ }
-  | Visa.Vreload { dst; _ }
-  | Visa.Vload_scalars { dst; _ } ->
-      Some dst
-  | Visa.Vstore _ | Visa.Vunpack _ | Visa.Vstore_scalars _ | Visa.Vspill _
-  | Visa.Sstmt _ ->
-      None
+(* The registers [instr] reads, in operand order ([Vbin] may read one
+   twice: every use below is idempotent), and the one it writes. *)
+let instr_regs instr =
+  let def = ref None in
+  let uses =
+    Visa.fold_locs
+      (fun uses ~write -> function
+        | Visa.Vreg v when write ->
+            def := Some v;
+            uses
+        | Visa.Vreg v -> v :: uses
+        | _ -> uses)
+      [] instr
+  in
+  (List.rev uses, !def)
 
 let rewrite instr ~use ~def =
   match instr with
@@ -80,6 +67,7 @@ let allocate_block_keyed ~registers ~okeys instrs =
   if registers < 2 then invalid_arg "Regalloc.allocate_block: need at least 2 registers";
   let arr = Array.of_list instrs in
   let n = Array.length arr in
+  let regs = Array.map instr_regs arr in
   (* Use positions per virtual register, for next-use queries and
      last-use freeing. *)
   let use_positions : (int, int list) Hashtbl.t = Hashtbl.create 32 in
@@ -88,7 +76,7 @@ let allocate_block_keyed ~registers ~okeys instrs =
       (fun v ->
         let tail = Option.value (Hashtbl.find_opt use_positions v) ~default:[] in
         Hashtbl.replace use_positions v (idx :: tail))
-      (instr_uses arr.(idx))
+      (fst regs.(idx))
   done;
   let next_use v ~after =
     let rec go = function
@@ -175,7 +163,7 @@ let allocate_block_keyed ~registers ~okeys instrs =
       match instr with
       | Visa.Sstmt _ -> emit instr
       | _ ->
-          let uses = instr_uses instr in
+          let uses, defined = regs.(idx) in
           (* Bring spilled sources back. *)
           let protect = ref [] in
           List.iter
@@ -223,7 +211,7 @@ let allocate_block_keyed ~registers ~okeys instrs =
           in
           emit (rewrite instr ~use ~def);
           (* A destination that is never used dies immediately. *)
-          (match (instr_def instr, !def_phys) with
+          (match (defined, !def_phys) with
           | Some v, Some p when last_use v < 0 ->
               Hashtbl.remove loc v;
               free_phys p

@@ -18,9 +18,6 @@ type stats = {
 
 val zero_stats : stats
 
-val instr_uses : Slp_vm.Visa.instr -> Slp_vm.Visa.vreg list
-val instr_def : Slp_vm.Visa.instr -> Slp_vm.Visa.vreg option
-
 val allocate_block :
   registers:int -> Slp_vm.Visa.instr list -> Slp_vm.Visa.instr list * stats
 (** Raises [Invalid_argument] when [registers < 2] (an instruction can

@@ -22,7 +22,6 @@ module Box : sig
   val empty : t
   val add : t -> string -> range -> t
   val of_bounds : lo:Affine.t -> hi:Affine.t -> step:int -> range
-  val range : t -> string -> range
 
   val trip : range -> int option
   (** Iteration count [((hi - lo) + step - 1) / step], clamped at 0;

@@ -80,9 +80,3 @@ val miscompile : Slp_vm.Visa.program -> Slp_vm.Visa.program
     Min<->Max).  Programs whose vector code contains no arithmetic are
     returned unchanged. *)
 
-val repeated : Program.t -> Program.t
-(** The program the [repeat] stage runs: the body inside a repetition
-    loop of 5-12 trips under an index the program does not use, after
-    a prologue under fresh names that stores the index, or a scalar
-    read before its write, or a scalar written only in a triangular
-    loop.  Deterministic in the program's source. *)

@@ -301,29 +301,49 @@ let fig21 () =
 (* -- compile-time overhead ------------------------------------------- *)
 
 let compile_overhead () =
-  (* Compile repeatedly for a stable wall-clock ratio; the monotonic
-     clock cannot run backwards under NTP adjustments the way
-     [Sys.time] can. *)
-  let time scheme =
-    List.fold_left
-      (fun acc (b : Suite.t) ->
+  (* One pass compiles every kernel 5 times under one scheme, starting
+     from a collected heap so that no major-GC work a previous pass
+     left behind lands in it.  The first pass of each scheme is
+     untimed: it pays the process's warm-up (heap growth, first-touch
+     faults).  Then 9 pairs of passes, alternating which scheme goes
+     first, so neither scheme always runs on a warmer heap.  The
+     monotonic clock cannot run backwards under NTP adjustments the
+     way [Sys.time] can. *)
+  let pass scheme =
+    Gc.full_major ();
+    let t0 = Slp_obs.Clock.now () in
+    List.iter
+      (fun (b : Suite.t) ->
         let prog = Suite.program b in
-        let t0 = Slp_obs.Clock.now () in
         for _ = 1 to 5 do
           ignore (Pipeline.compile ~unroll:b.Suite.unroll ~scheme ~machine:intel prog)
-        done;
-        acc +. (Slp_obs.Clock.now () -. t0))
-      0.0 Suite.all
+        done)
+      Suite.all;
+    Slp_obs.Clock.now () -. t0
   in
-  let slp = time Pipeline.Slp in
-  let global = time Pipeline.Global in
+  ignore (pass Pipeline.Slp +. pass Pipeline.Global);
+  let pairs =
+    List.init 9 (fun k ->
+        if k mod 2 = 0 then
+          let slp = pass Pipeline.Slp in
+          (slp, pass Pipeline.Global)
+        else
+          let global = pass Pipeline.Global in
+          (pass Pipeline.Slp, global))
+  in
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  let overheads = List.map (fun (slp, global) -> (global /. slp) -. 1.0) pairs in
   let body =
     Printf.sprintf
-      "SLP compile time:    %.3fs (16 kernels x 5)\n\
+      "SLP compile time:    %.3fs (16 kernels x 5, median of 9 passes)\n\
        Global compile time: %.3fs\n\
-       Overhead of the holistic analysis: %s (paper: +27%% on average).\n"
-      slp global
-      (pct ((global /. slp) -. 1.0))
+       Overhead of the holistic analysis: %s (median of 9 interleaved pairs, \
+       range %s to %s; paper: +27%% on average).\n"
+      (median (List.map fst pairs))
+      (median (List.map snd pairs))
+      (pct (median overheads))
+      (pct (List.fold_left min infinity overheads))
+      (pct (List.fold_left max neg_infinity overheads))
   in
   { id = "overhead"; title = "Compilation overhead of Global over SLP"; body }
 

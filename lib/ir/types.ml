@@ -2,7 +2,6 @@ type scalar_ty = I8 | I16 | I32 | I64 | F32 | F64
 
 let bits = function I8 -> 8 | I16 -> 16 | I32 -> 32 | I64 -> 64 | F32 -> 32 | F64 -> 64
 let bytes ty = bits ty / 8
-let is_float = function F32 | F64 -> true | I8 | I16 | I32 | I64 -> false
 
 let scalar_ty_to_string = function
   | I8 -> "i8"

@@ -10,7 +10,6 @@ val bits : scalar_ty -> int
 (** Width in bits: 8, 16, 32, 64, 32, 64 respectively. *)
 
 val bytes : scalar_ty -> int
-val is_float : scalar_ty -> bool
 val scalar_ty_to_string : scalar_ty -> string
 val scalar_ty_of_string : string -> scalar_ty option
 val pp_scalar_ty : Format.formatter -> scalar_ty -> unit

@@ -15,9 +15,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 val to_string : t -> string
 (** Compact (single-line) rendering.  Non-finite numbers render as
     [null] — Chrome's trace loader rejects bare [nan]/[inf]. *)

@@ -20,10 +20,6 @@ val create :
     (default [Info]), timestamps from [clock] (default {!Clock.now}). *)
 
 val set_level : t -> level -> unit
-val level : t -> level
-
-val enabled : t -> level -> bool
-(** Whether an event at this level would be recorded. *)
 
 val with_file : t -> string -> unit
 (** Open (truncate) [path] as the line sink; replaces any prior sink.

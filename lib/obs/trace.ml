@@ -44,7 +44,6 @@ let balanced t =
   go [] (List.rev t.events)
 
 let event_count t = List.length t.events
-let tid t = t.tid
 
 let events t =
   List.rev_map (fun ev -> (ev.name, ev.ph, ev.ts, ev.args)) t.events

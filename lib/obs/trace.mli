@@ -30,8 +30,6 @@ val balanced : t -> bool
 
 val event_count : t -> int
 
-val tid : t -> int
-
 val events : t -> (string * char * float * (string * string) list) list
 (** Chronological [(name, ph, ts, args)] tuples with raw {!Clock}
     timestamps, for readers that rebuild the span tree. *)

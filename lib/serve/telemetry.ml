@@ -84,7 +84,6 @@ let create ?log ?hub ?registry () =
 
 let registry t = t.registry
 let log t = t.log
-let hub t = t.hub
 let started_at t = t.started_at
 
 (* -- hot-path helpers ------------------------------------------------- *)

@@ -22,7 +22,6 @@ val create :
 
 val registry : t -> Slp_obs.Metric.t
 val log : t -> Slp_obs.Log.t
-val hub : t -> Slp_obs.Tracehub.t option
 val started_at : t -> float
 
 val job : t -> scheme:string -> outcome:string -> unit

@@ -35,9 +35,6 @@ type t = {
   l1_hit : float;
       (** [latency.(0) +. bus_penalty], the cycles of an L1 hit: the
           same float the walk's path adds, computed once. *)
-  level_hits : int array;
-  mutable memory_accesses : int;
-  mutable total : int;
   mutable observer : (int -> int -> unit) option;
       (** Profiler hook: called per line access with the line's base
           address and the resolving level (0-based; [max_int] means
@@ -113,9 +110,6 @@ let create ?(contention = 1.0) (m : M.t) =
     latency;
     bus_penalty;
     l1_hit = FA.get latency 0 +. bus_penalty;
-    level_hits = Array.make (Array.length specs) 0;
-    memory_accesses = 0;
-    total = 0;
     observer = None;
     released = false;
   }
@@ -179,24 +173,16 @@ let touch level line =
    the resolving level, [Array.length t.levels] for memory, so the
    caller reads the latency from [t.latency] unboxed. *)
 let access_line t line =
-  t.total <- t.total + 1;
   let nlevels = Array.length t.levels in
   let i = ref 0 in
   while !i < nlevels && not (touch (Array.unsafe_get t.levels !i) line) do
     incr i
   done;
   let level = !i in
-  if level < nlevels then begin
-    t.level_hits.(level) <- t.level_hits.(level) + 1;
-    notify t line level
-  end
-  else begin
-    t.memory_accesses <- t.memory_accesses + 1;
-    (* [max_int], not [level]: observers bin by level index and must
-       see memory as "beyond any cache level" whatever the level count
-       of this particular hierarchy. *)
-    notify t line max_int
-  end;
+  (* Memory is [max_int], not [level]: observers bin by level index
+     and must see memory as "beyond any cache level" whatever the level
+     count of this particular hierarchy. *)
+  notify t line (if level < nlevels then level else max_int);
   level
 
 let charge t acc ~issue ~addr ~bytes =
@@ -214,8 +200,6 @@ let charge t acc ~issue ~addr ~bytes =
        cycles are identical. *)
     let l1 = t.l1 in
     if Array.unsafe_get l1.tags (set_of l1 first * l1.ways) = first then begin
-      t.total <- t.total + 1;
-      t.level_hits.(0) <- t.level_hits.(0) + 1;
       notify t first 0;
       acc.(0) <- acc.(0) +. (issue +. t.l1_hit)
     end
@@ -238,7 +222,3 @@ let tags t =
   Array.map
     (fun l -> Array.init l.set_count (fun s -> Array.sub l.tags (s * l.ways) l.fill.(s)))
     t.levels
-
-let hits t = (t.level_hits.(0), t.level_hits.(1), t.level_hits.(2))
-let misses t = t.memory_accesses
-let accesses t = t.total

@@ -14,9 +14,11 @@
     caches back with {!release}; the next {!create} on the same domain
     with the same geometry resets a released hierarchy instead of
     allocating one (about 250k words on the Intel model).  Each domain
-    keeps at most 8 released hierarchies.  Hit counts, the observer
-    and the contention-derived latencies belong to the value [create]
-    returns, so nothing observable carries over from a reused one.
+    keeps at most 8 released hierarchies.  The observer and the
+    contention-derived latencies belong to the value [create] returns,
+    so nothing observable carries over from a reused one.  The
+    hierarchy counts nothing itself: a caller that wants hit counts
+    (the profiler) installs an observer.
 
     The hit path: a single-line access whose line is the most recently
     used tag of its L1 set reads the L1 level directly, skips the walk
@@ -60,11 +62,3 @@ val set_observer : t -> (int -> int -> unit) option -> unit
 val tags : t -> int array array array
 (** A copy of the hierarchy's contents: per level, L1 first, per set,
     the lines it holds, most recently used first. *)
-
-val hits : t -> int * int * int
-(** L1, L2, L3 hit counts. *)
-
-val misses : t -> int
-(** Accesses served by memory. *)
-
-val accesses : t -> int

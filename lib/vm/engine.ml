@@ -55,18 +55,19 @@
    2^53 (see below; a loop that would pass 2^53 simulates on).  A
    multicore run's contention costs need not be integers, and a
    profiled run observes every access, so both compile every loop to
-   full simulation ([simulate]), as do loops without the property.  A
-   fast-forwarded run's own {!Cache} hit counts cover only the
-   simulated iterations; nothing reads them after a run, and the
-   profiler, which reads them during one, keeps full simulation.
+   full simulation ([simulate]), as do loops without the property.
+   The cache counts nothing itself; the profiler counts what its
+   observer sees, so a profiled run keeps full simulation.
 
    A replaying loop settles when, besides, the state one iteration
    leaves is a fixed point of its body ([repeat] decides it once per
    loop, at link time, from names alone): its index appears nowhere in
-   the body, not even as a value; no array the body writes is read in
-   it; and every scalar, register and spill slot it writes is written
-   before it is read in one iteration (in an inner loop, only if that
-   loop has constant bounds and at least one trip).  Every value an
+   the body, not even as a value, and no location the body reads
+   before writing it is written in it.  Both come from the def/use
+   walk {!Visa.first_reads}, which applies the inner-loop trip rule
+   and counts an array as one location, so no array the body writes
+   is read in it, and every scalar, register and spill slot it writes
+   is written before it is read.  Every value an
    iteration computes then depends only on locations the body never
    writes, so the second iteration writes exactly what the first
    wrote, at the same addresses, and raises no trap or lane error the
@@ -1418,139 +1419,45 @@ let rec link_items ~block ~tail ~depths ~depth items =
 let simulate ~depths:_ ~depth:_ _ = Simulate
 
 (* What one iteration of a loop over [v] whose body is [items] does to
-   the next, decided by one walk over the body.  [Varies]: [v] occurs
-   in a subscript or an inner loop bound.  [Replays]: it does not, so
-   every iteration makes the same accesses at the same addresses.
-   [Settles]: besides, the state one iteration leaves is a fixed point
-   of the body, which holds when
+   the next, decided from the body's def/use ({!Visa.fold_locs} for the
+   subscripts, {!Visa.first_reads} for the rest).  [Varies]: [v]
+   occurs in a subscript or an inner loop bound.  [Replays]: it
+   does not, so every iteration makes the same accesses at the same
+   addresses.  [Settles]: besides, the state one iteration leaves is a
+   fixed point of the body, which holds when
    - [v] appears nowhere else either: a value read from it
      ([Operand.Scalar v], a [Reg v] lane source, [Vload_scalars])
      differs in every iteration though no address does;
-   - no array the body writes is read in it;
-   - every scalar, vector register and spill slot the body writes is
-     written before it is read within one iteration; a write in an
-     inner loop counts only if that loop has constant bounds and at
-     least one trip.
+   - no location the body reads before writing it is written in it,
+     where an array counts as one location: no array the body writes
+     is read in it, and every scalar, vector register and spill slot
+     it writes is written before it is read.
    Every value an iteration computes then depends only on locations
    the body never writes and on what the iteration wrote before, so
    the second iteration writes exactly what the first wrote, at the
    same addresses, and raises nothing the first did not. *)
 type repeat = Varies | Replays | Settles
 
-type loc = Scalar of string | Reg of int | Spill of int
-
-module Locs = Set.Make (struct
-  type t = loc
-
-  let compare = compare
-end)
-
-module Names = Set.Make (String)
-
 let repeat v items =
-  let varies = ref false and named = ref false in
-  let arrays_read = ref Names.empty and arrays_written = ref Names.empty in
-  (* Every location written, and every one read where it was not yet
-     written in the iteration. *)
-  let written = ref Locs.empty and early = ref Locs.empty in
-  let affine a = if Affine.coeff a v <> 0 then varies := true in
-  let name x = if String.equal x v then named := true in
-  let read must loc = if not (Locs.mem loc must) then early := Locs.add loc !early in
-  let write must loc =
-    written := Locs.add loc !written;
-    Locs.add loc must
+  let mentions a = Affine.coeff a v <> 0 in
+  let subscripted =
+    Visa.fold_locs (fun acc ~write:_ -> function
+      | Visa.Elem (_, idxs) -> acc || List.exists mentions idxs
+      | Visa.Scalar _ | Visa.Vreg _ | Visa.Slot _ -> acc)
   in
-  let read_op must = function
-    | Operand.Elem (a, idxs) ->
-        List.iter affine idxs;
-        arrays_read := Names.add a !arrays_read
-    | Operand.Scalar x ->
-        name x;
-        read must (Scalar x)
-    | Operand.Const _ -> ()
+  let rec varies items =
+    List.exists
+      (function
+        | Visa.Block instrs -> List.exists (subscripted false) instrs
+        | Visa.Loop l -> mentions l.Visa.lo || mentions l.Visa.hi || varies l.Visa.body)
+      items
   in
-  let write_op must = function
-    | Operand.Elem (a, idxs) ->
-        List.iter affine idxs;
-        arrays_written := Names.add a !arrays_written;
-        must
-    | Operand.Scalar x ->
-        name x;
-        write must (Scalar x)
-    | Operand.Const _ -> must
-  in
-  let lane must = function
-    | Visa.Mem op -> read_op must op
-    | Visa.Reg x -> read_op must (Operand.Scalar x)
-    | Visa.Imm _ -> ()
-  in
-  let instr must = function
-    | Visa.Sstmt s ->
-        List.iter (read_op must) (Expr.leaves s.Stmt.rhs);
-        write_op must s.Stmt.lhs
-    | Visa.Vload { dst; elems } ->
-        List.iter (read_op must) elems;
-        write must (Reg dst)
-    | Visa.Vstore { src; elems } ->
-        read must (Reg src);
-        List.fold_left write_op must elems
-    | Visa.Vgather { dst; srcs } ->
-        List.iter (lane must) srcs;
-        write must (Reg dst)
-    | Visa.Vunpack { src; dsts } ->
-        read must (Reg src);
-        List.fold_left
-          (fun must -> function
-            | Some (Visa.To_mem op) -> write_op must op
-            | Some (Visa.To_reg x) -> write_op must (Operand.Scalar x)
-            | None -> must)
-          must dsts
-    | Visa.Vbroadcast { dst; src; _ } ->
-        lane must src;
-        write must (Reg dst)
-    | Visa.Vpermute { dst; src; _ } | Visa.Vun { dst; a = src; _ } ->
-        read must (Reg src);
-        write must (Reg dst)
-    | Visa.Vshuffle2 { dst; a; b; _ } | Visa.Vbin { dst; a; b; _ } ->
-        read must (Reg a);
-        read must (Reg b);
-        write must (Reg dst)
-    | Visa.Vspill { src; slot } ->
-        read must (Reg src);
-        write must (Spill slot)
-    | Visa.Vreload { dst; slot } ->
-        read must (Spill slot);
-        write must (Reg dst)
-    | Visa.Vload_scalars { dst; sources } ->
-        List.iter (fun x -> read_op must (Operand.Scalar x)) sources;
-        write must (Reg dst)
-    | Visa.Vstore_scalars { src; targets } ->
-        read must (Reg src);
-        List.fold_left (fun must x -> write_op must (Operand.Scalar x)) must targets
-  in
-  (* [must]: the locations certainly written so far in the iteration. *)
-  let rec walk must items =
-    List.fold_left
-      (fun must -> function
-        | Visa.Block instrs -> List.fold_left instr must instrs
-        | Visa.Loop l -> (
-            affine l.Visa.lo;
-            affine l.Visa.hi;
-            name l.Visa.index;
-            let inner = walk must l.Visa.body in
-            match (Affine.to_const l.Visa.lo, Affine.to_const l.Visa.hi) with
-            | Some lo, Some hi when hi > lo -> inner
-            | _ -> must))
-      must items
-  in
-  ignore (walk Locs.empty items : Locs.t);
-  if !varies then Varies
-  else if
-    !named
-    || (not (Names.disjoint !arrays_read !arrays_written))
-    || not (Locs.disjoint !early !written)
-  then Replays
-  else Settles
+  if varies items then Varies
+  else
+    let { Visa.early; written } = Visa.first_reads items in
+    let index = Visa.Scalar v in
+    let rewritten loc = loc = index || Visa.Locs.mem loc written in
+    if Visa.Locs.mem index written || List.exists rewritten early then Replays else Settles
 
 (* Whether a loop's constant bounds give it at most [warm] trips. *)
 let short ~warm (l : Visa.vloop) =
@@ -1634,31 +1541,21 @@ let rec prog_depth items =
       | Visa.Loop l -> max acc (1 + prog_depth l.Visa.body))
     0 items
 
-let rec fold_instrs f acc items =
-  List.fold_left
-    (fun acc item ->
-      match item with
-      | Visa.Block instrs -> List.fold_left f acc instrs
-      | Visa.Loop l -> fold_instrs f acc l.Visa.body)
-    acc items
-
-let max_vreg_instr acc = function
-  | Visa.Vload { dst; _ }
-  | Visa.Vgather { dst; _ }
-  | Visa.Vbroadcast { dst; _ }
-  | Visa.Vreload { dst; _ }
-  | Visa.Vload_scalars { dst; _ } ->
-      max acc dst
-  | Visa.Vstore { src; _ }
-  | Visa.Vspill { src; _ }
-  | Visa.Vstore_scalars { src; _ }
-  | Visa.Vunpack { src; _ } ->
-      max acc src
-  | Visa.Vpermute { dst; src; _ } -> max acc (max dst src)
-  | Visa.Vshuffle2 { dst; a; b; _ } -> max acc (max dst (max a b))
-  | Visa.Vbin { dst; a; b; _ } -> max acc (max dst (max a b))
-  | Visa.Vun { dst; a; _ } -> max acc (max dst a)
-  | Visa.Sstmt _ -> acc
+(* One more than the largest register and spill slot [p] names, and
+   every scalar name it mentions (registered with [Memory] before the
+   backing store is captured: a later registration could replace the
+   array under the closures). *)
+let program_footprint (p : Visa.program) =
+  let vregs = ref (-1) and slots = ref (-1) and names = ref [] in
+  let note () ~write:_ = function
+    | Visa.Elem _ -> ()
+    | Visa.Scalar v -> names := v :: !names
+    | Visa.Vreg r -> vregs := max r !vregs
+    | Visa.Slot s -> slots := max s !slots
+  in
+  Visa.fold_instrs (Visa.fold_locs note) () p.Visa.setup;
+  Visa.fold_instrs (Visa.fold_locs note) () p.Visa.body;
+  (1 + !vregs, 1 + !slots, !names)
 
 (* Every register is written by one of the width-bearing opcodes below
    (or by a reload of a value one of them spilled), so their maximum
@@ -1675,15 +1572,9 @@ let max_lanes_instr acc = function
   | Visa.Vstore_scalars { targets; _ } -> max acc (List.length targets)
   | Visa.Vbin _ | Visa.Vun _ | Visa.Vspill _ | Visa.Vreload _ | Visa.Sstmt _ -> acc
 
-let max_slot_instr acc = function
-  | Visa.Vspill { slot; _ } | Visa.Vreload { slot; _ } -> max acc slot
-  | _ -> acc
-
-let program_vregs (p : Visa.program) =
-  1 + fold_instrs max_vreg_instr (fold_instrs max_vreg_instr (-1) p.Visa.setup) p.Visa.body
-
 let program_lane_stride (p : Visa.program) =
-  max 1 (fold_instrs max_lanes_instr (fold_instrs max_lanes_instr 1 p.Visa.setup) p.Visa.body)
+  let f = Visa.fold_instrs max_lanes_instr in
+  max 1 (f (f 1 p.Visa.setup) p.Visa.body)
 
 let max_expr_depth_instr acc = function
   | Visa.Sstmt s -> max acc (Expr.depth s.Stmt.rhs)
@@ -1692,53 +1583,8 @@ let max_expr_depth_instr acc = function
 (* Expression temporaries a state needs: [compile_expr] puts a
    statement's value at slot 0 and uses one more slot per level. *)
 let program_tmp_slots (p : Visa.program) =
-  1 + fold_instrs max_expr_depth_instr (fold_instrs max_expr_depth_instr 0 p.Visa.setup) p.Visa.body
-
-let program_spill_slots (p : Visa.program) =
-  1 + fold_instrs max_slot_instr (fold_instrs max_slot_instr (-1) p.Visa.setup) p.Visa.body
-
-(* Every scalar name a program can touch, registered with [Memory]
-   before the backing store is captured (a later registration could
-   replace the array under the closures). *)
-let stmt_scalar_names acc (s : Stmt.t) =
-  List.fold_left
-    (fun acc op ->
-      match op with
-      | Operand.Scalar v -> v :: acc
-      | Operand.Const _ | Operand.Elem _ -> acc)
-    acc (Stmt.positions s)
-
-let rec scalar_prog_names acc items =
-  List.fold_left
-    (fun acc item ->
-      match item with
-      | Program.Stmts b -> List.fold_left stmt_scalar_names acc b.Block.stmts
-      | Program.Loop l -> scalar_prog_names acc l.Program.body)
-    acc items
-
-let lane_src_names acc = function
-  | Visa.Imm _ -> acc
-  | Visa.Reg v -> v :: acc
-  | Visa.Mem _ -> acc
-
-let instr_scalar_names acc = function
-  | Visa.Vgather { srcs; _ } -> List.fold_left lane_src_names acc srcs
-  | Visa.Vbroadcast { src; _ } -> lane_src_names acc src
-  | Visa.Vunpack { dsts; _ } ->
-      List.fold_left
-        (fun acc d ->
-          match d with
-          | Some (Visa.To_reg v) -> v :: acc
-          | Some (Visa.To_mem _) | None -> acc)
-        acc dsts
-  | Visa.Vload_scalars { sources; _ } -> List.rev_append sources acc
-  | Visa.Vstore_scalars { targets; _ } -> List.rev_append targets acc
-  | Visa.Sstmt s -> stmt_scalar_names acc s
-  | Visa.Vload _ | Visa.Vstore _ | Visa.Vpermute _ | Visa.Vshuffle2 _ | Visa.Vbin _
-  | Visa.Vun _ | Visa.Vspill _ | Visa.Vreload _ ->
-      acc
-
-let vector_prog_names acc items = fold_instrs instr_scalar_names acc items
+  let f = Visa.fold_instrs max_expr_depth_instr in
+  1 + f (f 0 p.Visa.setup) p.Visa.body
 
 let make_ctx ~machine ~values_only ~stride mem names =
   List.iter (fun v -> ignore (Memory.scalar_slot mem v)) names;
@@ -1964,9 +1810,7 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   (match profile with
   | None -> ()
   | Some p -> register_arrays p prog.Visa.env memory);
-  let names =
-    vector_prog_names (vector_prog_names [] prog.Visa.setup) prog.Visa.body
-  in
+  let nvregs, nslots, names = program_footprint prog in
   let stride = program_lane_stride prog in
   let ctx = make_ctx ~machine ~values_only ~stride memory names in
   (* Only one-core runs without a profiler skip iterations: a
@@ -1987,8 +1831,6 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   assert (Memory.scalar_values memory == ctx.sdata);
   let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
   let ntmp = program_tmp_slots prog in
-  let nvregs = program_vregs prog in
-  let nslots = program_spill_slots prog in
   let fresh ?contention ~sdata () =
     let st =
       fresh_state ?contention ~machine ~nframe ~ntmp ~nvregs ~stride ~nslots ~sdata ()
@@ -2143,7 +1985,8 @@ and lane_item states = function
 let lanes_proven (prog : Visa.program) =
   match
     lane_items
-      (lane_items [ Array.make (program_vregs prog) (-1) ] prog.Visa.setup)
+      (let nvregs, _, _ = program_footprint prog in
+       lane_items [ Array.make nvregs (-1) ] prog.Visa.setup)
       prog.Visa.body
   with
   | _ -> true

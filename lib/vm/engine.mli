@@ -43,17 +43,15 @@
     exactly.  A timed run computes the remaining iterations'
     values-only, so memory, traps, lane errors and armed faults are
     unchanged; a timing-only run skips them unless a fault is armed.
-    Multicore and profiled runs simulate every iteration.  A
-    fast-forwarded run's own {!Cache} hit counts cover only the
-    simulated iterations; nothing reads them after a run.
+    Multicore and profiled runs simulate every iteration.
 
     Such a loop settles when the state one iteration leaves is, besides,
     a fixed point of its body, decided once per loop from names: its
-    index appears nowhere in the body, not even read as a value; no
-    array the body writes is read in it; and every scalar, register and
-    spill slot the body writes is written before it is read within one
-    iteration (a write in an inner loop counts only if that loop has
-    constant bounds and at least one trip).  Every later iteration then
+    index appears nowhere in the body, not even read as a value, and no
+    location the body reads before writing it is written in it
+    ({!Visa.first_reads}: an array is one location, so no array the
+    body writes is read in it, and every scalar, register and spill
+    slot it writes is written before it is read).  Every later iteration then
     writes exactly what the first wrote and raises nothing new.  An
     index read as a value ([A[i] = t]) moves no address but changes
     every iteration's values, so it disqualifies the loop.  A one-core
@@ -168,17 +166,6 @@ val settled_iterations : unit -> int
 val chunk_ranges : lo:int -> hi:int -> step:int -> cores:int -> (int * int) list
 (** Split [lo, hi) into [cores] contiguous step-aligned ranges. *)
 
-val scalar_prog_names : string list -> Program.item list -> string list
-(** Every scalar name a scalar program mentions, appended to the
-    accumulator.  The interpreters use this to pre-register slots
-    before snapshotting [Memory.scalar_values] — the backing store is
-    replaced when a slot is first created, so privatized copies must
-    be taken after all names exist. *)
-
-val vector_prog_names : string list -> Visa.item list -> string list
-(** Same for the instructions of a vector program fragment (call once
-    on [setup] and once on [body]). *)
-
 type privatizer = {
   p_enter : int -> unit;
   p_exit : int -> unit;
@@ -203,17 +190,18 @@ val make_privatizer :
 (** [verdict] is {!Parcheck.analyze} of the program (of its
     {!Visa.of_program} image for a scalar one), the verdict the engine
     acts on.  Pre-register every scalar name the program mentions (see
-    {!scalar_prog_names}) before calling — the snapshot is taken
+    {!program_footprint}) before calling — the snapshot is taken
     against the live backing store. *)
 
-val program_vregs : Visa.program -> int
-(** One more than the highest register number the program mentions
-    (0 for a register-free program) — sizes a dense register file. *)
+val program_footprint : Visa.program -> int * int * string list
+(** One more than the highest register number and than the highest
+    spill slot the program names (0 when it names none) — the sizes of
+    a dense register file and spill arena — and every scalar name its
+    instructions mention.  The interpreters register those names
+    before snapshotting [Memory.scalar_values]: the backing store is
+    replaced when a slot is first created, so privatized copies must
+    be taken after all names exist. *)
 
 val program_lane_stride : Visa.program -> int
 (** The widest lane count any instruction can produce (at least 1) —
     the per-register pitch of the flat register file. *)
-
-val program_spill_slots : Visa.program -> int
-(** One more than the highest spill slot mentioned (0 when the
-    program never spills) — sizes a dense spill arena. *)

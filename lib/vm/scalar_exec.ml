@@ -123,12 +123,11 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Progr
         (* same chunk semantics as the engine: with a [Parallel]
            verdict each core runs on a privatized scalar store and
            recognised reductions merge from per-core partials *)
-        List.iter
-          (fun v -> ignore (Memory.scalar_slot memory v))
-          (Engine.scalar_prog_names [] prog.Program.body);
+        let image = Visa.of_program prog in
+        let _, _, names = Engine.program_footprint image in
+        List.iter (fun v -> ignore (Memory.scalar_slot memory v)) names;
         let priv =
-          Engine.make_privatizer ~memory ~ranges
-            ~verdict:(Parcheck.analyze (Visa.of_program prog))
+          Engine.make_privatizer ~memory ~ranges ~verdict:(Parcheck.analyze image)
         in
         let all = Counters.create () in
         let max_cycles = ref 0.0 in

@@ -223,8 +223,9 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
         Memory.init_arrays m ~seed;
         m
   in
-  let nvregs = max 1 (Engine.program_vregs prog) in
-  Memory.reserve_spills memory ~slots:(Engine.program_spill_slots prog)
+  let nvregs, slots, names = Engine.program_footprint prog in
+  let nvregs = max 1 nvregs in
+  Memory.reserve_spills memory ~slots
     ~max_lanes:(Engine.program_lane_stride prog);
   let setup_state =
     {
@@ -304,11 +305,7 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
            verdict each core runs on a privatized scalar store and
            recognised reductions merge from per-core partials; the
            entry snapshot is taken after setup has run *)
-        List.iter
-          (fun v -> ignore (Memory.scalar_slot memory v))
-          (Engine.vector_prog_names
-             (Engine.vector_prog_names [] prog.Visa.setup)
-             prog.Visa.body);
+        List.iter (fun v -> ignore (Memory.scalar_slot memory v)) names;
         let priv =
           Engine.make_privatizer ~memory ~ranges
             ~verdict:(Parcheck.analyze prog)

@@ -45,15 +45,112 @@ let rec of_items items =
 let of_program (p : Program.t) =
   { name = p.Program.name; env = p.Program.env; setup = []; body = of_items p.Program.body }
 
-let rec items_instr_count items =
-  List.fold_left
-    (fun acc item ->
-      match item with
-      | Block instrs -> acc + List.length instrs
-      | Loop l -> acc + items_instr_count l.body)
-    0 items
+type loc = Elem of string * Affine.t list | Scalar of string | Vreg of vreg | Slot of int
 
-let instr_count p = items_instr_count p.body
+(* An array is one location to the walk: two subscripts may name one
+   element, and one subscript another element in each inner iteration. *)
+module Locs = Set.Make (struct
+  type t = loc
+
+  let compare a b =
+    match (a, b) with Elem (x, _), Elem (y, _) -> String.compare x y | _ -> compare a b
+end)
+
+(* The helpers take [f] as an argument rather than closing over it, so
+   a fold allocates no closure: only the locations it passes. *)
+let operand f ~write acc = function
+  | Operand.Elem (a, idxs) -> f acc ~write (Elem (a, idxs))
+  | Operand.Scalar x -> f acc ~write (Scalar x)
+  | Operand.Const _ -> acc
+
+let rec operands f ~write acc = function
+  | [] -> acc
+  | op :: ops -> operands f ~write (operand f ~write acc op) ops
+
+let rec scalars f ~write acc = function
+  | [] -> acc
+  | x :: xs -> scalars f ~write (f acc ~write (Scalar x)) xs
+
+let lane f acc = function
+  | Mem op -> operand f ~write:false acc op
+  | Reg x -> f acc ~write:false (Scalar x)
+  | Imm _ -> acc
+
+let rec lanes f acc = function [] -> acc | src :: srcs -> lanes f (lane f acc src) srcs
+
+let rec unpacked f acc = function
+  | [] -> acc
+  | Some (To_mem op) :: rest -> unpacked f (operand f ~write:true acc op) rest
+  | Some (To_reg x) :: rest -> unpacked f (f acc ~write:true (Scalar x)) rest
+  | None :: rest -> unpacked f acc rest
+
+let rec leaves f acc = function
+  | Expr.Leaf op -> operand f ~write:false acc op
+  | Expr.Un (_, e) -> leaves f acc e
+  | Expr.Bin (_, l, r) -> leaves f (leaves f acc l) r
+
+let reg f ~write acc r = f acc ~write (Vreg r)
+
+let fold_locs f acc instr =
+  match instr with
+  | Vload { dst; elems } -> reg f ~write:true (operands f ~write:false acc elems) dst
+  | Vstore { src; elems } -> operands f ~write:true (reg f ~write:false acc src) elems
+  | Vgather { dst; srcs } -> reg f ~write:true (lanes f acc srcs) dst
+  | Vunpack { src; dsts } -> unpacked f (reg f ~write:false acc src) dsts
+  | Vbroadcast { dst; src; _ } -> reg f ~write:true (lane f acc src) dst
+  | Vpermute { dst; src = a; _ } | Vun { dst; a; _ } ->
+      reg f ~write:true (reg f ~write:false acc a) dst
+  | Vshuffle2 { dst; a; b; _ } | Vbin { dst; a; b; _ } ->
+      reg f ~write:true (reg f ~write:false (reg f ~write:false acc a) b) dst
+  | Vspill { src; slot } -> f (reg f ~write:false acc src) ~write:true (Slot slot)
+  | Vreload { dst; slot } -> reg f ~write:true (f acc ~write:false (Slot slot)) dst
+  | Vload_scalars { dst; sources } -> reg f ~write:true (scalars f ~write:false acc sources) dst
+  | Vstore_scalars { src; targets } -> scalars f ~write:true (reg f ~write:false acc src) targets
+  | Sstmt s -> operand f ~write:true (leaves f acc s.Stmt.rhs) s.Stmt.lhs
+
+type first_reads = { early : loc list; written : Locs.t }
+
+let first_reads items =
+  let early = ref [] and seen = ref Locs.empty and written = ref Locs.empty in
+  let access ~bound must ~write loc =
+    if write then begin
+      written := Locs.add loc !written;
+      match loc with Elem _ -> must | Scalar _ | Vreg _ | Slot _ -> Locs.add loc must
+    end
+    else begin
+      (match loc with
+      | Scalar x when List.mem x bound -> ()
+      | _ ->
+          if not (Locs.mem loc must || Locs.mem loc !seen) then begin
+            seen := Locs.add loc !seen;
+            early := loc :: !early
+          end);
+      must
+    end
+  in
+  (* [must]: the locations certainly written so far in the iteration. *)
+  let rec walk ~bound must items =
+    List.fold_left
+      (fun must -> function
+        | Block instrs -> List.fold_left (fold_locs (access ~bound)) must instrs
+        | Loop l -> (
+            let inner = walk ~bound:(l.index :: bound) must l.body in
+            match (Affine.to_const l.lo, Affine.to_const l.hi) with
+            | Some lo, Some hi when hi > lo -> inner
+            | _ -> must))
+      must items
+  in
+  ignore (walk ~bound:[] Locs.empty items : Locs.t);
+  { early = List.rev !early; written = !written }
+
+let rec fold_instrs f acc items =
+  List.fold_left
+    (fun acc -> function
+      | Block instrs -> List.fold_left f acc instrs
+      | Loop l -> fold_instrs f acc l.body)
+    acc items
+
+let instr_count p = fold_instrs (fun n _ -> n + 1) 0 p.body
 
 let pp_lane_src ppf = function
   | Mem op -> Operand.pp ppf op

@@ -68,5 +68,51 @@ val of_program : Program.t -> program
 val instr_count : program -> int
 (** Static instruction count of the body. *)
 
+val fold_instrs : ('a -> instr -> 'a) -> 'a -> item list -> 'a
+(** Every instruction of [items] and of their loops, in program order. *)
+
+(** {1 Def/use}
+
+    What each opcode reads and writes is written out once, in
+    {!fold_locs}; every analysis that asks it (the engine's settle
+    check and register-file sizing, the multicore verdict, the
+    register allocator) reads that fold or {!first_reads}. *)
+
+type loc =
+  | Elem of string * Affine.t list  (** An array element: array and subscripts. *)
+  | Scalar of string  (** A named scalar; inside a loop over it, its index. *)
+  | Vreg of vreg
+  | Slot of int  (** A vector spill slot. *)
+
+module Locs : Set.S with type elt = loc
+(** Sets of locations in which every element of one array is the same
+    location: two subscripts may name one element, and one subscript
+    names another element in each inner iteration. *)
+
+val fold_locs : ('a -> write:bool -> loc -> 'a) -> 'a -> instr -> 'a
+(** [fold_locs f acc i] folds [f] over every location [i] reads, then
+    every location it writes, each in operand order: a statement's
+    right-hand side leaves left to right, then its left-hand side; a
+    vector instruction's sources, then its destination.  Constants
+    and immediates are no location. *)
+
+type first_reads = {
+  early : loc list;
+      (** The locations read before any certain write of them in the
+          iteration, each once (as {!Locs} tells them apart), in the
+          order first found.  An array is never certainly written, so
+          every array read makes it early; it appears with the
+          subscripts of its first read.  A read of a loop's index
+          inside that loop reads the counter, not a location, and is
+          left out. *)
+  written : Locs.t;  (** Every location written anywhere in the items. *)
+}
+
+val first_reads : item list -> first_reads
+(** One iteration of a loop body [items], walked in order.  A write in
+    an inner loop counts as certain for what follows the loop only if
+    the loop has constant bounds and at least one trip (a zero-trip
+    loop writes nothing). *)
+
 val pp_instr : Format.formatter -> instr -> unit
 val pp_program : Format.formatter -> program -> unit

@@ -8,20 +8,9 @@ module Regalloc = Slp_codegen.Regalloc
 module Pipeline = Slp_pipeline.Pipeline
 module Machine = Slp_machine.Machine
 
-let rec max_phys_items items =
-  List.fold_left
-    (fun acc item ->
-      match item with
-      | Visa.Loop l -> max acc (max_phys_items l.Visa.body)
-      | Visa.Block instrs ->
-          List.fold_left
-            (fun acc i ->
-              let regs =
-                (match Regalloc.instr_def i with Some d -> [ d ] | None -> [])
-                @ Regalloc.instr_uses i
-              in
-              List.fold_left max acc regs)
-            acc instrs)
+let max_phys_items items =
+  Visa.fold_instrs
+    (Visa.fold_locs (fun acc ~write:_ -> function Visa.Vreg r -> max acc r | _ -> acc))
     (-1) items
 
 let elem b k = Operand.Elem (b, [ Affine.const k ])
