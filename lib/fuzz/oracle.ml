@@ -186,7 +186,10 @@ let check_runs ~fail ~interpreter ~timed ~values ~timing =
    level has settled after one iteration and a fast-forward whose
    warm-up is one or two iterations short reads the right cycles.  Of
    the shapes tried on generated kernels, this one most often needs
-   the full L + 1 iterations. *)
+   the full L + 1 iterations.  In the 300-case campaigns at seeds 42
+   and 7 it is the only machine whose loops are first steady at
+   iteration 3 or 4; on the machines' own caches every loop is steady
+   at iteration 1 or 2. *)
 let late_settling (machine : Machine.t) =
   let level sets ways (l : Machine.cache_level) =
     { l with Machine.size_bytes = sets * ways * l.Machine.line_bytes; ways }

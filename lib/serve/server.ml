@@ -221,18 +221,22 @@ let handle_readable t (c : client) =
       drop_client t c
   | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ()
   | n ->
-      Buffer.add_subbytes c.buf chunk 0 n;
-      let data = Buffer.contents c.buf in
-      Buffer.clear c.buf;
-      let lines = String.split_on_char '\n' data in
-      let rec feed = function
-        | [] -> ()
-        | [ tail ] -> Buffer.add_string c.buf tail
-        | line :: rest ->
-            if String.length line > 0 then handle_line t c line;
-            feed rest
+      (* Only the new bytes are scanned: a line that arrives over many
+         reads is copied out of [c.buf] once, when its newline comes. *)
+      let rec feed start =
+        let nl = ref start in
+        while !nl < n && Bytes.get chunk !nl <> '\n' do
+          incr nl
+        done;
+        Buffer.add_subbytes c.buf chunk start (!nl - start);
+        if !nl < n then begin
+          let line = Buffer.contents c.buf in
+          Buffer.clear c.buf;
+          if String.length line > 0 then handle_line t c line;
+          feed (!nl + 1)
+        end
       in
-      feed lines
+      feed 0
 
 let handle_writable t (c : client) =
   let next = locked t (fun () -> Queue.peek_opt c.out) in

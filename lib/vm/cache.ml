@@ -6,8 +6,8 @@ module FA = Float.Array
    first, of which the first [fill.(s)] are valid.  Slot 0 of a set
    with no valid tag holds -1 (no line has that tag), so the L1 fast
    path can test it without reading [fill].  A level holds nothing
-   but geometry and contents, which is what lets [create] reuse a
-   released one. *)
+   but geometry, contents and the count of lines it missed, which is
+   what lets [create] reuse a released one. *)
 type level = {
   tags : int array;
   fill : int array;
@@ -18,6 +18,11 @@ type level = {
           machines), letting set selection be a mask instead of a
           division; [-1] otherwise. *)
   line_bytes : int;
+  mutable misses : int;
+      (** Lines this level missed since it was made or reset, counted
+          by the walk only: the MRU fast path is an L1 hit.  The
+          engine's fast-forward reads them to find a loop's first
+          steady iteration. *)
 }
 
 type t = {
@@ -57,11 +62,13 @@ let make_level (c : M.cache_level) =
     set_count;
     set_mask = (if log2_pow2 set_count >= 0 then set_count - 1 else -1);
     line_bytes = c.M.line_bytes;
+    misses = 0;
   }
 
 (* Empty every set.  Only slot 0 of a non-empty set needs clearing:
    lookups never read past [fill], and inserts shift only valid tags. *)
 let reset_level l =
+  l.misses <- 0;
   for s = 0 to l.set_count - 1 do
     if Array.unsafe_get l.fill s > 0 then begin
       Array.unsafe_set l.fill s 0;
@@ -139,11 +146,11 @@ let[@inline] notify t line level =
 
 (* Probe one level for a line and make it MRU: on a hit it moves to
    the front of its set, on a miss it is inserted there (filling the
-   level, evicting the LRU tag of a full set).  Returns whether it
-   hit.  The accesses are unsafe: [set] comes out of [set_of], so
-   [base + ways] is within [tags], and every position is below
-   [ways].  LRU rotations shift at most [ways] tags; a manual loop
-   beats the memmove call overhead at these sizes. *)
+   level, evicting the LRU tag of a full set) and counted.  Returns
+   whether it hit.  The accesses are unsafe: [set] comes out of
+   [set_of], so [base + ways] is within [tags], and every position is
+   below [ways].  LRU rotations shift at most [ways] tags; a manual
+   loop beats the memmove call overhead at these sizes. *)
 let touch level line =
   let set = set_of level line in
   let base = set * level.ways in
@@ -157,6 +164,7 @@ let touch level line =
   let last =
     if hit then !idx
     else begin
+      level.misses <- level.misses + 1;
       let n' = Int.min (n + 1) level.ways in
       Array.unsafe_set level.fill set n';
       n' - 1
@@ -212,6 +220,8 @@ let charge t acc ~issue ~addr ~bytes =
     done;
     acc.(0) <- acc.(0) +. (issue +. !cycles)
   end
+
+let misses t level = t.levels.(level).misses
 
 let access t ~addr ~bytes =
   let acc = [| 0.0 |] in

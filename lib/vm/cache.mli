@@ -17,8 +17,9 @@
     keeps at most 8 released hierarchies.  The observer and the
     contention-derived latencies belong to the value [create] returns,
     so nothing observable carries over from a reused one.  The
-    hierarchy counts nothing itself: a caller that wants hit counts
-    (the profiler) installs an observer.
+    hierarchy counts one thing itself, the lines each level misses
+    ({!misses}), and only the engine's fast-forward reads them; a
+    caller that wants hit counts (the profiler) installs an observer.
 
     The hit path: a single-line access whose line is the most recently
     used tag of its L1 set reads the L1 level directly, skips the walk
@@ -52,6 +53,14 @@ val charge : t -> float array -> issue:float -> addr:int -> bytes:int -> unit
 val access : t -> addr:int -> bytes:int -> float
 (** Cycles for the access: {!charge} into a fresh cell with no issue
     cost. *)
+
+val misses : t -> int -> int
+(** [misses t k] is how many line accesses missed level [k] (0-based,
+    L1 first) since [create]: the walk counts each level it passes,
+    and the MRU fast path, an L1 hit, counts nothing.  A level that
+    misses nothing over one replay of an access stream holds the same
+    lines afterwards; the engine's fast-forward reads these counts
+    around each warm-up iteration to find the first steady one. *)
 
 val set_observer : t -> (int -> int -> unit) option -> unit
 (** Install (or remove) a per-line-access hook for the profiler:

@@ -43,21 +43,35 @@
    same accesses at the same addresses ([repeat], [replay_tail]).
    Each cache level is an LRU store fed by the misses of the level
    above, and an LRU set fed one stream twice ends exactly as it ended
-   the first time; so with L levels the hierarchy's state is fixed
-   after iteration L, and iteration L + 1 and every later one charge
-   the same counts and cycles.  [forward] simulates L + 1 iterations,
-   adds the last one's counter and cycle increments once per remaining
-   iteration, and runs the remaining ones on a values-only compile of
-   the body: their values, traps, lane errors and fault ticks are the
-   timed run's, their cache accesses are skipped.  The cache ends in
-   the state full simulation leaves.  This is exact only at one core,
-   where every cost is an integer-valued float and the sums stay below
-   2^53 (see below; a loop that would pass 2^53 simulates on).  A
-   multicore run's contention costs need not be integers, and a
-   profiled run observes every access, so both compile every loop to
-   full simulation ([simulate]), as do loops without the property.
-   The cache counts nothing itself; the profiler counts what its
-   observer sees, so a profiled run keeps full simulation.
+   the first time; so with L levels, levels 1 .. j are in a fixed
+   state from the start of iteration j + 1 on, and iteration L + 1 and
+   every later one charge the same counts and cycles.  Most loops are
+   steady sooner: iteration k (k <= L) is steady when it missed no line
+   at level k.  Levels 1 .. k - 1 had settled before it began, so they
+   feed level k the same stream in iteration k + 1; a level that
+   missed nothing still holds the same lines, so it misses nothing
+   again, resolves each access at the same level, ends in the same LRU
+   order and passes nothing deeper.  So iteration k + 1 charges exactly
+   what iteration k charged and leaves the hierarchy as iteration k
+   left it, and so does every later one.  [forward] simulates up to
+   L + 1 iterations, reading {!Cache.misses} around each, stops at the
+   first steady one, adds its counter and cycle increments once per
+   remaining iteration, and runs the remaining ones on a values-only
+   compile of the body: their values, traps, lane errors and fault
+   ticks are the timed run's, their cache accesses are skipped.  The
+   cache ends in the state full simulation leaves.  A fast-forwarded
+   inner loop keeps the rule exact for the loops around it: its
+   skipped iterations repeat its steady one, which was simulated and
+   counted, so "no miss at level k" holds over the skipped accesses
+   exactly when it holds over the simulated ones.  This is exact only
+   at one core, where every cost is an integer-valued float and the
+   sums stay below 2^53 (see below; a loop that would pass 2^53
+   simulates on).  A multicore run's contention costs need not be
+   integers, and a profiled run observes every access, so both compile
+   every loop to full simulation ([simulate]), as do loops without the
+   property.  The cache counts only misses per level, for [forward];
+   the profiler counts what its observer sees, so a profiled run keeps
+   full simulation.
 
    A replaying loop settles when, besides, the state one iteration
    leaves is a fixed point of its body ([repeat] decides it once per
@@ -300,9 +314,10 @@ and cloop = {
 
 (* How a loop runs its iterations.  [Simulate]: every one on [c_body].
    [Forward]: the loop replays one cache-line stream, or settles (see
-   [forward]); [warm] iterations run on [c_body], the rest on [values]
-   (a values-only compile of the body) or, when [values] is [None], not
-   at all.  The skipped iterations count in each of [counts]. *)
+   [forward]); up to [warm] iterations run on [c_body], the rest on
+   [values] (a values-only compile of the body) or, when [values] is
+   [None], not at all.  The skipped iterations count in each of
+   [counts]. *)
 and tail =
   | Simulate
   | Forward of { warm : int; values : (state -> unit) option; counts : int Atomic.t list }
@@ -314,33 +329,42 @@ let forwarded_iterations () = Atomic.get forwarded
 let settled = Atomic.make 0
 let settled_iterations () = Atomic.get settled
 
-(* Add [times] more of the counts [c] gained since [before]: the int
-   fields only (a float field update would box). *)
-let repeat_counts (c : Counters.t) ~(before : Counters.t) ~times =
-  let more now was = now + (times * (now - was)) in
-  c.scalar_ops <- more c.scalar_ops before.scalar_ops;
-  c.vector_ops <- more c.vector_ops before.vector_ops;
-  c.scalar_loads <- more c.scalar_loads before.scalar_loads;
-  c.scalar_stores <- more c.scalar_stores before.scalar_stores;
-  c.vector_loads <- more c.vector_loads before.vector_loads;
-  c.vector_stores <- more c.vector_stores before.vector_stores;
-  c.pack_loads <- more c.pack_loads before.pack_loads;
-  c.pack_stores <- more c.pack_stores before.pack_stores;
-  c.inserts <- more c.inserts before.inserts;
-  c.extracts <- more c.extracts before.extracts;
-  c.permutes <- more c.permutes before.permutes;
-  c.broadcasts <- more c.broadcasts before.broadcasts
+(* [now] plus [times] more of what each of the last [iterations]
+   iterations gained since [was]: every iteration of a replaying loop
+   runs the same instructions, so each gained the same.  Top-level, as
+   a local closure over both counts would be allocated on every
+   fast-forward. *)
+let more ~iterations ~times now was = now + (times * ((now - was) / iterations))
 
-(* A [Forward] loop (the argument is in the header): [warm] iterations
-   run on [c_body], then the last one's counter and cycle increments
-   are added once per remaining iteration, and those iterations run on
-   [values] or, when the loop settles or the run is timing-only, not at
-   all, unless a fault is armed: its ticks need every access.  In a
-   timed run [warm] = L + 1; in a values-only run, whose counters and
-   cycles stay zero, [warm] = 1.  The product and the sum are exact
-   while the total stays below 2^53; a loop that would pass it
-   simulates on.  Returns the index the loop continues from on
-   [c_body]. *)
+(* Add [times] more of the per-iteration counts [c] gained over the
+   [iterations] iterations since [before]: the int fields only (a float
+   field update would box). *)
+let repeat_counts (c : Counters.t) ~(before : Counters.t) ~iterations ~times =
+  c.scalar_ops <- more ~iterations ~times c.scalar_ops before.scalar_ops;
+  c.vector_ops <- more ~iterations ~times c.vector_ops before.vector_ops;
+  c.scalar_loads <- more ~iterations ~times c.scalar_loads before.scalar_loads;
+  c.scalar_stores <- more ~iterations ~times c.scalar_stores before.scalar_stores;
+  c.vector_loads <- more ~iterations ~times c.vector_loads before.vector_loads;
+  c.vector_stores <- more ~iterations ~times c.vector_stores before.vector_stores;
+  c.pack_loads <- more ~iterations ~times c.pack_loads before.pack_loads;
+  c.pack_stores <- more ~iterations ~times c.pack_stores before.pack_stores;
+  c.inserts <- more ~iterations ~times c.inserts before.inserts;
+  c.extracts <- more ~iterations ~times c.extracts before.extracts;
+  c.permutes <- more ~iterations ~times c.permutes before.permutes;
+  c.broadcasts <- more ~iterations ~times c.broadcasts before.broadcasts
+
+(* A [Forward] loop (the argument is in the header): up to [warm]
+   iterations run on [c_body], and the first steady one's counter and
+   cycle increments are added once per remaining iteration.  Warm-up
+   iteration [k < warm] is steady when it missed no line at cache
+   level [k] (L1 is level 1); iteration [warm] always is.  The
+   remaining iterations run on [values] or, when the loop settles or
+   the run is timing-only, not at all, unless a fault is armed: its
+   ticks need every access.  In a timed run [warm] = L + 1; in a
+   values-only run, whose counters and cycles stay zero, [warm] = 1.
+   The product and the sum are exact while the total stays below
+   2^53; a loop that would pass it simulates on.  Returns the index
+   the loop continues from on [c_body]. *)
 let forward st l ~warm ~values ~counts ~lo ~hi =
   let step = l.c_step in
   let trips = if hi <= lo then 0 else (hi - lo + step - 1) / step in
@@ -352,16 +376,20 @@ let forward st l ~warm ~values ~counts ~lo ~hi =
       body st;
       i := !i + step
     in
-    for _ = 2 to warm do
-      iterate l.c_body
+    let before = Counters.copy st.counters in
+    let k = ref 0 and steady = ref false and from = ref 0.0 in
+    while not !steady do
+      incr k;
+      let missed = if !k < warm then Cache.misses st.cache (!k - 1) else 0 in
+      from := st.cycles.(0);
+      iterate l.c_body;
+      steady := !k = warm || Cache.misses st.cache (!k - 1) = missed
     done;
-    let before = Counters.copy st.counters and from = st.cycles.(0) in
-    iterate l.c_body;
-    let times = trips - warm in
-    let total = st.cycles.(0) +. (float_of_int times *. (st.cycles.(0) -. from)) in
+    let times = trips - !k in
+    let total = st.cycles.(0) +. (float_of_int times *. (st.cycles.(0) -. !from)) in
     if (Option.is_none values && !Trap.fault_enabled) || not (total < 0x1p53) then !i
     else begin
-      repeat_counts st.counters ~before ~times;
+      repeat_counts st.counters ~before ~iterations:!k ~times;
       st.cycles.(0) <- total;
       List.iter (fun c -> ignore (Atomic.fetch_and_add c times : int)) counts;
       Option.iter

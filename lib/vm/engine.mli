@@ -37,12 +37,17 @@
     fast-forward every loop whose body mentions its index in no
     subscript and no inner loop bound: each iteration makes the same
     accesses, and a hierarchy of L LRU levels fed one stream per
-    iteration is in a fixed state after iteration L.  So L + 1
-    iterations (4 on both machine models) are simulated and the last
-    one's counts and cycles are added once per remaining iteration,
-    exactly.  A timed run computes the remaining iterations'
-    values-only, so memory, traps, lane errors and armed faults are
-    unchanged; a timing-only run skips them unless a fault is armed.
+    iteration is in a fixed state after iteration L.  Iteration k
+    (k <= L) is steady already when it missed no line at cache level
+    k: the levels above had settled, and a level that misses nothing
+    keeps its lines and order and passes nothing on, so every later
+    iteration charges what iteration k charged.  So up to L + 1
+    iterations (4 on both machine models; 2 in every suite loop) are
+    simulated, and the first steady one's counts and cycles are added
+    once per remaining iteration, exactly.  A timed run computes the
+    remaining iterations' values-only, so memory, traps, lane errors
+    and armed faults are unchanged; a timing-only run skips them
+    unless a fault is armed.
     Multicore and profiled runs simulate every iteration.
 
     Such a loop settles when the state one iteration leaves is, besides,
@@ -156,7 +161,11 @@ val timing_fallbacks : unit -> int
 val forwarded_iterations : unit -> int
 (** How many loop iterations so far, in this process, one-core timed
     and timing-only runs fast-forwarded: their counts and cycles were
-    added from the last warm-up iteration's instead of simulated. *)
+    added from the first steady warm-up iteration's instead of
+    simulated.  Warm-up iteration k (k <= L, L1 = level 1) is steady
+    when it missed no line at cache level k, and iteration L + 1
+    always is; a fast-forwarded inner loop's skipped iterations repeat
+    its steady one, so the rule stays exact for the loops around it. *)
 
 val settled_iterations : unit -> int
 (** How many loop iterations so far, in this process, one-core timed

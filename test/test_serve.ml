@@ -777,6 +777,69 @@ let test_server_partial_writes () =
   Domain.join daemon;
   Client.close control
 
+(* Request lines cut anywhere across reads, or several to a read, get
+   the replies whole lines get, byte for byte: a client writes each
+   line whole, another one byte per write (with an empty line, which
+   the reactor skips, before each), another two lines per write, and
+   another each newline in a write of its own.  The short pauses
+   between writes let the reactor read each write on its own. *)
+let test_server_split_lines () =
+  Fault.disarm ();
+  let dir = fresh_dir () in
+  let socket = Filename.concat dir "slpd.sock" in
+  let pool = Pool.create ~config:quick_config ~cache:(Cache.create ~dir) () in
+  let daemon = Domain.spawn (fun () -> Server.run ~pool ~socket ()) in
+  let control = connect ~socket 100 in
+  let lines =
+    [
+      Proto.request_to_line { Proto.id = 1; op = Proto.Ping };
+      "{\"id\": 2, \"op\": \"no-such-op\"}";
+      "{\"id\": 3, \"op\":";
+      Proto.request_to_line { Proto.id = 4; op = Proto.Ping };
+    ]
+  in
+  let replies writes =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    List.iter
+      (fun w ->
+        ignore (Unix.write_substring fd w 0 (String.length w));
+        Unix.sleepf 0.001)
+      writes;
+    let ic = Unix.in_channel_of_descr fd in
+    let got = List.map (fun _ -> input_line ic) lines in
+    close_in ic;
+    got
+  in
+  let whole = replies (List.map (fun l -> l ^ "\n") lines) in
+  Alcotest.(check (list int)) "one reply per line, in order" [ 1; 2; -1; 4 ]
+    (List.map
+       (fun r ->
+         match Proto.reply_of_line r with
+         | Ok reply -> reply.Proto.id
+         | Error e -> Alcotest.failf "reply does not parse: %s" e)
+       whole);
+  let bytes =
+    List.concat_map
+      (fun l -> List.of_seq (Seq.map (String.make 1) (String.to_seq ("\n" ^ l ^ "\n"))))
+      lines
+  in
+  let rec pairs = function
+    | a :: b :: rest -> (a ^ "\n" ^ b ^ "\n") :: pairs rest
+    | [ a ] -> [ a ^ "\n" ]
+    | [] -> []
+  in
+  List.iter
+    (fun (what, writes) -> Alcotest.(check (list string)) what whole (replies writes))
+    [
+      ("one byte per write", bytes);
+      ("two requests per write", pairs lines);
+      ("newline in its own write", List.concat_map (fun l -> [ l; "\n" ]) lines);
+    ];
+  shut_down control 1;
+  Domain.join daemon;
+  Client.close control
+
 (* A second daemon on a live daemon's socket must refuse to start and
    leave the socket alone; a socket file nobody listens on is stale and
    is replaced.  Each daemon runs on its own domain, so a second daemon
@@ -933,6 +996,7 @@ let () =
             test_server_partial_writes;
           Alcotest.test_case "reply dropped with its client counted" `Quick
             test_server_dropped_client_replies;
+          Alcotest.test_case "lines split across reads" `Quick test_server_split_lines;
         ] );
       ( "fault matrix",
         [
