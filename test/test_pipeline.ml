@@ -397,6 +397,55 @@ let test_is_valid_reads_its_pairs () =
   Alcotest.(check bool) "invalid under syntactic pairs" false
     (Schedule.is_valid ~dep_pairs:syntactic block swapped)
 
+(* What [slpc --run --profile] prints, pinned: every scheme on the five
+   example kernels at 1 and 2 cores, one FNV hash over each run's
+   standard output (the counters, the match verdict, the speedup and
+   the profile's hot statements and per-array levels) and exit status.
+   Profiled runs simulate every access today; a change that lets them
+   skip work must leave this hash as it is.  Re-record only in a change
+   meant to alter what a profiled run reports, with old and new values
+   in CHANGES.md. *)
+let test_slpc_profile_pinned () =
+  let find paths = List.find Sys.file_exists paths in
+  let slpc = find [ "../bin/slpc.exe"; "_build/default/bin/slpc.exe" ] in
+  let dir = find [ "../examples/kernels"; "examples/kernels" ] in
+  let kernels =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".kern")
+    |> List.sort compare
+  in
+  Alcotest.(check int) "five example kernels" 5 (List.length kernels);
+  let out = Filename.temp_file "slpc-profile" ".txt" in
+  let h =
+    List.fold_left
+      (fun h kernel ->
+        List.fold_left
+          (fun h scheme ->
+            List.fold_left
+              (fun h cores ->
+                let scheme = Pipeline.scheme_to_string scheme in
+                let status =
+                  Sys.command
+                    (Filename.quote_command slpc ~stdout:out ~stderr:Filename.null
+                       [
+                         Filename.concat dir kernel; "-s"; scheme; "--run"; "--profile";
+                         "--cores"; string_of_int cores;
+                       ])
+                in
+                let text = In_channel.with_open_bin out In_channel.input_all in
+                let label = Printf.sprintf "%s -s %s --cores %d" kernel scheme cores in
+                Alcotest.(check int) (label ^ ": exit status") 0 status;
+                Alcotest.(check bool) (label ^ ": matches the scalar reference") true
+                  (List.mem "semantics vs scalar reference: match"
+                     (String.split_on_char '\n' text));
+                Slp_util.Fnv.combine (Slp_util.Fnv.combine h label) text)
+              h [ 1; 2 ])
+          h Pipeline.all_schemes)
+      (Slp_util.Fnv.hash64 "") kernels
+  in
+  Sys.remove out;
+  Alcotest.(check string) "slpc --run --profile output" "6bda9bb100e19df0" (Slp_util.Fnv.to_hex h)
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -420,6 +469,11 @@ let () =
           Alcotest.test_case "no replica commits Global's plans" `Slow
             test_no_replica_commits_global;
           Alcotest.test_case "every arbitration pinned" `Slow test_arbitrations_pinned;
+        ] );
+      ( "slpc",
+        [
+          Alcotest.test_case "--run --profile output pinned" `Slow
+            test_slpc_profile_pinned;
         ] );
       ( "dep_pairs",
         [
