@@ -8,19 +8,30 @@
     [Parcheck] (chunk independence + reduction parallelization, built
     on {!cross_instance_conflict} and {!reductions_of_stmts}), the SLP
     grouping/scheduling passes (precise statement dependence graphs),
-    and the verifier (DEP01–DEP05). *)
+    and the verifier (DEP01–DEP05).
+
+    {!of_program} and {!block_dep_pairs} resolve a block's accesses
+    once: loop variables become ids by nest depth, each subscript
+    dimension a row of ints.  Only pairs on one array, of equal rank
+    and with at least one write, reach the solver, and a solve
+    allocates nothing; only what it reports is built. *)
 
 open Slp_ir
 
 (** Constant iteration boxes: the enclosing loops' ranges at an access
-    site, innermost binding first. *)
+    site, by nest depth, a name bound twice resolving to its innermost
+    binding. *)
 module Box : sig
   type range = Known of { lo : int; hi : int; step : int } | Unknown
 
   type t
 
   val empty : t
+
   val add : t -> string -> range -> t
+  (** The box of a loop nested inside [t]'s innermost loop.  A known
+      range's step must be positive, as a loop's is. *)
+
   val of_bounds : lo:Affine.t -> hi:Affine.t -> step:int -> range
 
   val trip : range -> int option

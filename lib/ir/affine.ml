@@ -23,6 +23,9 @@ let scale k a = make (List.map (fun (v, c) -> (v, k * c)) (terms a)) (k * a.cons
 let neg a = scale (-1) a
 let sub a b = add a (neg b)
 let const_part a = a.const
+let length a = Array.length a.vars
+let var_at a i = a.vars.(i)
+let coeff_at a i = a.coeffs.(i)
 
 let rec coeff_from a v i =
   if i = Array.length a.vars then 0

@@ -23,6 +23,14 @@ val neg : t -> t
 val terms : t -> (string * int) list
 (** Canonical (sorted, non-zero) coefficient list. *)
 
+val length : t -> int
+(** Number of terms. *)
+
+val var_at : t -> int -> string
+val coeff_at : t -> int -> int
+(** The variable and coefficient of the [i]-th term of {!terms}
+    ([0 <= i < length]), read without building the list. *)
+
 val const_part : t -> int
 val coeff : t -> string -> int
 (** 0 when the variable does not occur. *)
