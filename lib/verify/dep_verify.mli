@@ -22,6 +22,18 @@
 
 val check :
   ?stage:Diagnostic.stage -> Slp_ir.Program.t -> Diagnostic.t list
-(** Analyze [prog] and validate the resulting dependence graph.
+(** Analyze [prog] and validate the resulting dependence graph:
+    {!check_graph} over {!Slp_depend.Depend.of_program} and the
+    verdict of {!Slp_vm.Parcheck.analyze} on [prog]'s Visa image.
     [stage] defaults to [Prepared_ir] (the pipeline checks the
     unrolled, folded reference program). *)
+
+val check_graph :
+  ?stage:Diagnostic.stage ->
+  verdict:Slp_depend.Depend.verdict ->
+  Slp_ir.Program.t ->
+  Slp_depend.Depend.graph ->
+  Diagnostic.t list
+(** The rules alone, over a given [graph] of [prog] and the multicore
+    [verdict] DEP04 holds it to.  An edge's text is formatted only for
+    a diagnostic. *)

@@ -5,7 +5,9 @@
    through the checkers and assert the corruption is rejected with its
    expected rule id (checkers actually fire); the clean-suite tests
    compile every benchmark kernel under every scheme with verification
-   enabled and assert zero errors (checkers are not over-strict). *)
+   enabled and assert zero errors (checkers are not over-strict).  The
+   dependence rules get their corrupted graphs here: each DEP rule is
+   handed one and must report it with its message. *)
 
 module Pipeline = Slp_pipeline.Pipeline
 module Machine = Slp_machine.Machine
@@ -40,6 +42,118 @@ let test_mutation_coverage () =
   Alcotest.(check (list string)) "layers covered" [ "IR"; "PA"; "SC"; "VI" ] layers;
   Alcotest.(check bool) "at least 8 distinct mutations" true
     (List.length Corrupt.cases >= 8)
+
+(* -- dependence rules: every DEP rule fires on a corrupted graph -------- *)
+
+module Depend = Slp_depend.Depend
+module Dep_verify = Slp_verify.Dep_verify
+
+let dep_source =
+  "f64 s;\nf64 A[64];\nf64 B[64];\n\
+   for i = 0 to 8 {\n\
+  \  A[i] = B[i];\n\
+  \  B[i+1] = A[i];\n\
+  \  s = s + A[i];\n\
+   }\n"
+
+(* S1 -> S2 on A, loop-independent, and S2 -> S1 on B, carried on [i]
+   at distance 1: the graph [Depend.of_program] builds for
+   [dep_source], whose verdict is Serial. *)
+let li_edge =
+  {
+    Depend.src = 1;
+    dst = 2;
+    array = "A";
+    ekind = Depend.Flow;
+    carrier = None;
+    distance = None;
+    directions = [ ("i", Depend.Eq) ];
+    exact = true;
+    reason = None;
+  }
+
+let carried_edge =
+  {
+    li_edge with
+    Depend.src = 2;
+    dst = 1;
+    array = "B";
+    carrier = Some "i";
+    distance = Some 1;
+    directions = [ ("i", Depend.Lt) ];
+  }
+
+(* Corrupted graphs, each with the one diagnostic (rule, where,
+   message) it must raise. *)
+let dep_corruptions =
+  let edge e = ([ e ], []) and reduction r = ([], [ r ]) in
+  let li = "S2 -> S1 (A, flow)" and carried = "S2 -> S1 (B, flow, carried on i)" in
+  [
+    ( "backward loop-independent edge",
+      edge { li_edge with Depend.src = 2; dst = 1 },
+      Depend.Serial "par-shape",
+      ("DEP01-li-order", li, "loop-independent edge does not run forward in program order") );
+    ( "carried distance 0",
+      edge { carried_edge with Depend.distance = Some 0 },
+      Depend.Serial "par-shape",
+      ("DEP02-distance", carried, "carried edge has non-positive distance 0") );
+    ( "carried distance of the trip count",
+      edge { carried_edge with Depend.distance = Some 8 },
+      Depend.Serial "par-shape",
+      ("DEP02-distance", carried, "distance 8 exceeds the carrier's trip count 8 - 1") );
+    ( "carrier direction not <",
+      edge { carried_edge with Depend.directions = [ ("i", Depend.Any) ] },
+      Depend.Serial "par-shape",
+      ("DEP02-distance", carried, "carrier i direction is not [<]") );
+    ( "unlisted reason",
+      edge { carried_edge with Depend.exact = false; reason = Some "guess" },
+      Depend.Serial "par-shape",
+      ("DEP05-reason", carried, "inexact edge has uncatalogued reason \"guess\"") );
+    ( "exact edge with a reason",
+      edge { carried_edge with Depend.reason = Some "symbolic-bounds" },
+      Depend.Serial "par-shape",
+      ("DEP05-reason", carried, "exact edge carries a conservativeness reason") );
+    ( "reduction with -",
+      reduction ("s", Slp_ir.Types.Sub, [ 3 ]),
+      Depend.Serial "par-shape",
+      ("DEP03-reduction", "s (-)", "reduction reported with non-associative operator") );
+    ( "reduction with a missing statement",
+      reduction ("s", Slp_ir.Types.Add, [ 3; 9 ]),
+      Depend.Serial "par-shape",
+      ("DEP03-reduction", "s (+)", "update statement S9 is missing from the program") );
+    ( "Parallel verdict with an edge carried on the partition loop",
+      edge carried_edge,
+      Depend.Parallel { reductions = [] },
+      ( "DEP04-parallel",
+        carried,
+        "Parallel verdict but an edge is carried on the partition loop i" ) );
+  ]
+
+let test_dep_rules_fire () =
+  let prog = Slp_frontend.Parser.parse ~name:"dep" dep_source in
+  let graph = Depend.of_program prog in
+  let verdict = Slp_vm.Parcheck.analyze (Slp_vm.Visa.of_program prog) in
+  let show (d : D.t) = Printf.sprintf "%s | %s | %s" d.D.rule d.D.where d.D.message in
+  Alcotest.(check (list string)) "the uncorrupted graph" []
+    (List.map show (Dep_verify.check_graph ~verdict prog graph));
+  Alcotest.(check bool) "the uncorrupted graph is the one described" true
+    (graph.Depend.edges = [ li_edge; { li_edge with Depend.dst = 3 }; carried_edge ]
+    && graph.Depend.reductions = [ ("s", Slp_ir.Types.Add, [ 3 ]) ]
+    && (match verdict with Depend.Serial _ -> true | Depend.Parallel _ -> false));
+  List.iter
+    (fun (name, (edges, reductions), verdict, (rule, where, message)) ->
+      let diags =
+        Dep_verify.check_graph ~verdict prog { graph with Depend.edges; reductions }
+      in
+      if not (List.mem (rule ^ " | " ^ where ^ " | " ^ message) (List.map show diags)) then
+        Alcotest.failf "%s: expected %s | %s | %s among [%s]" name rule where message
+          (String.concat "; " (List.map show diags));
+      List.iter
+        (fun (d : D.t) ->
+          if d.D.rule <> rule || not (D.is_error d) then
+            Alcotest.failf "%s: unexpected %s" name (show d))
+        diags)
+    dep_corruptions
 
 (* -- clean suite: real kernels never trip the checkers ------------------ *)
 
@@ -110,6 +224,7 @@ let () =
         :: List.map
              (fun c -> Alcotest.test_case c.Corrupt.name `Quick (mutation_case c))
              Corrupt.cases );
+      ("dependence rules", [ Alcotest.test_case "every DEP rule fires" `Quick test_dep_rules_fire ]);
       ( "clean suite",
         List.map
           (fun s ->
