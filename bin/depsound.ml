@@ -3,9 +3,12 @@
    For every suite kernel, dumps the static dependence graph (edges
    with distance/direction vectors, reduction verdicts) as JSON and
    replays the dynamic tracer over the unrolled reference program of
-   each scheme x machine, verifying that no statically-independent
-   statement pair ever conflicts on a concrete address and that
-   [Parallel] verdicts hold under the real access streams.  Each leg
+   each scheme x machine (Intel and AMD at 128 bits, and Intel widened
+   to 256 and 512 bits as Figure 18 does, with the unroll scaled by the
+   width so the largest blocks are replayed too), verifying that no
+   statically-independent statement pair ever conflicts on a concrete
+   address and that [Parallel] verdicts hold under the real access
+   streams.  Each leg
    also records the chunk-independence verdict of its vector program,
    so a kernel whose vector code gets a different verdict from its
    reference shows in the JSON.  An optional fuzz sample runs the same
@@ -25,6 +28,11 @@ let machines =
   List.map
     (fun m -> (Machine.to_string m, m))
     [ Machine.intel_dunnington; Machine.amd_phenom_ii ]
+  @ List.map
+      (fun bits ->
+        ( Printf.sprintf "intel%d" bits,
+          Machine.with_simd_bits Machine.intel_dunnington bits ))
+      [ 256; 512 ]
 
 let out_dir = ref "_deps"
 let fuzz_count = ref 0
@@ -83,9 +91,11 @@ let run_kernel (k : Suite.t) =
                 (Pipeline.scheme_name scheme)
                 mname
             in
+            let unroll =
+              max 1 (k.Suite.unroll * machine.Machine.simd_bits / 128)
+            in
             let compiled =
-              Pipeline.compile ~unroll:k.Suite.unroll ~verify:false ~scheme
-                ~machine prog
+              Pipeline.compile ~unroll ~verify:false ~scheme ~machine prog
             in
             let reference = compiled.Pipeline.reference in
             let report =
