@@ -91,9 +91,7 @@ let run_kernel (k : Suite.t) =
                 (Pipeline.scheme_name scheme)
                 mname
             in
-            let unroll =
-              max 1 (k.Suite.unroll * machine.Machine.simd_bits / 128)
-            in
+            let unroll = Suite.unroll_at k ~simd_bits:machine.Machine.simd_bits in
             let compiled =
               Pipeline.compile ~unroll ~verify:false ~scheme ~machine prog
             in

@@ -448,5 +448,6 @@ let all =
 
 let nas = List.filter (fun b -> b.suite = Nas) all
 let find name = List.find (fun b -> String.equal b.name name) all
+let unroll_at b ~simd_bits = max 1 (b.unroll * simd_bits / 128)
 let program b = Slp_frontend.Parser.parse ~name:b.name b.source
 let suite_name = function Spec2006 -> "SPEC2006" | Nas -> "NAS"

@@ -35,6 +35,10 @@ val nas : t list
 val find : string -> t
 (** Lookup by name; raises [Not_found]. *)
 
+val unroll_at : t -> simd_bits:int -> int
+(** The unroll factor filling a [simd_bits]-wide datapath: [unroll]
+    scaled by [simd_bits / 128], at least 1. *)
+
 val program : t -> Slp_ir.Program.t
 (** Parse (memoised per call — kernels are small). *)
 

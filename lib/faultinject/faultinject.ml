@@ -123,7 +123,12 @@ let run_case ~machine ~point (prog : Program.t) =
            the scalar re-run of the reference is clean. *)
         final_memory ~seed { r.P.result with P.scheme = P.Scalar; vector = None }
   in
-  let scalar_identical = Memory.same_contents oracle memory in
+  let scalar_identical =
+    Memory.same_contents oracle memory
+    && Memory.same_scalars
+         ~names:(Slp_analysis.Liveness.observable_scalars prog)
+         oracle memory
+  in
   let errors =
     List.map (fun (b : P.bailout) -> b.P.error) r.P.bailouts
     @ r.P.result.P.solver_bails @ List.rev !exec_errors

@@ -35,6 +35,8 @@ type outcome = {
   expected : string;
   code_seen : bool;
   scalar_identical : bool;
+      (** The final arrays and observable scalars equal an independent
+          scalar run's. *)
   ok : bool;  (** Recovery happened, code matched, memory identical. *)
 }
 

@@ -28,7 +28,7 @@ let job_name j =
     (Pipeline.scheme_name j.scheme)
     (Machine.to_string j.machine) j.machine.Machine.simd_bits
 
-let unroll j = max 1 (j.kernel.Suite.unroll * j.machine.Machine.simd_bits / 128)
+let unroll j = Suite.unroll_at j.kernel ~simd_bits:j.machine.Machine.simd_bits
 
 let jobs () =
   let all machine schemes =

@@ -55,7 +55,7 @@ let measure ?(cores = 1) ~machine ~scheme (b : Suite.t) =
   | Some m -> m
   | None ->
       let prog = Suite.program b in
-      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
       let compiled =
         match !resilient with
         | Some options ->

@@ -23,19 +23,20 @@
    rules.
 
    There are three compiles.  Two are modes of [compile_items], fixed
-   per run in the link context and read only while closures are
-   built.  A timed run (the two entry points above) simulates the
-   cache, counts events and charges cycles.  A values-only run
-   ([scalar_final_memory] for the scalar-reference check,
-   [vector_final_memory]) compiles every instruction to a closure that
-   only computes, checks and stores: the timed closure's bounds and
-   register-lane checks and memory writes, in the same order, with no
-   [Cache.charge], cycle charge or counter update.  Its fault tick
-   ([tick]) stands where the timed closure calls [Cache.charge], after
-   the bounds check, so an armed fault lands on the same access.
-   Everything else — driver, chunking, privatization, reduction
-   merging, states (caches included) — is shared, so the final memory
-   is bit-identical to the timed run's.
+   per run in the link context.  A timed run (the two entry points
+   above) simulates the cache, counts events and charges cycles.  A
+   values-only run ([scalar_final_memory] for the scalar-reference
+   check, [vector_final_memory]) only computes, checks and stores.
+   Both link the same closure per instruction: each compiler binds the
+   mode once, at link time, as the constant [timed], and the closure
+   runs its counter updates, cycle charge and [Cache.charge] only when
+   it is set.  A values-only closure makes the same bounds and
+   register-lane checks and memory writes in the same order, and its
+   fault tick ([tick]) stands where the timed one calls
+   [Cache.charge], after the bounds check, so an armed fault lands on
+   the same access.  Everything else — driver, chunking,
+   privatization, reduction merging, states (caches included) — is
+   shared, so the final memory is bit-identical to the timed run's.
 
    A one-core timed run without a profiler fast-forwards every loop
    that replays one cache-line stream: no subscript and no inner loop
@@ -463,8 +464,9 @@ type linkctx = {
   machine : M.t;
   values_only : bool;
       (* Compile closures that compute values and trap but do no cache
-         access, cycle charging or counter update.  Read while a
-         closure is built, never inside one. *)
+         access, cycle charging or counter update.  Each compiler reads
+         it once, as [let timed = not ctx.values_only], while it links a
+         closure, never inside one. *)
   sdata : floatarray;
       (* The scalar backing store, captured after every name in the
          program has been registered (so it cannot be replaced by a
@@ -608,6 +610,7 @@ let link_scalar_read ctx ~depths v =
    then ALU cycles, then the store.  A compiled operand or expression
    writes its value into [st.tmp] at [dst]. *)
 let compile_operand_read ?stmt ctx ~depths ~dst op =
+  let timed = not ctx.values_only in
   match op with
   | Operand.Const c -> fun st -> FA.unsafe_set st.tmp dst c
   | Operand.Scalar v -> (
@@ -615,19 +618,16 @@ let compile_operand_read ?stmt ctx ~depths ~dst op =
       | Frame d ->
           fun st -> FA.unsafe_set st.tmp dst (float_of_int (Array.unsafe_get st.frame d))
       | Slot slot -> fun st -> FA.unsafe_set st.tmp dst (FA.unsafe_get st.sdata slot))
-  | Operand.Elem _ when ctx.values_only ->
-      let { e_data; e_flat; _ } = link_elem ?stmt ctx ~depths op in
-      fun st ->
-        let fl = e_flat st.frame in
-        tick ();
-        FA.unsafe_set st.tmp dst (FA.unsafe_get e_data fl)
   | Operand.Elem (name, idxs) -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ?stmt ctx ~depths op in
       let issue = float_of_int ctx.machine.M.costs.M.load_issue in
       let generic st =
         let fl = e_flat st.frame in
-        st.counters.Counters.scalar_loads <- st.counters.Counters.scalar_loads + 1;
-        Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes;
+        if timed then begin
+          st.counters.Counters.scalar_loads <- st.counters.Counters.scalar_loads + 1;
+          Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes
+        end
+        else tick ();
         FA.unsafe_set st.tmp dst (FA.unsafe_get e_data fl)
       in
       (* The dominant shape — 1-D array, single-variable subscript —
@@ -642,9 +642,11 @@ let compile_operand_read ?stmt ctx ~depths ~dst op =
               fun st ->
                 let i = const + (k * Array.unsafe_get st.frame d) in
                 if i < 0 || i >= d0 then oob i;
-                st.counters.Counters.scalar_loads <-
-                  st.counters.Counters.scalar_loads + 1;
-                Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes;
+                if timed then begin
+                  st.counters.Counters.scalar_loads <- st.counters.Counters.scalar_loads + 1;
+                  Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes
+                end
+                else tick ();
                 FA.unsafe_set st.tmp dst (FA.unsafe_get e_data i)
           | _ -> generic)
       | _ -> generic)
@@ -729,31 +731,21 @@ let stmt_op_cycles (costs : M.op_costs) (s : Stmt.t) =
     (Expr.operators s.Stmt.rhs)
 
 let compile_stmt ctx ~depths (s : Stmt.t) =
+  let timed = not ctx.values_only in
   let costs = ctx.machine.M.costs in
   let stmt = s.Stmt.id in
   let rhs = compile_expr ~stmt ctx ~depths ~dst:0 s.Stmt.rhs in
   let nops = Stmt.op_count s in
   let op_cycles = float_of_int (stmt_op_cycles costs s) in
   match s.Stmt.lhs with
-  | Operand.Scalar v when ctx.values_only ->
-      let slot = Memory.scalar_slot ctx.mem v in
-      fun (st : state) ->
-        rhs st;
-        FA.unsafe_set st.sdata slot (FA.unsafe_get st.tmp 0)
-  | Operand.Elem _ as op when ctx.values_only ->
-      let { e_data; e_flat; _ } = link_elem ~stmt ctx ~depths op in
-      fun st ->
-        rhs st;
-        let value = FA.unsafe_get st.tmp 0 in
-        let fl = e_flat st.frame in
-        tick ();
-        FA.unsafe_set e_data fl value
   | Operand.Scalar v ->
       let slot = Memory.scalar_slot ctx.mem v in
       fun st ->
         rhs st;
-        st.counters.Counters.scalar_ops <- st.counters.Counters.scalar_ops + nops;
-        charge st op_cycles;
+        if timed then begin
+          st.counters.Counters.scalar_ops <- st.counters.Counters.scalar_ops + nops;
+          charge st op_cycles
+        end;
         FA.unsafe_set st.sdata slot (FA.unsafe_get st.tmp 0)
   | Operand.Elem (name, idxs) as op -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ~stmt ctx ~depths op in
@@ -761,11 +753,16 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
       let generic st =
         rhs st;
         let value = FA.unsafe_get st.tmp 0 in
-        st.counters.Counters.scalar_ops <- st.counters.Counters.scalar_ops + nops;
-        charge st op_cycles;
+        if timed then begin
+          st.counters.Counters.scalar_ops <- st.counters.Counters.scalar_ops + nops;
+          charge st op_cycles
+        end;
         let fl = e_flat st.frame in
-        st.counters.Counters.scalar_stores <- st.counters.Counters.scalar_stores + 1;
-        Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes;
+        if timed then begin
+          st.counters.Counters.scalar_stores <- st.counters.Counters.scalar_stores + 1;
+          Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes
+        end
+        else tick ();
         FA.unsafe_set e_data fl value
       in
       (* Same fusion as [compile_operand_read]: 1-D single-variable
@@ -779,14 +776,17 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
               fun st ->
                 rhs st;
                 let value = FA.unsafe_get st.tmp 0 in
-                st.counters.Counters.scalar_ops <-
-                  st.counters.Counters.scalar_ops + nops;
-                charge st op_cycles;
+                if timed then begin
+                  st.counters.Counters.scalar_ops <- st.counters.Counters.scalar_ops + nops;
+                  charge st op_cycles
+                end;
                 let i = const + (k * Array.unsafe_get st.frame d) in
                 if i < 0 || i >= d0 then oob i;
-                st.counters.Counters.scalar_stores <-
-                  st.counters.Counters.scalar_stores + 1;
-                Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes;
+                if timed then begin
+                  st.counters.Counters.scalar_stores <- st.counters.Counters.scalar_stores + 1;
+                  Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes
+                end
+                else tick ();
                 FA.unsafe_set e_data i value
           | _ -> generic)
       | _ -> generic)
@@ -802,6 +802,7 @@ let run_block fs st =
 (* A lane source writes its value straight into register lane [off]
    of [st.vregs]; a memory source counts as a pack load. *)
 let link_lane_src ctx ~depths ~off (src : Visa.lane_src) =
+  let timed = not ctx.values_only in
   match src with
   | Visa.Imm f -> fun st -> FA.unsafe_set st.vregs off f
   | Visa.Reg v -> (
@@ -809,19 +810,16 @@ let link_lane_src ctx ~depths ~off (src : Visa.lane_src) =
       | Frame d ->
           fun st -> FA.unsafe_set st.vregs off (float_of_int (Array.unsafe_get st.frame d))
       | Slot slot -> fun st -> FA.unsafe_set st.vregs off (FA.unsafe_get st.sdata slot))
-  | Visa.Mem op when ctx.values_only ->
-      let { e_data; e_flat; _ } = link_elem ctx ~depths op in
-      fun st ->
-        let fl = e_flat st.frame in
-        tick ();
-        FA.unsafe_set st.vregs off (FA.unsafe_get e_data fl)
   | Visa.Mem op ->
       let { e_data; e_base; e_bytes; e_flat } = link_elem ctx ~depths op in
       let issue = float_of_int ctx.machine.M.costs.M.load_issue in
       fun st ->
         let fl = e_flat st.frame in
-        st.counters.Counters.pack_loads <- st.counters.Counters.pack_loads + 1;
-        Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * e_bytes)) ~bytes:e_bytes;
+        if timed then begin
+          st.counters.Counters.pack_loads <- st.counters.Counters.pack_loads + 1;
+          Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * e_bytes)) ~bytes:e_bytes
+        end
+        else tick ();
         FA.unsafe_set st.vregs off (FA.unsafe_get e_data fl)
 
 (* Lane 0's flat index of an [n]-lane pack contiguous along the last
@@ -898,15 +896,29 @@ let contig ctx ~depths elems =
         | _ -> None)
   | _ -> None
 
-(* Each instruction compiles to a timed closure or, in a values-only
-   link context, to one that computes the same values and makes the
-   same checks in the same order (lane counts, bounds, memory writes),
-   with [tick] where the timed closure calls [Cache.charge] and no
-   counter update or cycle charge. *)
+(* The lane count of an elementwise [Vbin] over [a] and [b], or of a
+   [Vun] over [a] (passed as both), after its count and cycle charge:
+   a lane of [a] past [b]'s width is an error. *)
+let[@inline] vop_lanes st ~timed ~c a b =
+  let na = vreg_lanes st a in
+  let nb = vreg_lanes st b in
+  if timed then begin
+    st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
+    charge st c
+  end;
+  if nb < na then invalid_arg "index out of bounds";
+  na
+
+(* Each instruction compiles to one closure, whatever the mode.  The
+   mode is a constant of the link context, bound once per closure as
+   [timed]: a timed closure counts events, charges cycles and simulates
+   the cache; a values-only one makes the same lane-count and bounds
+   checks and memory writes in the same order, and ticks ([tick]) where
+   the timed one calls [Cache.charge]. *)
 let compile_instr ctx ~depths instr =
   let costs = ctx.machine.M.costs in
   let stride = ctx.stride in
-  let values_only = ctx.values_only in
+  let timed = not ctx.values_only in
   match instr with
   | Visa.Sstmt s -> compile_stmt ctx ~depths s
   | Visa.Vload { dst; elems } -> (
@@ -919,30 +931,24 @@ let compile_instr ctx ~depths instr =
           let base = Memory.array_base ctx.mem name in
           let bytes = Memory.elem_bytes ctx.mem name in
           let bytes_total = bytes * n in
-          if values_only then fun st ->
+          fun st ->
             let i0 = f0 st.frame in
             let vregs = st.vregs in
             for k = 0 to n - 1 do
               FA.unsafe_set vregs (dst_off + k) (FA.unsafe_get data (i0 + k))
             done;
             Array.unsafe_set st.vlanes dst n;
-            tick ()
-          else fun st ->
-            let i0 = f0 st.frame in
-            let vregs = st.vregs in
-            for k = 0 to n - 1 do
-              FA.unsafe_set vregs (dst_off + k) (FA.unsafe_get data (i0 + k))
-            done;
-            Array.unsafe_set st.vlanes dst n;
-            st.counters.Counters.vector_loads <-
-              st.counters.Counters.vector_loads + 1;
-            Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
-              ~bytes:bytes_total
+            if timed then begin
+              st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
+              Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
+                ~bytes:bytes_total
+            end
+            else tick ()
       | None ->
           let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
           let e0 = es.(0) in
           let bytes_total = e0.e_bytes * n in
-          if values_only then fun st ->
+          fun st ->
             let frame = st.frame in
             let flats = st.iscratch in
             for k = 0 to n - 1 do
@@ -955,25 +961,13 @@ let compile_instr ctx ~depths instr =
                    (Array.unsafe_get flats k))
             done;
             Array.unsafe_set st.vlanes dst n;
-            tick ()
-          else fun st ->
-            let frame = st.frame in
-            let flats = st.iscratch in
-            for k = 0 to n - 1 do
-              Array.unsafe_set flats k ((Array.unsafe_get es k).e_flat frame)
-            done;
-            let vregs = st.vregs in
-            for k = 0 to n - 1 do
-              FA.unsafe_set vregs (dst_off + k)
-                (FA.unsafe_get (Array.unsafe_get es k).e_data
-                   (Array.unsafe_get flats k))
-            done;
-            Array.unsafe_set st.vlanes dst n;
-            st.counters.Counters.vector_loads <-
-              st.counters.Counters.vector_loads + 1;
-            Cache.charge st.cache st.cycles ~issue
-              ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
-              ~bytes:bytes_total)
+            if timed then begin
+              st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
+              Cache.charge st.cache st.cycles ~issue
+                ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
+                ~bytes:bytes_total
+            end
+            else tick ())
   | Visa.Vstore { src; elems } -> (
       let n = List.length elems in
       let src_off = src * stride in
@@ -984,7 +978,7 @@ let compile_instr ctx ~depths instr =
           let base = Memory.array_base ctx.mem name in
           let bytes = Memory.elem_bytes ctx.mem name in
           let bytes_total = bytes * n in
-          if values_only then fun st ->
+          fun st ->
             let ls = vreg_lanes st src in
             let i0 = f0 st.frame in
             let vregs = st.vregs in
@@ -992,24 +986,17 @@ let compile_instr ctx ~depths instr =
               if k >= ls then invalid_arg "index out of bounds";
               FA.unsafe_set data (i0 + k) (FA.unsafe_get vregs (src_off + k))
             done;
-            tick ()
-          else fun st ->
-            let ls = vreg_lanes st src in
-            let i0 = f0 st.frame in
-            let vregs = st.vregs in
-            for k = 0 to n - 1 do
-              if k >= ls then invalid_arg "index out of bounds";
-              FA.unsafe_set data (i0 + k) (FA.unsafe_get vregs (src_off + k))
-            done;
-            st.counters.Counters.vector_stores <-
-              st.counters.Counters.vector_stores + 1;
-            Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
-              ~bytes:bytes_total
+            if timed then begin
+              st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
+              Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
+                ~bytes:bytes_total
+            end
+            else tick ()
       | None ->
           let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
           let e0 = es.(0) in
           let bytes_total = e0.e_bytes * n in
-          if values_only then fun st ->
+          fun st ->
             let ls = vreg_lanes st src in
             let frame = st.frame in
             let flats = st.iscratch in
@@ -1024,27 +1011,13 @@ let compile_instr ctx ~depths instr =
                 (Array.unsafe_get flats k)
                 (FA.unsafe_get vregs (src_off + k))
             done;
-            tick ()
-          else fun st ->
-            let ls = vreg_lanes st src in
-            let frame = st.frame in
-            let flats = st.iscratch in
-            for k = 0 to n - 1 do
-              Array.unsafe_set flats k ((Array.unsafe_get es k).e_flat frame)
-            done;
-            let vregs = st.vregs in
-            for k = 0 to n - 1 do
-              if k >= ls then invalid_arg "index out of bounds";
-              FA.unsafe_set
-                (Array.unsafe_get es k).e_data
-                (Array.unsafe_get flats k)
-                (FA.unsafe_get vregs (src_off + k))
-            done;
-            st.counters.Counters.vector_stores <-
-              st.counters.Counters.vector_stores + 1;
-            Cache.charge st.cache st.cycles ~issue
-              ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
-              ~bytes:bytes_total)
+            if timed then begin
+              st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
+              Cache.charge st.cache st.cycles ~issue
+                ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
+                ~bytes:bytes_total
+            end
+            else tick ())
   | Visa.Vgather { dst; srcs } ->
       let dst_off = dst * stride in
       (* Lane sources read memory and scalars, never registers, so
@@ -1055,17 +1028,14 @@ let compile_instr ctx ~depths instr =
       in
       let n = Array.length fns in
       let insert_c = float_of_int (n * costs.M.insert) in
-      if values_only then fun st ->
+      fun st ->
         for k = 0 to n - 1 do
           (Array.unsafe_get fns k) st
         done;
-        Array.unsafe_set st.vlanes dst n
-      else fun st ->
-        for k = 0 to n - 1 do
-          (Array.unsafe_get fns k) st
-        done;
-        st.counters.Counters.inserts <- st.counters.Counters.inserts + n;
-        charge st insert_c;
+        if timed then begin
+          st.counters.Counters.inserts <- st.counters.Counters.inserts + n;
+          charge st insert_c
+        end;
         Array.unsafe_set st.vlanes dst n
   | Visa.Vunpack { src; dsts } ->
       let extract_c = float_of_int costs.M.extract in
@@ -1078,34 +1048,32 @@ let compile_instr ctx ~depths instr =
             | Some (Visa.To_reg v) ->
                 let slot = Memory.scalar_slot ctx.mem v in
                 Some
-                  (if values_only then fun (st : state) n ->
-                     if i >= n then invalid_arg "index out of bounds";
-                     FA.unsafe_set st.sdata slot (FA.unsafe_get st.vregs (src_off + i))
-                   else fun st n ->
-                     st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
-                     charge st extract_c;
-                     if i >= n then invalid_arg "index out of bounds";
-                     FA.unsafe_set st.sdata slot (FA.unsafe_get st.vregs (src_off + i)))
+                  (fun st n ->
+                    if timed then begin
+                      st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
+                      charge st extract_c
+                    end;
+                    if i >= n then invalid_arg "index out of bounds";
+                    FA.unsafe_set st.sdata slot (FA.unsafe_get st.vregs (src_off + i)))
             | Some (Visa.To_mem op) ->
                 let { e_data; e_base; e_bytes; e_flat } = link_elem ctx ~depths op in
                 let issue = float_of_int costs.M.store_issue in
                 Some
-                  (if values_only then fun st n ->
-                     let fl = e_flat st.frame in
-                     tick ();
-                     if i >= n then invalid_arg "index out of bounds";
-                     FA.unsafe_set e_data fl (FA.unsafe_get st.vregs (src_off + i))
-                   else fun st n ->
-                     st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
-                     charge st extract_c;
-                     let fl = e_flat st.frame in
-                     st.counters.Counters.pack_stores <-
-                       st.counters.Counters.pack_stores + 1;
-                     Cache.charge st.cache st.cycles ~issue
-                       ~addr:(e_base + (fl * e_bytes))
-                       ~bytes:e_bytes;
-                     if i >= n then invalid_arg "index out of bounds";
-                     FA.unsafe_set e_data fl (FA.unsafe_get st.vregs (src_off + i))))
+                  (fun st n ->
+                    if timed then begin
+                      st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
+                      charge st extract_c
+                    end;
+                    let fl = e_flat st.frame in
+                    if timed then begin
+                      st.counters.Counters.pack_stores <- st.counters.Counters.pack_stores + 1;
+                      Cache.charge st.cache st.cycles ~issue
+                        ~addr:(e_base + (fl * e_bytes))
+                        ~bytes:e_bytes
+                    end
+                    else tick ();
+                    if i >= n then invalid_arg "index out of bounds";
+                    FA.unsafe_set e_data fl (FA.unsafe_get st.vregs (src_off + i))))
           dsts
         |> List.filter_map Fun.id |> Array.of_list
       in
@@ -1119,18 +1087,12 @@ let compile_instr ctx ~depths instr =
       (* The source fills lane 0, which the loop then copies. *)
       let value = link_lane_src ctx ~depths ~off:dst_off src in
       let broadcast_c = float_of_int costs.M.broadcast in
-      if values_only then fun st ->
+      fun st ->
         value st;
-        let vregs = st.vregs in
-        let v = FA.unsafe_get vregs dst_off in
-        for k = 1 to lanes - 1 do
-          FA.unsafe_set vregs (dst_off + k) v
-        done;
-        Array.unsafe_set st.vlanes dst lanes
-      else fun st ->
-        value st;
-        st.counters.Counters.broadcasts <- st.counters.Counters.broadcasts + 1;
-        charge st broadcast_c;
+        if timed then begin
+          st.counters.Counters.broadcasts <- st.counters.Counters.broadcasts + 1;
+          charge st broadcast_c
+        end;
         let vregs = st.vregs in
         let v = FA.unsafe_get vregs dst_off in
         for k = 1 to lanes - 1 do
@@ -1143,20 +1105,12 @@ let compile_instr ctx ~depths instr =
       let permute_c = float_of_int costs.M.permute in
       let dst_off = dst * stride and src_off = src * stride in
       (* Staged through scratch: [dst] may be [src]. *)
-      if values_only then fun st ->
+      fun st ->
         let n = vreg_lanes st src in
-        let vregs = st.vregs and buf = st.fscratch in
-        for k = 0 to nsel - 1 do
-          let s = Array.unsafe_get sel k in
-          if s < 0 || s >= n then invalid_arg "index out of bounds";
-          FA.unsafe_set buf k (FA.unsafe_get vregs (src_off + s))
-        done;
-        FA.blit buf 0 vregs dst_off nsel;
-        Array.unsafe_set st.vlanes dst nsel
-      else fun st ->
-        let n = vreg_lanes st src in
-        st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
-        charge st permute_c;
+        if timed then begin
+          st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
+          charge st permute_c
+        end;
         let vregs = st.vregs and buf = st.fscratch in
         for k = 0 to nsel - 1 do
           let s = Array.unsafe_get sel k in
@@ -1171,7 +1125,12 @@ let compile_instr ctx ~depths instr =
       let permute_c = float_of_int costs.M.permute in
       let dst_off = dst * stride in
       let a_off = a * stride and b_off = b * stride in
-      let shuffle st na nb =
+      fun st ->
+        let na = vreg_lanes st a and nb = vreg_lanes st b in
+        if timed then begin
+          st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
+          charge st permute_c
+        end;
         let vregs = st.vregs and buf = st.fscratch in
         for k = 0 to nsel - 1 do
           let l = Array.unsafe_get lane k in
@@ -1186,16 +1145,7 @@ let compile_instr ctx ~depths instr =
         done;
         FA.blit buf 0 vregs dst_off nsel;
         Array.unsafe_set st.vlanes dst nsel
-      in
-      if values_only then fun st ->
-        let na = vreg_lanes st a and nb = vreg_lanes st b in
-        shuffle st na nb
-      else fun st ->
-        let na = vreg_lanes st a and nb = vreg_lanes st b in
-        st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
-        charge st permute_c;
-        shuffle st na nb
-  | Visa.Vbin { dst; op; a; b } ->
+  | Visa.Vbin { dst; op; a; b } -> (
       let c =
         float_of_int
           (match op with Types.Div -> costs.M.divide | _ -> costs.M.vector_op)
@@ -1206,24 +1156,10 @@ let compile_instr ctx ~depths instr =
          so writing [dst] in place is safe even when it aliases an
          operand.  Dispatching on the operator here keeps the float
          primitive direct in the lane loop. *)
-      let lanes_pre =
-        if values_only then fun st ->
-          let na = vreg_lanes st a in
-          let nb = vreg_lanes st b in
-          if nb < na then invalid_arg "index out of bounds";
-          na
-        else fun st ->
-          let na = vreg_lanes st a in
-          let nb = vreg_lanes st b in
-          st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
-          charge st c;
-          if nb < na then invalid_arg "index out of bounds";
-          na
-      in
-      (match op with
+      match op with
       | Types.Add ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a b in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1232,7 +1168,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na
       | Types.Sub ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a b in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1241,7 +1177,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na
       | Types.Mul ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a b in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1250,7 +1186,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na
       | Types.Div ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a b in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1259,7 +1195,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na
       | Types.Min ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a b in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1270,7 +1206,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na
       | Types.Max ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a b in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1279,7 +1215,7 @@ let compile_instr ctx ~depths instr =
                    (FA.unsafe_get vregs (b_off + i)))
             done;
             Array.unsafe_set st.vlanes dst na)
-  | Visa.Vun { dst; op; a } ->
+  | Visa.Vun { dst; op; a } -> (
       let c =
         float_of_int
           (match op with
@@ -1287,18 +1223,10 @@ let compile_instr ctx ~depths instr =
           | Types.Neg | Types.Abs -> costs.M.vector_op)
       in
       let dst_off = dst * stride and a_off = a * stride in
-      let lanes_pre =
-        if values_only then fun st -> vreg_lanes st a
-        else fun st ->
-          let na = vreg_lanes st a in
-          st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
-          charge st c;
-          na
-      in
-      (match op with
+      match op with
       | Types.Neg ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a a in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i) (-.FA.unsafe_get vregs (a_off + i))
@@ -1306,7 +1234,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na
       | Types.Abs ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a a in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1315,7 +1243,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na
       | Types.Sqrt ->
           fun st ->
-            let na = lanes_pre st in
+            let na = vop_lanes st ~timed ~c a a in
             let vregs = st.vregs in
             for i = 0 to na - 1 do
               FA.unsafe_set vregs (dst_off + i)
@@ -1330,33 +1258,28 @@ let compile_instr ctx ~depths instr =
          each simulated core owns its spilled values, which is what
          the sequential per-core execution means and what lets domains
          run cores concurrently without racing on slots. *)
-      if values_only then fun st ->
+      fun st ->
         let n = vreg_lanes st src in
         FA.blit st.vregs src_off st.spills slot_off n;
         Array.unsafe_set st.spill_ln slot n;
-        tick ()
-      else fun st ->
-        let n = vreg_lanes st src in
-        FA.blit st.vregs src_off st.spills slot_off n;
-        Array.unsafe_set st.spill_ln slot n;
-        st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
-        Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n)
+        if timed then begin
+          st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
+          Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n)
+        end
+        else tick ()
   | Visa.Vreload { dst; slot } ->
       let addr = Memory.spill_addr ctx.mem ~slot in
       let issue = float_of_int costs.M.load_issue in
       let dst_off = dst * stride and slot_off = slot * stride in
-      if values_only then fun st ->
+      fun st ->
         let n = Array.unsafe_get st.spill_ln slot in
         if n < 0 then Trap.unset_spill ~slot ();
         FA.blit st.spills slot_off st.vregs dst_off n;
-        tick ();
-        Array.unsafe_set st.vlanes dst n
-      else fun st ->
-        let n = Array.unsafe_get st.spill_ln slot in
-        if n < 0 then Trap.unset_spill ~slot ();
-        FA.blit st.spills slot_off st.vregs dst_off n;
-        st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
-        Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n);
+        if timed then begin
+          st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
+          Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n)
+        end
+        else tick ();
         Array.unsafe_set st.vlanes dst n
   | Visa.Vload_scalars { dst; sources } ->
       let slots = Array.of_list (List.map (Memory.scalar_slot ctx.mem) sources) in
@@ -1368,25 +1291,19 @@ let compile_instr ctx ~depths instr =
         try Ok (Memory.scalar_addr ctx.mem (List.hd sources))
         with Invalid_argument msg -> Error msg
       in
-      if values_only then fun st ->
+      fun st ->
         let vregs = st.vregs and data = st.sdata in
         for k = 0 to n - 1 do
           FA.unsafe_set vregs (dst_off + k)
             (FA.unsafe_get data (Array.unsafe_get slots k))
         done;
-        (match addr0 with Ok _ -> tick () | Error msg -> invalid_arg msg);
+        if timed then
+          st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
+        (match addr0 with
+        | Ok addr -> if timed then Cache.charge st.cache st.cycles ~issue ~addr ~bytes else tick ()
+        | Error msg -> invalid_arg msg);
         Array.unsafe_set st.vlanes dst n
-      else fun st ->
-        let vregs = st.vregs and data = st.sdata in
-        for k = 0 to n - 1 do
-          FA.unsafe_set vregs (dst_off + k)
-            (FA.unsafe_get data (Array.unsafe_get slots k))
-        done;
-        st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
-        let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
-        Cache.charge st.cache st.cycles ~issue ~addr ~bytes;
-        Array.unsafe_set st.vlanes dst n
-  | Visa.Vstore_scalars { src; targets } ->
+  | Visa.Vstore_scalars { src; targets } -> (
       let slots = Array.of_list (List.map (Memory.scalar_slot ctx.mem) targets) in
       let n = Array.length slots in
       let bytes = 8 * n in
@@ -1396,7 +1313,7 @@ let compile_instr ctx ~depths instr =
         try Ok (Memory.scalar_addr ctx.mem (List.hd targets))
         with Invalid_argument msg -> Error msg
       in
-      if values_only then fun st ->
+      fun st ->
         let ls = vreg_lanes st src in
         let vregs = st.vregs and data = st.sdata in
         for k = 0 to n - 1 do
@@ -1404,18 +1321,11 @@ let compile_instr ctx ~depths instr =
           FA.unsafe_set data (Array.unsafe_get slots k)
             (FA.unsafe_get vregs (src_off + k))
         done;
-        match addr0 with Ok _ -> tick () | Error msg -> invalid_arg msg
-      else fun st ->
-        let ls = vreg_lanes st src in
-        let vregs = st.vregs and data = st.sdata in
-        for k = 0 to n - 1 do
-          if k >= ls then invalid_arg "index out of bounds";
-          FA.unsafe_set data (Array.unsafe_get slots k)
-            (FA.unsafe_get vregs (src_off + k))
-        done;
-        st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
-        let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
-        Cache.charge st.cache st.cycles ~issue ~addr ~bytes
+        if timed then
+          st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
+        match addr0 with
+        | Ok addr -> if timed then Cache.charge st.cache st.cycles ~issue ~addr ~bytes else tick ()
+        | Error msg -> invalid_arg msg)
 
 (* The loop structure of [items], each [Visa.Block] compiled by
    [block] in pre-order and each loop's [c_tail] chosen by [tail] once

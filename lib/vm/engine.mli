@@ -116,10 +116,10 @@ val scalar_final_memory :
     from [seed], computed by a values-only run: bit-identical arrays
     and scalars ({!Memory.equal}), the same {!Trap.Trap} on a faulting
     program, and an armed injected fault fires on the same access (the
-    values-only closure ticks where the timed one calls
-    {!Cache.charge}).  Its states are built exactly like a timed run's,
-    cache included; it never runs on a domain pool.  For callers that
-    read only the final memory, such as the scalar-reference check. *)
+    closures tick where a timed run calls {!Cache.charge}).  Its
+    states are built exactly like a timed run's, cache included; it
+    never runs on a domain pool.  For callers that read only the final
+    memory, such as the scalar-reference check. *)
 
 val vector_final_memory :
   ?cores:int -> ?seed:int -> ?memory:Memory.t -> machine:Slp_machine.Machine.t ->

@@ -99,9 +99,12 @@ let analyze (prog : Visa.program) =
           accesses
         |> List.sort_uniq String.compare
       in
-      match
-        List.iter
-          (fun (a : Depend.access) ->
+      (* Each unordered pair once, the self pair included: a conflict
+         is symmetric, so the earliest access with a conflicting
+         partner meets it at or after itself and names the reason. *)
+      let rec pairs = function
+        | [] -> ()
+        | (a : Depend.access) :: rest as from ->
             if List.mem a.Depend.base warrays then
               List.iter
                 (fun (b : Depend.access) ->
@@ -110,8 +113,11 @@ let analyze (prog : Visa.program) =
                     && (a.Depend.write || b.Depend.write)
                     && Depend.cross_instance_conflict ~pvar a b
                   then raise (Unsafe ("par-array-dep:" ^ a.Depend.base)))
-                accesses)
-          accesses;
+                from;
+            pairs rest
+      in
+      match
+        pairs accesses;
         let reductions =
           List.filter
             (fun (s, _) -> not (List.mem s foreign))

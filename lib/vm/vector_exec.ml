@@ -187,9 +187,13 @@ let exec_instr st ~index_env instr =
         +. Cache.access st.cache
              ~addr:(Memory.scalar_addr st.memory (List.hd targets))
              ~bytes:(8 * List.length targets))
-  | Visa.Sstmt s ->
-      Scalar_exec.exec_stmt ~memory:st.memory ~cache:st.cache ~counters:st.counters
-        ~machine:st.machine ~index_env s
+  | Visa.Sstmt s -> (
+      try
+        Scalar_exec.exec_stmt ~memory:st.memory ~cache:st.cache ~counters:st.counters
+          ~machine:st.machine ~index_env s
+      with Trap.Trap ({ Trap.stmt = None; _ } as i) ->
+        (* Attribute the trap to the statement, as [Scalar_exec] does. *)
+        raise (Trap.Trap { i with Trap.stmt = Some s.Stmt.id }))
 
 let rec exec_items st ~bindings ~override items =
   let index_env v =

@@ -192,7 +192,7 @@ let test_fig15_deps_golden () =
 (* The whole dependence graph pinned: one FNV hash over the JSON of
    [Depend.of_program], for the 16 suite kernels' prepared programs on
    the Intel model at 128, 256 and 512 bits (unroll scaled with the
-   width, kernel unroll x bits / 128), and for 100 generated kernels
+   width, [Suite.unroll_at]), and for 100 generated kernels
    (seeds 7000-7099) prepared at unroll 2.  Edges, kinds, carriers,
    distances, directions, exactness and reasons all reach the hash, so
    a change to how the solver is driven must leave every graph as it
@@ -215,7 +215,7 @@ let suite_prepared =
        (fun bits ->
          List.map
            (fun (b : Suite.t) ->
-             prepared ~unroll:(max 1 (b.Suite.unroll * bits / 128)) (Suite.program b))
+             prepared ~unroll:(Suite.unroll_at b ~simd_bits:bits) (Suite.program b))
            Suite.all)
        [ 128; 256; 512 ])
 

@@ -530,7 +530,7 @@ let test_timing_only_on_suite () =
     (fun machine ->
       List.iter
         (fun b ->
-          let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+          let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
           List.iter
             (fun scheme ->
               let c =

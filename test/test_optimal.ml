@@ -377,7 +377,7 @@ let test_fuel_bound_pinned () =
   List.iter
     (fun (name, cost, superwords, bails, instrs) ->
       let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
-      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
       let c =
         Pipeline.compile ~unroll ~scheme:Pipeline.Optimal ~machine (Suite.program b)
       in
@@ -425,7 +425,7 @@ let test_fuel_bound_searches_pinned () =
   List.iter
     (fun (name, nodes, leaves) ->
       let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
-      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
       let obs = Slp_obs.Obs.create ~remarks:true () in
       ignore
         (Pipeline.compile ~obs ~unroll ~scheme:Pipeline.Optimal ~machine (Suite.program b));
@@ -472,7 +472,7 @@ let test_fuel_bound_counts_pinned () =
   List.iter
     (fun (name, cuts, infeasible, improvements) ->
       let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
-      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
       let obs = Slp_obs.Obs.create ~remarks:true () in
       ignore
         (Pipeline.compile ~obs ~unroll ~scheme:Pipeline.Optimal ~machine (Suite.program b));
@@ -514,7 +514,7 @@ let test_leaf_allocation () =
   List.iter
     (fun (name, _, _) ->
       let b = List.find (fun (b : Suite.t) -> b.Suite.name = name) Suite.all in
-      let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+      let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
       let prog =
         Slp_transform.Simplify.fold_program (Suite.program b)
         |> Slp_transform.Unroll.program ~factor:unroll

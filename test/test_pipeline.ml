@@ -270,7 +270,7 @@ let test_arbitrations_pinned () =
     let fields =
       List.concat_map
         (fun (b : Suite.t) ->
-          let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+          let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
           let obs = Slp_obs.Obs.create ~remarks:true () in
           let c =
             Pipeline.compile ~obs ~unroll ~verify:false ~scheme:Pipeline.Global_layout

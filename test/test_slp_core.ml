@@ -326,7 +326,7 @@ let quotient_agrees ~what (deps, cands, conflict) =
    prepared and dependence-analysed as the Global scheme does. *)
 let first_round_graphs name =
   let kernel = Slp_benchmarks.Suite.find name in
-  let factor = kernel.Slp_benchmarks.Suite.unroll * 512 / 128 in
+  let factor = Slp_benchmarks.Suite.unroll_at kernel ~simd_bits:512 in
   let prog =
     Slp_benchmarks.Suite.program kernel
     |> Slp_transform.Simplify.fold_program
@@ -642,7 +642,7 @@ let pin_sites () =
         List.concat_map
           (fun (k : Slp_benchmarks.Suite.t) ->
             prepared ~bits
-              ~unroll:(max 1 (k.Slp_benchmarks.Suite.unroll * bits / 128))
+              ~unroll:(Slp_benchmarks.Suite.unroll_at k ~simd_bits:bits)
               (Slp_benchmarks.Suite.program k))
           Slp_benchmarks.Suite.all)
       [ 128; 256; 512 ]

@@ -750,7 +750,20 @@ let test_vector_trap_parity () =
         1,
         pack (fun k -> Operand.Elem ("M", [ Affine.const 1; Affine.make [ ("i", 1); ("j", 1) ] k ])),
         (4, 4) );
-    ]
+    ];
+  (* A scalar statement's trap names the statement in both. *)
+  let prog =
+    Visa.of_program
+      (Slp_frontend.Parser.parse ~name:"oob"
+         "f64 A[8]; f64 B[8]; for i = 0 to 8 { A[i] = B[i + 1] * 2.0; }")
+  in
+  let engine = trap_of (fun () -> Slp_vm.Engine.run_vector ~machine prog) in
+  let interpreter = trap_of (fun () -> Vector_exec.run_interpreter ~machine prog) in
+  (match engine with
+  | Some { Slp_vm.Trap.kind = Slp_vm.Trap.Out_of_bounds { index = 8; bound = 8 }; stmt = Some _; _ }
+    -> ()
+  | _ -> Alcotest.fail "sstmt: expected an out-of-bounds trap naming its statement");
+  Alcotest.(check bool) "sstmt: same trap" true (engine = interpreter)
 
 (* -- multicore ----------------------------------------------------------------- *)
 
@@ -980,7 +993,7 @@ let test_probes_timing_only () =
     (fun machine ->
       List.iter
         (fun (b : Suite.t) ->
-          let unroll = max 1 (b.Suite.unroll * machine.Machine.simd_bits / 128) in
+          let unroll = Suite.unroll_at b ~simd_bits:machine.Machine.simd_bits in
           ignore
             (Pipeline.compile ~unroll ~verify:false ~scheme:Pipeline.Global_layout ~machine
                (Suite.program b)))
@@ -1639,7 +1652,7 @@ let pinned_machines =
   ]
 
 let suite_compile ~scheme ~machine (k : Suite.t) =
-  let unroll = max 1 (k.Suite.unroll * machine.Machine.simd_bits / 128) in
+  let unroll = Suite.unroll_at k ~simd_bits:machine.Machine.simd_bits in
   Pipeline.compile ~unroll ~verify:false ~scheme ~machine (Suite.program k)
 
 let pin_check name expected fields =
