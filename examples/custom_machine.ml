@@ -37,7 +37,7 @@ let embedded =
     l2 = { M.size_bytes = 128 * 1024; ways = 4; line_bytes = 32; latency = 12 };
     l3 = { M.size_bytes = 512 * 1024; ways = 8; line_bytes = 32; latency = 30 };
     memory_latency = 120;
-    contention_per_core = 0.10;
+    contention_per_core = 10;
   }
 
 let source =

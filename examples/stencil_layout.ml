@@ -40,7 +40,7 @@ let () =
   Format.printf "Global+Layout: %10.0f cycles, %6d pack loads, %d replica array(s), %.0f setup cycles@."
     (Counters.total_cycles rl.Pipeline.counters)
     rl.Pipeline.counters.Counters.pack_loads cl.Pipeline.replica_count
-    rl.Pipeline.counters.Counters.setup_cycles;
+    (Counters.setup_cycles rl.Pipeline.counters);
   Format.printf "both correct:  %b %b@." rg.Pipeline.correct rl.Pipeline.correct;
   match cl.Pipeline.vector with
   | Some v when cl.Pipeline.replica_count > 0 ->

@@ -24,7 +24,7 @@ type t = {
   l2 : cache_level;
   l3 : cache_level;
   memory_latency : int;
-  contention_per_core : float;
+  contention_per_core : int;
 }
 
 let intel_dunnington =
@@ -54,7 +54,7 @@ let intel_dunnington =
     (* 24MB of L3 as 2 x 12MB per socket. *)
     l3 = { size_bytes = 12 * 1024 * 1024; ways = 12; line_bytes = 64; latency = 42 };
     memory_latency = 210;
-    contention_per_core = 0.06;
+    contention_per_core = 6;
   }
 
 let amd_phenom_ii =
@@ -83,7 +83,7 @@ let amd_phenom_ii =
     l2 = { size_bytes = 512 * 1024; ways = 16; line_bytes = 64; latency = 15 };
     l3 = { size_bytes = 6 * 1024 * 1024; ways = 48; line_bytes = 64; latency = 48 };
     memory_latency = 230;
-    contention_per_core = 0.08;
+    contention_per_core = 8;
   }
 
 let to_string m = if String.equal m.name amd_phenom_ii.name then "amd" else "intel"

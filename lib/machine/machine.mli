@@ -38,9 +38,9 @@ type t = {
   l2 : cache_level;
   l3 : cache_level;
   memory_latency : int;  (** Cycles on full miss. *)
-  contention_per_core : float;
-      (** Multiplicative memory-latency inflation per additional active
-          core — drives the Figure 21 multicore behaviour. *)
+  contention_per_core : int;
+      (** Memory-latency inflation per additional active core, in
+          hundredths — drives the Figure 21 multicore behaviour. *)
 }
 
 val intel_dunnington : t

@@ -1,7 +1,7 @@
 type key = Stmt of int | Pack of int list | Setup | Op of string
 
 type stat = {
-  mutable cycles : float;
+  mutable centicycles : int;
   mutable count : int;
   level_hits : int array;
   mutable memory_accesses : int;
@@ -19,7 +19,7 @@ type t = {
 let max_levels = 4
 
 let fresh_stat () =
-  { cycles = 0.0; count = 0; level_hits = Array.make max_levels 0;
+  { centicycles = 0; count = 0; level_hits = Array.make max_levels 0;
     memory_accesses = 0 }
 
 let create () =
@@ -42,8 +42,8 @@ let stat t key =
       t.order <- key :: t.order;
       s
 
-let add s ~cycles =
-  s.cycles <- s.cycles +. cycles;
+let add s ~centicycles =
+  s.centicycles <- s.centicycles + centicycles;
   s.count <- s.count + 1
 
 let set_current t cur = t.current <- cur
@@ -66,13 +66,16 @@ let register_array t ~name ~base ~bytes =
   t.ranges <-
     { name; base; limit = base + bytes; rstat = fresh_stat () } :: t.ranges
 
+(* Centicycles in cycles, as [Counters] converts them. *)
+let cycles c = float_of_int c /. 100.0
+
 let total_cycles t =
-  Hashtbl.fold (fun _ s acc -> acc +. s.cycles) t.stats 0.0
+  cycles (Hashtbl.fold (fun _ s acc -> acc + s.centicycles) t.stats 0)
 
 let top ?(n = 10) t =
   let all = List.rev_map (fun k -> (k, Hashtbl.find t.stats k)) t.order in
   let sorted =
-    List.stable_sort (fun (_, a) (_, b) -> compare b.cycles a.cycles) all
+    List.stable_sort (fun (_, a) (_, b) -> Int.compare b.centicycles a.centicycles) all
   in
   List.filteri (fun i _ -> i < n) sorted
 
@@ -88,10 +91,11 @@ let report ?(n = 10) ppf t =
     (Hashtbl.length t.stats);
   List.iter
     (fun (k, s) ->
-      let share = if total > 0.0 then 100.0 *. s.cycles /. total else 0.0 in
+      let c = cycles s.centicycles in
+      let share = if total > 0.0 then 100.0 *. c /. total else 0.0 in
       Format.fprintf ppf
         "  %-24s %12.1f cycles  %5.1f%%  runs=%d  hits=%d  mem=%d@,"
-        (key_name k) s.cycles share s.count (hits s) s.memory_accesses)
+        (key_name k) c share s.count (hits s) s.memory_accesses)
     (top ~n t);
   Format.fprintf ppf "total attributed cycles: %.1f@," total;
   (match arrays t with
@@ -114,7 +118,7 @@ let report ?(n = 10) ppf t =
 let stat_json s =
   Json.Obj
     [
-      ("cycles", Json.Num s.cycles);
+      ("cycles", Json.Num (cycles s.centicycles));
       ("count", Json.Num (float_of_int s.count));
       ( "level_hits",
         Json.Arr

@@ -19,7 +19,7 @@ type key =
   | Op of string  (** instruction with no recorded origin *)
 
 type stat = {
-  mutable cycles : float;
+  mutable centicycles : int;  (** hundredths of a cycle *)
   mutable count : int;  (** closure executions *)
   level_hits : int array;  (** cache hits by level, L1 first *)
   mutable memory_accesses : int;
@@ -33,8 +33,8 @@ val stat : t -> key -> stat
 (** Find or create the stat for [key].  The engine hoists this lookup
     out of the hot closure. *)
 
-val add : stat -> cycles:float -> unit
-(** Record one execution of the keyed closure costing [cycles]. *)
+val add : stat -> centicycles:int -> unit
+(** Record one execution of the keyed closure costing [centicycles]. *)
 
 val set_current : t -> stat option -> unit
 (** Point cache attribution at [stat] (or detach it). *)
@@ -52,7 +52,8 @@ val total_cycles : t -> float
     single-core run this equals [Counters.total_cycles] exactly. *)
 
 val top : ?n:int -> t -> (key * stat) list
-(** Hottest keys by attributed cycles, descending; default top 10. *)
+(** Hottest keys by attributed cycles, descending, keys of equal cost
+    in first-seen order; default top 10. *)
 
 val arrays : t -> (string * stat) list
 (** Per-array cache stats, in registration order. *)

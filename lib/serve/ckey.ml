@@ -12,8 +12,10 @@ type t = int64
    code.  2: Execute replies compare against the scalar reference's
    arrays, so layouts that add replica arrays report [correct].  3:
    the key hashes the resolved unroll factor and compile options, and
-   a Compile key no longer hashes cores or seed. *)
-let version = "3"
+   a Compile key no longer hashes cores or seed.  4: cycles are summed
+   in integer centicycles, so a multicore Execute reply's cycles are
+   the exact hundredths, not a float sum's. *)
+let version = "4"
 
 (* Every field of the resolved options, in declaration order.  The
    record patterns are exhaustive on purpose: a field added to

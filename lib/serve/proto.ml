@@ -156,21 +156,29 @@ let int_field name obj = Option.map int_of_float (num_field name obj)
 let bool_field name obj =
   match Json.member name obj with Some (Json.Bool b) -> Some b | _ -> None
 
+(* [prefix ^ s] quoted for an error message, where [s] came from the
+   client: whole up to 64 bytes, else its first 64 bytes, "…" and its
+   length, so an error reply stays short whatever the request held. *)
+let quote ?(prefix = "") s =
+  let n = String.length s in
+  if n <= 64 then Printf.sprintf "%S" (prefix ^ s)
+  else Printf.sprintf "%S… (%d bytes)" (prefix ^ String.sub s 0 64) n
+
 let spec_of_json obj =
   let ( let* ) r f = Result.bind r f in
   let require what = function
     | Some v -> Result.Ok v
-    | None -> Result.Error (Printf.sprintf "missing or malformed field %S" what)
+    | None -> Result.Error ("missing or malformed field " ^ what)
   in
-  let* kernel = require "kernel" (str_field "kernel" obj) in
+  let* kernel = require (quote "kernel") (str_field "kernel" obj) in
   let name = Option.value ~default:"job" (str_field "name" obj) in
   let* scheme =
     let s = Option.value ~default:"global" (str_field "scheme" obj) in
-    require ("scheme " ^ s) (scheme_of_string s)
+    require (quote ~prefix:"scheme " s) (scheme_of_string s)
   in
   let* machine =
     let s = Option.value ~default:"intel" (str_field "machine" obj) in
-    require ("machine " ^ s) (machine_of_string s)
+    require (quote ~prefix:"machine " s) (machine_of_string s)
   in
   Result.Ok
     {
@@ -205,7 +213,7 @@ let request_of_line line =
               let jop = if opname = "compile" then Compile else Execute in
               Result.Ok { id; op = Job (jop, spec) }
           | Result.Error msg -> fail msg)
-      | Some op -> fail (Printf.sprintf "unknown op %S" op))
+      | Some op -> fail ("unknown op " ^ quote op))
 
 let error_of_json obj =
   let code_of_wire name =

@@ -1,5 +1,4 @@
 module M = Slp_machine.Machine
-module FA = Float.Array
 
 (* One level's tag store, flat and set-major: set [s] owns
    [tags.(s*ways) .. tags.(s*ways + ways - 1)], most recently used
@@ -31,15 +30,12 @@ type t = {
   line_shift : int;
       (** log2 of the L1 line size when it is a power of two, for
           shift-based line splitting; [-1] otherwise. *)
-  latency : floatarray;
-      (** Cycles by resolving level, L1 first; the last cell is
+  latency : int array;
+      (** Centicycles by resolving level, L1 first; the last cell is
           memory, whose latency the contention factor scales. *)
-  bus_penalty : float;
-      (** Extra cycles per line access from shared-bus/coherence
+  bus_penalty : int;
+      (** Extra centicycles per line access from shared-bus/coherence
           contention when several cores are active. *)
-  l1_hit : float;
-      (** [latency.(0) +. bus_penalty], the cycles of an L1 hit: the
-          same float the walk's path adds, computed once. *)
   mutable observer : (int -> int -> unit) option;
       (** Profiler hook: called per line access with the line's base
           address and the resolving level (0-based; [max_int] means
@@ -98,25 +94,28 @@ let take_released specs =
 let specs (m : M.t) = [| m.M.l1; m.M.l2; m.M.l3 |]
 let level_count m = Array.length (specs m)
 
-let create ?(contention = 1.0) (m : M.t) =
+let create ?(cores = 1) (m : M.t) =
   let specs = specs m in
   let levels =
     match take_released specs with Some levels -> levels | None -> Array.map make_level specs
   in
-  let latency = FA.make (Array.length specs + 1) (float_of_int m.M.memory_latency *. contention) in
-  Array.iteri (fun i (c : M.cache_level) -> FA.set latency i (float_of_int c.M.latency)) specs;
+  (* The contention factor in hundredths: every core past the first
+     adds [contention_per_core] hundredths of the DRAM latency. *)
+  let k = 100 + ((cores - 1) * m.M.contention_per_core) in
+  let latency = Array.make (Array.length specs + 1) (m.M.memory_latency * k) in
+  Array.iteri (fun i (c : M.cache_level) -> latency.(i) <- c.M.latency * 100) specs;
   (* Every access occupies the shared memory subsystem briefly; under
      contention that occupancy turns into queueing delay even on cache
      hits (this is what makes the scalar code scale worse than the
-     vectorized code in Figure 21). *)
-  let bus_penalty = (contention -. 1.0) *. 8.0 in
+     vectorized code in Figure 21): 8 cycles times the factor's excess
+     over 1. *)
+  let bus_penalty = (k - 100) * 8 in
   {
     levels;
     l1 = levels.(0);
     line_shift = log2_pow2 levels.(0).line_bytes;
     latency;
     bus_penalty;
-    l1_hit = FA.get latency 0 +. bus_penalty;
     observer = None;
     released = false;
   }
@@ -178,8 +177,8 @@ let touch level line =
 
 (* Walk L1 → L2 → L3 → memory for one line, filling every level that
    misses on the way (an inclusive hierarchy).  Returns the index of
-   the resolving level, [Array.length t.levels] for memory, so the
-   caller reads the latency from [t.latency] unboxed. *)
+   the resolving level, [Array.length t.levels] for memory, which is
+   also its cell of [t.latency]. *)
 let access_line t line =
   let nlevels = Array.length t.levels in
   let i = ref 0 in
@@ -193,10 +192,10 @@ let access_line t line =
   notify t line (if level < nlevels then level else max_int);
   level
 
-let charge t acc ~issue ~addr ~bytes =
+let access t ~addr ~bytes =
   (* Fault-injection chokepoint of timed runs: every memory access of
-     the interpreters AND the compiled engine charges the cache here,
-     even where the engine bypasses [Memory.load/store].  (The
+     the interpreters AND the compiled engine goes through the cache
+     here, even where the engine bypasses [Memory.load/store].  (The
      engine's values-only closures skip the cache and tick at the same
      point themselves.)  One flag read when disarmed. *)
   if !Trap.fault_enabled then Trap.fault_tick ();
@@ -204,29 +203,24 @@ let charge t acc ~issue ~addr ~bytes =
   if first = last then begin
     (* Fast path for the dominant case: a single line that is the MRU
        entry of its L1 set.  The walk would find it at position 0 and
-       the LRU rotation would be a no-op, so the state and the charged
-       cycles are identical. *)
+       the LRU rotation would be a no-op, so the state and the cost are
+       identical. *)
     let l1 = t.l1 in
     if Array.unsafe_get l1.tags (set_of l1 first * l1.ways) = first then begin
       notify t first 0;
-      acc.(0) <- acc.(0) +. (issue +. t.l1_hit)
+      t.latency.(0) + t.bus_penalty
     end
-    else acc.(0) <- acc.(0) +. (issue +. (FA.get t.latency (access_line t first) +. t.bus_penalty))
+    else t.latency.(access_line t first) + t.bus_penalty
   end
   else begin
-    let cycles = ref 0.0 in
+    let cost = ref 0 in
     for line = first to last do
-      cycles := !cycles +. FA.get t.latency (access_line t line) +. t.bus_penalty
+      cost := !cost + t.latency.(access_line t line) + t.bus_penalty
     done;
-    acc.(0) <- acc.(0) +. (issue +. !cycles)
+    !cost
   end
 
 let misses t level = t.levels.(level).misses
-
-let access t ~addr ~bytes =
-  let acc = [| 0.0 |] in
-  charge t acc ~issue:0.0 ~addr ~bytes;
-  acc.(0)
 
 let tags t =
   Array.map

@@ -6,11 +6,13 @@
     alike).  A contention factor inflates the memory latency when
     several cores are active (paper Figure 21: the scalar code suffers
     more from contention because it issues more memory operations).
+    Costs are whole numbers of centicycles (hundredths of a cycle), the
+    unit every simulated cost is charged in: the contention terms are
+    hundredths, so every sum is exact.
 
     Simulation allocates nothing.  Each level keeps its tags in one
     flat, set-major [int array] with a per-set fill count, the walk
-    is loops, and {!charge} adds the cycles into the caller's
-    accumulator instead of returning a (boxed) float.  A run hands its
+    is loops, and {!access} returns an unboxed [int].  A run hands its
     caches back with {!release}; the next {!create} on the same domain
     with the same geometry resets a released hierarchy instead of
     allocating one (about 250k words on the Intel model).  Each domain
@@ -22,19 +24,19 @@
     caller that wants hit counts (the profiler) installs an observer.
 
     The hit path: a single-line access whose line is the most recently
-    used tag of its L1 set reads the L1 level directly, skips the walk
-    (whose LRU rotation would be a no-op) and adds the L1 hit cost
-    [latency(L1) + bus surcharge], computed once by [create], so its
-    cycles are bit-identical to the walk's.  No access calls a
+    used tag of its L1 set reads the L1 level directly and skips the
+    walk, whose LRU rotation would be a no-op.  No access calls a
     polymorphic comparison. *)
 
 type t
 
-val create : ?contention:float -> Slp_machine.Machine.t -> t
-(** An empty hierarchy.  [contention] (default 1.0 — single core)
-    multiplies the DRAM latency and adds a shared-bus queueing
-    surcharge of [(contention - 1) x 8] cycles to every line access,
-    hits included. *)
+val create : ?cores:int -> Slp_machine.Machine.t -> t
+(** An empty hierarchy for one of [cores] active cores (default 1).
+    With [k = 100 + (cores - 1) x contention_per_core], the machine's
+    contention factor in hundredths, a cache level's latency costs
+    [latency x 100] centicycles, memory's [memory_latency x k], and
+    every line access, hits included, pays a shared-bus queueing
+    surcharge of [(k - 100) x 8]. *)
 
 val level_count : Slp_machine.Machine.t -> int
 (** The number of cache levels {!create} builds for the machine. *)
@@ -43,16 +45,11 @@ val release : t -> unit
 (** Hand [t]'s tag stores to this domain's reuse list.  [t] must not
     be used afterwards; releasing twice is a no-op. *)
 
-val charge : t -> float array -> issue:float -> addr:int -> bytes:int -> unit
-(** [charge t acc ~issue ~addr ~bytes] simulates the access and adds
-    [issue +. cycles] to [acc.(0)], where [cycles] is the access's
-    cost; an access spanning several lines charges each line.  The
-    additions happen in that order, so the result is bit-identical to
-    [acc.(0) +. (issue +. access t ~addr ~bytes)]. *)
-
-val access : t -> addr:int -> bytes:int -> float
-(** Cycles for the access: {!charge} into a fresh cell with no issue
-    cost. *)
+val access : t -> addr:int -> bytes:int -> int
+(** Simulate the access and return its cost in centicycles; an access
+    spanning several lines pays for each line.  Every timed memory
+    access goes through here, so an armed fault ticks first (see
+    {!Trap.fault_tick}). *)
 
 val misses : t -> int -> int
 (** [misses t k] is how many line accesses missed level [k] (0-based,

@@ -11,8 +11,8 @@ type t = {
   mutable extracts : int;
   mutable permutes : int;
   mutable broadcasts : int;
-  mutable cycles : float;
-  mutable setup_cycles : float;
+  mutable centicycles : int;
+  mutable setup_centicycles : int;
 }
 
 let create () =
@@ -29,29 +29,11 @@ let create () =
     extracts = 0;
     permutes = 0;
     broadcasts = 0;
-    cycles = 0.0;
-    setup_cycles = 0.0;
+    centicycles = 0;
+    setup_centicycles = 0;
   }
 
 let copy t = { t with scalar_ops = t.scalar_ops }
-
-let add a b =
-  {
-    scalar_ops = a.scalar_ops + b.scalar_ops;
-    vector_ops = a.vector_ops + b.vector_ops;
-    scalar_loads = a.scalar_loads + b.scalar_loads;
-    scalar_stores = a.scalar_stores + b.scalar_stores;
-    vector_loads = a.vector_loads + b.vector_loads;
-    vector_stores = a.vector_stores + b.vector_stores;
-    pack_loads = a.pack_loads + b.pack_loads;
-    pack_stores = a.pack_stores + b.pack_stores;
-    inserts = a.inserts + b.inserts;
-    extracts = a.extracts + b.extracts;
-    permutes = a.permutes + b.permutes;
-    broadcasts = a.broadcasts + b.broadcasts;
-    cycles = a.cycles +. b.cycles;
-    setup_cycles = a.setup_cycles +. b.setup_cycles;
-  }
 
 let merge_into ~into t =
   into.scalar_ops <- into.scalar_ops + t.scalar_ops;
@@ -66,22 +48,11 @@ let merge_into ~into t =
   into.extracts <- into.extracts + t.extracts;
   into.permutes <- into.permutes + t.permutes;
   into.broadcasts <- into.broadcasts + t.broadcasts;
-  into.cycles <- into.cycles +. t.cycles;
-  into.setup_cycles <- into.setup_cycles +. t.setup_cycles
+  into.centicycles <- into.centicycles + t.centicycles;
+  into.setup_centicycles <- into.setup_centicycles + t.setup_centicycles
 
-let equal a b =
-  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  a.scalar_ops = b.scalar_ops && a.vector_ops = b.vector_ops
-  && a.scalar_loads = b.scalar_loads
-  && a.scalar_stores = b.scalar_stores
-  && a.vector_loads = b.vector_loads
-  && a.vector_stores = b.vector_stores
-  && a.pack_loads = b.pack_loads
-  && a.pack_stores = b.pack_stores
-  && a.inserts = b.inserts && a.extracts = b.extracts && a.permutes = b.permutes
-  && a.broadcasts = b.broadcasts
-  && same a.cycles b.cycles
-  && same a.setup_cycles b.setup_cycles
+(* Every field is an int. *)
+let equal (a : t) b = a = b
 
 let dynamic_instructions t =
   t.scalar_ops + t.vector_ops + t.scalar_loads + t.scalar_stores + t.vector_loads
@@ -92,7 +63,12 @@ let packing_instructions t =
 
 let total_instructions t = dynamic_instructions t + packing_instructions t
 
-let total_cycles t = t.cycles +. t.setup_cycles
+(* The one conversion to cycles.  The quotient is correctly rounded,
+   so [100 * n] centicycles read exactly [n] cycles. *)
+let to_cycles c = float_of_int c /. 100.0
+let cycles t = to_cycles t.centicycles
+let setup_cycles t = to_cycles t.setup_centicycles
+let total_cycles t = to_cycles (t.centicycles + t.setup_centicycles)
 
 let pp ppf t =
   Format.fprintf ppf
@@ -101,4 +77,4 @@ let pp ppf t =
      cycles: %.0f (+%.0f setup)@]"
     t.scalar_ops t.vector_ops t.scalar_loads t.scalar_stores t.vector_loads
     t.vector_stores t.inserts t.extracts t.permutes t.broadcasts t.pack_loads
-    t.pack_stores t.cycles t.setup_cycles
+    t.pack_stores (cycles t) (setup_cycles t)

@@ -20,23 +20,19 @@ type t = {
   mutable extracts : int;
   mutable permutes : int;
   mutable broadcasts : int;
-  mutable cycles : float;
-  mutable setup_cycles : float;
+  mutable centicycles : int;  (** Simulated time, in hundredths of a cycle. *)
+  mutable setup_centicycles : int;
       (** One-time cost of materialising replicated layouts. *)
 }
 
 val create : unit -> t
 val copy : t -> t
-val add : t -> t -> t
-(** Component-wise sum (fresh record). *)
-
 val merge_into : into:t -> t -> unit
-(** Accumulate instruction counts and cycles into [into]. *)
+(** Accumulate instruction counts and centicycles into [into]. *)
 
 val equal : t -> t -> bool
-(** All instruction counts equal and [cycles] and [setup_cycles]
-    bit-identical (compared by [Int64.bits_of_float]) — the
-    differential check between the compiled engine and the reference
+(** Every count and both centicycle fields equal — the differential
+    check between the compiled engine and the reference
     interpreters. *)
 
 val dynamic_instructions : t -> int
@@ -46,5 +42,13 @@ val packing_instructions : t -> int
 (** Inserts + extracts + permutes + broadcasts + pack memory ops. *)
 
 val total_instructions : t -> int
+val cycles : t -> float
+(** [centicycles] in cycles: [float_of_int centicycles /. 100.0],
+    correctly rounded, so a whole number of cycles converts exactly.
+    This and the two below are the only conversions. *)
+
+val setup_cycles : t -> float
 val total_cycles : t -> float
+(** [centicycles + setup_centicycles], in cycles. *)
+
 val pp : Format.formatter -> t -> unit

@@ -29,11 +29,11 @@
    check, [vector_final_memory]) only computes, checks and stores.
    Both link the same closure per instruction: each compiler binds the
    mode once, at link time, as the constant [timed], and the closure
-   runs its counter updates, cycle charge and [Cache.charge] only when
-   it is set.  A values-only closure makes the same bounds and
-   register-lane checks and memory writes in the same order, and its
-   fault tick ([tick]) stands where the timed one calls
-   [Cache.charge], after the bounds check, so an armed fault lands on
+   runs its counter updates, cycle charge and cache access ([access])
+   only when it is set.  A values-only closure makes the same bounds
+   and register-lane checks and memory writes in the same order, and
+   its fault tick ([tick]) stands where the timed one calls
+   {!Cache.access}, after the bounds check, so an armed fault lands on
    the same access.  Everything else — driver, chunking,
    privatization, reduction merging, states (caches included) — is
    shared, so the final memory is bit-identical to the timed run's.
@@ -64,15 +64,13 @@
    inner loop keeps the rule exact for the loops around it: its
    skipped iterations repeat its steady one, which was simulated and
    counted, so "no miss at level k" holds over the skipped accesses
-   exactly when it holds over the simulated ones.  This is exact only
-   at one core, where every cost is an integer-valued float and the
-   sums stay below 2^53 (see below; a loop that would pass 2^53
-   simulates on).  A multicore run's contention costs need not be
-   integers, and a profiled run observes every access, so both compile
-   every loop to full simulation ([simulate]), as do loops without the
-   property.  The cache counts only misses per level, for [forward];
-   the profiler counts what its observer sees, so a profiled run keeps
-   full simulation.
+   exactly when it holds over the simulated ones.  Every cost is a
+   whole number of centicycles, so the product and the sum are exact.
+   A multicore run splits its first loop over per-core states, and a
+   profiled run observes every access (the cache counts only misses
+   per level, for [forward]; the profiler counts what its observer
+   sees), so both compile every loop to full simulation ([simulate]),
+   as do loops without the property.
 
    A replaying loop settles when, besides, the state one iteration
    leaves is a fixed point of its body ([repeat] decides it once per
@@ -100,33 +98,29 @@
    The third, timing-only ([run_timing], the Global+Layout
    arbitration's probes and other callers that read only counters),
    computes no values: no memory initialisation, register file or
-   expression tree.  It is exact only at one core, and takes no core
-   count.  There the contention factor is 1.0, so the cache's bus
-   surcharge is 0 and every latency, issue and op cost is an
-   integer-valued float; every partial sum of a run's cycles is an
-   integer below 2^53, so each addition is exact and the total does
-   not depend on their order.  So [time_block] folds a [Visa.Block]'s
-   non-memory cycles and all its counter increments into one static
-   delta, added once per execution of the block, and keeps one closure
-   per memory access: the timed closure's bounds check and address
-   ([link_elem], [contig]), then [Cache.charge] with its bytes and
-   issue cost.  Accesses run in the timed run's order, so the cache
-   sees the same stream, the counters and cycles are bit-identical, a
-   bounds trap names the same access and an armed fault ticks on the
-   same one.  The timed closures also check register lane counts
-   (read before write, a lane past a register's width); those are
-   proved before the run ([lanes_proven]) by walking each loop body
-   over every lane state that can enter it.  A program the proof
-   rejects, any program that spills (a reload's lane count lives in
-   the spill arena) and one whose accesses fail to link run on the
-   timed engine instead; nothing selects the path but the program.
-   Loops, setup and the driver ([link_items], [run_setup],
-   [run_items]) are the timed run's, and so is the fast-forward,
-   except that the iterations past the warm-up are skipped outright,
-   unless a fault is armed: its ticks need every access, so the loop
-   simulates on.  Its address map ({!Memory.layout}) has bases,
-   dimensions, element sizes and scalar addresses but no element
-   storage.
+   expression tree.  It runs one core and takes no core count.  Cycles
+   are integers, so their total does not depend on the order of the
+   additions: [time_block] folds a [Visa.Block]'s non-memory cycles
+   and all its counter increments into one static delta, added once
+   per execution of the block, and keeps one closure per memory
+   access: the timed closure's bounds check and address ([link_elem],
+   [contig]), then [access] with its bytes and issue cost.  Accesses
+   run in the timed run's order, so the cache sees the same stream,
+   the counters and cycles are bit-identical, a bounds trap names the
+   same access and an armed fault ticks on the same one.  The timed
+   closures also check register lane counts (read before write, a lane
+   past a register's width); those are proved before the run
+   ([lanes_proven]) by walking each loop body over every lane state
+   that can enter it.  A program the proof rejects, any program that
+   spills (a reload's lane count lives in the spill arena) and one
+   whose accesses fail to link run on the timed engine instead;
+   nothing selects the path but the program.  Loops, setup and the
+   driver ([link_items], [run_setup], [run_items]) are the timed
+   run's, and so is the fast-forward, except that the iterations past
+   the warm-up are skipped outright, unless a fault is armed: its
+   ticks need every access, so the loop simulates on.  Its address map
+   ({!Memory.layout}) has bases, dimensions, element sizes and scalar
+   addresses but no element storage.
 
    All hot-path storage is unboxed and preallocated: the register
    file is a single [floatarray] of [nvregs * stride] cells (register
@@ -157,25 +151,26 @@
    state's [tmp] slots (a binary node's right operand at its own slot
    [dst], its left at [dst + 1], so an expression needs
    [1 + Expr.depth] slots), lane sources write straight into their
-   register lane, and {!Cache.charge} adds an access's cycles into the
-   state's accumulator cell.  Subscripts are loops over unboxed
-   coefficient arrays, not [Array.iter] closures.  A run takes its
-   caches from {!Cache}'s per-domain reuse list and releases them when
-   it finishes (a trapped run does not), so a run allocates only what
-   compiling its closures needs.  [test/test_vm.ml]'s allocation
-   budget holds timed and values-only runs under 0.1 minor words per
-   simulated memory access.
+   register lane, and {!Cache.access} returns an access's centicycles
+   as an [int], which [access] adds into the state's [cycles].
+   Subscripts are loops over unboxed coefficient arrays, not
+   [Array.iter] closures.  A run takes its caches from {!Cache}'s
+   per-domain reuse list and releases them when it finishes (a trapped
+   run does not), so a run allocates only what compiling its closures
+   needs.  [test/test_vm.ml]'s allocation budget holds timed and
+   values-only runs under 0.1 minor words per simulated memory access.
 
    The engine is observationally identical to the interpreters:
    memory, counters and cycles are bit-identical (the differential
    fuzz suite asserts this).  Every cache access it simulates happens
    at the same address in the same order, every counter increments at
-   the same point, and cycles accumulate in the same floating-point
-   order; at one core a fast-forwarded loop's remaining iterations add
-   the same integers in fewer, exact additions, and a settled loop's
-   remaining iterations would rewrite the values already there.  The
-   interpreters simulate and compute every iteration and remain as the
-   reference oracle; they share no code with either skip. *)
+   the same point, and every cost is the same whole number of
+   centicycles, so the sums agree in any order; a fast-forwarded
+   loop's remaining iterations add the same integers in fewer
+   additions, and a settled loop's remaining iterations would rewrite
+   the values already there.  The interpreters simulate and compute
+   every iteration and remain as the reference oracle; they share no
+   code with either skip. *)
 
 open Slp_ir
 module M = Slp_machine.Machine
@@ -192,14 +187,9 @@ type result = { counters : Counters.t; memory : Memory.t }
 type state = {
   cache : Cache.t;
   counters : Counters.t;
-  cycles : float array;
-      (** Single-cell cycle accumulator.  [Counters.t] mixes int and
-          float fields, so its float fields are boxed and every
-          [cycles <- cycles +. c] would allocate; accumulating in a
-          float array cell is allocation-free and the drivers copy the
-          total into [counters] at run boundaries.  The additions
-          happen in the same order as the interpreters', so the result
-          is bit-identical. *)
+  mutable cycles : int;
+      (** Centicycles charged so far; the drivers copy the total into
+          [counters] at run boundaries. *)
   frame : int array;  (** Loop index value per nesting depth. *)
   tmp : floatarray;
       (** Expression temporaries: a compiled expression writes its
@@ -223,10 +213,14 @@ type state = {
           [tr]/[ti] cannot race across domains. *)
 }
 
-let charge st c = Array.unsafe_set st.cycles 0 (Array.unsafe_get st.cycles 0 +. c)
+let[@inline] charge st c = st.cycles <- st.cycles + c
 
-(* A values-only closure's stand-in for [Cache.charge]: the fault tick
-   at the same point of the same access, so an armed fault fires
+(* A memory access: its issue cost and the cache's. *)
+let[@inline] access st ~issue ~addr ~bytes =
+  st.cycles <- st.cycles + issue + Cache.access st.cache ~addr ~bytes
+
+(* A values-only closure's stand-in for [access]: the fault tick at
+   the same point of the same access, so an armed fault fires
    there. *)
 let[@inline] tick () = if !Trap.fault_enabled then Trap.fault_tick ()
 
@@ -235,7 +229,7 @@ let[@inline] tick () = if !Trap.fault_enabled then Trap.fault_tick ()
 (* Every cycle the engine charges happens inside a compiled statement
    or instruction closure, so bracketing each closure with a cycle
    delta attributes the entire run total to source constructs — the
-   per-key sums equal [Counters.total_cycles] exactly (per core).
+   per-key sums equal the run's centicycles exactly (per core).
    Cache accesses ride the same bracket: the profile's current-stat
    pointer is set for the closure's duration and the cache observer
    bins each access against it.  With profiling off the closure is
@@ -247,11 +241,11 @@ let wrap_profile prof key f =
   | Some p ->
       let s = Profile.stat p key in
       fun st ->
-        let before = st.cycles.(0) in
+        let before = st.cycles in
         Profile.set_current p (Some s);
         f st;
         Profile.set_current p None;
-        Profile.add s ~cycles:(st.cycles.(0) -. before)
+        Profile.add s ~centicycles:(st.cycles - before)
 
 let opcode_name = function
   | Visa.Vload _ -> "vload"
@@ -338,8 +332,8 @@ let settled_iterations () = Atomic.get settled
 let more ~iterations ~times now was = now + (times * ((now - was) / iterations))
 
 (* Add [times] more of the per-iteration counts [c] gained over the
-   [iterations] iterations since [before]: the int fields only (a float
-   field update would box). *)
+   [iterations] iterations since [before]: the instruction counts only,
+   as the state holds the cycles. *)
 let repeat_counts (c : Counters.t) ~(before : Counters.t) ~iterations ~times =
   c.scalar_ops <- more ~iterations ~times c.scalar_ops before.scalar_ops;
   c.vector_ops <- more ~iterations ~times c.vector_ops before.vector_ops;
@@ -363,9 +357,7 @@ let repeat_counts (c : Counters.t) ~(before : Counters.t) ~iterations ~times =
    the run is timing-only, not at all, unless a fault is armed: its
    ticks need every access.  In a timed run [warm] = L + 1; in a
    values-only run, whose counters and cycles stay zero, [warm] = 1.
-   The product and the sum are exact while the total stays below
-   2^53; a loop that would pass it simulates on.  Returns the index
-   the loop continues from on [c_body]. *)
+   Returns the index the loop continues from on [c_body]. *)
 let forward st l ~warm ~values ~counts ~lo ~hi =
   let step = l.c_step in
   let trips = if hi <= lo then 0 else (hi - lo + step - 1) / step in
@@ -378,20 +370,19 @@ let forward st l ~warm ~values ~counts ~lo ~hi =
       i := !i + step
     in
     let before = Counters.copy st.counters in
-    let k = ref 0 and steady = ref false and from = ref 0.0 in
+    let k = ref 0 and steady = ref false and from = ref 0 in
     while not !steady do
       incr k;
       let missed = if !k < warm then Cache.misses st.cache (!k - 1) else 0 in
-      from := st.cycles.(0);
+      from := st.cycles;
       iterate l.c_body;
       steady := !k = warm || Cache.misses st.cache (!k - 1) = missed
     done;
     let times = trips - !k in
-    let total = st.cycles.(0) +. (float_of_int times *. (st.cycles.(0) -. !from)) in
-    if (Option.is_none values && !Trap.fault_enabled) || not (total < 0x1p53) then !i
+    if Option.is_none values && !Trap.fault_enabled then !i
     else begin
       repeat_counts st.counters ~before ~iterations:!k ~times;
-      st.cycles.(0) <- total;
+      st.cycles <- st.cycles + (times * (st.cycles - !from));
       List.iter (fun c -> ignore (Atomic.fetch_and_add c times : int)) counts;
       Option.iter
         (fun body ->
@@ -620,12 +611,12 @@ let compile_operand_read ?stmt ctx ~depths ~dst op =
       | Slot slot -> fun st -> FA.unsafe_set st.tmp dst (FA.unsafe_get st.sdata slot))
   | Operand.Elem (name, idxs) -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ?stmt ctx ~depths op in
-      let issue = float_of_int ctx.machine.M.costs.M.load_issue in
+      let issue = 100 * ctx.machine.M.costs.M.load_issue in
       let generic st =
         let fl = e_flat st.frame in
         if timed then begin
           st.counters.Counters.scalar_loads <- st.counters.Counters.scalar_loads + 1;
-          Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes
+          access st ~issue ~addr:(e_base + (fl * bytes)) ~bytes
         end
         else tick ();
         FA.unsafe_set st.tmp dst (FA.unsafe_get e_data fl)
@@ -644,7 +635,7 @@ let compile_operand_read ?stmt ctx ~depths ~dst op =
                 if i < 0 || i >= d0 then oob i;
                 if timed then begin
                   st.counters.Counters.scalar_loads <- st.counters.Counters.scalar_loads + 1;
-                  Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes
+                  access st ~issue ~addr:(e_base + (i * bytes)) ~bytes
                 end
                 else tick ();
                 FA.unsafe_set st.tmp dst (FA.unsafe_get e_data i)
@@ -736,7 +727,7 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
   let stmt = s.Stmt.id in
   let rhs = compile_expr ~stmt ctx ~depths ~dst:0 s.Stmt.rhs in
   let nops = Stmt.op_count s in
-  let op_cycles = float_of_int (stmt_op_cycles costs s) in
+  let op_cycles = 100 * stmt_op_cycles costs s in
   match s.Stmt.lhs with
   | Operand.Scalar v ->
       let slot = Memory.scalar_slot ctx.mem v in
@@ -749,7 +740,7 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
         FA.unsafe_set st.sdata slot (FA.unsafe_get st.tmp 0)
   | Operand.Elem (name, idxs) as op -> (
       let { e_data; e_base; e_bytes = bytes; e_flat } = link_elem ~stmt ctx ~depths op in
-      let issue = float_of_int costs.M.store_issue in
+      let issue = 100 * costs.M.store_issue in
       let generic st =
         rhs st;
         let value = FA.unsafe_get st.tmp 0 in
@@ -760,7 +751,7 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
         let fl = e_flat st.frame in
         if timed then begin
           st.counters.Counters.scalar_stores <- st.counters.Counters.scalar_stores + 1;
-          Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * bytes)) ~bytes
+          access st ~issue ~addr:(e_base + (fl * bytes)) ~bytes
         end
         else tick ();
         FA.unsafe_set e_data fl value
@@ -784,7 +775,7 @@ let compile_stmt ctx ~depths (s : Stmt.t) =
                 if i < 0 || i >= d0 then oob i;
                 if timed then begin
                   st.counters.Counters.scalar_stores <- st.counters.Counters.scalar_stores + 1;
-                  Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (i * bytes)) ~bytes
+                  access st ~issue ~addr:(e_base + (i * bytes)) ~bytes
                 end
                 else tick ();
                 FA.unsafe_set e_data i value
@@ -812,12 +803,12 @@ let link_lane_src ctx ~depths ~off (src : Visa.lane_src) =
       | Slot slot -> fun st -> FA.unsafe_set st.vregs off (FA.unsafe_get st.sdata slot))
   | Visa.Mem op ->
       let { e_data; e_base; e_bytes; e_flat } = link_elem ctx ~depths op in
-      let issue = float_of_int ctx.machine.M.costs.M.load_issue in
+      let issue = 100 * ctx.machine.M.costs.M.load_issue in
       fun st ->
         let fl = e_flat st.frame in
         if timed then begin
           st.counters.Counters.pack_loads <- st.counters.Counters.pack_loads + 1;
-          Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (fl * e_bytes)) ~bytes:e_bytes
+          access st ~issue ~addr:(e_base + (fl * e_bytes)) ~bytes:e_bytes
         end
         else tick ();
         FA.unsafe_set st.vregs off (FA.unsafe_get e_data fl)
@@ -914,7 +905,7 @@ let[@inline] vop_lanes st ~timed ~c a b =
    [timed]: a timed closure counts events, charges cycles and simulates
    the cache; a values-only one makes the same lane-count and bounds
    checks and memory writes in the same order, and ticks ([tick]) where
-   the timed one calls [Cache.charge]. *)
+   the timed one calls [access]. *)
 let compile_instr ctx ~depths instr =
   let costs = ctx.machine.M.costs in
   let stride = ctx.stride in
@@ -924,7 +915,7 @@ let compile_instr ctx ~depths instr =
   | Visa.Vload { dst; elems } -> (
       let n = List.length elems in
       let dst_off = dst * stride in
-      let issue = float_of_int costs.M.load_issue in
+      let issue = 100 * costs.M.load_issue in
       match contig ctx ~depths elems with
       | Some (name, f0) ->
           let data = Memory.array_values ctx.mem name in
@@ -940,8 +931,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst n;
             if timed then begin
               st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
-              Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
-                ~bytes:bytes_total
+              access st ~issue ~addr:(base + (i0 * bytes)) ~bytes:bytes_total
             end
             else tick ()
       | None ->
@@ -963,7 +953,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst n;
             if timed then begin
               st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
-              Cache.charge st.cache st.cycles ~issue
+              access st ~issue
                 ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
                 ~bytes:bytes_total
             end
@@ -971,7 +961,7 @@ let compile_instr ctx ~depths instr =
   | Visa.Vstore { src; elems } -> (
       let n = List.length elems in
       let src_off = src * stride in
-      let issue = float_of_int costs.M.store_issue in
+      let issue = 100 * costs.M.store_issue in
       match contig ctx ~depths elems with
       | Some (name, f0) ->
           let data = Memory.array_values ctx.mem name in
@@ -988,8 +978,7 @@ let compile_instr ctx ~depths instr =
             done;
             if timed then begin
               st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
-              Cache.charge st.cache st.cycles ~issue ~addr:(base + (i0 * bytes))
-                ~bytes:bytes_total
+              access st ~issue ~addr:(base + (i0 * bytes)) ~bytes:bytes_total
             end
             else tick ()
       | None ->
@@ -1013,7 +1002,7 @@ let compile_instr ctx ~depths instr =
             done;
             if timed then begin
               st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
-              Cache.charge st.cache st.cycles ~issue
+              access st ~issue
                 ~addr:(e0.e_base + (Array.unsafe_get flats 0 * e0.e_bytes))
                 ~bytes:bytes_total
             end
@@ -1027,7 +1016,7 @@ let compile_instr ctx ~depths instr =
           (List.mapi (fun k src -> link_lane_src ctx ~depths ~off:(dst_off + k) src) srcs)
       in
       let n = Array.length fns in
-      let insert_c = float_of_int (n * costs.M.insert) in
+      let insert_c = 100 * n * costs.M.insert in
       fun st ->
         for k = 0 to n - 1 do
           (Array.unsafe_get fns k) st
@@ -1038,7 +1027,7 @@ let compile_instr ctx ~depths instr =
         end;
         Array.unsafe_set st.vlanes dst n
   | Visa.Vunpack { src; dsts } ->
-      let extract_c = float_of_int costs.M.extract in
+      let extract_c = 100 * costs.M.extract in
       let src_off = src * stride in
       let fns =
         List.mapi
@@ -1057,7 +1046,7 @@ let compile_instr ctx ~depths instr =
                     FA.unsafe_set st.sdata slot (FA.unsafe_get st.vregs (src_off + i)))
             | Some (Visa.To_mem op) ->
                 let { e_data; e_base; e_bytes; e_flat } = link_elem ctx ~depths op in
-                let issue = float_of_int costs.M.store_issue in
+                let issue = 100 * costs.M.store_issue in
                 Some
                   (fun st n ->
                     if timed then begin
@@ -1067,9 +1056,7 @@ let compile_instr ctx ~depths instr =
                     let fl = e_flat st.frame in
                     if timed then begin
                       st.counters.Counters.pack_stores <- st.counters.Counters.pack_stores + 1;
-                      Cache.charge st.cache st.cycles ~issue
-                        ~addr:(e_base + (fl * e_bytes))
-                        ~bytes:e_bytes
+                      access st ~issue ~addr:(e_base + (fl * e_bytes)) ~bytes:e_bytes
                     end
                     else tick ();
                     if i >= n then invalid_arg "index out of bounds";
@@ -1086,7 +1073,7 @@ let compile_instr ctx ~depths instr =
       let dst_off = dst * stride in
       (* The source fills lane 0, which the loop then copies. *)
       let value = link_lane_src ctx ~depths ~off:dst_off src in
-      let broadcast_c = float_of_int costs.M.broadcast in
+      let broadcast_c = 100 * costs.M.broadcast in
       fun st ->
         value st;
         if timed then begin
@@ -1102,7 +1089,7 @@ let compile_instr ctx ~depths instr =
   | Visa.Vpermute { dst; src; sel } ->
       let sel = Array.copy sel in
       let nsel = Array.length sel in
-      let permute_c = float_of_int costs.M.permute in
+      let permute_c = 100 * costs.M.permute in
       let dst_off = dst * stride and src_off = src * stride in
       (* Staged through scratch: [dst] may be [src]. *)
       fun st ->
@@ -1122,7 +1109,7 @@ let compile_instr ctx ~depths instr =
   | Visa.Vshuffle2 { dst; a; b; sel } ->
       let nsel = Array.length sel in
       let side = Array.map fst sel and lane = Array.map snd sel in
-      let permute_c = float_of_int costs.M.permute in
+      let permute_c = 100 * costs.M.permute in
       let dst_off = dst * stride in
       let a_off = a * stride and b_off = b * stride in
       fun st ->
@@ -1146,10 +1133,7 @@ let compile_instr ctx ~depths instr =
         FA.blit buf 0 vregs dst_off nsel;
         Array.unsafe_set st.vlanes dst nsel
   | Visa.Vbin { dst; op; a; b } -> (
-      let c =
-        float_of_int
-          (match op with Types.Div -> costs.M.divide | _ -> costs.M.vector_op)
-      in
+      let c = 100 * match op with Types.Div -> costs.M.divide | _ -> costs.M.vector_op in
       let dst_off = dst * stride in
       let a_off = a * stride and b_off = b * stride in
       (* The update is elementwise (lane [i] is read before written),
@@ -1217,8 +1201,8 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na)
   | Visa.Vun { dst; op; a } -> (
       let c =
-        float_of_int
-          (match op with
+        100
+        * (match op with
           | Types.Sqrt -> costs.M.square_root
           | Types.Neg | Types.Abs -> costs.M.vector_op)
       in
@@ -1252,7 +1236,7 @@ let compile_instr ctx ~depths instr =
             Array.unsafe_set st.vlanes dst na)
   | Visa.Vspill { src; slot } ->
       let addr = Memory.spill_addr ctx.mem ~slot in
-      let issue = float_of_int costs.M.store_issue in
+      let issue = 100 * costs.M.store_issue in
       let src_off = src * stride and slot_off = slot * stride in
       (* Spills live in the *state's* arena, not in shared [Memory]:
          each simulated core owns its spilled values, which is what
@@ -1264,12 +1248,12 @@ let compile_instr ctx ~depths instr =
         Array.unsafe_set st.spill_ln slot n;
         if timed then begin
           st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
-          Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n)
+          access st ~issue ~addr ~bytes:(8 * n)
         end
         else tick ()
   | Visa.Vreload { dst; slot } ->
       let addr = Memory.spill_addr ctx.mem ~slot in
-      let issue = float_of_int costs.M.load_issue in
+      let issue = 100 * costs.M.load_issue in
       let dst_off = dst * stride and slot_off = slot * stride in
       fun st ->
         let n = Array.unsafe_get st.spill_ln slot in
@@ -1277,7 +1261,7 @@ let compile_instr ctx ~depths instr =
         FA.blit st.spills slot_off st.vregs dst_off n;
         if timed then begin
           st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
-          Cache.charge st.cache st.cycles ~issue ~addr ~bytes:(8 * n)
+          access st ~issue ~addr ~bytes:(8 * n)
         end
         else tick ();
         Array.unsafe_set st.vlanes dst n
@@ -1285,7 +1269,7 @@ let compile_instr ctx ~depths instr =
       let slots = Array.of_list (List.map (Memory.scalar_slot ctx.mem) sources) in
       let n = Array.length slots in
       let bytes = 8 * n in
-      let issue = float_of_int costs.M.load_issue in
+      let issue = 100 * costs.M.load_issue in
       let dst_off = dst * stride in
       let addr0 =
         try Ok (Memory.scalar_addr ctx.mem (List.hd sources))
@@ -1300,14 +1284,14 @@ let compile_instr ctx ~depths instr =
         if timed then
           st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
         (match addr0 with
-        | Ok addr -> if timed then Cache.charge st.cache st.cycles ~issue ~addr ~bytes else tick ()
+        | Ok addr -> if timed then access st ~issue ~addr ~bytes else tick ()
         | Error msg -> invalid_arg msg);
         Array.unsafe_set st.vlanes dst n
   | Visa.Vstore_scalars { src; targets } -> (
       let slots = Array.of_list (List.map (Memory.scalar_slot ctx.mem) targets) in
       let n = Array.length slots in
       let bytes = 8 * n in
-      let issue = float_of_int costs.M.store_issue in
+      let issue = 100 * costs.M.store_issue in
       let src_off = src * stride in
       let addr0 =
         try Ok (Memory.scalar_addr ctx.mem (List.hd targets))
@@ -1324,7 +1308,7 @@ let compile_instr ctx ~depths instr =
         if timed then
           st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
         match addr0 with
-        | Ok addr -> if timed then Cache.charge st.cache st.cycles ~issue ~addr ~bytes else tick ()
+        | Ok addr -> if timed then access st ~issue ~addr ~bytes else tick ()
         | Error msg -> invalid_arg msg)
 
 (* The loop structure of [items], each [Visa.Block] compiled by
@@ -1528,11 +1512,11 @@ let make_ctx ~machine ~values_only ~stride mem names =
   List.iter (fun v -> ignore (Memory.scalar_slot mem v)) names;
   { mem; machine; values_only; sdata = Memory.scalar_values mem; stride }
 
-let fresh_state ?contention ~machine ~nframe ~ntmp ~nvregs ~stride ~nslots ~sdata () =
+let fresh_state ?cores ~machine ~nframe ~ntmp ~nvregs ~stride ~nslots ~sdata () =
   {
-    cache = Cache.create ?contention machine;
+    cache = Cache.create ?cores machine;
     counters = Counters.create ();
-    cycles = [| 0.0 |];
+    cycles = 0;
     frame = Array.make (max 1 nframe) 0;
     tmp = FA.make ntmp 0.0;
     vregs = FA.make (max 1 (nvregs * stride)) 0.0;
@@ -1620,10 +1604,10 @@ let exec_cores ?pool ~privatize ~reductions ~fresh ~sdata ~items ~main_idx
         FA.set sdata slot !acc)
       reductions entries
   end;
-  let max_cycles = ref 0.0 in
+  let max_cycles = ref 0 in
   Array.iter
     (fun st ->
-      max_cycles := Float.max !max_cycles st.cycles.(0);
+      max_cycles := Int.max !max_cycles st.cycles;
       Counters.merge_into ~into st.counters;
       Cache.release st.cache)
     sts;
@@ -1706,27 +1690,27 @@ let use_pool pool ~profile =
 let run_setup st ~cores setup =
   if cores <= 1 then begin
     run_items st setup;
-    let c = st.cycles.(0) in
-    st.cycles.(0) <- 0.0;
+    let c = st.cycles in
+    st.cycles <- 0;
     c
   end
   else begin
-    let total = ref 0.0 in
+    let total = ref 0 in
     List.iter
       (fun item ->
         match item with
         | Cloop ({ c_const_bounds = Some (lo, hi); _ } as l) ->
-            let slowest = ref 0.0 in
+            let slowest = ref 0 in
             List.iter
               (fun (clo, chi) ->
-                let before = st.cycles.(0) in
+                let before = st.cycles in
                 run_loop st l ~lo:clo ~hi:chi;
-                slowest := Float.max !slowest (st.cycles.(0) -. before))
+                slowest := Int.max !slowest (st.cycles - before))
               (chunk_ranges ~lo ~hi ~step:l.c_step ~cores);
-            total := !total +. !slowest
+            total := !total + !slowest
         | Cloop _ | Cblock _ -> run_item st item)
       setup;
-    st.cycles.(0) <- 0.0;
+    st.cycles <- 0;
     !total
   end
 
@@ -1752,9 +1736,9 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   let stride = program_lane_stride prog in
   let ctx = make_ctx ~machine ~values_only ~stride memory names in
   (* Only one-core runs without a profiler skip iterations: a
-     multicore run's costs need not be integers and it splits its
-     first loop over per-core states, and a profiler observes every
-     access.  A timed run fast-forwards, a values-only run settles. *)
+     multicore run splits its first loop over per-core states, and a
+     profiler observes every access.  A timed run fast-forwards, a
+     values-only run settles. *)
   let tail =
     if cores > 1 || Option.is_some profile then simulate
     else if values_only then settle_tail
@@ -1769,10 +1753,8 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
   assert (Memory.scalar_values memory == ctx.sdata);
   let nframe = max (prog_depth prog.Visa.setup) (prog_depth prog.Visa.body) in
   let ntmp = program_tmp_slots prog in
-  let fresh ?contention ~sdata () =
-    let st =
-      fresh_state ?contention ~machine ~nframe ~ntmp ~nvregs ~stride ~nslots ~sdata ()
-    in
+  let fresh ?cores ~sdata () =
+    let st = fresh_state ?cores ~machine ~nframe ~ntmp ~nvregs ~stride ~nslots ~sdata () in
     observe_cache profile st.cache;
     st
   in
@@ -1781,15 +1763,15 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
      state: its cache alone is about 267k words. *)
   let setup_state, setup_cycles =
     match setup with
-    | [] -> (None, 0.0)
+    | [] -> (None, 0)
     | setup ->
         let st = fresh_shared () in
         (Some st, run_setup st ~cores setup)
   in
   let single st =
     run_items st body;
-    st.counters.Counters.cycles <- st.cycles.(0);
-    st.counters.Counters.setup_cycles <- setup_cycles;
+    st.counters.Counters.centicycles <- st.cycles;
+    st.counters.Counters.setup_centicycles <- setup_cycles;
     Cache.release st.cache;
     { counters = st.counters; memory }
   in
@@ -1802,9 +1784,6 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
     match first_cloop body with
     | None -> single (fresh_shared ())
     | Some (main_idx, main_loop) ->
-        let contention =
-          1.0 +. (float_of_int (cores - 1) *. machine.M.contention_per_core)
-        in
         let lo, hi =
           match main_loop.c_const_bounds with
           | Some (lo, hi) -> (lo, hi)
@@ -1827,10 +1806,10 @@ let run ?(cores = 1) ?(seed = 42) ?memory ?profile ?origins ?pool ~machine
         let all =
           match setup_state with Some st -> st.counters | None -> Counters.create ()
         in
-        all.Counters.setup_cycles <- setup_cycles;
-        all.Counters.cycles <-
+        all.Counters.setup_centicycles <- setup_cycles;
+        all.Counters.centicycles <-
           exec_cores ?pool ~privatize ~reductions
-            ~fresh:(fun ~sdata () -> fresh ~contention ~sdata ())
+            ~fresh:(fun ~sdata () -> fresh ~cores ~sdata ())
             ~sdata:ctx.sdata ~items:body ~main_idx ~main_loop ~ranges ~into:all ();
         { counters = all; memory }
   end
@@ -1930,28 +1909,12 @@ let lanes_proven (prog : Visa.program) =
   | _ -> true
   | exception (Unproven | Invalid_argument _) -> false
 
-(* The counter increments of [d], added to [into]: the int fields only
-   (a float field update would box). *)
-let add_counts (into : Counters.t) (d : Counters.t) =
-  into.scalar_ops <- into.scalar_ops + d.scalar_ops;
-  into.vector_ops <- into.vector_ops + d.vector_ops;
-  into.scalar_loads <- into.scalar_loads + d.scalar_loads;
-  into.scalar_stores <- into.scalar_stores + d.scalar_stores;
-  into.vector_loads <- into.vector_loads + d.vector_loads;
-  into.vector_stores <- into.vector_stores + d.vector_stores;
-  into.pack_loads <- into.pack_loads + d.pack_loads;
-  into.pack_stores <- into.pack_stores + d.pack_stores;
-  into.inserts <- into.inserts + d.inserts;
-  into.extracts <- into.extracts + d.extracts;
-  into.permutes <- into.permutes + d.permutes;
-  into.broadcasts <- into.broadcasts + d.broadcasts
-
 (* One element access: the timed closure's bounds check and address,
-   then its [Cache.charge]. *)
+   then its [access]. *)
 let time_elem ?stmt ctx ~depths ~issue op =
   let { e_base; e_bytes = bytes; e_flat; _ } = link_elem ?stmt ctx ~depths op in
   fun st ->
-    Cache.charge st.cache st.cycles ~issue ~addr:(e_base + (e_flat st.frame * bytes)) ~bytes
+    access st ~issue ~addr:(e_base + (e_flat st.frame * bytes)) ~bytes
 
 (* A vload's or vstore's one access: a contiguous pack's range check,
    or every lane's checks in lane order, then lane 0's address. *)
@@ -1963,8 +1926,7 @@ let time_pack ctx ~depths ~issue elems =
       let bytes = Memory.elem_bytes ctx.mem name in
       let bytes_total = bytes * n in
       fun st ->
-        Cache.charge st.cache st.cycles ~issue ~addr:(base + (f0 st.frame * bytes))
-          ~bytes:bytes_total
+        access st ~issue ~addr:(base + (f0 st.frame * bytes)) ~bytes:bytes_total
   | None ->
       let es = Array.of_list (List.map (link_elem ctx ~depths) elems) in
       let e0 = es.(0) in
@@ -1975,8 +1937,7 @@ let time_pack ctx ~depths ~issue elems =
         for k = 1 to n - 1 do
           ignore ((Array.unsafe_get es k).e_flat frame : int)
         done;
-        Cache.charge st.cache st.cycles ~issue ~addr:(e0.e_base + (fl0 * e0.e_bytes))
-          ~bytes:bytes_total
+        access st ~issue ~addr:(e0.e_base + (fl0 * e0.e_bytes)) ~bytes:bytes_total
 
 let time_scalars ctx ~issue names =
   let bytes = 8 * List.length names in
@@ -1985,14 +1946,14 @@ let time_scalars ctx ~issue names =
   in
   fun st ->
     let addr = match addr0 with Ok a -> a | Error msg -> invalid_arg msg in
-    Cache.charge st.cache st.cycles ~issue ~addr ~bytes
+    access st ~issue ~addr ~bytes
 
 (* An instruction's counter increments go into [d] and its non-memory
    cycles into [cycles]; returns its accesses in the timed closure's
    order. *)
 let time_instr ctx ~depths (d : Counters.t) cycles instr =
   let costs = ctx.machine.M.costs in
-  let load = float_of_int costs.M.load_issue and store = float_of_int costs.M.store_issue in
+  let load = 100 * costs.M.load_issue and store = 100 * costs.M.store_issue in
   let cost c = cycles := !cycles + c in
   let pack_load op =
     d.pack_loads <- d.pack_loads + 1;
@@ -2069,15 +2030,15 @@ let time_instr ctx ~depths (d : Counters.t) cycles instr =
       [ time_scalars ctx ~issue:store targets ]
   | Visa.Vspill _ | Visa.Vreload _ -> raise Unproven
 
-(* One execution of a block: its static cycles and counts, then its
-   accesses. *)
+(* One execution of a block: its static cycles and counts (in [d],
+   whose cycles stay zero), then its accesses. *)
 let time_block ctx ~depths instrs =
   let d = Counters.create () and cycles = ref 0 in
   let accesses = Array.of_list (List.concat_map (time_instr ctx ~depths d cycles) instrs) in
-  let static = float_of_int !cycles in
+  let static = 100 * !cycles in
   fun st ->
     charge st static;
-    add_counts st.counters d;
+    Counters.merge_into ~into:st.counters d;
     run_block accesses st
 
 let fallbacks = Atomic.make 0
@@ -2106,8 +2067,8 @@ let run_timing ?scalar_layout ~machine (prog : Visa.program) =
       in
       let setup_cycles = run_setup st ~cores:1 setup in
       run_items st body;
-      st.counters.Counters.cycles <- st.cycles.(0);
-      st.counters.Counters.setup_cycles <- setup_cycles;
+      st.counters.Counters.centicycles <- st.cycles;
+      st.counters.Counters.setup_centicycles <- setup_cycles;
       Cache.release st.cache;
       st.counters
 

@@ -26,10 +26,9 @@
     one core: no values, memory initialisation or register file; each
     [Visa.Block]'s non-memory cycles and counts are one static delta
     added per execution, and only its memory accesses are simulated,
-    in the timed run's order.  At one core every cost is an
-    integer-valued float (contention 1.0 adds no bus surcharge) and
-    every partial sum stays below 2{^53}, so the reordered additions
-    are exact and the counters are the timed run's bit for bit.
+    in the timed run's order.  Every cost is a whole number of
+    centicycles, so the reordered additions give the timed run's
+    counters bit for bit.
     Register-lane checks are proved before the run; a program the
     proof rejects, or that spills, runs timed.
 
@@ -116,7 +115,7 @@ val scalar_final_memory :
     from [seed], computed by a values-only run: bit-identical arrays
     and scalars ({!Memory.equal}), the same {!Trap.Trap} on a faulting
     program, and an armed injected fault fires on the same access (the
-    closures tick where a timed run calls {!Cache.charge}).  Its
+    closures tick where a timed run calls {!Cache.access}).  Its
     states are built exactly like a timed run's, cache included; it
     never runs on a domain pool.  For callers that read only the final
     memory, such as the scalar-reference check. *)

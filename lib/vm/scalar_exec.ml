@@ -7,7 +7,7 @@ let elem_indices ~index_env idxs = List.map (fun ix -> Affine.eval ix index_env)
 
 let exec_stmt ~memory ~cache ~counters ~machine ~index_env (s : Stmt.t) =
   let costs = machine.M.costs in
-  let charge c = counters.Counters.cycles <- counters.Counters.cycles +. c in
+  let charge c = counters.Counters.centicycles <- counters.Counters.centicycles + c in
   let read_operand op =
     match op with
     | Operand.Const c -> c
@@ -21,10 +21,10 @@ let exec_stmt ~memory ~cache ~counters ~machine ~index_env (s : Stmt.t) =
         let flat = Memory.flat_index memory b (elem_indices ~index_env idxs) in
         counters.Counters.scalar_loads <- counters.Counters.scalar_loads + 1;
         charge
-          (float_of_int costs.M.load_issue
-          +. Cache.access cache
-               ~addr:(Memory.array_base memory b + (flat * Memory.elem_bytes memory b))
-               ~bytes:(Memory.elem_bytes memory b));
+          ((100 * costs.M.load_issue)
+          + Cache.access cache
+              ~addr:(Memory.array_base memory b + (flat * Memory.elem_bytes memory b))
+              ~bytes:(Memory.elem_bytes memory b));
         Memory.load memory b flat
   in
   let value = Expr.eval s.Stmt.rhs read_operand in
@@ -42,17 +42,17 @@ let exec_stmt ~memory ~cache ~counters ~machine ~index_env (s : Stmt.t) =
       0
       (Expr.operators s.Stmt.rhs)
   in
-  charge (float_of_int op_cycles);
+  charge (100 * op_cycles);
   match s.Stmt.lhs with
   | Operand.Scalar v -> Memory.set_scalar memory v value
   | Operand.Elem (b, idxs) ->
       let flat = Memory.flat_index memory b (elem_indices ~index_env idxs) in
       counters.Counters.scalar_stores <- counters.Counters.scalar_stores + 1;
       charge
-        (float_of_int costs.M.store_issue
-        +. Cache.access cache
-             ~addr:(Memory.array_base memory b + (flat * Memory.elem_bytes memory b))
-             ~bytes:(Memory.elem_bytes memory b));
+        ((100 * costs.M.store_issue)
+        + Cache.access cache
+            ~addr:(Memory.array_base memory b + (flat * Memory.elem_bytes memory b))
+            ~bytes:(Memory.elem_bytes memory b));
       Memory.store memory b flat value
   | Operand.Const _ -> assert false
 
@@ -107,7 +107,6 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Progr
     { counters; memory }
   end
   else begin
-    let contention = 1.0 +. (float_of_int (cores - 1) *. machine.M.contention_per_core) in
     (* Partition the first top-level loop; everything else runs on
        core 0. *)
     match
@@ -130,10 +129,10 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Progr
           Engine.make_privatizer ~memory ~ranges ~verdict:(Parcheck.analyze image)
         in
         let all = Counters.create () in
-        let max_cycles = ref 0.0 in
+        let max_cycles = ref 0 in
         List.iteri
           (fun core (clo, chi) ->
-            let cache = Cache.create ~contention machine in
+            let cache = Cache.create ~cores machine in
             let counters = Counters.create () in
             priv.Engine.p_enter core;
             List.iter
@@ -149,12 +148,12 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Progr
                         ~override:None [ item ])
               prog.Program.body;
             priv.Engine.p_exit core;
-            max_cycles := Float.max !max_cycles counters.Counters.cycles;
-            counters.Counters.cycles <- 0.0;
+            max_cycles := Int.max !max_cycles counters.Counters.centicycles;
+            counters.Counters.centicycles <- 0;
             Counters.merge_into ~into:all counters)
           ranges;
         priv.Engine.p_finish ();
-        all.Counters.cycles <- !max_cycles;
+        all.Counters.centicycles <- !max_cycles;
         { counters = all; memory }
   end
 

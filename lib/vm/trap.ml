@@ -57,7 +57,7 @@ let disarm_fault () =
   fault_enabled := false
 
 (* Called when [fault_enabled] on every memory access: from
-   [Cache.charge] in timed runs of the interpreters and the compiled
+   [Cache.access] in timed runs of the interpreters and the compiled
    engine, and from the engine's values-only closures at the same
    point of the same access.  Counts down [after] accesses, then
    fires exactly once and disarms itself, so the scalar fallback that

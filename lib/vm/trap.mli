@@ -31,7 +31,7 @@ val unset_spill : ?stmt:int -> slot:int -> unit -> 'a
     The harness arms a one-shot fault; the [after]-th subsequent
     memory access raises and the fault disarms itself, so the scalar
     fallback re-execution runs clean.  Timed runs tick in
-    {!Cache.charge}; values-only runs, which skip the cache, tick at
+    {!Cache.access}; values-only runs, which skip the cache, tick at
     the same point of the same access.  [Memory_fault] raises
     {!Trap} with [Injected_fault]; [Cache_fault] raises
     {!Slp_util.Slp_error.Error} with code [Injected]. *)

@@ -15,7 +15,7 @@ type state = {
    register value always has at least one lane. *)
 let unwritten : float array = [||]
 
-let charge st c = st.counters.Counters.cycles <- st.counters.Counters.cycles +. c
+let charge st c = st.counters.Counters.centicycles <- st.counters.Counters.centicycles + c
 
 let elem_location st ~index_env op =
   match op with
@@ -49,8 +49,8 @@ let exec_instr st ~index_env instr =
       let _, _, addr0, bytes = List.hd locs in
       st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
       charge st
-        (float_of_int costs.M.load_issue
-        +. Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems));
+        ((100 * costs.M.load_issue)
+        + Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems));
       st.vregs.(dst) <- values
   | Visa.Vstore { src; elems } ->
       let lanes = vreg st src in
@@ -61,8 +61,8 @@ let exec_instr st ~index_env instr =
       let _, _, addr0, bytes = List.hd locs in
       st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
       charge st
-        (float_of_int costs.M.store_issue
-        +. Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems))
+        ((100 * costs.M.store_issue)
+        + Cache.access st.cache ~addr:addr0 ~bytes:(bytes * List.length elems))
   | Visa.Vgather { dst; srcs } ->
       let values =
         Array.of_list
@@ -76,13 +76,13 @@ let exec_instr st ~index_env instr =
                    st.counters.Counters.pack_loads <-
                      st.counters.Counters.pack_loads + 1;
                    charge st
-                     (float_of_int costs.M.load_issue
-                     +. Cache.access st.cache ~addr ~bytes);
+                     ((100 * costs.M.load_issue)
+                     + Cache.access st.cache ~addr ~bytes);
                    Memory.load st.memory b flat)
              srcs)
       in
       st.counters.Counters.inserts <- st.counters.Counters.inserts + List.length srcs;
-      charge st (float_of_int (List.length srcs * costs.M.insert));
+      charge st (100 * List.length srcs * costs.M.insert);
       st.vregs.(dst) <- values
   | Visa.Vunpack { src; dsts } ->
       let lanes = vreg st src in
@@ -92,7 +92,7 @@ let exec_instr st ~index_env instr =
           | None -> ()
           | Some d -> begin
               st.counters.Counters.extracts <- st.counters.Counters.extracts + 1;
-              charge st (float_of_int costs.M.extract);
+              charge st (100 * costs.M.extract);
               match d with
               | Visa.To_reg v -> Memory.set_scalar st.memory v lanes.(i)
               | Visa.To_mem op ->
@@ -100,8 +100,8 @@ let exec_instr st ~index_env instr =
                   st.counters.Counters.pack_stores <-
                     st.counters.Counters.pack_stores + 1;
                   charge st
-                    (float_of_int costs.M.store_issue
-                    +. Cache.access st.cache ~addr ~bytes);
+                    ((100 * costs.M.store_issue)
+                    + Cache.access st.cache ~addr ~bytes);
                   Memory.store st.memory b flat lanes.(i)
             end)
         dsts
@@ -114,56 +114,54 @@ let exec_instr st ~index_env instr =
             let b, flat, addr, bytes = elem_location st ~index_env op in
             st.counters.Counters.pack_loads <- st.counters.Counters.pack_loads + 1;
             charge st
-              (float_of_int costs.M.load_issue
-              +. Cache.access st.cache ~addr ~bytes);
+              ((100 * costs.M.load_issue)
+              + Cache.access st.cache ~addr ~bytes);
             Memory.load st.memory b flat
       in
       st.counters.Counters.broadcasts <- st.counters.Counters.broadcasts + 1;
-      charge st (float_of_int costs.M.broadcast);
+      charge st (100 * costs.M.broadcast);
       st.vregs.(dst) <- (Array.make lanes value)
   | Visa.Vpermute { dst; src; sel } ->
       let lanes = vreg st src in
       st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
-      charge st (float_of_int costs.M.permute);
+      charge st (100 * costs.M.permute);
       st.vregs.(dst) <- (Array.map (fun i -> lanes.(i)) sel)
   | Visa.Vshuffle2 { dst; a; b; sel } ->
       let la = vreg st a and lb = vreg st b in
       st.counters.Counters.permutes <- st.counters.Counters.permutes + 1;
-      charge st (float_of_int costs.M.permute);
+      charge st (100 * costs.M.permute);
       st.vregs.(dst) <-
         (Array.map (fun (src, lane) -> if src = 0 then la.(lane) else lb.(lane)) sel)
   | Visa.Vbin { dst; op; a; b } ->
       let la = vreg st a and lb = vreg st b in
       st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
-      charge st
-        (float_of_int
-           (match op with Types.Div -> costs.M.divide | _ -> costs.M.vector_op));
+      charge st (100 * match op with Types.Div -> costs.M.divide | _ -> costs.M.vector_op);
       st.vregs.(dst) <-
         (Array.init (Array.length la) (fun i -> Types.eval_binop op la.(i) lb.(i)))
   | Visa.Vun { dst; op; a } ->
       let la = vreg st a in
       st.counters.Counters.vector_ops <- st.counters.Counters.vector_ops + 1;
       charge st
-        (float_of_int
-           (match op with
-           | Types.Sqrt -> costs.M.square_root
-           | Types.Neg | Types.Abs -> costs.M.vector_op));
+        (100
+        * (match op with
+          | Types.Sqrt -> costs.M.square_root
+          | Types.Neg | Types.Abs -> costs.M.vector_op));
       st.vregs.(dst) <- (Array.map (Types.eval_unop op) la)
   | Visa.Vspill { src; slot } ->
       let lanes = vreg st src in
       Memory.spill_store st.memory ~slot lanes;
       st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
       charge st
-        (float_of_int costs.M.store_issue
-        +. Cache.access st.cache
+        ((100 * costs.M.store_issue)
+        + Cache.access st.cache
              ~addr:(Memory.spill_addr st.memory ~slot)
              ~bytes:(8 * Array.length lanes))
   | Visa.Vreload { dst; slot } ->
       let lanes = Memory.spill_load st.memory ~slot in
       st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
       charge st
-        (float_of_int costs.M.load_issue
-        +. Cache.access st.cache
+        ((100 * costs.M.load_issue)
+        + Cache.access st.cache
              ~addr:(Memory.spill_addr st.memory ~slot)
              ~bytes:(8 * Array.length lanes));
       st.vregs.(dst) <- lanes
@@ -173,8 +171,8 @@ let exec_instr st ~index_env instr =
       in
       st.counters.Counters.vector_loads <- st.counters.Counters.vector_loads + 1;
       charge st
-        (float_of_int costs.M.load_issue
-        +. Cache.access st.cache
+        ((100 * costs.M.load_issue)
+        + Cache.access st.cache
              ~addr:(Memory.scalar_addr st.memory (List.hd sources))
              ~bytes:(8 * List.length sources));
       st.vregs.(dst) <- values
@@ -183,8 +181,8 @@ let exec_instr st ~index_env instr =
       List.iteri (fun i v -> Memory.set_scalar st.memory v lanes.(i)) targets;
       st.counters.Counters.vector_stores <- st.counters.Counters.vector_stores + 1;
       charge st
-        (float_of_int costs.M.store_issue
-        +. Cache.access st.cache
+        ((100 * costs.M.store_issue)
+        + Cache.access st.cache
              ~addr:(Memory.scalar_addr st.memory (List.hd targets))
              ~bytes:(8 * List.length targets))
   | Visa.Sstmt s -> (
@@ -246,12 +244,12 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
   let setup_cycles =
     if cores <= 1 then begin
       exec_items setup_state ~bindings:[] ~override:None prog.Visa.setup;
-      let c = setup_state.counters.Counters.cycles in
-      setup_state.counters.Counters.cycles <- 0.0;
+      let c = setup_state.counters.Counters.centicycles in
+      setup_state.counters.Counters.centicycles <- 0;
       c
     end
     else begin
-      let total = ref 0.0 in
+      let total = ref 0 in
       List.iter
         (fun item ->
           match item with
@@ -264,34 +262,33 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
                   let ranges =
                     Scalar_exec.chunk_ranges ~lo ~hi ~step:l.Visa.step ~cores
                   in
-                  let slowest = ref 0.0 in
+                  let slowest = ref 0 in
                   List.iter
                     (fun (clo, chi) ->
-                      let before = setup_state.counters.Counters.cycles in
+                      let before = setup_state.counters.Counters.centicycles in
                       exec_items setup_state ~bindings:[]
                         ~override:(Some (clo, chi))
                         [ Visa.Loop l ];
-                      let spent = setup_state.counters.Counters.cycles -. before in
-                      slowest := Float.max !slowest spent)
+                      let spent = setup_state.counters.Counters.centicycles - before in
+                      slowest := Int.max !slowest spent)
                     ranges;
-                  total := !total +. !slowest
+                  total := !total + !slowest
               | exception Not_found ->
                   exec_items setup_state ~bindings:[] ~override:None [ item ]
             end
           | Visa.Block _ ->
               exec_items setup_state ~bindings:[] ~override:None [ item ])
         prog.Visa.setup;
-      setup_state.counters.Counters.cycles <- 0.0;
+      setup_state.counters.Counters.centicycles <- 0;
       !total
     end
   in
-  setup_state.counters.Counters.setup_cycles <- setup_cycles;
+  setup_state.counters.Counters.setup_centicycles <- setup_cycles;
   if cores <= 1 then begin
     exec_items setup_state ~bindings:[] ~override:None prog.Visa.body;
     { counters = setup_state.counters; memory }
   end
   else begin
-    let contention = 1.0 +. (float_of_int (cores - 1) *. machine.M.contention_per_core) in
     match
       List.find_map
         (function Visa.Loop l -> Some l | Visa.Block _ -> None)
@@ -299,7 +296,7 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
     with
     | None ->
         let r = run_interpreter ~cores:1 ~seed ~memory ~machine { prog with Visa.setup = [] } in
-        r.counters.Counters.setup_cycles <- setup_cycles;
+        r.counters.Counters.setup_centicycles <- setup_cycles;
         r
     | Some main_loop ->
         let lo = Affine.eval main_loop.Visa.lo (fun _ -> raise Not_found) in
@@ -315,13 +312,13 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
             ~verdict:(Parcheck.analyze prog)
         in
         let all = setup_state.counters in
-        let max_cycles = ref 0.0 in
+        let max_cycles = ref 0 in
         List.iteri
           (fun core (clo, chi) ->
             let st =
               {
                 memory;
-                cache = Cache.create ~contention machine;
+                cache = Cache.create ~cores machine;
                 counters = Counters.create ();
                 machine;
                 vregs = Array.make nvregs unwritten;
@@ -338,12 +335,12 @@ let rec run_interpreter ?(cores = 1) ?(seed = 42) ?memory ~machine (prog : Visa.
                     if core = 0 then exec_items st ~bindings:[] ~override:None [ item ])
               prog.Visa.body;
             priv.Engine.p_exit core;
-            max_cycles := Float.max !max_cycles st.counters.Counters.cycles;
-            st.counters.Counters.cycles <- 0.0;
+            max_cycles := Int.max !max_cycles st.counters.Counters.centicycles;
+            st.counters.Counters.centicycles <- 0;
             Counters.merge_into ~into:all st.counters)
           ranges;
         priv.Engine.p_finish ();
-        all.Counters.cycles <- !max_cycles;
+        all.Counters.centicycles <- !max_cycles;
         { counters = all; memory }
   end
 

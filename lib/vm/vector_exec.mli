@@ -5,7 +5,7 @@
     costs — vector ALU cycles, cache-simulated memory latencies for
     vector and element accesses, and the packing/unpacking register
     instructions.  Setup items (layout replication) run once and are
-    charged to [setup_cycles].  Multicore semantics mirror
+    charged to [setup_centicycles].  Multicore semantics mirror
     {!Scalar_exec.run}. *)
 
 type result = Engine.result = { counters : Counters.t; memory : Memory.t }

@@ -301,13 +301,39 @@ let test_proto_roundtrip () =
       | _ -> Alcotest.fail "errors did not round-trip")
   | Result.Error msg -> Alcotest.fail msg
 
+(* An error message quotes a client string whole up to 64 bytes, and
+   past that its first 64 bytes and its length, so a reply to a
+   megabyte line is a short line. *)
 let test_bad_request () =
-  (match Proto.request_of_line "{\"id\": 3, \"op\": \"warp\"}" with
-  | Result.Error (3, _) -> ()
-  | _ -> Alcotest.fail "unknown op must fail with its id");
-  match Proto.request_of_line "not json" with
-  | Result.Error (-1, _) -> ()
-  | _ -> Alcotest.fail "garbage must fail with id -1"
+  let error line =
+    match Proto.request_of_line line with
+    | Result.Error (id, msg) -> (id, msg)
+    | Result.Ok _ -> Alcotest.failf "%s parsed" (String.sub line 0 (min 80 (String.length line)))
+  in
+  Alcotest.(check (pair int string))
+    "unknown op, with its id" (3, {|unknown op "warp"|})
+    (error {|{"id": 3, "op": "warp"}|});
+  Alcotest.(check (pair int string))
+    "unknown scheme" (4, {|missing or malformed field "scheme warp"|})
+    (error {|{"id": 4, "op": "compile", "kernel": "", "scheme": "warp"}|});
+  Alcotest.(check int) "garbage fails with id -1" (-1) (fst (error "not json"));
+  let prefix = {|{"id": 5, "op": "|} and suffix = {|"}|} in
+  let op = String.make (1_000_020 - String.length prefix - String.length suffix) 'x' in
+  let line = prefix ^ op ^ suffix in
+  Alcotest.(check int) "a 1,000,020-byte line" 1_000_020 (String.length line);
+  let id, msg = error line in
+  let reply = Proto.reply_to_line (Proto.error_reply ~message:msg ~id Proto.Bad_request) in
+  Alcotest.(check bool)
+    (Printf.sprintf "reply under 300 bytes (%d)" (String.length reply))
+    true
+    (String.length reply < 300);
+  Alcotest.(check string) "first 64 bytes, then the length"
+    (Printf.sprintf "unknown op %S… (%d bytes)" (String.sub op 0 64) (String.length op))
+    msg;
+  let machine = String.make 65 'm' in
+  Alcotest.(check string) "a long machine name clipped"
+    (Printf.sprintf "missing or malformed field %S… (65 bytes)" ("machine " ^ String.sub machine 0 64))
+    (snd (error (Printf.sprintf {|{"op": "execute", "kernel": "", "machine": "%s"}|} machine)))
 
 (* -- cache ----------------------------------------------------------- *)
 
@@ -575,7 +601,7 @@ let pinned_payloads =
     ("Global+Layout", "amd", 1, "988bd3d14eb57519");
     ("Optimal", "intel", 1, "d629896055101cf0");
     ("Optimal", "amd", 1, "c77618ce0610abd0");
-    ("Global+Layout", "intel", 2, "92880a2ee2c62a80");
+    ("Global+Layout", "intel", 2, "cd44a453e6b39a5e");
   ]
 
 let test_execute_payloads_pinned () =
@@ -727,11 +753,12 @@ let test_server_dropped_client_replies () =
   Alcotest.(check (float 1e-9)) "counted once" 1.0 (unroutable ())
 
 (* Partial writes.  One client pipelines its requests and reads
-   nothing until all are sent.  Every third names an unknown op of
-   twice the socket send buffer, which the error reply echoes: such a
-   line cannot leave in one write, and the stats replies queued behind
-   it wait on a full buffer.  Every reply must still arrive, whole and
-   in order. *)
+   nothing until all are sent.  Every third compiles the kernel a
+   first compile left in the cache, under a name twice the socket send
+   buffer long, which the reply echoes: a hit is answered on the
+   reactor, in order, and such a reply cannot leave in one write, so
+   the stats replies queued behind it wait on a full buffer.  Every
+   reply must still arrive, whole and in order. *)
 let test_server_partial_writes () =
   Fault.disarm ();
   let dir = fresh_dir () in
@@ -739,17 +766,22 @@ let test_server_partial_writes () =
   let pool = Pool.create ~config:quick_config ~cache:(Cache.create ~dir) () in
   let daemon = Domain.spawn (fun () -> Server.run ~pool ~socket ()) in
   let control = connect ~socket 100 in
+  let warm = Client.call control { Proto.id = 99; op = Proto.Job (Proto.Compile, small_spec ()) } in
+  Alcotest.(check string) "warm-up compile ok" "ok" (Proto.status_name warm.Proto.status);
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
-  let big_op = String.make (2 * Unix.getsockopt_int fd Unix.SO_SNDBUF) 'x' in
+  let big_name = String.make (2 * Unix.getsockopt_int fd Unix.SO_SNDBUF) 'x' in
   let count = 9 in
   let big k = k mod 3 = 2 in
   let requests =
     String.concat ""
       (List.init count (fun i ->
            let id = i + 1 in
-           if big id then Printf.sprintf "{\"id\": %d, \"op\": \"%s\"}\n" id big_op
-           else Proto.request_to_line { Proto.id; op = Proto.Stats } ^ "\n"))
+           let op =
+             if big id then Proto.Job (Proto.Compile, small_spec ~name:big_name ())
+             else Proto.Stats
+           in
+           Proto.request_to_line { Proto.id; op } ^ "\n"))
   in
   let rec send off =
     if off < String.length requests then
@@ -762,15 +794,13 @@ let test_server_partial_writes () =
     | Error e -> Alcotest.failf "reply %d does not parse: %s" id e
     | Ok reply -> (
         Alcotest.(check int) "replies in request order" id reply.Proto.id;
-        match (big id, Json.member "message" reply.Proto.payload) with
-        | true, Some (Json.Str m) ->
-            Alcotest.(check string) "long reply whole"
-              (Printf.sprintf "unknown op %S" big_op)
-              m
-        | true, _ -> Alcotest.failf "reply %d lacks its message" id
-        | false, _ ->
-            Alcotest.(check string) "stats ok" "ok"
-              (Proto.status_name reply.Proto.status))
+        Alcotest.(check string) "ok" "ok" (Proto.status_name reply.Proto.status);
+        match (big id, Json.member "name" reply.Proto.payload) with
+        | true, Some (Json.Str name) ->
+            Alcotest.(check bool) "a cache hit" true reply.Proto.cached;
+            Alcotest.(check bool) "long name whole" true (String.equal big_name name)
+        | true, _ -> Alcotest.failf "reply %d lacks its name" id
+        | false, _ -> ())
   done;
   close_in ic;
   shut_down control 1;
